@@ -14,6 +14,7 @@
 #include "channel/history_engine.h"
 #include "channel/rng.h"
 #include "harness/csv.h"
+#include "harness/framed_journal.h"
 #include "harness/hash.h"
 
 namespace crp::harness {
@@ -22,17 +23,6 @@ namespace {
 
 constexpr const char* kJournalMagic = "crp-checkpoint-journal-v1";
 constexpr const char* kRecordTag = "cell";
-/// Every framed block ends with newline, '.', newline: the completion
-/// marker a torn write cannot fake (truncation removes it, and a
-/// short write that stops inside it leaves a detectably-incomplete
-/// record).
-constexpr const char* kEndMarker = "\n.\n";
-
-std::string hex(std::uint64_t value) {
-  std::ostringstream out;
-  out << "0x" << std::hex << value;
-  return out.str();
-}
 
 [[noreturn]] void io_fail(const std::string& what) {
   throw IoError(what + ": " + std::strerror(errno));
@@ -94,7 +84,10 @@ class FileCheckpointSink final : public CheckpointSink {
   int fd_ = -1;
 };
 
-std::uint64_t header_checksum(const ShardManifest& identity,
+/// Over the identity fields ShardManifest (writer side) and
+/// CheckpointJournal (reader side) both carry under the same names.
+template <typename Identity>
+std::uint64_t header_checksum(const Identity& identity,
                               const std::string& csv_header) {
   Fnv1a h;
   h.u64(identity.grid_hash);
@@ -116,106 +109,6 @@ std::uint64_t record_checksum(const CheckpointRecord& record) {
   h.str(record.row);
   return h.state;
 }
-
-/// Splits a complete journal line on single spaces (no field in the
-/// format may contain one; engine names are hyphenated).
-std::vector<std::string> split_fields(std::string_view line) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (start <= line.size()) {
-    const auto space = line.find(' ', start);
-    if (space == std::string_view::npos) {
-      fields.emplace_back(line.substr(start));
-      break;
-    }
-    fields.emplace_back(line.substr(start, space - start));
-    start = space + 1;
-  }
-  return fields;
-}
-
-std::optional<std::uint64_t> parse_hex_u64(const std::string& raw) {
-  if (raw.size() < 3 || raw.size() > 18 || raw[0] != '0' || raw[1] != 'x') {
-    return std::nullopt;
-  }
-  std::uint64_t value = 0;
-  for (std::size_t i = 2; i < raw.size(); ++i) {
-    const char c = raw[i];
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return std::nullopt;
-    }
-    value = value * 16 + static_cast<std::uint64_t>(digit);
-  }
-  return value;
-}
-
-/// Journal parse state shared between the header and record loops.
-struct JournalParser {
-  const std::string& path;
-  const std::string& text;
-  std::size_t pos = 0;
-
-  [[noreturn]] void fail(std::size_t offset, const std::string& message) {
-    throw std::invalid_argument("checkpoint journal " + path + " at byte " +
-                                std::to_string(offset) + ": " + message);
-  }
-
-  /// The next complete line (without its newline), or nullopt when no
-  /// newline follows — the file ends mid-line.
-  std::optional<std::string_view> next_line() {
-    const auto nl = text.find('\n', pos);
-    if (nl == std::string::npos) return std::nullopt;
-    std::string_view line(text.data() + pos, nl - pos);
-    pos = nl + 1;
-    return line;
-  }
-
-  std::uint64_t field_uint(const std::string& field, std::size_t offset,
-                           const std::string& what) {
-    const auto value = parse_csv_unsigned(field);
-    if (!value) {
-      fail(offset, what + " must be a plain non-negative integer, got \"" +
-                       field + "\"");
-    }
-    return *value;
-  }
-
-  std::uint64_t field_hex(const std::string& field, std::size_t offset,
-                          const std::string& what) {
-    const auto value = parse_hex_u64(field);
-    if (!value) {
-      fail(offset, what + " must be an \"0x...\" hex value, got \"" + field +
-                       "\"");
-    }
-    return *value;
-  }
-
-  /// Consumes `length` payload bytes plus the end marker; nullopt when
-  /// the file ends first (a torn record — the caller decides whether
-  /// that position may legally be torn).
-  std::optional<std::string> payload(std::size_t offset, std::size_t length) {
-    // Overflow-safe: `length` may be a bit-flipped garbage value, so
-    // never compute pos + length directly.
-    const std::size_t marker_len = std::strlen(kEndMarker);
-    if (length > text.size() - pos ||
-        marker_len > text.size() - pos - length) {
-      return std::nullopt;  // the file ends inside payload or marker
-    }
-    if (text.compare(pos + length, marker_len, kEndMarker) != 0) {
-      fail(offset,
-           "end-of-record marker missing — the record is damaged, not torn "
-           "(bytes continue past where it should end)");
-    }
-    std::string out = text.substr(pos, length);
-    pos += length + std::strlen(kEndMarker);
-    return out;
-  }
-};
 
 }  // namespace
 
@@ -266,6 +159,15 @@ void atomic_write_file(const std::string& path, std::string_view contents) {
   fsync_directory(target.parent_path());
 }
 
+std::string read_whole_file(const std::string& path, const std::string& what) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) io_fail("cannot open " + what + " " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (in.bad()) throw IoError("cannot read " + what + " " + path);
+  return buffer.str();
+}
+
 std::unique_ptr<CheckpointSink> open_file_checkpoint_sink(
     const std::string& path) {
   return std::make_unique<FileCheckpointSink>(path);
@@ -273,175 +175,114 @@ std::unique_ptr<CheckpointSink> open_file_checkpoint_sink(
 
 std::string format_checkpoint_header(const ShardManifest& identity,
                                      const std::string& csv_header) {
-  std::string out = kJournalMagic;
-  out += ' ';
-  out += hex(identity.grid_hash);
-  out += ' ';
-  out += hex(identity.master_seed);
-  out += ' ';
-  out += std::to_string(identity.trials);
-  out += ' ';
-  out += std::to_string(identity.total_cells);
-  out += ' ';
-  out += std::to_string(identity.cell_begin);
-  out += ' ';
-  out += std::to_string(identity.cell_end);
-  out += ' ';
-  out += identity.engine;
-  out += ' ';
-  out += identity.cd_engine;
-  out += ' ';
-  out += std::to_string(csv_header.size());
-  out += ' ';
-  out += hex(header_checksum(identity, csv_header));
-  out += '\n';
-  out += csv_header;
-  out += kEndMarker;
-  return out;
+  return journal_block(
+      {kJournalMagic, hex_u64(identity.grid_hash),
+       hex_u64(identity.master_seed), std::to_string(identity.trials),
+       std::to_string(identity.total_cells),
+       std::to_string(identity.cell_begin), std::to_string(identity.cell_end),
+       identity.engine, identity.cd_engine, std::to_string(csv_header.size()),
+       hex_u64(header_checksum(identity, csv_header))},
+      csv_header);
 }
 
 std::string format_checkpoint_record(const CheckpointRecord& record) {
-  std::string out = kRecordTag;
-  out += ' ';
-  out += std::to_string(record.cell_index);
-  out += ' ';
-  out += hex(record.cell_seed);
-  out += ' ';
-  out += std::to_string(record.row.size());
-  out += ' ';
-  out += hex(record_checksum(record));
-  out += '\n';
-  out += record.row;
-  out += kEndMarker;
-  return out;
+  return journal_block(
+      {kRecordTag, std::to_string(record.cell_index),
+       hex_u64(record.cell_seed), std::to_string(record.row.size()),
+       hex_u64(record_checksum(record))},
+      record.row);
 }
 
 CheckpointJournal read_checkpoint_journal(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw IoError("cannot open checkpoint journal " + path + ": " +
-                  std::strerror(errno));
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    throw IoError("cannot read checkpoint journal " + path);
-  }
-  const std::string text = buffer.str();
-  JournalParser parser{path, text};
+  FramedJournalReader reader("checkpoint", path);
   CheckpointJournal journal;
 
   // ---- header block ----
-  // The header is created whole via atomic temp-file + rename before
-  // any record is appended, so unlike a record it is never legally
-  // torn: any damage here is corruption.
-  const auto header_line = parser.next_line();
-  if (!header_line) {
-    parser.fail(0, "incomplete header line (the header is written "
-                   "atomically — this file is damaged, not torn)");
-  }
-  const auto fields = split_fields(*header_line);
-  if (fields.size() != 11 || fields[0] != kJournalMagic) {
-    parser.fail(0, "not a " + std::string(kJournalMagic) + " header: \"" +
-                       std::string(*header_line) + "\"");
-  }
-  journal.grid_hash = parser.field_hex(fields[1], 0, "grid hash");
-  journal.master_seed = parser.field_hex(fields[2], 0, "master seed");
-  journal.trials = parser.field_uint(fields[3], 0, "trials");
-  journal.total_cells = parser.field_uint(fields[4], 0, "total cell count");
-  journal.cell_begin = parser.field_uint(fields[5], 0, "cell_begin");
-  journal.cell_end = parser.field_uint(fields[6], 0, "cell_end");
+  const auto fields = reader.header(kJournalMagic, 11);
+  journal.grid_hash = reader.field_hex(fields[1], 0, "grid hash");
+  journal.master_seed = reader.field_hex(fields[2], 0, "master seed");
+  journal.trials = reader.field_uint(fields[3], 0, "trials");
+  journal.total_cells = reader.field_uint(fields[4], 0, "total cell count");
+  journal.cell_begin = reader.field_uint(fields[5], 0, "cell_begin");
+  journal.cell_end = reader.field_uint(fields[6], 0, "cell_end");
   journal.engine = fields[7];
   journal.cd_engine = fields[8];
   const std::size_t header_len =
-      parser.field_uint(fields[9], 0, "header length");
-  const std::uint64_t header_crc = parser.field_hex(fields[10], 0, "checksum");
-  auto header_payload = parser.payload(0, header_len);
-  if (!header_payload) {
-    parser.fail(0, "truncated header block (the header is written "
+      reader.field_uint(fields[9], 0, "header length");
+  const std::uint64_t header_crc = reader.field_hex(fields[10], 0, "checksum");
+  // The header is written atomically, so unlike a record it is never
+  // legally torn.
+  auto csv_header = reader.payload(0, header_len);
+  if (!csv_header) {
+    reader.fail(0, "truncated header block (the header is written "
                    "atomically — this file is damaged, not torn)");
   }
-  journal.csv_header = std::move(*header_payload);
+  journal.csv_header = std::move(*csv_header);
   if (journal.cell_begin > journal.cell_end ||
       journal.cell_end > journal.total_cells) {
-    parser.fail(0, "cell range [" + std::to_string(journal.cell_begin) +
+    reader.fail(0, "cell range [" + std::to_string(journal.cell_begin) +
                        ", " + std::to_string(journal.cell_end) +
                        ") is not within [0, " +
                        std::to_string(journal.total_cells) + ")");
   }
-  {
-    ShardManifest identity;
-    identity.grid_hash = journal.grid_hash;
-    identity.master_seed = journal.master_seed;
-    identity.trials = journal.trials;
-    identity.total_cells = journal.total_cells;
-    identity.cell_begin = journal.cell_begin;
-    identity.cell_end = journal.cell_end;
-    identity.engine = journal.engine;
-    identity.cd_engine = journal.cd_engine;
-    if (header_checksum(identity, journal.csv_header) != header_crc) {
-      parser.fail(0, "header checksum mismatch — expected " +
-                         hex(header_crc) + ", computed " +
-                         hex(header_checksum(identity, journal.csv_header)));
-    }
+  const std::uint64_t computed = header_checksum(journal, journal.csv_header);
+  if (computed != header_crc) {
+    reader.fail(0, "header checksum mismatch — expected " +
+                       hex_u64(header_crc) + ", computed " +
+                       hex_u64(computed));
   }
-  journal.valid_bytes = parser.pos;
 
   // ---- records ----
   std::vector<bool> seen(journal.cell_end - journal.cell_begin, false);
-  while (parser.pos < text.size()) {
-    const std::size_t record_start = parser.pos;
-    const auto line = parser.next_line();
-    if (!line) break;  // torn: the file ends mid-line
-    const auto record_fields = split_fields(*line);
-    // A complete line (its newline made it to disk) with bad structure
-    // cannot come from a torn append — appends are sequential, so a
-    // crash only ever removes a suffix. Reject as corruption.
-    if (record_fields.size() != 5 || record_fields[0] != kRecordTag) {
-      parser.fail(record_start, "malformed record header \"" +
-                                    std::string(*line) + "\"");
-    }
-    CheckpointRecord record;
-    record.cell_index = parser.field_uint(record_fields[1], record_start,
-                                          "record cell index");
-    record.cell_seed =
-        parser.field_hex(record_fields[2], record_start, "record cell seed");
-    const std::size_t row_len =
-        parser.field_uint(record_fields[3], record_start, "record length");
-    const std::uint64_t crc =
-        parser.field_hex(record_fields[4], record_start, "record checksum");
-    auto row = parser.payload(record_start, row_len);
-    if (!row) {
-      parser.pos = record_start;  // torn: the payload never finished
-      break;
-    }
-    record.row = std::move(*row);
-    if (record_checksum(record) != crc) {
-      parser.fail(record_start,
-                  "record checksum mismatch for cell " +
-                      std::to_string(record.cell_index) + " — expected " +
-                      hex(crc) + ", computed " + hex(record_checksum(record)) +
-                      " (the record is corrupt, not torn)");
-    }
-    if (record.cell_index < journal.cell_begin ||
-        record.cell_index >= journal.cell_end) {
-      parser.fail(record_start,
-                  "record cell index " + std::to_string(record.cell_index) +
-                      " is outside the shard range [" +
-                      std::to_string(journal.cell_begin) + ", " +
-                      std::to_string(journal.cell_end) + ")");
-    }
-    if (seen[record.cell_index - journal.cell_begin]) {
-      parser.fail(record_start,
-                  "duplicate record for cell " +
-                      std::to_string(record.cell_index) +
-                      " — each cell must be journaled exactly once");
-    }
-    seen[record.cell_index - journal.cell_begin] = true;
-    journal.records.push_back(std::move(record));
-    journal.valid_bytes = parser.pos;
-  }
-  journal.torn_bytes = text.size() - journal.valid_bytes;
+  const JournalExtent extent = reader.read_records(
+      [&](const FramedJournalReader::Record& line) {
+        const std::size_t at = line.offset;
+        // A complete line (its newline made it to disk) with bad
+        // structure cannot come from a torn append — appends are
+        // sequential, so a crash only ever removes a suffix.
+        if (line.fields.size() != 5 || line.fields[0] != kRecordTag) {
+          reader.fail(at, "malformed record header \"" +
+                              std::string(line.line) + "\"");
+        }
+        CheckpointRecord record;
+        record.cell_index =
+            reader.field_uint(line.fields[1], at, "record cell index");
+        record.cell_seed =
+            reader.field_hex(line.fields[2], at, "record cell seed");
+        const std::size_t row_len =
+            reader.field_uint(line.fields[3], at, "record length");
+        const std::uint64_t crc =
+            reader.field_hex(line.fields[4], at, "record checksum");
+        auto row = reader.payload(at, row_len);
+        if (!row) return false;
+        record.row = std::move(*row);
+        const std::uint64_t computed = record_checksum(record);
+        if (computed != crc) {
+          reader.fail(at, "record checksum mismatch for cell " +
+                              std::to_string(record.cell_index) +
+                              " — expected " + hex_u64(crc) + ", computed " +
+                              hex_u64(computed) +
+                              " (the record is corrupt, not torn)");
+        }
+        if (record.cell_index < journal.cell_begin ||
+            record.cell_index >= journal.cell_end) {
+          reader.fail(at, "record cell index " +
+                              std::to_string(record.cell_index) +
+                              " is outside the shard range [" +
+                              std::to_string(journal.cell_begin) + ", " +
+                              std::to_string(journal.cell_end) + ")");
+        }
+        if (seen[record.cell_index - journal.cell_begin]) {
+          reader.fail(at, "duplicate record for cell " +
+                              std::to_string(record.cell_index) +
+                              " — each cell must be journaled exactly once");
+        }
+        seen[record.cell_index - journal.cell_begin] = true;
+        journal.records.push_back(std::move(record));
+        return true;
+      });
+  journal.valid_bytes = extent.valid_bytes;
+  journal.torn_bytes = extent.torn_bytes;
   return journal;
 }
 
@@ -457,13 +298,13 @@ void validate_journal_against_plan(const CheckpointJournal& journal,
     throw std::invalid_argument("checkpoint resume " + path + ": " + message);
   };
   if (journal.grid_hash != identity.grid_hash) {
-    fail("grid fingerprint " + hex(journal.grid_hash) + " != " +
-         hex(identity.grid_hash) +
+    fail("grid fingerprint " + hex_u64(journal.grid_hash) + " != " +
+         hex_u64(identity.grid_hash) +
          " — the journal was written for a different grid");
   }
   if (journal.master_seed != identity.master_seed) {
-    fail("master seed " + hex(journal.master_seed) + " != " +
-         hex(identity.master_seed) +
+    fail("master seed " + hex_u64(journal.master_seed) + " != " +
+         hex_u64(identity.master_seed) +
          " — resume under the seed the journal was started with");
   }
   if (journal.trials != identity.trials) {
@@ -544,8 +385,8 @@ CheckpointRunResult run_sweep_shard_checkpointed(
         throw std::invalid_argument(
             "checkpoint resume " + path + ": cell " +
             std::to_string(record.cell_index) + " was journaled under seed " +
-            hex(record.cell_seed) + " but the plan derives " +
-            hex(result.manifest.cell_seeds[j]) +
+            hex_u64(record.cell_seed) + " but the plan derives " +
+            hex_u64(result.manifest.cell_seeds[j]) +
             " — the journal belongs to a different partition");
       }
       // Row cross-check: the journaled bytes must actually be one CSV
@@ -567,19 +408,12 @@ CheckpointRunResult run_sweep_shard_checkpointed(
             std::to_string(record.cell_index) +
             " row carries cell_seed \"" + row_fields[4] +
             "\" but the record was journaled under " +
-            hex(record.cell_seed));
+            hex_u64(record.cell_seed));
       }
       rows[j] = record.row;
       ++result.replayed_cells;
     }
-    if (journal.torn_bytes > 0) {
-      std::error_code ec;
-      std::filesystem::resize_file(path, journal.valid_bytes, ec);
-      if (ec) {
-        throw IoError("cannot truncate torn tail of " + path + ": " +
-                      ec.message());
-      }
-    }
+    truncate_torn_tail(path, journal.valid_bytes, journal.torn_bytes);
   } else {
     if (exists) {
       throw std::invalid_argument(

@@ -72,6 +72,11 @@ struct IoError : std::runtime_error {
 /// directory entry was flushed. Throws IoError.
 void atomic_write_file(const std::string& path, std::string_view contents);
 
+/// The read counterpart: the whole file at `path`. `what` names the
+/// file in the IoError an unopenable or unreadable file throws
+/// ("cannot open <what> PATH: reason").
+std::string read_whole_file(const std::string& path, const std::string& what);
+
 /// Durability seam for journal appends. The production sink is an
 /// O_APPEND file descriptor with fsync; tests inject sinks that fail,
 /// short-write, or truncate at the Nth append to prove every recovery
@@ -128,8 +133,8 @@ struct CheckpointJournal {
 /// Serialized journal pieces, exposed so tests (and external tools)
 /// can compose or corrupt journals deliberately. The header block
 /// embeds the sweep CSV header line; the record embeds the row bytes.
-/// Both are self-framing: length prefix + FNV-1a checksum + ".\n"
-/// end marker.
+/// Both are self-framing (harness/framed_journal.h): length prefix +
+/// FNV-1a checksum + end marker.
 std::string format_checkpoint_header(const ShardManifest& identity,
                                      const std::string& csv_header);
 std::string format_checkpoint_record(const CheckpointRecord& record);

@@ -76,6 +76,31 @@ std::optional<double> parse_csv_finite(const std::string& field) {
   return value;
 }
 
+std::string hex_u64(std::uint64_t value) {
+  std::ostringstream out;
+  out << "0x" << std::hex << value;
+  return out.str();
+}
+
+std::optional<std::uint64_t> parse_hex_u64(std::string_view field) {
+  if (field.size() < 3 || field.size() > 18 || !field.starts_with("0x")) {
+    return std::nullopt;
+  }
+  std::uint64_t value = 0;
+  for (const char c : field.substr(2)) {
+    int digit;
+    if (c >= '0' && c <= '9') {
+      digit = c - '0';
+    } else if (c >= 'a' && c <= 'f') {
+      digit = c - 'a' + 10;
+    } else {
+      return std::nullopt;
+    }
+    value = value * 16 + static_cast<std::uint64_t>(digit);
+  }
+  return value;
+}
+
 SupportTableBuilder::SupportTableBuilder(std::size_t n) {
   if (n < 2) throw std::invalid_argument("network size must be >= 2");
   probs_.assign(n + 1, 0.0);

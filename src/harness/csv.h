@@ -10,6 +10,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/measure.h"
@@ -76,6 +77,17 @@ class SupportTableBuilder {
 /// ordering checks and poisons aggregates.
 std::optional<std::uint64_t> parse_csv_unsigned(const std::string& field);
 std::optional<double> parse_csv_finite(const std::string& field);
+
+/// The one 64-bit hex grammar every on-disk format shares (manifests,
+/// grid specs, both journals, plan output): "0x" followed by 1 to 16
+/// *lowercase* hex digits. hex_u64 writes it (no leading zeros, so 0
+/// is "0x0"); parse_hex_u64 reads it back and nullopt's on anything
+/// else — a sign, an empty or over-long digit run, and uppercase. The
+/// case rule is a corruption guard: a 0x20 bit flip turns 'a' into
+/// 'A', and because journal checksums cover the parsed value rather
+/// than the bytes, a case-insensitive reader would accept the flip.
+std::string hex_u64(std::uint64_t value);
+std::optional<std::uint64_t> parse_hex_u64(std::string_view field);
 
 /// Minimal RFC-4180 quoting: a field containing a comma, double quote,
 /// CR, or LF is wrapped in double quotes with embedded quotes doubled;

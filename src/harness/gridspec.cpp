@@ -1,11 +1,9 @@
 #include "harness/gridspec.h"
 
-#include <cctype>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -13,371 +11,20 @@
 #include "core/likelihood_schedule.h"
 #include "harness/checkpoint.h"
 #include "harness/csv.h"
+#include "harness/strict_json.h"
 #include "predict/families.h"
 
 namespace crp::harness {
 
 namespace {
 
-// ---- strict JSON tree with positions ----
-//
-// A minimal JSON reader for exactly the spec grammar: objects, arrays,
-// strings, and numbers. Everything else — true/false/null, bare words
-// such as nan or inf, duplicate keys, unescaped control characters,
-// trailing content — is rejected at the position it occurs, with the
-// enclosing field path named, so a corrupted or hand-mangled spec
-// fails loudly instead of parsing into a silently different grid.
-// Numbers are kept as raw tokens; the schema layer below validates
-// them through the same parse_csv_unsigned / parse_csv_finite the
-// shard manifest and CSV readers use.
-
-struct Member;
-
-struct Json {
-  enum class Kind { kObject, kArray, kString, kNumber };
-  Kind kind = Kind::kString;
-  std::size_t line = 1;
-  std::size_t column = 1;
-  std::string text;  // string contents, or the raw number token
-  std::vector<Member> members;  // kObject
-  std::vector<Json> items;      // kArray
-};
-
-struct Member {
-  std::string key;
-  std::size_t line = 1;
-  std::size_t column = 1;
-  Json value;
-};
-
-std::string position(std::size_t line, std::size_t column) {
-  return "line " + std::to_string(line) + ", column " +
-         std::to_string(column);
-}
-
-[[noreturn]] void fail_at(const Json& at, const std::string& message) {
-  throw std::invalid_argument("grid spec: " + position(at.line, at.column) +
-                              ": " + message);
-}
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  Json parse() {
-    const Json root = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) {
-      fail("trailing content after the spec object");
-    }
-    if (root.kind != Json::Kind::kObject) {
-      fail_at(root, "the spec must be a JSON object");
-    }
-    return root;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    std::string where;
-    if (!path_.empty()) {
-      where = " (in field \"";
-      for (std::size_t i = 0; i < path_.size(); ++i) {
-        if (i > 0 && path_[i][0] != '[') where += '.';
-        where += path_[i];
-      }
-      where += "\")";
-    }
-    throw std::invalid_argument("grid spec: " + position(line_, col_) + ": " +
-                                message + where);
-  }
-
-  bool eof() const { return pos_ >= text_.size(); }
-  char peek() const { return eof() ? '\0' : text_[pos_]; }
-
-  void advance() {
-    if (text_[pos_] == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    ++pos_;
-  }
-
-  void skip_ws() {
-    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\r' ||
-                      peek() == '\n')) {
-      advance();
-    }
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (peek() != c) {
-      std::string message = "expected '";
-      message.push_back(c);
-      message += eof() ? "', got end of input"
-                       : std::string("', got '") + peek() + "'";
-      fail(message);
-    }
-    advance();
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (!eof() && peek() != '"') {
-      char c = peek();
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-      }
-      advance();
-      if (c == '\\') {
-        if (eof()) break;
-        const char esc = peek();
-        advance();
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            // Mirrors the shard-manifest reader: accept \u00xx (one
-            // byte), reject anything wider — the writers never emit it.
-            unsigned code = 0;
-            for (int d = 0; d < 4; ++d) {
-              const char hc = peek();
-              if (!std::isxdigit(static_cast<unsigned char>(hc))) {
-                fail("malformed \\u escape in string");
-              }
-              code = code * 16 +
-                     static_cast<unsigned>(hc <= '9'   ? hc - '0'
-                                           : hc <= 'F' ? hc - 'A' + 10
-                                                       : hc - 'a' + 10);
-              advance();
-            }
-            if (code > 0xFF) fail("\\u escape beyond one byte in string");
-            c = static_cast<char>(code);
-            break;
-          }
-          default:
-            fail("unsupported escape \\" + std::string(1, esc) +
-                 " in string");
-        }
-      }
-      out.push_back(c);
-    }
-    if (eof()) fail("unterminated string");
-    advance();  // closing quote
-    return out;
-  }
-
-  Json parse_value() {
-    skip_ws();
-    if (eof()) fail("unexpected end of input; expected a value");
-    Json value;
-    value.line = line_;
-    value.column = col_;
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') {
-      value.kind = Json::Kind::kString;
-      value.text = parse_string();
-      return value;
-    }
-    if (c == '-' || (c >= '0' && c <= '9')) {
-      value.kind = Json::Kind::kNumber;
-      while (!eof() && (peek() == '-' || peek() == '+' || peek() == '.' ||
-                        peek() == 'e' || peek() == 'E' ||
-                        (peek() >= '0' && peek() <= '9'))) {
-        value.text.push_back(peek());
-        advance();
-      }
-      return value;
-    }
-    fail(std::string("unexpected character '") + c +
-         "' — expected an object, array, string, or number "
-         "(true/false/null and bare words such as nan or inf are not "
-         "part of the grid-spec grammar)");
-  }
-
-  Json parse_object() {
-    Json object;
-    object.kind = Json::Kind::kObject;
-    object.line = line_;
-    object.column = col_;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      advance();
-      return object;
-    }
-    while (true) {
-      skip_ws();
-      Member member;
-      member.line = line_;
-      member.column = col_;
-      member.key = parse_string();
-      for (const Member& existing : object.members) {
-        if (existing.key == member.key) {
-          throw std::invalid_argument(
-              "grid spec: " + position(member.line, member.column) +
-              ": duplicate field \"" + member.key + "\"");
-        }
-      }
-      expect(':');
-      path_.push_back(member.key);
-      member.value = parse_value();
-      path_.pop_back();
-      object.members.push_back(std::move(member));
-      skip_ws();
-      if (peek() == ',') {
-        advance();
-        continue;
-      }
-      expect('}');
-      return object;
-    }
-  }
-
-  Json parse_array() {
-    Json array;
-    array.kind = Json::Kind::kArray;
-    array.line = line_;
-    array.column = col_;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      advance();
-      return array;
-    }
-    while (true) {
-      path_.push_back("[" + std::to_string(array.items.size()) + "]");
-      array.items.push_back(parse_value());
-      path_.pop_back();
-      skip_ws();
-      if (peek() == ',') {
-        advance();
-        continue;
-      }
-      expect(']');
-      return array;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-  std::size_t col_ = 1;
-  std::vector<std::string> path_;
-};
-
 // ---- schema layer ----
 
 constexpr const char* kSpecFormat = "crp-grid-spec-v1";
 
-const Json* find(const Json& object, const std::string& key) {
-  for (const Member& member : object.members) {
-    if (member.key == key) return &member.value;
-  }
-  return nullptr;
-}
-
-const Json& require(const Json& object, const std::string& key,
-                    const std::string& what) {
-  const Json* value = find(object, key);
-  if (value == nullptr) {
-    fail_at(object, "missing field \"" + key + "\" of " + what);
-  }
-  return *value;
-}
-
-/// Rejects members outside `allowed` — a misspelled knob must fail by
-/// name, never silently fall back to a default.
-void reject_unknown(const Json& object,
-                    std::initializer_list<const char*> allowed,
-                    const std::string& what) {
-  for (const Member& member : object.members) {
-    bool known = false;
-    for (const char* key : allowed) {
-      if (member.key == key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      throw std::invalid_argument(
-          "grid spec: " + position(member.line, member.column) +
-          ": unknown field \"" + member.key + "\" of " + what);
-    }
-  }
-}
-
-const Json& expect_kind(const Json& value, Json::Kind kind,
-                        const std::string& desc) {
-  if (value.kind != kind) {
-    const char* name = kind == Json::Kind::kObject   ? "an object"
-                       : kind == Json::Kind::kArray  ? "an array"
-                       : kind == Json::Kind::kString ? "a string"
-                                                     : "a number";
-    fail_at(value, desc + " must be " + name);
-  }
-  return value;
-}
-
-std::string get_string(const Json& value, const std::string& desc) {
-  return expect_kind(value, Json::Kind::kString, desc).text;
-}
-
-std::uint64_t get_uint(const Json& value, const std::string& desc) {
-  expect_kind(value, Json::Kind::kNumber, desc);
-  const auto parsed = parse_csv_unsigned(value.text);
-  if (!parsed) {
-    fail_at(value, desc + " must be a plain non-negative integer, got \"" +
-                       value.text + "\"");
-  }
-  return *parsed;
-}
-
-double get_finite(const Json& value, const std::string& desc) {
-  expect_kind(value, Json::Kind::kNumber, desc);
-  const auto parsed = parse_csv_finite(value.text);
-  if (!parsed) {
-    fail_at(value, desc + " must be a finite number, got \"" + value.text +
-                       "\"");
-  }
-  return *parsed;
-}
-
-/// An "0x..." hex string carrying a full 64-bit value (JSON numbers
-/// are doubles and cannot), exactly as shard manifests serialize
-/// seeds.
-std::uint64_t get_hex_u64(const Json& value, const std::string& desc) {
-  const std::string raw = get_string(value, desc);
-  if (raw.size() < 3 || raw.size() > 18 || raw[0] != '0' || raw[1] != 'x') {
-    fail_at(value,
-            desc + " must be an \"0x...\" hex string, got \"" + raw + "\"");
-  }
-  std::uint64_t result = 0;
-  for (std::size_t i = 2; i < raw.size(); ++i) {
-    const char c = raw[i];
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      digit = c - 'A' + 10;
-    } else {
-      fail_at(value, desc + " has a non-hex digit in \"" + raw + "\"");
-    }
-    result = result * 16 + static_cast<std::uint64_t>(digit);
-  }
-  return result;
-}
+/// The spec schema sits on the shared strict reader; every error
+/// starts "grid spec: line L, column C".
+constexpr StrictJson kSpec("grid spec");
 
 /// The parse-time state: n, the named condensed sources, and the named
 /// algorithm/size-source bindings the cells reference.
@@ -393,89 +40,95 @@ info::CondensedDistribution parse_source(const Json& body,
                                          const std::string& key,
                                          const SpecContext& ctx) {
   const std::string what = "source \"" + key + "\"";
-  expect_kind(body, Json::Kind::kObject, what);
-  const std::string family =
-      get_string(require(body, "family", what), "field \"family\" of " + what);
+  kSpec.expect_kind(body, Json::Kind::kObject, what);
+  const std::string family = kSpec.get_string(
+      kSpec.require(body, "family", what), "field \"family\" of " + what);
   const auto uint_field = [&](const char* name) {
-    return get_uint(require(body, name, what),
-                    "field \"" + std::string(name) + "\" of " + what);
+    return kSpec.get_uint(kSpec.require(body, name, what),
+                          "field \"" + std::string(name) + "\" of " + what);
   };
   const auto finite_field = [&](const char* name) {
-    return get_finite(require(body, name, what),
-                      "field \"" + std::string(name) + "\" of " + what);
+    return kSpec.get_finite(kSpec.require(body, name, what),
+                            "field \"" + std::string(name) + "\" of " + what);
   };
   if (family == "uniform_ranges") {
-    reject_unknown(body, {"family", "m"}, what);
+    kSpec.reject_unknown(body, {"family", "m"}, what);
     const std::uint64_t m = uint_field("m");
     if (m < 1 || m > ctx.ranges) {
-      fail_at(require(body, "m", what),
-              "field \"m\" of " + what + " must lie in [1, " +
-                  std::to_string(ctx.ranges) + "] (|L(n)| ranges for n = " +
-                  std::to_string(ctx.n) + ")");
+      kSpec.fail_at(kSpec.require(body, "m", what),
+                    "field \"m\" of " + what + " must lie in [1, " +
+                        std::to_string(ctx.ranges) +
+                        "] (|L(n)| ranges for n = " + std::to_string(ctx.n) +
+                        ")");
     }
     return predict::uniform_over_ranges(ctx.ranges, m);
   }
   if (family == "geometric_ranges") {
-    reject_unknown(body, {"family", "decay"}, what);
+    kSpec.reject_unknown(body, {"family", "decay"}, what);
     const double decay = finite_field("decay");
     if (decay <= 0.0 || decay > 1.0) {
-      fail_at(require(body, "decay", what),
-              "field \"decay\" of " + what + " must lie in (0, 1]");
+      kSpec.fail_at(kSpec.require(body, "decay", what),
+                    "field \"decay\" of " + what + " must lie in (0, 1]");
     }
     return predict::geometric_ranges(ctx.ranges, decay);
   }
   if (family == "zipf_ranges") {
-    reject_unknown(body, {"family", "s"}, what);
+    kSpec.reject_unknown(body, {"family", "s"}, what);
     const double s = finite_field("s");
     if (s < 0.0) {
-      fail_at(require(body, "s", what),
-              "field \"s\" of " + what + " must be >= 0");
+      kSpec.fail_at(kSpec.require(body, "s", what),
+                    "field \"s\" of " + what + " must be >= 0");
     }
     return predict::zipf_ranges(ctx.ranges, s);
   }
   if (family == "bimodal_ranges") {
-    reject_unknown(body, {"family", "range_a", "range_b", "eps"}, what);
+    kSpec.reject_unknown(body, {"family", "range_a", "range_b", "eps"}, what);
     const std::uint64_t a = uint_field("range_a");
     const std::uint64_t b = uint_field("range_b");
     if (a < 1 || a > ctx.ranges || b < 1 || b > ctx.ranges) {
-      fail_at(body, "fields \"range_a\"/\"range_b\" of " + what +
-                        " must lie in [1, " + std::to_string(ctx.ranges) +
-                        "]");
+      kSpec.fail_at(body, "fields \"range_a\"/\"range_b\" of " + what +
+                              " must lie in [1, " + std::to_string(ctx.ranges) +
+                              "]");
     }
     const double eps = finite_field("eps");
     if (eps < 0.0 || eps > 1.0) {
-      fail_at(require(body, "eps", what),
-              "field \"eps\" of " + what + " must lie in [0, 1]");
+      kSpec.fail_at(kSpec.require(body, "eps", what),
+                    "field \"eps\" of " + what + " must lie in [0, 1]");
     }
     return predict::bimodal_ranges(ctx.ranges, a, b, eps);
   }
   if (family == "spiked_uniform") {
-    reject_unknown(body, {"family", "spike_mass"}, what);
+    kSpec.reject_unknown(body, {"family", "spike_mass"}, what);
     if (ctx.ranges < 2) {
-      fail_at(body, what + ": family \"spiked_uniform\" needs >= 2 ranges "
-                          "(n >= 5)");
+      kSpec.fail_at(body, what + ": family \"spiked_uniform\" needs >= 2 "
+                                "ranges (n >= 5)");
     }
     const double mass = finite_field("spike_mass");
     if (mass <= 0.0 || mass >= 1.0) {
-      fail_at(require(body, "spike_mass", what),
-              "field \"spike_mass\" of " + what + " must lie in (0, 1)");
+      kSpec.fail_at(kSpec.require(body, "spike_mass", what),
+                    "field \"spike_mass\" of " + what + " must lie in (0, 1)");
     }
     return predict::spiked_uniform(ctx.ranges, mass);
   }
-  fail_at(require(body, "family", what),
-          "field \"family\" of " + what + " names no known family \"" +
-              family +
-              "\" (known: uniform_ranges, geometric_ranges, zipf_ranges, "
-              "bimodal_ranges, spiked_uniform)");
+  kSpec.fail_at(kSpec.require(body, "family", what),
+                "field \"family\" of " + what + " names no known family \"" +
+                    family +
+                    "\" (known: uniform_ranges, geometric_ranges, zipf_ranges, "
+                    "bimodal_ranges, spiked_uniform)");
 }
 
-const info::CondensedDistribution& resolve_source(const Json& ref,
-                                                  const std::string& desc,
-                                                  const SpecContext& ctx) {
-  const std::string name = get_string(ref, desc);
-  const auto it = ctx.sources.find(name);
-  if (it == ctx.sources.end()) {
-    fail_at(ref, desc + " references undefined source \"" + name + "\"");
+/// A reference to a binding the spec declared by name; `kind` names
+/// the binding ("source", "algorithm", "sizes") in the error.
+template <typename Bindings>
+const typename Bindings::mapped_type& resolve(const Bindings& bindings,
+                                              const Json& ref,
+                                              const std::string& desc,
+                                              const char* kind) {
+  const std::string name = kSpec.get_string(ref, desc);
+  const auto it = bindings.find(name);
+  if (it == bindings.end()) {
+    kSpec.fail_at(ref, desc + " references undefined " + kind + " \"" +
+                           name + "\"");
   }
   return it->second;
 }
@@ -483,60 +136,62 @@ const info::CondensedDistribution& resolve_source(const Json& ref,
 void parse_algorithm(const Json& body, const std::string& key,
                      SpecContext& ctx, GridSpec& spec) {
   const std::string what = "algorithm \"" + key + "\"";
-  expect_kind(body, Json::Kind::kObject, what);
-  const std::string type =
-      get_string(require(body, "type", what), "field \"type\" of " + what);
+  kSpec.expect_kind(body, Json::Kind::kObject, what);
+  const std::string type = kSpec.get_string(
+      kSpec.require(body, "type", what), "field \"type\" of " + what);
   std::string display = key;
-  if (const Json* name = find(body, "name")) {
-    display = get_string(*name, "field \"name\" of " + what);
+  if (const Json* name = StrictJson::find(body, "name")) {
+    display = kSpec.get_string(*name, "field \"name\" of " + what);
   }
   SweepAlgorithm algorithm{.name = display};
   if (type == "likelihood") {
-    reject_unknown(body, {"type", "name", "source", "cycle"}, what);
-    const auto& source = resolve_source(require(body, "source", what),
-                                        "field \"source\" of " + what, ctx);
+    kSpec.reject_unknown(body, {"type", "name", "source", "cycle"}, what);
+    const auto& source =
+        resolve(ctx.sources, kSpec.require(body, "source", what),
+                "field \"source\" of " + what, "source");
     core::CycleMode cycle = core::CycleMode::kRepeatPass;
-    if (const Json* mode = find(body, "cycle")) {
+    if (const Json* mode = StrictJson::find(body, "cycle")) {
       const std::string text =
-          get_string(*mode, "field \"cycle\" of " + what);
+          kSpec.get_string(*mode, "field \"cycle\" of " + what);
       if (text == "repeat") {
         cycle = core::CycleMode::kRepeatPass;
       } else if (text == "proportional") {
         cycle = core::CycleMode::kProportional;
       } else {
-        fail_at(*mode, "field \"cycle\" of " + what +
-                           " must be \"repeat\" or \"proportional\", got \"" +
-                           text + "\"");
+        kSpec.fail_at(*mode, "field \"cycle\" of " + what +
+                                 " must be \"repeat\" or \"proportional\", "
+                                 "got \"" + text + "\"");
       }
     }
     spec.schedules.push_back(
         std::make_unique<core::LikelihoodOrderedSchedule>(source, cycle));
     algorithm.schedule = spec.schedules.back().get();
   } else if (type == "coded") {
-    reject_unknown(body, {"type", "name", "source", "backend"}, what);
-    const auto& source = resolve_source(require(body, "source", what),
-                                        "field \"source\" of " + what, ctx);
+    kSpec.reject_unknown(body, {"type", "name", "source", "backend"}, what);
+    const auto& source =
+        resolve(ctx.sources, kSpec.require(body, "source", what),
+                "field \"source\" of " + what, "source");
     core::CodeBackend backend = core::CodeBackend::kHuffman;
-    if (const Json* mode = find(body, "backend")) {
+    if (const Json* mode = StrictJson::find(body, "backend")) {
       const std::string text =
-          get_string(*mode, "field \"backend\" of " + what);
+          kSpec.get_string(*mode, "field \"backend\" of " + what);
       if (text == "huffman") {
         backend = core::CodeBackend::kHuffman;
       } else if (text == "shannon-fano") {
         backend = core::CodeBackend::kShannonFano;
       } else {
-        fail_at(*mode, "field \"backend\" of " + what +
-                           " must be \"huffman\" or \"shannon-fano\", "
-                           "got \"" + text + "\"");
+        kSpec.fail_at(*mode, "field \"backend\" of " + what +
+                                 " must be \"huffman\" or \"shannon-fano\", "
+                                 "got \"" + text + "\"");
       }
     }
     spec.policies.push_back(
         std::make_unique<core::CodedSearchPolicy>(source, backend));
     algorithm.policy = spec.policies.back().get();
   } else {
-    fail_at(require(body, "type", what),
-            "field \"type\" of " + what + " names no known type \"" + type +
-                "\" (known: likelihood, coded)");
+    kSpec.fail_at(kSpec.require(body, "type", what),
+                  "field \"type\" of " + what + " names no known type \"" +
+                      type + "\" (known: likelihood, coded)");
   }
   ctx.algorithms.emplace(key, std::move(algorithm));
 }
@@ -545,21 +200,22 @@ void parse_sizes(const Json& body, const std::string& key,
                  const GridSpecOptions& options, SpecContext& ctx,
                  GridSpec& spec) {
   const std::string what = "sizes \"" + key + "\"";
-  expect_kind(body, Json::Kind::kObject, what);
-  const std::string type =
-      get_string(require(body, "type", what), "field \"type\" of " + what);
+  kSpec.expect_kind(body, Json::Kind::kObject, what);
+  const std::string type = kSpec.get_string(
+      kSpec.require(body, "type", what), "field \"type\" of " + what);
   std::string display = key;
-  if (const Json* name = find(body, "name")) {
-    display = get_string(*name, "field \"name\" of " + what);
+  if (const Json* name = StrictJson::find(body, "name")) {
+    display = kSpec.get_string(*name, "field \"name\" of " + what);
   }
   SweepSizes sizes{.name = display};
   if (type == "lift") {
-    reject_unknown(body, {"type", "name", "source", "placement"}, what);
-    const auto& source = resolve_source(require(body, "source", what),
-                                        "field \"source\" of " + what, ctx);
-    const Json& placement_field = require(body, "placement", what);
+    kSpec.reject_unknown(body, {"type", "name", "source", "placement"}, what);
+    const auto& source =
+        resolve(ctx.sources, kSpec.require(body, "source", what),
+                "field \"source\" of " + what, "source");
+    const Json& placement_field = kSpec.require(body, "placement", what);
     const std::string placement_text =
-        get_string(placement_field, "field \"placement\" of " + what);
+        kSpec.get_string(placement_field, "field \"placement\" of " + what);
     predict::RangePlacement placement;
     if (placement_text == "low") {
       placement = predict::RangePlacement::kLowEndpoint;
@@ -568,54 +224,55 @@ void parse_sizes(const Json& body, const std::string& key,
     } else if (placement_text == "uniform") {
       placement = predict::RangePlacement::kUniform;
     } else {
-      fail_at(placement_field,
-              "field \"placement\" of " + what +
-                  " must be \"low\", \"high\", or \"uniform\", got \"" +
-                  placement_text + "\"");
+      kSpec.fail_at(placement_field,
+                    "field \"placement\" of " + what +
+                        " must be \"low\", \"high\", or \"uniform\", got \"" +
+                        placement_text + "\"");
     }
     spec.distributions.push_back(std::make_unique<info::SizeDistribution>(
         predict::lift(source, ctx.n, placement)));
     sizes.distribution = spec.distributions.back().get();
   } else if (type == "support") {
-    reject_unknown(body, {"type", "name", "entries"}, what);
-    const Json& entries = require(body, "entries", what);
-    expect_kind(entries, Json::Kind::kArray,
-                "field \"entries\" of " + what);
+    kSpec.reject_unknown(body, {"type", "name", "entries"}, what);
+    const Json& entries = kSpec.require(body, "entries", what);
+    kSpec.expect_kind(entries, Json::Kind::kArray,
+                      "field \"entries\" of " + what);
     if (entries.items.empty()) {
-      fail_at(entries, "field \"entries\" of " + what + " must be a "
-                       "non-empty array of [size, probability] pairs");
+      kSpec.fail_at(entries, "field \"entries\" of " + what + " must be a "
+                             "non-empty array of [size, probability] pairs");
     }
     SupportTableBuilder builder(ctx.n);
     for (std::size_t i = 0; i < entries.items.size(); ++i) {
       const Json& entry = entries.items[i];
       const std::string entry_desc =
           "field \"entries\"[" + std::to_string(i) + "] of " + what;
-      expect_kind(entry, Json::Kind::kArray, entry_desc);
+      kSpec.expect_kind(entry, Json::Kind::kArray, entry_desc);
       if (entry.items.size() != 2) {
-        fail_at(entry, entry_desc + " must be a [size, probability] pair");
+        kSpec.fail_at(entry,
+                      entry_desc + " must be a [size, probability] pair");
       }
-      const double size = get_finite(entry.items[0], entry_desc + " size");
+      const double size =
+          kSpec.get_finite(entry.items[0], entry_desc + " size");
       const double prob =
-          get_finite(entry.items[1], entry_desc + " probability");
+          kSpec.get_finite(entry.items[1], entry_desc + " probability");
       // The shared validator (harness/csv.h): the same rules the
       // distribution-CSV reader applies, so inline tables and CSV
       // references cannot drift.
       builder.add(size, prob,
-                  "grid spec: " + position(entry.line, entry.column) + ": " +
-                      entry_desc);
+                  kSpec.where(entry) + ": " + entry_desc);
     }
     spec.distributions.push_back(std::make_unique<info::SizeDistribution>(
-        builder.build("grid spec: " + position(entries.line, entries.column) +
-                      ": field \"entries\" of " + what)));
+        builder.build(kSpec.where(entries) + ": field \"entries\" of " +
+                      what)));
     sizes.distribution = spec.distributions.back().get();
   } else if (type == "csv") {
-    reject_unknown(body, {"type", "name", "path"}, what);
-    const Json& path_field = require(body, "path", what);
+    kSpec.reject_unknown(body, {"type", "name", "path"}, what);
+    const Json& path_field = kSpec.require(body, "path", what);
     const std::string raw_path =
-        get_string(path_field, "field \"path\" of " + what);
+        kSpec.get_string(path_field, "field \"path\" of " + what);
     if (raw_path.empty()) {
-      fail_at(path_field, "field \"path\" of " + what + " must be "
-                          "non-empty");
+      kSpec.fail_at(path_field, "field \"path\" of " + what + " must be "
+                                "non-empty");
     }
     std::filesystem::path resolved(raw_path);
     if (resolved.is_relative() && !options.base_dir.empty()) {
@@ -625,8 +282,7 @@ void parse_sizes(const Json& body, const std::string& key,
     if (!in) {
       throw IoError("cannot open size-distribution CSV \"" +
                     resolved.string() + "\" (field \"path\" of " + what +
-                    ", " + position(path_field.line, path_field.column) +
-                    ")");
+                    ", " + kSpec.where(path_field) + ")");
     }
     try {
       spec.distributions.push_back(std::make_unique<info::SizeDistribution>(
@@ -637,83 +293,66 @@ void parse_sizes(const Json& body, const std::string& key,
     }
     sizes.distribution = spec.distributions.back().get();
   } else if (type == "fixed_k") {
-    reject_unknown(body, {"type", "name", "k"}, what);
-    const Json& k_field = require(body, "k", what);
-    const std::uint64_t k = get_uint(k_field, "field \"k\" of " + what);
+    kSpec.reject_unknown(body, {"type", "name", "k"}, what);
+    const Json& k_field = kSpec.require(body, "k", what);
+    const std::uint64_t k = kSpec.get_uint(k_field, "field \"k\" of " + what);
     if (k < 2) {
-      fail_at(k_field, "field \"k\" of " + what +
-                           " must be >= 2 (the paper assumes k >= 2 WLOG)");
+      kSpec.fail_at(k_field,
+                    "field \"k\" of " + what +
+                        " must be >= 2 (the paper assumes k >= 2 WLOG)");
     }
     sizes.fixed_k = static_cast<std::size_t>(k);
   } else {
-    fail_at(require(body, "type", what),
-            "field \"type\" of " + what + " names no known type \"" + type +
-                "\" (known: lift, support, csv, fixed_k)");
+    kSpec.fail_at(kSpec.require(body, "type", what),
+                  "field \"type\" of " + what + " names no known type \"" +
+                      type + "\" (known: lift, support, csv, fixed_k)");
   }
   ctx.sizes.emplace(key, std::move(sizes));
 }
 
-const SweepAlgorithm& resolve_algorithm(const Json& ref,
-                                        const std::string& desc,
-                                        const SpecContext& ctx) {
-  const std::string name = get_string(ref, desc);
-  const auto it = ctx.algorithms.find(name);
-  if (it == ctx.algorithms.end()) {
-    fail_at(ref, desc + " references undefined algorithm \"" + name + "\"");
-  }
-  return it->second;
-}
-
-const SweepSizes& resolve_sizes(const Json& ref, const std::string& desc,
-                                const SpecContext& ctx) {
-  const std::string name = get_string(ref, desc);
-  const auto it = ctx.sizes.find(name);
-  if (it == ctx.sizes.end()) {
-    fail_at(ref, desc + " references undefined sizes \"" + name + "\"");
-  }
-  return it->second;
-}
-
 std::size_t parse_budget(const Json& value, const std::string& desc) {
-  const std::uint64_t budget = get_uint(value, desc);
-  if (budget == 0) fail_at(value, desc + " must be >= 1");
+  const std::uint64_t budget = kSpec.get_uint(value, desc);
+  if (budget == 0) kSpec.fail_at(value, desc + " must be >= 1");
   return static_cast<std::size_t>(budget);
 }
 
 SweepCell parse_cell(const Json& body, std::size_t index,
                      const SpecContext& ctx) {
   const std::string what = "cell [" + std::to_string(index) + "]";
-  expect_kind(body, Json::Kind::kObject, what);
-  reject_unknown(body, {"algorithm", "sizes", "budget", "trials",
-                        "seed_stream"},
-                 what);
+  kSpec.expect_kind(body, Json::Kind::kObject, what);
+  kSpec.reject_unknown(body, {"algorithm", "sizes", "budget", "trials",
+                              "seed_stream"},
+                       what);
   SweepCell cell;
-  cell.algorithm = resolve_algorithm(require(body, "algorithm", what),
-                                     "field \"algorithm\" of " + what, ctx);
-  cell.sizes = resolve_sizes(require(body, "sizes", what),
-                             "field \"sizes\" of " + what, ctx);
-  cell.max_rounds = parse_budget(require(body, "budget", what),
+  cell.algorithm =
+      resolve(ctx.algorithms, kSpec.require(body, "algorithm", what),
+              "field \"algorithm\" of " + what, "algorithm");
+  cell.sizes = resolve(ctx.sizes, kSpec.require(body, "sizes", what),
+                       "field \"sizes\" of " + what, "sizes");
+  cell.max_rounds = parse_budget(kSpec.require(body, "budget", what),
                                  "field \"budget\" of " + what);
-  if (const Json* trials = find(body, "trials")) {
+  if (const Json* trials = StrictJson::find(body, "trials")) {
     const std::uint64_t value =
-        get_uint(*trials, "field \"trials\" of " + what);
+        kSpec.get_uint(*trials, "field \"trials\" of " + what);
     if (value == 0) {
-      fail_at(*trials, "field \"trials\" of " + what +
-                           " must be >= 1 (0 would silently mean \"use the "
-                           "sweep default\" — omit the field instead)");
+      kSpec.fail_at(*trials,
+                    "field \"trials\" of " + what +
+                        " must be >= 1 (0 would silently mean \"use the "
+                        "sweep default\" — omit the field instead)");
     }
     cell.trials = static_cast<std::size_t>(value);
   }
-  if (const Json* stream = find(body, "seed_stream")) {
+  if (const Json* stream = StrictJson::find(body, "seed_stream")) {
     const std::string desc = "field \"seed_stream\" of " + what;
-    const std::uint64_t value = get_hex_u64(*stream, desc);
+    const std::uint64_t value = kSpec.get_hex_u64(*stream, desc);
     try {
       cell.seed_stream = pinned_seed_stream(value);
     } catch (const std::invalid_argument&) {
-      fail_at(*stream,
-              desc + ": 0xffffffffffffffff is reserved as the "
-                     "derive-from-grid-index sentinel (kSeedStreamFromIndex) "
-                     "— omit the field for index-derived seeds");
+      kSpec.fail_at(*stream,
+                    desc + ": 0xffffffffffffffff is reserved as the "
+                           "derive-from-grid-index sentinel "
+                           "(kSeedStreamFromIndex) — omit the field for "
+                           "index-derived seeds");
     }
   }
   return cell;
@@ -723,73 +362,73 @@ SweepCell parse_cell(const Json& body, std::size_t index,
 
 GridSpec parse_grid_spec(std::string_view text,
                          const GridSpecOptions& options) {
-  const Json root = JsonParser(text).parse();
-  reject_unknown(root,
-                 {"format", "name", "n", "sources", "algorithms", "sizes",
-                  "cells", "product"},
-                 "the spec");
+  const Json root = kSpec.parse(text);
+  kSpec.reject_unknown(root,
+                       {"format", "name", "n", "sources", "algorithms", "sizes",
+                        "cells", "product"},
+                       "the spec");
 
-  const Json& format = require(root, "format", "the spec");
-  const std::string format_text = get_string(format, "field \"format\"");
+  const Json& format = kSpec.require(root, "format", "the spec");
+  const std::string format_text = kSpec.get_string(format, "field \"format\"");
   if (format_text != kSpecFormat) {
-    fail_at(format, "unsupported spec format \"" + format_text +
-                        "\" (expected \"" + kSpecFormat + "\")");
+    kSpec.fail_at(format, "unsupported spec format \"" + format_text +
+                              "\" (expected \"" + kSpecFormat + "\")");
   }
 
   GridSpec spec;
-  if (const Json* name = find(root, "name")) {
-    spec.name = get_string(*name, "field \"name\"");
+  if (const Json* name = StrictJson::find(root, "name")) {
+    spec.name = kSpec.get_string(*name, "field \"name\"");
   }
 
   SpecContext ctx;
-  const Json& n_field = require(root, "n", "the spec");
-  const std::uint64_t n = get_uint(n_field, "field \"n\"");
+  const Json& n_field = kSpec.require(root, "n", "the spec");
+  const std::uint64_t n = kSpec.get_uint(n_field, "field \"n\"");
   if (n < 4) {
-    fail_at(n_field, "field \"n\" must be >= 4 (a network of at least two "
-                     "geometric ranges)");
+    kSpec.fail_at(n_field, "field \"n\" must be >= 4 (a network of at least "
+                           "two geometric ranges)");
   }
   ctx.n = static_cast<std::size_t>(n);
   ctx.ranges = info::num_ranges(ctx.n);
   spec.n = ctx.n;
 
-  if (const Json* sources = find(root, "sources")) {
-    expect_kind(*sources, Json::Kind::kObject, "field \"sources\"");
-    for (const Member& member : sources->members) {
+  if (const Json* sources = StrictJson::find(root, "sources")) {
+    kSpec.expect_kind(*sources, Json::Kind::kObject, "field \"sources\"");
+    for (const JsonMember& member : sources->members) {
       ctx.sources.emplace(member.key,
                           parse_source(member.value, member.key, ctx));
     }
   }
-  if (const Json* algorithms = find(root, "algorithms")) {
-    expect_kind(*algorithms, Json::Kind::kObject, "field \"algorithms\"");
-    for (const Member& member : algorithms->members) {
+  if (const Json* algorithms = StrictJson::find(root, "algorithms")) {
+    kSpec.expect_kind(*algorithms, Json::Kind::kObject, "field \"algorithms\"");
+    for (const JsonMember& member : algorithms->members) {
       parse_algorithm(member.value, member.key, ctx, spec);
     }
   }
-  if (const Json* sizes = find(root, "sizes")) {
-    expect_kind(*sizes, Json::Kind::kObject, "field \"sizes\"");
-    for (const Member& member : sizes->members) {
+  if (const Json* sizes = StrictJson::find(root, "sizes")) {
+    kSpec.expect_kind(*sizes, Json::Kind::kObject, "field \"sizes\"");
+    for (const JsonMember& member : sizes->members) {
       parse_sizes(member.value, member.key, options, ctx, spec);
     }
   }
 
-  if (const Json* cells = find(root, "cells")) {
-    expect_kind(*cells, Json::Kind::kArray, "field \"cells\"");
+  if (const Json* cells = StrictJson::find(root, "cells")) {
+    kSpec.expect_kind(*cells, Json::Kind::kArray, "field \"cells\"");
     for (std::size_t i = 0; i < cells->items.size(); ++i) {
       spec.cells.push_back(parse_cell(cells->items[i], i, ctx));
     }
   }
 
-  if (const Json* product = find(root, "product")) {
+  if (const Json* product = StrictJson::find(root, "product")) {
     const std::string what = "the \"product\" block";
-    expect_kind(*product, Json::Kind::kObject, what);
-    reject_unknown(*product, {"algorithms", "sizes", "budgets"}, what);
+    kSpec.expect_kind(*product, Json::Kind::kObject, what);
+    kSpec.reject_unknown(*product, {"algorithms", "sizes", "budgets"}, what);
     const auto ref_list = [&](const char* key) -> const Json& {
-      const Json& list = require(*product, key, what);
-      expect_kind(list, Json::Kind::kArray,
-                  "field \"" + std::string(key) + "\" of " + what);
+      const Json& list = kSpec.require(*product, key, what);
+      kSpec.expect_kind(list, Json::Kind::kArray,
+                        "field \"" + std::string(key) + "\" of " + what);
       if (list.items.empty()) {
-        fail_at(list, "field \"" + std::string(key) + "\" of " + what +
-                          " must be non-empty");
+        kSpec.fail_at(list, "field \"" + std::string(key) + "\" of " + what +
+                                " must be non-empty");
       }
       return list;
     };
@@ -799,11 +438,11 @@ GridSpec parse_grid_spec(std::string_view text,
     // The same cross order SweepGrid::cells() appends: algorithm-major,
     // then sizes, then budget.
     for (const Json& a : algorithms.items) {
-      const SweepAlgorithm& algorithm = resolve_algorithm(
-          a, "field \"algorithms\" of " + what, ctx);
+      const SweepAlgorithm& algorithm = resolve(
+          ctx.algorithms, a, "field \"algorithms\" of " + what, "algorithm");
       for (const Json& s : sizes.items) {
         const SweepSizes& size_source =
-            resolve_sizes(s, "field \"sizes\" of " + what, ctx);
+            resolve(ctx.sizes, s, "field \"sizes\" of " + what, "sizes");
         for (const Json& b : budgets.items) {
           SweepCell cell;
           cell.algorithm = algorithm;
@@ -817,26 +456,18 @@ GridSpec parse_grid_spec(std::string_view text,
   }
 
   if (spec.cells.empty()) {
-    fail_at(root, "the spec defines no cells — declare a \"cells\" array "
-                  "and/or a \"product\" block");
+    kSpec.fail_at(root, "the spec defines no cells — declare a \"cells\" "
+                        "array and/or a \"product\" block");
   }
   return spec;
 }
 
 GridSpec read_grid_spec_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw IoError("cannot open grid spec " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    throw IoError("cannot read grid spec " + path);
-  }
+  const std::string text = read_whole_file(path, "grid spec");
   GridSpecOptions options;
   options.base_dir = std::filesystem::path(path).parent_path().string();
   try {
-    return parse_grid_spec(buffer.str(), options);
+    return parse_grid_spec(text, options);
   } catch (const std::invalid_argument& error) {
     // Validation errors name the file as well as the field — a fleet
     // scheduler's logs point straight at the offending artifact.

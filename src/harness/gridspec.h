@@ -16,10 +16,12 @@
 // cells flow through shard planning, checkpoint journals, and
 // manifest-validated merges with no special cases.
 //
-// The reader follows the shard-manifest discipline (harness/shard.h):
+// The reader is a schema over the shared strict JSON reader
+// (harness/strict_json.h), the same one shard manifests use:
 // unknown, duplicate, or missing fields, non-finite numerics, bare
-// words such as nan/inf, out-of-range values, and malformed hex are
-// all rejected with the offending field named plus its line/column —
+// words such as nan/inf, out-of-range values, hex outside the
+// lowercase grammar, and nesting deeper than 64 levels are all
+// rejected with the offending field named plus its line/column —
 // never a crash, a silent default, or a silently different grid. The
 // grammar is documented in docs/GRIDSPEC.md; the short of it:
 //

@@ -1,37 +1,25 @@
 #include "harness/shard.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <numeric>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "channel/protocol.h"
 #include "harness/checkpoint.h"
 #include "harness/csv.h"
 #include "harness/hash.h"
+#include "harness/strict_json.h"
 #include "info/distribution.h"
 
 namespace crp::harness {
 
 namespace {
-
-std::string hex(std::uint64_t value) {
-  std::ostringstream out;
-  out << "0x" << std::hex << value;
-  return out.str();
-}
 
 [[noreturn]] void merge_error(const std::string& message) {
   throw std::invalid_argument("shard merge: " + message);
@@ -52,12 +40,12 @@ std::vector<std::size_t> validated_cell_order(
     const ShardManifest& m = *manifests[s];
     if (m.grid_hash != ref.grid_hash) {
       merge_error("shard " + std::to_string(s) + ": grid hash " +
-                  hex(m.grid_hash) + " != " + hex(ref.grid_hash) +
+                  hex_u64(m.grid_hash) + " != " + hex_u64(ref.grid_hash) +
                   " — the shards were produced from different grids");
     }
     if (m.master_seed != ref.master_seed) {
       merge_error("shard " + std::to_string(s) + ": master seed " +
-                  hex(m.master_seed) + " != " + hex(ref.master_seed) +
+                  hex_u64(m.master_seed) + " != " + hex_u64(ref.master_seed) +
                   " — re-run every shard under one master seed");
     }
     if (m.trials != ref.trials) {
@@ -363,8 +351,8 @@ std::vector<SweepResult> merge_shards(std::span<const ShardRun> shards) {
       if (results[j].cell_seed != m.cell_seeds[j]) {
         merge_error("shard " + std::to_string(s) + ": cell " +
                     std::to_string(m.cell_begin + j) + " ran under seed " +
-                    hex(results[j].cell_seed) + " but the manifest records " +
-                    hex(m.cell_seeds[j]) +
+                    hex_u64(results[j].cell_seed) +
+                    " but the manifest records " + hex_u64(m.cell_seeds[j]) +
                     " — the shard partition changed a cell seed");
       }
     }
@@ -380,259 +368,17 @@ std::vector<SweepResult> merge_shards(std::span<const ShardRun> shards) {
 
 // ---- manifest JSON ----
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 namespace {
 
 constexpr const char* kManifestFormat = "crp-shard-manifest-v1";
 
-/// A strict parser for exactly the manifest schema: one flat object
+/// The manifest schema over the shared strict reader: one flat object
 /// whose values are strings, plain non-negative integers, or an array
-/// of hex strings. Everything else — signs, decimal points, exponents,
-/// bare words such as nan/inf/null, duplicate or unknown keys — is
+/// of hex strings. Unknown, duplicate, or missing fields, signs,
+/// decimal points, exponents, and bare words such as nan are all
 /// rejected with the offending field named, so a corrupted manifest
 /// fails the merge instead of poisoning it.
-class ManifestParser {
- public:
-  explicit ManifestParser(std::string text) : text_(std::move(text)) {}
-
-  ShardManifest parse() {
-    ShardManifest manifest;
-    expect('{');
-    bool first = true;
-    while (true) {
-      skip_ws();
-      if (peek() == '}') break;
-      if (!first) {
-        expect(',');
-        skip_ws();
-      }
-      first = false;
-      const std::string key = parse_string("field name");
-      skip_ws();
-      expect(':');
-      if (!seen_.insert(key).second) {
-        fail("duplicate manifest field \"" + key + "\"");
-      }
-      if (key == "format") {
-        const std::string format = parse_string(key);
-        if (format != kManifestFormat) {
-          fail("unsupported manifest format \"" + format + "\" (expected \"" +
-               kManifestFormat + "\")");
-        }
-      } else if (key == "csv") {
-        manifest.csv = parse_string(key);
-      } else if (key == "engine") {
-        manifest.engine = parse_string(key);
-      } else if (key == "cd_engine") {
-        manifest.cd_engine = parse_string(key);
-      } else if (key == "grid_hash") {
-        manifest.grid_hash = parse_hex_u64(key);
-      } else if (key == "master_seed") {
-        manifest.master_seed = parse_hex_u64(key);
-      } else if (key == "trials") {
-        manifest.trials = parse_uint(key);
-      } else if (key == "total_cells") {
-        manifest.total_cells = parse_uint(key);
-      } else if (key == "shard_index") {
-        manifest.shard_index = parse_uint(key);
-      } else if (key == "shard_count") {
-        manifest.shard_count = parse_uint(key);
-      } else if (key == "cell_begin") {
-        manifest.cell_begin = parse_uint(key);
-      } else if (key == "cell_end") {
-        manifest.cell_end = parse_uint(key);
-      } else if (key == "cell_seeds") {
-        skip_ws();
-        expect('[');
-        skip_ws();
-        if (peek() != ']') {
-          while (true) {
-            manifest.cell_seeds.push_back(parse_hex_u64(key));
-            skip_ws();
-            if (peek() == ']') break;
-            expect(',');
-          }
-        }
-        expect(']');
-      } else {
-        fail("unknown manifest field \"" + key + "\"");
-      }
-      skip_ws();
-    }
-    expect('}');
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after manifest object");
-    for (const char* required :
-         {"format", "engine", "cd_engine", "grid_hash", "master_seed",
-          "trials", "total_cells", "shard_index", "shard_count",
-          "cell_begin", "cell_end", "cell_seeds"}) {
-      if (seen_.find(required) == seen_.end()) {
-        fail("missing manifest field \"" + std::string(required) + "\"");
-      }
-    }
-    return manifest;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw std::invalid_argument("shard manifest: " + message);
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (peek() != c) {
-      std::string message = "expected '";
-      message.push_back(c);
-      message += "', got ";
-      if (pos_ < text_.size()) {
-        message.push_back('\'');
-        message.push_back(text_[pos_]);
-        message.push_back('\'');
-      } else {
-        message += "end of input";
-      }
-      fail(message);
-    }
-    ++pos_;
-  }
-
-  std::string parse_string(const std::string& what) {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            // json_escape emits \u00xx for control characters; accept
-            // any code point that fits one byte, reject the rest (the
-            // manifest writer never produces them).
-            if (pos_ + 4 > text_.size()) {
-              fail("truncated \\u escape in " + what);
-            }
-            unsigned code = 0;
-            for (int d = 0; d < 4; ++d) {
-              const char hc = text_[pos_ + d];
-              if (!std::isxdigit(static_cast<unsigned char>(hc))) {
-                fail("malformed \\u escape in " + what);
-              }
-              code = code * 16 +
-                     static_cast<unsigned>(
-                         hc <= '9'   ? hc - '0'
-                         : hc <= 'F' ? hc - 'A' + 10
-                                     : hc - 'a' + 10);
-            }
-            if (code > 0xFF) {
-              fail("\\u escape beyond one byte in " + what);
-            }
-            pos_ += 4;
-            c = static_cast<char>(code);
-            break;
-          }
-          default:
-            fail("unsupported escape \\" + std::string(1, esc) + " in " +
-                 what);
-        }
-      }
-      out.push_back(c);
-    }
-    if (pos_ >= text_.size()) fail("unterminated string in " + what);
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  /// Plain non-negative decimal integer. Anything else strtod would
-  /// happily read — "nan", "inf", "-1", "1.5", "1e3" — is malformed
-  /// here (the non-finite guard of the manifest reader, via the same
-  /// parse_csv_unsigned the shard CSV reader uses).
-  std::uint64_t parse_uint(const std::string& key) {
-    skip_ws();
-    std::size_t end = pos_;
-    while (end < text_.size() && text_[end] != ',' && text_[end] != '}' &&
-           text_[end] != ']' &&
-           !std::isspace(static_cast<unsigned char>(text_[end]))) {
-      ++end;
-    }
-    const std::string token = text_.substr(pos_, end - pos_);
-    const auto value = parse_csv_unsigned(token);
-    if (!value) {
-      fail("field \"" + key + "\" must be a plain non-negative 64-bit "
-           "integer, got \"" + token + "\"");
-    }
-    pos_ = end;
-    return *value;
-  }
-
-  /// A seed/hash value: a string "0x" + 1..16 hex digits.
-  std::uint64_t parse_hex_u64(const std::string& key) {
-    skip_ws();
-    const std::string raw = parse_string(key);
-    if (raw.size() < 3 || raw.size() > 18 || raw[0] != '0' || raw[1] != 'x') {
-      fail("field \"" + key + "\" must be an \"0x...\" hex string, got \"" +
-           raw + "\"");
-    }
-    std::uint64_t value = 0;
-    for (std::size_t i = 2; i < raw.size(); ++i) {
-      const char c = raw[i];
-      int digit;
-      if (c >= '0' && c <= '9') {
-        digit = c - '0';
-      } else if (c >= 'a' && c <= 'f') {
-        digit = c - 'a' + 10;
-      } else if (c >= 'A' && c <= 'F') {
-        digit = c - 'A' + 10;
-      } else {
-        fail("field \"" + key + "\" has a non-hex digit in \"" + raw + "\"");
-      }
-      value = value * 16 + static_cast<std::uint64_t>(digit);
-    }
-    return value;
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-  std::unordered_set<std::string> seen_;
-};
+constexpr StrictJson kManifestJson("shard manifest", "manifest field");
 
 }  // namespace
 
@@ -642,8 +388,8 @@ void write_shard_manifest(std::ostream& out, const ShardManifest& manifest) {
       << "  \"csv\": \"" << json_escape(manifest.csv) << "\",\n"
       << "  \"engine\": \"" << json_escape(manifest.engine) << "\",\n"
       << "  \"cd_engine\": \"" << json_escape(manifest.cd_engine) << "\",\n"
-      << "  \"grid_hash\": \"" << hex(manifest.grid_hash) << "\",\n"
-      << "  \"master_seed\": \"" << hex(manifest.master_seed) << "\",\n"
+      << "  \"grid_hash\": \"" << hex_u64(manifest.grid_hash) << "\",\n"
+      << "  \"master_seed\": \"" << hex_u64(manifest.master_seed) << "\",\n"
       << "  \"trials\": " << manifest.trials << ",\n"
       << "  \"total_cells\": " << manifest.total_cells << ",\n"
       << "  \"shard_index\": " << manifest.shard_index << ",\n"
@@ -653,7 +399,7 @@ void write_shard_manifest(std::ostream& out, const ShardManifest& manifest) {
       << "  \"cell_seeds\": [";
   for (std::size_t i = 0; i < manifest.cell_seeds.size(); ++i) {
     if (i > 0) out << ", ";
-    out << '"' << hex(manifest.cell_seeds[i]) << '"';
+    out << '"' << hex_u64(manifest.cell_seeds[i]) << '"';
   }
   out << "]\n}\n";
 }
@@ -661,7 +407,56 @@ void write_shard_manifest(std::ostream& out, const ShardManifest& manifest) {
 ShardManifest read_shard_manifest(std::istream& in) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return ManifestParser(buffer.str()).parse();
+  const Json root = kManifestJson.parse(buffer.str());
+  kManifestJson.reject_unknown(
+      root,
+      {"format", "csv", "engine", "cd_engine", "grid_hash", "master_seed",
+       "trials", "total_cells", "shard_index", "shard_count", "cell_begin",
+       "cell_end", "cell_seeds"},
+      {});
+  const auto desc = [](const char* key) {
+    return "field \"" + std::string(key) + "\"";
+  };
+  const auto field = [&](const char* key) -> const Json& {
+    return kManifestJson.require(root, key, {});
+  };
+  const auto text = [&](const char* key) {
+    return kManifestJson.get_string(field(key), desc(key));
+  };
+  const auto uint = [&](const char* key) {
+    return kManifestJson.get_uint(field(key), desc(key));
+  };
+  const auto hex_field = [&](const char* key) {
+    return kManifestJson.get_hex_u64(field(key), desc(key));
+  };
+
+  if (text("format") != kManifestFormat) {
+    kManifestJson.fail_at(field("format"),
+                          "unsupported manifest format \"" + text("format") +
+                              "\" (expected \"" + kManifestFormat + "\")");
+  }
+  ShardManifest manifest;
+  if (const Json* csv = StrictJson::find(root, "csv")) {
+    manifest.csv = kManifestJson.get_string(*csv, desc("csv"));
+  }
+  manifest.engine = text("engine");
+  manifest.cd_engine = text("cd_engine");
+  manifest.grid_hash = hex_field("grid_hash");
+  manifest.master_seed = hex_field("master_seed");
+  manifest.trials = uint("trials");
+  manifest.total_cells = uint("total_cells");
+  manifest.shard_index = uint("shard_index");
+  manifest.shard_count = uint("shard_count");
+  manifest.cell_begin = uint("cell_begin");
+  manifest.cell_end = uint("cell_end");
+  const Json& seeds = kManifestJson.expect_kind(
+      field("cell_seeds"), Json::Kind::kArray, desc("cell_seeds"));
+  manifest.cell_seeds.reserve(seeds.items.size());
+  for (std::size_t i = 0; i < seeds.items.size(); ++i) {
+    manifest.cell_seeds.push_back(kManifestJson.get_hex_u64(
+        seeds.items[i], desc("cell_seeds") + "[" + std::to_string(i) + "]"));
+  }
+  return manifest;
 }
 
 // ---- shard CSV re-reading and CSV-level merge ----
@@ -794,8 +589,8 @@ void validate_shard_csvs(std::span<const ShardArtifact> shards) {
       if (csv.row_seeds[j] != m.cell_seeds[j]) {
         merge_error("shard " + std::to_string(s) + ": CSV row for cell " +
                     std::to_string(m.cell_begin + j) + " carries cell_seed " +
-                    hex(csv.row_seeds[j]) + " but the manifest records " +
-                    hex(m.cell_seeds[j]));
+                    hex_u64(csv.row_seeds[j]) + " but the manifest records " +
+                    hex_u64(m.cell_seeds[j]));
       }
     }
   }
@@ -884,7 +679,7 @@ void write_partial_merge_report(std::ostream& out,
                                 const PartialMergeReport& report) {
   out << "{\n"
       << "  \"format\": \"crp-partial-merge-v1\",\n"
-      << "  \"grid_hash\": \"" << hex(report.grid_hash) << "\",\n"
+      << "  \"grid_hash\": \"" << hex_u64(report.grid_hash) << "\",\n"
       << "  \"total_cells\": " << report.total_cells << ",\n"
       << "  \"present_cells\": " << report.present_cells << ",\n"
       << "  \"missing_ranges\": [";

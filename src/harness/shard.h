@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/strict_json.h"  // json_escape, shared by every JSON writer
 #include "harness/sweep.h"
 
 namespace crp::harness {
@@ -162,18 +163,14 @@ ShardRun run_sweep_shard(const SweepGrid& grid,
 /// field on any mismatch.
 std::vector<SweepResult> merge_shards(std::span<const ShardRun> shards);
 
-/// Writes/reads the manifest JSON. The reader is strict: unknown or
-/// missing fields, non-integer numerics (anything beyond plain
-/// digits — "nan", "inf", signs, exponents), and malformed hex seeds
-/// are all rejected with the field name in the error.
+/// Writes/reads the manifest JSON. The reader is a schema over the
+/// shared strict reader (harness/strict_json.h): unknown, duplicate,
+/// or missing fields, non-integer numerics (anything beyond plain
+/// digits — "nan", "inf", signs, exponents), and hex seeds outside the
+/// lowercase parse_hex_u64 grammar (harness/csv.h) are all rejected as
+/// std::invalid_argument naming the field and its line/column.
 void write_shard_manifest(std::ostream& out, const ShardManifest& manifest);
 ShardManifest read_shard_manifest(std::istream& in);
-
-/// JSON string escaping as the manifest writer emits it ('"', '\\',
-/// and control characters escaped; everything else verbatim) — shared
-/// with crp_shard's `plan --json` output so every JSON artifact the
-/// toolchain produces quotes strings identically.
-std::string json_escape(const std::string& s);
 
 /// A shard CSV re-read for merging: the raw header and row lines
 /// (passed through verbatim so the merged file is byte-identical to

@@ -12,7 +12,6 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -22,6 +21,7 @@
 
 #include "harness/checkpoint.h"
 #include "harness/csv.h"
+#include "harness/framed_journal.h"
 #include "harness/hash.h"
 
 namespace crp::harness {
@@ -31,16 +31,6 @@ namespace {
 constexpr const char* kSupervisorMagic = "crp-supervisor-journal-v1";
 constexpr const char* kQuarantineTag = "quarantine";
 constexpr const char* kBisectTag = "bisect";
-/// Same end-of-record framing as the worker journals
-/// (harness/checkpoint.cpp): newline, '.', newline after the payload —
-/// a marker a torn append cannot fake.
-constexpr const char* kEndMarker = "\n.\n";
-
-std::string hex(std::uint64_t value) {
-  std::ostringstream out;
-  out << "0x" << std::hex << value;
-  return out.str();
-}
 
 class SteadyClock final : public Clock {
  public:
@@ -230,279 +220,121 @@ std::uint64_t bisect_checksum(const BisectRecord& record) {
   return h.state;
 }
 
-std::vector<std::string> split_fields(std::string_view line) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (start <= line.size()) {
-    const auto space = line.find(' ', start);
-    if (space == std::string_view::npos) {
-      fields.emplace_back(line.substr(start));
-      break;
-    }
-    fields.emplace_back(line.substr(start, space - start));
-    start = space + 1;
-  }
-  return fields;
-}
-
-std::optional<std::uint64_t> parse_hex_u64(const std::string& raw) {
-  if (raw.size() < 3 || raw.size() > 18 || raw[0] != '0' || raw[1] != 'x') {
-    return std::nullopt;
-  }
-  std::uint64_t value = 0;
-  for (std::size_t i = 2; i < raw.size(); ++i) {
-    const char c = raw[i];
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return std::nullopt;
-    }
-    value = value * 16 + static_cast<std::uint64_t>(digit);
-  }
-  return value;
-}
-
-/// Supervisor-journal twin of checkpoint.cpp's parser: same framing,
-/// same torn-vs-corrupt discipline.
-struct SupervisorParser {
-  const std::string& path;
-  const std::string& text;
-  std::size_t pos = 0;
-
-  [[noreturn]] void fail(std::size_t offset, const std::string& message) {
-    throw std::invalid_argument("supervisor journal " + path + " at byte " +
-                                std::to_string(offset) + ": " + message);
-  }
-
-  std::optional<std::string_view> next_line() {
-    const auto nl = text.find('\n', pos);
-    if (nl == std::string::npos) return std::nullopt;
-    std::string_view line(text.data() + pos, nl - pos);
-    pos = nl + 1;
-    return line;
-  }
-
-  std::uint64_t field_uint(const std::string& field, std::size_t offset,
-                           const std::string& what) {
-    const auto value = parse_csv_unsigned(field);
-    if (!value) {
-      fail(offset, what + " must be a plain non-negative integer, got \"" +
-                       field + "\"");
-    }
-    return *value;
-  }
-
-  std::uint64_t field_hex(const std::string& field, std::size_t offset,
-                          const std::string& what) {
-    const auto value = parse_hex_u64(field);
-    if (!value) {
-      fail(offset, what + " must be an \"0x...\" hex value, got \"" + field +
-                       "\"");
-    }
-    return *value;
-  }
-
-  std::optional<std::string> payload(std::size_t offset, std::size_t length) {
-    const std::size_t marker_len = std::strlen(kEndMarker);
-    if (length > text.size() - pos ||
-        marker_len > text.size() - pos - length) {
-      return std::nullopt;  // the file ends inside payload or marker
-    }
-    if (text.compare(pos + length, marker_len, kEndMarker) != 0) {
-      fail(offset,
-           "end-of-record marker missing — the record is damaged, not torn");
-    }
-    std::string out = text.substr(pos, length);
-    pos += length + marker_len;
-    return out;
-  }
-};
-
 }  // namespace
 
 std::string format_supervisor_header(const SupervisorJournal& identity) {
-  std::string out = kSupervisorMagic;
-  out += ' ';
-  out += hex(identity.grid_hash);
-  out += ' ';
-  out += hex(identity.master_seed);
-  out += ' ';
-  out += std::to_string(identity.trials);
-  out += ' ';
-  out += std::to_string(identity.total_cells);
-  out += ' ';
-  out += std::to_string(identity.workers);
-  out += ' ';
-  out += identity.engine;
-  out += ' ';
-  out += identity.cd_engine;
-  out += ' ';
-  out += hex(supervisor_header_checksum(identity));
-  out += '\n';
-  return out;
+  return journal_line(
+      {kSupervisorMagic, hex_u64(identity.grid_hash),
+       hex_u64(identity.master_seed), std::to_string(identity.trials),
+       std::to_string(identity.total_cells), std::to_string(identity.workers),
+       identity.engine, identity.cd_engine,
+       hex_u64(supervisor_header_checksum(identity))});
 }
 
 std::string format_supervisor_quarantine(const QuarantinedCell& cell) {
-  std::string out = kQuarantineTag;
-  out += ' ';
-  out += std::to_string(cell.cell_index);
-  out += ' ';
-  out += std::to_string(cell.attempts);
-  out += ' ';
-  out += std::to_string(cell.reason.size());
-  out += ' ';
-  out += hex(quarantine_checksum(cell));
-  out += '\n';
-  out += cell.reason;
-  out += kEndMarker;
-  return out;
+  return journal_block(
+      {kQuarantineTag, std::to_string(cell.cell_index),
+       std::to_string(cell.attempts), std::to_string(cell.reason.size()),
+       hex_u64(quarantine_checksum(cell))},
+      cell.reason);
 }
 
 std::string format_supervisor_bisect(const BisectRecord& record) {
-  std::string out = kBisectTag;
-  out += ' ';
-  out += std::to_string(record.cell_begin);
-  out += ' ';
-  out += std::to_string(record.mid);
-  out += ' ';
-  out += std::to_string(record.cell_end);
-  out += ' ';
-  out += hex(bisect_checksum(record));
-  out += '\n';
-  out += kEndMarker;  // empty payload; the marker still seals the record
-  return out;
+  // Empty payload; the end marker still seals the record.
+  return journal_block(
+      {kBisectTag, std::to_string(record.cell_begin),
+       std::to_string(record.mid), std::to_string(record.cell_end),
+       hex_u64(bisect_checksum(record))},
+      {});
 }
 
 SupervisorJournal read_supervisor_journal(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw IoError("cannot open supervisor journal " + path + ": " +
-                  std::strerror(errno));
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) throw IoError("cannot read supervisor journal " + path);
-  const std::string text = buffer.str();
-  SupervisorParser parser{path, text};
+  FramedJournalReader reader("supervisor", path);
   SupervisorJournal journal;
 
-  // Header: written whole via atomic temp-file + rename, so damage
-  // here is corruption, never a torn append.
-  const auto header_line = parser.next_line();
-  if (!header_line) {
-    parser.fail(0, "incomplete header line (the header is written "
-                   "atomically — this file is damaged, not torn)");
-  }
-  const auto fields = split_fields(*header_line);
-  if (fields.size() != 9 || fields[0] != kSupervisorMagic) {
-    parser.fail(0, "not a " + std::string(kSupervisorMagic) + " header: \"" +
-                       std::string(*header_line) + "\"");
-  }
-  journal.grid_hash = parser.field_hex(fields[1], 0, "grid hash");
-  journal.master_seed = parser.field_hex(fields[2], 0, "master seed");
-  journal.trials = parser.field_uint(fields[3], 0, "trials");
-  journal.total_cells = parser.field_uint(fields[4], 0, "total cell count");
-  journal.workers = parser.field_uint(fields[5], 0, "worker count");
+  const auto fields = reader.header(kSupervisorMagic, 9);
+  journal.grid_hash = reader.field_hex(fields[1], 0, "grid hash");
+  journal.master_seed = reader.field_hex(fields[2], 0, "master seed");
+  journal.trials = reader.field_uint(fields[3], 0, "trials");
+  journal.total_cells = reader.field_uint(fields[4], 0, "total cell count");
+  journal.workers = reader.field_uint(fields[5], 0, "worker count");
   journal.engine = fields[6];
   journal.cd_engine = fields[7];
-  const std::uint64_t header_crc = parser.field_hex(fields[8], 0, "checksum");
-  if (supervisor_header_checksum(journal) != header_crc) {
-    parser.fail(0, "header checksum mismatch — expected " + hex(header_crc) +
-                       ", computed " +
-                       hex(supervisor_header_checksum(journal)));
+  const std::uint64_t header_crc = reader.field_hex(fields[8], 0, "checksum");
+  const std::uint64_t computed = supervisor_header_checksum(journal);
+  if (computed != header_crc) {
+    reader.fail(0, "header checksum mismatch — expected " +
+                       hex_u64(header_crc) + ", computed " +
+                       hex_u64(computed));
   }
-  journal.valid_bytes = parser.pos;
 
   std::vector<bool> quarantined_seen(journal.total_cells, false);
-  while (parser.pos < text.size()) {
-    const std::size_t record_start = parser.pos;
-    const auto line = parser.next_line();
-    if (!line) break;  // torn: the file ends mid-line
-    const auto record_fields = split_fields(*line);
-    if (record_fields.empty()) {
-      parser.fail(record_start, "empty record line");
-    }
-    if (record_fields[0] == kQuarantineTag) {
-      if (record_fields.size() != 5) {
-        parser.fail(record_start, "malformed quarantine record \"" +
-                                      std::string(*line) + "\"");
-      }
-      QuarantinedCell cell;
-      cell.cell_index =
-          parser.field_uint(record_fields[1], record_start, "cell index");
-      cell.attempts =
-          parser.field_uint(record_fields[2], record_start, "attempts");
-      const std::size_t reason_len =
-          parser.field_uint(record_fields[3], record_start, "reason length");
-      const std::uint64_t crc =
-          parser.field_hex(record_fields[4], record_start, "record checksum");
-      auto reason = parser.payload(record_start, reason_len);
-      if (!reason) {
-        parser.pos = record_start;  // torn
-        break;
-      }
-      cell.reason = std::move(*reason);
-      if (quarantine_checksum(cell) != crc) {
-        parser.fail(record_start,
-                    "quarantine record checksum mismatch for cell " +
-                        std::to_string(cell.cell_index));
-      }
-      if (cell.cell_index >= journal.total_cells) {
-        parser.fail(record_start,
-                    "quarantined cell " + std::to_string(cell.cell_index) +
-                        " is outside the grid of " +
-                        std::to_string(journal.total_cells) + " cells");
-      }
-      if (quarantined_seen[cell.cell_index]) {
-        parser.fail(record_start,
-                    "duplicate quarantine record for cell " +
-                        std::to_string(cell.cell_index));
-      }
-      quarantined_seen[cell.cell_index] = true;
-      journal.quarantined.push_back(std::move(cell));
-    } else if (record_fields[0] == kBisectTag) {
-      if (record_fields.size() != 5) {
-        parser.fail(record_start,
-                    "malformed bisect record \"" + std::string(*line) + "\"");
-      }
-      BisectRecord record;
-      record.cell_begin =
-          parser.field_uint(record_fields[1], record_start, "cell_begin");
-      record.mid = parser.field_uint(record_fields[2], record_start, "mid");
-      record.cell_end =
-          parser.field_uint(record_fields[3], record_start, "cell_end");
-      const std::uint64_t crc =
-          parser.field_hex(record_fields[4], record_start, "record checksum");
-      auto empty = parser.payload(record_start, 0);
-      if (!empty) {
-        parser.pos = record_start;  // torn
-        break;
-      }
-      if (bisect_checksum(record) != crc) {
-        parser.fail(record_start, "bisect record checksum mismatch for [" +
-                                      std::to_string(record.cell_begin) +
-                                      ", " + std::to_string(record.cell_end) +
-                                      ")");
-      }
-      if (record.cell_begin >= record.mid || record.mid >= record.cell_end ||
-          record.cell_end > journal.total_cells) {
-        parser.fail(record_start,
-                    "bisect record [" + std::to_string(record.cell_begin) +
-                        ", " + std::to_string(record.mid) + ", " +
-                        std::to_string(record.cell_end) +
-                        ") is not a strict split inside the grid");
-      }
-      journal.bisections.push_back(record);
-    } else {
-      parser.fail(record_start,
-                  "unknown record tag \"" + record_fields[0] + "\"");
-    }
-    journal.valid_bytes = parser.pos;
-  }
-  journal.torn_bytes = text.size() - journal.valid_bytes;
+  const JournalExtent extent = reader.read_records(
+      [&](const FramedJournalReader::Record& line) {
+        const std::size_t at = line.offset;
+        const std::string& tag = line.fields[0];
+        if (tag != kQuarantineTag && tag != kBisectTag) {
+          reader.fail(at, "unknown record tag \"" + tag + "\"");
+        }
+        if (line.fields.size() != 5) {
+          reader.fail(at, "malformed " + tag + " record \"" +
+                              std::string(line.line) + "\"");
+        }
+        if (tag == kQuarantineTag) {
+          QuarantinedCell cell;
+          cell.cell_index = reader.field_uint(line.fields[1], at, "cell index");
+          cell.attempts = reader.field_uint(line.fields[2], at, "attempts");
+          const std::size_t reason_len =
+              reader.field_uint(line.fields[3], at, "reason length");
+          const std::uint64_t crc =
+              reader.field_hex(line.fields[4], at, "record checksum");
+          auto reason = reader.payload(at, reason_len);
+          if (!reason) return false;
+          cell.reason = std::move(*reason);
+          if (quarantine_checksum(cell) != crc) {
+            reader.fail(at, "quarantine record checksum mismatch for cell " +
+                                std::to_string(cell.cell_index));
+          }
+          if (cell.cell_index >= journal.total_cells) {
+            reader.fail(at, "quarantined cell " +
+                                std::to_string(cell.cell_index) +
+                                " is outside the grid of " +
+                                std::to_string(journal.total_cells) +
+                                " cells");
+          }
+          if (quarantined_seen[cell.cell_index]) {
+            reader.fail(at, "duplicate quarantine record for cell " +
+                                std::to_string(cell.cell_index));
+          }
+          quarantined_seen[cell.cell_index] = true;
+          journal.quarantined.push_back(std::move(cell));
+          return true;
+        }
+        BisectRecord record;
+        record.cell_begin = reader.field_uint(line.fields[1], at, "cell_begin");
+        record.mid = reader.field_uint(line.fields[2], at, "mid");
+        record.cell_end = reader.field_uint(line.fields[3], at, "cell_end");
+        const std::uint64_t crc =
+            reader.field_hex(line.fields[4], at, "record checksum");
+        if (!reader.payload(at, 0)) return false;
+        if (bisect_checksum(record) != crc) {
+          reader.fail(at, "bisect record checksum mismatch for [" +
+                              std::to_string(record.cell_begin) + ", " +
+                              std::to_string(record.cell_end) + ")");
+        }
+        if (record.cell_begin >= record.mid || record.mid >= record.cell_end ||
+            record.cell_end > journal.total_cells) {
+          reader.fail(at, "bisect record [" +
+                              std::to_string(record.cell_begin) + ", " +
+                              std::to_string(record.mid) + ", " +
+                              std::to_string(record.cell_end) +
+                              ") is not a strict split inside the grid");
+        }
+        journal.bisections.push_back(record);
+        return true;
+      });
+  journal.valid_bytes = extent.valid_bytes;
+  journal.torn_bytes = extent.torn_bytes;
   return journal;
 }
 
@@ -514,7 +346,7 @@ void write_quarantine_report(std::ostream& out, std::uint64_t grid_hash,
                              std::span<const QuarantinedCell> quarantined) {
   out << "{\n"
       << "  \"format\": \"crp-quarantine-v1\",\n"
-      << "  \"grid_hash\": \"" << hex(grid_hash) << "\",\n"
+      << "  \"grid_hash\": \"" << hex_u64(grid_hash) << "\",\n"
       << "  \"total_cells\": " << total_cells << ",\n"
       << "  \"quarantined_cells\": " << quarantined.size() << ",\n"
       << "  \"quarantined\": [";
@@ -555,8 +387,11 @@ struct RunningWorker {
 };
 
 std::string range_text(const JobState& state) {
-  return "[" + std::to_string(state.cell_begin) + ", " +
-         std::to_string(state.cell_end) + ")";
+  // Appended, not "[" + ...: GCC 12 misreports that form (-Wrestrict).
+  std::string text = "[";
+  text += std::to_string(state.cell_begin) + ", " +
+          std::to_string(state.cell_end) + ")";
+  return text;
 }
 
 /// Artifact stem for a --cells worker, matching crp_shard's explicit
@@ -841,13 +676,13 @@ SuperviseResult run_supervisor(std::span<const SweepCell> cells,
                                   message);
     };
     if (journal.grid_hash != identity.grid_hash) {
-      fail("grid fingerprint " + hex(journal.grid_hash) + " != " +
-           hex(identity.grid_hash) +
+      fail("grid fingerprint " + hex_u64(journal.grid_hash) + " != " +
+           hex_u64(identity.grid_hash) +
            " — the journal was written for a different grid");
     }
     if (journal.master_seed != identity.master_seed) {
-      fail("master seed " + hex(journal.master_seed) + " != " +
-           hex(identity.master_seed));
+      fail("master seed " + hex_u64(journal.master_seed) + " != " +
+           hex_u64(identity.master_seed));
     }
     if (journal.trials != identity.trials) {
       fail("trials " + std::to_string(journal.trials) + " != " +
@@ -869,14 +704,7 @@ SuperviseResult run_supervisor(std::span<const SweepCell> cells,
            journal.cd_engine + ") != (" + identity.engine + ", " +
            identity.cd_engine + ")");
     }
-    if (journal.torn_bytes > 0) {
-      std::error_code ec;
-      fs::resize_file(journal_path, journal.valid_bytes, ec);
-      if (ec) {
-        throw IoError("cannot truncate torn tail of " + journal_path + ": " +
-                      ec.message());
-      }
-    }
+    truncate_torn_tail(journal_path, journal.valid_bytes, journal.torn_bytes);
     fleet.quarantined = journal.quarantined;
     for (const BisectRecord& record : journal.bisections) {
       fleet.bisected[{record.cell_begin, record.cell_end}] = record.mid;

@@ -35,12 +35,12 @@
 //
 // The supervisor keeps its own crash-safe state journal
 // (crp-supervisor-journal-v1: atomic header + fsync'd checksummed
-// records, same discipline as the worker journals) recording every
-// bisection and quarantine decision, so `supervise --resume` restarts
-// the fleet idempotently: completed ranges are detected by their
-// manifests, partially-run ranges respawn as `resume`, and the
-// bisection tree and quarantine list replay instead of re-deriving
-// themselves through fresh failures.
+// records, the worker journals' framing, harness/framed_journal.h)
+// recording every bisection and quarantine decision, so `supervise
+// --resume` restarts the fleet idempotently: completed ranges are
+// detected by their manifests, partially-run ranges respawn as
+// `resume`, and the bisection tree and quarantine list replay instead
+// of re-deriving themselves through fresh failures.
 //
 /// Ownership: RetryPolicy and the journal structs own plain data.
 /// run_supervisor borrows its cells exactly as run_sweep_shard does.

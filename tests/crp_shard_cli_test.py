@@ -352,6 +352,16 @@ with tempfile.TemporaryDirectory() as tmp:
           3,
           stderr_contains=['unknown field "frobnicate"'])
 
+    # Hostile nesting is a validation error (exit 3), not a stack
+    # overflow that kills the process by signal.
+    deep_spec = os.path.join(tmp, "deep-spec.json")
+    with open(deep_spec, "w") as handle:
+        handle.write("[" * 100000)
+    check("plan with a deeply nested grid spec",
+          run("plan", "--grid-spec", deep_spec),
+          3,
+          stderr_contains=[deep_spec, "nesting deeper than 64", "column 65"])
+
     # Unreadable spec file: exit 4 (I/O, retryable), naming the path.
     missing_spec = os.path.join(tmp, "no-such-spec.json")
     check("missing grid spec",

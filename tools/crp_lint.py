@@ -488,7 +488,8 @@ def iter_files(root: Path, rel_paths):
                 yield rp
 
 
-DEFAULT_PATHS = ["src", "tools", "bench", "examples", "CMakeLists.txt"]
+DEFAULT_PATHS = ["src", "tools", "bench", "examples", "perfbench",
+                 "CMakeLists.txt"]
 
 
 def main(argv=None) -> int:

@@ -464,12 +464,6 @@ OwnedGrid build_grid(const Options& options) {
   return owned;
 }
 
-std::string hex(std::uint64_t value) {
-  std::ostringstream out;
-  out << "0x" << std::hex << value;
-  return out.str();
-}
-
 /// The shard → cell map for --shards N workers, with nothing executed:
 /// everything a scheduler needs to fan out `run --shard i/N` jobs and
 /// predict their artifacts. Both output formats carry, per cell, the
@@ -493,6 +487,10 @@ int plan_mode(const Options& options) {
   const auto cell_trials = [&](const ch::SweepCell& cell) {
     return cell.trials != 0 ? cell.trials : options.trials;
   };
+  const auto cell_seed = [&](const ch::SweepCell& cell) {
+    return ch::hex_u64(
+        crp::channel::derive_stream_seed(options.seed, cell.seed_stream));
+  };
 
   std::ostringstream out;
   if (options.plan_json) {
@@ -500,8 +498,8 @@ int plan_mode(const Options& options) {
         << "  \"format\": \"crp-shard-plan-v1\",\n"
         << "  \"grid\": \"" << ch::json_escape(grid.label) << "\",\n"
         << "  \"total_cells\": " << grid.cells.size() << ",\n"
-        << "  \"grid_hash\": \"" << hex(fingerprint) << "\",\n"
-        << "  \"master_seed\": \"" << hex(options.seed) << "\",\n"
+        << "  \"grid_hash\": \"" << ch::hex_u64(fingerprint) << "\",\n"
+        << "  \"master_seed\": \"" << ch::hex_u64(options.seed) << "\",\n"
         << "  \"default_trials\": " << options.trials << ",\n"
         << "  \"shard_count\": " << options.plan_shard_count << ",\n"
         << "  \"shards\": [";
@@ -524,12 +522,9 @@ int plan_mode(const Options& options) {
             << "\",\n"
             << "          \"budget\": " << cell.max_rounds << ",\n"
             << "          \"trials\": " << cell_trials(cell) << ",\n"
-            << "          \"seed_stream\": \"" << hex(cell.seed_stream)
+            << "          \"seed_stream\": \"" << ch::hex_u64(cell.seed_stream)
             << "\",\n"
-            << "          \"cell_seed\": \""
-            << hex(crp::channel::derive_stream_seed(options.seed,
-                                                    cell.seed_stream))
-            << "\"\n"
+            << "          \"cell_seed\": \"" << cell_seed(cell) << "\"\n"
             << "        }";
       }
       out << "\n      ]\n    }";
@@ -538,8 +533,8 @@ int plan_mode(const Options& options) {
   } else {
     out << "grid: " << grid.label << "\n"
         << "cells: " << grid.cells.size() << ", fingerprint "
-        << hex(fingerprint) << ", master seed " << hex(options.seed)
-        << ", default trials " << options.trials << ", shards "
+        << ch::hex_u64(fingerprint) << ", master seed "
+        << ch::hex_u64(options.seed) << ", default trials " << options.trials << ", shards "
         << options.plan_shard_count << "\n";
     for (const ch::ShardPlan& plan : plans) {
       out << "shard " << plan.shard_index << "/" << plan.shard_count
@@ -551,10 +546,8 @@ int plan_mode(const Options& options) {
             << cell.algorithm.name << "\", sizes \"" << cell.sizes.name
             << "\", budget " << cell.max_rounds << ", trials "
             << cell_trials(cell) << ", seed_stream "
-            << hex(cell.seed_stream) << ", cell_seed "
-            << hex(crp::channel::derive_stream_seed(options.seed,
-                                                    cell.seed_stream))
-            << "\n";
+            << ch::hex_u64(cell.seed_stream) << ", cell_seed "
+            << cell_seed(cell) << "\n";
       }
     }
   }
