@@ -29,7 +29,6 @@
 #include "harness/fit.h"
 #include "harness/grids.h"
 #include "harness/measure.h"
-#include "harness/shard.h"
 #include "harness/sweep.h"
 #include "harness/table.h"
 #include "info/distribution.h"
@@ -250,13 +249,11 @@ BENCHMARK(BM_Table1NoCdSweepStreaming)
     ->Arg(1'000'000)
     ->Arg(10'000'000);
 
-/// The no-CD likelihood cells of the entropy sweep — the shared
-/// workload of the scheduler-vs-sharded benchmark pair below, built
-/// in one place so the two grids cannot drift apart (their delta is
-/// meaningful only while the cells are identical). `points` must
-/// outlive the returned cells.
-std::vector<crp::harness::SweepCell> likelihood_sweep_cells(
-    const std::vector<crp::harness::Table1EntropyPoint>& points) {
+// The same workload one layer up: the whole entropy sweep declared as
+// a grid and executed by the sweep scheduler in a single call (the
+// PR 2 acceptance pair is this plus BM_Table1NoCdSweepBatchParallel).
+void BM_Table1SweepScheduler(benchmark::State& state) {
+  const auto points = table1_entropy_points(kNetwork);
   crp::harness::SweepGrid grid;
   for (const auto& point : points) {
     grid.add_cell({.algorithm = {.name = "likelihood",
@@ -265,15 +262,7 @@ std::vector<crp::harness::SweepCell> likelihood_sweep_cells(
                              .distribution = &point.actual},
                    .max_rounds = 1 << 18});
   }
-  return grid.cells();
-}
-
-// The same workload one layer up: the whole entropy sweep declared as
-// a grid and executed by the sweep scheduler in a single call (the
-// PR 2 acceptance pair is this plus BM_Table1NoCdSweepBatchParallel).
-void BM_Table1SweepScheduler(benchmark::State& state) {
-  const auto points = table1_entropy_points(kNetwork);
-  const auto cells = likelihood_sweep_cells(points);
+  const auto cells = grid.cells();
   double checksum = 0.0;
   for (auto _ : state) {
     const auto results = crp::harness::run_sweep(
@@ -283,35 +272,6 @@ void BM_Table1SweepScheduler(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Table1SweepScheduler)->Unit(benchmark::kMillisecond);
-
-// ---- PR 5 acceptance benchmark: sharded vs. monolithic sweep ----
-//
-// The BM_Table1SweepScheduler workload cut into 3 shards by the
-// shard driver (harness/shard.h) and reassembled with merge_shards —
-// what a 3-process fleet runs, executed sequentially in one process
-// here so the pair isolates the sharding overhead itself (planning,
-// manifests, merge validation). The delta vs BM_Table1SweepScheduler
-// is the price of the partition; the results are bit-identical
-// (tests/shard_test.cpp), so the checksum matches the monolithic
-// bench's exactly.
-void BM_Table1SweepSharded(benchmark::State& state) {
-  const auto points = table1_entropy_points(kNetwork);
-  const auto cells = likelihood_sweep_cells(points);
-  constexpr std::size_t kShards = 3;
-  double checksum = 0.0;
-  for (auto _ : state) {
-    std::vector<crp::harness::ShardRun> shards;
-    for (std::size_t i = 0; i < kShards; ++i) {
-      shards.push_back(crp::harness::run_sweep_shard(
-          cells, {.shard_count = kShards, .shard_index = i},
-          {.trials = kTrials, .seed = kSeed}));
-    }
-    const auto merged = crp::harness::merge_shards(shards);
-    for (const auto& result : merged) checksum += result.measurement.rounds.mean;
-    benchmark::DoNotOptimize(checksum);
-  }
-}
-BENCHMARK(BM_Table1SweepSharded)->Unit(benchmark::kMillisecond);
 
 // ---- google-benchmark microbenchmarks: per-round simulation cost ----
 

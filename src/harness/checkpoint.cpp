@@ -84,20 +84,20 @@ class FileCheckpointSink final : public CheckpointSink {
   int fd_ = -1;
 };
 
-/// Over the identity fields ShardManifest (writer side) and
-/// CheckpointJournal (reader side) both carry under the same names.
-template <typename Identity>
-std::uint64_t header_checksum(const Identity& identity,
+/// The field order is fixed by the journals already on disk: the cell
+/// range hashes between total_cells and the engines.
+std::uint64_t header_checksum(const RunIdentity& run, std::size_t cell_begin,
+                              std::size_t cell_end,
                               const std::string& csv_header) {
   Fnv1a h;
-  h.u64(identity.grid_hash);
-  h.u64(identity.master_seed);
-  h.u64(identity.trials);
-  h.u64(identity.total_cells);
-  h.u64(identity.cell_begin);
-  h.u64(identity.cell_end);
-  h.str(identity.engine);
-  h.str(identity.cd_engine);
+  h.u64(run.grid_hash);
+  h.u64(run.master_seed);
+  h.u64(run.trials);
+  h.u64(run.total_cells);
+  h.u64(cell_begin);
+  h.u64(cell_end);
+  h.str(run.engine);
+  h.str(run.cd_engine);
   h.str(csv_header);
   return h.state;
 }
@@ -181,7 +181,8 @@ std::string format_checkpoint_header(const ShardManifest& identity,
        std::to_string(identity.total_cells),
        std::to_string(identity.cell_begin), std::to_string(identity.cell_end),
        identity.engine, identity.cd_engine, std::to_string(csv_header.size()),
-       hex_u64(header_checksum(identity, csv_header))},
+       hex_u64(header_checksum(identity, identity.cell_begin,
+                               identity.cell_end, csv_header))},
       csv_header);
 }
 
@@ -225,7 +226,8 @@ CheckpointJournal read_checkpoint_journal(const std::string& path) {
                        ") is not within [0, " +
                        std::to_string(journal.total_cells) + ")");
   }
-  const std::uint64_t computed = header_checksum(journal, journal.csv_header);
+  const std::uint64_t computed = header_checksum(
+      journal, journal.cell_begin, journal.cell_end, journal.csv_header);
   if (computed != header_crc) {
     reader.fail(0, "header checksum mismatch — expected " +
                        hex_u64(header_crc) + ", computed " +
@@ -286,56 +288,6 @@ CheckpointJournal read_checkpoint_journal(const std::string& path) {
   return journal;
 }
 
-namespace {
-
-/// Resume-time identity check: the journal must describe exactly the
-/// shard the caller is about to run.
-void validate_journal_against_plan(const CheckpointJournal& journal,
-                                   const std::string& path,
-                                   const ShardManifest& identity,
-                                   const std::string& csv_header) {
-  const auto fail = [&path](const std::string& message) {
-    throw std::invalid_argument("checkpoint resume " + path + ": " + message);
-  };
-  if (journal.grid_hash != identity.grid_hash) {
-    fail("grid fingerprint " + hex_u64(journal.grid_hash) + " != " +
-         hex_u64(identity.grid_hash) +
-         " — the journal was written for a different grid");
-  }
-  if (journal.master_seed != identity.master_seed) {
-    fail("master seed " + hex_u64(journal.master_seed) + " != " +
-         hex_u64(identity.master_seed) +
-         " — resume under the seed the journal was started with");
-  }
-  if (journal.trials != identity.trials) {
-    fail("trials " + std::to_string(journal.trials) + " != " +
-         std::to_string(identity.trials));
-  }
-  if (journal.engine != identity.engine ||
-      journal.cd_engine != identity.cd_engine) {
-    fail("engine configuration (" + journal.engine + ", " +
-         journal.cd_engine + ") != (" + identity.engine + ", " +
-         identity.cd_engine + ")");
-  }
-  if (journal.total_cells != identity.total_cells ||
-      journal.cell_begin != identity.cell_begin ||
-      journal.cell_end != identity.cell_end) {
-    fail("cell range [" + std::to_string(journal.cell_begin) + ", " +
-         std::to_string(journal.cell_end) + ") of " +
-         std::to_string(journal.total_cells) + " != planned [" +
-         std::to_string(identity.cell_begin) + ", " +
-         std::to_string(identity.cell_end) + ") of " +
-         std::to_string(identity.total_cells));
-  }
-  if (journal.csv_header != csv_header) {
-    fail("CSV header \"" + journal.csv_header +
-         "\" does not match this build's sweep CSV header \"" + csv_header +
-         "\"");
-  }
-}
-
-}  // namespace
-
 CheckpointRunResult run_sweep_shard_checkpointed(
     std::span<const SweepCell> cells, const ShardOptions& shard_options,
     const SweepOptions& sweep_options, const CheckpointRunOptions& options) {
@@ -349,22 +301,16 @@ CheckpointRunResult run_sweep_shard_checkpointed(
   const std::string csv_header = sweep_csv_header();
 
   CheckpointRunResult result;
-  result.manifest = ShardManifest{.csv = {},
-                                  .engine = engine_name(sweep_options.engine),
-                                  .cd_engine =
-                                      engine_name(sweep_options.cd_engine),
-                                  .grid_hash = plan.grid_hash,
-                                  .master_seed = sweep_options.seed,
-                                  .trials = sweep_options.trials,
-                                  .total_cells = plan.total_cells,
-                                  .shard_index = plan.shard_index,
-                                  .shard_count = plan.shard_count,
-                                  .cell_begin = plan.cell_begin,
-                                  .cell_end = plan.cell_end,
-                                  .cell_seeds = {}};
-  result.manifest.cell_seeds.reserve(range);
+  ShardManifest& manifest = result.manifest;
+  static_cast<RunIdentity&>(manifest) =
+      RunIdentity(plan.grid_hash, plan.total_cells, sweep_options);
+  manifest.shard_index = plan.shard_index;
+  manifest.shard_count = plan.shard_count;
+  manifest.cell_begin = plan.cell_begin;
+  manifest.cell_end = plan.cell_end;
+  manifest.cell_seeds.reserve(range);
   for (std::size_t j = 0; j < range; ++j) {
-    result.manifest.cell_seeds.push_back(channel::derive_stream_seed(
+    manifest.cell_seeds.push_back(channel::derive_stream_seed(
         sweep_options.seed, plan.cells[j].seed_stream));
   }
 
@@ -377,16 +323,32 @@ CheckpointRunResult run_sweep_shard_checkpointed(
           " does not exist — nothing to resume (run fresh instead)");
     }
     const CheckpointJournal journal = read_checkpoint_journal(path);
-    validate_journal_against_plan(journal, path, result.manifest, csv_header);
+    const std::string context = "checkpoint resume " + path;
+    check_same_run(manifest, journal, context);
+    if (journal.cell_begin != manifest.cell_begin ||
+        journal.cell_end != manifest.cell_end) {
+      const std::string of = ") of " + std::to_string(manifest.total_cells);
+      throw std::invalid_argument(
+          context + ": cell range [" + std::to_string(journal.cell_begin) +
+          ", " + std::to_string(journal.cell_end) + of + " != planned [" +
+          std::to_string(manifest.cell_begin) + ", " +
+          std::to_string(manifest.cell_end) + of);
+    }
+    if (journal.csv_header != csv_header) {
+      throw std::invalid_argument(
+          context + ": CSV header \"" + journal.csv_header +
+          "\" does not match this build's sweep CSV header \"" + csv_header +
+          "\"");
+    }
     const std::size_t header_columns = split_csv_row(csv_header).size();
     for (const CheckpointRecord& record : journal.records) {
       const std::size_t j = record.cell_index - plan.cell_begin;
-      if (record.cell_seed != result.manifest.cell_seeds[j]) {
+      if (record.cell_seed != manifest.cell_seeds[j]) {
         throw std::invalid_argument(
-            "checkpoint resume " + path + ": cell " +
-            std::to_string(record.cell_index) + " was journaled under seed " +
-            hex_u64(record.cell_seed) + " but the plan derives " +
-            hex_u64(result.manifest.cell_seeds[j]) +
+            context + ": cell " + std::to_string(record.cell_index) +
+            " was journaled under seed " + hex_u64(record.cell_seed) +
+            " but the plan derives " +
+            hex_u64(manifest.cell_seeds[j]) +
             " — the journal belongs to a different partition");
       }
       // Row cross-check: the journaled bytes must actually be one CSV
@@ -396,16 +358,15 @@ CheckpointRunResult run_sweep_shard_checkpointed(
       const auto row_fields = split_csv_row(record.row);
       if (row_fields.size() != header_columns) {
         throw std::invalid_argument(
-            "checkpoint resume " + path + ": cell " +
-            std::to_string(record.cell_index) + " row has " +
-            std::to_string(row_fields.size()) + " columns, expected " +
+            context + ": cell " + std::to_string(record.cell_index) +
+            " row has " + std::to_string(row_fields.size()) +
+            " columns, expected " +
             std::to_string(header_columns));
       }
       const auto row_seed = parse_csv_unsigned(row_fields[4]);
       if (!row_seed || *row_seed != record.cell_seed) {
         throw std::invalid_argument(
-            "checkpoint resume " + path + ": cell " +
-            std::to_string(record.cell_index) +
+            context + ": cell " + std::to_string(record.cell_index) +
             " row carries cell_seed \"" + row_fields[4] +
             "\" but the record was journaled under " +
             hex_u64(record.cell_seed));
@@ -420,8 +381,7 @@ CheckpointRunResult run_sweep_shard_checkpointed(
           "checkpoint: journal " + path +
           " already exists — resume it or remove it before starting fresh");
     }
-    atomic_write_file(path,
-                      format_checkpoint_header(result.manifest, csv_header));
+    atomic_write_file(path, format_checkpoint_header(manifest, csv_header));
   }
 
   std::unique_ptr<CheckpointSink> sink = options.sink_factory

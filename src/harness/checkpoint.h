@@ -5,12 +5,12 @@
 // and can never leave a silently corrupt artifact.
 //
 // The journal is append-only. It opens with a header block recording
-// the shard's full identity (grid fingerprint, master seed, trials,
-// engine names, cell range, the sweep CSV header) and then carries one
-// record per completed cell: the cell's global index, its derived
-// seed, and its CSV row bytes — exactly the bytes write_sweep_csv
-// would emit — each framed with a length prefix, an FNV-1a checksum,
-// and an explicit end-of-record marker. The header block is created
+// the shard's full identity (its RunIdentity, cell range, and the sweep
+// CSV header) and then carries one record per completed cell: the
+// cell's global index, its derived seed, and its CSV row bytes —
+// exactly the bytes write_sweep_csv would emit — each framed with a
+// length prefix, an FNV-1a checksum, and an explicit end-of-record
+// marker. The header block is created
 // via atomic temp-file + rename + fsync and every record append is
 // fsync'd, so after a crash the file is either a valid prefix of
 // records or a valid prefix plus a detectably-torn tail; the reader
@@ -26,7 +26,7 @@
 //
 /// Ownership: CheckpointJournal and CheckpointRunResult own plain
 /// data. run_sweep_shard_checkpointed borrows its cells exactly as
-/// run_sweep_shard does.
+/// run_sweep does.
 ///
 /// Thread-safety: the runner executes cells sequentially (each cell
 /// parallelizes internally via run_sweep); a journal file must only
@@ -113,15 +113,9 @@ struct CheckpointRecord {
 /// records. `torn_bytes` is set when the file ends in a partially
 /// written record (the crash case) — the bytes from `valid_bytes` to
 /// EOF are the torn tail and must be truncated before appending.
-struct CheckpointJournal {
-  std::uint64_t grid_hash = 0;
-  std::uint64_t master_seed = 0;
-  std::size_t trials = 0;
-  std::size_t total_cells = 0;
+struct CheckpointJournal : RunIdentity {
   std::size_t cell_begin = 0;
   std::size_t cell_end = 0;
-  std::string engine;
-  std::string cd_engine;
   std::string csv_header;
   std::vector<CheckpointRecord> records;
   /// Byte length of the valid prefix (header + complete records).
@@ -132,7 +126,9 @@ struct CheckpointJournal {
 
 /// Serialized journal pieces, exposed so tests (and external tools)
 /// can compose or corrupt journals deliberately. The header block
-/// embeds the sweep CSV header line; the record embeds the row bytes.
+/// records the manifest's identity and cell range (not its csv, shard
+/// numbering, or seeds) and embeds the sweep CSV header line; the
+/// record embeds the row bytes.
 /// Both are self-framing (harness/framed_journal.h): length prefix +
 /// FNV-1a checksum + end marker.
 std::string format_checkpoint_header(const ShardManifest& identity,
@@ -195,15 +191,15 @@ struct CheckpointRunResult {
   std::size_t remaining_cells = 0;  ///< still unjournaled (0 iff completed)
 };
 
-/// run_sweep_shard with a durable journal: plans the shard, validates
-/// or creates the journal, replays journaled cells verbatim, executes
-/// the remainder cell by cell (appending + fsyncing one record per
-/// completed cell), and assembles the artifact CSV. The result CSV is
-/// byte-identical to write_sweep_csv over run_sweep_shard(...).results
-/// regardless of how many crash/resume cycles preceded it.
+/// Runs one shard of the grid with a durable journal: plans the shard,
+/// validates or creates the journal, replays journaled cells verbatim,
+/// executes the remainder cell by cell (appending + fsyncing one record
+/// per completed cell), and assembles the artifact CSV. The result CSV
+/// is byte-identical to write_sweep_csv over run_sweep of the shard's
+/// cells regardless of how many crash/resume cycles preceded it.
 ///
-/// Resume validation: journal header vs the plan (grid fingerprint,
-/// master seed, trials, engine names, range, CSV header) and every
+/// Resume validation: check_same_run between the journal header and
+/// the plan's RunIdentity, then the range and CSV header, then every
 /// record's seed vs the seed derived from its global index; a torn
 /// tail is truncated before appending. Mismatches throw
 /// std::invalid_argument; I/O failures throw IoError.

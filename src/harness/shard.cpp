@@ -25,105 +25,6 @@ namespace {
   throw std::invalid_argument("shard merge: " + message);
 }
 
-/// Shared manifest-set validation for merge_shards/merge_shard_csvs:
-/// identical grid identity everywhere, internally consistent ranges,
-/// and ranges tiling [0, total_cells). Returns the shard indices in
-/// cell order. When `missing` is non-null the tiling requirement is
-/// relaxed: uncovered ranges are appended to it instead of thrown
-/// (the --allow-partial merge); overlaps always throw.
-std::vector<std::size_t> validated_cell_order(
-    const std::vector<const ShardManifest*>& manifests,
-    std::vector<MissingCellRange>* missing = nullptr) {
-  if (manifests.empty()) merge_error("no shards given");
-  const ShardManifest& ref = *manifests.front();
-  for (std::size_t s = 0; s < manifests.size(); ++s) {
-    const ShardManifest& m = *manifests[s];
-    if (m.grid_hash != ref.grid_hash) {
-      merge_error("shard " + std::to_string(s) + ": grid hash " +
-                  hex_u64(m.grid_hash) + " != " + hex_u64(ref.grid_hash) +
-                  " — the shards were produced from different grids");
-    }
-    if (m.master_seed != ref.master_seed) {
-      merge_error("shard " + std::to_string(s) + ": master seed " +
-                  hex_u64(m.master_seed) + " != " + hex_u64(ref.master_seed) +
-                  " — re-run every shard under one master seed");
-    }
-    if (m.trials != ref.trials) {
-      merge_error("shard " + std::to_string(s) + ": trials " +
-                  std::to_string(m.trials) + " != " +
-                  std::to_string(ref.trials) +
-                  " — re-run every shard with one trial count");
-    }
-    if (m.engine != ref.engine || m.cd_engine != ref.cd_engine) {
-      merge_error("shard " + std::to_string(s) + ": engine configuration (" +
-                  m.engine + ", " + m.cd_engine + ") != (" + ref.engine +
-                  ", " + ref.cd_engine +
-                  ") — engines agree only up to Monte-Carlo noise; re-run "
-                  "every shard under one configuration");
-    }
-    if (m.total_cells != ref.total_cells) {
-      merge_error("shard " + std::to_string(s) + ": total cell count " +
-                  std::to_string(m.total_cells) + " != " +
-                  std::to_string(ref.total_cells));
-    }
-    if (m.cell_begin > m.cell_end || m.cell_end > m.total_cells) {
-      merge_error("shard " + std::to_string(s) + ": cell range [" +
-                  std::to_string(m.cell_begin) + ", " +
-                  std::to_string(m.cell_end) + ") is not within [0, " +
-                  std::to_string(m.total_cells) + ")");
-    }
-    if (m.cell_seeds.size() != m.cell_end - m.cell_begin) {
-      merge_error("shard " + std::to_string(s) + ": manifest records " +
-                  std::to_string(m.cell_seeds.size()) +
-                  " cell seeds for a range of " +
-                  std::to_string(m.cell_end - m.cell_begin) + " cells");
-    }
-  }
-  std::vector<std::size_t> order(manifests.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  // Tie-break equal begins by end so an *empty* shard ([x, x) — legal
-  // when shard_count exceeds the cell count) sorts before the
-  // non-empty shard starting at x; begin-only ordering could place it
-  // after and misreport the valid set as overlapping.
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return manifests[a]->cell_begin != manifests[b]->cell_begin
-               ? manifests[a]->cell_begin < manifests[b]->cell_begin
-               : manifests[a]->cell_end < manifests[b]->cell_end;
-  });
-  std::size_t expected = 0;
-  for (const std::size_t s : order) {
-    const ShardManifest& m = *manifests[s];
-    if (m.cell_begin > expected) {
-      if (missing == nullptr) {
-        merge_error("gap: cells [" + std::to_string(expected) + ", " +
-                    std::to_string(m.cell_begin) +
-                    ") are covered by no shard — a shard is missing");
-      }
-      missing->push_back({expected, m.cell_begin});
-    }
-    if (m.cell_begin < expected) {
-      merge_error("overlap: shard " + std::to_string(s) + " starts at cell " +
-                  std::to_string(m.cell_begin) + " but cells up to " +
-                  std::to_string(expected) +
-                  " are already covered by another shard");
-    }
-    expected = std::max(expected, m.cell_end);
-  }
-  if (expected != ref.total_cells) {
-    if (missing == nullptr) {
-      merge_error("gap: cells [" + std::to_string(expected) + ", " +
-                  std::to_string(ref.total_cells) +
-                  ") are covered by no shard — a shard is missing");
-    }
-    missing->push_back({expected, ref.total_cells});
-  }
-  return order;
-}
-
-}  // namespace
-
-namespace {
-
 /// Behavioral probe of a no-CD schedule: its cycling hint and its
 /// first 64 round probabilities. Two schedules that differ only in
 /// parameters (e.g. decay over different network sizes) share a name
@@ -292,78 +193,50 @@ std::string engine_name(CdEngine engine) {
   throw std::invalid_argument("unknown CdEngine");
 }
 
-ShardRun run_sweep_shard(std::span<const SweepCell> cells,
-                         const ShardOptions& shard_options,
-                         const SweepOptions& options) {
-  ShardPlan plan = plan_shards(cells, shard_options);
-  ShardRun run;
-  run.results =
-      run_sweep(std::span<const SweepCell>(plan.cells), options);
-  run.manifest = ShardManifest{.csv = {},
-                               .engine = engine_name(options.engine),
-                               .cd_engine = engine_name(options.cd_engine),
-                               .grid_hash = plan.grid_hash,
-                               .master_seed = options.seed,
-                               .trials = options.trials,
-                               .total_cells = plan.total_cells,
-                               .shard_index = plan.shard_index,
-                               .shard_count = plan.shard_count,
-                               .cell_begin = plan.cell_begin,
-                               .cell_end = plan.cell_end,
-                               .cell_seeds = {}};
-  run.manifest.cell_seeds.reserve(run.results.size());
-  for (std::size_t j = 0; j < run.results.size(); ++j) {
-    run.results[j].cell_index = plan.cell_begin + j;
-    run.manifest.cell_seeds.push_back(run.results[j].cell_seed);
-  }
-  return run;
-}
+RunIdentity::RunIdentity(std::uint64_t grid_hash, std::size_t total_cells,
+                         const SweepOptions& options)
+    : grid_hash(grid_hash),
+      master_seed(options.seed),
+      trials(options.trials),
+      total_cells(total_cells),
+      engine(engine_name(options.engine)),
+      cd_engine(engine_name(options.cd_engine)) {}
 
-ShardRun run_sweep_shard(const SweepGrid& grid,
-                         const ShardOptions& shard_options,
-                         const SweepOptions& options) {
-  const auto cells = grid.cells();
-  return run_sweep_shard(std::span<const SweepCell>(cells), shard_options,
-                         options);
-}
-
-std::vector<SweepResult> merge_shards(std::span<const ShardRun> shards) {
-  std::vector<const ShardManifest*> manifests;
-  manifests.reserve(shards.size());
-  for (const ShardRun& shard : shards) manifests.push_back(&shard.manifest);
-  const auto order = validated_cell_order(manifests);
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const ShardManifest& m = shards[s].manifest;
-    const auto& results = shards[s].results;
-    if (results.size() != m.cell_end - m.cell_begin) {
-      merge_error("shard " + std::to_string(s) + ": " +
-                  std::to_string(results.size()) +
-                  " results for a manifest range of " +
-                  std::to_string(m.cell_end - m.cell_begin) + " cells");
-    }
-    for (std::size_t j = 0; j < results.size(); ++j) {
-      if (results[j].cell_index != m.cell_begin + j) {
-        merge_error("shard " + std::to_string(s) + ": result " +
-                    std::to_string(j) + " carries cell index " +
-                    std::to_string(results[j].cell_index) + ", expected " +
-                    std::to_string(m.cell_begin + j));
-      }
-      if (results[j].cell_seed != m.cell_seeds[j]) {
-        merge_error("shard " + std::to_string(s) + ": cell " +
-                    std::to_string(m.cell_begin + j) + " ran under seed " +
-                    hex_u64(results[j].cell_seed) +
-                    " but the manifest records " + hex_u64(m.cell_seeds[j]) +
-                    " — the shard partition changed a cell seed");
-      }
-    }
+void check_same_run(const RunIdentity& expected, const RunIdentity& found,
+                    const std::string& context) {
+  const auto fail = [&](const std::string& field, const std::string& got,
+                        const std::string& want, const std::string& why) {
+    throw std::invalid_argument(context + ": " + field + " " + got +
+                                " != " + want + " — " + why);
+  };
+  if (found.grid_hash != expected.grid_hash) {
+    fail("grid fingerprint", hex_u64(found.grid_hash),
+         hex_u64(expected.grid_hash),
+         "the artifacts were produced from different grids");
   }
-  std::vector<SweepResult> merged;
-  merged.reserve(manifests.front()->total_cells);
-  for (const std::size_t s : order) {
-    merged.insert(merged.end(), shards[s].results.begin(),
-                  shards[s].results.end());
+  if (found.master_seed != expected.master_seed) {
+    fail("master seed", hex_u64(found.master_seed),
+         hex_u64(expected.master_seed),
+         "run every part under one master seed");
   }
-  return merged;
+  if (found.trials != expected.trials) {
+    fail("trials", std::to_string(found.trials),
+         std::to_string(expected.trials),
+         "run every part with one trial count");
+  }
+  if (found.total_cells != expected.total_cells) {
+    fail("total cells", std::to_string(found.total_cells),
+         std::to_string(expected.total_cells),
+         "the artifacts were produced from grids of different sizes");
+  }
+  if (found.engine != expected.engine ||
+      found.cd_engine != expected.cd_engine) {
+    fail("engine configuration",
+         "(" + found.engine + ", " + found.cd_engine + ")",
+         "(" + expected.engine + ", " + expected.cd_engine + ")",
+         "engines agree only up to Monte-Carlo noise; run every part "
+         "under one configuration");
+  }
 }
 
 // ---- manifest JSON ----
@@ -436,8 +309,17 @@ ShardManifest read_shard_manifest(std::istream& in) {
                               "\" (expected \"" + kManifestFormat + "\")");
   }
   ShardManifest manifest;
-  if (const Json* csv = StrictJson::find(root, "csv")) {
-    manifest.csv = kManifestJson.get_string(*csv, desc("csv"));
+  // The CSV is opened relative to the manifest's directory, so its
+  // name must not lead anywhere else.
+  manifest.csv = text("csv");
+  const std::string& csv = manifest.csv;
+  if (csv.empty() || csv == "." || csv == ".." ||
+      csv.find('/') != std::string::npos ||
+      csv.find('\0') != std::string::npos) {
+    kManifestJson.fail_at(field("csv"), desc("csv") +
+                                            " must be a bare file name, " +
+                                            "got \"" + json_escape(csv) +
+                                            "\"");
   }
   manifest.engine = text("engine");
   manifest.cd_engine = text("cd_engine");
@@ -564,12 +446,91 @@ ShardCsv read_shard_csv(std::istream& in) {
   return csv;
 }
 
-namespace {
+ShardArtifact read_shard_artifact_file(const std::string& manifest_path) {
+  std::ifstream manifest_in(manifest_path);
+  if (!manifest_in) {
+    throw IoError("cannot open manifest " + manifest_path);
+  }
+  ShardArtifact shard;
+  try {
+    shard.manifest = read_shard_manifest(manifest_in);
+  } catch (const std::invalid_argument& error) {
+    // Corruption errors must name the file, not just the field.
+    throw std::invalid_argument(manifest_path + ": " + error.what());
+  }
+  const auto csv_path =
+      std::filesystem::path(manifest_path).parent_path() / shard.manifest.csv;
+  std::ifstream csv_in(csv_path);
+  if (!csv_in) {
+    throw IoError("cannot open shard CSV " + csv_path.string() +
+                  " (named by " + manifest_path + ")");
+  }
+  try {
+    shard.csv = read_shard_csv(csv_in);
+  } catch (const std::invalid_argument& error) {
+    throw std::invalid_argument(csv_path.string() + ": " + error.what());
+  }
+  return shard;
+}
 
-/// Per-shard CSV validation shared by the strict and gap-tolerant
-/// merges: header agreement, manifest-range row counts, and row-seed /
-/// manifest-seed agreement.
-void validate_shard_csvs(std::span<const ShardArtifact> shards) {
+PartialMergeReport merge_shard_csvs_partial(
+    std::ostream& out, std::span<const ShardArtifact> shards) {
+  if (shards.empty()) merge_error("no shards given");
+  const ShardManifest& ref = shards.front().manifest;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    const ShardManifest& m = shards[s].manifest;
+    const std::string shard = "shard " + std::to_string(s);
+    check_same_run(ref, m, "shard merge: " + shard);
+    if (m.cell_begin > m.cell_end || m.cell_end > m.total_cells) {
+      merge_error(shard + ": cell range [" + std::to_string(m.cell_begin) +
+                  ", " + std::to_string(m.cell_end) + ") is not within [0, " +
+                  std::to_string(m.total_cells) + ")");
+    }
+    if (m.cell_seeds.size() != m.cell_end - m.cell_begin) {
+      merge_error(shard + ": manifest records " +
+                  std::to_string(m.cell_seeds.size()) +
+                  " cell seeds for a range of " +
+                  std::to_string(m.cell_end - m.cell_begin) + " cells");
+    }
+  }
+
+  // The ranges in cell order must not overlap; uncovered cells go to
+  // the report. Tie-break equal begins by end so an *empty* shard
+  // ([x, x) — legal when shard_count exceeds the cell count) sorts
+  // before the non-empty shard starting at x; begin-only ordering
+  // could place it after and misreport the valid set as overlapping.
+  std::vector<std::size_t> order(shards.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const ShardManifest& ma = shards[a].manifest;
+    const ShardManifest& mb = shards[b].manifest;
+    return ma.cell_begin != mb.cell_begin ? ma.cell_begin < mb.cell_begin
+                                          : ma.cell_end < mb.cell_end;
+  });
+  PartialMergeReport report{.grid_hash = ref.grid_hash,
+                            .total_cells = ref.total_cells,
+                            .present_cells = 0,
+                            .missing = {}};
+  std::size_t covered = 0;
+  for (const std::size_t s : order) {
+    const ShardManifest& m = shards[s].manifest;
+    if (m.cell_begin < covered) {
+      merge_error("overlap: shard " + std::to_string(s) + " starts at cell " +
+                  std::to_string(m.cell_begin) + " but cells up to " +
+                  std::to_string(covered) +
+                  " are already covered by another shard");
+    }
+    if (m.cell_begin > covered) {
+      report.missing.push_back({covered, m.cell_begin});
+    }
+    report.present_cells += m.cell_end - m.cell_begin;
+    covered = m.cell_end;
+  }
+  if (covered != ref.total_cells) {
+    report.missing.push_back({covered, ref.total_cells});
+  }
+
+  // Each CSV must agree with shard 0's header and with its manifest.
   const std::string& header = shards.front().csv.header;
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const ShardManifest& m = shards[s].manifest;
@@ -594,85 +555,27 @@ void validate_shard_csvs(std::span<const ShardArtifact> shards) {
       }
     }
   }
-}
 
-/// Row emission shared by both merges: one header, then every present
-/// row in cell order, verbatim.
-void write_merged_rows(std::ostream& out,
-                       std::span<const ShardArtifact> shards,
-                       const std::vector<std::size_t>& order) {
-  out << shards.front().csv.header << '\n';
+  // Rows pass through verbatim: with no gaps, the merged file is
+  // byte-identical to the monolithic write_sweep_csv output.
+  out << header << '\n';
   for (const std::size_t s : order) {
     for (const std::string& row : shards[s].csv.rows) out << row << '\n';
   }
-}
-
-}  // namespace
-
-ShardArtifact read_shard_artifact_file(const std::string& manifest_path) {
-  std::ifstream manifest_in(manifest_path);
-  if (!manifest_in) {
-    throw IoError("cannot open manifest " + manifest_path);
-  }
-  ShardArtifact shard;
-  try {
-    shard.manifest = read_shard_manifest(manifest_in);
-  } catch (const std::invalid_argument& error) {
-    // Corruption errors must name the file, not just the field.
-    throw std::invalid_argument(manifest_path + ": " + error.what());
-  }
-  if (shard.manifest.csv.empty()) {
-    throw std::invalid_argument("manifest " + manifest_path +
-                                " names no CSV artifact");
-  }
-  const auto csv_path =
-      std::filesystem::path(manifest_path).parent_path() / shard.manifest.csv;
-  std::ifstream csv_in(csv_path);
-  if (!csv_in) {
-    throw IoError("cannot open shard CSV " + csv_path.string() +
-                  " (named by " + manifest_path + ")");
-  }
-  try {
-    shard.csv = read_shard_csv(csv_in);
-  } catch (const std::invalid_argument& error) {
-    throw std::invalid_argument(csv_path.string() + ": " + error.what());
-  }
-  return shard;
+  return report;
 }
 
 void merge_shard_csvs(std::ostream& out,
                       std::span<const ShardArtifact> shards) {
-  std::vector<const ShardManifest*> manifests;
-  manifests.reserve(shards.size());
-  for (const ShardArtifact& shard : shards) {
-    manifests.push_back(&shard.manifest);
+  std::ostringstream merged;
+  const PartialMergeReport report = merge_shard_csvs_partial(merged, shards);
+  if (!report.missing.empty()) {
+    const MissingCellRange& gap = report.missing.front();
+    merge_error("gap: cells [" + std::to_string(gap.begin) + ", " +
+                std::to_string(gap.end) +
+                ") are covered by no shard — a shard is missing");
   }
-  const auto order = validated_cell_order(manifests);
-  validate_shard_csvs(shards);
-  // Rows pass through verbatim: the merged file is byte-identical to
-  // the monolithic write_sweep_csv output.
-  write_merged_rows(out, shards, order);
-}
-
-PartialMergeReport merge_shard_csvs_partial(
-    std::ostream& out, std::span<const ShardArtifact> shards) {
-  std::vector<const ShardManifest*> manifests;
-  manifests.reserve(shards.size());
-  for (const ShardArtifact& shard : shards) {
-    manifests.push_back(&shard.manifest);
-  }
-  PartialMergeReport report;
-  const auto order = validated_cell_order(manifests, &report.missing);
-  validate_shard_csvs(shards);
-  report.grid_hash = manifests.front()->grid_hash;
-  report.total_cells = manifests.front()->total_cells;
-  std::size_t missing_cells = 0;
-  for (const MissingCellRange& range : report.missing) {
-    missing_cells += range.end - range.begin;
-  }
-  report.present_cells = report.total_cells - missing_cells;
-  write_merged_rows(out, shards, order);
-  return report;
+  out << merged.str();
 }
 
 void write_partial_merge_report(std::ostream& out,

@@ -11,25 +11,25 @@
 // full-grid seeds regardless of how the grid was cut; the shard
 // partition is never allowed to change a cell seed.
 //
-// A shard run is self-describing: its CSV rows (write_sweep_csv format,
-// one per cell) travel with a JSON manifest recording the grid
-// fingerprint, master seed, trial count, the shard's cell range, and
-// every per-cell seed. merge_shards()/merge_shard_csvs() validate the
-// manifests against each other — same grid/seed/trials, ranges tile
-// the grid with no gaps or overlaps, per-cell seeds cross-check — and
-// reassemble the results in cell order, so a `for i in 0..N` loop of
-// `crp_shard run --shard i/N` followed by `crp_shard merge` is
-// byte-identical to one monolithic run (tests/shard_test.cpp and the
-// CI shard-smoke step pin this down).
+// A shard run (run_sweep_shard_checkpointed, harness/checkpoint.h) is
+// self-describing: its CSV rows (write_sweep_csv format, one per cell)
+// travel with a JSON manifest recording the run's RunIdentity (grid
+// fingerprint, master seed, trials, total cells, engines), the shard's
+// cell range, and every per-cell seed. merge_shard_csvs() validates the
+// manifests against each other — check_same_run on every identity,
+// ranges tiling the grid with no gaps or overlaps, per-cell seeds
+// cross-checked — and reassembles the rows in cell order, so a
+// `for i in 0..N` loop of `crp_shard run --shard i/N` followed by
+// `crp_shard merge` is byte-identical to one monolithic run
+// (tests/shard_test.cpp and the CI shard-smoke step pin this down).
 //
 /// Ownership: ShardPlan copies its SweepCells out of the grid, but the
 /// cells still *borrow* their schedules/policies/distributions — the
-/// referenced objects must outlive run_sweep_shard(), exactly as for
-/// run_sweep(). Manifests and ShardCsv own plain data.
+/// referenced objects must outlive the sweep that runs them, exactly
+/// as for run_sweep(). Manifests and ShardCsv own plain data.
 ///
-/// Thread-safety: run_sweep_shard() is run_sweep() on a sub-span and
-/// inherits its synchronization contract; the plan/merge/serialize
-/// helpers are pure functions over their arguments.
+/// Thread-safety: the plan/merge/serialize helpers are pure functions
+/// over their arguments.
 ///
 /// Determinism: the partition is a pure function of (total cells,
 /// shard_count) — balanced contiguous ranges — and seed pinning is a
@@ -103,23 +103,44 @@ ShardPlan plan_shards(std::span<const SweepCell> cells,
                       const ShardOptions& options);
 ShardPlan plan_shards(const SweepGrid& grid, const ShardOptions& options);
 
-/// The self-describing identity of one executed shard. `csv` names the
-/// sibling CSV artifact (relative filename; empty for in-memory use).
-/// Seeds and the grid hash serialize as hex strings — JSON numbers are
-/// doubles and cannot carry 64 bits.
-struct ShardManifest {
-  std::string csv;
-  /// Engine configuration the shard ran under (SweepOptions::engine /
-  /// cd_engine, serialized by name). Engines agree only up to
-  /// Monte-Carlo noise, so a merge across mismatched engines would
-  /// silently mix distributions — the merge validates these too.
-  std::string engine = "batch";
-  std::string cd_engine = "simulate";
-  std::uint64_t grid_hash = 0;
+/// Which run an artifact belongs to. Every artifact of a sharded run —
+/// shard manifests, worker journals, the supervisor journal — records
+/// these fields, and two artifacts describe the same run exactly when
+/// check_same_run accepts them. Seeds and the grid hash serialize as
+/// hex strings in JSON — JSON numbers are doubles and cannot carry 64
+/// bits.
+struct RunIdentity {
+  std::uint64_t grid_hash = 0;  ///< grid_fingerprint of the *full* grid
   std::uint64_t master_seed = 0;
   std::size_t trials = 0;  ///< SweepOptions::trials (cell overrides hash
                            ///< into grid_hash instead)
   std::size_t total_cells = 0;
+  /// Engine configuration (SweepOptions::engine / cd_engine, serialized
+  /// by engine_name). Engines agree only up to Monte-Carlo noise, so
+  /// artifacts from mismatched engines must never mix.
+  std::string engine = "batch";
+  std::string cd_engine = "simulate";
+
+  RunIdentity() = default;
+  /// The identity of a sweep of a grid with this fingerprint and cell
+  /// count under `options`.
+  RunIdentity(std::uint64_t grid_hash, std::size_t total_cells,
+              const SweepOptions& options);
+};
+
+/// The one "same run?" check, shared by the shard merge and both
+/// resumes. Compares grid fingerprint, master seed, trials, total
+/// cells, and engine configuration, in that order, and throws
+/// std::invalid_argument("<context>: <field> <found> != <expected> —
+/// <why>") at the first mismatch.
+void check_same_run(const RunIdentity& expected, const RunIdentity& found,
+                    const std::string& context);
+
+/// The self-describing record of one executed shard: its run identity,
+/// the sibling CSV artifact `csv` (a bare file name in the manifest's
+/// directory), and the shard's slice of the grid.
+struct ShardManifest : RunIdentity {
+  std::string csv;
   std::size_t shard_index = 0;
   std::size_t shard_count = 0;
   std::size_t cell_begin = 0;
@@ -131,44 +152,18 @@ struct ShardManifest {
 };
 
 /// Canonical serialized names of the engine enums, as recorded in
-/// shard manifests and checkpoint journal headers (harness/
-/// checkpoint.h) — the merge and resume validators compare these.
+/// shard manifests and journal headers.
 std::string engine_name(NoCdEngine engine);
 std::string engine_name(CdEngine engine);
-
-/// One executed shard: manifest + results whose cell_index is the
-/// *global* grid index.
-struct ShardRun {
-  ShardManifest manifest;
-  std::vector<SweepResult> results;
-};
-
-/// Plans shard `shard_options.shard_index` and executes its cells with
-/// run_sweep() under `options`. Every result is bit-identical to the
-/// corresponding entry of a monolithic run_sweep() over the full grid
-/// with the same options.
-ShardRun run_sweep_shard(std::span<const SweepCell> cells,
-                         const ShardOptions& shard_options,
-                         const SweepOptions& options = {});
-ShardRun run_sweep_shard(const SweepGrid& grid,
-                         const ShardOptions& shard_options,
-                         const SweepOptions& options = {});
-
-/// Validates the shards' manifests against each other — identical
-/// grid_hash/master_seed/trials/total_cells, cell ranges tiling
-/// [0, total_cells) with no gaps or overlaps, per-shard results
-/// matching the manifest's range and cell seeds — and returns the
-/// results reassembled in cell order, exactly run_sweep()'s output.
-/// Throws std::invalid_argument naming the offending shard(s) and
-/// field on any mismatch.
-std::vector<SweepResult> merge_shards(std::span<const ShardRun> shards);
 
 /// Writes/reads the manifest JSON. The reader is a schema over the
 /// shared strict reader (harness/strict_json.h): unknown, duplicate,
 /// or missing fields, non-integer numerics (anything beyond plain
-/// digits — "nan", "inf", signs, exponents), and hex seeds outside the
-/// lowercase parse_hex_u64 grammar (harness/csv.h) are all rejected as
-/// std::invalid_argument naming the field and its line/column.
+/// digits — "nan", "inf", signs, exponents), hex seeds outside the
+/// lowercase parse_hex_u64 grammar (harness/csv.h), and a `csv` that
+/// is not a bare file name (empty, containing '/', or "." / "..") are
+/// all rejected as std::invalid_argument naming the field and its
+/// line/column.
 void write_shard_manifest(std::ostream& out, const ShardManifest& manifest);
 ShardManifest read_shard_manifest(std::istream& in);
 
@@ -200,10 +195,10 @@ struct ShardArtifact {
 /// and the supervisor's merge/backfill loop.
 ShardArtifact read_shard_artifact_file(const std::string& manifest_path);
 
-/// CSV-level merge: validates the manifest set (as merge_shards does)
-/// plus header equality, per-shard row counts, and row-seed /
-/// manifest-seed agreement, then writes one header and every row in
-/// cell order. Rows pass through byte-for-byte, so the output is
+/// CSV-level merge: merge_shard_csvs_partial (below) that also
+/// requires the ranges to tile [0, total_cells) — a gap throws
+/// std::invalid_argument naming the uncovered cells, and nothing is
+/// written. Rows pass through byte-for-byte, so the output is
 /// byte-identical to write_sweep_csv over the monolithic run.
 void merge_shard_csvs(std::ostream& out,
                       std::span<const ShardArtifact> shards);
@@ -225,13 +220,14 @@ struct PartialMergeReport {
   std::vector<MissingCellRange> missing;  ///< in cell order; empty = complete
 };
 
-/// merge_shard_csvs, but *gaps degrade gracefully*: cells covered by
-/// no shard are reported in the returned PartialMergeReport instead
-/// of failing the merge, and the present rows are still written in
-/// cell order. Every other validation is unchanged — mismatched grid
-/// identity, overlapping ranges, row/seed disagreements all still
-/// throw. The output CSV equals the monolithic CSV with the missing
-/// rows deleted (byte-wise, for the rows that are present).
+/// The gap-tolerant merge. Validates the set — every manifest's
+/// identity against shard 0's (check_same_run), ranges internally
+/// consistent and non-overlapping, CSV headers equal, per-shard row
+/// counts and row seeds matching the manifest — and throws
+/// std::invalid_argument naming the offending shard on any mismatch.
+/// Cells covered by no shard are reported in the returned
+/// PartialMergeReport, and the present rows are written in cell order:
+/// the monolithic CSV with the missing rows deleted.
 PartialMergeReport merge_shard_csvs_partial(
     std::ostream& out, std::span<const ShardArtifact> shards);
 

@@ -192,6 +192,8 @@ std::vector<MissingCellRange> subtract_quarantined(
 
 namespace {
 
+/// The field order is fixed by the journals already on disk: the
+/// worker count hashes between total_cells and the engines.
 std::uint64_t supervisor_header_checksum(const SupervisorJournal& identity) {
   Fnv1a h;
   h.u64(identity.grid_hash);
@@ -653,13 +655,9 @@ SuperviseResult run_supervisor(std::span<const SweepCell> cells,
 
   // ---- identity + state journal ----
   SupervisorJournal identity;
-  identity.grid_hash = grid_fingerprint(cells);
-  identity.master_seed = sweep_options.seed;
-  identity.trials = sweep_options.trials;
-  identity.total_cells = cells.size();
+  static_cast<RunIdentity&>(identity) =
+      RunIdentity(grid_fingerprint(cells), cells.size(), sweep_options);
   identity.workers = options.workers;
-  identity.engine = engine_name(sweep_options.engine);
-  identity.cd_engine = engine_name(sweep_options.cd_engine);
 
   const std::string journal_path =
       (fleet.dir / "supervisor.journal").string();
@@ -671,38 +669,14 @@ SuperviseResult run_supervisor(std::span<const SweepCell> cells,
           " does not exist — nothing to resume (run fresh instead)");
     }
     const SupervisorJournal journal = read_supervisor_journal(journal_path);
-    const auto fail = [&journal_path](const std::string& message) {
-      throw std::invalid_argument("supervise resume " + journal_path + ": " +
-                                  message);
-    };
-    if (journal.grid_hash != identity.grid_hash) {
-      fail("grid fingerprint " + hex_u64(journal.grid_hash) + " != " +
-           hex_u64(identity.grid_hash) +
-           " — the journal was written for a different grid");
-    }
-    if (journal.master_seed != identity.master_seed) {
-      fail("master seed " + hex_u64(journal.master_seed) + " != " +
-           hex_u64(identity.master_seed));
-    }
-    if (journal.trials != identity.trials) {
-      fail("trials " + std::to_string(journal.trials) + " != " +
-           std::to_string(identity.trials));
-    }
-    if (journal.total_cells != identity.total_cells) {
-      fail("total cells " + std::to_string(journal.total_cells) + " != " +
-           std::to_string(identity.total_cells));
-    }
+    const std::string context = "supervise resume " + journal_path;
+    check_same_run(identity, journal, context);
     if (journal.workers != identity.workers) {
-      fail("worker count " + std::to_string(journal.workers) + " != " +
-           std::to_string(identity.workers) +
-           " — the worker count fixes the initial shard split; resume with "
-           "the same --workers");
-    }
-    if (journal.engine != identity.engine ||
-        journal.cd_engine != identity.cd_engine) {
-      fail("engine configuration (" + journal.engine + ", " +
-           journal.cd_engine + ") != (" + identity.engine + ", " +
-           identity.cd_engine + ")");
+      throw std::invalid_argument(
+          context + ": worker count " + std::to_string(journal.workers) +
+          " != " + std::to_string(identity.workers) +
+          " — the worker count fixes the initial shard split; resume with "
+          "the same --workers");
     }
     truncate_torn_tail(journal_path, journal.valid_bytes, journal.torn_bytes);
     fleet.quarantined = journal.quarantined;

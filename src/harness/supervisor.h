@@ -43,7 +43,7 @@
 // of re-deriving themselves through fresh failures.
 //
 /// Ownership: RetryPolicy and the journal structs own plain data.
-/// run_supervisor borrows its cells exactly as run_sweep_shard does.
+/// run_supervisor borrows its cells exactly as run_sweep does.
 ///
 /// Thread-safety: the supervisor is single-threaded (concurrency lives
 /// in the worker processes); a supervisor journal must only ever be
@@ -257,14 +257,8 @@ struct BisectRecord {
 /// prefix, an FNV-1a checksum, and an end-of-record marker, each
 /// append fsync'd — after a crash the file is a valid prefix plus at
 /// most a detectably-torn tail.
-struct SupervisorJournal {
-  std::uint64_t grid_hash = 0;
-  std::uint64_t master_seed = 0;
-  std::size_t trials = 0;
-  std::size_t total_cells = 0;
+struct SupervisorJournal : RunIdentity {
   std::size_t workers = 0;
-  std::string engine;
-  std::string cd_engine;
   std::vector<QuarantinedCell> quarantined;
   std::vector<BisectRecord> bisections;
   std::size_t valid_bytes = 0;

@@ -163,10 +163,12 @@ TEST(CheckpointedRun, FreshRunMatchesMonolithicShardCsv) {
   const auto cells = f.grid().cells();
   const auto dir = test_dir();
 
-  const ShardRun reference =
-      run_sweep_shard(cells, {.shard_count = 2, .shard_index = 0}, kOptions);
+  const ShardPlan plan =
+      plan_shards(cells, {.shard_count = 2, .shard_index = 0});
+  const auto reference =
+      run_sweep(std::span<const SweepCell>(plan.cells), kOptions);
   std::ostringstream reference_csv;
-  write_sweep_csv(reference_csv, reference.results);
+  write_sweep_csv(reference_csv, reference);
 
   CheckpointRunOptions checkpoint;
   checkpoint.journal_path = (dir / "shard.journal").string();
@@ -174,11 +176,19 @@ TEST(CheckpointedRun, FreshRunMatchesMonolithicShardCsv) {
       cells, {.shard_count = 2, .shard_index = 0}, kOptions, checkpoint);
   EXPECT_EQ(run.status, CheckpointRunStatus::kCompleted);
   EXPECT_EQ(run.replayed_cells, 0u);
-  EXPECT_EQ(run.executed_cells, reference.results.size());
+  EXPECT_EQ(run.executed_cells, reference.size());
   EXPECT_EQ(run.remaining_cells, 0u);
   EXPECT_EQ(run.csv, reference_csv.str());
-  EXPECT_EQ(run.manifest.grid_hash, reference.manifest.grid_hash);
-  EXPECT_EQ(run.manifest.cell_seeds, reference.manifest.cell_seeds);
+  EXPECT_EQ(run.manifest.grid_hash, plan.grid_hash);
+  EXPECT_EQ(run.manifest.total_cells, cells.size());
+  EXPECT_EQ(run.manifest.master_seed, kOptions.seed);
+  EXPECT_EQ(run.manifest.trials, kOptions.trials);
+  EXPECT_EQ(run.manifest.cell_begin, plan.cell_begin);
+  EXPECT_EQ(run.manifest.cell_end, plan.cell_end);
+  ASSERT_EQ(run.manifest.cell_seeds.size(), reference.size());
+  for (std::size_t j = 0; j < reference.size(); ++j) {
+    EXPECT_EQ(run.manifest.cell_seeds[j], reference[j].cell_seed);
+  }
 }
 
 TEST(CheckpointedRun, InterruptAtEveryCellThenResumeIsByteIdentical) {
@@ -397,10 +407,8 @@ TEST(CheckpointedRun, HistoryTreeEngineMatchesMonolithic) {
   SweepOptions options = kOptions;
   options.cd_engine = CdEngine::kHistoryTree;
 
-  const ShardRun reference =
-      run_sweep_shard(cells, {.shard_count = 1, .shard_index = 0}, options);
   std::ostringstream reference_csv;
-  write_sweep_csv(reference_csv, reference.results);
+  write_sweep_csv(reference_csv, run_sweep(cells, options));
 
   CheckpointRunOptions checkpoint;
   checkpoint.journal_path = (dir / "shard.journal").string();

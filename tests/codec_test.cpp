@@ -10,6 +10,8 @@
 //  - One hex grammar: uppercase, empty, over-long, and signed "0x"
 //    values are rejected by all four readers, and whatever hex_u64
 //    writes round-trips through all four.
+//  - Pinned journal headers: one golden header line per journal
+//    format, so any checksum or field-order drift fails.
 //  - Fuzz: truncation at every byte, plus a 0x01 and a 0x20 bit flip
 //    at every byte, plus a field-mutation table. A journal is either
 //    rejected naming the file and a byte offset, or read as torn with
@@ -656,9 +658,9 @@ TEST(CodecManifestFuzz, FieldMutationsNameTheField) {
   };
 
   for (const std::string key :
-       {"format", "engine", "cd_engine", "grid_hash", "master_seed", "trials",
-        "total_cells", "shard_index", "shard_count", "cell_begin", "cell_end",
-        "cell_seeds"}) {
+       {"format", "csv", "engine", "cd_engine", "grid_hash", "master_seed",
+        "trials", "total_cells", "shard_index", "shard_count", "cell_begin",
+        "cell_end", "cell_seeds"}) {
     SCOPED_TRACE(key);
     const std::size_t at = line_of(key);
     const bool last = !lines[at].ends_with(",");
@@ -680,6 +682,18 @@ TEST(CodecManifestFuzz, FieldMutationsNameTheField) {
 
   for (const std::string key : {"engine", "cd_engine", "csv"}) {
     expect_named(with_value(key, "5"), "field \"" + key + "\" must be a string");
+  }
+  // The CSV is opened next to the manifest, so its name must be a bare
+  // file name: a 0x01 flip of '.' to '/' ("shard-1-of-3/csv"), an
+  // absolute path, or a walk up the tree would each open some other
+  // file.
+  for (const std::string value :
+       {R"("")", R"(".")", R"("..")", R"("shard-1-of-3/csv")",
+        R"("/data/shard.csv")", R"("../shard.csv")", R"("sub/")",
+        R"("shard\u0000.csv")"}) {
+    SCOPED_TRACE("csv = " + value);
+    expect_named(with_value("csv", value),
+                 "field \"csv\" must be a bare file name");
   }
   for (const std::string key : {"trials", "total_cells", "shard_index",
                                 "shard_count", "cell_begin", "cell_end"}) {
@@ -706,6 +720,19 @@ TEST(CodecManifestFuzz, FieldMutationsNameTheField) {
 }
 
 // ---- journal fuzz ----
+
+TEST(CodecJournalGolden, HeaderBytesArePinned) {
+  // Any drift in field order, separators, or the checksum inputs (the
+  // cell range, or the worker count, hashes between total cells and the
+  // engines) breaks resume of every journal already on disk.
+  EXPECT_EQ(format_checkpoint_header(checkpoint_identity(), kCsvHeader),
+            "crp-checkpoint-journal-v1 0xdeadbeefcafef00d 0xabcdef0123456789 "
+            "600 9 3 6 batch history-tree 49 0x2608066f486b5fdb\n" +
+                kCsvHeader + "\n.\n");
+  EXPECT_EQ(format_supervisor_header(supervisor_identity()),
+            "crp-supervisor-journal-v1 0xdeadbeefcafef00d 0x1122334455667788 "
+            "600 8 3 batch simulate 0x42021d6f7f04dcf8\n");
+}
 
 TEST(CodecJournalFuzz, SupervisorTruncationAtEveryByte) {
   expect_truncation_discipline(supervisor_journal(), recover_supervisor,

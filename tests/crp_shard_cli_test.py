@@ -99,6 +99,19 @@ with tempfile.TemporaryDirectory() as tmp:
     check("--shard with --cells",
           run("run", "--shard", "0/2", "--cells", "0:4", "--out-dir", tmp), 2)
     check("bad integer", run("run", "--trials", "-3"), 2)
+    # Shard and range values that cannot describe any slice are usage
+    # errors, caught before a grid is built.
+    for label, flag, value in [("--shard index == count", "--shard", "2/2"),
+                               ("--shard index > count", "--shard", "3/2"),
+                               ("--shard count 0", "--shard", "0/0"),
+                               ("--cells begin > end", "--cells", "5:3")]:
+        check(label, run("run", *GRID, flag, value, "--out-dir", tmp), 2,
+              stderr_contains=[value])
+    # A range past the grid's end is only known once the grid exists:
+    # a validation error.
+    check("--cells past the grid",
+          run("run", *GRID, "--cells", "0:999", "--out-dir", tmp), 3,
+          stderr_contains=["not within"])
     check("resume without sharding", run("resume", *GRID), 2)
     # The env surface is as strict as the flag surface: a typo'd
     # kernel-tier cap is a hard usage error before any work runs, not
@@ -197,6 +210,23 @@ with tempfile.TemporaryDirectory() as tmp:
         stderr_contains=[manifests[0]],
     )
     flip_byte(manifests[0], 4)  # restore the manifest
+
+    # The manifest's csv must be a bare file name: a 0x01 flip of the
+    # '.' in "shard-0-of-2.csv" to '/' and an absolute path to a real
+    # CSV are both a damaged manifest (exit 3), never a file opened
+    # outside the artifact directory.
+    with open(manifests[0]) as handle:
+        good_manifest = handle.read()
+    for label, name in [("'.' flipped to '/'", "shard-0-of-2/csv"),
+                        ("an absolute path", os.path.abspath(csv_path))]:
+        with open(manifests[0], "w") as handle:
+            handle.write(good_manifest.replace('"shard-0-of-2.csv"',
+                                               json.dumps(name)))
+        check(f"merge with a manifest csv of {label}",
+              run("merge", "--out", merged, *manifests), 3,
+              stderr_contains=[manifests[0], "bare file name"])
+    with open(manifests[0], "w") as handle:
+        handle.write(good_manifest)
 
     # --- I/O errors: exit 4 ---
     check(

@@ -20,6 +20,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -124,20 +125,35 @@ TEST(GridSpecTable1, ShardedMergedCsvByteIdenticalToCompiledMonolithic) {
   std::ostringstream reference_csv;
   crp::harness::write_sweep_csv(reference_csv, reference);
 
+  // The spec grid, as journaled shards merged by the CSV merge.
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   "gridspec_table1_shards";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
   for (std::size_t shard_count = 1; shard_count <= 4; ++shard_count) {
     SCOPED_TRACE(std::to_string(shard_count) + " shard(s)");
-    std::vector<crp::harness::ShardRun> runs;
+    std::vector<crp::harness::ShardArtifact> shards;
     for (std::size_t shard = 0; shard < shard_count; ++shard) {
       crp::harness::ShardOptions options;
       options.shard_index = shard;
       options.shard_count = shard_count;
-      runs.push_back(crp::harness::run_sweep_shard(cells_of(spec.cells),
-                                                   options, sweep));
+      crp::harness::CheckpointRunOptions checkpoint;
+      checkpoint.journal_path =
+          (dir / ("shard-" + std::to_string(shard) + "-of-" +
+                  std::to_string(shard_count) + ".journal"))
+              .string();
+      const auto run = crp::harness::run_sweep_shard_checkpointed(
+          cells_of(spec.cells), options, sweep, checkpoint);
+      crp::harness::ShardArtifact artifact;
+      artifact.manifest = run.manifest;
+      std::istringstream csv(run.csv);
+      artifact.csv = crp::harness::read_shard_csv(csv);
+      shards.push_back(std::move(artifact));
     }
-    const auto merged = crp::harness::merge_shards(
-        std::span<const crp::harness::ShardRun>(runs));
     std::ostringstream merged_csv;
-    crp::harness::write_sweep_csv(merged_csv, merged);
+    crp::harness::merge_shard_csvs(
+        merged_csv, std::span<const crp::harness::ShardArtifact>(shards));
     EXPECT_EQ(merged_csv.str(), reference_csv.str());
   }
 }

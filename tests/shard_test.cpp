@@ -1,10 +1,13 @@
 // The sharding subsystem (harness/shard.h): the deterministic
-// partition's invariants (disjoint, covering, stable), merged shards
-// bit-identical to the monolithic run_sweep for no-CD and CD
-// (history-tree engine) grids at every shard count, the byte-identical
-// CSV-level merge, the manifest JSON round trip, and the merge
-// validation that rejects mismatched, overlapping, or gappy shard
-// sets with actionable errors.
+// partition's invariants (disjoint, covering, stable), sharded cells
+// bit-identical to the monolithic run_sweep for no-CD and CD (simulated
+// and history-tree) grids at every shard count, the byte-identical
+// CSV-level merge, the manifest JSON round trip, the merge validation
+// that rejects mismatched, overlapping, or gappy shard sets with
+// actionable errors, and the one run-identity check shared by the
+// merge, worker resume, and supervisor resume.
+#include <filesystem>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -14,7 +17,9 @@
 
 #include "baselines/decay.h"
 #include "baselines/willard.h"
+#include "harness/checkpoint.h"
 #include "harness/shard.h"
+#include "harness/supervisor.h"
 #include "harness/sweep.h"
 #include "info/distribution.h"
 
@@ -150,24 +155,97 @@ TEST(ShardPlan, GridFingerprintSeesContentChanges) {
   EXPECT_NE(grid_fingerprint(reparameterized), base);
 }
 
-/// Shard every way, merge, and compare against the monolithic sweep —
-/// results must be bit-identical, cell for cell.
+/// A fresh per-test scratch directory under the gtest temp root,
+/// removed up front so reruns never see stale journals.
+std::filesystem::path test_dir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   (std::string("crp_shard_") + info->test_suite_name() +
+                    "_" + info->name());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// Runs one shard the way `crp_shard run --shard` does — journaled in
+/// `dir` — and returns the artifact pair the CSV merge reads.
+ShardArtifact run_shard(std::span<const SweepCell> cells,
+                        const ShardOptions& shard, const SweepOptions& options,
+                        const std::filesystem::path& dir) {
+  static std::size_t runs = 0;
+  CheckpointRunOptions checkpoint;
+  checkpoint.journal_path =
+      (dir / ("run-" + std::to_string(runs++) + ".journal")).string();
+  const auto run =
+      run_sweep_shard_checkpointed(cells, shard, options, checkpoint);
+  ShardArtifact artifact;
+  artifact.manifest = run.manifest;
+  std::istringstream csv(run.csv);
+  artifact.csv = read_shard_csv(csv);
+  return artifact;
+}
+
+std::string monolithic_csv(std::span<const SweepCell> cells,
+                           const SweepOptions& options) {
+  std::ostringstream csv;
+  write_sweep_csv(csv, run_sweep(cells, options));
+  return csv.str();
+}
+
+std::string merged_csv(std::span<const ShardArtifact> artifacts) {
+  std::ostringstream merged;
+  merge_shard_csvs(merged, artifacts);
+  return merged.str();
+}
+
+/// The artifact pair of a shard whose planned cells ran through
+/// run_sweep: what run_shard would produce, without running them again.
+ShardArtifact artifact_of(const ShardPlan& plan,
+                          const std::vector<SweepResult>& results,
+                          const SweepOptions& options) {
+  ShardArtifact artifact;
+  ShardManifest& manifest = artifact.manifest;
+  static_cast<RunIdentity&>(manifest) =
+      RunIdentity(plan.grid_hash, plan.total_cells, options);
+  manifest.shard_index = plan.shard_index;
+  manifest.shard_count = plan.shard_count;
+  manifest.cell_begin = plan.cell_begin;
+  manifest.cell_end = plan.cell_end;
+  for (const SweepResult& result : results) {
+    manifest.cell_seeds.push_back(result.cell_seed);
+  }
+  std::ostringstream csv;
+  write_sweep_csv(csv, results);
+  std::istringstream csv_in(csv.str());
+  artifact.csv = read_shard_csv(csv_in);
+  return artifact;
+}
+
+/// Shard every way and compare against the monolithic sweep: each
+/// shard's cells are bit-identical to the monolithic cells, and the
+/// merged CSV is byte-identical to the monolithic CSV.
 void expect_shards_match_monolithic(const std::vector<SweepCell>& cells,
                                     const SweepOptions& options) {
   const auto monolithic = run_sweep(cells, options);
-  for (const std::size_t count : {1ul, 2ul, 3ul, 4ul, 6ul}) {
-    std::vector<ShardRun> shards;
+  std::ostringstream monolithic_csv;
+  write_sweep_csv(monolithic_csv, monolithic);
+  for (std::size_t count = 1; count <= 6; ++count) {
+    SCOPED_TRACE("shard count " + std::to_string(count));
+    std::vector<ShardArtifact> artifacts;
     for (std::size_t index = 0; index < count; ++index) {
-      shards.push_back(run_sweep_shard(
-          cells, {.shard_count = count, .shard_index = index}, options));
+      const ShardOptions shard{.shard_count = count, .shard_index = index};
+      const ShardPlan plan = plan_shards(cells, shard);
+      const auto results =
+          run_sweep(std::span<const SweepCell>(plan.cells), options);
+      ASSERT_EQ(results.size(), plan.cell_end - plan.cell_begin);
+      for (std::size_t j = 0; j < results.size(); ++j) {
+        const SweepResult& whole = monolithic[plan.cell_begin + j];
+        EXPECT_EQ(results[j].cell_seed, whole.cell_seed);
+        expect_identical(results[j].measurement, whole.measurement);
+      }
+      artifacts.push_back(artifact_of(plan, results, options));
     }
-    const auto merged = merge_shards(shards);
-    ASSERT_EQ(merged.size(), monolithic.size()) << "shard count " << count;
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      EXPECT_EQ(merged[i].cell_index, monolithic[i].cell_index);
-      EXPECT_EQ(merged[i].cell_seed, monolithic[i].cell_seed);
-      expect_identical(merged[i].measurement, monolithic[i].measurement);
-    }
+    EXPECT_EQ(merged_csv(artifacts), monolithic_csv.str());
   }
 }
 
@@ -195,66 +273,27 @@ TEST(ShardMerge, AcceptsEmptyShardsInAnyArgumentOrder) {
   // overlap.
   const Fixture f;
   const auto cells = f.grid().cells();
+  const auto dir = test_dir();
   const SweepOptions options{.trials = 100, .seed = 8, .threads = 1};
-  const auto monolithic = run_sweep(cells, options);
-  std::vector<ShardRun> shards;
+  std::vector<ShardArtifact> artifacts;
   for (std::size_t index = 9; index-- > 0;) {  // reversed, 3 empty shards
-    shards.push_back(run_sweep_shard(
-        cells, {.shard_count = 9, .shard_index = index}, options));
+    artifacts.push_back(run_shard(
+        cells, {.shard_count = 9, .shard_index = index}, options, dir));
   }
-  const auto merged = merge_shards(shards);
-  ASSERT_EQ(merged.size(), monolithic.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged[i].cell_seed, monolithic[i].cell_seed);
-  }
+  EXPECT_EQ(merged_csv(artifacts), monolithic_csv(cells, options));
 }
 
 TEST(ShardMerge, MergeOrderIsCellOrderNotArgumentOrder) {
   const Fixture f;
   const auto cells = f.grid().cells();
+  const auto dir = test_dir();
   const SweepOptions options{.trials = 200, .seed = 3, .threads = 1};
-  const auto monolithic = run_sweep(cells, options);
-  std::vector<ShardRun> shards;
+  std::vector<ShardArtifact> artifacts;
   for (const std::size_t index : {2ul, 0ul, 1ul}) {  // shuffled
-    shards.push_back(run_sweep_shard(
-        cells, {.shard_count = 3, .shard_index = index}, options));
+    artifacts.push_back(run_shard(
+        cells, {.shard_count = 3, .shard_index = index}, options, dir));
   }
-  const auto merged = merge_shards(shards);
-  ASSERT_EQ(merged.size(), monolithic.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged[i].cell_index, i);
-    EXPECT_EQ(merged[i].cell_seed, monolithic[i].cell_seed);
-  }
-}
-
-/// Builds the on-disk artifact pair for one shard, in memory.
-ShardArtifact artifact_of(const ShardRun& run) {
-  ShardArtifact artifact;
-  artifact.manifest = run.manifest;
-  std::ostringstream csv;
-  write_sweep_csv(csv, run.results);
-  std::istringstream csv_in(csv.str());
-  artifact.csv = read_shard_csv(csv_in);
-  return artifact;
-}
-
-TEST(ShardMerge, CsvMergeIsByteIdenticalToMonolithicWrite) {
-  const Fixture f;
-  const auto cells = f.grid().cells();
-  const SweepOptions options{.trials = 250, .seed = 99, .threads = 1};
-  std::ostringstream monolithic;
-  write_sweep_csv(monolithic, run_sweep(cells, options));
-
-  for (const std::size_t count : {2ul, 3ul, 5ul}) {
-    std::vector<ShardArtifact> artifacts;
-    for (std::size_t index = 0; index < count; ++index) {
-      artifacts.push_back(artifact_of(run_sweep_shard(
-          cells, {.shard_count = count, .shard_index = index}, options)));
-    }
-    std::ostringstream merged;
-    merge_shard_csvs(merged, artifacts);
-    EXPECT_EQ(merged.str(), monolithic.str()) << "shard count " << count;
-  }
+  EXPECT_EQ(merged_csv(artifacts), monolithic_csv(cells, options));
 }
 
 TEST(ShardMerge, CsvMergeSurvivesNewlineBearingNames) {
@@ -270,33 +309,29 @@ TEST(ShardMerge, CsvMergeSurvivesNewlineBearingNames) {
                  .sizes = {.name = "k=100", .fixed_k = 100},
                  .max_rounds = 1 << 12});
   const auto cells = grid.cells();
+  const auto dir = test_dir();
   const SweepOptions options{.trials = 100, .seed = 6, .threads = 1};
-  std::ostringstream monolithic;
-  write_sweep_csv(monolithic, run_sweep(cells, options));
-
   std::vector<ShardArtifact> artifacts;
   for (std::size_t index = 0; index < 2; ++index) {
-    artifacts.push_back(artifact_of(run_sweep_shard(
-        cells, {.shard_count = 2, .shard_index = index}, options)));
+    artifacts.push_back(run_shard(
+        cells, {.shard_count = 2, .shard_index = index}, options, dir));
   }
-  std::ostringstream merged;
-  merge_shard_csvs(merged, artifacts);
-  EXPECT_EQ(merged.str(), monolithic.str());
+  EXPECT_EQ(merged_csv(artifacts), monolithic_csv(cells, options));
 }
 
 TEST(ShardManifest, JsonRoundTrip) {
   ShardManifest manifest{.csv = "shard-1-of-3.csv",
-                         .engine = "batch",
-                         .cd_engine = "history-tree",
-                         .grid_hash = 0xdeadbeefcafef00dULL,
-                         .master_seed = ~std::uint64_t{0},
-                         .trials = 6000,
-                         .total_cells = 32,
                          .shard_index = 1,
                          .shard_count = 3,
                          .cell_begin = 10,
                          .cell_end = 21,
                          .cell_seeds = {}};
+  manifest.engine = "batch";
+  manifest.cd_engine = "history-tree";
+  manifest.grid_hash = 0xdeadbeefcafef00dULL;
+  manifest.master_seed = ~std::uint64_t{0};
+  manifest.trials = 6000;
+  manifest.total_cells = 32;
   for (std::size_t i = 0; i < 11; ++i) {
     manifest.cell_seeds.push_back(0x1000 + i * 0x0123456789abcdefULL);
   }
@@ -348,9 +383,8 @@ TEST(ShardManifest, ParserRejectsMalformedInput) {
     std::istringstream in(text);
     return read_shard_manifest(in);
   };
-  ShardManifest manifest{.cell_seeds = {1, 2}};
+  ShardManifest manifest{.csv = "s.csv", .cell_end = 2, .cell_seeds = {1, 2}};
   manifest.total_cells = 2;
-  manifest.cell_end = 2;
   std::ostringstream json;
   write_shard_manifest(json, manifest);
   const std::string good = json.str();
@@ -402,66 +436,66 @@ TEST(ShardManifest, ParserRejectsMalformedInput) {
 TEST(ShardMerge, RejectsMismatchedShardSets) {
   const Fixture f;
   const auto cells = f.grid().cells();
+  const auto dir = test_dir();
   const SweepOptions options{.trials = 150, .seed = 11, .threads = 1};
-  std::vector<ShardRun> shards;
+  std::vector<ShardArtifact> shards;
   for (std::size_t index = 0; index < 3; ++index) {
-    shards.push_back(run_sweep_shard(
-        cells, {.shard_count = 3, .shard_index = index}, options));
+    shards.push_back(run_shard(
+        cells, {.shard_count = 3, .shard_index = index}, options, dir));
   }
-  EXPECT_NO_THROW(merge_shards(shards));
+  const auto merge = [](const std::vector<ShardArtifact>& set) {
+    return [set] { (void)merged_csv(set); };
+  };
+  EXPECT_NO_THROW(merged_csv(shards));
 
   {
     auto broken = shards;
     broken[1].manifest.master_seed ^= 1;
-    expect_throws_with([&] { (void)merge_shards(broken); }, "master seed");
+    expect_throws_with(merge(broken), "master seed");
   }
   {
     auto broken = shards;
     broken[2].manifest.trials += 1;
-    expect_throws_with([&] { (void)merge_shards(broken); }, "trials");
+    expect_throws_with(merge(broken), "trials");
   }
   {
     auto broken = shards;
     broken[0].manifest.grid_hash ^= 0xff;
-    expect_throws_with([&] { (void)merge_shards(broken); }, "grid hash");
+    expect_throws_with(merge(broken), "grid fingerprint");
   }
   {
     auto broken = shards;
     broken[1].manifest.cd_engine = "history-tree";
-    expect_throws_with([&] { (void)merge_shards(broken); },
-                       "engine configuration");
+    expect_throws_with(merge(broken), "engine configuration");
   }
   {
     // Missing shard: a gap in the cell ranges.
-    const std::vector<ShardRun> missing{shards[0], shards[2]};
-    expect_throws_with([&] { (void)merge_shards(missing); }, "gap");
+    expect_throws_with(merge({shards[0], shards[2]}),
+                       "gap: cells [2, 4) are covered by no shard");
   }
   {
     // Overlap: the same shard twice.
-    const std::vector<ShardRun> twice{shards[0], shards[0], shards[1],
-                                      shards[2]};
-    expect_throws_with([&] { (void)merge_shards(twice); }, "overlap");
+    expect_throws_with(merge({shards[0], shards[0], shards[1], shards[2]}),
+                       "overlap");
   }
   {
     // A shard whose partition changed a cell seed.
     auto broken = shards;
     broken[1].manifest.cell_seeds[0] ^= 1;
-    expect_throws_with([&] { (void)merge_shards(broken); }, "cell seed");
+    expect_throws_with(merge(broken), "carries cell_seed");
   }
-  {
-    std::vector<ShardRun> none;
-    expect_throws_with([&] { (void)merge_shards(none); }, "no shards");
-  }
+  expect_throws_with(merge({}), "no shards");
 }
 
 TEST(ShardMerge, CsvMergeRejectsTamperedArtifacts) {
   const Fixture f;
   const auto cells = f.grid().cells();
+  const auto dir = test_dir();
   const SweepOptions options{.trials = 150, .seed = 23, .threads = 1};
   std::vector<ShardArtifact> artifacts;
   for (std::size_t index = 0; index < 2; ++index) {
-    artifacts.push_back(artifact_of(run_sweep_shard(
-        cells, {.shard_count = 2, .shard_index = index}, options)));
+    artifacts.push_back(run_shard(
+        cells, {.shard_count = 2, .shard_index = index}, options, dir));
   }
   {
     std::ostringstream out;
@@ -491,11 +525,12 @@ TEST(ShardMerge, CsvMergeRejectsTamperedArtifacts) {
 TEST(ShardMerge, PartialMergeReportsMissingRangesAndKeepsPresentRows) {
   const Fixture f;
   const auto cells = f.grid().cells();
+  const auto dir = test_dir();
   const SweepOptions options{.trials = 150, .seed = 31, .threads = 1};
   std::vector<ShardArtifact> artifacts;  // 3 shards of 2 cells each
   for (std::size_t index = 0; index < 3; ++index) {
-    artifacts.push_back(artifact_of(run_sweep_shard(
-        cells, {.shard_count = 3, .shard_index = index}, options)));
+    artifacts.push_back(run_shard(
+        cells, {.shard_count = 3, .shard_index = index}, options, dir));
   }
   std::ostringstream full;
   merge_shard_csvs(full, artifacts);
@@ -605,6 +640,155 @@ TEST(ShardCsvRead, ValidatesNumericColumnsAndToleratesQuotes) {
     std::istringstream in(header + "\ndecay,uniform,4096\n");
     expect_throws_with([&] { (void)read_shard_csv(in); }, "fields");
   }
+}
+
+// ---- one run identity, three sites ----
+
+/// One row per RunIdentity field: how to corrupt it, and the field name
+/// every site's rejection must carry.
+struct IdentityMutation {
+  std::string field;
+  std::function<void(RunIdentity&)> mutate;
+};
+
+const std::vector<IdentityMutation> kIdentityMutations = {
+    {"grid fingerprint", [](RunIdentity& run) { run.grid_hash ^= 1; }},
+    {"master seed", [](RunIdentity& run) { run.master_seed ^= 1; }},
+    {"trials", [](RunIdentity& run) { run.trials += 1; }},
+    {"total cells", [](RunIdentity& run) { run.total_cells += 1; }},
+    {"engine configuration",
+     [](RunIdentity& run) { run.engine = "binomial"; }},
+    {"engine configuration",
+     [](RunIdentity& run) { run.cd_engine = "history-tree"; }},
+};
+
+/// The unified form: "<context>: <field> <found> != <expected> — <why>".
+void expect_identity_rejection(const std::function<void()>& action,
+                               const std::string& context,
+                               const std::string& field) {
+  try {
+    action();
+    FAIL() << "expected a rejection naming " << field;
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_TRUE(what.starts_with(context + ": " + field + " ")) << what;
+    EXPECT_NE(what.find(" != "), std::string::npos) << what;
+    EXPECT_NE(what.find(" — "), std::string::npos) << what;
+  }
+}
+
+TEST(RunIdentity, ConstructorRecordsTheSweepOptions) {
+  const SweepOptions options{.trials = 40,
+                             .seed = 9,
+                             .engine = NoCdEngine::kBinomial,
+                             .cd_engine = CdEngine::kHistoryTree};
+  const RunIdentity run(0xabc, 12, options);
+  EXPECT_EQ(run.grid_hash, 0xabcu);
+  EXPECT_EQ(run.master_seed, 9u);
+  EXPECT_EQ(run.trials, 40u);
+  EXPECT_EQ(run.total_cells, 12u);
+  EXPECT_EQ(run.engine, "binomial");
+  EXPECT_EQ(run.cd_engine, "history-tree");
+  EXPECT_NO_THROW(check_same_run(run, run, "same"));
+}
+
+TEST(RunIdentity, EveryFieldIsCheckedByTheMerge) {
+  const Fixture f;
+  const auto cells = f.grid().cells();
+  const auto dir = test_dir();
+  const SweepOptions options{.trials = 60, .seed = 5, .threads = 1};
+  std::vector<ShardArtifact> shards;
+  for (std::size_t index = 0; index < 3; ++index) {
+    shards.push_back(run_shard(
+        cells, {.shard_count = 3, .shard_index = index}, options, dir));
+  }
+  for (const IdentityMutation& row : kIdentityMutations) {
+    SCOPED_TRACE(row.field);
+    auto broken = shards;
+    row.mutate(broken[1].manifest);
+    std::ostringstream out;
+    expect_identity_rejection([&] { merge_shard_csvs(out, broken); },
+                              "shard merge: shard 1", row.field);
+    expect_identity_rejection(
+        [&] { (void)merge_shard_csvs_partial(out, broken); },
+        "shard merge: shard 1", row.field);
+  }
+}
+
+TEST(RunIdentity, EveryFieldIsCheckedByWorkerResume) {
+  const Fixture f;
+  const auto cells = f.grid().cells();
+  const auto dir = test_dir();
+  const SweepOptions options{.trials = 60, .seed = 5, .threads = 1};
+  const ShardOptions shard{.shard_count = 2, .shard_index = 1};
+  CheckpointRunOptions checkpoint;
+  checkpoint.journal_path = (dir / "shard.journal").string();
+  checkpoint.max_cells = 1;
+  const auto first =
+      run_sweep_shard_checkpointed(cells, shard, options, checkpoint);
+  ASSERT_EQ(first.status, CheckpointRunStatus::kInterrupted);
+  const CheckpointJournal journal =
+      read_checkpoint_journal(checkpoint.journal_path);
+  ASSERT_EQ(journal.records.size(), 1u);
+  checkpoint.resume = true;
+  checkpoint.max_cells = 0;
+
+  // Rewrite the header under a corrupted identity; the framing stays
+  // self-consistent (the checksum is recomputed), so only the identity
+  // check can refuse it.
+  for (const IdentityMutation& row : kIdentityMutations) {
+    SCOPED_TRACE(row.field);
+    ShardManifest header = first.manifest;
+    row.mutate(header);
+    atomic_write_file(checkpoint.journal_path,
+                      format_checkpoint_header(header, sweep_csv_header()) +
+                          format_checkpoint_record(journal.records[0]));
+    expect_identity_rejection(
+        [&] {
+          (void)run_sweep_shard_checkpointed(cells, shard, options,
+                                             checkpoint);
+        },
+        "checkpoint resume " + checkpoint.journal_path, row.field);
+  }
+}
+
+TEST(RunIdentity, EveryFieldIsCheckedBySupervisorResume) {
+  const Fixture f;
+  const auto cells = f.grid().cells();
+  const auto dir = test_dir();
+  const SweepOptions options{.trials = 60, .seed = 5, .threads = 1};
+  SupervisorJournal expected;
+  static_cast<RunIdentity&>(expected) =
+      RunIdentity(grid_fingerprint(cells), cells.size(), options);
+  expected.workers = 2;
+  const std::string journal_path = (dir / "supervisor.journal").string();
+
+  // The identity is checked before any worker could be spawned, so the
+  // exe is never executed.
+  SuperviseOptions supervise;
+  supervise.exe = (dir / "no-such-crp_shard").string();
+  supervise.out_dir = dir.string();
+  supervise.out = (dir / "merged.csv").string();
+  supervise.workers = 2;
+  supervise.resume = true;
+  const auto resume_over = [&](const SupervisorJournal& header) {
+    atomic_write_file(journal_path, format_supervisor_header(header));
+    return [&] { (void)run_supervisor(cells, options, supervise); };
+  };
+
+  for (const IdentityMutation& row : kIdentityMutations) {
+    SCOPED_TRACE(row.field);
+    SupervisorJournal header = expected;
+    row.mutate(header);
+    expect_identity_rejection(resume_over(header),
+                              "supervise resume " + journal_path, row.field);
+  }
+  // The control: with the identity intact, the resume gets past the
+  // shared check to the supervisor's own extra, the worker count.
+  SupervisorJournal other_workers = expected;
+  other_workers.workers = 3;
+  expect_throws_with(resume_over(other_workers),
+                     "supervise resume " + journal_path + ": worker count 3");
 }
 
 }  // namespace

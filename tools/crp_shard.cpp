@@ -328,6 +328,11 @@ Options parse_args(int argc, char** argv) {
           parse_size(spec.substr(0, slash), "--shard index");
       options.shard.shard_count =
           parse_size(spec.substr(slash + 1), "--shard count");
+      if (options.shard.shard_count == 0 ||
+          options.shard.shard_index >= options.shard.shard_count) {
+        usage_error("--shard I/N needs N >= 1 and I < N, got \"" + spec +
+                    "\"");
+      }
     } else if (arg == "--cells") {
       const std::string spec = next();
       const auto colon = spec.find(':');
@@ -340,6 +345,12 @@ Options parse_args(int argc, char** argv) {
           parse_size(spec.substr(0, colon), "--cells begin");
       options.shard.cell_end =
           parse_size(spec.substr(colon + 1), "--cells end");
+      // An end past the grid is only known once the grid is built;
+      // plan_shards rejects that one (exit 3).
+      if (options.shard.cell_begin > options.shard.cell_end) {
+        usage_error("--cells BEGIN:END needs BEGIN <= END, got \"" + spec +
+                    "\"");
+      }
     } else if (arg == "--out") {
       options.out = next();
     } else if (arg == "--out-dir") {
