@@ -15,15 +15,16 @@
 /// counts, never aliases.
 ///
 /// Thread-safety: an accumulator is single-writer — the harness gives
-/// each worker its own and merges after the pool drains. merge() and
-/// the read accessors are safe on a quiescent accumulator.
+/// each cell its own and adds one block at a time under the cell's
+/// lock. merge() and the read accessors are safe on a quiescent
+/// accumulator.
 ///
 /// Determinism: every piece of accumulator state is *integral*
 /// (uint64 bin counts, 128-bit moment sums), so add and merge are
 /// exact and commutative — the folded result is bit-identical at any
-/// thread count and any merge order. The harness still merges worker
-/// accumulators in a fixed (worker-index) order, so the contract does
-/// not even rely on commutativity. Derived floating-point statistics
+/// thread count and any merge order. The harness relies on exactly
+/// that: a cell's blocks add into its accumulators in whatever order
+/// the pool finishes them. Derived floating-point statistics
 /// (RoundHistogram::summary()) are computed once, from the merged
 /// integer state, in ascending-bin order: counts, min/max, quantiles,
 /// and means are bit-identical to the vector fold's summarize() (both

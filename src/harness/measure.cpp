@@ -1,6 +1,8 @@
 #include "harness/measure.h"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "channel/engine.h"
@@ -19,49 +21,6 @@ MeasureOptions legacy_options(std::size_t max_rounds) {
                         .threads = 1,
                         .engine = NoCdEngine::kBinomial,
                         .keep_samples = true};
-}
-
-/// Engine dispatch shared by the drawn-k and fixed-k no-CD helpers:
-/// every engine choice runs through the same block scheduler.
-Measurement measure_no_cd(const channel::ProbabilitySchedule& schedule,
-                          const channel::SizeSource& sizes,
-                          std::size_t trials, std::uint64_t seed,
-                          const MeasureOptions& options) {
-  switch (options.engine) {
-    case NoCdEngine::kBatch: {
-      const channel::BatchColumnarEngine engine(schedule);
-      return measure_blocks(engine, sizes, trials, seed, options);
-    }
-    case NoCdEngine::kPerPlayer: {
-      const channel::PerPlayerColumnarEngine engine(schedule);
-      return measure_blocks(engine, sizes, trials, seed, options);
-    }
-    case NoCdEngine::kBinomial:
-    default: {
-      const channel::BinomialColumnarEngine engine(schedule);
-      return measure_blocks(engine, sizes, trials, seed, options);
-    }
-  }
-}
-
-/// Engine dispatch for the CD helpers, mirroring measure_no_cd. A
-/// shared tree cache (when the caller provides one) replaces the
-/// per-call engine so expansions amortize across calls; the engine's
-/// results are a pure function of (policy, options), so both routes
-/// measure identically.
-Measurement measure_cd(const channel::CollisionPolicy& policy,
-                       const channel::SizeSource& sizes, std::size_t trials,
-                       std::uint64_t seed, const MeasureOptions& options) {
-  if (options.cd_engine == CdEngine::kHistoryTree) {
-    if (options.tree_cache != nullptr) {
-      const auto engine = options.tree_cache->engine_for(policy);
-      return measure_blocks(*engine, sizes, trials, seed, options);
-    }
-    const channel::HistoryTreeEngine engine(policy);
-    return measure_blocks(engine, sizes, trials, seed, options);
-  }
-  const channel::CollisionPolicyColumnarEngine engine(policy);
-  return measure_blocks(engine, sizes, trials, seed, options);
 }
 
 /// Columnar adapter for the Section 3 advice protocols: per trial, one
@@ -153,89 +112,155 @@ Measurement measurement_from_histogram(RoundHistogram histogram) {
   return result;
 }
 
+std::shared_ptr<const channel::Engine> uniform_engine(
+    const channel::ProbabilitySchedule& schedule,
+    const MeasureOptions& options) {
+  switch (options.engine) {
+    case NoCdEngine::kBatch:
+      return std::make_shared<const channel::BatchColumnarEngine>(schedule);
+    case NoCdEngine::kPerPlayer:
+      return std::make_shared<const channel::PerPlayerColumnarEngine>(
+          schedule);
+    case NoCdEngine::kBinomial:
+    default:
+      return std::make_shared<const channel::BinomialColumnarEngine>(
+          schedule);
+  }
+}
+
+std::shared_ptr<const channel::Engine> uniform_engine(
+    const channel::CollisionPolicy& policy, const MeasureOptions& options) {
+  if (options.cd_engine == CdEngine::kHistoryTree) {
+    if (options.tree_cache != nullptr) {
+      return options.tree_cache->engine_for(policy);
+    }
+    return std::make_shared<const channel::HistoryTreeEngine>(policy);
+  }
+  return std::make_shared<const channel::CollisionPolicyColumnarEngine>(
+      policy);
+}
+
+std::vector<Measurement> measure_cells(std::span<const MeasureCell> cells,
+                                       std::size_t threads) {
+  // A cell's state lives from open to close. The sample-retaining fold
+  // writes whole-cell columns in place and folds them in trial order
+  // (the pre-streaming behavior, bit for bit); the streaming fold adds
+  // each block to the cell's integer accumulators, which is exact and
+  // order-free (harness/accumulate.h), so memory is O(workers * (block
+  // size + max observed round)) however many trials run: at most one
+  // cell per worker is open.
+  struct CellState {
+    std::shared_ptr<const channel::Engine> engine;
+    std::vector<std::uint8_t> solved;
+    std::vector<std::uint64_t> rounds;
+    std::vector<std::uint64_t> transmissions;
+    std::mutex fold;  ///< guards histogram and energy
+    RoundHistogram histogram;
+    MomentAccumulator energy;
+  };
+  struct Scratch {
+    std::vector<std::uint8_t> solved;
+    std::vector<std::uint64_t> rounds;
+    std::vector<std::uint64_t> transmissions;
+  };
+  std::vector<std::size_t> totals(cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c) totals[c] = cells[c].trials;
+  std::vector<CellState> states(cells.size());
+  std::vector<Scratch> scratch(parallel_worker_count(totals, threads));
+  std::vector<Measurement> results(cells.size());
+
+  const auto open = [&](std::size_t c) {
+    const MeasureCell& cell = cells[c];
+    CellState& state = states[c];
+    state.engine = cell.engine();
+    if (cell.options.keep_samples) {
+      state.solved.resize(cell.trials);
+      state.rounds.resize(cell.trials);
+      if (cell.options.measure_transmissions) {
+        state.transmissions.resize(cell.trials);
+      }
+    }
+  };
+  const auto block = [&](std::size_t worker, std::size_t c, std::size_t begin,
+                         std::size_t end) {
+    const MeasureCell& cell = cells[c];
+    CellState& state = states[c];
+    const bool energy = cell.options.measure_transmissions;
+    const std::size_t count = end - begin;
+    channel::TrialBlock block;
+    block.seed = cell.seed;
+    block.first_trial = begin;
+    block.max_rounds = cell.options.max_rounds;
+    block.sizes = cell.sizes;
+    if (cell.options.keep_samples) {
+      block.solved = std::span(state.solved).subspan(begin, count);
+      block.rounds = std::span(state.rounds).subspan(begin, count);
+      if (energy) {
+        block.transmissions =
+            std::span(state.transmissions).subspan(begin, count);
+      }
+      state.engine->run_many(block);
+      return;
+    }
+    Scratch& columns = scratch[worker];
+    columns.solved.resize(count);
+    columns.rounds.resize(count);
+    block.solved = std::span(columns.solved);
+    block.rounds = std::span(columns.rounds);
+    if (energy) {
+      columns.transmissions.resize(count);
+      block.transmissions = std::span(columns.transmissions);
+    }
+    state.engine->run_many(block);
+    const std::lock_guard lock(state.fold);
+    state.histogram.add_columns(block.solved, block.rounds);
+    if (energy) state.energy.add_column(block.transmissions);
+  };
+  const auto close = [&](std::size_t c) {
+    const MeasureCell& cell = cells[c];
+    CellState& state = states[c];
+    Measurement& result = results[c];
+    if (cell.options.keep_samples) {
+      result = measurement_from_columns(state.solved, state.rounds);
+      if (cell.options.measure_transmissions) {
+        result.transmissions.add_column(state.transmissions);
+      }
+    } else {
+      result = measurement_from_histogram(std::move(state.histogram));
+      if (cell.options.measure_transmissions) {
+        result.transmissions = state.energy;
+      }
+    }
+    // Drop the engine (and the tables it built) as the cell closes, so
+    // only open cells hold one.
+    state.engine.reset();
+    state.solved = {};
+    state.rounds = {};
+    state.transmissions = {};
+  };
+  parallel_cells(totals, threads,
+                 CellSteps{.open = open,
+                           .block = block,
+                           .close = close,
+                           .first_block_alone = true});
+  return results;
+}
+
 Measurement measure_blocks(const channel::Engine& engine,
                            const channel::SizeSource& sizes,
                            std::size_t trials, std::uint64_t seed,
                            const MeasureOptions& options) {
-  if (options.keep_samples) {
-    // Sample-retaining path: whole-measurement columns, folded in
-    // trial order (the pre-streaming behavior, bit for bit).
-    std::vector<std::uint8_t> solved(trials);
-    std::vector<std::uint64_t> rounds(trials);
-    std::vector<std::uint64_t> transmissions(
-        options.measure_transmissions ? trials : 0);
-    parallel_blocks(trials, options.threads,
-                    [&](std::size_t begin, std::size_t end) {
-                      channel::TrialBlock block;
-                      block.seed = seed;
-                      block.first_trial = begin;
-                      block.max_rounds = options.max_rounds;
-                      block.sizes = sizes;
-                      block.solved =
-                          std::span(solved).subspan(begin, end - begin);
-                      block.rounds =
-                          std::span(rounds).subspan(begin, end - begin);
-                      if (options.measure_transmissions) {
-                        block.transmissions = std::span(transmissions)
-                                                  .subspan(begin, end - begin);
-                      }
-                      engine.run_many(block);
-                    });
-    Measurement result = measurement_from_columns(solved, rounds);
-    if (options.measure_transmissions) {
-      result.transmissions.add_column(transmissions);
-    }
-    return result;
-  }
-
-  // Streaming path: workers fold their blocks into private integer
-  // accumulators through fixed-size scratch columns; memory is
-  // O(workers * (block size + max observed round)) however many
-  // trials run. The merged result is bit-identical to the trial-order
-  // fold for count/min/max/mean/quantiles (harness/accumulate.h).
-  const std::size_t workers =
-      parallel_worker_count(trials, options.threads, kTrialBlockSize);
-  struct WorkerState {
-    std::vector<std::uint8_t> solved;
-    std::vector<std::uint64_t> rounds;
-    std::vector<std::uint64_t> transmissions;
-    RoundHistogram histogram;
-    MomentAccumulator energy;
-  };
-  std::vector<WorkerState> states(workers);
-  parallel_blocks_indexed(
-      trials, options.threads,
-      [&](std::size_t worker, std::size_t begin, std::size_t end) {
-        WorkerState& state = states[worker];
-        const std::size_t count = end - begin;
-        state.solved.resize(count);
-        state.rounds.resize(count);
-        channel::TrialBlock block;
-        block.seed = seed;
-        block.first_trial = begin;
-        block.max_rounds = options.max_rounds;
-        block.sizes = sizes;
-        block.solved = std::span(state.solved);
-        block.rounds = std::span(state.rounds);
-        if (options.measure_transmissions) {
-          state.transmissions.resize(count);
-          block.transmissions = std::span(state.transmissions);
-        }
-        engine.run_many(block);
-        state.histogram.add_columns(block.solved, block.rounds);
-        if (options.measure_transmissions) {
-          state.energy.add_column(block.transmissions);
-        }
-      });
-  RoundHistogram histogram;
-  MomentAccumulator energy;
-  for (const WorkerState& state : states) {
-    histogram.merge(state.histogram);
-    energy.merge(state.energy);
-  }
-  Measurement result = measurement_from_histogram(std::move(histogram));
-  if (options.measure_transmissions) result.transmissions = energy;
-  return result;
+  // The caller owns the engine: hand the scheduler a non-owning handle.
+  const std::shared_ptr<const channel::Engine> borrowed(
+      std::shared_ptr<const channel::Engine>(), &engine);
+  const MeasureCell cell{.engine = [&borrowed] { return borrowed; },
+                         .sizes = sizes,
+                         .trials = trials,
+                         .seed = seed,
+                         .options = options};
+  return std::move(
+      measure_cells(std::span<const MeasureCell>(&cell, 1), options.threads)
+          .front());
 }
 
 double Measurement::solved_within(double budget) const {
@@ -288,8 +313,9 @@ Measurement measure_uniform_no_cd(const channel::ProbabilitySchedule& schedule,
                                   const info::SizeDistribution& actual,
                                   std::size_t trials, std::uint64_t seed,
                                   const MeasureOptions& options) {
-  return measure_no_cd(schedule, channel::SizeSource{&actual, 0}, trials,
-                       seed, options);
+  return measure_blocks(*uniform_engine(schedule, options),
+                        channel::SizeSource{&actual, 0}, trials, seed,
+                        options);
 }
 
 Measurement measure_uniform_cd(const channel::CollisionPolicy& policy,
@@ -304,8 +330,9 @@ Measurement measure_uniform_cd(const channel::CollisionPolicy& policy,
                                const info::SizeDistribution& actual,
                                std::size_t trials, std::uint64_t seed,
                                const MeasureOptions& options) {
-  return measure_cd(policy, channel::SizeSource{&actual, 0}, trials, seed,
-                    options);
+  return measure_blocks(*uniform_engine(policy, options),
+                        channel::SizeSource{&actual, 0}, trials, seed,
+                        options);
 }
 
 Measurement measure_uniform_no_cd_fixed_k(
@@ -318,8 +345,9 @@ Measurement measure_uniform_no_cd_fixed_k(
 Measurement measure_uniform_no_cd_fixed_k(
     const channel::ProbabilitySchedule& schedule, std::size_t k,
     std::size_t trials, std::uint64_t seed, const MeasureOptions& options) {
-  return measure_no_cd(schedule, channel::SizeSource{nullptr, k}, trials,
-                       seed, options);
+  return measure_blocks(*uniform_engine(schedule, options),
+                        channel::SizeSource{nullptr, k}, trials, seed,
+                        options);
 }
 
 Measurement measure_uniform_cd_fixed_k(const channel::CollisionPolicy& policy,
@@ -334,8 +362,9 @@ Measurement measure_uniform_cd_fixed_k(const channel::CollisionPolicy& policy,
                                        std::size_t k, std::size_t trials,
                                        std::uint64_t seed,
                                        const MeasureOptions& options) {
-  return measure_cd(policy, channel::SizeSource{nullptr, k}, trials, seed,
-                    options);
+  return measure_blocks(*uniform_engine(policy, options),
+                        channel::SizeSource{nullptr, k}, trials, seed,
+                        options);
 }
 
 std::vector<std::size_t> random_participant_set(std::size_t n, std::size_t k,

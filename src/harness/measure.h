@@ -2,13 +2,14 @@
 //
 // The execution stack is columnar: a channel::Engine fills
 // structure-of-arrays result columns for whole blocks of trials
-// (channel/engine.h), workers steal blocks (harness/parallel.h), and
-// measure_blocks() folds the columns into a Measurement in trial
-// order — bit-identical at every thread count. By default the fold is
-// *streaming*: each worker folds its blocks into an exact counting
-// histogram (harness/accumulate.h) and the per-worker histograms merge
-// exactly, so a cell's memory is O(max observed round) regardless of
-// the trial count; MeasureOptions::keep_samples restores the raw
+// (channel/engine.h), workers claim (cell, block) items
+// (harness/parallel.h), and measure_cells() folds the columns into one
+// Measurement per cell — bit-identical at every thread count;
+// measure_blocks() is its one-cell case. By default the fold is
+// *streaming*: each block folds into its cell's exact counting
+// histogram (harness/accumulate.h), an exact and order-free merge, so
+// a cell's memory is O(max observed round) regardless of the trial
+// count; MeasureOptions::keep_samples restores the raw
 // per-trial sample vector for consumers that need it. The measure_*
 // helpers below wire the common cases (a uniform algorithm against a
 // network-size distribution, an advice protocol against sampled
@@ -19,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <random>
 #include <span>
 #include <vector>
@@ -143,16 +145,53 @@ struct MeasureOptions {
   const channel::HistoryTreeCache* tree_cache = nullptr;
 };
 
-/// Runs `trials` trials through a columnar engine: workers steal
-/// fixed-size blocks (harness/parallel.h) and write the SoA result
-/// columns in place; the fold visits trials in order, so the
-/// Measurement is bit-identical at every thread count. This is the
-/// execution core under every measure_* helper; call it directly to
-/// drive a custom channel::Engine.
+/// Runs `trials` trials through a columnar engine: the one-cell case of
+/// measure_cells, with options.threads workers. The Measurement is
+/// bit-identical at every thread count. This is the execution core
+/// under every measure_* helper; call it directly to drive a custom
+/// channel::Engine.
 Measurement measure_blocks(const channel::Engine& engine,
                            const channel::SizeSource& sizes,
                            std::size_t trials, std::uint64_t seed,
                            const MeasureOptions& options);
+
+/// One measurement for measure_cells: measure_blocks' arguments, with
+/// the engine built when the cell opens.
+struct MeasureCell {
+  /// Builds the cell's engine. Called once, when the scheduler opens
+  /// the cell; the engine is released when the cell's last block has
+  /// folded, so only open cells hold one.
+  std::function<std::shared_ptr<const channel::Engine>()> engine;
+  channel::SizeSource sizes;
+  std::size_t trials = 0;
+  std::uint64_t seed = 0;
+  /// max_rounds, keep_samples and measure_transmissions apply to this
+  /// cell; threads is ignored (measure_cells takes the pool width).
+  MeasureOptions options;
+};
+
+/// Measures every cell on one pool of `threads` workers (0 = all
+/// hardware threads) that claim (cell, block) items
+/// (harness/parallel.h, parallel_cells). At most `threads` cells are
+/// open at once; a newly opened cell runs its first block alone, so
+/// the tables and trees its engine builds lazily are built once, and
+/// then any idle worker may claim its remaining blocks, lowest open
+/// cell first. Each block writes its slice of the cell's columns
+/// (keep_samples) or folds into the cell's integer accumulators, so
+/// every result is bit-identical to measure_blocks on that cell alone,
+/// at any thread count. Results are in cell order; the first exception
+/// any cell throws is rethrown after the pool drains.
+std::vector<Measurement> measure_cells(std::span<const MeasureCell> cells,
+                                       std::size_t threads);
+
+/// The engine the uniform measure_* helpers run: options.engine picks
+/// the no-CD engine; options.cd_engine picks the CD engine, and a
+/// history-tree engine comes from options.tree_cache when one is set.
+std::shared_ptr<const channel::Engine> uniform_engine(
+    const channel::ProbabilitySchedule& schedule,
+    const MeasureOptions& options);
+std::shared_ptr<const channel::Engine> uniform_engine(
+    const channel::CollisionPolicy& policy, const MeasureOptions& options);
 
 /// Uniform no-CD algorithm vs. sizes drawn from `actual`.
 Measurement measure_uniform_no_cd(const channel::ProbabilitySchedule& schedule,

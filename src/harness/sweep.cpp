@@ -1,14 +1,11 @@
 #include "harness/sweep.h"
 
-#include <algorithm>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "channel/history_engine.h"
 #include "channel/rng.h"
 #include "harness/csv.h"
-#include "harness/parallel.h"
 
 namespace crp::harness {
 
@@ -18,37 +15,6 @@ std::string size_source_label(const SweepSizes& sizes) {
   if (!sizes.name.empty()) return sizes.name;
   return sizes.distribution != nullptr ? "drawn"
                                        : "k=" + std::to_string(sizes.fixed_k);
-}
-
-Measurement run_cell(const SweepCell& cell, std::size_t trials,
-                     std::uint64_t cell_seed, std::size_t threads,
-                     NoCdEngine engine, CdEngine cd_engine,
-                     const channel::HistoryTreeCache* tree_cache) {
-  const MeasureOptions options{.max_rounds = cell.max_rounds,
-                               .threads = threads,
-                               .engine = engine,
-                               .cd_engine = cd_engine,
-                               .tree_cache = tree_cache};
-  if (cell.algorithm.schedule != nullptr) {
-    return cell.sizes.distribution != nullptr
-               ? measure_uniform_no_cd(*cell.algorithm.schedule,
-                                       *cell.sizes.distribution, trials,
-                                       cell_seed, options)
-               : measure_uniform_no_cd_fixed_k(*cell.algorithm.schedule,
-                                               cell.sizes.fixed_k, trials,
-                                               cell_seed, options);
-  }
-  if (cell.algorithm.policy != nullptr) {
-    return cell.sizes.distribution != nullptr
-               ? measure_uniform_cd(*cell.algorithm.policy,
-                                    *cell.sizes.distribution, trials,
-                                    cell_seed, options)
-               : measure_uniform_cd_fixed_k(*cell.algorithm.policy,
-                                            cell.sizes.fixed_k, trials,
-                                            cell_seed, options);
-  }
-  throw std::invalid_argument("sweep cell '" + cell.algorithm.name +
-                              "' names neither a schedule nor a policy");
 }
 
 }  // namespace
@@ -101,17 +67,6 @@ std::vector<SweepCell> SweepGrid::cells() const {
 
 std::vector<SweepResult> run_sweep(std::span<const SweepCell> cells,
                                    const SweepOptions& options) {
-  std::vector<SweepResult> results(cells.size());
-  const std::size_t workers =
-      options.threads == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : options.threads;
-  // Wide grids keep every worker busy with whole cells; narrow grids
-  // parallelize inside each measurement instead. Identical results
-  // either way: a cell's outcome is a function of (cell, cell seed,
-  // trials) only.
-  const bool cells_in_parallel = cells.size() >= workers;
-  const std::size_t inner_threads = cells_in_parallel ? 1 : options.threads;
   // One history-tree engine cache for the whole sweep: cells sharing a
   // CD policy expand each (policy, k, horizon) tree once instead of
   // once per cell. Results are identical to per-cell engines (the
@@ -122,34 +77,46 @@ std::vector<SweepResult> run_sweep(std::span<const SweepCell> cells,
       options.cd_engine == CdEngine::kHistoryTree
           ? (options.tree_cache != nullptr ? options.tree_cache : &tree_cache)
           : nullptr;
-  const auto execute = [&](std::size_t i) {
+  std::vector<SweepResult> results(cells.size());
+  std::vector<MeasureCell> measured(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
     const SweepCell& cell = cells[i];
+    if (cell.algorithm.schedule == nullptr &&
+        cell.algorithm.policy == nullptr) {
+      throw std::invalid_argument("sweep cell '" + cell.algorithm.name +
+                                  "' names neither a schedule nor a policy");
+    }
     const std::uint64_t stream =
         cell.seed_stream == kSeedStreamFromIndex ? i : cell.seed_stream;
-    const std::uint64_t cell_seed =
-        channel::derive_stream_seed(options.seed, stream);
-    const std::size_t trials = cell.trials != 0 ? cell.trials : options.trials;
     results[i] = SweepResult{
         .cell = cell,
         .cell_index = i,
-        .cell_seed = cell_seed,
-        .measurement = run_cell(cell, trials, cell_seed, inner_threads,
-                                options.engine, options.cd_engine,
-                                shared_trees)};
-  };
-  if (cells_in_parallel) {
-    // One cell per block: a cell is thousands of trials, so the claim
-    // overhead is irrelevant and every worker gets its own cell
-    // (parallel_trials' 32-wide chunks would lump small grids onto one
-    // worker).
-    parallel_blocks(
-        cells.size(), options.threads,
-        [&execute](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) execute(i);
-        },
-        /*block_size=*/1);
-  } else {
-    for (std::size_t i = 0; i < cells.size(); ++i) execute(i);
+        .cell_seed = channel::derive_stream_seed(options.seed, stream),
+        .measurement = {}};
+    const MeasureOptions measure{.max_rounds = cell.max_rounds,
+                                 .engine = options.engine,
+                                 .cd_engine = options.cd_engine,
+                                 .tree_cache = shared_trees};
+    measured[i] = MeasureCell{
+        .engine =
+            [&cell, measure] {
+              return cell.algorithm.schedule != nullptr
+                         ? uniform_engine(*cell.algorithm.schedule, measure)
+                         : uniform_engine(*cell.algorithm.policy, measure);
+            },
+        .sizes = cell.sizes.distribution != nullptr
+                     ? channel::SizeSource{cell.sizes.distribution, 0}
+                     : channel::SizeSource{nullptr, cell.sizes.fixed_k},
+        .trials = cell.trials != 0 ? cell.trials : options.trials,
+        .seed = results[i].cell_seed,
+        .options = measure};
+  }
+  // Every cell's blocks go to one pool: heavy cells spread over every
+  // worker while light ones fill the gaps, and each cell's result is a
+  // function of (cell, cell seed, trials) only.
+  auto measurements = measure_cells(measured, options.threads);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    results[i].measurement = std::move(measurements[i]);
   }
   return results;
 }

@@ -15,11 +15,14 @@
 /// policies, and distributions — the referenced objects must outlive
 /// run_sweep(); SweepResults own their Measurements outright.
 ///
-/// Thread-safety: run_sweep() is the synchronization boundary — wide
-/// grids hand whole cells to the pool, narrow grids parallelize
-/// inside each measurement, and the algorithms under test are only
-/// required to be const-callable concurrently (every schedule/policy
-/// in the library is).
+/// Thread-safety: run_sweep() is the synchronization boundary. It
+/// hands every cell to one pool of workers that claim (cell, block)
+/// items (measure_cells, harness/measure.h): at most one open cell
+/// per worker, each cell's first block alone, then any idle worker on
+/// the lowest open cell's remaining blocks. Blocks of one cell may run
+/// on several workers at once, so the algorithms under test must be
+/// const-callable concurrently (every schedule/policy in the library
+/// is).
 ///
 /// Determinism: every cell measures under its own seed, derived from
 /// (options.seed, the cell's seed stream) with the same splitmix
@@ -146,10 +149,12 @@ struct SweepResult {
   Measurement measurement;
 };
 
-/// Executes every cell and returns results in cell order. Grids with
-/// at least as many cells as workers hand whole cells to the pool;
-/// smaller grids run cells in order and parallelize inside each
-/// measurement — the results are identical either way.
+/// Executes every cell and returns results in cell order. Every
+/// cell's blocks run on one pool of options.threads workers, so heavy
+/// cells spread over every worker while light ones fill the gaps,
+/// however many cells the grid has; the results are identical at
+/// every thread count. The first error any cell throws is rethrown
+/// after the pool drains.
 std::vector<SweepResult> run_sweep(std::span<const SweepCell> cells,
                                    const SweepOptions& options = {});
 std::vector<SweepResult> run_sweep(const SweepGrid& grid,

@@ -1,8 +1,18 @@
 // Determinism of the thread-pool harness: measure_parallel must
 // reproduce the serial measure() bit for bit at every thread count,
 // for synthetic trials and for real workloads (including the batch
-// engine, whose lazily built tables are shared across workers).
+// engine, whose lazily built tables are shared across workers). The
+// (cell, block) scheduler under measure_cells keeps its rules: a cell's
+// first block runs alone, at most `threads` cells hold an engine, and
+// an error in any block surfaces on the caller after the pool drains.
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -111,6 +121,128 @@ TEST(MeasureParallel, PropagatesTrialExceptions) {
     return channel::RunResult{true, 1, std::nullopt};
   };
   EXPECT_THROW(measure_parallel(trial, 3000, 1, 4), std::runtime_error);
+}
+
+/// Deterministic synthetic engine: trial t solves in (t % 7) + 1
+/// rounds, and the block starting at `throw_at` throws. It records any
+/// block that starts before the first block has finished, and how
+/// many engines are alive.
+class ProbeEngine final : public channel::Engine {
+ public:
+  struct Shared {
+    std::mutex mutex;
+    std::size_t alive = 0;
+    std::size_t max_alive = 0;
+    bool overlapped_first_block = false;
+  };
+
+  ProbeEngine(Shared& shared, std::size_t throw_at)
+      : shared_(shared), throw_at_(throw_at) {
+    const std::lock_guard lock(shared_.mutex);
+    shared_.max_alive = std::max(shared_.max_alive, ++shared_.alive);
+  }
+  ~ProbeEngine() override {
+    const std::lock_guard lock(shared_.mutex);
+    --shared_.alive;
+  }
+
+  void run_many(channel::TrialBlock& block) const override {
+    if (block.first_trial == 0) {
+      // Give other workers every chance to start a block of this cell
+      // while its first block runs; none may.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    } else if (!first_done_.load()) {
+      const std::lock_guard lock(shared_.mutex);
+      shared_.overlapped_first_block = true;
+    }
+    for (std::size_t t = 0; t < block.size(); ++t) {
+      block.solved[t] = 1;
+      block.rounds[t] = (block.first_trial + t) % 7 + 1;
+    }
+    if (block.first_trial == 0) first_done_.store(true);
+    if (block.first_trial == throw_at_) throw std::runtime_error("probe");
+  }
+
+ private:
+  Shared& shared_;
+  std::size_t throw_at_;
+  mutable std::atomic<bool> first_done_{false};
+};
+
+constexpr std::size_t kNeverThrow = ~std::size_t{0};
+
+std::vector<MeasureCell> probe_cells(ProbeEngine::Shared& shared,
+                                     std::size_t count,
+                                     std::size_t throw_cell,
+                                     std::size_t throw_at) {
+  std::vector<MeasureCell> cells;
+  for (std::size_t c = 0; c < count; ++c) {
+    cells.push_back(MeasureCell{
+        .engine =
+            [&shared, c, throw_cell, throw_at] {
+              return std::make_shared<const ProbeEngine>(
+                  shared, c == throw_cell ? throw_at : kNeverThrow);
+            },
+        .sizes = {nullptr, 3},
+        .trials = (c % 3 + 2) * kTrialBlockSize + 11 * c,
+        .seed = c,
+        .options = {.keep_samples = c % 2 == 1}});
+  }
+  return cells;
+}
+
+TEST(MeasureCells, FirstBlockAloneAndAtMostThreadsOpenCells) {
+  for (const std::size_t threads : {1ul, 2ul, 4ul}) {
+    ProbeEngine::Shared shared;
+    const auto cells = probe_cells(shared, 9, kNeverThrow, kNeverThrow);
+    const auto pooled = measure_cells(cells, threads);
+    EXPECT_FALSE(shared.overlapped_first_block) << "threads " << threads;
+    EXPECT_LE(shared.max_alive, threads);
+    EXPECT_EQ(shared.alive, 0u);  // every engine dropped at close
+    ASSERT_EQ(pooled.size(), cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      const ProbeEngine alone(shared, kNeverThrow);
+      MeasureOptions options = cells[c].options;
+      options.threads = 1;
+      expect_identical(pooled[c],
+                       measure_blocks(alone, cells[c].sizes, cells[c].trials,
+                                      cells[c].seed, options));
+      EXPECT_TRUE(pooled[c].histogram ==
+                  measure_blocks(alone, cells[c].sizes, cells[c].trials,
+                                 cells[c].seed, options)
+                      .histogram);
+    }
+  }
+}
+
+TEST(MeasureCells, LaterBlockErrorsRethrowAfterThePoolDrains) {
+  for (const std::size_t threads : {1ul, 4ul}) {
+    ProbeEngine::Shared shared;
+    // A throw in block 3 of a cell measured alone...
+    const ProbeEngine engine(shared, 3 * kTrialBlockSize);
+    EXPECT_THROW(measure_blocks(engine, {nullptr, 3}, 8 * kTrialBlockSize, 1,
+                                {.threads = threads}),
+                 std::runtime_error);
+    // ...and in cell 4 of a pool of mixed cells.
+    const auto cells = probe_cells(shared, 9, 4, 2 * kTrialBlockSize);
+    EXPECT_THROW(measure_cells(cells, threads), std::runtime_error);
+    EXPECT_EQ(shared.alive, 1u);  // only `engine`: the pool dropped its own
+  }
+}
+
+TEST(MeasureCells, ZeroTrialCellsNeedNoBlocks) {
+  ProbeEngine::Shared shared;
+  for (const std::size_t threads : {1ul, 4ul}) {
+    const ProbeEngine engine(shared, kNeverThrow);
+    for (const bool keep_samples : {false, true}) {
+      const auto none = measure_blocks(
+          engine, {nullptr, 3}, 0, 1,
+          {.threads = threads, .keep_samples = keep_samples});
+      EXPECT_EQ(none.trials, 0u);
+      EXPECT_EQ(none.success_rate, 0.0);
+      EXPECT_TRUE(none.histogram.empty());
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // The sweep scheduler (harness/sweep.h): per-cell derived seeds make a
 // whole grid replayable from one master seed, independent of thread
 // count, execution order, and grid composition; results line up with
-// direct measure_* calls; and the table/CSV renderers emit one row per
-// cell.
+// direct measure_* calls, also when one pool spreads a cell's blocks
+// over several workers; errors surface after the pool drains; and the
+// table/CSV renderers emit one row per cell.
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -36,7 +39,8 @@ struct Fixture {
       : decay(1 << 10),
         slow_decay(1 << 6),
         willard(1 << 10),
-        uniform(info::SizeDistribution::uniform(1 << 10)) {}
+        uniform(info::SizeDistribution::uniform(1 << 10)),
+        small(info::SizeDistribution::uniform(48)) {}
 
   SweepGrid grid() const {
     SweepGrid grid;
@@ -53,6 +57,8 @@ struct Fixture {
   baselines::DecaySchedule slow_decay;
   baselines::WillardPolicy willard;
   info::SizeDistribution uniform;
+  /// Few distinct sizes, so history-tree cells expand few trees.
+  info::SizeDistribution small;
 };
 
 TEST(Sweep, GridCrossProductShape) {
@@ -80,9 +86,8 @@ TEST(Sweep, ExplicitCellsPrecedeCrossProduct) {
 }
 
 TEST(Sweep, DeterministicAcrossThreadCounts) {
-  // Same grid, same master seed, every threading regime — including
-  // threads > cells (inner parallelism) and 1 < threads <= cells
-  // (whole cells on the pool) — must produce identical measurements.
+  // Same grid, same master seed, pools narrower and wider than the
+  // grid — must produce identical measurements.
   const Fixture f;
   const auto cells = f.grid().cells();
   const auto reference =
@@ -96,6 +101,153 @@ TEST(Sweep, DeterministicAcrossThreadCounts) {
       expect_identical(reference[i].measurement, pooled[i].measurement);
       EXPECT_EQ(reference[i].cell_seed, pooled[i].cell_seed);
     }
+  }
+}
+
+/// A policy whose fourth and later rounds ask for a NaN probability:
+/// the exact CD simulator rejects it mid-block.
+class NanAfterThreeRounds final : public channel::CollisionPolicy {
+ public:
+  double probability(const channel::BitString& history) const override {
+    return history.size() >= 3 ? std::numeric_limits<double>::quiet_NaN()
+                               : 0.5;
+  }
+  std::string name() const override { return "nan-after-3"; }
+};
+
+/// Unequal cells, most of them several blocks long and one with a
+/// ragged tail, mixing no-CD and CD cells and drawn and fixed sizes.
+std::vector<SweepCell> multi_block_cells(const Fixture& f) {
+  const auto cell = [](std::string name, const channel::ProbabilitySchedule*
+                                             schedule,
+                       const channel::CollisionPolicy* policy,
+                       SweepSizes sizes, std::size_t trials) {
+    return SweepCell{
+        .algorithm = {.name = std::move(name),
+                      .schedule = schedule,
+                      .policy = policy},
+        .sizes = std::move(sizes),
+        .max_rounds = 1 << 12,
+        .trials = trials};
+  };
+  const SweepSizes uniform{.name = "small", .distribution = &f.small};
+  const SweepSizes fixed{.name = "k=100", .fixed_k = 100};
+  return {
+      cell("willard", nullptr, &f.willard, uniform, 3 * 1024 + 37),
+      cell("decay", &f.decay, nullptr, uniform, 0),
+      cell("willard", nullptr, &f.willard, fixed, 2 * 1024),
+      cell("slow-decay", &f.slow_decay, nullptr, fixed, 5 * 1024 + 1),
+      cell("decay", &f.decay, nullptr, fixed, 7),
+      cell("willard", nullptr, &f.willard, uniform, 1024),
+      cell("slow-decay", &f.slow_decay, nullptr, uniform, 4 * 1024 + 999),
+      cell("willard", nullptr, &f.willard, fixed, 1),
+      cell("decay", &f.decay, nullptr, uniform, 3 * 1024 + 37),
+  };
+}
+
+std::string sweep_csv(std::span<const SweepResult> results) {
+  std::ostringstream csv;
+  write_sweep_csv(csv, results);
+  return csv.str();
+}
+
+TEST(Sweep, MultiBlockCellsAreIdenticalAtEveryPoolWidth) {
+  // Cells of several blocks each, more of them than most pools are
+  // wide: the pool splits heavy cells across workers and folds their
+  // blocks in whatever order they finish. Every measurement and every
+  // CSV byte must match threads = 1, and each cell must match a direct
+  // measure_* call at its derived seed.
+  const Fixture f;
+  const auto cells = multi_block_cells(f);
+  for (const CdEngine cd_engine :
+       {CdEngine::kSimulate, CdEngine::kHistoryTree}) {
+    const SweepOptions serial{
+        .trials = 2500, .seed = 17, .threads = 1, .cd_engine = cd_engine};
+    const auto reference = run_sweep(cells, serial);
+    ASSERT_EQ(reference.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const SweepCell& cell = cells[i];
+      const std::size_t trials = cell.trials != 0 ? cell.trials : 2500;
+      const std::uint64_t seed = channel::derive_stream_seed(17, i);
+      const MeasureOptions direct{.max_rounds = cell.max_rounds,
+                                  .threads = 1,
+                                  .cd_engine = cd_engine};
+      const auto& sizes = cell.sizes;
+      Measurement expected;
+      if (cell.algorithm.schedule != nullptr) {
+        expected = sizes.distribution != nullptr
+                       ? measure_uniform_no_cd(*cell.algorithm.schedule,
+                                               *sizes.distribution, trials,
+                                               seed, direct)
+                       : measure_uniform_no_cd_fixed_k(
+                             *cell.algorithm.schedule, sizes.fixed_k, trials,
+                             seed, direct);
+      } else {
+        expected = sizes.distribution != nullptr
+                       ? measure_uniform_cd(*cell.algorithm.policy,
+                                            *sizes.distribution, trials,
+                                            seed, direct)
+                       : measure_uniform_cd_fixed_k(*cell.algorithm.policy,
+                                                    sizes.fixed_k, trials,
+                                                    seed, direct);
+      }
+      EXPECT_EQ(reference[i].measurement.trials, trials);
+      expect_identical(reference[i].measurement, expected);
+    }
+    const std::string reference_csv = sweep_csv(reference);
+    for (const std::size_t threads : {2ul, 3ul, 4ul, 7ul, 16ul}) {
+      SweepOptions pooled = serial;
+      pooled.threads = threads;
+      const auto results = run_sweep(cells, pooled);
+      ASSERT_EQ(results.size(), reference.size());
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        expect_identical(reference[i].measurement, results[i].measurement);
+        EXPECT_EQ(reference[i].cell_seed, results[i].cell_seed);
+      }
+      EXPECT_EQ(sweep_csv(results), reference_csv) << "threads " << threads;
+    }
+  }
+}
+
+TEST(Sweep, FailingCellRethrowsAfterThePoolDrains) {
+  // One poisoned cell among healthy multi-block ones: the sweep throws
+  // the engine's own error on the caller, at every pool width, and
+  // returns (a hang would time the suite out).
+  const Fixture f;
+  const NanAfterThreeRounds nan_policy;
+  auto cells = multi_block_cells(f);
+  cells.insert(cells.begin() + 3,
+               SweepCell{.algorithm = {.name = "nan", .policy = &nan_policy},
+                         .sizes = {.fixed_k = 100},
+                         .max_rounds = 1 << 12,
+                         .trials = 3 * 1024});
+  for (const std::size_t threads : {1ul, 4ul}) {
+    try {
+      run_sweep(cells, {.trials = 2000, .seed = 3, .threads = threads});
+      ADD_FAILURE() << "threads " << threads << ": no exception";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("probability"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(Sweep, ZeroTrialsAndEmptyGrids) {
+  const Fixture f;
+  const auto cells = f.grid().cells();
+  for (const std::size_t threads : {1ul, 4ul}) {
+    const auto results =
+        run_sweep(cells, {.trials = 0, .seed = 8, .threads = threads});
+    ASSERT_EQ(results.size(), cells.size());
+    for (const auto& result : results) {
+      EXPECT_EQ(result.measurement.trials, 0u);
+      EXPECT_EQ(result.measurement.success_rate, 0.0);
+      EXPECT_TRUE(result.measurement.histogram.empty());
+    }
+    EXPECT_TRUE(
+        run_sweep(std::span<const SweepCell>(), {.threads = threads}).empty());
+    EXPECT_TRUE(measure_cells({}, threads).empty());
   }
 }
 

@@ -82,7 +82,9 @@
 // the merged CSV to --out plus a crp-quarantine-v1 report at
 // --out.quarantine.json, and journals its own bisection/quarantine
 // decisions in DIR/supervisor.journal so `supervise --resume`
-// restarts the fleet idempotently.
+// restarts the fleet idempotently. Without --threads, each worker runs
+// ceil(hardware threads / --workers) threads; an explicit --threads
+// passes through to every worker unchanged.
 //
 // Signals: on SIGINT/SIGTERM/SIGHUP a sharded run finishes the
 // in-flight cell, flushes the journal, and exits with code 75 —
@@ -863,11 +865,14 @@ int supervise_mode(const Options& options) {
       supervise.worker_flags.end(),
       {"--trials", std::to_string(options.trials), "--seed",
        std::to_string(options.seed), "--cd-engine", options.cd_engine});
-  if (options.threads != 0) {
-    supervise.worker_flags.insert(supervise.worker_flags.end(),
-                                  {"--threads",
-                                   std::to_string(options.threads)});
-  }
+  // Workers share the machine: without --threads each gets an even
+  // slice of the hardware threads, not a pool as wide as the machine.
+  supervise.worker_flags.insert(
+      supervise.worker_flags.end(),
+      {"--threads",
+       std::to_string(ch::worker_threads(
+           options.threads, std::thread::hardware_concurrency(),
+           options.workers))});
   supervise.out = options.out;
   supervise.out_dir = options.out_dir;
   supervise.workers = options.workers;
