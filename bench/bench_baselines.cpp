@@ -18,12 +18,12 @@
 #include "baselines/decay.h"
 #include "baselines/simple.h"
 #include "baselines/willard.h"
+#include "channel/engine.h"
 #include "channel/rng.h"
 #include "core/coded_search.h"
 #include "core/likelihood_schedule.h"
 #include "harness/fit.h"
 #include "harness/measure.h"
-#include "harness/parallel.h"
 #include "harness/table.h"
 #include "info/distribution.h"
 #include "predict/families.h"
@@ -124,12 +124,8 @@ void print_engine_ablation() {
   const crp::baselines::ReverseDecaySchedule reverse(n);
   const auto m_binomial = crp::harness::measure_uniform_no_cd_fixed_k(
       decay, k, kTrials, kSeed + 5, pooled(1 << 14, NoCdEngine::kBinomial));
-  const auto m_players = crp::harness::measure_parallel(
-      [&](std::size_t, std::mt19937_64& rng) {
-        return crp::channel::run_uniform_no_cd_per_player(decay, k, rng,
-                                                          {1 << 14});
-      },
-      kTrials, kSeed + 5);
+  const auto m_players = crp::harness::measure_uniform_no_cd_fixed_k(
+      decay, k, kTrials, kSeed + 5, pooled(1 << 14, NoCdEngine::kPerPlayer));
   const auto m_batch = crp::harness::measure_uniform_no_cd_fixed_k(
       decay, k, kTrials, kSeed + 5, fast(1 << 14));
   const auto m_reverse = crp::harness::measure_uniform_no_cd_fixed_k(
@@ -159,18 +155,21 @@ void print_aloha_comparison() {
   crp::harness::Table table({"k", "aloha W=k mean", "backoff mean",
                              "decay mean", "fixed 1/k mean"});
   const crp::baselines::DecaySchedule decay(n);
+  const crp::channel::AdapterEngine aloha(
+      [](std::size_t k, std::mt19937_64& rng,
+         const crp::channel::SimOptions& options) {
+        return crp::baselines::run_slotted_aloha(k, k, rng, options);
+      });
+  const crp::channel::AdapterEngine backoff(
+      [](std::size_t k, std::mt19937_64& rng,
+         const crp::channel::SimOptions& options) {
+        return crp::baselines::run_backoff_aloha(k, 1, 1 << 13, rng, options);
+      });
   for (std::size_t k : {8ul, 64ul, 512ul, 4000ul}) {
-    const auto m_aloha = crp::harness::measure_parallel(
-        [k](std::size_t, std::mt19937_64& rng) {
-          return crp::baselines::run_slotted_aloha(k, k, rng, {1 << 16});
-        },
-        kTrials, kSeed + 8);
-    const auto m_backoff = crp::harness::measure_parallel(
-        [k](std::size_t, std::mt19937_64& rng) {
-          return crp::baselines::run_backoff_aloha(k, 1, 1 << 13, rng,
-                                                   {1 << 16});
-        },
-        kTrials, kSeed + 9);
+    const auto m_aloha = crp::harness::measure_blocks(
+        aloha, {nullptr, k}, kTrials, kSeed + 8, {.max_rounds = 1 << 16});
+    const auto m_backoff = crp::harness::measure_blocks(
+        backoff, {nullptr, k}, kTrials, kSeed + 9, {.max_rounds = 1 << 16});
     const auto m_decay = crp::harness::measure_uniform_no_cd_fixed_k(
         decay, k, kTrials, kSeed + 10, fast(1 << 16));
     const auto fixed =

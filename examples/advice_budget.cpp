@@ -9,12 +9,12 @@
 #include <cmath>
 #include <iostream>
 
-#include "channel/rng.h"
+#include "channel/engine.h"
+#include "channel/simulator.h"
 #include "core/advice.h"
 #include "core/advice_deterministic.h"
 #include "core/advice_randomized.h"
 #include "harness/measure.h"
-#include "harness/parallel.h"
 #include "harness/table.h"
 #include "info/distribution.h"
 
@@ -60,29 +60,31 @@ int main() {
     const crp::core::RangeGroupAdvice advice(kRandNetwork, b);
     // Per trial: draw k, compute the advised group, run both protocols.
     // The advised schedule depends on the drawn k, so the no-CD side
-    // cannot share one batch sampler across trials; the thread pool
+    // cannot share one batch sampler across trials; the adapter engine
     // still fans the independent trials across every core.
-    const auto m_decay = crp::harness::measure_parallel(
-        [&](std::size_t, std::mt19937_64& rng) {
-          const std::size_t k = sizes.sample(rng);
+    const crp::channel::SizeSource drawn{&sizes, 0};
+    const crp::channel::AdapterEngine decay(
+        [&](std::size_t k, std::mt19937_64& rng,
+            const crp::channel::SimOptions& options) {
           const std::size_t group = advice.group_of_range(
               crp::info::range_of_size(k));
           const crp::core::TruncatedDecaySchedule schedule(
               advice.ranges_in_group(group));
-          return crp::channel::run_uniform_no_cd(schedule, k, rng,
-                                                 {1 << 14});
-        },
-        trials, /*seed=*/5);
-    const auto m_willard = crp::harness::measure_parallel(
-        [&](std::size_t, std::mt19937_64& rng) {
-          const std::size_t k = sizes.sample(rng);
+          return crp::channel::run_uniform_no_cd(schedule, k, rng, options);
+        });
+    const crp::channel::AdapterEngine willard(
+        [&](std::size_t k, std::mt19937_64& rng,
+            const crp::channel::SimOptions& options) {
           const std::size_t group = advice.group_of_range(
               crp::info::range_of_size(k));
           const crp::core::TruncatedWillardPolicy policy(
               advice.ranges_in_group(group));
-          return crp::channel::run_uniform_cd(policy, k, rng, {1 << 12});
-        },
-        trials, /*seed=*/6);
+          return crp::channel::run_uniform_cd(policy, k, rng, options);
+        });
+    const auto m_decay = crp::harness::measure_blocks(
+        decay, drawn, trials, /*seed=*/5, {.max_rounds = 1 << 14});
+    const auto m_willard = crp::harness::measure_blocks(
+        willard, drawn, trials, /*seed=*/6, {.max_rounds = 1 << 12});
     rnd.add_row(
         {fmt(b), fmt(m_decay.rounds.mean, 2),
          fmt(m_willard.rounds.mean, 2),

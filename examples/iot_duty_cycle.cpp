@@ -66,7 +66,8 @@ int main() {
                        const crp::channel::ProbabilitySchedule& schedule,
                        std::size_t budget) {
     const auto m = crp::harness::measure_uniform_no_cd(
-        schedule, mixture, trials, /*seed=*/23, budget);
+        schedule, mixture, trials, /*seed=*/23,
+        {.max_rounds = budget, .engine = crp::harness::NoCdEngine::kBinomial});
     table.add_row({name, fmt(m.rounds.mean, 2), fmt(m.rounds.p50, 1),
                    fmt(m.rounds.p99, 1),
                    fmt(100.0 * (1.0 - m.success_rate), 2) + "%"});

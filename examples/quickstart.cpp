@@ -56,13 +56,15 @@ int main() {
   const crp::baselines::WillardPolicy willard(n);
   constexpr std::size_t trials = 5000;
   const auto m_no_cd = crp::harness::measure_uniform_no_cd(
-      no_cd, predicted, trials, /*seed=*/1, 1 << 14);
+      no_cd, predicted, trials, /*seed=*/1,
+      {.max_rounds = 1 << 14, .engine = crp::harness::NoCdEngine::kBinomial});
   const auto m_decay = crp::harness::measure_uniform_no_cd(
-      decay, predicted, trials, /*seed=*/1, 1 << 14);
+      decay, predicted, trials, /*seed=*/1,
+      {.max_rounds = 1 << 14, .engine = crp::harness::NoCdEngine::kBinomial});
   const auto m_cd = crp::harness::measure_uniform_cd(
-      with_cd, predicted, trials, /*seed=*/2, 1 << 12);
+      with_cd, predicted, trials, /*seed=*/2, {.max_rounds = 1 << 12});
   const auto m_willard = crp::harness::measure_uniform_cd(
-      willard, predicted, trials, /*seed=*/2, 1 << 12);
+      willard, predicted, trials, /*seed=*/2, {.max_rounds = 1 << 12});
 
   crp::harness::Table table(
       {"algorithm", "channel", "uses prediction", "mean rounds", "p90"});

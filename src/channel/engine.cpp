@@ -27,9 +27,9 @@ void validate_trial_block(const TrialBlock& block) {
 namespace {
 
 /// Shared body of the exact-simulator adapters: per trial, one derived
-/// mt19937_64 stream feeding the k draw (when drawn) and the scalar
-/// run — exactly the draw order of the scalar Trial path, so results
-/// are bit-identical to it.
+/// mt19937_64 stream feeding the k draw (when drawn) and then the
+/// scalar run — the draw order of a hand-written loop over
+/// derive_rng(seed, t), so results are bit-identical to one.
 template <typename Run>
 void run_scalar_adapter(TrialBlock& block, const Run& run) {
   validate_trial_block(block);
@@ -68,11 +68,8 @@ std::size_t lower_bound_padded(const double* padded, std::size_t padded_size,
 
 }  // namespace
 
-void run_adapter_block(
-    TrialBlock& block,
-    const std::function<RunResult(std::size_t k, std::mt19937_64& rng,
-                                  const SimOptions& options)>& run) {
-  run_scalar_adapter(block, run);
+void AdapterEngine::run_many(TrialBlock& block) const {
+  run_scalar_adapter(block, run_);
 }
 
 void BatchColumnarEngine::run_many(TrialBlock& block) const {

@@ -26,10 +26,10 @@
 /// call).
 ///
 /// Determinism: an engine derives trial t's randomness only from
-/// (block.seed, block.first_trial + t) — the same streams the scalar
-/// measurement paths use — so results are independent of block
-/// partition, execution order, and thread count, and each engine is
-/// bit-compatible with its scalar counterpart at a fixed seed
+/// (block.seed, block.first_trial + t) — derive_rng, or derive_fast_rng
+/// for the analytic engine — so results are independent of block
+/// partition, execution order, and thread count, and each engine
+/// matches its scalar simulator called on that stream, trial by trial
 /// (tests/columnar_engine_test.cpp pins this down). This is the
 /// contract docs/ARCHITECTURE.md requires of every future engine.
 #pragma once
@@ -39,6 +39,7 @@
 #include <functional>
 #include <random>
 #include <span>
+#include <utility>
 
 #include "channel/batch.h"
 #include "channel/protocol.h"
@@ -88,18 +89,26 @@ class Engine {
 /// implementation in the library calls this first.
 void validate_trial_block(const TrialBlock& block);
 
-/// Shared run_many() body for adapter engines built on the exact
-/// simulators: validates the block, then per trial derives one
-/// mt19937_64 stream feeding the k draw (when sizes are drawn) and
-/// `run(k, rng, options)`, and writes the result columns. Custom
-/// adapters outside this header (e.g. the advice-protocol engine in
-/// harness/measure.cpp) call this instead of re-implementing the
-/// loop; the std::function indirection is per block call, and the
-/// exact simulators dwarf the one virtual dispatch per trial.
-void run_adapter_block(
-    TrialBlock& block,
-    const std::function<RunResult(std::size_t k, std::mt19937_64& rng,
-                                  const SimOptions& options)>& run);
+/// Adapter for any per-trial simulation: per trial, one derived
+/// mt19937_64 stream feeds the k draw (when sizes are drawn) and then
+/// `run(k, rng, options)`, with options.max_rounds = block.max_rounds.
+/// This is the block form of a per-trial callback — protocols the
+/// library has no dedicated engine for (the advice protocols, ALOHA,
+/// estimate-then-transmit pipelines) run through measure_blocks with
+/// it. The std::function indirection is per trial, which the exact
+/// simulators dwarf. `run` must be safe to call concurrently.
+class AdapterEngine final : public Engine {
+ public:
+  using Run = std::function<RunResult(std::size_t k, std::mt19937_64& rng,
+                                      const SimOptions& options)>;
+
+  explicit AdapterEngine(Run run) : run_(std::move(run)) {}
+
+  void run_many(TrialBlock& block) const override;
+
+ private:
+  Run run_;
+};
 
 /// Analytic no-CD engine (the default fast path): one SplitMix64
 /// stream per trial — one draw for the participant count when drawn,
@@ -124,8 +133,8 @@ class BatchColumnarEngine final : public Engine {
 };
 
 /// Adapter: drives the exact binomial simulator trial by trial with
-/// one derived mt19937_64 stream per trial — bit-compatible with the
-/// scalar Trial path it replaces.
+/// one derived mt19937_64 stream per trial — AdapterEngine's stream
+/// contract, bit-identical to a hand-written per-trial loop.
 class BinomialColumnarEngine final : public Engine {
  public:
   /// The schedule must outlive the engine.

@@ -14,76 +14,10 @@ namespace crp::harness {
 
 namespace {
 
-/// Legacy entry points (plain max_rounds) keep the seed behavior:
-/// serial execution, exact binomial engine, raw sample vector.
-MeasureOptions legacy_options(std::size_t max_rounds) {
-  return MeasureOptions{.max_rounds = max_rounds,
-                        .threads = 1,
-                        .engine = NoCdEngine::kBinomial,
-                        .keep_samples = true};
-}
-
-/// Columnar adapter for the Section 3 advice protocols: per trial, one
-/// derived mt19937_64 stream draws the participant count, the
-/// participant set, and runs the protocol on the advice — the same
-/// draw order as the scalar Trial path it replaces.
-class DeterministicAdviceEngine final : public channel::Engine {
- public:
-  DeterministicAdviceEngine(const channel::DeterministicProtocol& protocol,
-                            const core::AdviceFunction& advice, std::size_t n,
-                            bool collision_detection)
-      : protocol_(protocol),
-        advice_(advice),
-        n_(n),
-        collision_detection_(collision_detection) {}
-
-  void run_many(channel::TrialBlock& block) const override {
-    channel::run_adapter_block(
-        block, [this](std::size_t k, std::mt19937_64& rng,
-                      const channel::SimOptions& options) {
-          const auto participants = random_participant_set(n_, k, rng);
-          const auto bits = advice_.advise(participants);
-          return channel::run_deterministic(protocol_, bits, participants,
-                                            collision_detection_, options);
-        });
-  }
-
- private:
-  const channel::DeterministicProtocol& protocol_;
-  const core::AdviceFunction& advice_;
-  std::size_t n_;
-  bool collision_detection_;
-};
-
-}  // namespace
-
-Measurement measurement_from_runs(std::span<const channel::RunResult> runs) {
-  Measurement result;
-  result.trials = runs.size();
-  result.samples.reserve(runs.size());
-  std::size_t solved = 0;
-  for (const auto& run : runs) {
-    if (run.solved) {
-      ++solved;
-      result.samples.push_back(static_cast<double>(run.rounds));
-      result.histogram.add_solved(run.rounds);
-    } else {
-      result.histogram.add_unsolved();
-    }
-  }
-  result.success_rate =
-      runs.empty() ? 0.0
-                   : static_cast<double>(solved) /
-                         static_cast<double>(runs.size());
-  result.rounds = summarize(result.samples);
-  return result;
-}
-
+/// The sample-retaining fold: SoA result columns (`rounds[t]` is
+/// consulted only where `solved[t]`), visited in trial order.
 Measurement measurement_from_columns(std::span<const std::uint8_t> solved,
                                      std::span<const std::uint64_t> rounds) {
-  if (solved.size() != rounds.size()) {
-    throw std::invalid_argument("result columns disagree on length");
-  }
   Measurement result;
   result.trials = solved.size();
   result.samples.reserve(solved.size());
@@ -103,6 +37,9 @@ Measurement measurement_from_columns(std::span<const std::uint8_t> solved,
   return result;
 }
 
+/// The streaming fold: a Measurement read entirely from a merged round
+/// histogram (count/min/max/mean/quantiles bit-identical to the
+/// vector fold; see harness/accumulate.h for the stddev caveat).
 Measurement measurement_from_histogram(RoundHistogram histogram) {
   Measurement result;
   result.trials = histogram.trials();
@@ -111,6 +48,8 @@ Measurement measurement_from_histogram(RoundHistogram histogram) {
   result.histogram = std::move(histogram);
   return result;
 }
+
+}  // namespace
 
 std::shared_ptr<const channel::Engine> uniform_engine(
     const channel::ProbabilitySchedule& schedule,
@@ -277,38 +216,6 @@ double Measurement::solved_within(double budget) const {
   return solved / static_cast<double>(trials);
 }
 
-Measurement measure(const Trial& trial, std::size_t trials,
-                    std::uint64_t seed) {
-  Measurement result;
-  result.trials = trials;
-  result.samples.reserve(trials);
-  std::size_t solved = 0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    auto rng = channel::derive_rng(seed, t);
-    const channel::RunResult run = trial(t, rng);
-    if (run.solved) {
-      ++solved;
-      result.samples.push_back(static_cast<double>(run.rounds));
-      result.histogram.add_solved(run.rounds);
-    } else {
-      result.histogram.add_unsolved();
-    }
-  }
-  result.success_rate =
-      trials == 0 ? 0.0
-                  : static_cast<double>(solved) / static_cast<double>(trials);
-  result.rounds = summarize(result.samples);
-  return result;
-}
-
-Measurement measure_uniform_no_cd(const channel::ProbabilitySchedule& schedule,
-                                  const info::SizeDistribution& actual,
-                                  std::size_t trials, std::uint64_t seed,
-                                  std::size_t max_rounds) {
-  return measure_uniform_no_cd(schedule, actual, trials, seed,
-                               legacy_options(max_rounds));
-}
-
 Measurement measure_uniform_no_cd(const channel::ProbabilitySchedule& schedule,
                                   const info::SizeDistribution& actual,
                                   std::size_t trials, std::uint64_t seed,
@@ -316,14 +223,6 @@ Measurement measure_uniform_no_cd(const channel::ProbabilitySchedule& schedule,
   return measure_blocks(*uniform_engine(schedule, options),
                         channel::SizeSource{&actual, 0}, trials, seed,
                         options);
-}
-
-Measurement measure_uniform_cd(const channel::CollisionPolicy& policy,
-                               const info::SizeDistribution& actual,
-                               std::size_t trials, std::uint64_t seed,
-                               std::size_t max_rounds) {
-  return measure_uniform_cd(policy, actual, trials, seed,
-                            legacy_options(max_rounds));
 }
 
 Measurement measure_uniform_cd(const channel::CollisionPolicy& policy,
@@ -337,25 +236,10 @@ Measurement measure_uniform_cd(const channel::CollisionPolicy& policy,
 
 Measurement measure_uniform_no_cd_fixed_k(
     const channel::ProbabilitySchedule& schedule, std::size_t k,
-    std::size_t trials, std::uint64_t seed, std::size_t max_rounds) {
-  return measure_uniform_no_cd_fixed_k(schedule, k, trials, seed,
-                                       legacy_options(max_rounds));
-}
-
-Measurement measure_uniform_no_cd_fixed_k(
-    const channel::ProbabilitySchedule& schedule, std::size_t k,
     std::size_t trials, std::uint64_t seed, const MeasureOptions& options) {
   return measure_blocks(*uniform_engine(schedule, options),
                         channel::SizeSource{nullptr, k}, trials, seed,
                         options);
-}
-
-Measurement measure_uniform_cd_fixed_k(const channel::CollisionPolicy& policy,
-                                       std::size_t k, std::size_t trials,
-                                       std::uint64_t seed,
-                                       std::size_t max_rounds) {
-  return measure_uniform_cd_fixed_k(policy, k, trials, seed,
-                                    legacy_options(max_rounds));
 }
 
 Measurement measure_uniform_cd_fixed_k(const channel::CollisionPolicy& policy,
@@ -385,31 +269,17 @@ Measurement measure_deterministic_advice(
     const channel::DeterministicProtocol& protocol,
     const core::AdviceFunction& advice, const info::SizeDistribution& actual,
     std::size_t n, bool collision_detection, std::size_t trials,
-    std::uint64_t seed, std::size_t max_rounds) {
-  return measure_deterministic_advice(protocol, advice, actual, n,
-                                      collision_detection, trials, seed,
-                                      legacy_options(max_rounds));
-}
-
-Measurement measure_deterministic_advice(
-    const channel::DeterministicProtocol& protocol,
-    const core::AdviceFunction& advice, const info::SizeDistribution& actual,
-    std::size_t n, bool collision_detection, std::size_t trials,
     std::uint64_t seed, const MeasureOptions& options) {
-  const DeterministicAdviceEngine engine(protocol, advice, n,
-                                         collision_detection);
+  const channel::AdapterEngine engine(
+      [&](std::size_t k, std::mt19937_64& rng,
+          const channel::SimOptions& sim) {
+        const auto participants = random_participant_set(n, k, rng);
+        const auto bits = advice.advise(participants);
+        return channel::run_deterministic(protocol, bits, participants,
+                                          collision_detection, sim);
+      });
   return measure_blocks(engine, channel::SizeSource{&actual, 0}, trials,
                         seed, options);
-}
-
-double worst_case_deterministic_rounds(
-    const channel::DeterministicProtocol& protocol,
-    const core::AdviceFunction& advice, std::size_t n, std::size_t k,
-    bool collision_detection, std::size_t probes, std::uint64_t seed,
-    std::size_t max_rounds) {
-  return worst_case_deterministic_rounds(
-      protocol, advice, n, k, collision_detection, probes, seed,
-      MeasureOptions{.max_rounds = max_rounds, .threads = 1});
 }
 
 double worst_case_deterministic_rounds(
@@ -428,13 +298,20 @@ double worst_case_deterministic_rounds(
   };
 
   // Random probes: independent (one derived stream each), so they fan
-  // out over the block scheduler; the max-fold is order-free, making
-  // the result thread-count invariant.
+  // out over the block scheduler in small blocks, which keeps probes of
+  // very different lengths load-balanced; the max-fold is order-free,
+  // making the result thread-count invariant.
+  constexpr std::size_t kProbeBlock = 32;
   std::vector<double> probe_cost(probes);
-  parallel_trials(probes, options.threads, [&](std::size_t p) {
-    auto rng = channel::derive_rng(seed, p);
-    probe_cost[p] = cost_of(random_participant_set(n, k, rng));
-  });
+  parallel_blocks(
+      probes, options.threads,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t p = begin; p < end; ++p) {
+          auto rng = channel::derive_rng(seed, p);
+          probe_cost[p] = cost_of(random_participant_set(n, k, rng));
+        }
+      },
+      kProbeBlock);
   double worst = 0.0;
   for (const double cost : probe_cost) worst = std::max(worst, cost);
 

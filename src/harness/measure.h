@@ -13,8 +13,8 @@
 // per-trial sample vector for consumers that need it. The measure_*
 // helpers below wire the common cases (a uniform algorithm against a
 // network-size distribution, an advice protocol against sampled
-// participant sets) onto that stack; the scalar Trial interface and
-// measure() remain as compatibility shims for per-trial callbacks.
+// participant sets) onto that stack; any other per-trial simulation
+// runs through measure_blocks with a channel::AdapterEngine.
 #pragma once
 
 #include <cstddef>
@@ -50,9 +50,9 @@ struct Measurement {
   /// fold filled it, else the raw samples — identical answers.
   double solved_within(double budget) const;
 
-  /// Rounds of solved trials, in trial order. Filled by the scalar
-  /// shims and, when MeasureOptions::keep_samples is set, by the block
-  /// fold; empty on the (default) streaming path.
+  /// Rounds of solved trials, in trial order. Filled only when
+  /// MeasureOptions::keep_samples is set; empty on the (default)
+  /// streaming path.
   std::vector<double> samples;
 
   /// Exact per-round counts of the solved trials; filled by every
@@ -63,35 +63,6 @@ struct Measurement {
   /// MeasureOptions::measure_transmissions requested the energy column.
   MomentAccumulator transmissions;
 };
-
-using Trial = std::function<channel::RunResult(std::size_t trial_index,
-                                               std::mt19937_64& rng)>;
-
-/// Compatibility shim for per-trial callbacks: runs `trials`
-/// independent trials serially, deriving (and paying for) one
-/// mt19937_64 stream per trial from `seed` (replayable regardless of
-/// execution order). See harness/parallel.h for the bit-identical
-/// thread-pool drop-in, and measure_blocks() for the columnar path the
-/// measure_* helpers use — which seeds no mt19937_64 on the analytic
-/// engine at all.
-Measurement measure(const Trial& trial, std::size_t trials,
-                    std::uint64_t seed);
-
-/// Folds per-trial outcomes (already in trial order) into a
-/// Measurement — exactly the aggregation the serial measure() loop
-/// performs, shared by the thread-pool and batch measurement paths.
-Measurement measurement_from_runs(std::span<const channel::RunResult> runs);
-
-/// Columnar counterpart of measurement_from_runs: folds SoA result
-/// columns (`rounds[t]` is consulted only where `solved[t]`) with the
-/// identical aggregation, visiting trials in order.
-Measurement measurement_from_columns(std::span<const std::uint8_t> solved,
-                                     std::span<const std::uint64_t> rounds);
-
-/// Streaming counterpart: a Measurement read entirely from a merged
-/// round histogram (count/min/max/mean/quantiles bit-identical to the
-/// vector fold; see harness/accumulate.h for the stddev caveat).
-Measurement measurement_from_histogram(RoundHistogram histogram);
 
 /// Which engine simulates a uniform no-CD trial.
 enum class NoCdEngine {
@@ -197,39 +168,24 @@ std::shared_ptr<const channel::Engine> uniform_engine(
 Measurement measure_uniform_no_cd(const channel::ProbabilitySchedule& schedule,
                                   const info::SizeDistribution& actual,
                                   std::size_t trials, std::uint64_t seed,
-                                  std::size_t max_rounds = 1 << 20);
-Measurement measure_uniform_no_cd(const channel::ProbabilitySchedule& schedule,
-                                  const info::SizeDistribution& actual,
-                                  std::size_t trials, std::uint64_t seed,
-                                  const MeasureOptions& options);
+                                  const MeasureOptions& options = {});
 
 /// Uniform CD algorithm vs. sizes drawn from `actual`.
 Measurement measure_uniform_cd(const channel::CollisionPolicy& policy,
                                const info::SizeDistribution& actual,
                                std::size_t trials, std::uint64_t seed,
-                               std::size_t max_rounds = 1 << 20);
-Measurement measure_uniform_cd(const channel::CollisionPolicy& policy,
-                               const info::SizeDistribution& actual,
-                               std::size_t trials, std::uint64_t seed,
-                               const MeasureOptions& options);
+                               const MeasureOptions& options = {});
 
 /// Uniform no-CD algorithm with the participant count fixed to k.
 Measurement measure_uniform_no_cd_fixed_k(
     const channel::ProbabilitySchedule& schedule, std::size_t k,
-    std::size_t trials, std::uint64_t seed, std::size_t max_rounds = 1 << 20);
-Measurement measure_uniform_no_cd_fixed_k(
-    const channel::ProbabilitySchedule& schedule, std::size_t k,
-    std::size_t trials, std::uint64_t seed, const MeasureOptions& options);
+    std::size_t trials, std::uint64_t seed, const MeasureOptions& options = {});
 
 /// Uniform CD algorithm with the participant count fixed to k.
 Measurement measure_uniform_cd_fixed_k(const channel::CollisionPolicy& policy,
                                        std::size_t k, std::size_t trials,
                                        std::uint64_t seed,
-                                       std::size_t max_rounds = 1 << 20);
-Measurement measure_uniform_cd_fixed_k(const channel::CollisionPolicy& policy,
-                                       std::size_t k, std::size_t trials,
-                                       std::uint64_t seed,
-                                       const MeasureOptions& options);
+                                       const MeasureOptions& options = {});
 
 /// Draws a uniformly random k-subset of {0, ..., n-1}.
 std::vector<std::size_t> random_participant_set(std::size_t n, std::size_t k,
@@ -241,29 +197,19 @@ Measurement measure_deterministic_advice(
     const channel::DeterministicProtocol& protocol,
     const core::AdviceFunction& advice, const info::SizeDistribution& actual,
     std::size_t n, bool collision_detection, std::size_t trials,
-    std::uint64_t seed, std::size_t max_rounds = 1 << 20);
-Measurement measure_deterministic_advice(
-    const channel::DeterministicProtocol& protocol,
-    const core::AdviceFunction& advice, const info::SizeDistribution& actual,
-    std::size_t n, bool collision_detection, std::size_t trials,
-    std::uint64_t seed, const MeasureOptions& options);
+    std::uint64_t seed, const MeasureOptions& options = {});
 
 /// Worst-case (maximum over participant sets) round count of a
 /// deterministic advice protocol at fixed k, approximated by `probes`
 /// random sets plus the adversarial set concentrated at the tail of the
-/// advised subtree. The probes are independent, so the MeasureOptions
-/// overload fans them across the block scheduler (options.threads);
-/// the result is thread-count invariant. See harness/adversary.h for
-/// the exhaustive (exact) counterpart.
+/// advised subtree. The probes are independent, so they fan out across
+/// the block scheduler (options.threads); the result is thread-count
+/// invariant. See harness/adversary.h for the exhaustive (exact)
+/// counterpart.
 double worst_case_deterministic_rounds(
     const channel::DeterministicProtocol& protocol,
     const core::AdviceFunction& advice, std::size_t n, std::size_t k,
     bool collision_detection, std::size_t probes, std::uint64_t seed,
-    std::size_t max_rounds = 1 << 20);
-double worst_case_deterministic_rounds(
-    const channel::DeterministicProtocol& protocol,
-    const core::AdviceFunction& advice, std::size_t n, std::size_t k,
-    bool collision_detection, std::size_t probes, std::uint64_t seed,
-    const MeasureOptions& options);
+    const MeasureOptions& options = {});
 
 }  // namespace crp::harness

@@ -8,8 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "channel/rng.h"
-
 namespace crp::harness {
 
 namespace {
@@ -171,29 +169,6 @@ void parallel_blocks(std::size_t total, std::size_t threads,
                       std::size_t end) { fn(begin, end); };
   parallel_cells(std::span<const std::size_t>(&total, 1), threads, steps,
                  block_size);
-}
-
-void parallel_trials(std::size_t trials, std::size_t threads,
-                     const std::function<void(std::size_t)>& fn) {
-  // Small blocks keep per-trial workloads of wildly different lengths
-  // load-balanced while amortizing the block claim.
-  constexpr std::size_t kChunk = 32;
-  parallel_blocks(
-      trials, threads,
-      [&fn](std::size_t begin, std::size_t end) {
-        for (std::size_t t = begin; t < end; ++t) fn(t);
-      },
-      kChunk);
-}
-
-Measurement measure_parallel(const Trial& trial, std::size_t trials,
-                             std::uint64_t seed, std::size_t threads) {
-  std::vector<channel::RunResult> results(trials);
-  parallel_trials(trials, threads, [&](std::size_t t) {
-    auto rng = channel::derive_rng(seed, t);
-    results[t] = trial(t, rng);
-  });
-  return measurement_from_runs(results);
 }
 
 }  // namespace crp::harness

@@ -13,7 +13,11 @@
 //
 // Layering: channel/engine.h defines *what* runs on a block (columnar
 // engines), this header defines *where* blocks run, and
-// harness/measure.h glues the two into Measurements.
+// harness/measure.h glues the two into Measurements. The API is
+// block-granular only: parallel_cells for many cells, parallel_blocks
+// for one. A per-trial workload either loops over its block's indices
+// itself (worst_case_deterministic_rounds, with a small block size) or
+// becomes an engine (channel::AdapterEngine) under measure_blocks.
 //
 /// Ownership: the pool is per call — threads are spawned inside
 /// parallel_cells (or parallel_blocks, its one-cell case) and joined
@@ -22,7 +26,8 @@
 /// bracket whatever per-cell state the caller keeps (measure_cells
 /// holds a cell's engine and fold from open to close), and at most
 /// `workers` cells are open at once, so that state is bounded by the
-/// pool width rather than the grid size.
+/// pool width rather than the grid size. This header owns no result
+/// type: Measurements are assembled by harness/measure.h's fold.
 ///
 /// Thread-safety: steps are invoked concurrently on distinct blocks
 /// (of one cell or of different cells) and must be safe under that;
@@ -40,11 +45,9 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <span>
 
-#include "harness/measure.h"
 
 namespace crp::harness {
 
@@ -105,21 +108,5 @@ std::size_t parallel_worker_count(std::span<const std::size_t> totals,
 void parallel_blocks(std::size_t total, std::size_t threads,
                      const std::function<void(std::size_t, std::size_t)>& fn,
                      std::size_t block_size = kTrialBlockSize);
-
-/// Runs fn(t) for every trial index t in [0, trials) across `threads`
-/// workers (0 = all hardware threads; <= 1 runs inline on the calling
-/// thread). A convenience wrapper over parallel_blocks with a small
-/// block size, for callers priced per trial rather than per column.
-void parallel_trials(std::size_t trials, std::size_t threads,
-                     const std::function<void(std::size_t)>& fn);
-
-/// Runs `trials` independent trials on `threads` workers (0 = all
-/// hardware threads; 1 falls back to the serial measure()). The trial
-/// callable must be safe to invoke concurrently: the library's
-/// schedules, policies, advice functions, and BatchNoCdSampler all are.
-/// The first exception thrown by a trial is rethrown on the caller's
-/// thread after the pool drains.
-Measurement measure_parallel(const Trial& trial, std::size_t trials,
-                             std::uint64_t seed, std::size_t threads = 0);
 
 }  // namespace crp::harness

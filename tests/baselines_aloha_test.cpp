@@ -4,11 +4,22 @@
 
 #include <gtest/gtest.h>
 
+#include "channel/engine.h"
 #include "channel/rng.h"
 #include "harness/measure.h"
 
 namespace crp::baselines {
 namespace {
+
+/// Runs `trials` trials of `run` at k players through the block
+/// harness (one derived stream per trial).
+harness::Measurement measure_fixed_k(const channel::AdapterEngine::Run& run,
+                                     std::size_t k, std::size_t trials,
+                                     std::uint64_t seed,
+                                     std::size_t max_rounds) {
+  return harness::measure_blocks(channel::AdapterEngine(run), {nullptr, k},
+                                 trials, seed, {.max_rounds = max_rounds});
+}
 
 TEST(SlottedAloha, SinglePlayerAlwaysWinsItsSlot) {
   auto rng = channel::make_rng(1);
@@ -43,11 +54,12 @@ TEST(SlottedAloha, TunedWindowSolvesInConstantRounds) {
   // so the first singleton slot arrives after ~e slots in expectation —
   // tuned ALOHA matches the fixed 1/k strategy, independent of k.
   for (std::size_t k : {8ul, 32ul, 256ul}) {
-    const auto m = harness::measure(
-        [k](std::size_t, std::mt19937_64& rng) {
-          return run_slotted_aloha(k, k, rng, {.max_rounds = 1 << 14});
+    const auto m = measure_fixed_k(
+        [](std::size_t players, std::mt19937_64& rng,
+           const channel::SimOptions& options) {
+          return run_slotted_aloha(players, players, rng, options);
         },
-        4000, /*seed=*/5);
+        k, 4000, /*seed=*/5, 1 << 14);
     EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
     EXPECT_LT(m.rounds.mean, 6.0) << "k=" << k;
   }
@@ -55,16 +67,18 @@ TEST(SlottedAloha, TunedWindowSolvesInConstantRounds) {
 
 TEST(SlottedAloha, BadlySizedWindowDegrades) {
   constexpr std::size_t k = 64;
-  const auto tuned = harness::measure(
-      [](std::size_t, std::mt19937_64& rng) {
-        return run_slotted_aloha(k, 64, rng, {.max_rounds = 1 << 14});
+  const auto tuned = measure_fixed_k(
+      [](std::size_t players, std::mt19937_64& rng,
+         const channel::SimOptions& options) {
+        return run_slotted_aloha(players, 64, rng, options);
       },
-      2000, /*seed=*/7);
-  const auto tiny = harness::measure(
-      [](std::size_t, std::mt19937_64& rng) {
-        return run_slotted_aloha(k, 4, rng, {.max_rounds = 1 << 14});
+      k, 2000, /*seed=*/7, 1 << 14);
+  const auto tiny = measure_fixed_k(
+      [](std::size_t players, std::mt19937_64& rng,
+         const channel::SimOptions& options) {
+        return run_slotted_aloha(players, 4, rng, options);
       },
-      2000, /*seed=*/7);
+      k, 2000, /*seed=*/7, 1 << 14);
   ASSERT_DOUBLE_EQ(tuned.success_rate, 1.0);
   // A 4-slot window with 64 players essentially never isolates one.
   EXPECT_LT(tiny.success_rate, 0.2);
@@ -72,12 +86,12 @@ TEST(SlottedAloha, BadlySizedWindowDegrades) {
 
 TEST(BackoffAloha, SolvesWithoutSizeEstimate) {
   for (std::size_t k : {2ul, 30ul, 500ul}) {
-    const auto m = harness::measure(
-        [k](std::size_t, std::mt19937_64& rng) {
-          return run_backoff_aloha(k, 1, 1 << 12, rng,
-                                   {.max_rounds = 1 << 16});
+    const auto m = measure_fixed_k(
+        [](std::size_t players, std::mt19937_64& rng,
+           const channel::SimOptions& options) {
+          return run_backoff_aloha(players, 1, 1 << 12, rng, options);
         },
-        2000, /*seed=*/11);
+        k, 2000, /*seed=*/11, 1 << 16);
     EXPECT_DOUBLE_EQ(m.success_rate, 1.0) << "k=" << k;
     // Doubling reaches a window ~ k after log2(k) windows whose total
     // size is <= 4k, so rounds are O(k).

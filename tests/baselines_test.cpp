@@ -37,7 +37,8 @@ TEST(Decay, SolvesAllSizesWithinExpectedLogBound) {
   const DecaySchedule decay(n);
   for (std::size_t k : {2ul, 5ul, 37ul, 512ul, 4095ul}) {
     const auto m = harness::measure_uniform_no_cd_fixed_k(
-        decay, k, 3000, /*seed=*/17, /*max_rounds=*/1 << 16);
+        decay, k, 3000, /*seed=*/17,
+        {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
     EXPECT_DOUBLE_EQ(m.success_rate, 1.0) << "k=" << k;
     // One sweep is 13 rounds; expected rounds should be a small
     // multiple of the sweep length regardless of k.
@@ -51,9 +52,11 @@ TEST(Decay, ExpectedRoundsGrowLogarithmically) {
   const DecaySchedule small(1 << 6);
   const DecaySchedule large(1 << 12);
   const auto m_small = harness::measure_uniform_no_cd_fixed_k(
-      small, (1 << 6) - 1, 4000, 3, 1 << 16);
+      small, (1 << 6) - 1, 4000, 3,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   const auto m_large = harness::measure_uniform_no_cd_fixed_k(
-      large, (1 << 12) - 1, 4000, 3, 1 << 16);
+      large, (1 << 12) - 1, 4000, 3,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   const double ratio = m_large.rounds.mean / m_small.rounds.mean;
   // log scaling predicts roughly 13/7 ~ 1.9; allow generous slack but
   // reject linear scaling (which would be ~64x).
@@ -76,7 +79,7 @@ TEST(Willard, SolvesAllSizesInLogLogTime) {
   const WillardPolicy willard(n);
   for (std::size_t k : {2ul, 100ul, 5000ul, 60000ul}) {
     const auto m = harness::measure_uniform_cd_fixed_k(
-        willard, k, 3000, /*seed=*/29, /*max_rounds=*/1 << 14);
+        willard, k, 3000, /*seed=*/29, {.max_rounds = 1 << 14});
     EXPECT_DOUBLE_EQ(m.success_rate, 1.0) << "k=" << k;
     // log log n = 4; expect a small multiple.
     EXPECT_LT(m.rounds.mean, 40.0) << "k=" << k;
@@ -89,9 +92,11 @@ TEST(Willard, BeatsDecayForLargeNetworks) {
   const WillardPolicy willard(n);
   const DecaySchedule decay(n);
   const auto m_willard =
-      harness::measure_uniform_cd_fixed_k(willard, k, 4000, 31, 1 << 14);
+      harness::measure_uniform_cd_fixed_k(willard, k, 4000, 31,
+                                          {.max_rounds = 1 << 14});
   const auto m_decay = harness::measure_uniform_no_cd_fixed_k(
-      decay, k, 4000, 31, 1 << 14);
+      decay, k, 4000, 31,
+      {.max_rounds = 1 << 14, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_LT(m_willard.rounds.mean, m_decay.rounds.mean);
 }
 
@@ -114,7 +119,8 @@ TEST(FixedProbability, SucceedsInConstantRoundsGivenGoodEstimate) {
   for (std::size_t k : {4ul, 64ul, 1000ul}) {
     const auto schedule = FixedProbabilitySchedule::for_size_estimate(k);
     const auto m = harness::measure_uniform_no_cd_fixed_k(
-        schedule, k, 5000, /*seed=*/41, /*max_rounds=*/1 << 12);
+        schedule, k, 5000, /*seed=*/41,
+        {.max_rounds = 1 << 12, .engine = harness::NoCdEngine::kBinomial});
     EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
     EXPECT_LT(m.rounds.mean, 4.0) << "k=" << k;  // ~e rounds
   }
@@ -127,9 +133,13 @@ TEST(FixedProbability, DegradesWithBadEstimate) {
   const auto good = FixedProbabilitySchedule::for_size_estimate(k);
   const auto bad = FixedProbabilitySchedule::for_size_estimate(k / 8);
   const auto m_good =
-      harness::measure_uniform_no_cd_fixed_k(good, k, 2000, 43, 1 << 16);
+      harness::measure_uniform_no_cd_fixed_k(
+          good, k, 2000, 43,
+          {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   const auto m_bad =
-      harness::measure_uniform_no_cd_fixed_k(bad, k, 500, 43, 1 << 16);
+      harness::measure_uniform_no_cd_fixed_k(
+          bad, k, 500, 43,
+          {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   ASSERT_DOUBLE_EQ(m_bad.success_rate, 1.0);
   EXPECT_LT(m_good.rounds.mean * 20.0, m_bad.rounds.mean);
 }

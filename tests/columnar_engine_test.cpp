@@ -1,16 +1,18 @@
-// The columnar engine layer (channel/engine.h) vs the scalar paths it
-// replaced:
-//  * for each of the three no-CD engines (and the CD adapter), the
-//    measure_* helpers driven through blocks must produce a
-//    Measurement IDENTICAL to the scalar per-trial loop at a fixed
-//    seed — same streams, same draw order, same fold;
+// The columnar engine layer (channel/engine.h) vs the scalar
+// simulators it drives:
+//  * each of the three no-CD engines and the CD adapter, run on one
+//    TrialBlock, must fill trial t's columns exactly as its scalar
+//    simulator does on trial t's derived stream — same streams, same
+//    draw order, element by element;
 //  * the block partition must be invisible: any thread count, and any
 //    trial count relative to the block size, gives identical results;
-//  * regression: the compatibility shims preserve PR 1's published
-//    fixed-seed statistics (golden values captured from the PR 1
-//    binary before the refactor).
+//  * regression: the measure_* helpers preserve the published
+//    fixed-seed statistics (golden values captured from the original
+//    scalar measurement stack).
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -49,9 +51,40 @@ info::SizeDistribution table1_sizes(std::size_t n) {
                        predict::RangePlacement::kHighEndpoint);
 }
 
+/// The result columns of one block of `trials` trials from trial 0.
+struct Columns {
+  std::vector<std::uint8_t> solved;
+  std::vector<std::uint64_t> rounds;
+  std::vector<std::uint64_t> transmissions;
+};
+
+Columns run_one_block(const channel::Engine& engine,
+                      channel::SizeSource sizes, std::size_t trials,
+                      std::uint64_t seed, std::size_t max_rounds) {
+  Columns columns{std::vector<std::uint8_t>(trials),
+                  std::vector<std::uint64_t>(trials),
+                  std::vector<std::uint64_t>(trials)};
+  channel::TrialBlock block{.seed = seed,
+                            .first_trial = 0,
+                            .max_rounds = max_rounds,
+                            .sizes = sizes,
+                            .solved = columns.solved,
+                            .rounds = columns.rounds,
+                            .transmissions = columns.transmissions};
+  engine.run_many(block);
+  return columns;
+}
+
+void expect_trial(const Columns& columns, std::size_t t,
+                  const channel::RunResult& run) {
+  EXPECT_EQ(columns.solved[t], run.solved ? 1 : 0) << "trial " << t;
+  EXPECT_EQ(columns.rounds[t], run.rounds) << "trial " << t;
+  EXPECT_EQ(columns.transmissions[t], run.transmissions) << "trial " << t;
+}
+
 TEST(ColumnarEngine, BatchMatchesScalarSamplerLoop) {
-  // Scalar reference: the PR 1 batch measurement loop — one SplitMix64
-  // stream per trial, one draw for k, one for the solve round.
+  // Scalar reference: one SplitMix64 stream per trial, one draw for k,
+  // one for the solve round.
   constexpr std::size_t n = 1 << 12;
   constexpr std::size_t kTrials = 5000;
   constexpr std::uint64_t kSeed = 404;
@@ -59,23 +92,16 @@ TEST(ColumnarEngine, BatchMatchesScalarSamplerLoop) {
   const auto condensed = actual.condense();
   const core::LikelihoodOrderedSchedule schedule(condensed);
 
+  const channel::BatchColumnarEngine engine(schedule);
+  const auto columns =
+      run_one_block(engine, {&actual, 0}, kTrials, kSeed, 1 << 14);
   const channel::BatchNoCdSampler sampler(schedule);
-  std::vector<channel::RunResult> runs(kTrials);
   for (std::size_t t = 0; t < kTrials; ++t) {
     auto rng = channel::derive_fast_rng(kSeed, t);
     std::uniform_real_distribution<double> unit(0.0, 1.0);
     const std::size_t k = actual.sample_at(unit(rng));
-    runs[t] = sampler.sample(k, rng, 1 << 14);
+    expect_trial(columns, t, sampler.sample(k, rng, 1 << 14));
   }
-  const auto scalar = measurement_from_runs(runs);
-
-  const auto columnar = measure_uniform_no_cd(
-      schedule, actual, kTrials, kSeed,
-      MeasureOptions{.max_rounds = 1 << 14,
-                     .threads = 1,
-                     .engine = NoCdEngine::kBatch,
-                     .keep_samples = true});
-  expect_identical(scalar, columnar);
 }
 
 TEST(ColumnarEngine, BinomialMatchesScalarTrialLoop) {
@@ -85,20 +111,16 @@ TEST(ColumnarEngine, BinomialMatchesScalarTrialLoop) {
   const auto actual = table1_sizes(n);
   const baselines::DecaySchedule decay(n);
 
-  const auto scalar = measure(
-      [&](std::size_t, std::mt19937_64& rng) {
-        const std::size_t k = actual.sample(rng);
-        return channel::run_uniform_no_cd(decay, k, rng,
-                                          {.max_rounds = 1 << 14});
-      },
-      kTrials, kSeed);
-  const auto columnar = measure_uniform_no_cd(
-      decay, actual, kTrials, kSeed,
-      MeasureOptions{.max_rounds = 1 << 14,
-                     .threads = 1,
-                     .engine = NoCdEngine::kBinomial,
-                     .keep_samples = true});
-  expect_identical(scalar, columnar);
+  const channel::BinomialColumnarEngine engine(decay);
+  const auto columns =
+      run_one_block(engine, {&actual, 0}, kTrials, kSeed, 1 << 14);
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    auto rng = channel::derive_rng(kSeed, t);
+    const std::size_t k = actual.sample(rng);
+    expect_trial(columns, t,
+                 channel::run_uniform_no_cd(decay, k, rng,
+                                            {.max_rounds = 1 << 14}));
+  }
 }
 
 TEST(ColumnarEngine, PerPlayerMatchesScalarTrialLoop) {
@@ -107,19 +129,15 @@ TEST(ColumnarEngine, PerPlayerMatchesScalarTrialLoop) {
   constexpr std::uint64_t kSeed = 406;
   const baselines::DecaySchedule decay(n);
 
-  const auto scalar = measure(
-      [&](std::size_t, std::mt19937_64& rng) {
-        return channel::run_uniform_no_cd_per_player(
-            decay, 50, rng, {.max_rounds = 1 << 14});
-      },
-      kTrials, kSeed);
-  const auto columnar = measure_uniform_no_cd_fixed_k(
-      decay, 50, kTrials, kSeed,
-      MeasureOptions{.max_rounds = 1 << 14,
-                     .threads = 1,
-                     .engine = NoCdEngine::kPerPlayer,
-                     .keep_samples = true});
-  expect_identical(scalar, columnar);
+  const channel::PerPlayerColumnarEngine engine(decay);
+  const auto columns =
+      run_one_block(engine, {nullptr, 50}, kTrials, kSeed, 1 << 14);
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    auto rng = channel::derive_rng(kSeed, t);
+    expect_trial(columns, t,
+                 channel::run_uniform_no_cd_per_player(
+                     decay, 50, rng, {.max_rounds = 1 << 14}));
+  }
 }
 
 TEST(ColumnarEngine, CdAdapterMatchesScalarTrialLoop) {
@@ -129,22 +147,20 @@ TEST(ColumnarEngine, CdAdapterMatchesScalarTrialLoop) {
   const auto actual = table1_sizes(n);
   const baselines::WillardPolicy willard(n);
 
-  const auto scalar = measure(
-      [&](std::size_t, std::mt19937_64& rng) {
-        const std::size_t k = actual.sample(rng);
-        return channel::run_uniform_cd(willard, k, rng,
-                                       {.max_rounds = 1 << 12});
-      },
-      kTrials, kSeed);
-  const auto columnar = measure_uniform_cd(
-      willard, actual, kTrials, kSeed,
-      MeasureOptions{
-          .max_rounds = 1 << 12, .threads = 1, .keep_samples = true});
-  expect_identical(scalar, columnar);
+  const channel::CollisionPolicyColumnarEngine engine(willard);
+  const auto columns =
+      run_one_block(engine, {&actual, 0}, kTrials, kSeed, 1 << 12);
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    auto rng = channel::derive_rng(kSeed, t);
+    const std::size_t k = actual.sample(rng);
+    expect_trial(columns, t,
+                 channel::run_uniform_cd(willard, k, rng,
+                                         {.max_rounds = 1 << 12}));
+  }
 }
 
 TEST(ColumnarEngine, BlockPartitionIsInvisible) {
-  // Trial counts straddling the block size, at several thread counts:
+  // Numbers of trials straddling the block size, at several thread counts:
   // all must agree with the single-thread run (which itself visits
   // blocks in order).
   const baselines::DecaySchedule decay(1 << 10);
@@ -197,11 +213,11 @@ TEST(ColumnarEngine, RejectsDegenerateBlocks) {
                std::invalid_argument);
 }
 
-// ---- PR 1 golden statistics --------------------------------------
+// ---- Golden statistics -------------------------------------------
 //
-// Captured from the PR 1 binary (scalar measurement stack) at fixed
-// seeds before the columnar refactor. The compatibility shims must
-// keep reproducing them bit for bit: every engine derives the same
+// Captured from the original scalar measurement stack at fixed seeds
+// before the columnar refactor. The measure_* helpers must keep
+// reproducing them bit for bit: every engine derives the same
 // per-trial streams and consumes draws in the same order as the
 // scalar loops did. keep_samples selects the sample-retaining fold
 // these goldens were captured from; the streaming fold reproduces the
@@ -293,7 +309,7 @@ TEST(ColumnarEngine, GoldenDeterministicAdvice) {
 
   const double wc = worst_case_deterministic_rounds(scan, advice, n, 4,
                                                     false, 200, 2028,
-                                                    8 << 8);
+                                                    {.max_rounds = 8 << 8});
   EXPECT_DOUBLE_EQ(wc, 32.0);
 }
 

@@ -209,7 +209,8 @@ TEST(TruncatedDecay, AdviceShrinksExpectedRounds) {
     const std::size_t group = bits_to_index(advice.advise(participants));
     const TruncatedDecaySchedule schedule(advice.ranges_in_group(group));
     const auto m = harness::measure_uniform_no_cd_fixed_k(
-        schedule, k, 4000, /*seed=*/83, 1 << 14);
+        schedule, k, 4000, /*seed=*/83,
+        {.max_rounds = 1 << 14, .engine = harness::NoCdEngine::kBinomial});
     EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
     means.push_back(m.rounds.mean);
   }
@@ -231,8 +232,8 @@ TEST(TruncatedWillard, SingleRangeGroupIsConstantTime) {
   for (std::size_t i = 0; i < k; ++i) participants[i] = i;
   const std::size_t group = bits_to_index(advice.advise(participants));
   const TruncatedWillardPolicy policy(advice.ranges_in_group(group));
-  const auto m = harness::measure_uniform_cd_fixed_k(policy, k, 4000,
-                                                     /*seed=*/89, 1 << 12);
+  const auto m = harness::measure_uniform_cd_fixed_k(
+      policy, k, 4000, /*seed=*/89, {.max_rounds = 1 << 12});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
   EXPECT_LT(m.rounds.mean, 5.0);
 }
@@ -248,7 +249,7 @@ TEST(TruncatedWillard, AdviceShrinksSearchDepth) {
     const std::size_t group = bits_to_index(advice.advise(participants));
     const TruncatedWillardPolicy policy(advice.ranges_in_group(group));
     const auto m = harness::measure_uniform_cd_fixed_k(
-        policy, k, 4000, /*seed=*/97, 1 << 12);
+        policy, k, 4000, /*seed=*/97, {.max_rounds = 1 << 12});
     EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
     means.push_back(m.rounds.mean);
   }

@@ -60,7 +60,7 @@ TEST(CodedSearch, SolvesAllSizesWithCollisionDetection) {
   const CodedSearchPolicy policy(actual.condense());
   for (std::size_t k : {2ul, 33ul, 1000ul, 16000ul}) {
     const auto m = harness::measure_uniform_cd_fixed_k(
-        policy, k, 2000, /*seed=*/51, /*max_rounds=*/1 << 14);
+        policy, k, 2000, /*seed=*/51, {.max_rounds = 1 << 14});
     EXPECT_DOUBLE_EQ(m.success_rate, 1.0) << "k=" << k;
   }
 }
@@ -69,8 +69,8 @@ TEST(CodedSearch, PerfectPredictionIsNearConstantTime) {
   constexpr std::size_t n = 1 << 14;
   const auto actual = info::SizeDistribution::point_mass(n, 9000);
   const CodedSearchPolicy policy(actual.condense());
-  const auto m = harness::measure_uniform_cd(policy, actual, 4000,
-                                             /*seed=*/53, 1 << 12);
+  const auto m = harness::measure_uniform_cd(policy, actual, 4000, /*seed=*/53,
+                                             {.max_rounds = 1 << 12});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
   EXPECT_LT(m.rounds.mean, 10.0);
 }
@@ -84,9 +84,9 @@ TEST(CodedSearch, HuffmanAndShannonFanoBackendsBothSolve) {
   const CodedSearchPolicy huffman(condensed, CodeBackend::kHuffman);
   const CodedSearchPolicy fano(condensed, CodeBackend::kShannonFano);
   const auto m_huffman = harness::measure_uniform_cd(
-      huffman, actual, 3000, /*seed=*/57, 1 << 14);
+      huffman, actual, 3000, /*seed=*/57, {.max_rounds = 1 << 14});
   const auto m_fano = harness::measure_uniform_cd(
-      fano, actual, 3000, /*seed=*/57, 1 << 14);
+      fano, actual, 3000, /*seed=*/57, {.max_rounds = 1 << 14});
   EXPECT_DOUBLE_EQ(m_huffman.success_rate, 1.0);
   EXPECT_DOUBLE_EQ(m_fano.success_rate, 1.0);
   // The optimal code should not be materially worse.
@@ -101,10 +101,10 @@ TEST(CodedSearch, MisleadingPredictionCostsRounds) {
       condensed, n, crp::predict::RangePlacement::kHighEndpoint);
   const CodedSearchPolicy good(condensed);
   const CodedSearchPolicy bad(crp::predict::reverse_ranges(condensed));
-  const auto m_good = harness::measure_uniform_cd(good, actual, 3000,
-                                                  /*seed=*/59, 1 << 14);
-  const auto m_bad = harness::measure_uniform_cd(bad, actual, 3000,
-                                                 /*seed=*/59, 1 << 14);
+  const auto m_good = harness::measure_uniform_cd(
+      good, actual, 3000, /*seed=*/59, {.max_rounds = 1 << 14});
+  const auto m_bad = harness::measure_uniform_cd(
+      bad, actual, 3000, /*seed=*/59, {.max_rounds = 1 << 14});
   EXPECT_LT(m_good.rounds.mean, m_bad.rounds.mean);
 }
 
@@ -134,7 +134,7 @@ TEST_P(CdOneShotBound, SucceedsWithinQuadraticEntropyBudget) {
   // search overhead.
   const double budget = 4.0 * (h + 1.0) * (h + 1.0) + 4.0;
   const auto measurement = harness::measure_uniform_cd(
-      policy, actual, 4000, /*seed=*/61, 1 << 14);
+      policy, actual, 4000, /*seed=*/61, {.max_rounds = 1 << 14});
   EXPECT_GE(measurement.solved_within(budget), 0.25)
       << "H=" << h << " budget=" << budget;
 }

@@ -66,7 +66,7 @@ TEST(Prelude, CdVersionStillSolvesNormalNetworks) {
   const WithAllTransmitPreludeCd policy(inner);
   for (std::size_t k : {1ul, 2ul, 100ul, 4000ul}) {
     const auto m = harness::measure_uniform_cd_fixed_k(
-        policy, k, 1000, /*seed=*/3, 1 << 12);
+        policy, k, 1000, /*seed=*/3, {.max_rounds = 1 << 12});
     EXPECT_DOUBLE_EQ(m.success_rate, 1.0) << "k=" << k;
   }
 }
@@ -156,7 +156,8 @@ TEST(FaultyAdviceTest, GracefulDegradationWithFlipRate) {
   for (double flip : {0.0, 0.2, 1.0}) {
     const FaultyAdvice faulty(inner, flip, /*seed=*/23);
     const auto m = harness::measure_deterministic_advice(
-        protocol, faulty, actual, n, false, 600, /*seed=*/29, 8 * n);
+        protocol, faulty, actual, n, false, 600, /*seed=*/29,
+        {.max_rounds = 8 * n});
     ASSERT_DOUBLE_EQ(m.success_rate, 1.0) << "flip=" << flip;
     means.push_back(m.rounds.mean);
   }
@@ -195,12 +196,14 @@ TEST(TruncatedFallback, WrongGroupAdviceStillSolvesWithFallback) {
   // Advised group {1, 2}: never contains range 10.
   const TruncatedDecaySchedule with_fallback({1, 2}, all_ranges);
   const auto m = harness::measure_uniform_no_cd_fixed_k(
-      with_fallback, k, 2000, /*seed=*/31, 1 << 14);
+      with_fallback, k, 2000, /*seed=*/31,
+      {.max_rounds = 1 << 14, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
 
   const TruncatedDecaySchedule without({1, 2});
   const auto m_without = harness::measure_uniform_no_cd_fixed_k(
-      without, k, 200, /*seed=*/31, 1 << 10);
+      without, k, 200, /*seed=*/31,
+      {.max_rounds = 1 << 10, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_LT(m_without.success_rate, 0.05);
 }
 
@@ -213,7 +216,7 @@ TEST(TruncatedFallback, WillardFallbackRecoversFromWrongGroup) {
   }
   const TruncatedWillardPolicy with_fallback({1, 2}, all_ranges);
   const auto m = harness::measure_uniform_cd_fixed_k(
-      with_fallback, k, 2000, /*seed=*/37, 1 << 12);
+      with_fallback, k, 2000, /*seed=*/37, {.max_rounds = 1 << 12});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
 }
 
@@ -232,9 +235,11 @@ TEST(TruncatedFallback, CorrectAdviceCostsOnlyConstantFactor) {
   const TruncatedDecaySchedule guarded(advice.ranges_in_group(group),
                                        all_ranges);
   const auto m_plain = harness::measure_uniform_no_cd_fixed_k(
-      plain, k, 3000, /*seed=*/41, 1 << 12);
+      plain, k, 3000, /*seed=*/41,
+      {.max_rounds = 1 << 12, .engine = harness::NoCdEngine::kBinomial});
   const auto m_guarded = harness::measure_uniform_no_cd_fixed_k(
-      guarded, k, 3000, /*seed=*/41, 1 << 12);
+      guarded, k, 3000, /*seed=*/41,
+      {.max_rounds = 1 << 12, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_LT(m_guarded.rounds.mean, 3.0 * m_plain.rounds.mean + 3.0);
 }
 

@@ -35,8 +35,9 @@ TEST(LikelihoodSchedule, PerfectPredictionSolvesInConstantRounds) {
   constexpr std::size_t n = 1024;
   const auto actual = info::SizeDistribution::point_mass(n, 700);
   const LikelihoodOrderedSchedule schedule(actual.condense());
-  const auto m = harness::measure_uniform_no_cd(schedule, actual, 4000,
-                                                /*seed=*/11, 1 << 14);
+  const auto m = harness::measure_uniform_no_cd(
+      schedule, actual, 4000, /*seed=*/11,
+      {.max_rounds = 1 << 14, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
   // Round 1 probes p = 2^-10 with k = 700: success prob ~ k p e^{-kp}
   // ~ 0.34, repeated each pass of 10 rounds; mean is small.
@@ -47,8 +48,9 @@ TEST(LikelihoodSchedule, UniformPredictionDegradesToDecayLikeBehaviour) {
   constexpr std::size_t n = 1 << 12;
   const auto actual = info::SizeDistribution::uniform(n);
   const LikelihoodOrderedSchedule schedule(actual.condense());
-  const auto m = harness::measure_uniform_no_cd(schedule, actual, 3000,
-                                                /*seed=*/13, 1 << 16);
+  const auto m = harness::measure_uniform_no_cd(
+      schedule, actual, 3000, /*seed=*/13,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
   // All 12 ranges are swept per pass; expect a few passes.
   EXPECT_GT(m.rounds.mean, 3.0);
@@ -67,10 +69,12 @@ TEST(LikelihoodSchedule, BadPredictionIsSlowerThanGoodPrediction) {
   const LikelihoodOrderedSchedule good(condensed_truth);
   const auto reversed = crp::predict::reverse_ranges(condensed_truth);
   const LikelihoodOrderedSchedule bad(reversed);
-  const auto m_good = harness::measure_uniform_no_cd(good, actual, 3000,
-                                                     /*seed=*/17, 1 << 16);
-  const auto m_bad = harness::measure_uniform_no_cd(bad, actual, 3000,
-                                                    /*seed=*/17, 1 << 16);
+  const auto m_good = harness::measure_uniform_no_cd(
+      good, actual, 3000, /*seed=*/17,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
+  const auto m_bad = harness::measure_uniform_no_cd(
+      bad, actual, 3000, /*seed=*/17,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_LT(m_good.rounds.mean, m_bad.rounds.mean);
 }
 
@@ -113,9 +117,11 @@ TEST(LikelihoodSchedule, ProportionalBeatsRepeatOnSkewedTruth) {
   const LikelihoodOrderedSchedule proportional(condensed,
                                                CycleMode::kProportional);
   const auto m_repeat = harness::measure_uniform_no_cd(
-      repeat, actual, 4000, /*seed=*/19, 1 << 16);
+      repeat, actual, 4000, /*seed=*/19,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   const auto m_prop = harness::measure_uniform_no_cd(
-      proportional, actual, 4000, /*seed=*/19, 1 << 16);
+      proportional, actual, 4000, /*seed=*/19,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_LT(m_prop.rounds.mean, m_repeat.rounds.mean);
 }
 
@@ -135,7 +141,8 @@ TEST_P(OneShotBound, SucceedsWithinTheoremBudgetWithConstantProbability) {
   const double h = condensed.entropy();  // = log2 m
   const double budget = std::exp2(2.0 * h) + 1.0;  // O(2^{2H}), constant 1
   const auto measurement = harness::measure_uniform_no_cd(
-      schedule, actual, 4000, /*seed=*/23, 1 << 16);
+      schedule, actual, 4000, /*seed=*/23,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_GE(measurement.solved_within(budget), 1.0 / 16.0)
       << "H=" << h << " budget=" << budget;
 }

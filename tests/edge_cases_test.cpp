@@ -31,10 +31,11 @@ TEST_P(RaggedNetwork, DecayAndWillardSolveEveryFeasibleSize) {
   const baselines::WillardPolicy willard(n);
   for (std::size_t k : {std::size_t{2}, (n + 2) / 2, n}) {
     const auto m_decay = harness::measure_uniform_no_cd_fixed_k(
-        decay, k, 500, /*seed=*/1, 1 << 16);
+        decay, k, 500, /*seed=*/1,
+        {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
     EXPECT_DOUBLE_EQ(m_decay.success_rate, 1.0) << "n=" << n << " k=" << k;
     const auto m_willard = harness::measure_uniform_cd_fixed_k(
-        willard, k, 500, /*seed=*/2, 1 << 14);
+        willard, k, 500, /*seed=*/2, {.max_rounds = 1 << 14});
     EXPECT_DOUBLE_EQ(m_willard.success_rate, 1.0)
         << "n=" << n << " k=" << k;
   }
@@ -47,10 +48,11 @@ TEST_P(RaggedNetwork, PredictionAlgorithmsSolveUniformActuals) {
   const core::LikelihoodOrderedSchedule schedule(condensed);
   const core::CodedSearchPolicy policy(condensed);
   const auto m_no_cd = harness::measure_uniform_no_cd(
-      schedule, actual, 500, /*seed=*/3, 1 << 16);
+      schedule, actual, 500, /*seed=*/3,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_DOUBLE_EQ(m_no_cd.success_rate, 1.0) << "n=" << n;
-  const auto m_cd = harness::measure_uniform_cd(policy, actual, 500,
-                                                /*seed=*/4, 1 << 14);
+  const auto m_cd = harness::measure_uniform_cd(policy, actual, 500, /*seed=*/4,
+                                                {.max_rounds = 1 << 14});
   EXPECT_DOUBLE_EQ(m_cd.success_rate, 1.0) << "n=" << n;
 }
 
@@ -94,8 +96,9 @@ TEST(InfiniteDivergence, LikelihoodScheduleStillSolvesEventually) {
   const auto truth = info::SizeDistribution::point_mass(n, 3000);  // rng 12
   ASSERT_TRUE(std::isinf(truth.condense().kl_divergence(prediction)));
   const core::LikelihoodOrderedSchedule schedule(prediction);
-  const auto m = harness::measure_uniform_no_cd(schedule, truth, 1000,
-                                                /*seed=*/7, 1 << 16);
+  const auto m = harness::measure_uniform_no_cd(
+      schedule, truth, 1000, /*seed=*/7,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
   // The true range is probed late in each pass but still every pass.
   EXPECT_GT(m.rounds.mean, 5.0);
@@ -107,8 +110,8 @@ TEST(InfiniteDivergence, CodedSearchFirstPassCoversZeroMassClasses) {
   const auto prediction = info::CondensedDistribution::point_mass(ranges, 2);
   const auto truth = info::SizeDistribution::point_mass(n, 3000);
   const core::CodedSearchPolicy policy(prediction);
-  const auto m = harness::measure_uniform_cd(policy, truth, 1000,
-                                             /*seed=*/8, 1 << 14);
+  const auto m = harness::measure_uniform_cd(policy, truth, 1000, /*seed=*/8,
+                                             {.max_rounds = 1 << 14});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
 }
 
@@ -119,8 +122,9 @@ TEST(InfiniteDivergence, ProportionalCyclingAlsoRetainsCoverage) {
   const auto truth = info::SizeDistribution::point_mass(n, 3000);
   const core::LikelihoodOrderedSchedule schedule(
       prediction, core::CycleMode::kProportional);
-  const auto m = harness::measure_uniform_no_cd(schedule, truth, 1000,
-                                                /*seed=*/9, 1 << 16);
+  const auto m = harness::measure_uniform_no_cd(
+      schedule, truth, 1000, /*seed=*/9,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
 }
 
@@ -132,15 +136,16 @@ TEST(MinimumNetwork, NEquals2EverythingDegeneratesGracefully) {
   const auto actual = info::SizeDistribution::point_mass(n, 2);
   const core::LikelihoodOrderedSchedule schedule(actual.condense());
   EXPECT_DOUBLE_EQ(schedule.probability(0), 0.5);
-  const auto m = harness::measure_uniform_no_cd(schedule, actual, 2000,
-                                                /*seed=*/10, 1 << 10);
+  const auto m = harness::measure_uniform_no_cd(
+      schedule, actual, 2000, /*seed=*/10,
+      {.max_rounds = 1 << 10, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
   // k = 2, p = 1/2: success probability 1/2 per round, mean 2.
   EXPECT_NEAR(m.rounds.mean, 2.0, 0.1);
 
   const core::CodedSearchPolicy policy(actual.condense());
-  const auto m_cd = harness::measure_uniform_cd(policy, actual, 2000,
-                                                /*seed=*/11, 1 << 10);
+  const auto m_cd = harness::measure_uniform_cd(
+      policy, actual, 2000, /*seed=*/11, {.max_rounds = 1 << 10});
   EXPECT_DOUBLE_EQ(m_cd.success_rate, 1.0);
 }
 
@@ -178,8 +183,9 @@ TEST(LargeNetwork, MillionNodeNetworkStaysTractable) {
   EXPECT_EQ(info::num_ranges(n), 20u);
   const auto actual = predict::log_normal_sizes(n, 10.0, 1.0);
   const core::LikelihoodOrderedSchedule schedule(actual.condense());
-  const auto m = harness::measure_uniform_no_cd(schedule, actual, 300,
-                                                /*seed=*/13, 1 << 18);
+  const auto m = harness::measure_uniform_no_cd(
+      schedule, actual, 300, /*seed=*/13,
+      {.max_rounds = 1 << 18, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
 }
 

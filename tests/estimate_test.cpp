@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "channel/engine.h"
 #include "channel/rng.h"
 #include "harness/measure.h"
 #include "info/distribution.h"
@@ -122,8 +123,8 @@ TEST(EstimatePipeline, EstimateThenTransmitSolvesFast) {
   // O(log log n) + O(1) with collision detection.
   constexpr std::size_t n = 1 << 16;
   constexpr std::size_t k = 5000;
-  const auto m = harness::measure(
-      [&](std::size_t, std::mt19937_64& rng) {
+  const channel::AdapterEngine pipeline(
+      [&](std::size_t, std::mt19937_64& rng, const channel::SimOptions&) {
         auto est = estimate_size_cd(k, n, rng, 3, {1 << 12});
         if (!est.estimate) {
           return channel::RunResult{false, est.rounds, std::nullopt, 0};
@@ -139,8 +140,9 @@ TEST(EstimatePipeline, EstimateThenTransmitSolvesFast) {
           }
         }
         return channel::RunResult{false, rounds, std::nullopt, 0};
-      },
-      4000, /*seed=*/37);
+      });
+  const auto m =
+      harness::measure_blocks(pipeline, {nullptr, k}, 4000, /*seed=*/37, {});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
   EXPECT_LT(m.rounds.mean, 40.0);
 }

@@ -79,7 +79,9 @@ TEST(ExactNoCd, AgreesWithMonteCarloForDecay) {
   for (std::size_t k : {2ul, 37ul, 800ul}) {
     const double exact = exact_expected_rounds_no_cd(decay, k);
     const auto mc =
-        measure_uniform_no_cd_fixed_k(decay, k, 20000, /*seed=*/3, 1 << 16);
+        measure_uniform_no_cd_fixed_k(
+            decay, k, 20000, /*seed=*/3,
+            {.max_rounds = 1 << 16, .engine = NoCdEngine::kBinomial});
     EXPECT_NEAR(mc.rounds.mean, exact, 4.0 * mc.rounds.ci95 + 0.01)
         << "k=" << k;
   }
@@ -93,7 +95,9 @@ TEST(ExactNoCd, AgreesWithMonteCarloForLikelihoodSchedule) {
   constexpr std::size_t k = 300;
   const double exact = exact_expected_rounds_no_cd(schedule, k);
   const auto mc =
-      measure_uniform_no_cd_fixed_k(schedule, k, 20000, /*seed=*/5, 1 << 16);
+      measure_uniform_no_cd_fixed_k(
+          schedule, k, 20000, /*seed=*/5,
+          {.max_rounds = 1 << 16, .engine = NoCdEngine::kBinomial});
   EXPECT_NEAR(mc.rounds.mean, exact, 4.0 * mc.rounds.ci95 + 0.01);
 }
 
@@ -113,7 +117,8 @@ TEST(ExactCd, WillardProfileAgreesWithMonteCarlo) {
   for (std::size_t k : {2ul, 500ul, 60000ul}) {
     const auto profile = exact_profile_cd(willard, k, 24);
     const auto mc =
-        measure_uniform_cd_fixed_k(willard, k, 20000, /*seed=*/7, 1 << 14);
+        measure_uniform_cd_fixed_k(willard, k, 20000, /*seed=*/7,
+                                   {.max_rounds = 1 << 14});
     // Compare Pr(solved within 10 rounds).
     const double mc_by10 = mc.solved_within(10.0);
     EXPECT_NEAR(mc_by10, profile.solve_by[10], 0.015) << "k=" << k;
@@ -129,7 +134,8 @@ TEST(ExactCd, CodedSearchExpectationMatchesMonteCarlo) {
   const auto profile = exact_profile_cd(policy, k, 48);
   ASSERT_LT(profile.tail_mass, 0.005);
   const auto mc =
-      measure_uniform_cd_fixed_k(policy, k, 20000, /*seed=*/9, 1 << 12);
+      measure_uniform_cd_fixed_k(policy, k, 20000, /*seed=*/9,
+                                 {.max_rounds = 1 << 12});
   // The truncated expectation charges the tail at horizon + 1, so allow
   // that bias on top of the Monte-Carlo confidence interval.
   EXPECT_NEAR(mc.rounds.mean, profile.truncated_expectation,

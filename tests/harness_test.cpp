@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "channel/engine.h"
 #include "channel/rng.h"
 #include "harness/fit.h"
 #include "harness/measure.h"
@@ -37,28 +38,44 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_THROW(percentile(samples, 1.5), std::invalid_argument);
 }
 
+/// Trials alternate by global index: even trials solve in 3 rounds,
+/// odd ones never solve.
+class AlternatingEngine final : public channel::Engine {
+ public:
+  void run_many(channel::TrialBlock& block) const override {
+    for (std::size_t t = 0; t < block.size(); ++t) {
+      const bool solved = (block.first_trial + t) % 2 == 0;
+      block.solved[t] = solved ? 1 : 0;
+      block.rounds[t] = solved ? 3 : block.max_rounds;
+    }
+  }
+};
+
 TEST(Measure, CountsFailuresAndSuccesses) {
-  // Trials alternate: even indices solve in 3 rounds, odd never solve.
-  const auto m = measure(
-      [](std::size_t t, std::mt19937_64&) {
-        return channel::RunResult{t % 2 == 0, t % 2 == 0 ? 3u : 100u,
-                                  std::nullopt};
-      },
-      100, /*seed=*/1);
-  EXPECT_DOUBLE_EQ(m.success_rate, 0.5);
-  EXPECT_EQ(m.rounds.count, 50u);
-  EXPECT_DOUBLE_EQ(m.rounds.mean, 3.0);
-  EXPECT_DOUBLE_EQ(m.solved_within(3.0), 0.5);
-  EXPECT_DOUBLE_EQ(m.solved_within(2.0), 0.0);
+  const AlternatingEngine engine;
+  for (const bool keep_samples : {false, true}) {
+    const auto m = measure_blocks(engine, {nullptr, 1}, 100, /*seed=*/1,
+                                  {.max_rounds = 100,
+                                   .keep_samples = keep_samples});
+    EXPECT_DOUBLE_EQ(m.success_rate, 0.5);
+    EXPECT_EQ(m.rounds.count, 50u);
+    EXPECT_DOUBLE_EQ(m.rounds.mean, 3.0);
+    EXPECT_DOUBLE_EQ(m.solved_within(3.0), 0.5);
+    EXPECT_DOUBLE_EQ(m.solved_within(2.0), 0.0);
+    EXPECT_EQ(m.samples.size(), keep_samples ? 50u : 0u);
+  }
 }
 
 TEST(Measure, IsReproducibleAcrossCalls) {
-  const Trial trial = [](std::size_t, std::mt19937_64& rng) {
-    std::uniform_int_distribution<std::size_t> rounds(1, 100);
-    return channel::RunResult{true, rounds(rng), std::nullopt};
-  };
-  const auto a = measure(trial, 500, 42);
-  const auto b = measure(trial, 500, 42);
+  const channel::AdapterEngine engine(
+      [](std::size_t, std::mt19937_64& rng, const channel::SimOptions&) {
+        std::uniform_int_distribution<std::size_t> rounds(1, 100);
+        return channel::RunResult{true, rounds(rng), std::nullopt};
+      });
+  const MeasureOptions options{.keep_samples = true};
+  const auto a = measure_blocks(engine, {nullptr, 1}, 500, 42, options);
+  const auto b = measure_blocks(engine, {nullptr, 1}, 500, 42, options);
+  EXPECT_EQ(a.samples.size(), 500u);
   EXPECT_EQ(a.samples, b.samples);
 }
 

@@ -37,7 +37,8 @@ TEST(Table1Integration, NoCdRoundsGrowMonotonicallyWithEntropy) {
         condensed, kNetwork, predict::RangePlacement::kHighEndpoint);
     const core::LikelihoodOrderedSchedule schedule(condensed);
     const auto measurement = harness::measure_uniform_no_cd(
-        schedule, actual, 3000, /*seed=*/101, 1 << 16);
+        schedule, actual, 3000, /*seed=*/101,
+        {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
     ASSERT_DOUBLE_EQ(measurement.success_rate, 1.0);
     entropy.push_back(condensed.entropy());
     rounds.push_back(measurement.rounds.mean);
@@ -69,7 +70,7 @@ TEST(Table1Integration, CdRoundsStayWithinQuadraticEntropyEnvelope) {
         condensed, kNetwork, predict::RangePlacement::kHighEndpoint);
     const core::CodedSearchPolicy policy(condensed);
     const auto measurement = harness::measure_uniform_cd(
-        policy, actual, 3000, /*seed=*/103, 1 << 14);
+        policy, actual, 3000, /*seed=*/103, {.max_rounds = 1 << 14});
     ASSERT_DOUBLE_EQ(measurement.success_rate, 1.0);
     entropy.push_back(condensed.entropy());
     rounds.push_back(measurement.rounds.mean);
@@ -93,9 +94,10 @@ TEST(Table1Integration, CollisionDetectionBeatsNoCdAtHighEntropy) {
   const core::LikelihoodOrderedSchedule no_cd(condensed);
   const core::CodedSearchPolicy cd(condensed);
   const auto m_no_cd = harness::measure_uniform_no_cd(
-      no_cd, actual, 3000, /*seed=*/105, 1 << 16);
-  const auto m_cd = harness::measure_uniform_cd(cd, actual, 3000,
-                                                /*seed=*/105, 1 << 14);
+      no_cd, actual, 3000, /*seed=*/105,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
+  const auto m_cd = harness::measure_uniform_cd(cd, actual, 3000, /*seed=*/105,
+                                                {.max_rounds = 1 << 14});
   EXPECT_LT(m_cd.rounds.mean, m_no_cd.rounds.mean);
 }
 
@@ -116,7 +118,8 @@ TEST(DivergenceIntegration, NoCdCostIncreasesWithKl) {
     const auto prediction = predict::mix(truth, adversary, lambda);
     const core::LikelihoodOrderedSchedule schedule(prediction);
     const auto measurement = harness::measure_uniform_no_cd(
-        schedule, actual, 3000, /*seed=*/107, 1 << 16);
+        schedule, actual, 3000, /*seed=*/107,
+        {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
     ASSERT_DOUBLE_EQ(measurement.success_rate, 1.0);
     divergence.push_back(truth.kl_divergence(prediction));
     rounds.push_back(measurement.rounds.mean);
@@ -139,9 +142,11 @@ TEST(DivergenceIntegration, BoundedFactorErrorIsNearlyFree) {
   const core::LikelihoodOrderedSchedule exact(truth);
   const core::LikelihoodOrderedSchedule noisy(jittered);
   const auto m_exact = harness::measure_uniform_no_cd(
-      exact, actual, 4000, /*seed=*/111, 1 << 16);
+      exact, actual, 4000, /*seed=*/111,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   const auto m_noisy = harness::measure_uniform_no_cd(
-      noisy, actual, 4000, /*seed=*/111, 1 << 16);
+      noisy, actual, 4000, /*seed=*/111,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_LT(m_noisy.rounds.mean, m_exact.rounds.mean * 2.5 + 4.0);
 }
 
@@ -159,7 +164,8 @@ TEST(LowerBoundIntegration, DecayRespectsEntropyLowerBoundChain) {
     const auto actual = predict::lift(
         condensed, n, predict::RangePlacement::kHighEndpoint);
     const auto measurement = harness::measure_uniform_no_cd(
-        decay, actual, 3000, /*seed=*/113, 1 << 16);
+        decay, actual, 3000, /*seed=*/113,
+        {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
     const double h = condensed.entropy();
     const double bound = std::exp2(h) / (16.0 * loglog);
     EXPECT_GE(measurement.rounds.mean, bound) << "H=" << h;
@@ -201,7 +207,8 @@ TEST(Table2Integration, RandomizedNoCdFollowsLogOver2bShape) {
     const core::TruncatedDecaySchedule schedule(
         advice.ranges_in_group(group));
     const auto m = harness::measure_uniform_no_cd_fixed_k(
-        schedule, k, 4000, /*seed=*/117, 1 << 14);
+        schedule, k, 4000, /*seed=*/117,
+        {.max_rounds = 1 << 14, .engine = harness::NoCdEngine::kBinomial});
     ASSERT_DOUBLE_EQ(m.success_rate, 1.0);
     predicted.push_back(logn / std::exp2(static_cast<double>(b)));
     measured.push_back(m.rounds.mean);
@@ -254,7 +261,7 @@ TEST(Table2Integration, RandomizedCdIsAdditiveInAdvice) {
     const core::TruncatedWillardPolicy policy(
         advice.ranges_in_group(group));
     const auto m = harness::measure_uniform_cd_fixed_k(
-        policy, k, 4000, /*seed=*/123, 1 << 12);
+        policy, k, 4000, /*seed=*/123, {.max_rounds = 1 << 12});
     ASSERT_DOUBLE_EQ(m.success_rate, 1.0);
     measured.push_back(m.rounds.mean);
   }
@@ -277,9 +284,11 @@ TEST(BaselineIntegration, PredictionsInterpolateBetweenBestAndWorstCase) {
       point.condense(), core::CycleMode::kProportional);
   const baselines::DecaySchedule decay(n);
   const auto m_perfect = harness::measure_uniform_no_cd_fixed_k(
-      perfect, k, 4000, /*seed=*/127, 1 << 14);
+      perfect, k, 4000, /*seed=*/127,
+      {.max_rounds = 1 << 14, .engine = harness::NoCdEngine::kBinomial});
   const auto m_decay = harness::measure_uniform_no_cd_fixed_k(
-      decay, k, 4000, /*seed=*/127, 1 << 14);
+      decay, k, 4000, /*seed=*/127,
+      {.max_rounds = 1 << 14, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_LT(m_perfect.rounds.mean, m_decay.rounds.mean);
   EXPECT_LT(m_perfect.rounds.mean, 8.0);
 }

@@ -1,10 +1,13 @@
-// Determinism of the thread-pool harness: measure_parallel must
-// reproduce the serial measure() bit for bit at every thread count,
-// for synthetic trials and for real workloads (including the batch
-// engine, whose lazily built tables are shared across workers). The
-// (cell, block) scheduler under measure_cells keeps its rules: a cell's
-// first block runs alone, at most `threads` cells hold an engine, and
-// an error in any block surfaces on the caller after the pool drains.
+// Determinism of the thread-pool harness: measure_blocks must return
+// the same Measurement at every thread count, for synthetic per-trial
+// functions run through channel::AdapterEngine and for real workloads
+// (including the batch engine, whose lazily built tables are shared
+// across workers). AdapterEngine keeps the per-trial stream contract:
+// trial t runs on derive_rng(seed, t), drawing k first when sizes are
+// drawn. The (cell, block) scheduler under measure_cells keeps its
+// rules: a cell's first block runs alone, at most `threads` cells hold
+// an engine, and an error in any block surfaces on the caller after
+// the pool drains.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -18,6 +21,7 @@
 
 #include "baselines/decay.h"
 #include "channel/batch.h"
+#include "channel/engine.h"
 #include "channel/rng.h"
 #include "core/advice_deterministic.h"
 #include "harness/measure.h"
@@ -30,6 +34,7 @@ namespace {
 void expect_identical(const Measurement& a, const Measurement& b) {
   EXPECT_EQ(a.trials, b.trials);
   EXPECT_EQ(a.samples, b.samples);  // element-wise, in trial order
+  EXPECT_TRUE(a.histogram == b.histogram);
   EXPECT_EQ(a.success_rate, b.success_rate);
   EXPECT_EQ(a.rounds.count, b.rounds.count);
   EXPECT_EQ(a.rounds.mean, b.rounds.mean);
@@ -41,36 +46,149 @@ void expect_identical(const Measurement& a, const Measurement& b) {
   EXPECT_EQ(a.rounds.max, b.rounds.max);
 }
 
-TEST(MeasureParallel, BitIdenticalToSerialAtEveryThreadCount) {
-  const Trial trial = [](std::size_t, std::mt19937_64& rng) {
-    std::uniform_int_distribution<std::size_t> rounds(1, 500);
-    const std::size_t r = rounds(rng);
-    return channel::RunResult{r % 7 != 0, r, std::nullopt};
-  };
-  const auto serial = measure(trial, 3001, 42);
-  for (std::size_t threads : {1ul, 2ul, 8ul}) {
-    expect_identical(serial, measure_parallel(trial, 3001, 42, threads));
+/// A synthetic per-trial function: a uniform round in [1, 500] drawn
+/// from the trial's stream, unsolved when divisible by 7.
+channel::RunResult synthetic_trial(std::size_t, std::mt19937_64& rng,
+                                   const channel::SimOptions&) {
+  std::uniform_int_distribution<std::size_t> rounds(1, 500);
+  const std::size_t r = rounds(rng);
+  return channel::RunResult{r % 7 != 0, r, std::nullopt};
+}
+
+TEST(AdapterEngine, BitIdenticalAtEveryThreadCountInBothFolds) {
+  const channel::AdapterEngine engine(synthetic_trial);
+  for (const bool keep_samples : {false, true}) {
+    const MeasureOptions serial{.threads = 1, .keep_samples = keep_samples};
+    const auto reference = measure_blocks(engine, {nullptr, 1}, 3001, 42,
+                                          serial);
+    EXPECT_EQ(reference.trials, 3001u);
+    EXPECT_EQ(reference.samples.empty(), !keep_samples);
+    for (const std::size_t threads : {1ul, 2ul, 8ul}) {
+      MeasureOptions pooled = serial;
+      pooled.threads = threads;
+      expect_identical(reference, measure_blocks(engine, {nullptr, 1}, 3001,
+                                                 42, pooled));
+    }
   }
 }
 
-TEST(MeasureParallel, BatchEngineTrialsAreThreadCountInvariant) {
+TEST(AdapterEngine, DrawsKThenRunsOnOneStreamPerTrial) {
+  // Pinned against a hand-written loop: trial t derives its stream
+  // from (seed, t), draws k from the size distribution, then runs on
+  // the same stream with the block's round budget.
+  const auto sizes = info::SizeDistribution::uniform(64);
+  const channel::AdapterEngine engine(
+      [](std::size_t k, std::mt19937_64& rng,
+         const channel::SimOptions& options) {
+        std::uniform_int_distribution<std::size_t> extra(0, k);
+        const std::size_t r = k + extra(rng);
+        const bool solved = r < options.max_rounds;
+        return channel::RunResult{solved, solved ? r : options.max_rounds,
+                                  std::nullopt, k};
+      });
+  constexpr std::size_t kTrials = 2500;
+  constexpr std::uint64_t kSeed = 77;
+  constexpr std::size_t kBudget = 100;
+  const auto m = measure_blocks(
+      engine, {&sizes, 0}, kTrials, kSeed,
+      {.max_rounds = kBudget, .keep_samples = true,
+       .measure_transmissions = true});
+
+  std::vector<double> expected;
+  MomentAccumulator energy;
+  std::vector<std::uint64_t> ks;
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    auto rng = channel::derive_rng(kSeed, t);
+    const std::size_t k = sizes.sample(rng);
+    std::uniform_int_distribution<std::size_t> extra(0, k);
+    const std::size_t r = k + extra(rng);
+    if (r < kBudget) expected.push_back(static_cast<double>(r));
+    ks.push_back(k);
+  }
+  energy.add_column(ks);
+  EXPECT_EQ(m.samples, expected);
+  EXPECT_LT(m.success_rate, 1.0);  // the budget censors some trials
+  // The transmissions column carries each trial's drawn k.
+  EXPECT_EQ(m.transmissions.count(), energy.count());
+  EXPECT_EQ(m.transmissions.min(), energy.min());
+  EXPECT_EQ(m.transmissions.max(), energy.max());
+  EXPECT_EQ(m.transmissions.mean(), energy.mean());
+  EXPECT_EQ(m.transmissions.stddev(), energy.stddev());
+}
+
+TEST(AdapterEngine, BatchSamplerTrialsAreThreadCountInvariant) {
   // The sampler's schedule and per-k tables are built lazily by
   // whichever worker gets there first; results must not depend on the
   // race outcome.
   const baselines::DecaySchedule decay(1 << 10);
   const channel::BatchNoCdSampler sampler(decay);
   const auto sizes = info::SizeDistribution::uniform(1 << 10);
-  const Trial trial = [&](std::size_t, std::mt19937_64& rng) {
-    const std::size_t k = sizes.sample(rng);
-    return sampler.sample(k, rng, {.max_rounds = 1 << 14});
-  };
-  const auto serial = measure(trial, 4000, 7);
-  for (std::size_t threads : {2ul, 8ul}) {
-    expect_identical(serial, measure_parallel(trial, 4000, 7, threads));
+  const channel::AdapterEngine engine(
+      [&](std::size_t k, std::mt19937_64& rng,
+          const channel::SimOptions& options) {
+        return sampler.sample(k, rng, {.max_rounds = options.max_rounds});
+      });
+  const MeasureOptions serial{
+      .max_rounds = 1 << 14, .threads = 1, .keep_samples = true};
+  const auto reference = measure_blocks(engine, {&sizes, 0}, 4000, 7, serial);
+  for (const std::size_t threads : {2ul, 8ul}) {
+    MeasureOptions pooled = serial;
+    pooled.threads = threads;
+    expect_identical(reference,
+                     measure_blocks(engine, {&sizes, 0}, 4000, 7, pooled));
   }
 }
 
-TEST(MeasureParallel, MeasureHelpersMatchSerialHelpers) {
+TEST(AdapterEngine, HandlesDegenerateTrialCounts) {
+  const channel::AdapterEngine engine(
+      [](std::size_t, std::mt19937_64&, const channel::SimOptions&) {
+        return channel::RunResult{true, 1, std::nullopt};
+      });
+  for (const bool keep_samples : {false, true}) {
+    const MeasureOptions options{.threads = 8, .keep_samples = keep_samples};
+    const auto none = measure_blocks(engine, {nullptr, 1}, 0, 1, options);
+    EXPECT_EQ(none.trials, 0u);
+    EXPECT_EQ(none.success_rate, 0.0);
+    EXPECT_TRUE(none.samples.empty());
+    const auto one = measure_blocks(engine, {nullptr, 1}, 1, 1, options);
+    EXPECT_EQ(one.trials, 1u);
+    EXPECT_EQ(one.success_rate, 1.0);
+    EXPECT_EQ(one.rounds.count, 1u);
+    EXPECT_EQ(one.samples.size(), keep_samples ? 1u : 0u);
+  }
+}
+
+TEST(AdapterEngine, PropagatesTrialExceptionsAfterThePoolDrains) {
+  // The per-trial function does not see its trial index; trial 1234 is
+  // the one whose stream starts out equal to derive_rng(1, 1234).
+  const auto boom = channel::derive_rng(1, 1234);
+  std::atomic<std::size_t> calls{0};
+  const channel::AdapterEngine engine(
+      [&](std::size_t, std::mt19937_64& rng, const channel::SimOptions&) {
+        calls.fetch_add(1);
+        if (rng == boom) throw std::runtime_error("boom");
+        return channel::RunResult{true, 1, std::nullopt};
+      });
+  for (const std::size_t threads : {1ul, 4ul}) {
+    EXPECT_THROW(
+        measure_blocks(engine, {nullptr, 1}, 3000, 1, {.threads = threads}),
+        std::runtime_error);
+    // Every worker has joined: no trial runs after the rethrow.
+    const std::size_t after = calls.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(calls.load(), after);
+  }
+}
+
+TEST(AdapterEngine, RejectsAnEmptySizeSource) {
+  const channel::AdapterEngine engine(synthetic_trial);
+  EXPECT_THROW(measure_blocks(engine, {nullptr, 0}, 10, 1, {.threads = 1}),
+               std::invalid_argument);
+  EXPECT_THROW(measure_blocks(engine, {nullptr, 0}, 10, 1, {.threads = 4}),
+               std::invalid_argument);
+}
+
+TEST(MeasureHelpers, NoCdEnginesAreThreadCountInvariant) {
   const baselines::DecaySchedule decay(1 << 10);
   for (const auto engine :
        {NoCdEngine::kBinomial, NoCdEngine::kBatch, NoCdEngine::kPerPlayer}) {
@@ -86,41 +204,32 @@ TEST(MeasureParallel, MeasureHelpersMatchSerialHelpers) {
   }
 }
 
-TEST(MeasureParallel, DeterministicAdviceMatchesLegacySerialPath) {
+TEST(MeasureHelpers, DeterministicAdviceMatchesHandWrittenLoop) {
   constexpr std::size_t n = 1 << 8;
   constexpr std::size_t b = 3;
   const core::SubtreeScanProtocol scan(n, b);
   const core::MinIdPrefixAdvice advice(n, b);
   const auto sizes = info::SizeDistribution::uniform(32);
-  const auto legacy = measure_deterministic_advice(scan, advice, sizes, n,
-                                                   false, 800, 5, 8 * n);
-  // keep_samples matches the legacy fold (the plain-max_rounds entry
-  // points always retain samples).
-  const auto pooled = measure_deterministic_advice(
-      scan, advice, sizes, n, false, 800, 5,
-      MeasureOptions{.max_rounds = 8 * n, .threads = 8,
-                     .keep_samples = true});
-  expect_identical(legacy, pooled);
-}
-
-TEST(MeasureParallel, HandlesDegenerateTrialCounts) {
-  const Trial trial = [](std::size_t, std::mt19937_64&) {
-    return channel::RunResult{true, 1, std::nullopt};
-  };
-  const auto none = measure_parallel(trial, 0, 1, 8);
-  EXPECT_EQ(none.trials, 0u);
-  EXPECT_EQ(none.samples.size(), 0u);
-  const auto one = measure_parallel(trial, 1, 1, 8);
-  EXPECT_EQ(one.trials, 1u);
-  EXPECT_EQ(one.samples.size(), 1u);
-}
-
-TEST(MeasureParallel, PropagatesTrialExceptions) {
-  const Trial trial = [](std::size_t t, std::mt19937_64&) {
-    if (t == 1234) throw std::runtime_error("boom");
-    return channel::RunResult{true, 1, std::nullopt};
-  };
-  EXPECT_THROW(measure_parallel(trial, 3000, 1, 4), std::runtime_error);
+  std::vector<double> expected;
+  for (std::size_t t = 0; t < 800; ++t) {
+    auto rng = channel::derive_rng(5, t);
+    const auto participants =
+        random_participant_set(n, sizes.sample(rng), rng);
+    const auto run = channel::run_deterministic(
+        scan, advice.advise(participants), participants, false,
+        {.max_rounds = 8 * n});
+    if (run.solved) expected.push_back(static_cast<double>(run.rounds));
+  }
+  const MeasureOptions serial{
+      .max_rounds = 8 * n, .threads = 1, .keep_samples = true};
+  const auto reference = measure_deterministic_advice(scan, advice, sizes, n,
+                                                      false, 800, 5, serial);
+  EXPECT_EQ(reference.samples, expected);
+  MeasureOptions pooled = serial;
+  pooled.threads = 8;
+  expect_identical(reference, measure_deterministic_advice(
+                                  scan, advice, sizes, n, false, 800, 5,
+                                  pooled));
 }
 
 /// Deterministic synthetic engine: trial t solves in (t % 7) + 1

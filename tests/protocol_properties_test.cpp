@@ -151,11 +151,9 @@ TEST_P(ScheduleProperties, EventuallySolvesAFeasibleSize) {
   // 4 (their groups include ranges 3..5); the rest get k = 100.
   const bool truncated = test_case.name == "truncated-decay";
   const std::size_t k = truncated ? 12 : 100;
-  const auto m = harness::measure(
-      [&](std::size_t, std::mt19937_64& rng) {
-        return channel::run_uniform_no_cd(*schedule, k, rng, {1 << 16});
-      },
-      300, /*seed=*/17);
+  const auto m = harness::measure_uniform_no_cd_fixed_k(
+      *schedule, k, 300, /*seed=*/17,
+      {.max_rounds = 1 << 16, .engine = harness::NoCdEngine::kBinomial});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0) << test_case.name;
 }
 
@@ -199,11 +197,8 @@ TEST_P(PolicyProperties, SolvesAFeasibleSizeUnderSimulation) {
   const bool truncated = test_case.name == "truncated-willard";
   // Truncated group covers ranges 5..8 -> pick k in range 6.
   const std::size_t k = truncated ? 50 : 100;
-  const auto m = harness::measure(
-      [&](std::size_t, std::mt19937_64& rng) {
-        return channel::run_uniform_cd(*policy, k, rng, {1 << 14});
-      },
-      300, /*seed=*/31);
+  const auto m = harness::measure_uniform_cd_fixed_k(
+      *policy, k, 300, /*seed=*/31, {.max_rounds = 1 << 14});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0) << test_case.name;
 }
 
