@@ -133,9 +133,9 @@ class HistoryTreeEngine final : public Engine {
 /// turn caching its expansions per (k, horizon) — so a grid whose
 /// cells share a CD policy expands every (policy, k, horizon) tree
 /// exactly once for the whole sweep instead of once per cell.
-/// run_sweep() holds one cache per sweep and threads it to the CD
-/// helpers via MeasureOptions::tree_cache; per-call engine
-/// construction stays the non-sweep default (a null tree_cache).
+/// run_sweep() holds one cache per call, journaled shards included,
+/// and threads it to the CD helpers via MeasureOptions::tree_cache;
+/// per-call construction stays the non-sweep default (null tree_cache).
 ///
 /// Ownership: the cache borrows its policies (a keyed policy must
 /// outlive the cache, which sweep cells guarantee — SweepAlgorithm

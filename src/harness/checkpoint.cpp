@@ -11,7 +11,6 @@
 #include <sstream>
 #include <utility>
 
-#include "channel/history_engine.h"
 #include "channel/rng.h"
 #include "harness/csv.h"
 #include "harness/framed_journal.h"
@@ -388,46 +387,49 @@ CheckpointRunResult run_sweep_shard_checkpointed(
                                              ? options.sink_factory(path)
                                              : open_file_checkpoint_sink(path);
 
-  // One history-tree cache across the per-cell run_sweep calls, so a
-  // checkpointed CD sweep expands each (policy, k, horizon) tree once,
-  // matching the monolithic run_sweep's amortization.
-  const channel::HistoryTreeCache tree_cache;
-  SweepOptions cell_options = sweep_options;
-  if (cell_options.cd_engine == CdEngine::kHistoryTree &&
-      cell_options.tree_cache == nullptr) {
-    cell_options.tree_cache = &tree_cache;
-  }
-
+  // One run_sweep over the first max_cells unjournaled cells (the plan
+  // pins every seed stream, so a sub-span keeps every seed), journaled
+  // from the in-order delivery. A stop throws out of the delivery and
+  // abandons the open cells; resume re-executes them.
+  struct Stop {};
+  const auto stop_requested = [&] {
+    return options.interrupted && options.interrupted();
+  };
+  std::vector<std::size_t> pending;
+  std::vector<SweepCell> todo;
   for (std::size_t j = 0; j < range; ++j) {
     if (rows[j].has_value()) continue;
-    if (options.interrupted && options.interrupted()) break;
-    if (options.max_cells != 0 && result.executed_cells >= options.max_cells) {
-      break;
+    pending.push_back(j);
+    if (options.max_cells == 0 || todo.size() < options.max_cells) {
+      todo.push_back(plan.cells[j]);
     }
-    if (options.on_cell_start) options.on_cell_start(plan.cell_begin + j);
-    auto cell_results =
-        run_sweep(std::span<const SweepCell>(&plan.cells[j], 1), cell_options);
-    SweepResult cell_result = std::move(cell_results.front());
-    cell_result.cell_index = plan.cell_begin + j;
-    CheckpointRecord record{.cell_index = cell_result.cell_index,
-                            .cell_seed = cell_result.cell_seed,
-                            .row = sweep_csv_row(cell_result)};
-    // Append + fsync per cell: after this returns, a crash at any
-    // later byte boundary preserves this cell.
-    sink->append(format_checkpoint_record(record));
-    sink->sync();
-    rows[j] = std::move(record.row);
-    ++result.executed_cells;
-    if (options.on_cell_executed) {
-      options.on_cell_executed(plan.cell_begin + j);
-    }
+  }
+  try {
+    if (!pending.empty() && stop_requested()) throw Stop{};
+    run_sweep(todo, sweep_options, [&](const SweepResult& cell_result) {
+      const std::size_t j = pending[cell_result.cell_index];
+      const std::size_t global = plan.cell_begin + j;
+      if (options.on_cell_start) options.on_cell_start(global);
+      CheckpointRecord record{.cell_index = global,
+                              .cell_seed = cell_result.cell_seed,
+                              .row = sweep_csv_row(cell_result)};
+      // Append + fsync per cell: after this returns, a crash at any
+      // later byte boundary preserves this cell.
+      sink->append(format_checkpoint_record(record));
+      sink->sync();
+      rows[j] = std::move(record.row);
+      ++result.executed_cells;
+      if (options.on_cell_executed) options.on_cell_executed(global);
+      if (cell_result.cell_index + 1 < pending.size() && stop_requested()) {
+        throw Stop{};
+      }
+    });
+  } catch (const Stop&) {
+    result.status = CheckpointRunStatus::kInterrupted;
   }
 
-  for (const auto& row : rows) {
-    if (!row.has_value()) ++result.remaining_cells;
-  }
+  result.remaining_cells = pending.size() - result.executed_cells;
   if (result.remaining_cells == 0) {
-    result.status = CheckpointRunStatus::kCompleted;
     std::string csv = csv_header;
     csv += '\n';
     for (const auto& row : rows) {

@@ -1,8 +1,9 @@
 // Crash-safe checkpoint/resume for sweep shards: a durable per-cell
 // progress journal in front of the deterministic shard pipeline
 // (harness/shard.h), so a worker killed at any byte boundary — power
-// loss, kill -9, disk full — loses at most the cell it was executing
-// and can never leave a silently corrupt artifact.
+// loss, kill -9, disk full — loses at most its open cells and the
+// closed ones waiting on a lower cell, and never leaves a silently
+// corrupt artifact.
 //
 // The journal is append-only. It opens with a header block recording
 // the shard's full identity (its RunIdentity, cell range, and the sweep
@@ -28,8 +29,9 @@
 /// data. run_sweep_shard_checkpointed borrows its cells exactly as
 /// run_sweep does.
 ///
-/// Thread-safety: the runner executes cells sequentially (each cell
-/// parallelizes internally via run_sweep); a journal file must only
+/// Thread-safety: the runner runs its cells in one run_sweep and
+/// journals each from the in-order result callback, so appends and
+/// hooks run one at a time, in cell order; a journal file must only
 /// ever be appended to by one process at a time.
 ///
 /// Determinism: the 5th leg of the determinism contract
@@ -147,8 +149,8 @@ CheckpointJournal read_checkpoint_journal(const std::string& path);
 /// Why run_sweep_shard_checkpointed returned.
 enum class CheckpointRunStatus {
   kCompleted,    ///< every cell in the range is journaled; csv is final
-  kInterrupted,  ///< stopped between cells (signal / cell budget);
-                 ///< journal holds the completed prefix, resume later
+  kInterrupted,  ///< stopped after a journaled cell (signal / cell
+                 ///< budget); journal holds the prefix, resume later
 };
 
 struct CheckpointRunOptions {
@@ -157,20 +159,20 @@ struct CheckpointRunOptions {
   /// false: the journal must not exist yet (fresh run). true: it must
   /// exist and validate against the plan (resume).
   bool resume = false;
-  /// Polled between cells; return true to stop cleanly after the
-  /// in-flight cell (the SIGINT/SIGTERM hook — the handler sets a
-  /// flag, the runner finishes the cell, flushes, and returns
+  /// Polled before the run and after each journaled cell with work
+  /// left; true stops cleanly (the SIGINT/SIGTERM hook: open cells are
+  /// abandoned for resume to re-execute, the runner returns
   /// kInterrupted).
   std::function<bool()> interrupted;
-  /// Stop after executing this many cells in this session (0 =
+  /// Execute only the first this-many unjournaled cells (0 =
   /// unlimited). Scheduler aid: bounded work quanta per invocation.
   std::size_t max_cells = 0;
   /// Sink factory; null = open_file_checkpoint_sink.
   CheckpointSinkFactory sink_factory;
   /// Fault-injection seams (null = no-op): called with the *global*
-  /// grid index of each freshly executed cell — on_cell_start just
-  /// before the cell runs, on_cell_executed right after its record is
-  /// durably appended. crp_shard wires these to the CRP_FAULT_* env
+  /// grid index of each executed cell, in cell order, one at a time —
+  /// on_cell_start before its record is appended, on_cell_executed
+  /// once it is durable. crp_shard wires these to the CRP_FAULT_* env
   /// vars so supervisor tests can drive real subprocess failures
   /// deterministically; replayed cells never trigger them.
   std::function<void(std::size_t)> on_cell_start;
@@ -193,8 +195,8 @@ struct CheckpointRunResult {
 
 /// Runs one shard of the grid with a durable journal: plans the shard,
 /// validates or creates the journal, replays journaled cells verbatim,
-/// executes the remainder cell by cell (appending + fsyncing one record
-/// per completed cell), and assembles the artifact CSV. The result CSV
+/// executes the remainder in one run_sweep (appending + fsyncing each
+/// record in cell order), and assembles the artifact CSV. The result CSV
 /// is byte-identical to write_sweep_csv over run_sweep of the shard's
 /// cells regardless of how many crash/resume cycles preceded it.
 ///

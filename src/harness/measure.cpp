@@ -79,8 +79,9 @@ std::shared_ptr<const channel::Engine> uniform_engine(
       policy);
 }
 
-std::vector<Measurement> measure_cells(std::span<const MeasureCell> cells,
-                                       std::size_t threads) {
+std::vector<Measurement> measure_cells(
+    std::span<const MeasureCell> cells, std::size_t threads,
+    const std::function<void(std::size_t, const Measurement&)>& on_result) {
   // A cell's state lives from open to close. The sample-retaining fold
   // writes whole-cell columns in place and folds them in trial order
   // (the pre-streaming behavior, bit for bit); the streaming fold adds
@@ -107,6 +108,10 @@ std::vector<Measurement> measure_cells(std::span<const MeasureCell> cells,
   std::vector<CellState> states(cells.size());
   std::vector<Scratch> scratch(parallel_worker_count(totals, threads));
   std::vector<Measurement> results(cells.size());
+  // The delivery cursor moves before each call and to the end on a throw.
+  std::mutex delivery;
+  std::vector<bool> closed(cells.size());
+  std::size_t delivered = 0;
 
   const auto open = [&](std::size_t c) {
     const MeasureCell& cell = cells[c];
@@ -176,6 +181,18 @@ std::vector<Measurement> measure_cells(std::span<const MeasureCell> cells,
     state.solved = {};
     state.rounds = {};
     state.transmissions = {};
+    if (!on_result) return;
+    const std::lock_guard lock(delivery);
+    closed[c] = true;
+    while (delivered < cells.size() && closed[delivered]) {
+      const std::size_t next = delivered++;
+      try {
+        on_result(next, results[next]);
+      } catch (...) {
+        delivered = cells.size();
+        throw;
+      }
+    }
   };
   parallel_cells(totals, threads,
                  CellSteps{.open = open,

@@ -20,7 +20,7 @@
 //                            the journal's valid prefix survives
 //
 // A per-worker wall-clock timeout turns hangs into failures: SIGTERM
-// first (the worker finishes its in-flight cell and exits 75), SIGKILL
+// first (the worker stops at its next journaled cell, exits 75), SIGKILL
 // after a grace period. Ranges that exhaust their retry budget are
 // bisected; a single cell that still fails lands on the quarantine
 // list, and the run degrades gracefully — the final merge ships with a

@@ -65,8 +65,9 @@ std::vector<SweepCell> SweepGrid::cells() const {
   return cells;
 }
 
-std::vector<SweepResult> run_sweep(std::span<const SweepCell> cells,
-                                   const SweepOptions& options) {
+std::vector<SweepResult> run_sweep(
+    std::span<const SweepCell> cells, const SweepOptions& options,
+    const std::function<void(const SweepResult&)>& on_result) {
   // One history-tree engine cache for the whole sweep: cells sharing a
   // CD policy expand each (policy, k, horizon) tree once instead of
   // once per cell. Results are identical to per-cell engines (the
@@ -74,9 +75,7 @@ std::vector<SweepResult> run_sweep(std::span<const SweepCell> cells,
   // amortization.
   const channel::HistoryTreeCache tree_cache;
   const channel::HistoryTreeCache* shared_trees =
-      options.cd_engine == CdEngine::kHistoryTree
-          ? (options.tree_cache != nullptr ? options.tree_cache : &tree_cache)
-          : nullptr;
+      options.cd_engine == CdEngine::kHistoryTree ? &tree_cache : nullptr;
   std::vector<SweepResult> results(cells.size());
   std::vector<MeasureCell> measured(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -114,7 +113,12 @@ std::vector<SweepResult> run_sweep(std::span<const SweepCell> cells,
   // Every cell's blocks go to one pool: heavy cells spread over every
   // worker while light ones fill the gaps, and each cell's result is a
   // function of (cell, cell seed, trials) only.
-  auto measurements = measure_cells(measured, options.threads);
+  auto measurements = measure_cells(
+      measured, options.threads,
+      on_result ? [&](std::size_t i, const Measurement& measurement) {
+        results[i].measurement = measurement;
+        on_result(results[i]);
+      } : std::function<void(std::size_t, const Measurement&)>());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     results[i].measurement = std::move(measurements[i]);
   }

@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -131,14 +132,6 @@ struct SweepOptions {
   NoCdEngine engine = NoCdEngine::kBatch;
   /// Engine for the uniform CD cells (no-CD cells ignore it).
   CdEngine cd_engine = CdEngine::kSimulate;
-  /// Optional caller-owned history-tree cache for the CD cells; null =
-  /// run_sweep builds its own per call. The checkpoint runner
-  /// (harness/checkpoint.h) executes cells one run_sweep call at a
-  /// time and threads one cache through them, so cells sharing a CD
-  /// policy still expand each (policy, k, horizon) tree once. Purely
-  /// an amortization: the expansion is deterministic, results are
-  /// bit-identical with or without sharing.
-  const channel::HistoryTreeCache* tree_cache = nullptr;
 };
 
 /// One executed cell.
@@ -154,9 +147,11 @@ struct SweepResult {
 /// cells spread over every worker while light ones fill the gaps,
 /// however many cells the grid has; the results are identical at
 /// every thread count. The first error any cell throws is rethrown
-/// after the pool drains.
-std::vector<SweepResult> run_sweep(std::span<const SweepCell> cells,
-                                   const SweepOptions& options = {});
+/// after the pool drains. `on_result`, when set, gets each result in
+/// cell order, as measure_cells delivers it (harness/measure.h).
+std::vector<SweepResult> run_sweep(
+    std::span<const SweepCell> cells, const SweepOptions& options = {},
+    const std::function<void(const SweepResult&)>& on_result = {});
 std::vector<SweepResult> run_sweep(const SweepGrid& grid,
                                    const SweepOptions& options = {});
 

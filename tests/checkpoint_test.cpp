@@ -7,6 +7,7 @@
 //
 // Deliberate on-disk damage — torn tails, bit flips, truncation at
 // every byte, duplicate records — lives in fault_injection_test.cpp.
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -267,6 +268,109 @@ TEST(CheckpointedRun, InterruptedHookStopsBetweenCells) {
   const auto journal = read_checkpoint_journal(checkpoint.journal_path);
   ASSERT_EQ(journal.records.size(), 1u);
   EXPECT_EQ(journal.torn_bytes, 0u);
+}
+
+TEST(CheckpointedRun, FreshJournalBytesAreThreadCountInvariant) {
+  // The cells run on one pool, but records land in cell order, so the
+  // journal is the same file at every thread count.
+  const Fixture f;
+  const auto cells = f.grid().cells();
+  const auto dir = test_dir();
+  std::string reference;
+  for (const std::size_t threads : {1ul, 2ul, 8ul}) {
+    SweepOptions options = kOptions;
+    options.threads = threads;
+    CheckpointRunOptions checkpoint;
+    checkpoint.journal_path =
+        (dir / ("threads-" + std::to_string(threads) + ".journal")).string();
+    const auto run = run_sweep_shard_checkpointed(
+        cells, {.shard_count = 1, .shard_index = 0}, options, checkpoint);
+    ASSERT_EQ(run.status, CheckpointRunStatus::kCompleted);
+    const std::string journal = read_file(checkpoint.journal_path);
+    if (threads == 1) reference = journal;
+    EXPECT_EQ(journal, reference) << "threads " << threads;
+  }
+}
+
+TEST(CheckpointedRun, InterruptAfterKAppendsOnThePoolKeepsThePrefix) {
+  const Fixture f;
+  const auto cells = f.grid().cells();
+  const ShardOptions shard{.shard_count = 1, .shard_index = 0};
+  const auto dir = test_dir();
+  SweepOptions options = kOptions;
+  options.threads = 4;
+  CheckpointRunOptions reference_options;
+  reference_options.journal_path = (dir / "reference.journal").string();
+  const auto reference =
+      run_sweep_shard_checkpointed(cells, shard, options, reference_options);
+  ASSERT_EQ(reference.status, CheckpointRunStatus::kCompleted);
+
+  for (std::size_t k = 1; k < cells.size(); ++k) {
+    CheckpointRunOptions checkpoint;
+    checkpoint.journal_path =
+        (dir / ("stop-" + std::to_string(k) + ".journal")).string();
+    std::size_t appended = 0;
+    checkpoint.on_cell_executed = [&appended](std::size_t) { ++appended; };
+    checkpoint.interrupted = [&appended, k] { return appended >= k; };
+    const auto first =
+        run_sweep_shard_checkpointed(cells, shard, options, checkpoint);
+    EXPECT_EQ(first.status, CheckpointRunStatus::kInterrupted) << k;
+    EXPECT_EQ(first.executed_cells, k);
+    const auto journal = read_checkpoint_journal(checkpoint.journal_path);
+    ASSERT_EQ(journal.records.size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(journal.records[i].cell_index, i) << "stop after " << k;
+    }
+
+    checkpoint.resume = true;
+    checkpoint.interrupted = nullptr;
+    const auto resumed =
+        run_sweep_shard_checkpointed(cells, shard, options, checkpoint);
+    EXPECT_EQ(resumed.status, CheckpointRunStatus::kCompleted);
+    EXPECT_EQ(resumed.replayed_cells, k);
+    EXPECT_EQ(resumed.csv, reference.csv) << "stop after " << k;
+    EXPECT_EQ(read_file(checkpoint.journal_path),
+              read_file(reference_options.journal_path))
+        << "stop after " << k;
+  }
+}
+
+TEST(CheckpointedRun, HooksNeverOverlapOnThePool) {
+  const Fixture f;
+  const auto cells = f.grid().cells();
+  const auto dir = test_dir();
+  SweepOptions options = kOptions;
+  options.threads = 8;
+  // Every hook bumps `inside` for its duration; a second hook running
+  // at the same time would see it above 1.
+  std::atomic<int> inside{0};
+  std::atomic<bool> overlapped{false};
+  std::vector<std::size_t> started;
+  const auto enter = [&] {
+    if (++inside > 1) overlapped = true;
+  };
+  CheckpointRunOptions checkpoint;
+  checkpoint.journal_path = (dir / "shard.journal").string();
+  checkpoint.on_cell_start = [&](std::size_t cell) {
+    enter();
+    started.push_back(cell);
+    --inside;
+  };
+  checkpoint.on_cell_executed = [&](std::size_t) {
+    enter();
+    --inside;
+  };
+  checkpoint.interrupted = [&] {
+    enter();
+    --inside;
+    return false;
+  };
+  const auto run = run_sweep_shard_checkpointed(
+      cells, {.shard_count = 1, .shard_index = 0}, options, checkpoint);
+  EXPECT_EQ(run.status, CheckpointRunStatus::kCompleted);
+  EXPECT_FALSE(overlapped.load());
+  ASSERT_EQ(started.size(), cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c) EXPECT_EQ(started[c], c);
 }
 
 TEST(CheckpointedRun, RejectsFreshOverExistingAndResumeWithoutJournal) {

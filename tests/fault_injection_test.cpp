@@ -161,44 +161,53 @@ TEST(FaultInjection, KillAtEveryCellInEveryModeResumesByteIdentical) {
   const auto dir = test_dir();
   const Reference reference = build_reference(dir, cells, shard);
 
-  for (const FaultMode mode :
-       {FaultMode::kFailBeforeWrite, FaultMode::kShortWrite,
-        FaultMode::kFailAfterWrite}) {
-    for (std::size_t fail_at = 1; fail_at <= cells.size(); ++fail_at) {
-      const auto label = "mode " + std::to_string(static_cast<int>(mode)) +
-                         " fail_at " + std::to_string(fail_at);
-      const auto kill_dir =
-          dir / ("kill-" + std::to_string(static_cast<int>(mode)) + "-" +
-                 std::to_string(fail_at));
-      std::filesystem::create_directories(kill_dir);
-      CheckpointRunOptions checkpoint;
-      checkpoint.journal_path = (kill_dir / "shard.journal").string();
-      checkpoint.sink_factory = faulty_factory(fail_at, mode);
-      EXPECT_THROW((void)run_sweep_shard_checkpointed(cells, shard, kOptions,
-                                                      checkpoint),
-                   IoError)
-          << label;
+  // At 4 threads later cells finish while a lower one still runs; the
+  // failing append must still leave exactly the in-order prefix, and
+  // kFailAfterWrite must not journal its cell a second time.
+  for (const std::size_t threads : {1ul, 4ul}) {
+    SweepOptions options = kOptions;
+    options.threads = threads;
+    for (const FaultMode mode :
+         {FaultMode::kFailBeforeWrite, FaultMode::kShortWrite,
+          FaultMode::kFailAfterWrite}) {
+      for (std::size_t fail_at = 1; fail_at <= cells.size(); ++fail_at) {
+        const auto label = "threads " + std::to_string(threads) + " mode " +
+                           std::to_string(static_cast<int>(mode)) +
+                           " fail_at " + std::to_string(fail_at);
+        const auto kill_dir =
+            dir / ("kill-" + std::to_string(threads) + "-" +
+                   std::to_string(static_cast<int>(mode)) + "-" +
+                   std::to_string(fail_at));
+        std::filesystem::create_directories(kill_dir);
+        CheckpointRunOptions checkpoint;
+        checkpoint.journal_path = (kill_dir / "shard.journal").string();
+        checkpoint.sink_factory = faulty_factory(fail_at, mode);
+        EXPECT_THROW((void)run_sweep_shard_checkpointed(cells, shard, options,
+                                                        checkpoint),
+                     IoError)
+            << label;
 
-      // The journal left behind must already be a valid prefix (plus,
-      // for the short write, a detectably-torn tail).
-      const auto damaged = read_checkpoint_journal(checkpoint.journal_path);
-      const std::size_t durable =
-          mode == FaultMode::kFailAfterWrite ? fail_at : fail_at - 1;
-      EXPECT_EQ(damaged.records.size(), durable) << label;
-      EXPECT_EQ(damaged.torn_bytes > 0, mode == FaultMode::kShortWrite)
-          << label;
+        // The journal left behind must already be a valid prefix (plus,
+        // for the short write, a detectably-torn tail).
+        const auto damaged = read_checkpoint_journal(checkpoint.journal_path);
+        const std::size_t durable =
+            mode == FaultMode::kFailAfterWrite ? fail_at : fail_at - 1;
+        EXPECT_EQ(damaged.records.size(), durable) << label;
+        EXPECT_EQ(damaged.torn_bytes > 0, mode == FaultMode::kShortWrite)
+            << label;
 
-      checkpoint.sink_factory = nullptr;
-      checkpoint.resume = true;
-      const auto resumed =
-          run_sweep_shard_checkpointed(cells, shard, kOptions, checkpoint);
-      EXPECT_EQ(resumed.status, CheckpointRunStatus::kCompleted) << label;
-      EXPECT_EQ(resumed.replayed_cells, durable) << label;
-      EXPECT_EQ(resumed.csv, reference.csv) << label;
-      // The healed journal equals the reference byte for byte: the
-      // torn tail was truncated and every re-executed record matches.
-      EXPECT_EQ(read_file(checkpoint.journal_path), reference.journal)
-          << label;
+        checkpoint.sink_factory = nullptr;
+        checkpoint.resume = true;
+        const auto resumed =
+            run_sweep_shard_checkpointed(cells, shard, options, checkpoint);
+        EXPECT_EQ(resumed.status, CheckpointRunStatus::kCompleted) << label;
+        EXPECT_EQ(resumed.replayed_cells, durable) << label;
+        EXPECT_EQ(resumed.csv, reference.csv) << label;
+        // The healed journal equals the reference byte for byte: the
+        // torn tail was truncated and every re-executed record matches.
+        EXPECT_EQ(read_file(checkpoint.journal_path), reference.journal)
+            << label;
+      }
     }
   }
 }

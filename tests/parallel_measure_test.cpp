@@ -339,6 +339,83 @@ TEST(MeasureCells, LaterBlockErrorsRethrowAfterThePoolDrains) {
   }
 }
 
+/// Sleeps `delay` per block, then solves trial t in (t % 7) + 1 rounds:
+/// cells of unequal cost, so later cells close before earlier ones.
+class DelayEngine final : public channel::Engine {
+ public:
+  explicit DelayEngine(std::chrono::milliseconds delay) : delay_(delay) {}
+  void run_many(channel::TrialBlock& block) const override {
+    std::this_thread::sleep_for(delay_);
+    for (std::size_t t = 0; t < block.size(); ++t) {
+      block.solved[t] = 1;
+      block.rounds[t] = (block.first_trial + t) % 7 + 1;
+    }
+  }
+
+ private:
+  std::chrono::milliseconds delay_;
+};
+
+/// 12 cells whose per-block delays (0-12 ms) and block counts vary, so
+/// on a pool they close out of cell order.
+std::vector<MeasureCell> uneven_cells() {
+  constexpr std::size_t kCells = 12;
+  std::vector<MeasureCell> cells;
+  for (std::size_t c = 0; c < kCells; ++c) {
+    const std::chrono::milliseconds delay((kCells - c) % 5 * 3);
+    cells.push_back(MeasureCell{
+        .engine = [delay] { return std::make_shared<DelayEngine>(delay); },
+        .sizes = {nullptr, 3},
+        .trials = (c % 3 + 1) * kTrialBlockSize - c,
+        .seed = c,
+        .options = {}});
+  }
+  return cells;
+}
+
+TEST(MeasureCells, DeliversEveryResultOnceInCellOrder) {
+  for (const std::size_t threads : {1ul, 2ul, 8ul}) {
+    const auto cells = uneven_cells();
+    std::vector<std::size_t> order;
+    std::vector<Measurement> delivered;
+    std::atomic<int> inside{0};
+    int max_inside = 0;
+    const auto results = measure_cells(
+        cells, threads, [&](std::size_t c, const Measurement& measurement) {
+          max_inside = std::max(max_inside, ++inside);
+          order.push_back(c);
+          delivered.push_back(measurement);
+          --inside;
+        });
+    EXPECT_EQ(max_inside, 1) << "threads " << threads;
+    ASSERT_EQ(order.size(), cells.size()) << "threads " << threads;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      EXPECT_EQ(order[c], c) << "threads " << threads;
+      expect_identical(delivered[c], results[c]);
+    }
+  }
+}
+
+TEST(MeasureCells, ThrowingCallbackStopsDeliveryAndRethrows) {
+  for (const std::size_t threads : {1ul, 2ul, 8ul}) {
+    for (const std::size_t throw_at : {0ul, 5ul, 11ul}) {
+      const auto cells = uneven_cells();
+      std::vector<std::size_t> order;
+      EXPECT_THROW(measure_cells(cells, threads,
+                                 [&](std::size_t c, const Measurement&) {
+                                   order.push_back(c);
+                                   if (c == throw_at) {
+                                     throw std::runtime_error("callback");
+                                   }
+                                 }),
+                   std::runtime_error);
+      // Cells 0..throw_at, each exactly once, and nothing after.
+      ASSERT_EQ(order.size(), throw_at + 1) << "threads " << threads;
+      for (std::size_t c = 0; c <= throw_at; ++c) EXPECT_EQ(order[c], c);
+    }
+  }
+}
+
 TEST(MeasureCells, ZeroTrialCellsNeedNoBlocks) {
   ProbeEngine::Shared shared;
   for (const std::size_t threads : {1ul, 4ul}) {

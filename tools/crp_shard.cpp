@@ -40,10 +40,10 @@
 // run without --shard/--cells executes the whole grid in this process
 // and writes the sweep CSV to --out (default: stdout) — the reference
 // a sharded run must reproduce. With --shard i/N (or an explicit
-// --cells begin:end range) it executes only that slice, journaling
-// each completed cell durably (append + fsync) before starting the
-// next, and finishes by writing a self-describing artifact set into
-// --out-dir:
+// --cells begin:end range) it executes only that slice on the same
+// (cell, block) pool, journaling each finished cell durably (append +
+// fsync) in cell order as soon as every lower cell is journaled, and
+// finishes by writing a self-describing artifact set into --out-dir:
 //
 //   DIR/shard-<i>-of-<N>.journal        per-cell progress journal
 //   DIR/shard-<i>-of-<N>.csv            write_sweep_csv rows (slice only)
@@ -86,27 +86,31 @@
 // ceil(hardware threads / --workers) threads; an explicit --threads
 // passes through to every worker unchanged.
 //
-// Signals: on SIGINT/SIGTERM/SIGHUP a sharded run finishes the
-// in-flight cell, flushes the journal, and exits with code 75 —
-// external schedulers can requeue a `resume` without parsing stderr
-// (SIGHUP included, so workers detached from a dying terminal stay
-// resumable). supervise reacts to the same signals by SIGTERMing its
-// workers and exiting 75 once they stop. --stop-after-cells K stops
-// the same way after K freshly executed cells (bounded work quanta).
+// Signals: on SIGINT/SIGTERM/SIGHUP a sharded run stops at the next
+// journaled cell, abandons the cells still open (resume re-executes
+// them with identical bytes), and exits with code 75 — the journal is
+// durable, so external schedulers can requeue a `resume` without
+// parsing stderr (SIGHUP included, so workers detached from a dying
+// terminal stay resumable). supervise reacts to the same signals by
+// SIGTERMing its workers and exiting 75 once they stop.
+// --stop-after-cells K executes only the first K unjournaled cells and
+// stops the same way (bounded work quanta).
 //
 // Fault injection (test seams, inert by default): the CRP_FAULT_*
 // env vars make a *sharded worker* fail deterministically so the
-// supervisor's recovery paths can be driven end-to-end —
+// supervisor's recovery paths can be driven end-to-end. Cell faults
+// fire as each executed cell is journaled, in cell order, so they are
+// placed relative to the journal prefix at any --threads —
 //   CRP_FAULT_CRASH_AFTER_CELLS=N   raise SIGKILL after N freshly
-//                                   executed cells
+//                                   journaled cells
 //   CRP_FAULT_SLEEP_MS_IN_CELL=MS[@CELL]
-//                                   sleep MS ms at the start of every
+//                                   sleep MS ms before journaling every
 //                                   cell (or only global cell CELL),
 //                                   ignoring stop signals meanwhile
 //   CRP_FAULT_EXIT4_ON_APPEND=N     injected IoError (exit 4) on the
 //                                   Nth journal append of the process
-//   CRP_FAULT_POISON_CELLS=I[,J..]  validation error (exit 3) when
-//                                   asked to execute a listed cell
+//   CRP_FAULT_POISON_CELLS=I[,J..]  validation error (exit 3) instead
+//                                   of journaling a listed cell
 //
 // Exit codes (stable; asserted by tests/crp_shard_cli_test.py):
 //   0   success
@@ -125,6 +129,7 @@
 //            schedule and the Section 2.6 coded-search CD policy, each
 //            against that point's lifted distribution. --n scales the
 //            network (and with it the number of entropy points).
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -159,9 +164,13 @@ constexpr int kExitValidation = 3;
 constexpr int kExitIo = 4;
 constexpr int kExitResumable = 75;  // EX_TEMPFAIL: retryable by design
 
-volatile std::sig_atomic_t g_interrupted = 0;
+// Set by the signal handler and polled on pool workers (the journaled
+// runner checks it after each cell it journals), so it must be a
+// lock-free atomic rather than a volatile sig_atomic_t.
+std::atomic<bool> g_interrupted{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
 
-extern "C" void handle_stop_signal(int) { g_interrupted = 1; }
+extern "C" void handle_stop_signal(int) { g_interrupted = true; }
 
 void install_stop_handlers() {
   std::signal(SIGINT, handle_stop_signal);
@@ -677,8 +686,8 @@ class FaultyAppendSink final : public crp::harness::CheckpointSink {
 };
 
 /// Arms the parsed fault plan on a worker's checkpoint options. The
-/// executed-cell counter lives in the returned shared state, captured
-/// by the hooks.
+/// executed-cell counter lives in shared state captured by the hooks,
+/// which the runner calls one at a time, so it needs no lock.
 void arm_faults(const FaultPlan& faults,
                 crp::harness::CheckpointRunOptions& checkpoint) {
   if (!faults.active()) return;
@@ -767,7 +776,7 @@ int run_mode(const Options& options) {
   crp::harness::CheckpointRunOptions checkpoint;
   checkpoint.journal_path = (dir / (stem + ".journal")).string();
   checkpoint.resume = options.mode == "resume";
-  checkpoint.interrupted = [] { return g_interrupted != 0; };
+  checkpoint.interrupted = [] { return g_interrupted.load(); };
   checkpoint.max_cells = options.stop_after_cells;
   arm_faults(parse_fault_env(), checkpoint);
   install_stop_handlers();
@@ -883,7 +892,7 @@ int supervise_mode(const Options& options) {
   // *and* schedule — is a function of the CLI arguments.
   supervise.retry.jitter_seed =
       crp::channel::derive_stream_seed(options.seed, 0x6a177e72u);
-  supervise.stop_requested = [] { return g_interrupted != 0; };
+  supervise.stop_requested = [] { return g_interrupted.load(); };
   supervise.log = &std::cerr;
   install_stop_handlers();
 
