@@ -156,12 +156,12 @@ void print_aloha_comparison() {
                              "decay mean", "fixed 1/k mean"});
   const crp::baselines::DecaySchedule decay(n);
   const crp::channel::AdapterEngine aloha(
-      [](std::size_t k, std::mt19937_64& rng,
+      [](std::size_t k, crp::channel::Rng& rng,
          const crp::channel::SimOptions& options) {
         return crp::baselines::run_slotted_aloha(k, k, rng, options);
       });
   const crp::channel::AdapterEngine backoff(
-      [](std::size_t k, std::mt19937_64& rng,
+      [](std::size_t k, crp::channel::Rng& rng,
          const crp::channel::SimOptions& options) {
         return crp::baselines::run_backoff_aloha(k, 1, 1 << 13, rng, options);
       });

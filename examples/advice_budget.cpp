@@ -64,7 +64,7 @@ int main() {
     // still fans the independent trials across every core.
     const crp::channel::SizeSource drawn{&sizes, 0};
     const crp::channel::AdapterEngine decay(
-        [&](std::size_t k, std::mt19937_64& rng,
+        [&](std::size_t k, crp::channel::Rng& rng,
             const crp::channel::SimOptions& options) {
           const std::size_t group = advice.group_of_range(
               crp::info::range_of_size(k));
@@ -73,7 +73,7 @@ int main() {
           return crp::channel::run_uniform_no_cd(schedule, k, rng, options);
         });
     const crp::channel::AdapterEngine willard(
-        [&](std::size_t k, std::mt19937_64& rng,
+        [&](std::size_t k, crp::channel::Rng& rng,
             const crp::channel::SimOptions& options) {
           const std::size_t group = advice.group_of_range(
               crp::info::range_of_size(k));

@@ -1,5 +1,6 @@
 #include "baselines/aloha.h"
 
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -11,7 +12,7 @@ namespace {
 /// one transmitter), or window size if none. Appends trace records and
 /// transmission counts for the slots actually elapsed.
 std::size_t simulate_window(std::size_t k, std::size_t window,
-                            std::mt19937_64& rng,
+                            channel::Rng& rng,
                             const channel::SimOptions& options,
                             std::size_t rounds_used, std::size_t& energy) {
   std::uniform_int_distribution<std::size_t> pick(0, window - 1);
@@ -35,7 +36,7 @@ std::size_t simulate_window(std::size_t k, std::size_t window,
 }  // namespace
 
 channel::RunResult run_slotted_aloha(std::size_t k, std::size_t window,
-                                     std::mt19937_64& rng,
+                                     channel::Rng& rng,
                                      const channel::SimOptions& options) {
   if (k == 0) throw std::invalid_argument("need at least one participant");
   if (window == 0) throw std::invalid_argument("window must be >= 1");
@@ -57,7 +58,7 @@ channel::RunResult run_slotted_aloha(std::size_t k, std::size_t window,
 channel::RunResult run_backoff_aloha(std::size_t k,
                                      std::size_t initial_window,
                                      std::size_t max_window,
-                                     std::mt19937_64& rng,
+                                     channel::Rng& rng,
                                      const channel::SimOptions& options) {
   if (k == 0) throw std::invalid_argument("need at least one participant");
   if (initial_window == 0 || max_window < initial_window) {

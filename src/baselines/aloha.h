@@ -13,8 +13,8 @@
 #pragma once
 
 #include <cstddef>
-#include <random>
 
+#include "channel/rng.h"
 #include "channel/simulator.h"
 
 namespace crp::baselines {
@@ -23,7 +23,7 @@ namespace crp::baselines {
 /// Returns rounds counted in individual slots (not windows), so results
 /// are comparable with the round counts of the other protocols.
 channel::RunResult run_slotted_aloha(std::size_t k, std::size_t window,
-                                     std::mt19937_64& rng,
+                                     channel::Rng& rng,
                                      const channel::SimOptions& options = {});
 
 /// Binary-exponential-backoff ALOHA: the window starts at
@@ -33,7 +33,7 @@ channel::RunResult run_slotted_aloha(std::size_t k, std::size_t window,
 channel::RunResult run_backoff_aloha(std::size_t k,
                                      std::size_t initial_window,
                                      std::size_t max_window,
-                                     std::mt19937_64& rng,
+                                     channel::Rng& rng,
                                      const channel::SimOptions& options = {});
 
 }  // namespace crp::baselines

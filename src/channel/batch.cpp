@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <random>
 #include <stdexcept>
 
 namespace crp::channel {
@@ -143,7 +144,7 @@ std::size_t BatchNoCdSampler::search(const SolveTable& table, double target,
   return kernels::search_one(probe_view(table, max_rounds), target);
 }
 
-RunResult BatchNoCdSampler::sample(std::size_t k, std::mt19937_64& rng,
+RunResult BatchNoCdSampler::sample(std::size_t k, Rng& rng,
                                    const BatchOptions& options) const {
   if (k == 0) throw std::invalid_argument("need at least one participant");
   if (options.trace != nullptr) {
@@ -191,7 +192,7 @@ RunResult BatchNoCdSampler::sample(std::size_t k, SplitMix64& rng,
 }
 
 RunResult run_uniform_no_cd_batch(const ProbabilitySchedule& schedule,
-                                  std::size_t k, std::mt19937_64& rng,
+                                  std::size_t k, Rng& rng,
                                   const BatchOptions& options) {
   return BatchNoCdSampler(schedule).sample(k, rng, options);
 }

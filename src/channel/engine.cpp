@@ -27,7 +27,7 @@ void validate_trial_block(const TrialBlock& block) {
 namespace {
 
 /// Shared body of the exact-simulator adapters: per trial, one derived
-/// mt19937_64 stream feeding the k draw (when drawn) and then the
+/// Rng stream feeding the k draw (when drawn) and then the
 /// scalar run — the draw order of a hand-written loop over
 /// derive_rng(seed, t), so results are bit-identical to one.
 template <typename Run>
@@ -174,21 +174,21 @@ void BatchColumnarEngine::run_many(TrialBlock& block) const {
 }
 
 void BinomialColumnarEngine::run_many(TrialBlock& block) const {
-  run_scalar_adapter(block, [this](std::size_t k, std::mt19937_64& rng,
+  run_scalar_adapter(block, [this](std::size_t k, Rng& rng,
                                    const SimOptions& options) {
     return run_uniform_no_cd(schedule_, k, rng, options);
   });
 }
 
 void PerPlayerColumnarEngine::run_many(TrialBlock& block) const {
-  run_scalar_adapter(block, [this](std::size_t k, std::mt19937_64& rng,
+  run_scalar_adapter(block, [this](std::size_t k, Rng& rng,
                                    const SimOptions& options) {
     return run_uniform_no_cd_per_player(schedule_, k, rng, options);
   });
 }
 
 void CollisionPolicyColumnarEngine::run_many(TrialBlock& block) const {
-  run_scalar_adapter(block, [this](std::size_t k, std::mt19937_64& rng,
+  run_scalar_adapter(block, [this](std::size_t k, Rng& rng,
                                    const SimOptions& options) {
     return run_uniform_cd(policy_, k, rng, options);
   });

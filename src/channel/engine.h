@@ -37,12 +37,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <random>
 #include <span>
 #include <utility>
 
 #include "channel/batch.h"
 #include "channel/protocol.h"
+#include "channel/rng.h"
 #include "channel/simulator.h"
 #include "info/distribution.h"
 
@@ -89,9 +89,10 @@ class Engine {
 /// implementation in the library calls this first.
 void validate_trial_block(const TrialBlock& block);
 
-/// Adapter for any per-trial simulation: per trial, one derived
-/// mt19937_64 stream feeds the k draw (when sizes are drawn) and then
-/// `run(k, rng, options)`, with options.max_rounds = block.max_rounds.
+/// Adapter for any per-trial simulation: per trial, one derived Rng
+/// stream (derive_rng, lazily seeded) feeds the k draw (when sizes are
+/// drawn) and then `run(k, rng, options)`, with options.max_rounds =
+/// block.max_rounds.
 /// This is the block form of a per-trial callback — protocols the
 /// library has no dedicated engine for (the advice protocols, ALOHA,
 /// estimate-then-transmit pipelines) run through measure_blocks with
@@ -99,7 +100,7 @@ void validate_trial_block(const TrialBlock& block);
 /// simulators dwarf. `run` must be safe to call concurrently.
 class AdapterEngine final : public Engine {
  public:
-  using Run = std::function<RunResult(std::size_t k, std::mt19937_64& rng,
+  using Run = std::function<RunResult(std::size_t k, Rng& rng,
                                       const SimOptions& options)>;
 
   explicit AdapterEngine(Run run) : run_(std::move(run)) {}
@@ -133,7 +134,7 @@ class BatchColumnarEngine final : public Engine {
 };
 
 /// Adapter: drives the exact binomial simulator trial by trial with
-/// one derived mt19937_64 stream per trial — AdapterEngine's stream
+/// one derived Rng stream per trial — AdapterEngine's stream
 /// contract, bit-identical to a hand-written per-trial loop.
 class BinomialColumnarEngine final : public Engine {
  public:

@@ -14,8 +14,8 @@
 //    shape as the no-CD batch engine;
 //  * otherwise each trial walks the tree, spending one SplitMix64
 //    uniform per branch point against the per-node cumulative outcome
-//    tables (no virtual policy call, no binomial sampling, no
-//    mt19937_64 seeding), and a trial that leaves the expansion — a
+//    tables (no virtual policy call, no binomial sampling, no Rng
+//    key expansion), and a trial that leaves the expansion — a
 //    pruned branch, or the depth cap — falls back to the exact
 //    per-round simulation the CollisionPolicyColumnarEngine adapter
 //    runs, continued from the walked history;

@@ -2,17 +2,162 @@
 // Every simulation entry point takes an explicit engine; these helpers
 // derive independent streams from a master seed so that parameter
 // sweeps and Monte-Carlo repetitions are replayable bit-for-bit.
+// Depends on the standard library only.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 
 namespace crp::channel {
 
-/// A seeded 64-bit Mersenne Twister.
-inline std::mt19937_64 make_rng(std::uint64_t seed) {
-  return std::mt19937_64{seed};
-}
+/// The per-trial generator: for every seed and every number of draws
+/// its outputs equal std::mt19937_64's (the standard's
+/// mersenne_twister_engine with w=64, n=312, m=156, r=31,
+/// f=6364136223846793005), so every std distribution fed from it draws
+/// the same values — tests/rng_test.cpp holds that line with
+/// std::mt19937_64 as the oracle.
+///
+/// The difference is cost. std::mt19937_64 runs its serial 312-word key
+/// expansion in the constructor and a 312-word twist on the first draw.
+/// Rng seeds in O(1) and runs both only as far as the draws taken so
+/// far need: output j < 156 of the first twist reads expanded words
+/// 0..j+1 and j+156, so the first draw expands 172 words and twists 16,
+/// and each later extension doubles the twisted prefix until the first
+/// twist is whole (six extensions up to draw 312). From then on it is
+/// std::mt19937_64: one full twist every 312 draws, and the hot path
+/// is one compare plus tempering. A per-trial stream that takes a
+/// dozen draws (a simulated coded-search trial) pays for about half the
+/// key expansion and none of the twist it never reads.
+///
+/// Same size as std::mt19937_64. Satisfies
+/// std::uniform_random_bit_generator.
+class Rng {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type default_seed = 5489u;
+
+  Rng() : Rng(default_seed) {}
+  explicit Rng(result_type seed) { x_[0] = seed; }
+
+  // Copies move only the words computed so far (see x_).
+  Rng(const Rng& other)
+      : pos_(other.pos_), ready_(other.ready_), expanded_(other.expanded_) {
+    std::copy_n(other.x_.begin(), expanded_, x_.begin());
+  }
+  Rng& operator=(const Rng& other) {
+    if (this != &other) {
+      pos_ = other.pos_;
+      ready_ = other.ready_;
+      expanded_ = other.expanded_;
+      std::copy_n(other.x_.begin(), expanded_, x_.begin());
+    }
+    return *this;
+  }
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (pos_ >= ready_) [[unlikely]] {
+      refill();
+    }
+    result_type z = x_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  /// Advances by z draws, as z calls of operator() would.
+  void discard(unsigned long long z) {
+    while (z > static_cast<unsigned long long>(ready_ - pos_)) {
+      z -= static_cast<unsigned long long>(ready_ - pos_);
+      pos_ = ready_;
+      refill();
+    }
+    pos_ = static_cast<std::uint16_t>(pos_ + z);
+  }
+
+  /// std semantics: equal iff the std::mt19937_64 states the two stand
+  /// for are equal. The lazy work done is a function of the position
+  /// (draws and discard extend the first twist only when they need a
+  /// word), and the rest of the state follows from the words computed
+  /// so far, so comparing those compares the whole state.
+  friend bool operator==(const Rng& a, const Rng& b) {
+    return a.pos_ == b.pos_ && a.ready_ == b.ready_ &&
+           a.expanded_ == b.expanded_ &&
+           std::equal(a.x_.begin(), a.x_.begin() + a.expanded_,
+                      b.x_.begin());
+  }
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+  static constexpr std::uint16_t kFirstChunk = 16;
+
+  static result_type twist(result_type hi, result_type lo) {
+    constexpr result_type kUpper = ~result_type{0} << 31;
+    const result_type y = (hi & kUpper) | (lo & ~kUpper);
+    return (y >> 1) ^ ((y & 1) != 0 ? 0xb5026f5aa96619e9ULL : 0);
+  }
+
+  /// Key expansion of words [expanded_, end), end >= expanded_. Word
+  /// expanded_ - 1 still holds its expanded (untwisted) value: twisting
+  /// never passes kN - kM while the expansion is unfinished.
+  void expand_to(std::size_t end) {
+    result_type v = x_[expanded_ - 1];
+    for (std::size_t i = expanded_; i < end; ++i) {
+      v = 6364136223846793005ULL * (v ^ (v >> 62)) + i;
+      x_[i] = v;
+    }
+    expanded_ = static_cast<std::uint16_t>(end);
+  }
+
+  /// Words [begin, end) of the twist in progress, the standard's loop
+  /// cut into pieces: words below `begin` are already twisted, words
+  /// from `begin` on (and at least up to min(end, kN - kM) + kM) are
+  /// still the previous state.
+  void twist_range(std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < std::min(end, kN - kM); ++k) {
+      x_[k] = x_[k + kM] ^ twist(x_[k], x_[k + 1]);
+    }
+    for (std::size_t k = std::max(begin, kN - kM); k < std::min(end, kN - 1);
+         ++k) {
+      x_[k] = x_[k + kM - kN] ^ twist(x_[k], x_[k + 1]);
+    }
+    if (end == kN) {
+      x_[kN - 1] = x_[kM - 1] ^ twist(x_[kN - 1], x_[0]);
+    }
+  }
+
+  /// The slow path of operator() and discard: extend the lazy first
+  /// twist (doubling the twisted prefix), or run the next full twist.
+  [[gnu::noinline]] void refill() {
+    if (ready_ == kN) {
+      twist_range(0, kN);
+      pos_ = 0;
+      return;
+    }
+    const std::size_t end = std::min<std::size_t>(
+        kN, std::max<std::size_t>(kFirstChunk, 2 * ready_));
+    expand_to(std::min(kN, end + kM));
+    twist_range(ready_, end);
+    ready_ = static_cast<std::uint16_t>(end);
+  }
+
+  // Left uninitialized on purpose: zeroing it would write the 312 words
+  // the lazy seeding exists to skip. Words from expanded_ on are never
+  // read (expand_to writes them first; copies and == stop at expanded_).
+  std::array<result_type, kN> x_;  // words [0, expanded_) are valid
+  std::uint16_t pos_ = 0;          // next word to temper and return
+  std::uint16_t ready_ = 0;        // words [0, ready_) are twisted
+  std::uint16_t expanded_ = 1;     // words [0, expanded_) are expanded
+};
+
+/// A seeded stream (std::mt19937_64's outputs for `seed`).
+inline Rng make_rng(std::uint64_t seed) { return Rng{seed}; }
 
 /// Splitmix64-finalizer mix of (seed, stream): the one seed-derivation
 /// rule shared by derive_rng, derive_fast_rng, and the sweep
@@ -26,20 +171,24 @@ inline std::uint64_t derive_stream_seed(std::uint64_t seed,
   return z ^ (z >> 31);
 }
 
-/// Derives an independent engine for stream `stream` of experiment
-/// `seed`.
-inline std::mt19937_64 derive_rng(std::uint64_t seed, std::uint64_t stream) {
-  return std::mt19937_64{derive_stream_seed(seed, stream)};
+/// Derives an independent stream for stream `stream` of experiment
+/// `seed`: the per-trial generator of every simulated measurement path
+/// (channel/engine.h). Constructing it costs one word store; the
+/// expansion and twist run as its draws need them (see Rng).
+inline Rng derive_rng(std::uint64_t seed, std::uint64_t stream) {
+  return Rng{derive_stream_seed(seed, stream)};
 }
 
-/// A splitmix64 engine: one add and a three-stage mix per draw, and —
-/// unlike mt19937_64, whose construction runs a 312-word key expansion
-/// plus a full twist on the first draw (~microseconds) — free to seed.
-/// That fixed cost is irrelevant when a trial simulates hundreds of
-/// rounds but dominates once the batch engine (channel/batch.h) prices
-/// a whole trial at two or three draws, so the batch measurement paths
-/// derive one of these per trial instead. Satisfies
-/// std::uniform_random_bit_generator.
+/// A splitmix64 engine: one add and a three-stage mix per draw, and
+/// free to seed. Measured on a 4-core Xeon (avx512) VM at -O3, a fresh
+/// stream plus one draw costs about 4 ns for SplitMix64, 0.4 µs for
+/// Rng (whose first draw still runs 171 serial key-expansion steps) and
+/// 2.3–2.9 µs for std::mt19937_64 (312 steps plus a 312-word twist).
+/// Rng's cost is small beside a simulated trial but dominates once the
+/// batch engine (channel/batch.h) prices a whole trial at two or three
+/// draws, so the batch measurement paths derive one of these per trial
+/// instead.
+/// Satisfies std::uniform_random_bit_generator.
 class SplitMix64 {
  public:
   using result_type = std::uint64_t;

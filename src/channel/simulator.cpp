@@ -29,7 +29,7 @@ void validate_probability(double p) {
 }
 
 std::size_t sample_transmitters(std::size_t k, double p,
-                                std::mt19937_64& rng) {
+                                Rng& rng) {
   validate_probability(p);
   if (k == 0 || p == 0.0) return 0;
   if (p == 1.0) return k;
@@ -37,7 +37,7 @@ std::size_t sample_transmitters(std::size_t k, double p,
   return binomial(rng);
 }
 
-std::size_t TransmitterSampler::operator()(double p, std::mt19937_64& rng) {
+std::size_t TransmitterSampler::operator()(double p, Rng& rng) {
   for (auto& [probability, binomial] : cache_) {
     if (probability == p) return binomial(rng);
   }
@@ -64,7 +64,7 @@ void record(const SimOptions& options, double p, std::size_t transmitters) {
 }  // namespace
 
 RunResult run_uniform_no_cd(const ProbabilitySchedule& schedule,
-                            std::size_t k, std::mt19937_64& rng,
+                            std::size_t k, Rng& rng,
                             const SimOptions& options) {
   if (k == 0) throw std::invalid_argument("need at least one participant");
   TransmitterSampler sample(k);
@@ -82,7 +82,7 @@ RunResult run_uniform_no_cd(const ProbabilitySchedule& schedule,
 }
 
 RunResult run_uniform_cd(const CollisionPolicy& policy, std::size_t k,
-                         std::mt19937_64& rng, const SimOptions& options) {
+                         Rng& rng, const SimOptions& options) {
   if (k == 0) throw std::invalid_argument("need at least one participant");
   TransmitterSampler sample(k);
   BitString history;
@@ -135,7 +135,7 @@ RunResult run_deterministic(const DeterministicProtocol& protocol,
 }
 
 RunResult run_uniform_no_cd_per_player(const ProbabilitySchedule& schedule,
-                                       std::size_t k, std::mt19937_64& rng,
+                                       std::size_t k, Rng& rng,
                                        const SimOptions& options) {
   if (k == 0) throw std::invalid_argument("need at least one participant");
   std::uniform_real_distribution<double> unit(0.0, 1.0);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "channel/protocol.h"
+#include "channel/rng.h"
 
 namespace crp::channel {
 
@@ -55,13 +56,13 @@ struct SimOptions {
 /// succeed immediately, matching the "extra all-transmit round" the
 /// paper uses to dispose of k = 1).
 RunResult run_uniform_no_cd(const ProbabilitySchedule& schedule,
-                            std::size_t k, std::mt19937_64& rng,
+                            std::size_t k, Rng& rng,
                             const SimOptions& options = {});
 
 /// Runs a uniform collision-detection algorithm with k participants.
 /// The policy sees the growing collision history (bit = collision?).
 RunResult run_uniform_cd(const CollisionPolicy& policy, std::size_t k,
-                         std::mt19937_64& rng,
+                         Rng& rng,
                          const SimOptions& options = {});
 
 /// Runs a deterministic protocol over an explicit participant set.
@@ -79,7 +80,7 @@ RunResult run_deterministic(const DeterministicProtocol& protocol,
 /// its own coin. Statistically identical to the binomial engine; used
 /// to cross-validate it and by examples that want per-player traces.
 RunResult run_uniform_no_cd_per_player(const ProbabilitySchedule& schedule,
-                                       std::size_t k, std::mt19937_64& rng,
+                                       std::size_t k, Rng& rng,
                                        const SimOptions& options = {});
 
 /// Throws std::invalid_argument unless p lies in [0, 1]. The one
@@ -92,7 +93,7 @@ void validate_probability(double p);
 /// and constructs a fresh distribution on every call; the simulation
 /// loops use TransmitterSampler instead.
 std::size_t sample_transmitters(std::size_t k, double p,
-                                std::mt19937_64& rng);
+                                Rng& rng);
 
 /// Binomial(k, p) transmitter counts for a fixed k, reusing the
 /// configured std::binomial_distribution across calls with the same p.
@@ -105,7 +106,7 @@ class TransmitterSampler {
 
   /// Number of transmitters among the k players when each transmits
   /// independently with probability p.
-  std::size_t operator()(double p, std::mt19937_64& rng);
+  std::size_t operator()(double p, Rng& rng);
 
  private:
   /// Adversarial CD policies may emit unboundedly many distinct

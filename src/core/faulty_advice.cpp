@@ -3,6 +3,8 @@
 #include <random>
 #include <stdexcept>
 
+#include "channel/rng.h"
+
 namespace crp::core {
 
 FaultyAdvice::FaultyAdvice(std::shared_ptr<const AdviceFunction> inner,
@@ -25,7 +27,7 @@ channel::BitString FaultyAdvice::advise(
   for (std::size_t id : participants) {
     h ^= (id + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
   }
-  std::mt19937_64 rng(h);
+  channel::Rng rng(h);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   for (std::size_t i = 0; i < bits.size(); ++i) {
     if (unit(rng) < flip_probability_) bits[i] = !bits[i];

@@ -14,7 +14,7 @@ struct ProbeResult {
   std::size_t transmitters = 0;
 };
 
-ProbeResult probe(std::size_t k, double p, std::mt19937_64& rng,
+ProbeResult probe(std::size_t k, double p, channel::Rng& rng,
                   const channel::SimOptions& options) {
   const std::size_t transmitters = channel::sample_transmitters(k, p, rng);
   if (options.trace != nullptr) {
@@ -35,7 +35,7 @@ bool estimate_within(std::size_t estimate, std::size_t k,
 }
 
 EstimateResult estimate_size_no_cd(std::size_t k, std::size_t n,
-                                   std::mt19937_64& rng,
+                                   channel::Rng& rng,
                                    std::size_t repeats,
                                    const channel::SimOptions& options) {
   if (k == 0) throw std::invalid_argument("need at least one participant");
@@ -61,7 +61,7 @@ EstimateResult estimate_size_no_cd(std::size_t k, std::size_t n,
 }
 
 EstimateResult estimate_size_cd(std::size_t k, std::size_t n,
-                                std::mt19937_64& rng, std::size_t repeats,
+                                channel::Rng& rng, std::size_t repeats,
                                 const channel::SimOptions& options) {
   if (k == 0) throw std::invalid_argument("need at least one participant");
   if (repeats == 0) throw std::invalid_argument("repeats must be >= 1");

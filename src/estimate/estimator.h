@@ -11,9 +11,9 @@
 
 #include <cstddef>
 #include <optional>
-#include <random>
 
 #include "channel/protocol.h"
+#include "channel/rng.h"
 #include "channel/simulator.h"
 
 namespace crp::estimate {
@@ -34,7 +34,7 @@ struct EstimateResult {
 /// outcome, giving k-hat = Theta(k) with constant probability per
 /// sweep; sweeps repeat until success. O(log n) expected rounds.
 EstimateResult estimate_size_no_cd(std::size_t k, std::size_t n,
-                                   std::mt19937_64& rng,
+                                   channel::Rng& rng,
                                    std::size_t repeats = 1,
                                    const channel::SimOptions& options = {});
 
@@ -45,7 +45,7 @@ EstimateResult estimate_size_no_cd(std::size_t k, std::size_t n,
 /// repeated `repeats` times with majority feedback. O(log log n)
 /// expected rounds.
 EstimateResult estimate_size_cd(std::size_t k, std::size_t n,
-                                std::mt19937_64& rng,
+                                channel::Rng& rng,
                                 std::size_t repeats = 1,
                                 const channel::SimOptions& options = {});
 

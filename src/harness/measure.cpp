@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <stdexcept>
 
 #include "channel/engine.h"
@@ -269,7 +270,7 @@ Measurement measure_uniform_cd_fixed_k(const channel::CollisionPolicy& policy,
 }
 
 std::vector<std::size_t> random_participant_set(std::size_t n, std::size_t k,
-                                                std::mt19937_64& rng) {
+                                                channel::Rng& rng) {
   if (k > n) throw std::invalid_argument("cannot pick k > n participants");
   // Partial Fisher-Yates over the id space.
   std::vector<std::size_t> ids(n);
@@ -288,7 +289,7 @@ Measurement measure_deterministic_advice(
     std::size_t n, bool collision_detection, std::size_t trials,
     std::uint64_t seed, const MeasureOptions& options) {
   const channel::AdapterEngine engine(
-      [&](std::size_t k, std::mt19937_64& rng,
+      [&](std::size_t k, channel::Rng& rng,
           const channel::SimOptions& sim) {
         const auto participants = random_participant_set(n, k, rng);
         const auto bits = advice.advise(participants);

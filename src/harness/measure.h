@@ -21,12 +21,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <random>
 #include <span>
 #include <vector>
 
 #include "channel/engine.h"
 #include "channel/protocol.h"
+#include "channel/rng.h"
 #include "channel/simulator.h"
 #include "core/advice.h"
 #include "harness/accumulate.h"
@@ -194,7 +194,7 @@ Measurement measure_uniform_cd_fixed_k(const channel::CollisionPolicy& policy,
 
 /// Draws a uniformly random k-subset of {0, ..., n-1}.
 std::vector<std::size_t> random_participant_set(std::size_t n, std::size_t k,
-                                                std::mt19937_64& rng);
+                                                channel::Rng& rng);
 
 /// Deterministic advice protocol: per trial, draw k from `actual`, draw
 /// a random participant set of that size, compute advice, run.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 
@@ -41,7 +42,7 @@ std::size_t index_at(const std::vector<double>& cumulative, double u) {
 }
 
 std::size_t sample_from_cumulative(const std::vector<double>& cumulative,
-                                   std::mt19937_64& rng) {
+                                   channel::Rng& rng) {
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   return index_at(cumulative, unit(rng));
 }
@@ -149,7 +150,7 @@ CondensedDistribution SizeDistribution::condense() const {
   return CondensedDistribution(std::move(q));
 }
 
-std::size_t SizeDistribution::sample(std::mt19937_64& rng) const {
+std::size_t SizeDistribution::sample(channel::Rng& rng) const {
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   return sample_at(unit(rng));
 }
@@ -233,7 +234,7 @@ std::vector<std::size_t> CondensedDistribution::ranges_by_likelihood() const {
   return order;
 }
 
-std::size_t CondensedDistribution::sample(std::mt19937_64& rng) const {
+std::size_t CondensedDistribution::sample(channel::Rng& rng) const {
   return sample_from_cumulative(cumulative_, rng) + 1;
 }
 

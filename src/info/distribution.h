@@ -5,10 +5,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "channel/rng.h"
 
 namespace crp::info {
 
@@ -73,7 +74,7 @@ class SizeDistribution {
   CondensedDistribution condense() const;
 
   /// Draws a size according to the distribution.
-  std::size_t sample(std::mt19937_64& rng) const;
+  std::size_t sample(channel::Rng& rng) const;
 
   /// Inverse-CDF sampling from an externally supplied uniform draw
   /// u in [0, 1) — lets callers bring their own engine (the batch
@@ -154,7 +155,7 @@ class CondensedDistribution {
   std::vector<std::size_t> ranges_by_likelihood() const;
 
   /// Draws a 1-based range index.
-  std::size_t sample(std::mt19937_64& rng) const;
+  std::size_t sample(channel::Rng& rng) const;
 
   std::string describe() const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 
 namespace crp::predict {
@@ -23,7 +24,7 @@ info::CondensedDistribution normalized(std::vector<double> weights) {
 
 info::CondensedDistribution multiplicative_jitter(
     const info::CondensedDistribution& truth, double factor,
-    std::mt19937_64& rng) {
+    channel::Rng& rng) {
   if (factor < 1.0) {
     throw std::invalid_argument("jitter factor must be >= 1");
   }
@@ -77,7 +78,7 @@ info::CondensedDistribution shift_ranges(
 
 info::CondensedDistribution empirical_predictor(
     const info::SizeDistribution& truth, std::size_t samples,
-    double laplace_alpha, std::mt19937_64& rng) {
+    double laplace_alpha, channel::Rng& rng) {
   if (laplace_alpha <= 0.0) {
     throw std::invalid_argument(
         "laplace_alpha must be > 0 so the prediction has full support");

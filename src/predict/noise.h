@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstddef>
-#include <random>
 
+#include "channel/rng.h"
 #include "info/distribution.h"
 
 namespace crp::predict {
@@ -20,7 +20,7 @@ namespace crp::predict {
 /// robustness case highlighted after Theorem 2.12).
 info::CondensedDistribution multiplicative_jitter(
     const info::CondensedDistribution& truth, double factor,
-    std::mt19937_64& rng);
+    channel::Rng& rng);
 
 /// Mixture with uniform: q' = (1 - eps) q + eps * uniform. Guarantees
 /// finite divergence (no predicted zero where truth has mass) and a
@@ -53,6 +53,6 @@ info::CondensedDistribution shift_ranges(
 /// over time for free" story from the paper's introduction.
 info::CondensedDistribution empirical_predictor(
     const info::SizeDistribution& truth, std::size_t samples,
-    double laplace_alpha, std::mt19937_64& rng);
+    double laplace_alpha, channel::Rng& rng);
 
 }  // namespace crp::predict

@@ -55,7 +55,7 @@ TEST(SlottedAloha, TunedWindowSolvesInConstantRounds) {
   // tuned ALOHA matches the fixed 1/k strategy, independent of k.
   for (std::size_t k : {8ul, 32ul, 256ul}) {
     const auto m = measure_fixed_k(
-        [](std::size_t players, std::mt19937_64& rng,
+        [](std::size_t players, channel::Rng& rng,
            const channel::SimOptions& options) {
           return run_slotted_aloha(players, players, rng, options);
         },
@@ -68,13 +68,13 @@ TEST(SlottedAloha, TunedWindowSolvesInConstantRounds) {
 TEST(SlottedAloha, BadlySizedWindowDegrades) {
   constexpr std::size_t k = 64;
   const auto tuned = measure_fixed_k(
-      [](std::size_t players, std::mt19937_64& rng,
+      [](std::size_t players, channel::Rng& rng,
          const channel::SimOptions& options) {
         return run_slotted_aloha(players, 64, rng, options);
       },
       k, 2000, /*seed=*/7, 1 << 14);
   const auto tiny = measure_fixed_k(
-      [](std::size_t players, std::mt19937_64& rng,
+      [](std::size_t players, channel::Rng& rng,
          const channel::SimOptions& options) {
         return run_slotted_aloha(players, 4, rng, options);
       },
@@ -87,7 +87,7 @@ TEST(SlottedAloha, BadlySizedWindowDegrades) {
 TEST(BackoffAloha, SolvesWithoutSizeEstimate) {
   for (std::size_t k : {2ul, 30ul, 500ul}) {
     const auto m = measure_fixed_k(
-        [](std::size_t players, std::mt19937_64& rng,
+        [](std::size_t players, channel::Rng& rng,
            const channel::SimOptions& options) {
           return run_backoff_aloha(players, 1, 1 << 12, rng, options);
         },

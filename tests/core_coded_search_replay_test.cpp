@@ -6,6 +6,7 @@
 #include "core/coded_search.h"
 
 #include <cmath>
+#include <random>
 
 #include <gtest/gtest.h>
 

@@ -11,8 +11,8 @@ Three gates:
    is taken by a pragma under test).  Exact set equality means every
    negative control — `expected_time(` not tripping `time(`, lookups
    not tripping the fold rule, a well-formed allow() pragma
-   suppressing — is asserted too, and a new rule cannot land without
-   fixture coverage.
+   suppressing, channel/rng.h alone naming std::mt19937_64 — is
+   asserted too, and a new rule cannot land without fixture coverage.
 
 2. **Pragma policy** — an allow() without a reason, naming an unknown
    rule, or malformed is reported under `lint-pragma` AND the
@@ -99,6 +99,16 @@ def main():
                        f"{sorted(missing)})")
     check(not surplus, f"no unannotated findings — negative controls "
                        f"hold (surplus: {sorted(surplus)})")
+
+    # det-one-rng's exemption is one file wide: the fixture's
+    # channel/rng.h names std::mt19937_64 and stays clean, while the
+    # engine's names fire everywhere else in the fixture tree.
+    exempt = fixture_root / "src" / "channel" / "rng.h"
+    check("std::mt19937_64" in exempt.read_text(encoding="utf-8")
+          and not any(path == "src/channel/rng.h" for (path, _, _) in found),
+          "det-one-rng exempts src/channel/rng.h, which names the engine")
+    check(sum(rule == "det-one-rng" for (_, _, rule) in expected) >= 9,
+          "det-one-rng fires on every banned engine name in the fixtures")
 
     # Every shipped rule must have fixture coverage, so a rule cannot
     # rot into never-firing without this test noticing.

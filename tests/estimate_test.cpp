@@ -124,7 +124,7 @@ TEST(EstimatePipeline, EstimateThenTransmitSolvesFast) {
   constexpr std::size_t n = 1 << 16;
   constexpr std::size_t k = 5000;
   const channel::AdapterEngine pipeline(
-      [&](std::size_t, std::mt19937_64& rng, const channel::SimOptions&) {
+      [&](std::size_t, channel::Rng& rng, const channel::SimOptions&) {
         auto est = estimate_size_cd(k, n, rng, 3, {1 << 12});
         if (!est.estimate) {
           return channel::RunResult{false, est.rounds, std::nullopt, 0};

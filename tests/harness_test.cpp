@@ -68,7 +68,7 @@ TEST(Measure, CountsFailuresAndSuccesses) {
 
 TEST(Measure, IsReproducibleAcrossCalls) {
   const channel::AdapterEngine engine(
-      [](std::size_t, std::mt19937_64& rng, const channel::SimOptions&) {
+      [](std::size_t, channel::Rng& rng, const channel::SimOptions&) {
         std::uniform_int_distribution<std::size_t> rounds(1, 100);
         return channel::RunResult{true, rounds(rng), std::nullopt};
       });

@@ -48,7 +48,7 @@ void expect_identical(const Measurement& a, const Measurement& b) {
 
 /// A synthetic per-trial function: a uniform round in [1, 500] drawn
 /// from the trial's stream, unsolved when divisible by 7.
-channel::RunResult synthetic_trial(std::size_t, std::mt19937_64& rng,
+channel::RunResult synthetic_trial(std::size_t, channel::Rng& rng,
                                    const channel::SimOptions&) {
   std::uniform_int_distribution<std::size_t> rounds(1, 500);
   const std::size_t r = rounds(rng);
@@ -78,7 +78,7 @@ TEST(AdapterEngine, DrawsKThenRunsOnOneStreamPerTrial) {
   // the same stream with the block's round budget.
   const auto sizes = info::SizeDistribution::uniform(64);
   const channel::AdapterEngine engine(
-      [](std::size_t k, std::mt19937_64& rng,
+      [](std::size_t k, channel::Rng& rng,
          const channel::SimOptions& options) {
         std::uniform_int_distribution<std::size_t> extra(0, k);
         const std::size_t r = k + extra(rng);
@@ -124,7 +124,7 @@ TEST(AdapterEngine, BatchSamplerTrialsAreThreadCountInvariant) {
   const channel::BatchNoCdSampler sampler(decay);
   const auto sizes = info::SizeDistribution::uniform(1 << 10);
   const channel::AdapterEngine engine(
-      [&](std::size_t k, std::mt19937_64& rng,
+      [&](std::size_t k, channel::Rng& rng,
           const channel::SimOptions& options) {
         return sampler.sample(k, rng, {.max_rounds = options.max_rounds});
       });
@@ -141,7 +141,7 @@ TEST(AdapterEngine, BatchSamplerTrialsAreThreadCountInvariant) {
 
 TEST(AdapterEngine, HandlesDegenerateTrialCounts) {
   const channel::AdapterEngine engine(
-      [](std::size_t, std::mt19937_64&, const channel::SimOptions&) {
+      [](std::size_t, channel::Rng&, const channel::SimOptions&) {
         return channel::RunResult{true, 1, std::nullopt};
       });
   for (const bool keep_samples : {false, true}) {
@@ -164,7 +164,7 @@ TEST(AdapterEngine, PropagatesTrialExceptionsAfterThePoolDrains) {
   const auto boom = channel::derive_rng(1, 1234);
   std::atomic<std::size_t> calls{0};
   const channel::AdapterEngine engine(
-      [&](std::size_t, std::mt19937_64& rng, const channel::SimOptions&) {
+      [&](std::size_t, channel::Rng& rng, const channel::SimOptions&) {
         calls.fetch_add(1);
         if (rng == boom) throw std::runtime_error("boom");
         return channel::RunResult{true, 1, std::nullopt};

@@ -13,6 +13,8 @@ before matching, so prose never trips a rule), each with a stable rule
 ID that docs/STATIC_ANALYSIS.md catalogues:
 
   det-no-wallclock-rng      no wall-clock/OS entropy outside channel/rng.h
+  det-one-rng               no standard engine (std::mt19937_64, ...) beside
+                            channel::Rng outside channel/rng.h
   det-no-unordered-iteration no iteration over unordered containers in
                             result paths (src/harness, src/channel)
   det-no-fp-contract        no per-TU fast-math / FP_CONTRACT overrides
@@ -178,6 +180,28 @@ def check_wallclock_rng(src: SourceFile):
             if pattern.search(line):
                 yield lineno, why
                 break
+
+
+# The standard's named engines and the three engine templates they are
+# spelled with. The adaptors (discard_block_engine, ...) are left alone:
+# they only wrap an engine, which must itself be named.
+STD_ENGINE_RE = re.compile(
+    r"\b(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine"
+    r"|ranlux\w*|knuth_b|mersenne_twister_engine"
+    r"|linear_congruential_engine|subtract_with_carry_engine)\b"
+)
+
+
+def check_one_rng(src: SourceFile):
+    for lineno, line in enumerate(src.code_lines, 1):
+        match = STD_ENGINE_RE.search(line)
+        if match:
+            yield (lineno,
+                   f"standard engine '{match.group(0)}' — streams are "
+                   "channel::Rng (output-identical to std::mt19937_64, "
+                   "seeded lazily) from make_rng/derive_rng, or "
+                   "SplitMix64 from derive_fast_rng; a second engine "
+                   "forks the draw sequences the goldens pin")
 
 
 UNORDERED_DECL_RE = re.compile(
@@ -346,6 +370,18 @@ RULES = [
         # of real time; it is injected everywhere else.
         and rel != "src/harness/supervisor.cpp",
         check_wallclock_rng,
+    ),
+    Rule(
+        "det-one-rng",
+        "determinism: seed-derived streams",
+        "No standard engine (std::mt19937_64, mt19937, minstd_rand, "
+        "default_random_engine, ranlux*, knuth_b, or their engine "
+        "templates) outside channel/rng.h — streams are channel::Rng "
+        "or SplitMix64.",
+        lambda rel: _is_cxx(rel)
+        and _in(rel, "src/", "tools/", "bench/", "examples/")
+        and rel != "src/channel/rng.h",
+        check_one_rng,
     ),
     Rule(
         "det-no-unordered-iteration",
