@@ -14,9 +14,7 @@
 namespace crp::channel {
 
 void validate_trial_block(const TrialBlock& block) {
-  if (block.rounds.size() != block.size() ||
-      (!block.transmissions.empty() &&
-       block.transmissions.size() != block.size())) {
+  if (block.rounds.size() != block.size()) {
     throw std::invalid_argument("trial block columns disagree on length");
   }
   if (block.sizes.distribution == nullptr && block.sizes.fixed_k == 0) {
@@ -41,9 +39,6 @@ void run_scalar_adapter(TrialBlock& block, const Run& run) {
     const RunResult result = run(k, rng, options);
     block.solved[t] = result.solved ? 1 : 0;
     block.rounds[t] = result.rounds;
-    if (!block.transmissions.empty()) {
-      block.transmissions[t] = result.transmissions;
-    }
   }
 }
 
@@ -164,12 +159,6 @@ void BatchColumnarEngine::run_many(TrialBlock& block) const {
     const std::uint64_t round = rounds[t];
     block.solved[t] = round != 0 ? 1 : 0;
     block.rounds[t] = round != 0 ? round : block.max_rounds;
-  }
-
-  // The analytic path does not reconstruct the energy proxy (matching
-  // BatchOptions::sample_transmissions' default).
-  if (!block.transmissions.empty()) {
-    std::fill(block.transmissions.begin(), block.transmissions.end(), 0);
   }
 }
 

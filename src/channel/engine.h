@@ -17,8 +17,7 @@
 //
 /// Ownership: engines borrow their schedule/policy (which must outlive
 /// them; BatchColumnarEngine owns its sampler) and never own a block's
-/// columns — TrialBlock spans are caller-owned views into sweep-wide
-/// arrays.
+/// columns — TrialBlock spans are caller-owned views.
 ///
 /// Thread-safety: every Engine must be safe to call concurrently on
 /// disjoint blocks; the engines here are (the analytic engine's table
@@ -55,21 +54,18 @@ struct SizeSource {
   std::size_t fixed_k = 0;
 };
 
-/// One block of trials: the inputs an engine needs plus the output
-/// columns it fills. Columns are caller-owned views (the harness hands
-/// out disjoint subspans of sweep-wide columns, so workers write
-/// results in place with no per-trial copies); every engine overwrites
-/// all `size()` elements. `transmissions` may be empty when the caller
-/// does not need the energy proxy — engines then skip it (the analytic
-/// engine reports 0 either way, matching BatchOptions' default).
+/// One block of trials: the inputs an engine needs plus the two result
+/// columns it fills — exactly what a round histogram folds. Columns are
+/// caller-owned views (the harness hands each worker reusable scratch
+/// columns, so results land with no per-trial copies); every engine
+/// overwrites all `size()` elements.
 struct TrialBlock {
   std::uint64_t seed = 0;         ///< master experiment seed
   std::size_t first_trial = 0;    ///< global index of the first trial
   std::size_t max_rounds = 1 << 20;
   SizeSource sizes;
-  std::span<std::uint8_t> solved;        ///< 1 iff solved within budget
-  std::span<std::uint64_t> rounds;       ///< solve round; budget if not
-  std::span<std::uint64_t> transmissions;  ///< optional energy column
+  std::span<std::uint8_t> solved;   ///< 1 iff solved within budget
+  std::span<std::uint64_t> rounds;  ///< solve round; budget if not
 
   std::size_t size() const { return solved.size(); }
 };

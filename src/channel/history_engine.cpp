@@ -252,12 +252,6 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
       block.rounds[t] = round != 0 ? round : block.max_rounds;
     }
   }
-
-  // Like the no-CD analytic engine, the sampler does not reconstruct
-  // the per-round transmission counts.
-  if (!block.transmissions.empty()) {
-    std::fill(block.transmissions.begin(), block.transmissions.end(), 0);
-  }
 }
 
 std::shared_ptr<const HistoryTreeEngine> HistoryTreeCache::engine_for(

@@ -1,7 +1,6 @@
 #include "harness/accumulate.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace crp::harness {
@@ -66,56 +65,6 @@ std::uint64_t RoundHistogram::solved_by(double budget) const {
     if (static_cast<double>(v) <= budget) within += counts_[v];
   }
   return within;
-}
-
-void MomentAccumulator::add(std::uint64_t value) {
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  sum_ += value;
-  sum_sq_ += static_cast<unsigned __int128>(value) * value;
-}
-
-void MomentAccumulator::add_column(std::span<const std::uint64_t> values) {
-  for (const std::uint64_t value : values) add(value);
-}
-
-void MomentAccumulator::merge(const MomentAccumulator& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  sum_sq_ += other.sum_sq_;
-}
-
-double MomentAccumulator::mean() const {
-  return count_ == 0 ? 0.0
-                     : static_cast<double>(sum_) /
-                           static_cast<double>(count_);
-}
-
-double MomentAccumulator::stddev() const {
-  if (count_ < 2) return 0.0;
-  // Exact integer moments; the (small) cancellation in sum_sq - n*mean^2
-  // happens once, in long double, on read.
-  const long double n = static_cast<long double>(count_);
-  const long double m = static_cast<long double>(sum_) / n;
-  const long double ss =
-      static_cast<long double>(sum_sq_) - n * m * m;
-  return ss <= 0.0L
-             ? 0.0
-             : static_cast<double>(std::sqrt(ss / (n - 1.0L)));
 }
 
 }  // namespace crp::harness

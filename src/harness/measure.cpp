@@ -15,32 +15,7 @@ namespace crp::harness {
 
 namespace {
 
-/// The sample-retaining fold: SoA result columns (`rounds[t]` is
-/// consulted only where `solved[t]`), visited in trial order.
-Measurement measurement_from_columns(std::span<const std::uint8_t> solved,
-                                     std::span<const std::uint64_t> rounds) {
-  Measurement result;
-  result.trials = solved.size();
-  result.samples.reserve(solved.size());
-  std::size_t solved_count = 0;
-  for (std::size_t t = 0; t < solved.size(); ++t) {
-    if (solved[t]) {
-      ++solved_count;
-      result.samples.push_back(static_cast<double>(rounds[t]));
-    }
-  }
-  result.histogram.add_columns(solved, rounds);
-  result.success_rate =
-      solved.empty() ? 0.0
-                     : static_cast<double>(solved_count) /
-                           static_cast<double>(solved.size());
-  result.rounds = summarize(result.samples);
-  return result;
-}
-
-/// The streaming fold: a Measurement read entirely from a merged round
-/// histogram (count/min/max/mean/quantiles bit-identical to the
-/// vector fold; see harness/accumulate.h for the stddev caveat).
+/// A Measurement read entirely from a cell's merged round histogram.
 Measurement measurement_from_histogram(RoundHistogram histogram) {
   Measurement result;
   result.trials = histogram.trials();
@@ -83,26 +58,19 @@ std::shared_ptr<const channel::Engine> uniform_engine(
 std::vector<Measurement> measure_cells(
     std::span<const MeasureCell> cells, std::size_t threads,
     const std::function<void(std::size_t, const Measurement&)>& on_result) {
-  // A cell's state lives from open to close. The sample-retaining fold
-  // writes whole-cell columns in place and folds them in trial order
-  // (the pre-streaming behavior, bit for bit); the streaming fold adds
-  // each block to the cell's integer accumulators, which is exact and
-  // order-free (harness/accumulate.h), so memory is O(workers * (block
-  // size + max observed round)) however many trials run: at most one
-  // cell per worker is open.
+  // A cell's state lives from open to close. Each block folds into the
+  // cell's round histogram, which is exact and order-free
+  // (harness/accumulate.h), so memory is O(workers * (block size + max
+  // observed round)) however many trials run: at most one cell per
+  // worker is open.
   struct CellState {
     std::shared_ptr<const channel::Engine> engine;
-    std::vector<std::uint8_t> solved;
-    std::vector<std::uint64_t> rounds;
-    std::vector<std::uint64_t> transmissions;
-    std::mutex fold;  ///< guards histogram and energy
+    std::mutex fold;  ///< guards histogram
     RoundHistogram histogram;
-    MomentAccumulator energy;
   };
   struct Scratch {
     std::vector<std::uint8_t> solved;
     std::vector<std::uint64_t> rounds;
-    std::vector<std::uint64_t> transmissions;
   };
   std::vector<std::size_t> totals(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) totals[c] = cells[c].trials;
@@ -115,73 +83,31 @@ std::vector<Measurement> measure_cells(
   std::size_t delivered = 0;
 
   const auto open = [&](std::size_t c) {
-    const MeasureCell& cell = cells[c];
-    CellState& state = states[c];
-    state.engine = cell.engine();
-    if (cell.options.keep_samples) {
-      state.solved.resize(cell.trials);
-      state.rounds.resize(cell.trials);
-      if (cell.options.measure_transmissions) {
-        state.transmissions.resize(cell.trials);
-      }
-    }
+    states[c].engine = cells[c].engine();
   };
   const auto block = [&](std::size_t worker, std::size_t c, std::size_t begin,
                          std::size_t end) {
     const MeasureCell& cell = cells[c];
     CellState& state = states[c];
-    const bool energy = cell.options.measure_transmissions;
-    const std::size_t count = end - begin;
-    channel::TrialBlock block;
-    block.seed = cell.seed;
-    block.first_trial = begin;
-    block.max_rounds = cell.options.max_rounds;
-    block.sizes = cell.sizes;
-    if (cell.options.keep_samples) {
-      block.solved = std::span(state.solved).subspan(begin, count);
-      block.rounds = std::span(state.rounds).subspan(begin, count);
-      if (energy) {
-        block.transmissions =
-            std::span(state.transmissions).subspan(begin, count);
-      }
-      state.engine->run_many(block);
-      return;
-    }
     Scratch& columns = scratch[worker];
-    columns.solved.resize(count);
-    columns.rounds.resize(count);
-    block.solved = std::span(columns.solved);
-    block.rounds = std::span(columns.rounds);
-    if (energy) {
-      columns.transmissions.resize(count);
-      block.transmissions = std::span(columns.transmissions);
-    }
+    columns.solved.resize(end - begin);
+    columns.rounds.resize(end - begin);
+    channel::TrialBlock block{.seed = cell.seed,
+                              .first_trial = begin,
+                              .max_rounds = cell.max_rounds,
+                              .sizes = cell.sizes,
+                              .solved = columns.solved,
+                              .rounds = columns.rounds};
     state.engine->run_many(block);
     const std::lock_guard lock(state.fold);
     state.histogram.add_columns(block.solved, block.rounds);
-    if (energy) state.energy.add_column(block.transmissions);
   };
   const auto close = [&](std::size_t c) {
-    const MeasureCell& cell = cells[c];
     CellState& state = states[c];
-    Measurement& result = results[c];
-    if (cell.options.keep_samples) {
-      result = measurement_from_columns(state.solved, state.rounds);
-      if (cell.options.measure_transmissions) {
-        result.transmissions.add_column(state.transmissions);
-      }
-    } else {
-      result = measurement_from_histogram(std::move(state.histogram));
-      if (cell.options.measure_transmissions) {
-        result.transmissions = state.energy;
-      }
-    }
+    results[c] = measurement_from_histogram(std::move(state.histogram));
     // Drop the engine (and the tables it built) as the cell closes, so
     // only open cells hold one.
     state.engine.reset();
-    state.solved = {};
-    state.rounds = {};
-    state.transmissions = {};
     if (!on_result) return;
     const std::lock_guard lock(delivery);
     closed[c] = true;
@@ -214,7 +140,7 @@ Measurement measure_blocks(const channel::Engine& engine,
                          .sizes = sizes,
                          .trials = trials,
                          .seed = seed,
-                         .options = options};
+                         .max_rounds = options.max_rounds};
   return std::move(
       measure_cells(std::span<const MeasureCell>(&cell, 1), options.threads)
           .front());
@@ -222,16 +148,8 @@ Measurement measure_blocks(const channel::Engine& engine,
 
 double Measurement::solved_within(double budget) const {
   if (trials == 0) return 0.0;
-  // The library fold paths always fill the histogram; hand-assembled
-  // Measurements (tests, external callers) may carry samples only.
-  if (histogram.trials() == trials) {
-    return static_cast<double>(histogram.solved_by(budget)) /
-           static_cast<double>(trials);
-  }
-  const auto solved = static_cast<double>(
-      std::count_if(samples.begin(), samples.end(),
-                    [budget](double r) { return r <= budget; }));
-  return solved / static_cast<double>(trials);
+  return static_cast<double>(histogram.solved_by(budget)) /
+         static_cast<double>(trials);
 }
 
 Measurement measure_uniform_no_cd(const channel::ProbabilitySchedule& schedule,

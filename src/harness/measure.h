@@ -3,18 +3,17 @@
 // The execution stack is columnar: a channel::Engine fills
 // structure-of-arrays result columns for whole blocks of trials
 // (channel/engine.h), workers claim (cell, block) items
-// (harness/parallel.h), and measure_cells() folds the columns into one
+// (harness/parallel.h), and measure_cells() folds each block into its
+// cell's exact counting histogram (harness/accumulate.h), one
 // Measurement per cell — bit-identical at every thread count;
-// measure_blocks() is its one-cell case. By default the fold is
-// *streaming*: each block folds into its cell's exact counting
-// histogram (harness/accumulate.h), an exact and order-free merge, so
-// a cell's memory is O(max observed round) regardless of the trial
-// count; MeasureOptions::keep_samples restores the raw
-// per-trial sample vector for consumers that need it. The measure_*
-// helpers below wire the common cases (a uniform algorithm against a
-// network-size distribution, an advice protocol against sampled
-// participant sets) onto that stack; any other per-trial simulation
-// runs through measure_blocks with a channel::AdapterEngine.
+// measure_blocks() is its one-cell case. The merge is exact and
+// order-free, so a cell's memory is O(max observed round) regardless
+// of the trial count, and every statistic a Measurement reports is read
+// from that histogram. The measure_* helpers below wire the common
+// cases (a uniform algorithm against a network-size distribution, an
+// advice protocol against sampled participant sets) onto that stack;
+// any other per-trial simulation runs through measure_blocks with a
+// channel::AdapterEngine.
 #pragma once
 
 #include <cstddef>
@@ -46,22 +45,12 @@ struct Measurement {
   std::size_t trials = 0;
 
   /// Fraction of trials solved within `budget` rounds (one-shot success
-  /// probability at that budget). Reads the histogram when the library
-  /// fold filled it, else the raw samples — identical answers.
+  /// probability at that budget), read from the histogram.
   double solved_within(double budget) const;
 
-  /// Rounds of solved trials, in trial order. Filled only when
-  /// MeasureOptions::keep_samples is set; empty on the (default)
-  /// streaming path.
-  std::vector<double> samples;
-
-  /// Exact per-round counts of the solved trials; filled by every
-  /// library fold path (the streaming default stores only this).
+  /// Exact per-round counts of the solved trials: the cell's whole
+  /// round distribution, from which every field above is derived.
   RoundHistogram histogram;
-
-  /// Transmission-count moments over all trials; populated only when
-  /// MeasureOptions::measure_transmissions requested the energy column.
-  MomentAccumulator transmissions;
 };
 
 /// Which engine simulates a uniform no-CD trial.
@@ -95,19 +84,6 @@ struct MeasureOptions {
   /// simulated default keeps every published fixed-seed golden stable;
   /// sweeps and benches opt into the history-tree sampler explicitly.
   CdEngine cd_engine = CdEngine::kSimulate;
-  /// When true, the fold keeps Measurement::samples (rounds of solved
-  /// trials, in trial order) and computes the summary from that vector
-  /// — the pre-streaming behavior, O(trials) memory, needed by callers
-  /// that consume raw samples. The default folds into the counting
-  /// histogram only: memory flat in the trial count, with count, min,
-  /// max, mean, and quantiles bit-identical to the vector fold.
-  bool keep_samples = false;
-  /// When true, engines fill the transmissions column and the fold
-  /// accumulates Measurement::transmissions (exact integer moments
-  /// over all trials). Off by default: the analytic no-CD engine
-  /// reports the column as 0 (see channel/batch.h) — meaningful with
-  /// the exact engines.
-  bool measure_transmissions = false;
   /// Shared history-tree engine cache for the CD helpers (used only
   /// when cd_engine is kHistoryTree). Null = construct a private
   /// engine per call, the non-sweep default; run_sweep passes one
@@ -127,7 +103,8 @@ Measurement measure_blocks(const channel::Engine& engine,
                            const MeasureOptions& options);
 
 /// One measurement for measure_cells: measure_blocks' arguments, with
-/// the engine built when the cell opens.
+/// the engine built when the cell opens and the round budget the only
+/// option a cell carries (measure_cells takes the pool width).
 struct MeasureCell {
   /// Builds the cell's engine. Called once, when the scheduler opens
   /// the cell; the engine is released when the cell's last block has
@@ -136,9 +113,7 @@ struct MeasureCell {
   channel::SizeSource sizes;
   std::size_t trials = 0;
   std::uint64_t seed = 0;
-  /// max_rounds, keep_samples and measure_transmissions apply to this
-  /// cell; threads is ignored (measure_cells takes the pool width).
-  MeasureOptions options;
+  std::size_t max_rounds = 1 << 20;
 };
 
 /// Measures every cell on one pool of `threads` workers (0 = all
@@ -147,15 +122,15 @@ struct MeasureCell {
 /// open at once; a newly opened cell runs its first block alone, so
 /// the tables and trees its engine builds lazily are built once, and
 /// then any idle worker may claim its remaining blocks, lowest open
-/// cell first. Each block writes its slice of the cell's columns
-/// (keep_samples) or folds into the cell's integer accumulators, so
-/// every result is bit-identical to measure_blocks on that cell alone,
-/// at any thread count. Results are in cell order; the first exception
-/// any cell throws is rethrown after the pool drains. `on_result`, when
-/// set, gets each Measurement in cell order, one call at a time under
-/// one mutex, on whichever worker closed the gap; a closed cell frees
-/// its engine at once and only its Measurement waits. After a throw
-/// nothing more is delivered, and the exception is rethrown.
+/// cell first. Each block folds into its cell's round histogram, an
+/// exact integer merge, so every result is bit-identical to
+/// measure_blocks on that cell alone, at any thread count. Results are
+/// in cell order; the first exception any cell throws is rethrown after
+/// the pool drains. `on_result`, when set, gets each Measurement in
+/// cell order, one call at a time under one mutex, on whichever worker
+/// closed the gap; a closed cell frees its engine at once and only its
+/// Measurement waits. After a throw nothing more is delivered, and the
+/// exception is rethrown.
 std::vector<Measurement> measure_cells(
     std::span<const MeasureCell> cells, std::size_t threads,
     const std::function<void(std::size_t, const Measurement&)>& on_result = {});

@@ -108,7 +108,7 @@ std::vector<SweepResult> run_sweep(
                      : channel::SizeSource{nullptr, cell.sizes.fixed_k},
         .trials = cell.trials != 0 ? cell.trials : options.trials,
         .seed = results[i].cell_seed,
-        .options = measure};
+        .max_rounds = cell.max_rounds};
   }
   // Every cell's blocks go to one pool: heavy cells spread over every
   // worker while light ones fill the gaps, and each cell's result is a

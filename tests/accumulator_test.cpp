@@ -1,12 +1,11 @@
 // The streaming accumulator layer (harness/accumulate.h) vs the
-// sample-vector fold it replaces, and the branchless inverse-CDF probe
-// vs the partition_point search it replaces:
+// sample-vector reference summarize(), and the branchless inverse-CDF
+// probe vs the partition_point search it replaces:
 //  * histogram-fold count/min/max/mean/quantiles/success must match
-//    the vector fold bit for bit at fixed seeds (stddev/ci95 to
-//    floating-point rounding), with keep_samples on and off, across
+//    summarize() over the engine's own result columns bit for bit at
+//    fixed seeds (stddev/ci95 to floating-point rounding), across
 //    thread counts and block-size-straddling trial counts;
-//  * RoundHistogram / MomentAccumulator merges must be exact and
-//    merge-order free;
+//  * RoundHistogram merges must be exact and merge-order free;
 //  * BatchNoCdSampler::probe_first_below must equal
 //    std::partition_point on randomized snapshots, comparison for
 //    comparison, so every fixed-seed golden of the batch paths
@@ -34,8 +33,8 @@ namespace crp::harness {
 namespace {
 
 /// The exactly-equal half of the contract: everything except
-/// stddev/ci95 is bit-identical between the vector and histogram
-/// folds.
+/// stddev/ci95 is bit-identical between summarize() and the histogram
+/// fold.
 void expect_stats_identical(const SummaryStats& a, const SummaryStats& b) {
   EXPECT_EQ(a.count, b.count);
   EXPECT_EQ(a.mean, b.mean);
@@ -53,6 +52,29 @@ info::SizeDistribution table1_sizes(std::size_t n) {
       predict::uniform_over_ranges(info::num_ranges(n), 6);
   return predict::lift(condensed, n,
                        predict::RangePlacement::kHighEndpoint);
+}
+
+/// The rounds of the solved trials among `trials` trials from trial 0,
+/// in trial order, read from the engine's result columns (one
+/// run_many block) — the sample vector summarize() takes.
+std::vector<double> solved_samples(const channel::Engine& engine,
+                                   channel::SizeSource sizes,
+                                   std::size_t trials, std::uint64_t seed,
+                                   std::size_t max_rounds) {
+  std::vector<std::uint8_t> solved(trials);
+  std::vector<std::uint64_t> rounds(trials);
+  channel::TrialBlock block{.seed = seed,
+                            .first_trial = 0,
+                            .max_rounds = max_rounds,
+                            .sizes = sizes,
+                            .solved = solved,
+                            .rounds = rounds};
+  engine.run_many(block);
+  std::vector<double> samples;
+  for (std::size_t t = 0; t < trials; ++t) {
+    if (solved[t]) samples.push_back(static_cast<double>(rounds[t]));
+  }
+  return samples;
 }
 
 TEST(RoundHistogram, MatchesSummarizeOnKnownValues) {
@@ -122,73 +144,49 @@ TEST(RoundHistogram, MergeIsExactAndOrderFree) {
   }
 }
 
-TEST(MomentAccumulator, MatchesDirectMomentsAndMerges) {
-  std::mt19937_64 rng(17);
-  std::uniform_int_distribution<std::uint64_t> values(0, 10000);
-  MomentAccumulator whole;
-  MomentAccumulator left;
-  MomentAccumulator right;
-  std::vector<double> raw;
-  for (int t = 0; t < 4000; ++t) {
-    const std::uint64_t v = values(rng);
-    whole.add(v);
-    (t % 2 == 0 ? left : right).add(v);
-    raw.push_back(static_cast<double>(v));
-  }
-  const auto direct = summarize(raw);
-  EXPECT_EQ(whole.count(), 4000u);
-  EXPECT_DOUBLE_EQ(whole.mean(), direct.mean);
-  EXPECT_NEAR(whole.stddev(), direct.stddev, 1e-9 * direct.stddev);
-  EXPECT_EQ(static_cast<double>(whole.min()), direct.min);
-  EXPECT_EQ(static_cast<double>(whole.max()), direct.max);
-
-  MomentAccumulator merged = left;
-  merged.merge(right);
-  EXPECT_EQ(merged.count(), whole.count());
-  EXPECT_EQ(merged.mean(), whole.mean());      // identical integer sums
-  EXPECT_EQ(merged.stddev(), whole.stddev());
-  EXPECT_EQ(merged.min(), whole.min());
-  EXPECT_EQ(merged.max(), whole.max());
-}
-
 TEST(StreamingFold, MatchesVectorFoldBitForBit) {
   // The tentpole contract, end to end through measure_*: at a fixed
-  // seed the streaming fold reproduces the sample-retaining fold's
-  // count, extrema, mean, quantiles, success rate, and success curve
-  // exactly — for the analytic no-CD engine, the exact binomial
-  // engine, and the CD adapter.
+  // seed the streaming fold reproduces summarize() over the engine's
+  // own result columns — count, extrema, mean, quantiles, success
+  // rate, and success curve exactly — for the analytic no-CD engine,
+  // the exact binomial engine, and the CD adapter.
   constexpr std::size_t n = 1 << 12;
+  constexpr std::size_t kMaxRounds = 1 << 14;
   const auto actual = table1_sizes(n);
   const auto condensed = actual.condense();
   const core::LikelihoodOrderedSchedule schedule(condensed);
   const baselines::DecaySchedule decay(n);
   const baselines::WillardPolicy willard(n);
+  MeasureOptions stream{.max_rounds = kMaxRounds, .threads = 1};
 
-  MeasureOptions keep{.max_rounds = 1 << 14, .threads = 1,
-                      .keep_samples = true};
-  MeasureOptions stream = keep;
-  stream.keep_samples = false;
-
-  const auto check = [&](const Measurement& kept,
-                         const Measurement& streamed) {
-    EXPECT_EQ(kept.trials, streamed.trials);
-    EXPECT_EQ(kept.success_rate, streamed.success_rate);
-    expect_stats_identical(kept.rounds, streamed.rounds);
-    EXPECT_TRUE(streamed.samples.empty());
+  const auto check = [&](const channel::Engine& engine,
+                         channel::SizeSource sizes, std::size_t trials,
+                         std::uint64_t seed, const Measurement& streamed) {
+    const auto samples =
+        solved_samples(engine, sizes, trials, seed, kMaxRounds);
+    EXPECT_EQ(trials, streamed.trials);
+    EXPECT_EQ(static_cast<double>(samples.size()) /
+                  static_cast<double>(trials),
+              streamed.success_rate);
+    expect_stats_identical(summarize(samples), streamed.rounds);
     for (const double budget : {1.0, 3.0, 10.0, 100.0}) {
-      EXPECT_EQ(kept.solved_within(budget), streamed.solved_within(budget))
+      const auto within = std::count_if(
+          samples.begin(), samples.end(),
+          [budget](double r) { return r <= budget; });
+      EXPECT_EQ(static_cast<double>(within) / static_cast<double>(trials),
+                streamed.solved_within(budget))
           << budget;
     }
   };
 
-  keep.engine = stream.engine = NoCdEngine::kBatch;
-  check(measure_uniform_no_cd(schedule, actual, 6000, 404, keep),
+  stream.engine = NoCdEngine::kBatch;
+  check(channel::BatchColumnarEngine(schedule), {&actual, 0}, 6000, 404,
         measure_uniform_no_cd(schedule, actual, 6000, 404, stream));
-  keep.engine = stream.engine = NoCdEngine::kBinomial;
-  check(measure_uniform_no_cd(decay, actual, 2000, 405, keep),
+  stream.engine = NoCdEngine::kBinomial;
+  check(channel::BinomialColumnarEngine(decay), {&actual, 0}, 2000, 405,
         measure_uniform_no_cd(decay, actual, 2000, 405, stream));
-  check(measure_uniform_cd_fixed_k(willard, 60, 2000, 406, keep),
-        measure_uniform_cd_fixed_k(willard, 60, 2000, 406, stream));
+  check(channel::CollisionPolicyColumnarEngine(willard), {nullptr, 60}, 2000,
+        406, measure_uniform_cd_fixed_k(willard, 60, 2000, 406, stream));
 }
 
 TEST(StreamingFold, ThreadCountAndPartitionInvisible) {
@@ -220,37 +218,6 @@ TEST(StreamingFold, ThreadCountAndPartitionInvisible) {
       EXPECT_EQ(reference.rounds.max, m.rounds.max);
     }
   }
-}
-
-TEST(StreamingFold, TransmissionMomentsMatchAcrossFoldModes) {
-  // The energy column is opt-in; both fold modes accumulate the same
-  // exact integer moments from it.
-  const baselines::DecaySchedule decay(1 << 10);
-  MeasureOptions keep{.max_rounds = 1 << 14,
-                      .threads = 1,
-                      .engine = NoCdEngine::kBinomial,
-                      .keep_samples = true,
-                      .measure_transmissions = true};
-  MeasureOptions stream = keep;
-  stream.keep_samples = false;
-  const auto kept = measure_uniform_no_cd_fixed_k(decay, 100, 3000, 7, keep);
-  const auto streamed =
-      measure_uniform_no_cd_fixed_k(decay, 100, 3000, 7, stream);
-  EXPECT_EQ(kept.transmissions.count(), 3000u);
-  EXPECT_GT(kept.transmissions.mean(), 0.0);
-  EXPECT_EQ(kept.transmissions.count(), streamed.transmissions.count());
-  EXPECT_EQ(kept.transmissions.mean(), streamed.transmissions.mean());
-  EXPECT_EQ(kept.transmissions.stddev(), streamed.transmissions.stddev());
-  EXPECT_EQ(kept.transmissions.min(), streamed.transmissions.min());
-  EXPECT_EQ(kept.transmissions.max(), streamed.transmissions.max());
-
-  // Off by default: no accumulation happens.
-  const auto off = measure_uniform_no_cd_fixed_k(
-      decay, 100, 500, 7,
-      MeasureOptions{.max_rounds = 1 << 14,
-                     .threads = 1,
-                     .engine = NoCdEngine::kBinomial});
-  EXPECT_EQ(off.transmissions.count(), 0u);
 }
 
 // ---- pass-2 branchless probe vs partition_point ------------------

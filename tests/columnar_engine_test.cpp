@@ -34,7 +34,6 @@ namespace {
 
 void expect_identical(const Measurement& a, const Measurement& b) {
   EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.samples, b.samples);  // element-wise, in trial order
   EXPECT_TRUE(a.histogram == b.histogram);
   EXPECT_EQ(a.success_rate, b.success_rate);
   EXPECT_EQ(a.rounds.mean, b.rounds.mean);
@@ -55,22 +54,19 @@ info::SizeDistribution table1_sizes(std::size_t n) {
 struct Columns {
   std::vector<std::uint8_t> solved;
   std::vector<std::uint64_t> rounds;
-  std::vector<std::uint64_t> transmissions;
 };
 
 Columns run_one_block(const channel::Engine& engine,
                       channel::SizeSource sizes, std::size_t trials,
                       std::uint64_t seed, std::size_t max_rounds) {
   Columns columns{std::vector<std::uint8_t>(trials),
-                  std::vector<std::uint64_t>(trials),
                   std::vector<std::uint64_t>(trials)};
   channel::TrialBlock block{.seed = seed,
                             .first_trial = 0,
                             .max_rounds = max_rounds,
                             .sizes = sizes,
                             .solved = columns.solved,
-                            .rounds = columns.rounds,
-                            .transmissions = columns.transmissions};
+                            .rounds = columns.rounds};
   engine.run_many(block);
   return columns;
 }
@@ -79,7 +75,6 @@ void expect_trial(const Columns& columns, std::size_t t,
                   const channel::RunResult& run) {
   EXPECT_EQ(columns.solved[t], run.solved ? 1 : 0) << "trial " << t;
   EXPECT_EQ(columns.rounds[t], run.rounds) << "trial " << t;
-  EXPECT_EQ(columns.transmissions[t], run.transmissions) << "trial " << t;
 }
 
 TEST(ColumnarEngine, BatchMatchesScalarSamplerLoop) {
@@ -167,8 +162,7 @@ TEST(ColumnarEngine, BlockPartitionIsInvisible) {
   const auto actual = table1_sizes(1 << 10);
   for (const std::size_t trials :
        {kTrialBlockSize - 1, kTrialBlockSize, 3 * kTrialBlockSize + 17}) {
-    const MeasureOptions serial{
-        .max_rounds = 1 << 14, .threads = 1, .keep_samples = true};
+    const MeasureOptions serial{.max_rounds = 1 << 14, .threads = 1};
     const auto reference =
         measure_uniform_no_cd(decay, actual, trials, 99, serial);
     for (const std::size_t threads : {2ul, 8ul}) {
@@ -183,7 +177,7 @@ TEST(ColumnarEngine, BlockPartitionIsInvisible) {
 
 TEST(ColumnarEngine, CustomEngineThroughMeasureBlocks) {
   // measure_blocks is a public extension point: a custom engine only
-  // fills columns, and the fold sees trials in order.
+  // fills columns, and the fold counts every trial it fills.
   class EveryThirdSolves final : public channel::Engine {
    public:
     void run_many(channel::TrialBlock& block) const override {
@@ -197,12 +191,14 @@ TEST(ColumnarEngine, CustomEngineThroughMeasureBlocks) {
   const EveryThirdSolves engine;
   const auto m =
       measure_blocks(engine, channel::SizeSource{nullptr, 2}, 10, 0,
-                     MeasureOptions{.threads = 1, .keep_samples = true});
+                     MeasureOptions{.threads = 1});
   EXPECT_EQ(m.trials, 10u);
   EXPECT_DOUBLE_EQ(m.success_rate, 0.4);
-  ASSERT_EQ(m.samples.size(), 4u);
-  EXPECT_EQ(m.samples.front(), 1.0);
-  EXPECT_EQ(m.samples.back(), 10.0);
+  // Trials 0, 3, 6, 9 solve in rounds 1, 4, 7, 10.
+  RoundHistogram expected;
+  for (const std::uint64_t round : {1, 4, 7, 10}) expected.add_solved(round);
+  for (int unsolved = 0; unsolved < 6; ++unsolved) expected.add_unsolved();
+  EXPECT_TRUE(m.histogram == expected);
 }
 
 TEST(ColumnarEngine, RejectsDegenerateBlocks) {
@@ -219,13 +215,17 @@ TEST(ColumnarEngine, RejectsDegenerateBlocks) {
 // before the columnar refactor. The measure_* helpers must keep
 // reproducing them bit for bit: every engine derives the same
 // per-trial streams and consumes draws in the same order as the
-// scalar loops did. keep_samples selects the sample-retaining fold
-// these goldens were captured from; the streaming fold reproduces the
-// same count/mean/quantiles (tests/accumulator_test.cpp).
+// scalar loops did. The goldens were captured from a sample-vector
+// fold; the histogram fold reproduces the same count/mean/quantiles
+// (tests/accumulator_test.cpp), and the sum of the solved rounds reads
+// exactly off the histogram.
 
 double sample_sum(const Measurement& m) {
   double sum = 0.0;
-  for (const double s : m.samples) sum += s;
+  const auto counts = m.histogram.counts();
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    sum += static_cast<double>(r) * static_cast<double>(counts[r]);
+  }
   return sum;
 }
 
@@ -240,8 +240,7 @@ TEST(ColumnarEngine, GoldenBatchDrawnSizes) {
       schedule, actual, 4000, 2021,
       MeasureOptions{.max_rounds = 1 << 14,
                      .threads = 1,
-                     .engine = NoCdEngine::kBatch,
-                     .keep_samples = true});
+                     .engine = NoCdEngine::kBatch});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
   EXPECT_DOUBLE_EQ(m.rounds.mean, 6.3362499999999997);
   EXPECT_DOUBLE_EQ(m.rounds.p50, 4.0);
@@ -256,8 +255,7 @@ TEST(ColumnarEngine, GoldenBatchFixedK) {
       decay, 100, 4000, 2022,
       MeasureOptions{.max_rounds = 1 << 14,
                      .threads = 1,
-                     .engine = NoCdEngine::kBatch,
-                     .keep_samples = true});
+                     .engine = NoCdEngine::kBatch});
   EXPECT_DOUBLE_EQ(m.rounds.mean, 10.655250000000001);
   EXPECT_DOUBLE_EQ(sample_sum(m), 42621.0);
 }
@@ -273,8 +271,7 @@ TEST(ColumnarEngine, GoldenBinomialDrawnSizes) {
       schedule, actual, 2000, 2023,
       MeasureOptions{.max_rounds = 1 << 14,
                      .threads = 1,
-                     .engine = NoCdEngine::kBinomial,
-                     .keep_samples = true});
+                     .engine = NoCdEngine::kBinomial});
   EXPECT_DOUBLE_EQ(m.rounds.mean, 6.3685);
   EXPECT_DOUBLE_EQ(sample_sum(m), 12737.0);
 }
@@ -283,8 +280,7 @@ TEST(ColumnarEngine, GoldenCdPaths) {
   constexpr std::size_t n = 1 << 12;
   const auto actual = table1_sizes(n);
   const baselines::WillardPolicy willard(n);
-  const MeasureOptions options{
-      .max_rounds = 1 << 14, .threads = 1, .keep_samples = true};
+  const MeasureOptions options{.max_rounds = 1 << 14, .threads = 1};
   const auto drawn =
       measure_uniform_cd(willard, actual, 2000, 2025, options);
   EXPECT_DOUBLE_EQ(drawn.rounds.mean, 4.1935000000000002);
@@ -302,8 +298,7 @@ TEST(ColumnarEngine, GoldenDeterministicAdvice) {
   const auto sizes = info::SizeDistribution::uniform(32);
   const auto m = measure_deterministic_advice(
       scan, advice, sizes, n, false, 1000, 2027,
-      MeasureOptions{
-          .max_rounds = 8 << 8, .threads = 1, .keep_samples = true});
+      MeasureOptions{.max_rounds = 8 << 8, .threads = 1});
   EXPECT_DOUBLE_EQ(m.rounds.mean, 11.145);
   EXPECT_DOUBLE_EQ(sample_sum(m), 11145.0);
 

@@ -15,9 +15,10 @@ be byte-identical to the compiled-in table1 grid (monolithic and
 shard+merge), and spec validation/readability failures must exit 3/4
 with the offending field and file named.
 
-One case compares against a checked-in file rather than the binary
-itself: a simulated-CD table1 run must equal
-tests/goldens/table1_simulate_n1024_t500_s7.csv byte for byte.
+Two cases compare against checked-in files rather than the binary
+itself: table1 runs with the simulated and the history-tree CD engine
+must equal tests/goldens/table1_simulate_n1024_t500_s7.csv and
+tests/goldens/table1_tree_n1024_t500_s7.csv byte for byte.
 
 Usage: crp_shard_cli_test.py /path/to/crp_shard [/path/to/source/tree]
 """
@@ -606,23 +607,27 @@ with tempfile.TemporaryDirectory() as tmp:
         else:
             print("ok   crash-resumed CSV is byte-identical")
 
-    # --- cross-commit byte pin on the simulated CD path ---
+    # --- cross-commit byte pins on both CD engines ---
     # Every other CSV comparison here pits the binary against itself.
-    # This one holds it to a checked-in CSV, so a change to the
-    # per-trial generator or to any draw sequence the simulator makes
-    # fails here. The CD engine is named, not defaulted, so a change of
-    # default never has to regenerate the golden.
-    golden_csv = os.path.join(SOURCE_DIR, "tests", "goldens",
-                              "table1_simulate_n1024_t500_s7.csv")
-    pinned = os.path.join(tmp, "pinned-simulate.csv")
-    check("simulated table1 run for the golden",
-          run("run", "--grid", "table1", "--n", "1024", "--trials", "500",
-              "--seed", "7", "--cd-engine", "simulate", "--out", pinned), 0)
-    with open(pinned, "rb") as handle, open(golden_csv, "rb") as golden:
-        if handle.read() != golden.read():
-            FAILURES.append(f"simulated table1 CSV differs from {golden_csv}")
-        else:
-            print("ok   simulated table1 CSV matches the checked-in golden")
+    # These hold it to checked-in CSVs, so a change to the per-trial
+    # generator, to any draw sequence the simulator makes, or to the
+    # batch and history-tree samplers fails here. The CD engine is
+    # named, not defaulted, so a change of default never has to
+    # regenerate a golden.
+    for label, cd_engine in (("simulated", "simulate"),
+                             ("history-tree", "tree")):
+        golden_csv = os.path.join(SOURCE_DIR, "tests", "goldens",
+                                  f"table1_{cd_engine}_n1024_t500_s7.csv")
+        pinned = os.path.join(tmp, f"pinned-{cd_engine}.csv")
+        check(f"{label} table1 run for the golden",
+              run("run", "--grid", "table1", "--n", "1024", "--trials",
+                  "500", "--seed", "7", "--cd-engine", cd_engine,
+                  "--out", pinned), 0)
+        with open(pinned, "rb") as handle, open(golden_csv, "rb") as golden:
+            if handle.read() != golden.read():
+                FAILURES.append(f"{label} table1 CSV differs from {golden_csv}")
+            else:
+                print(f"ok   {label} table1 CSV matches the checked-in golden")
 
     # --- SIGHUP mid-grid: same resumable contract as SIGINT/SIGTERM ---
     hup_dir = os.path.join(tmp, "sighup")

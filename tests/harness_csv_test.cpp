@@ -177,8 +177,8 @@ TEST(CsvWriterTest, MeasurementCellsMatchHeaderWidth) {
   Measurement m;
   m.trials = 10;
   m.success_rate = 0.9;
-  m.samples = {1.0, 2.0, 3.0};
-  m.rounds = summarize(m.samples);
+  for (const std::uint64_t round : {1, 2, 3}) m.histogram.add_solved(round);
+  m.rounds = m.histogram.summary();
   EXPECT_EQ(CsvWriter::measurement_cells(m).size(),
             CsvWriter::measurement_header().size());
 }

@@ -53,17 +53,14 @@ class AlternatingEngine final : public channel::Engine {
 
 TEST(Measure, CountsFailuresAndSuccesses) {
   const AlternatingEngine engine;
-  for (const bool keep_samples : {false, true}) {
-    const auto m = measure_blocks(engine, {nullptr, 1}, 100, /*seed=*/1,
-                                  {.max_rounds = 100,
-                                   .keep_samples = keep_samples});
-    EXPECT_DOUBLE_EQ(m.success_rate, 0.5);
-    EXPECT_EQ(m.rounds.count, 50u);
-    EXPECT_DOUBLE_EQ(m.rounds.mean, 3.0);
-    EXPECT_DOUBLE_EQ(m.solved_within(3.0), 0.5);
-    EXPECT_DOUBLE_EQ(m.solved_within(2.0), 0.0);
-    EXPECT_EQ(m.samples.size(), keep_samples ? 50u : 0u);
-  }
+  const auto m = measure_blocks(engine, {nullptr, 1}, 100, /*seed=*/1,
+                                {.max_rounds = 100});
+  EXPECT_DOUBLE_EQ(m.success_rate, 0.5);
+  EXPECT_EQ(m.rounds.count, 50u);
+  EXPECT_DOUBLE_EQ(m.rounds.mean, 3.0);
+  EXPECT_DOUBLE_EQ(m.solved_within(3.0), 0.5);
+  EXPECT_DOUBLE_EQ(m.solved_within(2.0), 0.0);
+  EXPECT_EQ(m.histogram.solved(), 50u);
 }
 
 TEST(Measure, IsReproducibleAcrossCalls) {
@@ -72,11 +69,11 @@ TEST(Measure, IsReproducibleAcrossCalls) {
         std::uniform_int_distribution<std::size_t> rounds(1, 100);
         return channel::RunResult{true, rounds(rng), std::nullopt};
       });
-  const MeasureOptions options{.keep_samples = true};
+  const MeasureOptions options;
   const auto a = measure_blocks(engine, {nullptr, 1}, 500, 42, options);
   const auto b = measure_blocks(engine, {nullptr, 1}, 500, 42, options);
-  EXPECT_EQ(a.samples.size(), 500u);
-  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.histogram.solved(), 500u);
+  EXPECT_TRUE(a.histogram == b.histogram);
 }
 
 TEST(RandomParticipantSet, CorrectSizeAndDistinctIds) {

@@ -31,18 +31,21 @@ using channel::HistoryTreeEngine;
 
 void expect_identical(const Measurement& a, const Measurement& b) {
   EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.samples, b.samples);
-  // Element-wise distribution equality even on the streaming path
-  // (where samples are empty on both sides).
+  // Full per-round distribution equality.
   EXPECT_TRUE(a.histogram == b.histogram);
   EXPECT_EQ(a.success_rate, b.success_rate);
   EXPECT_EQ(a.rounds.mean, b.rounds.mean);
   EXPECT_EQ(a.rounds.max, b.rounds.max);
 }
 
+/// The sum of the solved trials' rounds, read exactly off the
+/// histogram.
 double sample_sum(const Measurement& m) {
   double sum = 0.0;
-  for (const double s : m.samples) sum += s;
+  const auto counts = m.histogram.counts();
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    sum += static_cast<double>(r) * static_cast<double>(counts[r]);
+  }
   return sum;
 }
 
@@ -303,8 +306,7 @@ TEST(HistoryTreeEngine, SharedTreeCacheMeasuresIdentically) {
 
 TEST(HistoryTreeEngine, GoldenFixedSeedStatistics) {
   const baselines::WillardPolicy willard(1 << 16);
-  MeasureOptions options{
-      .max_rounds = 1 << 12, .threads = 1, .keep_samples = true};
+  MeasureOptions options{.max_rounds = 1 << 12, .threads = 1};
   options.cd_engine = CdEngine::kHistoryTree;
   const auto fixed =
       measure_uniform_cd_fixed_k(willard, 60, 2000, 2025, options);

@@ -329,8 +329,7 @@ run_at_tier(Tier tier, const Engine& engine, const SizeSource& sizes,
     const std::size_t count = std::min<std::size_t>(257, trials - first);
     TrialBlock block{404, first, max_rounds, sizes,
                      std::span(solved.data() + first, count),
-                     std::span(rounds.data() + first, count),
-                     {}};
+                     std::span(rounds.data() + first, count)};
     engine.run_many(block);
   }
   return {std::move(solved), std::move(rounds)};

@@ -7,7 +7,8 @@
 // drawn. The (cell, block) scheduler under measure_cells keeps its
 // rules: a cell's first block runs alone, at most `threads` cells hold
 // an engine, and an error in any block surfaces on the caller after
-// the pool drains.
+// the pool drains; it hands every trial index of every cell to the
+// cell's engine exactly once, on the cell's seed and round budget.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -33,7 +34,6 @@ namespace {
 
 void expect_identical(const Measurement& a, const Measurement& b) {
   EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.samples, b.samples);  // element-wise, in trial order
   EXPECT_TRUE(a.histogram == b.histogram);
   EXPECT_EQ(a.success_rate, b.success_rate);
   EXPECT_EQ(a.rounds.count, b.rounds.count);
@@ -55,20 +55,17 @@ channel::RunResult synthetic_trial(std::size_t, channel::Rng& rng,
   return channel::RunResult{r % 7 != 0, r, std::nullopt};
 }
 
-TEST(AdapterEngine, BitIdenticalAtEveryThreadCountInBothFolds) {
+TEST(AdapterEngine, BitIdenticalAtEveryThreadCount) {
   const channel::AdapterEngine engine(synthetic_trial);
-  for (const bool keep_samples : {false, true}) {
-    const MeasureOptions serial{.threads = 1, .keep_samples = keep_samples};
-    const auto reference = measure_blocks(engine, {nullptr, 1}, 3001, 42,
-                                          serial);
-    EXPECT_EQ(reference.trials, 3001u);
-    EXPECT_EQ(reference.samples.empty(), !keep_samples);
-    for (const std::size_t threads : {1ul, 2ul, 8ul}) {
-      MeasureOptions pooled = serial;
-      pooled.threads = threads;
-      expect_identical(reference, measure_blocks(engine, {nullptr, 1}, 3001,
-                                                 42, pooled));
-    }
+  const MeasureOptions serial{.threads = 1};
+  const auto reference = measure_blocks(engine, {nullptr, 1}, 3001, 42,
+                                        serial);
+  EXPECT_EQ(reference.trials, 3001u);
+  for (const std::size_t threads : {1ul, 2ul, 8ul}) {
+    MeasureOptions pooled = serial;
+    pooled.threads = threads;
+    expect_identical(reference, measure_blocks(engine, {nullptr, 1}, 3001,
+                                               42, pooled));
   }
 }
 
@@ -89,31 +86,34 @@ TEST(AdapterEngine, DrawsKThenRunsOnOneStreamPerTrial) {
   constexpr std::size_t kTrials = 2500;
   constexpr std::uint64_t kSeed = 77;
   constexpr std::size_t kBudget = 100;
-  const auto m = measure_blocks(
-      engine, {&sizes, 0}, kTrials, kSeed,
-      {.max_rounds = kBudget, .keep_samples = true,
-       .measure_transmissions = true});
+  std::vector<std::uint8_t> solved(kTrials);
+  std::vector<std::uint64_t> rounds(kTrials);
+  channel::TrialBlock block{.seed = kSeed,
+                            .first_trial = 0,
+                            .max_rounds = kBudget,
+                            .sizes = {&sizes, 0},
+                            .solved = solved,
+                            .rounds = rounds};
+  engine.run_many(block);
 
-  std::vector<double> expected;
-  MomentAccumulator energy;
-  std::vector<std::uint64_t> ks;
+  RoundHistogram expected;
   for (std::size_t t = 0; t < kTrials; ++t) {
     auto rng = channel::derive_rng(kSeed, t);
     const std::size_t k = sizes.sample(rng);
     std::uniform_int_distribution<std::size_t> extra(0, k);
     const std::size_t r = k + extra(rng);
-    if (r < kBudget) expected.push_back(static_cast<double>(r));
-    ks.push_back(k);
+    EXPECT_EQ(solved[t], r < kBudget ? 1 : 0) << "trial " << t;
+    EXPECT_EQ(rounds[t], r < kBudget ? r : kBudget) << "trial " << t;
+    if (r < kBudget) {
+      expected.add_solved(r);
+    } else {
+      expected.add_unsolved();
+    }
   }
-  energy.add_column(ks);
-  EXPECT_EQ(m.samples, expected);
+  const auto m = measure_blocks(engine, {&sizes, 0}, kTrials, kSeed,
+                                {.max_rounds = kBudget});
+  EXPECT_TRUE(m.histogram == expected);
   EXPECT_LT(m.success_rate, 1.0);  // the budget censors some trials
-  // The transmissions column carries each trial's drawn k.
-  EXPECT_EQ(m.transmissions.count(), energy.count());
-  EXPECT_EQ(m.transmissions.min(), energy.min());
-  EXPECT_EQ(m.transmissions.max(), energy.max());
-  EXPECT_EQ(m.transmissions.mean(), energy.mean());
-  EXPECT_EQ(m.transmissions.stddev(), energy.stddev());
 }
 
 TEST(AdapterEngine, BatchSamplerTrialsAreThreadCountInvariant) {
@@ -128,8 +128,7 @@ TEST(AdapterEngine, BatchSamplerTrialsAreThreadCountInvariant) {
           const channel::SimOptions& options) {
         return sampler.sample(k, rng, {.max_rounds = options.max_rounds});
       });
-  const MeasureOptions serial{
-      .max_rounds = 1 << 14, .threads = 1, .keep_samples = true};
+  const MeasureOptions serial{.max_rounds = 1 << 14, .threads = 1};
   const auto reference = measure_blocks(engine, {&sizes, 0}, 4000, 7, serial);
   for (const std::size_t threads : {2ul, 8ul}) {
     MeasureOptions pooled = serial;
@@ -144,18 +143,16 @@ TEST(AdapterEngine, HandlesDegenerateTrialCounts) {
       [](std::size_t, channel::Rng&, const channel::SimOptions&) {
         return channel::RunResult{true, 1, std::nullopt};
       });
-  for (const bool keep_samples : {false, true}) {
-    const MeasureOptions options{.threads = 8, .keep_samples = keep_samples};
-    const auto none = measure_blocks(engine, {nullptr, 1}, 0, 1, options);
-    EXPECT_EQ(none.trials, 0u);
-    EXPECT_EQ(none.success_rate, 0.0);
-    EXPECT_TRUE(none.samples.empty());
-    const auto one = measure_blocks(engine, {nullptr, 1}, 1, 1, options);
-    EXPECT_EQ(one.trials, 1u);
-    EXPECT_EQ(one.success_rate, 1.0);
-    EXPECT_EQ(one.rounds.count, 1u);
-    EXPECT_EQ(one.samples.size(), keep_samples ? 1u : 0u);
-  }
+  const MeasureOptions options{.threads = 8};
+  const auto none = measure_blocks(engine, {nullptr, 1}, 0, 1, options);
+  EXPECT_EQ(none.trials, 0u);
+  EXPECT_EQ(none.success_rate, 0.0);
+  EXPECT_TRUE(none.histogram.empty());
+  const auto one = measure_blocks(engine, {nullptr, 1}, 1, 1, options);
+  EXPECT_EQ(one.trials, 1u);
+  EXPECT_EQ(one.success_rate, 1.0);
+  EXPECT_EQ(one.rounds.count, 1u);
+  EXPECT_EQ(one.histogram.solved(), 1u);
 }
 
 TEST(AdapterEngine, PropagatesTrialExceptionsAfterThePoolDrains) {
@@ -210,7 +207,8 @@ TEST(MeasureHelpers, DeterministicAdviceMatchesHandWrittenLoop) {
   const core::SubtreeScanProtocol scan(n, b);
   const core::MinIdPrefixAdvice advice(n, b);
   const auto sizes = info::SizeDistribution::uniform(32);
-  std::vector<double> expected;
+  std::vector<double> samples;
+  RoundHistogram expected;
   for (std::size_t t = 0; t < 800; ++t) {
     auto rng = channel::derive_rng(5, t);
     const auto participants =
@@ -218,13 +216,23 @@ TEST(MeasureHelpers, DeterministicAdviceMatchesHandWrittenLoop) {
     const auto run = channel::run_deterministic(
         scan, advice.advise(participants), participants, false,
         {.max_rounds = 8 * n});
-    if (run.solved) expected.push_back(static_cast<double>(run.rounds));
+    if (run.solved) {
+      samples.push_back(static_cast<double>(run.rounds));
+      expected.add_solved(run.rounds);
+    } else {
+      expected.add_unsolved();
+    }
   }
-  const MeasureOptions serial{
-      .max_rounds = 8 * n, .threads = 1, .keep_samples = true};
+  const MeasureOptions serial{.max_rounds = 8 * n, .threads = 1};
   const auto reference = measure_deterministic_advice(scan, advice, sizes, n,
                                                       false, 800, 5, serial);
-  EXPECT_EQ(reference.samples, expected);
+  EXPECT_TRUE(reference.histogram == expected);
+  const auto summary = summarize(samples);
+  EXPECT_EQ(reference.rounds.count, summary.count);
+  EXPECT_EQ(reference.rounds.mean, summary.mean);
+  EXPECT_EQ(reference.rounds.p50, summary.p50);
+  EXPECT_EQ(reference.rounds.p90, summary.p90);
+  EXPECT_EQ(reference.rounds.max, summary.max);
   MeasureOptions pooled = serial;
   pooled.threads = 8;
   expect_identical(reference, measure_deterministic_advice(
@@ -294,8 +302,7 @@ std::vector<MeasureCell> probe_cells(ProbeEngine::Shared& shared,
             },
         .sizes = {nullptr, 3},
         .trials = (c % 3 + 2) * kTrialBlockSize + 11 * c,
-        .seed = c,
-        .options = {.keep_samples = c % 2 == 1}});
+        .seed = c});
   }
   return cells;
 }
@@ -311,8 +318,8 @@ TEST(MeasureCells, FirstBlockAloneAndAtMostThreadsOpenCells) {
     ASSERT_EQ(pooled.size(), cells.size());
     for (std::size_t c = 0; c < cells.size(); ++c) {
       const ProbeEngine alone(shared, kNeverThrow);
-      MeasureOptions options = cells[c].options;
-      options.threads = 1;
+      const MeasureOptions options{.max_rounds = cells[c].max_rounds,
+                                   .threads = 1};
       expect_identical(pooled[c],
                        measure_blocks(alone, cells[c].sizes, cells[c].trials,
                                       cells[c].seed, options));
@@ -320,6 +327,80 @@ TEST(MeasureCells, FirstBlockAloneAndAtMostThreadsOpenCells) {
                   measure_blocks(alone, cells[c].sizes, cells[c].trials,
                                  cells[c].seed, options)
                       .histogram);
+    }
+  }
+}
+
+/// Solves every trial in (t % 7) + 1 rounds and records each block it
+/// is handed; measure_cells builds one per cell.
+class RecordingEngine final : public channel::Engine {
+ public:
+  struct Block {
+    std::uint64_t seed = 0;
+    std::size_t max_rounds = 0;
+    std::size_t fixed_k = 0;
+    std::size_t first_trial = 0;
+    std::size_t size = 0;
+  };
+
+  RecordingEngine(std::mutex& mutex, std::vector<Block>& blocks)
+      : mutex_(mutex), blocks_(blocks) {}
+
+  void run_many(channel::TrialBlock& block) const override {
+    for (std::size_t t = 0; t < block.size(); ++t) {
+      block.solved[t] = 1;
+      block.rounds[t] = (block.first_trial + t) % 7 + 1;
+    }
+    const std::lock_guard lock(mutex_);
+    blocks_.push_back({block.seed, block.max_rounds, block.sizes.fixed_k,
+                       block.first_trial, block.size()});
+  }
+
+ private:
+  std::mutex& mutex_;
+  std::vector<Block>& blocks_;
+};
+
+TEST(MeasureCells, HandsOutEveryTrialOnceOnItsCellsStream) {
+  // The (cell seed, t) stream contract: no Measurement field shows
+  // trial order, so the partition itself is pinned here. Every trial
+  // index of every cell reaches that cell's engine exactly once, with
+  // the cell's seed, round budget, and size source.
+  const std::vector<std::size_t> trials{0, 1, 1023, 1024, 1025, 5000};
+  for (const std::size_t threads : {1ul, 4ul, 8ul}) {
+    std::mutex mutex;
+    std::vector<std::vector<RecordingEngine::Block>> seen(trials.size());
+    std::vector<MeasureCell> cells;
+    for (std::size_t c = 0; c < trials.size(); ++c) {
+      cells.push_back(MeasureCell{
+          .engine =
+              [&mutex, &seen, c] {
+                return std::make_shared<const RecordingEngine>(mutex,
+                                                               seen[c]);
+              },
+          .sizes = {nullptr, 2 + c},
+          .trials = trials[c],
+          .seed = channel::derive_stream_seed(31, c),
+          .max_rounds = 50 + c});
+    }
+    const auto results = measure_cells(cells, threads);
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      std::vector<std::size_t> handed(trials[c]);
+      for (const RecordingEngine::Block& block : seen[c]) {
+        EXPECT_EQ(block.seed, cells[c].seed) << "cell " << c;
+        EXPECT_EQ(block.max_rounds, cells[c].max_rounds) << "cell " << c;
+        EXPECT_EQ(block.fixed_k, cells[c].sizes.fixed_k) << "cell " << c;
+        ASSERT_LE(block.first_trial + block.size, trials[c])
+            << "cell " << c << " threads " << threads;
+        for (std::size_t t = 0; t < block.size; ++t) {
+          ++handed[block.first_trial + t];
+        }
+      }
+      for (std::size_t t = 0; t < trials[c]; ++t) {
+        ASSERT_EQ(handed[t], 1u)
+            << "cell " << c << " trial " << t << " threads " << threads;
+      }
+      EXPECT_EQ(results[c].trials, trials[c]);
     }
   }
 }
@@ -367,8 +448,7 @@ std::vector<MeasureCell> uneven_cells() {
         .engine = [delay] { return std::make_shared<DelayEngine>(delay); },
         .sizes = {nullptr, 3},
         .trials = (c % 3 + 1) * kTrialBlockSize - c,
-        .seed = c,
-        .options = {}});
+        .seed = c});
   }
   return cells;
 }
@@ -420,14 +500,11 @@ TEST(MeasureCells, ZeroTrialCellsNeedNoBlocks) {
   ProbeEngine::Shared shared;
   for (const std::size_t threads : {1ul, 4ul}) {
     const ProbeEngine engine(shared, kNeverThrow);
-    for (const bool keep_samples : {false, true}) {
-      const auto none = measure_blocks(
-          engine, {nullptr, 3}, 0, 1,
-          {.threads = threads, .keep_samples = keep_samples});
-      EXPECT_EQ(none.trials, 0u);
-      EXPECT_EQ(none.success_rate, 0.0);
-      EXPECT_TRUE(none.histogram.empty());
-    }
+    const auto none =
+        measure_blocks(engine, {nullptr, 3}, 0, 1, {.threads = threads});
+    EXPECT_EQ(none.trials, 0u);
+    EXPECT_EQ(none.success_rate, 0.0);
+    EXPECT_TRUE(none.histogram.empty());
   }
 }
 

@@ -28,7 +28,6 @@ namespace {
 
 void expect_identical(const Measurement& a, const Measurement& b) {
   EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.samples, b.samples);
   EXPECT_TRUE(a.histogram == b.histogram);
   EXPECT_EQ(a.success_rate, b.success_rate);
   EXPECT_EQ(a.rounds.mean, b.rounds.mean);
