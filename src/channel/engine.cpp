@@ -1,6 +1,7 @@
 #include "channel/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
 #include <memory>
@@ -27,18 +28,25 @@ namespace {
 /// Shared body of the exact-simulator adapters: per trial, one derived
 /// Rng stream feeding the k draw (when drawn) and then the
 /// scalar run — the draw order of a hand-written loop over
-/// derive_rng(seed, t), so results are bit-identical to one.
+/// derive_rng(seed, t), so results are bit-identical to one. The
+/// streams are seeded kSeedLanes at a time (derive_rngs).
 template <typename Run>
 void run_scalar_adapter(TrialBlock& block, const Run& run) {
   validate_trial_block(block);
   const info::SizeDistribution* dist = block.sizes.distribution;
   const SimOptions options{.max_rounds = block.max_rounds};
-  for (std::size_t t = 0; t < block.size(); ++t) {
-    auto rng = derive_rng(block.seed, block.first_trial + t);
-    const std::size_t k = dist ? dist->sample(rng) : block.sizes.fixed_k;
-    const RunResult result = run(k, rng, options);
-    block.solved[t] = result.solved ? 1 : 0;
-    block.rounds[t] = result.rounds;
+  std::array<Rng, kSeedLanes> lanes;
+  for (std::size_t base = 0; base < block.size(); base += kSeedLanes) {
+    const std::size_t count = std::min(kSeedLanes, block.size() - base);
+    derive_rngs(block.seed, block.first_trial + base,
+                std::span(lanes).first(count));
+    for (std::size_t lane = 0; lane < count; ++lane) {
+      Rng& rng = lanes[lane];
+      const std::size_t k = dist ? dist->sample(rng) : block.sizes.fixed_k;
+      const RunResult result = run(k, rng, options);
+      block.solved[base + lane] = result.solved ? 1 : 0;
+      block.rounds[base + lane] = result.rounds;
+    }
   }
 }
 
@@ -177,9 +185,10 @@ void PerPlayerColumnarEngine::run_many(TrialBlock& block) const {
 }
 
 void CollisionPolicyColumnarEngine::run_many(TrialBlock& block) const {
-  run_scalar_adapter(block, [this](std::size_t k, Rng& rng,
-                                   const SimOptions& options) {
-    return run_uniform_cd(policy_, k, rng, options);
+  CdRunMemo memo(policy_);
+  run_scalar_adapter(block, [&memo](std::size_t k, Rng& rng,
+                                    const SimOptions& options) {
+    return run_uniform_cd(memo, k, rng, options);
   });
 }
 

@@ -21,16 +21,19 @@
 ///
 /// Thread-safety: every Engine must be safe to call concurrently on
 /// disjoint blocks; the engines here are (the analytic engine's table
-/// cache is internally synchronized, the adapters are stateless per
-/// call).
+/// cache is internally synchronized, the adapters keep no state between
+/// calls — the CD adapter's memo lives for one run_many call).
 ///
 /// Determinism: an engine derives trial t's randomness only from
-/// (block.seed, block.first_trial + t) — derive_rng, or derive_fast_rng
-/// for the analytic engine — so results are independent of block
-/// partition, execution order, and thread count, and each engine
-/// matches its scalar simulator called on that stream, trial by trial
-/// (tests/columnar_engine_test.cpp pins this down). This is the
-/// contract docs/ARCHITECTURE.md requires of every future engine.
+/// (block.seed, block.first_trial + t) — derive_rng (seeded kSeedLanes
+/// streams at a time by derive_rngs), or derive_fast_rng for the
+/// analytic engine — so results are independent of block partition,
+/// execution order, and thread count, and each engine matches its
+/// scalar simulator called on that stream, trial by trial
+/// (tests/columnar_engine_test.cpp pins this down). Anything an engine
+/// shares between trials must leave every draw unchanged and must not
+/// outlive the block. This is the contract docs/ARCHITECTURE.md
+/// requires of every future engine.
 #pragma once
 
 #include <cstddef>
@@ -86,9 +89,9 @@ class Engine {
 void validate_trial_block(const TrialBlock& block);
 
 /// Adapter for any per-trial simulation: per trial, one derived Rng
-/// stream (derive_rng, lazily seeded) feeds the k draw (when sizes are
-/// drawn) and then `run(k, rng, options)`, with options.max_rounds =
-/// block.max_rounds.
+/// stream (derive_rng's stream, seeded by derive_rngs kSeedLanes trials
+/// at a time) feeds the k draw (when sizes are drawn) and then
+/// `run(k, rng, options)`, with options.max_rounds = block.max_rounds.
 /// This is the block form of a per-trial callback — protocols the
 /// library has no dedicated engine for (the advice protocols, ALOHA,
 /// estimate-then-transmit pipelines) run through measure_blocks with
@@ -160,6 +163,12 @@ class PerPlayerColumnarEngine final : public Engine {
 
 /// Adapter for uniform collision-detection policies: the exact
 /// per-round Markov simulation, driven through the block interface.
+/// Each run_many call runs its block's trials through one CdRunMemo
+/// (channel/simulator.h): the policy is asked once per distinct history
+/// the block reaches (up to CdRunMemo::kMaxHistoryNodes of them) and
+/// each Binomial's constants are built once per (k, p) (up to
+/// BinomialParamCache::kMaxEntries), with every draw the same as the
+/// per-trial run_uniform_cd loop. The memo is dropped with the block.
 /// The analytic counterpart is channel/history_engine.h's
 /// HistoryTreeEngine, which samples from a cached expansion of the
 /// same chain (and falls back to this adapter's per-round semantics

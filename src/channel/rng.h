@@ -9,8 +9,25 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace crp::channel {
+
+/// Splitmix64-finalizer mix of (seed, stream): the one seed-derivation
+/// rule shared by derive_rng, derive_rngs, derive_fast_rng, and the
+/// sweep scheduler's per-cell seeds (harness/sweep.h). Mixing avoids
+/// correlated low-entropy seeds such as consecutive integers.
+inline std::uint64_t derive_stream_seed(std::uint64_t seed,
+                                        std::uint64_t stream) {
+  std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (stream + 1);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// Streams derive_rngs seeds together: the key expansions of this many
+/// independent streams run interleaved in one loop.
+inline constexpr std::size_t kSeedLanes = 8;
 
 /// The per-trial generator: for every seed and every number of draws
 /// its outputs equal std::mt19937_64's (the standard's
@@ -29,7 +46,9 @@ namespace crp::channel {
 /// std::mt19937_64: one full twist every 312 draws, and the hot path
 /// is one compare plus tempering. A per-trial stream that takes a
 /// dozen draws (a simulated coded-search trial) pays for about half the
-/// key expansion and none of the twist it never reads.
+/// key expansion and none of the twist it never reads. derive_rngs
+/// seeds kSeedLanes streams at once and runs their first-draw key
+/// expansions interleaved, so the serial multiply chains overlap.
 ///
 /// Same size as std::mt19937_64. Satisfies
 /// std::uniform_random_bit_generator.
@@ -81,21 +100,25 @@ class Rng {
   }
 
   /// std semantics: equal iff the std::mt19937_64 states the two stand
-  /// for are equal. The lazy work done is a function of the position
-  /// (draws and discard extend the first twist only when they need a
-  /// word), and the rest of the state follows from the words computed
-  /// so far, so comparing those compares the whole state.
+  /// for are equal, however much lazy work each has done (a stream
+  /// from derive_rngs has expanded words a fresh Rng(seed) has not).
+  /// Two unstarted streams compare their seeds; otherwise both sides
+  /// are compared as the 312 words std holds (std_state).
   friend bool operator==(const Rng& a, const Rng& b) {
-    return a.pos_ == b.pos_ && a.ready_ == b.ready_ &&
-           a.expanded_ == b.expanded_ &&
-           std::equal(a.x_.begin(), a.x_.begin() + a.expanded_,
-                      b.x_.begin());
+    if (a.std_position() != b.std_position()) return false;
+    if (a.ready_ == 0 && b.ready_ == 0) return a.x_[0] == b.x_[0];
+    return a.std_state() == b.std_state();
   }
+
+  friend void derive_rngs(std::uint64_t seed, std::uint64_t first_stream,
+                          std::span<Rng> out);
 
  private:
   static constexpr std::size_t kN = 312;
   static constexpr std::size_t kM = 156;
   static constexpr std::uint16_t kFirstChunk = 16;
+  /// Words the first draw expands: those the first chunk's twist reads.
+  static constexpr std::uint16_t kFirstExpansion = kFirstChunk + kM;
 
   static result_type twist(result_type hi, result_type lo) {
     constexpr result_type kUpper = ~result_type{0} << 31;
@@ -147,9 +170,53 @@ class Rng {
     ready_ = static_cast<std::uint16_t>(end);
   }
 
+  /// std::mt19937_64's position: kN before the first draw, as after
+  /// seeding; pos_ (at least 1) from the first draw on.
+  std::size_t std_position() const { return ready_ == 0 ? kN : pos_; }
+
+  /// The 312 words std::mt19937_64 holds in this state: the expanded
+  /// key before the first draw, the whole first twist while it is still
+  /// lazily in progress, and x_ itself after it.
+  std::array<result_type, kN> std_state() const {
+    Rng whole(*this);
+    whole.expand_to(kN);
+    if (whole.ready_ != 0 && whole.ready_ != kN) {
+      whole.twist_range(whole.ready_, kN);
+    }
+    return whole.x_;
+  }
+
+  /// derive_rngs' body for `Lanes` consecutive streams: every lane's
+  /// seed, then the kFirstExpansion-word key expansion with the lanes
+  /// interleaved in the inner loop, so their multiply chains overlap.
+  /// Out of line and unrolled so every lane's word stays in a register
+  /// at -O2 as well as -O3 (a spilled lane puts a store-to-load round
+  /// trip on its chain).
+  template <std::size_t Lanes>
+  [[gnu::noinline]] static void seed_lanes(std::uint64_t seed,
+                                           std::uint64_t first_stream,
+                                           Rng* out) {
+    std::array<result_type, Lanes> v;
+    for (std::size_t j = 0; j < Lanes; ++j) {
+      v[j] = derive_stream_seed(seed, first_stream + j);
+      out[j].x_[0] = v[j];
+      out[j].pos_ = 0;
+      out[j].ready_ = 0;
+      out[j].expanded_ = kFirstExpansion;
+    }
+    for (std::size_t i = 1; i < kFirstExpansion; ++i) {
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < Lanes; ++j) {
+        v[j] = 6364136223846793005ULL * (v[j] ^ (v[j] >> 62)) + i;
+        out[j].x_[i] = v[j];
+      }
+    }
+  }
+
   // Left uninitialized on purpose: zeroing it would write the 312 words
   // the lazy seeding exists to skip. Words from expanded_ on are never
-  // read (expand_to writes them first; copies and == stop at expanded_).
+  // read (expand_to writes them first; copies stop at expanded_, and
+  // std_state expands a copy before reading them).
   std::array<result_type, kN> x_;  // words [0, expanded_) are valid
   std::uint16_t pos_ = 0;          // next word to temper and return
   std::uint16_t ready_ = 0;        // words [0, ready_) are twisted
@@ -159,24 +226,29 @@ class Rng {
 /// A seeded stream (std::mt19937_64's outputs for `seed`).
 inline Rng make_rng(std::uint64_t seed) { return Rng{seed}; }
 
-/// Splitmix64-finalizer mix of (seed, stream): the one seed-derivation
-/// rule shared by derive_rng, derive_fast_rng, and the sweep
-/// scheduler's per-cell seeds (harness/sweep.h). Mixing avoids
-/// correlated low-entropy seeds such as consecutive integers.
-inline std::uint64_t derive_stream_seed(std::uint64_t seed,
-                                        std::uint64_t stream) {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (stream + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 /// Derives an independent stream for stream `stream` of experiment
 /// `seed`: the per-trial generator of every simulated measurement path
 /// (channel/engine.h). Constructing it costs one word store; the
 /// expansion and twist run as its draws need them (see Rng).
 inline Rng derive_rng(std::uint64_t seed, std::uint64_t stream) {
   return Rng{derive_stream_seed(seed, stream)};
+}
+
+/// Sets out[j] to derive_rng(seed, first_stream + j) for every j — the
+/// same streams, draw for draw and under == — with the key expansion
+/// their first draws need already run, kSeedLanes streams at a time in
+/// one interleaved loop (the serial expansion is most of a fresh
+/// stream's cost). The per-trial adapters (channel/engine.h) seed
+/// their streams this way.
+inline void derive_rngs(std::uint64_t seed, std::uint64_t first_stream,
+                        std::span<Rng> out) {
+  std::size_t j = 0;
+  for (; j + kSeedLanes <= out.size(); j += kSeedLanes) {
+    Rng::seed_lanes<kSeedLanes>(seed, first_stream + j, out.data() + j);
+  }
+  for (; j < out.size(); ++j) {
+    Rng::seed_lanes<1>(seed, first_stream + j, out.data() + j);
+  }
 }
 
 /// A splitmix64 engine: one add and a three-stage mix per draw, and

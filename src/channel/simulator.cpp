@@ -1,5 +1,6 @@
 #include "channel/simulator.h"
 
+#include <bit>
 #include <stdexcept>
 
 namespace crp::channel {
@@ -37,6 +38,22 @@ std::size_t sample_transmitters(std::size_t k, double p,
   return binomial(rng);
 }
 
+std::size_t BinomialParamCache::KeyHash::operator()(
+    const std::pair<std::size_t, double>& key) const {
+  return std::hash<std::uint64_t>{}(std::bit_cast<std::uint64_t>(key.second) ^
+                                    (key.first * 0x9e3779b97f4a7c15ULL));
+}
+
+Binomial BinomialParamCache::distribution(std::size_t k, double p) {
+  const auto found = params_.find({k, p});
+  if (found != params_.end()) return Binomial(found->second);
+  Binomial fresh(k, p);
+  if (params_.size() < kMaxEntries) {
+    params_.emplace(std::pair{k, p}, fresh.param());
+  }
+  return fresh;
+}
+
 std::size_t TransmitterSampler::operator()(double p, Rng& rng) {
   for (auto& [probability, binomial] : cache_) {
     if (probability == p) return binomial(rng);
@@ -45,10 +62,10 @@ std::size_t TransmitterSampler::operator()(double p, Rng& rng) {
   if (k_ == 0 || p == 0.0) return 0;
   if (p == 1.0) return k_;
   if (cache_.size() == kMaxCachedProbabilities) {
-    std::binomial_distribution<std::size_t> binomial(k_, p);
+    Binomial binomial = make(p);
     return binomial(rng);
   }
-  cache_.emplace_back(p, std::binomial_distribution<std::size_t>(k_, p));
+  cache_.emplace_back(p, make(p));
   return cache_.back().second(rng);
 }
 
@@ -81,22 +98,61 @@ RunResult run_uniform_no_cd(const ProbabilitySchedule& schedule,
   return RunResult{false, options.max_rounds, std::nullopt, energy};
 }
 
+std::uint32_t CdRunMemo::begin_trial(std::size_t k) {
+  history_.clear();
+  if (!warm_) {
+    warm_ = true;
+    sample_.reset(k, nullptr);
+    return kOffTrie;
+  }
+  if (nodes_.empty()) nodes_.emplace_back();
+  sample_.reset(k, &params_);
+  return 0;
+}
+
+double CdRunMemo::probability(std::uint32_t& node, bool bit) {
+  if (node != kOffTrie) {
+    const std::uint32_t child = nodes_[node].child[bit ? 1 : 0];
+    if (child != 0) {
+      node = child;
+      return nodes_[child].probability;
+    }
+    if (nodes_.size() < kMaxHistoryNodes) {
+      const double p = policy_.probability(history_);
+      const auto created = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(Node{.probability = p});
+      nodes_[node].child[bit ? 1 : 0] = created;
+      node = created;
+      return p;
+    }
+    node = kOffTrie;
+  }
+  return policy_.probability(history_);
+}
+
 RunResult run_uniform_cd(const CollisionPolicy& policy, std::size_t k,
                          Rng& rng, const SimOptions& options) {
+  CdRunMemo memo(policy);
+  return run_uniform_cd(memo, k, rng, options);
+}
+
+RunResult run_uniform_cd(CdRunMemo& memo, std::size_t k, Rng& rng,
+                         const SimOptions& options) {
   if (k == 0) throw std::invalid_argument("need at least one participant");
-  TransmitterSampler sample(k);
-  BitString history;
-  history.reserve(64);
+  std::uint32_t node = memo.begin_trial(k);
+  TransmitterSampler& sample = memo.sample_;
+  bool collided = false;
   std::size_t energy = 0;
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
-    const double p = policy.probability(history);
+    const double p = memo.probability(node, collided);
     const std::size_t transmitters = sample(p, rng);
     energy += transmitters;
     record(options, p, transmitters);
     if (transmitters == 1) {
       return RunResult{true, round + 1, std::nullopt, energy};
     }
-    history.push_back(transmitters >= 2);
+    collided = transmitters >= 2;
+    memo.history_.push_back(collided);
   }
   return RunResult{false, options.max_rounds, std::nullopt, energy};
 }

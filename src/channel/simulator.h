@@ -8,12 +8,21 @@
 //  * the *per-player* engine, which tracks individual identities and is
 //    required for the deterministic advice protocols of Section 3.
 // tests/channel_test.cc cross-validates the two engines statistically.
+//
+// The collision-detection loop (run_uniform_cd) takes a CdRunMemo: work
+// that a block of trials of one policy can share without moving a
+// single draw — the policy's probabilities on a trie of the histories
+// already visited, and the precomputed Binomial constants per (k, p).
+// A fresh memo per call is the plain per-round simulation.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <random>
 #include <span>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "channel/protocol.h"
@@ -61,8 +70,17 @@ RunResult run_uniform_no_cd(const ProbabilitySchedule& schedule,
 
 /// Runs a uniform collision-detection algorithm with k participants.
 /// The policy sees the growing collision history (bit = collision?).
+/// Same as the CdRunMemo overload with a fresh memo.
 RunResult run_uniform_cd(const CollisionPolicy& policy, std::size_t k,
                          Rng& rng,
+                         const SimOptions& options = {});
+
+class CdRunMemo;
+
+/// The one CD round loop: runs the memo's policy with k participants,
+/// reusing and extending the memo. Every draw, result and trace record
+/// is the one a fresh memo gives.
+RunResult run_uniform_cd(CdRunMemo& memo, std::size_t k, Rng& rng,
                          const SimOptions& options = {});
 
 /// Runs a deterministic protocol over an explicit participant set.
@@ -95,11 +113,39 @@ void validate_probability(double p);
 std::size_t sample_transmitters(std::size_t k, double p,
                                 Rng& rng);
 
+using Binomial = std::binomial_distribution<std::size_t>;
+
+/// The precomputed constants of Binomial(k, p) per (k, p): building a
+/// Binomial's param_type costs about 100 ns of logarithms and square
+/// roots, a copy of it a few. A Binomial built from a cached param_type
+/// equals a freshly constructed one (std keeps no other state but the
+/// normal sampler's saved draw, which starts empty either way).
+class BinomialParamCache {
+ public:
+  /// Entries kept; past this many, distribution() builds each one
+  /// fresh.
+  static constexpr std::size_t kMaxEntries = 1 << 10;
+
+  /// A fresh Binomial(k, p); p must lie in (0, 1).
+  Binomial distribution(std::size_t k, double p);
+
+  std::size_t size() const { return params_.size(); }
+
+ private:
+  struct KeyHash {
+    std::size_t operator()(const std::pair<std::size_t, double>& key) const;
+  };
+  std::unordered_map<std::pair<std::size_t, double>, Binomial::param_type,
+                     KeyHash>
+      params_;
+};
+
 /// Binomial(k, p) transmitter counts for a fixed k, reusing the
-/// configured std::binomial_distribution across calls with the same p.
-/// Cycling schedules revisit a small set of probabilities, so the
-/// per-round distribution construction (and re-validation of p) is paid
-/// once per distinct probability instead of once per round.
+/// configured Binomial across calls with the same p. Cycling schedules
+/// revisit a small set of probabilities, so the per-round distribution
+/// construction (and re-validation of p) is paid once per distinct
+/// probability instead of once per round. After reset() with a
+/// BinomialParamCache the construction itself copies cached constants.
 class TransmitterSampler {
  public:
   explicit TransmitterSampler(std::size_t k) : k_(k) {}
@@ -108,14 +154,98 @@ class TransmitterSampler {
   /// independently with probability p.
   std::size_t operator()(double p, Rng& rng);
 
+  /// Starts over with k participants, drawing exactly as a fresh
+  /// sampler would, and keeps the storage of the distributions it
+  /// drops. `params` (optional) must outlive the next reset.
+  void reset(std::size_t k, BinomialParamCache* params) {
+    k_ = k;
+    params_ = params;
+    cache_.clear();
+  }
+
  private:
   /// Adversarial CD policies may emit unboundedly many distinct
   /// probabilities; past this many the sampler stops caching.
   static constexpr std::size_t kMaxCachedProbabilities = 64;
 
+  Binomial make(double p) const {
+    return params_ != nullptr ? params_->distribution(k_, p)
+                              : Binomial(k_, p);
+  }
+
   std::size_t k_;
-  std::vector<std::pair<double, std::binomial_distribution<std::size_t>>>
-      cache_;
+  BinomialParamCache* params_ = nullptr;
+  std::vector<std::pair<double, Binomial>> cache_;
+};
+
+/// What run_uniform_cd can share across the trials of one policy — in
+/// the columnar engine, across one block (never across blocks, so no
+/// result depends on the block partition). Not thread-safe: one memo
+/// per block, on the block's worker.
+///  * A trie of the collision histories visited: node h holds
+///    policy.probability(h). A node is created when a trial first
+///    reaches h at the start of a round, so the policy is asked about
+///    exactly the histories the plain loop asks about, once each. At
+///    kMaxHistoryNodes the trie stops growing, and rounds past its
+///    edge ask the policy directly, as the plain loop does.
+///  * A BinomialParamCache, bounded by its kMaxEntries.
+///  * Scratch (the history and the per-trial TransmitterSampler) whose
+///    storage trials reuse.
+/// Both caches pay off only across trials, so a memo's first trial
+/// runs without them: a fresh memo per call does the plain loop's work
+/// (one policy call per round, one Binomial built per distinct p).
+class CdRunMemo {
+ public:
+  /// Trie nodes kept, a sentinel included (16 bytes each).
+  static constexpr std::size_t kMaxHistoryNodes = 1 << 14;
+
+  /// The policy must outlive the memo.
+  explicit CdRunMemo(const CollisionPolicy& policy)
+      : policy_(policy), sample_(0) {}
+
+  CdRunMemo(const CdRunMemo&) = delete;  // sample_ points into params_
+  CdRunMemo& operator=(const CdRunMemo&) = delete;
+
+  /// Histories on the trie (fewer than kMaxHistoryNodes).
+  std::size_t history_nodes() const {
+    return nodes_.empty() ? 0 : nodes_.size() - 1;
+  }
+
+  /// Cached Binomial parameter sets.
+  std::size_t binomial_params() const { return params_.size(); }
+
+ private:
+  friend RunResult run_uniform_cd(CdRunMemo& memo, std::size_t k, Rng& rng,
+                                  const SimOptions& options);
+
+  /// Off the trie: the memo's first trial, or a history past the node
+  /// bound.
+  static constexpr std::uint32_t kOffTrie = ~std::uint32_t{0};
+
+  struct Node {
+    double probability = 0.0;
+    /// Child per next history bit; 0 (the sentinel, never a child)
+    /// while absent.
+    std::array<std::uint32_t, 2> child{};
+  };
+
+  /// Starts a trial with k participants: clears the history, resets
+  /// the sampler, and returns the node probability() starts from — the
+  /// sentinel, or kOffTrie on the memo's first trial.
+  std::uint32_t begin_trial(std::size_t k);
+
+  /// The policy's probability for history_, whose trie node is the
+  /// `bit`-child of `node` (the sentinel's 0-child is the empty
+  /// history); moves `node` to history_'s node, creating it on first
+  /// visit, or to kOffTrie.
+  double probability(std::uint32_t& node, bool bit);
+
+  const CollisionPolicy& policy_;
+  bool warm_ = false;       // a trial has run
+  std::vector<Node> nodes_;  // nodes_[0] is the sentinel once warm_
+  BinomialParamCache params_;
+  TransmitterSampler sample_;
+  BitString history_;
 };
 
 /// Maps a transmitter count to channel feedback.

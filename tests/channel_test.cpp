@@ -1,6 +1,7 @@
 #include "channel/simulator.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -62,6 +63,41 @@ TEST(SampleTransmitters, MeanMatchesBinomial) {
     total += static_cast<double>(sample_transmitters(20, 0.3, rng));
   }
   EXPECT_NEAR(total / kTrials, 6.0, 0.05);
+}
+
+TEST(TransmitterSampler, KeepsSixtyFourDistributionsAndBuildsTheRestFresh) {
+  // The reference: the first 64 distinct probabilities of a trial keep
+  // one Binomial each (with its saved normal draw); later ones get a
+  // fresh Binomial per call. k p >= 8 puts every call on libstdc++'s
+  // rejection path, where the saved normal draw changes what a kept
+  // distribution returns. Cached parameters must not change a draw,
+  // whether the table is empty, full of them, or shared by samplers.
+  constexpr std::size_t k = 100;
+  std::vector<double> ps;
+  for (int i = 0; i < 80; ++i) ps.push_back(0.08 + 0.0001 * i);
+  BinomialParamCache params;
+  for (BinomialParamCache* cache : {static_cast<BinomialParamCache*>(nullptr),
+                                    &params, &params}) {
+    TransmitterSampler sample(1);
+    sample.reset(k, cache);
+    Rng rng(3);
+    Rng reference_rng(3);
+    std::vector<Binomial> kept;
+    for (int pass = 0; pass < 3; ++pass) {
+      for (std::size_t i = 0; i < ps.size(); ++i) {
+        std::size_t want = 0;
+        if (i < 64) {
+          if (kept.size() == i) kept.emplace_back(k, ps[i]);
+          want = kept[i](reference_rng);
+        } else {
+          Binomial fresh(k, ps[i]);
+          want = fresh(reference_rng);
+        }
+        ASSERT_EQ(sample(ps[i], rng), want) << "pass " << pass << " p " << i;
+      }
+    }
+  }
+  EXPECT_EQ(params.size(), ps.size());
 }
 
 TEST(RunUniformNoCd, SingleParticipantSucceedsImmediately) {

@@ -3,7 +3,12 @@
 //  * each of the three no-CD engines and the CD adapter, run on one
 //    TrialBlock, must fill trial t's columns exactly as its scalar
 //    simulator does on trial t's derived stream — same streams, same
-//    draw order, element by element;
+//    draw order, element by element. The CD adapter shares a memo
+//    (history trie, Binomial parameters) across its block and seeds
+//    its streams in lanes, so it is held to the plain per-trial loop
+//    over policies that stress each (zero-mass classes, more distinct
+//    probabilities than the per-trial cache keeps, exactly 0 and 1,
+//    histories past the trie's node bound) at ragged block lengths;
 //  * the block partition must be invisible: any thread count, and any
 //    trial count relative to the block size, gives identical results;
 //  * regression: the measure_* helpers preserve the published
@@ -11,6 +16,7 @@
 //    scalar measurement stack).
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -23,6 +29,7 @@
 #include "channel/rng.h"
 #include "channel/simulator.h"
 #include "core/advice_deterministic.h"
+#include "core/coded_search.h"
 #include "core/likelihood_schedule.h"
 #include "harness/measure.h"
 #include "harness/parallel.h"
@@ -58,11 +65,12 @@ struct Columns {
 
 Columns run_one_block(const channel::Engine& engine,
                       channel::SizeSource sizes, std::size_t trials,
-                      std::uint64_t seed, std::size_t max_rounds) {
+                      std::uint64_t seed, std::size_t max_rounds,
+                      std::size_t first_trial = 0) {
   Columns columns{std::vector<std::uint8_t>(trials),
                   std::vector<std::uint64_t>(trials)};
   channel::TrialBlock block{.seed = seed,
-                            .first_trial = 0,
+                            .first_trial = first_trial,
                             .max_rounds = max_rounds,
                             .sizes = sizes,
                             .solved = columns.solved,
@@ -135,12 +143,77 @@ TEST(ColumnarEngine, PerPlayerMatchesScalarTrialLoop) {
   }
 }
 
+/// Asks for 0.08 + 0.0001 * (len % 80) after a history of length len:
+/// 80 distinct probabilities, more than the 64 a trial's
+/// TransmitterSampler keeps, each revisited every 80 rounds, so long
+/// trials take its fresh-distribution path. At k = 100 every round
+/// takes libstdc++'s rejection path (k p >= 8), where a kept
+/// distribution's saved normal draw makes it draw differently from a
+/// fresh one, and a trial solves with probability 1/1000 to 1/500 a
+/// round, so most trials at a 2048-round budget solve, late.
+/// With many drawn k it also fills the block's Binomial parameter
+/// table.
+class ManyProbabilities final : public channel::CollisionPolicy {
+ public:
+  double probability(const channel::BitString& history) const override {
+    return 0.08 + 0.0001 * static_cast<double>(history.size() % 80);
+  }
+  std::string name() const override { return "many-probabilities"; }
+};
+
+/// Emits exactly 0 and 1 as well as 0.3: the sampler's special cases.
+class ZeroOneThird final : public channel::CollisionPolicy {
+ public:
+  double probability(const channel::BitString& history) const override {
+    switch (history.size() % 3) {
+      case 0:
+        return 0.0;
+      case 1:
+        return history.back() ? 0.3 : 1.0;
+      default:
+        return 0.3;
+    }
+  }
+  std::string name() const override { return "zero-one-third"; }
+};
+
+/// Never transmits: every trial runs to the budget, one history deep.
+class NeverTransmits final : public channel::CollisionPolicy {
+ public:
+  double probability(const channel::BitString&) const override {
+    return 0.0;
+  }
+  std::string name() const override { return "never"; }
+};
+
+/// Every trial of `count` from `first` equals the per-trial
+/// run_uniform_cd loop (a fresh memo per trial) on its derived stream.
+void expect_cd_block_matches_loop(const channel::CollisionPolicy& policy,
+                                  channel::SizeSource sizes,
+                                  std::size_t first, std::size_t count,
+                                  std::size_t max_rounds) {
+  constexpr std::uint64_t kSeed = 408;
+  const channel::CollisionPolicyColumnarEngine engine(policy);
+  const auto columns =
+      run_one_block(engine, sizes, count, kSeed, max_rounds, first);
+  for (std::size_t t = 0; t < count; ++t) {
+    auto rng = channel::derive_rng(kSeed, first + t);
+    const std::size_t k =
+        sizes.distribution ? sizes.distribution->sample(rng) : sizes.fixed_k;
+    const auto run =
+        channel::run_uniform_cd(policy, k, rng, {.max_rounds = max_rounds});
+    ASSERT_EQ(columns.solved[t], run.solved ? 1 : 0)
+        << policy.name() << " trial " << first + t << " of " << count;
+    ASSERT_EQ(columns.rounds[t], run.rounds)
+        << policy.name() << " trial " << first + t << " of " << count;
+  }
+}
+
 TEST(ColumnarEngine, CdAdapterMatchesScalarTrialLoop) {
-  constexpr std::size_t n = 1 << 10;
   constexpr std::size_t kTrials = 2000;
   constexpr std::uint64_t kSeed = 407;
-  const auto actual = table1_sizes(n);
-  const baselines::WillardPolicy willard(n);
+  const auto actual = table1_sizes(1 << 10);
+  const baselines::WillardPolicy willard(1 << 10);
 
   const channel::CollisionPolicyColumnarEngine engine(willard);
   const auto columns =
@@ -151,6 +224,148 @@ TEST(ColumnarEngine, CdAdapterMatchesScalarTrialLoop) {
     expect_trial(columns, t,
                  channel::run_uniform_cd(willard, k, rng,
                                          {.max_rounds = 1 << 12}));
+  }
+
+  // The block-scoped memo and lane seeding over every policy shape,
+  // at block lengths around the lane width and the block size, from
+  // trial 0 and from a far-off first trial.
+  constexpr std::size_t n = 1 << 16;
+  const std::size_t ranges = info::num_ranges(n);
+  // A Table 1 point (full support), and a prediction on 2 of the 16
+  // ranges, whose code puts the other 14 in classes of zero mass.
+  const auto full = predict::uniform_over_ranges(ranges, ranges);
+  const auto narrow = predict::uniform_over_ranges(ranges, 2);
+  const core::CodedSearchPolicy table1_point(full);
+  const core::CodedSearchPolicy zero_mass(narrow);
+  bool has_zero_mass_class = false;
+  for (const auto& cls : zero_mass.classes()) {
+    double mass = 0.0;
+    for (const std::size_t r : cls) mass += narrow.prob(r);
+    has_zero_mass_class = has_zero_mass_class || mass == 0.0;
+  }
+  ASSERT_TRUE(has_zero_mass_class);
+  const ManyProbabilities many;
+  const ZeroOneThird zero_one;
+
+  const auto lifted = predict::lift(full, n,
+                                    predict::RangePlacement::kHighEndpoint);
+  const auto small = info::SizeDistribution::uniform(64);
+  struct Case {
+    const channel::CollisionPolicy* policy;
+    channel::SizeSource sizes;
+    std::size_t max_rounds;
+  };
+  const std::vector<Case> cases = {
+      {&table1_point, {&lifted, 0}, 1 << 14},
+      {&table1_point, {nullptr, 700}, 1 << 14},
+      {&zero_mass, {&lifted, 0}, 1 << 14},
+      {&zero_mass, {nullptr, 3}, 1 << 14},
+      {&many, {&small, 0}, 1024},
+      {&many, {nullptr, 100}, 2048},
+      {&zero_one, {&small, 0}, 512},
+      {&zero_one, {nullptr, 1}, 512},
+      {&zero_one, {nullptr, 5}, 512},
+  };
+  for (const Case& c : cases) {
+    for (const std::size_t count : {1ul, 7ul, 8ul, 9ul, 1025ul}) {
+      expect_cd_block_matches_loop(*c.policy, c.sizes, 0, count,
+                                   c.max_rounds);
+      expect_cd_block_matches_loop(*c.policy, c.sizes, 987654321, count,
+                                   c.max_rounds);
+    }
+  }
+}
+
+TEST(ColumnarEngine, CdMemoStaysWithinItsBounds) {
+  // Past the trie's node bound the loop asks the policy directly, in
+  // constant time per round: a never-solving policy at a 2^16 budget
+  // runs each trial to the budget, fills the trie once, and ends
+  // exactly as the plain loop does.
+  constexpr std::size_t kBudget = 1 << 16;
+  const NeverTransmits never;
+  static_assert(channel::CdRunMemo::kMaxHistoryNodes < kBudget);
+  expect_cd_block_matches_loop(never, {nullptr, 4}, 5, 9, kBudget);
+  channel::CdRunMemo memo(never);
+  channel::Rng rng(1);
+  for (int trial = 0; trial < 3; ++trial) {
+    const auto run = channel::run_uniform_cd(memo, 4, rng,
+                                             {.max_rounds = kBudget});
+    EXPECT_FALSE(run.solved);
+    EXPECT_EQ(run.rounds, kBudget);
+    // The first trial runs without the caches: a fresh memo per call
+    // costs what the plain loop does.
+    if (trial == 0) {
+      EXPECT_EQ(memo.history_nodes(), 0u);
+    }
+  }
+  EXPECT_EQ(memo.history_nodes(), channel::CdRunMemo::kMaxHistoryNodes - 1);
+  EXPECT_EQ(memo.binomial_params(), 0u);  // p = 0 never builds one
+
+  // More (k, p) pairs than the parameter table keeps: it stops at its
+  // bound, and the trials past it still match the plain loop.
+  const ManyProbabilities many;
+  const auto wide = info::SizeDistribution::uniform(4096);
+  channel::CdRunMemo shared(many);
+  for (std::size_t t = 0; t < 400; ++t) {
+    if (t == 1) {
+      EXPECT_EQ(shared.binomial_params(), 0u);
+    }
+    auto memo_rng = channel::derive_rng(9, t);
+    auto plain_rng = channel::derive_rng(9, t);
+    const std::size_t k = wide.sample(memo_rng);
+    wide.sample(plain_rng);
+    const auto memoized =
+        channel::run_uniform_cd(shared, k, memo_rng, {.max_rounds = 256});
+    const auto plain =
+        channel::run_uniform_cd(many, k, plain_rng, {.max_rounds = 256});
+    ASSERT_EQ(memoized.solved, plain.solved) << "trial " << t;
+    ASSERT_EQ(memoized.rounds, plain.rounds) << "trial " << t;
+    ASSERT_EQ(memoized.transmissions, plain.transmissions) << "trial " << t;
+    ASSERT_TRUE(memo_rng == plain_rng) << "trial " << t;
+  }
+  EXPECT_EQ(shared.binomial_params(),
+            channel::BinomialParamCache::kMaxEntries);
+  EXPECT_LT(shared.history_nodes(), channel::CdRunMemo::kMaxHistoryNodes);
+}
+
+TEST(ColumnarEngine, CdMemoKeepsTraceAndInvalidProbabilities) {
+  // A trace from a warm memo records the rounds a fresh one does, and
+  // an invalid probability on the trie throws on every trial that
+  // reaches it, as the plain loop's re-asked policy does.
+  const core::CodedSearchPolicy policy(
+      predict::uniform_over_ranges(info::num_ranges(1 << 10), 4));
+  channel::CdRunMemo memo(policy);
+  for (std::size_t t = 0; t < 50; ++t) {
+    channel::ExecutionTrace warm;
+    channel::ExecutionTrace fresh;
+    auto warm_rng = channel::derive_rng(3, t);
+    auto fresh_rng = channel::derive_rng(3, t);
+    channel::run_uniform_cd(memo, 300, warm_rng,
+                            {.max_rounds = 1 << 10, .trace = &warm});
+    channel::run_uniform_cd(policy, 300, fresh_rng,
+                            {.max_rounds = 1 << 10, .trace = &fresh});
+    ASSERT_EQ(warm.size(), fresh.size()) << "trial " << t;
+    for (std::size_t r = 0; r < warm.size(); ++r) {
+      EXPECT_EQ(warm[r].probability, fresh[r].probability);
+      EXPECT_EQ(warm[r].transmitters, fresh[r].transmitters);
+      EXPECT_EQ(warm[r].feedback, fresh[r].feedback);
+    }
+  }
+
+  class NanAtDepthTwo final : public channel::CollisionPolicy {
+   public:
+    double probability(const channel::BitString& history) const override {
+      return history.size() == 2 ? std::numeric_limits<double>::quiet_NaN()
+                                 : 1.0;
+    }
+    std::string name() const override { return "nan-at-2"; }
+  };
+  const NanAtDepthTwo nan_policy;
+  channel::CdRunMemo nan_memo(nan_policy);
+  channel::Rng rng(5);
+  for (int trial = 0; trial < 3; ++trial) {
+    EXPECT_THROW(channel::run_uniform_cd(nan_memo, 2, rng),
+                 std::invalid_argument);
   }
 }
 

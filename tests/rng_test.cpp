@@ -13,6 +13,10 @@
 //  * discard(z) against z draws;
 //  * operator== against std's over (seed, draws) pairs, including
 //    generators that reached one state by different paths;
+//  * lane-seeded streams (derive_rngs, whose key expansion runs ahead
+//    of any draw) at every lane count from 1 to 17: outputs, copies,
+//    discard and == against lazily seeded streams, and == looking past
+//    word 0 of the state;
 //  * the std distributions the library feeds from it
 //    (binomial on both its waiting and rejection paths, uniform real)
 //    and SizeDistribution::sample.
@@ -21,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -185,6 +190,184 @@ TEST(Rng, EqualityAgreesWithStd) {
       EXPECT_EQ(a.rng == b.rng, a.oracle == b.oracle);
       EXPECT_EQ(a.rng != b.rng, a.oracle != b.oracle);
     }
+  }
+}
+
+// Lane counts straddle kSeedLanes twice, so the interleaved groups and
+// the one-stream tail are both covered.
+constexpr std::size_t kMaxLaneCount = 17;
+static_assert(kMaxLaneCount > 2 * kSeedLanes);
+
+TEST(Rng, LaneSeededStreamsMatchStd) {
+  for (std::size_t count = 1; count <= kMaxLaneCount; ++count) {
+    const std::uint64_t first = 1000 * count;
+    std::vector<Rng> lanes(count);
+    derive_rngs(21, first, lanes);
+    for (std::size_t j = 0; j < count; ++j) {
+      std::mt19937_64 oracle(derive_stream_seed(21, first + j));
+      for (std::size_t d = 0; d < kDraws; ++d) {
+        const auto got = lanes[j]();
+        const auto want = oracle();
+        if (got != want) {
+          ADD_FAILURE() << count << " lanes: lane " << j << " draw " << d
+                        << " is " << got << ", std::mt19937_64 gives "
+                        << want;
+          break;
+        }
+      }
+    }
+  }
+}
+
+TEST(Rng, LaneSeededStreamsReseedUsedGenerators) {
+  // derive_rngs overwrites whatever state its targets hold.
+  std::vector<Rng> lanes(kMaxLaneCount);
+  for (Rng& rng : lanes) rng.discard(500);
+  derive_rngs(4, 77, lanes);
+  for (std::size_t j = 0; j < lanes.size(); ++j) {
+    EXPECT_TRUE(lanes[j] == derive_rng(4, 77 + j)) << "lane " << j;
+    expect_same_future(lanes[j],
+                       std::mt19937_64(derive_stream_seed(4, 77 + j)), kDraws,
+                       "reseeded lane", 0);
+  }
+}
+
+TEST(Rng, LaneSeededCopiesDiscardsAndEquality) {
+  const std::vector<std::size_t> cuts = {0,   1,   15,  16,  17,  31,  32,
+                                         155, 156, 157, 311, 312, 313, 623,
+                                         624, 625, 700};
+  for (std::size_t count = 1; count <= kMaxLaneCount; ++count) {
+    const std::uint64_t first = 31 * count;
+    std::vector<Rng> lanes(count);
+    derive_rngs(8, first, lanes);
+    // The first lane of a group and the last lane (the tail when count
+    // is not a multiple of kSeedLanes).
+    for (const std::size_t j : {std::size_t{0}, count - 1}) {
+      const std::uint64_t seed = derive_stream_seed(8, first + j);
+      // Unstarted: equal to every lazily seeded spelling of the stream,
+      // unequal to its neighbours.
+      EXPECT_TRUE(lanes[j] == Rng(seed));
+      EXPECT_TRUE(Rng(seed) == lanes[j]);
+      EXPECT_TRUE(lanes[j] == derive_rng(8, first + j));
+      EXPECT_FALSE(lanes[j] != Rng(seed));
+      EXPECT_FALSE(lanes[j] == derive_rng(8, first + j + 1));
+      for (const std::size_t d : cuts) {
+        Rng drawn = lanes[j];  // a copy taken before any draw
+        for (std::size_t i = 0; i < d; ++i) drawn();
+        Rng skipped = lanes[j];
+        skipped.discard(d);
+        Rng lazy(seed);
+        for (std::size_t i = 0; i < d; ++i) lazy();
+        Rng lazy_skipped(seed);
+        lazy_skipped.discard(d);
+        Rng lazy_ahead(seed);
+        lazy_ahead.discard(d + 1);
+        std::mt19937_64 oracle(seed);
+        oracle.discard(d);
+        EXPECT_TRUE(drawn == lazy) << "lane " << j << " after " << d;
+        EXPECT_TRUE(drawn == lazy_skipped) << "lane " << j << " after " << d;
+        EXPECT_TRUE(skipped == lazy) << "lane " << j << " after " << d;
+        EXPECT_TRUE(lazy == skipped) << "lane " << j << " after " << d;
+        EXPECT_FALSE(drawn == lazy_ahead) << "lane " << j << " after " << d;
+        EXPECT_TRUE(drawn != lazy_ahead) << "lane " << j << " after " << d;
+        const Rng copied(drawn);
+        Rng assigned(seed ^ 0x5555);
+        assigned();
+        assigned = skipped;
+        EXPECT_TRUE(copied == drawn);
+        EXPECT_TRUE(assigned == lazy);
+        expect_same_future(drawn, oracle, 400, "lane-seeded draws", d);
+        expect_same_future(skipped, oracle, 400, "lane-seeded discard", d);
+        expect_same_future(copied, oracle, 400, "lane-seeded copy", d);
+        expect_same_future(assigned, oracle, 400, "lane-seeded assignment",
+                           d);
+      }
+    }
+  }
+}
+
+TEST(Rng, EqualityAgreesWithStdAcrossSeedingPaths) {
+  // Lazily seeded, lane-seeded, advanced by draws or by discard: every
+  // pair compares as the std::mt19937_64 states they stand for.
+  const std::vector<std::size_t> draws = {0,   1,   16,  17,  156,
+                                          157, 312, 313, 624, 625};
+  struct State {
+    Rng rng;
+    std::mt19937_64 oracle;
+  };
+  std::vector<State> states;
+  for (std::uint64_t stream = 0; stream < 2; ++stream) {
+    const std::uint64_t seed = derive_stream_seed(6, stream);
+    std::array<Rng, 1> lane;
+    derive_rngs(6, stream, lane);
+    for (const std::size_t d : draws) {
+      for (const Rng& start : {Rng(seed), lane[0]}) {
+        State drawn{start, std::mt19937_64(seed)};
+        for (std::size_t j = 0; j < d; ++j) {
+          drawn.rng();
+          drawn.oracle();
+        }
+        states.push_back(drawn);
+        State skipped{start, std::mt19937_64(seed)};
+        skipped.rng.discard(d);
+        skipped.oracle.discard(d);
+        states.push_back(skipped);
+      }
+    }
+  }
+  for (const State& a : states) {
+    for (const State& b : states) {
+      EXPECT_EQ(a.rng == b.rng, a.oracle == b.oracle);
+      EXPECT_EQ(a.rng != b.rng, a.oracle != b.oracle);
+    }
+  }
+}
+
+// std::mt19937_64's output tempering of state word z.
+std::uint64_t temper(std::uint64_t z) {
+  z ^= (z >> 29) & 0x5555555555555555ULL;
+  z ^= (z << 17) & 0x71d67fffeda60000ULL;
+  z ^= (z << 37) & 0xfff7eee000000000ULL;
+  return z ^ (z >> 43);
+}
+
+// Inverse of temper: the state word behind an output.
+std::uint64_t untemper(std::uint64_t z) {
+  z ^= z >> 43;
+  z ^= (z << 37) & 0xfff7eee000000000ULL;
+  std::uint64_t y = z;
+  for (int i = 0; i < 4; ++i) y = z ^ ((y << 17) & 0x71d67fffeda60000ULL);
+  z = y;
+  for (int i = 0; i < 3; ++i) y = z ^ ((y >> 29) & 0x5555555555555555ULL);
+  return y;
+}
+
+TEST(Rng, EqualityLooksPastTheFirstWord) {
+  // After 312 draws a stream sits at std position 312 on its first
+  // twist, whose word 0 is the state word behind output 0. A fresh
+  // stream seeded with that word also sits at position 312 with the
+  // same word 0, on its key instead: a different std state.
+  for (std::uint64_t stream = 0; stream < 4; ++stream) {
+    const std::uint64_t seed = derive_stream_seed(12, stream);
+    Rng drawn(seed);
+    std::mt19937_64 drawn_oracle(seed);
+    const std::uint64_t output0 = drawn();
+    const std::uint64_t word0 = untemper(output0);
+    ASSERT_EQ(temper(word0), output0);
+    drawn_oracle();
+    drawn.discard(311);
+    drawn_oracle.discard(311);
+    std::array<Rng, 1> lane;
+    derive_rngs(12, stream, lane);
+    lane[0].discard(312);
+    for (const Rng& fresh : {Rng(word0), make_rng(word0)}) {
+      const std::mt19937_64 fresh_oracle(word0);
+      ASSERT_FALSE(fresh_oracle == drawn_oracle);
+      EXPECT_FALSE(fresh == drawn);
+      EXPECT_FALSE(drawn == fresh);
+      EXPECT_TRUE(fresh != lane[0]);
+    }
+    EXPECT_TRUE(drawn == lane[0]);
   }
 }
 
