@@ -6,17 +6,18 @@ Usage:
                              [--normalize] [--filter REGEX]
                              [--rss-gate MB]
 
-Compares every BENCH_*.json present in both directories benchmark by
-benchmark (matched on the google-benchmark name) and fails — exit code
-1 — when any benchmark's real_time regressed by more than PCT percent
-(default 25).
+Compares every baseline BENCH_*.json with its counterpart in NEW_DIR
+benchmark by benchmark (matched on the google-benchmark name) and
+fails — exit code 1 — when any benchmark's real_time regressed by more
+than PCT percent (default 25).
 
 --rss-gate MB additionally scans the NEW results for benchmarks that
 report a `peak_rss_mb` counter (the streaming memory benches) and
 fails when any exceeds the ceiling — the memory-flatness gate for the
-histogram fold. Unlike the timing diff it needs no baseline and no
-normalization: peak RSS is a property of the binary, not the machine
-speed.
+histogram fold. It also fails when no new result reports the counter
+at all, so renaming or dropping the gated bench cannot switch the gate
+off. Unlike the timing diff it needs no baseline and no normalization:
+peak RSS is a property of the binary, not the machine speed.
 
 --normalize divides every per-benchmark ratio by the median ratio
 across all benchmarks first. A uniform machine-speed difference (the
@@ -26,7 +27,9 @@ regressed *relative to the rest of the suite* flag. Use it whenever
 the two sides ran on different hardware.
 
 Benchmarks present on only one side are reported but never fail the
-check (new benchmarks land before their baselines do).
+check (new benchmarks land before their baselines do). A baseline
+BENCH_*.json with no new counterpart does fail it: a binary that was
+not built or not run is not a pass.
 """
 
 import argparse
@@ -67,15 +70,21 @@ def load_rss_counters(path: Path) -> dict[str, float]:
 
 
 def check_rss_gate(new_dir: Path, ceiling_mb: float) -> list[str]:
-    """Failure lines for every peak_rss_mb counter above the ceiling."""
+    """Failure lines for every peak_rss_mb counter above the ceiling,
+    or one line when no new result reports the counter."""
     failures = []
+    counters = 0
     for new_file in sorted(new_dir.glob("BENCH_*.json")):
         for name, rss in sorted(load_rss_counters(new_file).items()):
+            counters += 1
             status = "FAIL" if rss > ceiling_mb else "ok"
             print(f"{new_file.name}: {name}: peak RSS {rss:.1f} MB "
                   f"(ceiling {ceiling_mb:.0f} MB) {status}")
             if rss > ceiling_mb:
                 failures.append(f"{new_file.name}: {name}: {rss:.1f} MB")
+    if counters == 0:
+        failures.append(f"no benchmark under {new_dir} reports "
+                        "peak_rss_mb")
     return failures
 
 
@@ -102,6 +111,7 @@ def main() -> int:
     ratios: list[tuple[str, str, float]] = []  # (file, name, new/old)
     only_old: list[str] = []
     only_new: list[str] = []
+    missing_files: list[str] = []
 
     baseline_files = sorted(args.baseline.glob("BENCH_*.json"))
     if not baseline_files:
@@ -111,7 +121,8 @@ def main() -> int:
     for base_file in baseline_files:
         new_file = args.new / base_file.name
         if not new_file.exists():
-            print(f"-- {base_file.name}: no new result, skipped")
+            print(f"-- {base_file.name}: no new result")
+            missing_files.append(base_file.name)
             continue
         old = load_benchmarks(base_file)
         new = load_benchmarks(new_file)
@@ -125,11 +136,12 @@ def main() -> int:
             elif old[name] > 0:
                 ratios.append((base_file.name, name, new[name] / old[name]))
 
-    if not ratios:
+    if not ratios and not missing_files:
         print("no overlapping benchmarks to compare", file=sys.stderr)
         return 2
 
-    scale = median(r for _, _, r in ratios) if args.normalize else 1.0
+    scale = (median(r for _, _, r in ratios)
+             if args.normalize and ratios else 1.0)
     if args.normalize:
         print(f"median new/old ratio: {scale:.3f} "
               "(dividing it out as the machine-speed factor)")
@@ -161,11 +173,16 @@ def main() -> int:
         for file, name, adjusted in regressions:
             print(f"  {file}: {name}: {adjusted:.3f}x", file=sys.stderr)
     if rss_failures:
-        print(f"\nFAIL: {len(rss_failures)} benchmark(s) exceeded the "
-              f"{args.rss_gate:.0f} MB peak-RSS ceiling:", file=sys.stderr)
+        print(f"\nFAIL: the {args.rss_gate:.0f} MB peak-RSS gate:",
+              file=sys.stderr)
         for entry in rss_failures:
             print(f"  {entry}", file=sys.stderr)
-    if regressions or rss_failures:
+    if missing_files:
+        print(f"\nFAIL: {len(missing_files)} baseline file(s) have no new "
+              "result:", file=sys.stderr)
+        for name in missing_files:
+            print(f"  {name}", file=sys.stderr)
+    if regressions or rss_failures or missing_files:
         return 1
     print(f"\nOK: no benchmark regressed more than {args.threshold:.0f}% "
           f"({len(ratios)} compared)"

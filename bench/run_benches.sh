@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Runs every reproduction bench and records the google-benchmark
-# timings as BENCH_<name>.json (--benchmark_out_format=json), so the
-# repo's perf trajectory is tracked PR over PR. Console output (the
-# reproduction tables plus human-readable timings) is teed to
-# BENCH_<name>.log in the same directory.
+# Runs the layer micro-benches (bench_layers) and records the
+# google-benchmark timings as BENCH_layers.json
+# (--benchmark_out_format=json), so the repo's perf trajectory is
+# tracked PR over PR. The console timings are teed to BENCH_layers.log
+# in the same directory. The paper's tables are not benches: the
+# repro_* programs print them and ctest checks them against goldens.
 #
 # Usage: bench/run_benches.sh [--quick] [--allow-non-release] \
 #                              [BUILD_DIR] [OUT_DIR]
-#   --quick    skip the reproduction tables and shorten benchmark
-#              repetitions (CI smoke mode)
+#   --quick    shorten benchmark repetitions (CI smoke mode)
 #   --allow-non-release
 #              record numbers from a non-Release build anyway (smoke
 #              runs where timings are not kept); committed baselines
@@ -50,36 +50,29 @@ mkdir -p "$out_dir"
 
 extra=()
 if [[ $quick -eq 1 ]]; then
-  extra+=(--skip-tables --benchmark_min_time=0.01)
+  extra+=(--benchmark_min_time=0.01)
 fi
 
-for name in table1 table2 baselines divergence profiles coding; do
-  bin="$build_dir/bench_$name"
-  if [[ ! -x "$bin" ]]; then
-    echo "skipping bench_$name: $bin not built" >&2
-    continue
-  fi
-  echo "== bench_$name =="
-  "$bin" ${extra[@]+"${extra[@]}"} \
-    --benchmark_out="$out_dir/BENCH_$name.json" \
-    --benchmark_out_format=json \
-    | tee "$out_dir/BENCH_$name.log"
+"$build_dir/bench_layers" ${extra[@]+"${extra[@]}"} \
+  --benchmark_out="$out_dir/BENCH_layers.json" \
+  --benchmark_out_format=json \
+  | tee "$out_dir/BENCH_layers.log"
 
-  # Surface the memory-flatness counters of the streaming benches: a
-  # peak_rss_mb that stays put while trials_per_cell grows 10x is the
-  # histogram fold doing its job (compare_benches.py --rss-gate turns
-  # this into a CI failure when a ceiling is exceeded).
-  python3 - "$out_dir/BENCH_$name.json" <<'PYEOF'
+# Surface the memory-flatness counters of the streaming bench: a
+# peak_rss_mb that stays put while trials_per_cell grows 10x is the
+# histogram fold doing its job (compare_benches.py --rss-gate turns
+# this into a CI failure when a ceiling is exceeded).
+python3 - "$out_dir/BENCH_layers.json" <<'PYEOF'
 import json, sys
 with open(sys.argv[1]) as f:
     data = json.load(f)
-# Which ISA tier the runtime dispatch picked (tiers are bit-identical;
-# this is provenance for the timings, not for the statistics).
-tier = data.get("context", {}).get("crp_kernel_tier")
-if tier:
-    print(f"  kernel tier: {tier}")
+# The host's core count and the ISA tier the runtime dispatch picked
+# (tiers are bit-identical; this is provenance for the timings, not
+# for the statistics).
+context = data.get("context", {})
+print(f"  num_cpus: {context.get('num_cpus')}, "
+      f"kernel tier: {context.get('crp_kernel_tier')}")
 for bench in data.get("benchmarks", []):
     if "peak_rss_mb" in bench:
         print(f"  peak RSS: {bench['name']}: {bench['peak_rss_mb']:.1f} MB")
 PYEOF
-done

@@ -6,20 +6,16 @@
 // interpolate between the O(1) best case (low entropy) and the
 // worst-case bounds (max entropy).
 // Also ablates the two simulation engines (binomial vs per-player) and
-// the decay sweep direction.
+// the decay sweep direction. ctest `repro_baselines` checks stdout
+// against tests/goldens/repro_baselines.txt byte for byte.
 #include <cmath>
 #include <iostream>
-
-#include <benchmark/benchmark.h>
-
-#include "bench_util.h"
 
 #include "baselines/aloha.h"
 #include "baselines/decay.h"
 #include "baselines/simple.h"
 #include "baselines/willard.h"
 #include "channel/engine.h"
-#include "channel/rng.h"
 #include "core/coded_search.h"
 #include "core/likelihood_schedule.h"
 #include "harness/fit.h"
@@ -32,7 +28,6 @@ namespace {
 
 constexpr std::uint64_t kSeed = 16180;
 constexpr std::size_t kTrials = 5000;
-using crp::bench::fast;
 using crp::harness::fmt;
 using crp::harness::MeasureOptions;
 using crp::harness::NoCdEngine;
@@ -58,11 +53,11 @@ void print_worst_case_scaling() {
     const auto fixed =
         crp::baselines::FixedProbabilitySchedule::for_size_estimate(k);
     const auto m_decay = crp::harness::measure_uniform_no_cd_fixed_k(
-        decay, k, kTrials, kSeed, fast(1 << 16));
+        decay, k, kTrials, kSeed, {.max_rounds = 1 << 16});
     const auto m_willard = crp::harness::measure_uniform_cd_fixed_k(
-        willard, k, kTrials, kSeed + 1, fast(1 << 14));
+        willard, k, kTrials, kSeed + 1, {.max_rounds = 1 << 14});
     const auto m_fixed = crp::harness::measure_uniform_no_cd_fixed_k(
-        fixed, k, kTrials, kSeed + 2, fast(1 << 12));
+        fixed, k, kTrials, kSeed + 2, {.max_rounds = 1 << 12});
     table.add_row({fmt(n), fmt(double(bits), 0),
                    fmt(m_decay.rounds.mean, 2),
                    fmt(std::log2(double(bits)), 2),
@@ -95,13 +90,13 @@ void print_prediction_crossover() {
     const crp::core::LikelihoodOrderedSchedule schedule(condensed);
     const crp::core::CodedSearchPolicy policy(condensed);
     const auto m_pred_nocd = crp::harness::measure_uniform_no_cd(
-        schedule, actual, kTrials, kSeed + 3, fast(1 << 18));
+        schedule, actual, kTrials, kSeed + 3, {.max_rounds = 1 << 18});
     const auto m_decay = crp::harness::measure_uniform_no_cd(
-        decay, actual, kTrials, kSeed + 3, fast(1 << 18));
+        decay, actual, kTrials, kSeed + 3, {.max_rounds = 1 << 18});
     const auto m_pred_cd = crp::harness::measure_uniform_cd(
-        policy, actual, kTrials, kSeed + 4, fast(1 << 14));
+        policy, actual, kTrials, kSeed + 4, {.max_rounds = 1 << 14});
     const auto m_willard = crp::harness::measure_uniform_cd(
-        willard, actual, kTrials, kSeed + 4, fast(1 << 14));
+        willard, actual, kTrials, kSeed + 4, {.max_rounds = 1 << 14});
     table.add_row({fmt(condensed.entropy(), 2),
                    fmt(m_pred_nocd.rounds.mean, 2),
                    fmt(m_decay.rounds.mean, 2),
@@ -127,7 +122,7 @@ void print_engine_ablation() {
   const auto m_players = crp::harness::measure_uniform_no_cd_fixed_k(
       decay, k, kTrials, kSeed + 5, pooled(1 << 14, NoCdEngine::kPerPlayer));
   const auto m_batch = crp::harness::measure_uniform_no_cd_fixed_k(
-      decay, k, kTrials, kSeed + 5, fast(1 << 14));
+      decay, k, kTrials, kSeed + 5, {.max_rounds = 1 << 14});
   const auto m_reverse = crp::harness::measure_uniform_no_cd_fixed_k(
       reverse, k, kTrials, kSeed + 5, pooled(1 << 14, NoCdEngine::kBinomial));
   table.add_row({"decay, binomial engine", fmt(m_binomial.rounds.mean, 2),
@@ -171,11 +166,11 @@ void print_aloha_comparison() {
     const auto m_backoff = crp::harness::measure_blocks(
         backoff, {nullptr, k}, kTrials, kSeed + 9, {.max_rounds = 1 << 16});
     const auto m_decay = crp::harness::measure_uniform_no_cd_fixed_k(
-        decay, k, kTrials, kSeed + 10, fast(1 << 16));
+        decay, k, kTrials, kSeed + 10, {.max_rounds = 1 << 16});
     const auto fixed =
         crp::baselines::FixedProbabilitySchedule::for_size_estimate(k);
     const auto m_fixed = crp::harness::measure_uniform_no_cd_fixed_k(
-        fixed, k, kTrials, kSeed + 11, fast(1 << 12));
+        fixed, k, kTrials, kSeed + 11, {.max_rounds = 1 << 12});
     table.add_row({fmt(k), fmt(m_aloha.rounds.mean, 1),
                    fmt(m_backoff.rounds.mean, 1),
                    fmt(m_decay.rounds.mean, 1),
@@ -187,51 +182,12 @@ void print_aloha_comparison() {
                "— predictions close exactly the discovery gap)\n\n";
 }
 
-// ---- microbenchmarks: engine throughput ----
-
-void BM_BinomialEngine(benchmark::State& state) {
-  const std::size_t k = static_cast<std::size_t>(state.range(0));
-  const crp::baselines::DecaySchedule decay(1 << 14);
-  auto rng = crp::channel::make_rng(kSeed);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        crp::channel::run_uniform_no_cd(decay, k, rng, {1 << 14}));
-  }
-}
-BENCHMARK(BM_BinomialEngine)->Arg(16)->Arg(1024)->Arg(16000);
-
-void BM_PerPlayerEngine(benchmark::State& state) {
-  const std::size_t k = static_cast<std::size_t>(state.range(0));
-  const crp::baselines::DecaySchedule decay(1 << 14);
-  auto rng = crp::channel::make_rng(kSeed);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crp::channel::run_uniform_no_cd_per_player(
-        decay, k, rng, {1 << 14}));
-  }
-}
-BENCHMARK(BM_PerPlayerEngine)->Arg(16)->Arg(1024)->Arg(16000);
-
-void BM_WillardPolicyReplay(benchmark::State& state) {
-  const crp::baselines::WillardPolicy willard(1 << 16);
-  crp::channel::BitString history;
-  for (int i = 0; i < state.range(0); ++i) history.push_back(i % 3 == 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(willard.probability(history));
-  }
-}
-BENCHMARK(BM_WillardPolicyReplay)->Arg(4)->Arg(64)->Arg(1024);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (crp::bench::consume_skip_tables(argc, argv)) {
-    print_worst_case_scaling();
-    print_prediction_crossover();
-    print_engine_ablation();
-    print_aloha_comparison();
-  }
-  benchmark::Initialize(&argc, argv);
-  crp::bench::report_kernel_tier();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  print_worst_case_scaling();
+  print_prediction_crossover();
+  print_engine_ablation();
+  print_aloha_comparison();
   return 0;
 }

@@ -5,16 +5,13 @@
 //     no-CD algorithms into codes whose length certifies the bound;
 //   Lemma 2.9 / 2.11: same chain for collision detection via trees.
 // Ablation: Huffman vs Shannon-Fano as the code backing Section 2.6.
+// ctest `repro_coding` checks stdout against tests/goldens/repro_coding.txt
+// byte for byte.
 #include <cmath>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
-#include "bench_util.h"
-
 #include "baselines/decay.h"
 #include "baselines/willard.h"
-#include "channel/rng.h"
 #include "core/coded_search.h"
 #include "core/likelihood_schedule.h"
 #include "harness/measure.h"
@@ -140,9 +137,9 @@ void print_backend_ablation() {
     const crp::core::CodedSearchPolicy fano(
         condensed, crp::core::CodeBackend::kShannonFano);
     const auto m_huffman = crp::harness::measure_uniform_cd(
-        huffman, actual, 5000, kSeed, crp::bench::fast(1 << 14));
+        huffman, actual, 5000, kSeed, {.max_rounds = 1 << 14});
     const auto m_fano = crp::harness::measure_uniform_cd(
-        fano, actual, 5000, kSeed, crp::bench::fast(1 << 14));
+        fano, actual, 5000, kSeed, {.max_rounds = 1 << 14});
     table.add_row({"zipf(" + fmt(s, 1) + ")",
                    fmt(m_huffman.rounds.mean, 2),
                    fmt(m_fano.rounds.mean, 2)});
@@ -151,46 +148,11 @@ void print_backend_ablation() {
   std::cout << '\n';
 }
 
-// ---- microbenchmarks: coding kernels ----
-
-void BM_HuffmanConstruction(benchmark::State& state) {
-  const auto probs = crp::predict::zipf_ranges(
-                         static_cast<std::size_t>(state.range(0)), 1.0)
-                         .probabilities();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crp::info::huffman_code(probs));
-  }
-}
-BENCHMARK(BM_HuffmanConstruction)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_RfConstruction(benchmark::State& state) {
-  const crp::baselines::DecaySchedule decay(kNetwork);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crp::rangefind::rf_construction(
-        decay, static_cast<std::size_t>(state.range(0)), kNetwork));
-  }
-}
-BENCHMARK(BM_RfConstruction)->Arg(100)->Arg(1000);
-
-void BM_TreeFromPolicy(benchmark::State& state) {
-  const crp::baselines::WillardPolicy willard(kNetwork);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crp::rangefind::RangeFindingTree::from_policy(
-        willard, kNetwork, static_cast<std::size_t>(state.range(0))));
-  }
-}
-BENCHMARK(BM_TreeFromPolicy)->Arg(6)->Arg(10);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (crp::bench::consume_skip_tables(argc, argv)) {
-    print_source_coding();
-    print_rf_chain();
-    print_backend_ablation();
-  }
-  benchmark::Initialize(&argc, argv);
-  crp::bench::report_kernel_tier();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  print_source_coding();
+  print_rf_chain();
+  print_backend_ablation();
   return 0;
 }

@@ -4,18 +4,15 @@
 //   Theorem 2.16 (CD): success w.c.p. within O((H + D_KL)^2) rounds;
 //   and the robustness remark: bounded-constant-factor prediction error
 //   keeps D_KL = O(1), so such predictions stay useful.
+// ctest `repro_divergence` checks stdout against
+// tests/goldens/repro_divergence.txt byte for byte.
 #include <cmath>
 #include <iostream>
-
-#include <benchmark/benchmark.h>
-
-#include "bench_util.h"
 
 #include "channel/rng.h"
 #include "core/coded_search.h"
 #include "core/likelihood_schedule.h"
 #include "harness/fit.h"
-#include "harness/measure.h"
 #include "harness/sweep.h"
 #include "harness/table.h"
 #include "info/distribution.h"
@@ -27,7 +24,6 @@ namespace {
 constexpr std::size_t kNetwork = 1 << 16;
 constexpr std::size_t kTrials = 6000;
 constexpr std::uint64_t kSeed = 271828;
-using crp::bench::fast;
 using crp::harness::fmt;
 
 /// One divergence point: the (possibly corrupted) prediction and the
@@ -190,38 +186,11 @@ void print_learned_predictor() {
   std::cout << '\n';
 }
 
-// ---- microbenchmarks ----
-
-void BM_KlDivergence(benchmark::State& state) {
-  const std::size_t ranges = static_cast<std::size_t>(state.range(0));
-  const auto p = crp::predict::geometric_ranges(ranges, 0.5);
-  const auto q = crp::predict::smooth_with_uniform(p, 0.3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(p.kl_divergence(q));
-  }
-}
-BENCHMARK(BM_KlDivergence)->Arg(16)->Arg(64);
-
-void BM_EmpiricalPredictor(benchmark::State& state) {
-  const auto truth = crp::predict::log_normal_sizes(kNetwork, 7.0, 1.2);
-  auto rng = crp::channel::make_rng(kSeed);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crp::predict::empirical_predictor(
-        truth, static_cast<std::size_t>(state.range(0)), 0.5, rng));
-  }
-}
-BENCHMARK(BM_EmpiricalPredictor)->Arg(100)->Arg(10000);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (crp::bench::consume_skip_tables(argc, argv)) {
-    print_divergence_sweep();
-    print_bounded_factor_robustness();
-    print_learned_predictor();
-  }
-  benchmark::Initialize(&argc, argv);
-  crp::bench::report_kernel_tier();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  print_divergence_sweep();
+  print_bounded_factor_robustness();
+  print_learned_predictor();
   return 0;
 }

@@ -5,16 +5,12 @@
 // moves with entropy and divergence.
 //
 // Also validates the exact worst case of the Table 2 deterministic
-// protocols by exhaustive adversary enumeration at small n.
+// protocols by exhaustive adversary enumeration at small n. ctest
+// `repro_profiles` checks stdout against tests/goldens/repro_profiles.txt
+// byte for byte.
 #include <cmath>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
-#include "bench_util.h"
-
-#include "baselines/decay.h"
-#include "baselines/willard.h"
 #include "core/advice.h"
 #include "core/advice_deterministic.h"
 #include "core/coded_search.h"
@@ -134,50 +130,11 @@ void print_exact_adversary() {
                "Table 2 worst cases to the round, with witnesses)\n\n";
 }
 
-// ---- microbenchmarks: exact-analysis kernels ----
-
-void BM_ExactProfileNoCd(benchmark::State& state) {
-  const crp::baselines::DecaySchedule decay(kNetwork);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crp::harness::exact_profile_no_cd(
-        decay, 1000, static_cast<std::size_t>(state.range(0))));
-  }
-}
-BENCHMARK(BM_ExactProfileNoCd)->Arg(100)->Arg(10000);
-
-void BM_ExactProfileCd(benchmark::State& state) {
-  const crp::baselines::WillardPolicy willard(kNetwork);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crp::harness::exact_profile_cd(
-        willard, 1000, static_cast<std::size_t>(state.range(0))));
-  }
-}
-BENCHMARK(BM_ExactProfileCd)->Arg(16)->Arg(24);
-
-void BM_ExactWorstCase(benchmark::State& state) {
-  constexpr std::size_t n = 32;
-  const crp::core::SubtreeScanProtocol protocol(n, 2);
-  const crp::core::MinIdPrefixAdvice advice(n, 2);
-  for (auto _ : state) {
-    // threads = 1 pins the serial kernel; the parallel fan-out is
-    // covered by tests/harness_adversary_test.cpp.
-    benchmark::DoNotOptimize(crp::harness::exact_worst_case(
-        protocol, advice, n, static_cast<std::size_t>(state.range(0)),
-        false, 1 << 16, /*threads=*/1));
-  }
-}
-BENCHMARK(BM_ExactWorstCase)->Arg(2)->Arg(3);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (crp::bench::consume_skip_tables(argc, argv)) {
-    print_entropy_profiles();
-    print_divergence_profiles();
-    print_exact_adversary();
-  }
-  benchmark::Initialize(&argc, argv);
-  crp::bench::report_kernel_tier();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  print_entropy_profiles();
+  print_divergence_profiles();
+  print_exact_adversary();
   return 0;
 }

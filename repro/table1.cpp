@@ -13,22 +13,16 @@
 //                                  | algorithm has succeeded w.c.p.
 //
 // Absolute constants are simulator-specific; the reproduced claim is
-// the growth law in H and the ordering of the cells.
+// the growth law in H and the ordering of the cells. ctest
+// `repro_table1` checks stdout against tests/goldens/repro_table1.txt
+// byte for byte.
 #include <cmath>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
-#include "bench_util.h"
-
 #include "baselines/decay.h"
 #include "baselines/willard.h"
-#include "channel/rng.h"
-#include "core/coded_search.h"
-#include "core/likelihood_schedule.h"
 #include "harness/fit.h"
 #include "harness/grids.h"
-#include "harness/measure.h"
 #include "harness/sweep.h"
 #include "harness/table.h"
 #include "info/distribution.h"
@@ -43,21 +37,12 @@ constexpr std::size_t kNetwork = 1 << 16;  // 16 geometric ranges
 constexpr std::size_t kTrials = 6000;
 constexpr std::uint64_t kSeed = 20210526;  // arXiv submission date
 
-using crp::bench::fast;
 using crp::harness::fmt;
-using crp::harness::MeasureOptions;
-using crp::harness::NoCdEngine;
-
-/// The seed configuration: serial, exact per-round binomial loop.
-MeasureOptions seed_path(std::size_t max_rounds) {
-  return MeasureOptions{
-      .max_rounds = max_rounds, .threads = 1, .engine = NoCdEngine::kBinomial};
-}
 
 // The Table 1 entropy points and upper-bound grid are the shared
 // reference definitions in harness/grids.h — the same cells the
 // crp_shard CLI runs, so sharded "table1" runs reproduce exactly this
-// bench's grid.
+// program's grid.
 using crp::harness::table1_entropy_points;
 using crp::harness::table1_upper_bound_grid;
 
@@ -177,152 +162,11 @@ void print_pliam_conjecture() {
                "\n\n";
 }
 
-// ---- PR 1 acceptance benchmark: Table 1 no-CD sweep, seed vs fast ----
-//
-// The exact workload of print_upper_bounds' no-CD column (same entropy
-// sweep, same trial counts, same seeds), measured end to end through
-// the seed configuration (serial, per-round binomial loop) and the
-// fast path (analytic batch engine + thread pool). The speedup target
-// for this PR is >= 10x; compare the two entries in BENCH_table1.json.
-
-void Table1NoCdSweep(benchmark::State& state,
-                     const MeasureOptions& options) {
-  const std::size_t ranges = crp::info::num_ranges(kNetwork);
-  double checksum = 0.0;
-  for (auto _ : state) {
-    for (std::size_t m = 1; m <= ranges; m *= 2) {
-      const auto condensed = crp::predict::uniform_over_ranges(ranges, m);
-      const auto actual = crp::predict::lift(
-          condensed, kNetwork, crp::predict::RangePlacement::kHighEndpoint);
-      const crp::core::LikelihoodOrderedSchedule schedule(condensed);
-      const auto no_cd = crp::harness::measure_uniform_no_cd(
-          schedule, actual, kTrials, kSeed, options);
-      checksum += no_cd.rounds.mean;
-    }
-    benchmark::DoNotOptimize(checksum);
-  }
-}
-
-void BM_Table1NoCdSweepSeedSerial(benchmark::State& state) {
-  Table1NoCdSweep(state, seed_path(1 << 18));
-}
-BENCHMARK(BM_Table1NoCdSweepSeedSerial)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_Table1NoCdSweepBatchParallel(benchmark::State& state) {
-  Table1NoCdSweep(state, fast(1 << 18));
-}
-BENCHMARK(BM_Table1NoCdSweepBatchParallel)->Unit(benchmark::kMillisecond);
-
-// ---- PR 4 acceptance benchmark: streaming fold at 10^7 trials ----
-//
-// One Table 1 entropy cell pushed to trial counts where the
-// sample-vector fold would dominate memory (10^7 trials ~ 80 MB of
-// samples plus a sort; 10^8 ~ 800 MB). The streaming histogram fold
-// keeps per-cell memory flat, which the peak_rss_mb counter exposes:
-// it is a process-wide high-water mark, so if the fold resident
-// memory grew with the trial count the 10x argument would report a
-// strictly larger counter. compare_benches.py --rss-gate fails CI
-// when the counter exceeds its ceiling.
-
-void BM_Table1NoCdSweepStreaming(benchmark::State& state) {
-  const auto trials = static_cast<std::size_t>(state.range(0));
-  const std::size_t ranges = crp::info::num_ranges(kNetwork);
-  const auto condensed = crp::predict::uniform_over_ranges(ranges, 6);
-  const auto actual = crp::predict::lift(
-      condensed, kNetwork, crp::predict::RangePlacement::kHighEndpoint);
-  const crp::core::LikelihoodOrderedSchedule schedule(condensed);
-  double checksum = 0.0;
-  for (auto _ : state) {
-    const auto cell = crp::harness::measure_uniform_no_cd(
-        schedule, actual, trials, kSeed, fast(1 << 18));
-    checksum += cell.rounds.mean;
-    benchmark::DoNotOptimize(checksum);
-  }
-  state.counters["trials_per_cell"] = static_cast<double>(trials);
-  state.counters["peak_rss_mb"] = crp::bench::peak_rss_mb();
-}
-BENCHMARK(BM_Table1NoCdSweepStreaming)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1)
-    ->Arg(1'000'000)
-    ->Arg(10'000'000);
-
-// The same workload one layer up: the whole entropy sweep declared as
-// a grid and executed by the sweep scheduler in a single call (the
-// PR 2 acceptance pair is this plus BM_Table1NoCdSweepBatchParallel).
-void BM_Table1SweepScheduler(benchmark::State& state) {
-  const auto points = table1_entropy_points(kNetwork);
-  crp::harness::SweepGrid grid;
-  for (const auto& point : points) {
-    grid.add_cell({.algorithm = {.name = "likelihood",
-                                 .schedule = &point.schedule},
-                   .sizes = {.name = "H=" + fmt(point.h, 2),
-                             .distribution = &point.actual},
-                   .max_rounds = 1 << 18});
-  }
-  const auto cells = grid.cells();
-  double checksum = 0.0;
-  for (auto _ : state) {
-    const auto results = crp::harness::run_sweep(
-        cells, {.trials = kTrials, .seed = kSeed});
-    for (const auto& result : results) checksum += result.measurement.rounds.mean;
-    benchmark::DoNotOptimize(checksum);
-  }
-}
-BENCHMARK(BM_Table1SweepScheduler)->Unit(benchmark::kMillisecond);
-
-// ---- google-benchmark microbenchmarks: per-round simulation cost ----
-
-void BM_NoCdRound(benchmark::State& state) {
-  const auto condensed = crp::predict::uniform_over_ranges(
-      crp::info::num_ranges(kNetwork),
-      static_cast<std::size_t>(state.range(0)));
-  const crp::core::LikelihoodOrderedSchedule schedule(condensed);
-  const auto actual = crp::predict::lift(
-      condensed, kNetwork, crp::predict::RangePlacement::kHighEndpoint);
-  auto rng = crp::channel::make_rng(kSeed);
-  std::size_t solved = 0;
-  for (auto _ : state) {
-    const std::size_t k = actual.sample(rng);
-    const auto result =
-        crp::channel::run_uniform_no_cd(schedule, k, rng, {1 << 18});
-    solved += result.solved ? 1 : 0;
-    benchmark::DoNotOptimize(solved);
-  }
-}
-BENCHMARK(BM_NoCdRound)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_CdRound(benchmark::State& state) {
-  const auto condensed = crp::predict::uniform_over_ranges(
-      crp::info::num_ranges(kNetwork),
-      static_cast<std::size_t>(state.range(0)));
-  const crp::core::CodedSearchPolicy policy(condensed);
-  const auto actual = crp::predict::lift(
-      condensed, kNetwork, crp::predict::RangePlacement::kHighEndpoint);
-  auto rng = crp::channel::make_rng(kSeed);
-  std::size_t solved = 0;
-  for (auto _ : state) {
-    const std::size_t k = actual.sample(rng);
-    const auto result =
-        crp::channel::run_uniform_cd(policy, k, rng, {1 << 14});
-    solved += result.solved ? 1 : 0;
-    benchmark::DoNotOptimize(solved);
-  }
-}
-BENCHMARK(BM_CdRound)->Arg(1)->Arg(4)->Arg(16);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (crp::bench::consume_skip_tables(argc, argv)) {
-    print_upper_bounds();
-    print_lower_bounds();
-    print_pliam_conjecture();
-  }
-  benchmark::Initialize(&argc, argv);
-  crp::bench::report_kernel_tier();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  print_upper_bounds();
+  print_lower_bounds();
+  print_pliam_conjecture();
   return 0;
 }

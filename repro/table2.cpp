@@ -11,17 +11,12 @@
 // (*) measured as worst-case rounds ~ n / 2^b for b = beta log n, the
 // form the Theorem 3.4 tightness construction achieves.
 // Also exercises the Theorem 3.3 foundation: non-interactive contention
-// resolution needs >= log n advice bits.
+// resolution needs >= log n advice bits. ctest `repro_table2` checks
+// stdout against tests/goldens/repro_table2.txt byte for byte.
 #include <cmath>
 #include <iostream>
-
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
-#include "bench_util.h"
-
-#include "channel/rng.h"
 #include "core/advice.h"
 #include "core/advice_deterministic.h"
 #include "core/advice_randomized.h"
@@ -36,7 +31,6 @@
 namespace {
 
 constexpr std::uint64_t kSeed = 314159;
-using crp::bench::fast;
 using crp::harness::fmt;
 
 void print_deterministic() {
@@ -169,9 +163,11 @@ void print_faulty_advice() {
   for (double flip : {0.0, 0.05, 0.2, 0.5, 1.0}) {
     const crp::core::FaultyAdvice faulty(inner, flip, kSeed + 9);
     const auto m_scan = crp::harness::measure_deterministic_advice(
-        scan, faulty, sizes, n, false, trials, kSeed + 10, fast(8 * n));
+        scan, faulty, sizes, n, false, trials, kSeed + 10,
+        {.max_rounds = 8 * n});
     const auto m_descent = crp::harness::measure_deterministic_advice(
-        descent, faulty, sizes, n, true, trials, kSeed + 11, fast(8 * n));
+        descent, faulty, sizes, n, true, trials, kSeed + 11,
+        {.max_rounds = 8 * n});
     const bool all_solved =
         m_scan.success_rate == 1.0 && m_descent.success_rate == 1.0;
     table.add_row({fmt(flip, 2), fmt(m_scan.rounds.mean, 2),
@@ -184,111 +180,12 @@ void print_faulty_advice() {
                "full tree — but never correctness)\n\n";
 }
 
-// ---- microbenchmarks ----
-
-// The Table 2 randomized-CD sweep (truncated Willard at advice budgets
-// b = 0..4, fixed k) once per engine: the per-round Markov simulation
-// adapter vs the cached history-tree sampler
-// (channel/history_engine.h), at equal trials. The pair quantifies the
-// CD fast path the same way BM_Table1NoCdSweep* quantifies the no-CD
-// one; bench/results/BENCH_table2.json tracks both.
-void run_cd_sweep(benchmark::State& state,
-                  crp::harness::CdEngine cd_engine) {
-  constexpr std::size_t n = 1 << 16;
-  constexpr std::size_t k = 2500;
-  constexpr std::size_t trials = 6000;
-  std::vector<std::size_t> participants(k);
-  for (std::size_t i = 0; i < k; ++i) participants[i] = i;
-
-  struct WillardPoint {
-    WillardPoint(std::size_t n, std::size_t b,
-                 const std::vector<std::size_t>& participants)
-        : advice(n, b),
-          willard(advice.ranges_in_group(
-              crp::core::bits_to_index(advice.advise(participants)))) {}
-    crp::core::RangeGroupAdvice advice;
-    crp::core::TruncatedWillardPolicy willard;
-  };
-  std::vector<WillardPoint> points;
-  for (const std::size_t b : {0, 1, 2, 3, 4}) {
-    points.emplace_back(n, b, participants);
-  }
-  crp::harness::SweepGrid grid;
-  for (const auto& point : points) {
-    grid.add_cell({.algorithm = {.name = "trunc-willard",
-                                 .policy = &point.willard},
-                   .sizes = {.fixed_k = k},
-                   .max_rounds = 1 << 12});
-  }
-  const auto cells = grid.cells();
-  for (auto _ : state) {
-    const auto results = crp::harness::run_sweep(
-        cells, {.trials = trials, .seed = kSeed + 2,
-                .cd_engine = cd_engine});
-    benchmark::DoNotOptimize(results.back().measurement.rounds.mean);
-  }
-}
-
-void BM_Table2CdSweepSimulated(benchmark::State& state) {
-  run_cd_sweep(state, crp::harness::CdEngine::kSimulate);
-}
-BENCHMARK(BM_Table2CdSweepSimulated)->Unit(benchmark::kMillisecond);
-
-void BM_Table2CdTreeSweep(benchmark::State& state) {
-  run_cd_sweep(state, crp::harness::CdEngine::kHistoryTree);
-}
-BENCHMARK(BM_Table2CdTreeSweep)->Unit(benchmark::kMillisecond);
-
-void BM_SubtreeScanWorstCase(benchmark::State& state) {
-  constexpr std::size_t n = 1 << 10;
-  const std::size_t b = static_cast<std::size_t>(state.range(0));
-  const crp::core::SubtreeScanProtocol protocol(n, b);
-  const crp::core::MinIdPrefixAdvice advice(n, b);
-  std::vector<std::size_t> tail{n - 3, n - 2, n - 1};
-  const auto bits = advice.advise(tail);
-  for (auto _ : state) {
-    const auto result = crp::channel::run_deterministic(
-        protocol, bits, tail, false, {4 * n});
-    benchmark::DoNotOptimize(result.rounds);
-  }
-}
-BENCHMARK(BM_SubtreeScanWorstCase)->Arg(0)->Arg(4)->Arg(8);
-
-void BM_TreeDescentWorstCase(benchmark::State& state) {
-  constexpr std::size_t n = 1 << 10;
-  const std::size_t b = static_cast<std::size_t>(state.range(0));
-  const crp::core::TreeDescentCdProtocol protocol(n, b);
-  const crp::core::MinIdPrefixAdvice advice(n, b);
-  std::vector<std::size_t> head{0, 1, 2};
-  const auto bits = advice.advise(head);
-  for (auto _ : state) {
-    const auto result = crp::channel::run_deterministic(
-        protocol, bits, head, true, {4 * n});
-    benchmark::DoNotOptimize(result.rounds);
-  }
-}
-BENCHMARK(BM_TreeDescentWorstCase)->Arg(0)->Arg(4)->Arg(8);
-
-void BM_NonInteractiveVerification(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto scheme = crp::rangefind::NonInteractiveScheme::min_id_scheme(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheme.find_violation());
-  }
-}
-BENCHMARK(BM_NonInteractiveVerification)->Arg(8)->Arg(12)->Arg(16);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (crp::bench::consume_skip_tables(argc, argv)) {
-    print_deterministic();
-    print_randomized();
-    print_non_interactive();
-    print_faulty_advice();
-  }
-  benchmark::Initialize(&argc, argv);
-  crp::bench::report_kernel_tier();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  print_deterministic();
+  print_randomized();
+  print_non_interactive();
+  print_faulty_advice();
   return 0;
 }

@@ -20,7 +20,8 @@ Three gates:
    expectations).
 
 3. **Live tree cleanliness** — the linter's default scan of the real
-   repo (src/, tools/, bench/, examples/, CMakeLists.txt) exits 0.
+   repo (src/, tools/, bench/, examples/, repro/, perfbench/,
+   CMakeLists.txt) exits 0.
 
 Usage: crp_lint_test.py [REPO_ROOT]
 """

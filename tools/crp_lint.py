@@ -364,7 +364,7 @@ RULES = [
         "No std::random_device / time() / rand() / system_clock outside "
         "the channel/rng.h seams and the injected Clock.",
         lambda rel: _is_cxx(rel)
-        and _in(rel, "src/", "tools/", "bench/", "examples/")
+        and _in(rel, "src/", "tools/", "bench/", "examples/", "repro/")
         and rel != "src/channel/rng.h"
         # The production Clock implementation is the one sanctioned home
         # of real time; it is injected everywhere else.
@@ -379,7 +379,7 @@ RULES = [
         "templates) outside channel/rng.h — streams are channel::Rng "
         "or SplitMix64.",
         lambda rel: _is_cxx(rel)
-        and _in(rel, "src/", "tools/", "bench/", "examples/")
+        and _in(rel, "src/", "tools/", "bench/", "examples/", "repro/")
         and rel != "src/channel/rng.h",
         check_one_rng,
     ),
@@ -397,7 +397,7 @@ RULES = [
         "No fast-math flags or FP_CONTRACT pragma overrides anywhere — "
         "the whole project compiles -ffp-contract=off.",
         lambda rel: _is_cxx(rel) and _in(rel, "src/", "bench/", "tools/",
-                                         "examples/")
+                                         "examples/", "repro/")
         or _is_cmake(rel),
         check_fp_contract,
     ),
@@ -524,8 +524,8 @@ def iter_files(root: Path, rel_paths):
                 yield rp
 
 
-DEFAULT_PATHS = ["src", "tools", "bench", "examples", "perfbench",
-                 "CMakeLists.txt"]
+DEFAULT_PATHS = ["src", "tools", "bench", "examples", "repro",
+                 "perfbench", "CMakeLists.txt"]
 
 
 def main(argv=None) -> int:

@@ -71,7 +71,7 @@ fi
 # silently widen forever.
 bare_nolint=$(grep -rnE 'NOLINT(NEXTLINE)?(\(([^)]*)\))?' \
                    --include='*.cpp' --include='*.h' \
-                   src tools bench examples \
+                   src tools bench examples repro \
               | grep -vE 'NOLINT(NEXTLINE)?\([a-z0-9.-]+(,[a-z0-9.-]+)*\).*-- ' \
               || true)
 if [ -n "$bare_nolint" ]; then
@@ -82,7 +82,7 @@ fi
 
 # First-party TUs only: the compile database also holds test binaries
 # (gtest macros expand into noise) — the wall covers the library,
-# tools, benches, and examples.
+# tools, benches, reproductions and examples.
 mapfile -t files < <(python3 - "$build_dir/compile_commands.json" <<'EOF'
 import json
 import sys
@@ -90,7 +90,7 @@ import sys
 for entry in json.load(open(sys.argv[1])):
     path = entry["file"]
     if any(f"/{part}/" in path for part in ("src", "tools", "bench",
-                                            "examples")):
+                                            "examples", "repro")):
         print(path)
 EOF
 )
