@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "channel/kernels/kernels.h"
 #include "channel/rng.h"
 #include "channel/simulator.h"
 
@@ -21,6 +22,31 @@ void validate_trial_block(const TrialBlock& block) {
   if (block.sizes.distribution == nullptr && block.sizes.fixed_k == 0) {
     throw std::invalid_argument("need at least one participant");
   }
+}
+
+SlotGroups group_by_slot(std::span<const double> cumulative,
+                         std::span<const double> uk) {
+  const std::size_t padded_size = std::bit_ceil(cumulative.size());
+  std::vector<double> padded(padded_size,
+                             std::numeric_limits<double>::infinity());
+  std::copy(cumulative.begin(), cumulative.end(), padded.begin());
+  std::vector<std::uint32_t> slot(uk.size());
+  SlotGroups groups;
+  groups.start.assign(cumulative.size() + 1, 0);
+  for (std::size_t t = 0; t < uk.size(); ++t) {
+    slot[t] = static_cast<std::uint32_t>(
+        kernels::lower_bound_padded(padded.data(), padded_size, uk[t]));
+    ++groups.start[slot[t] + 1];
+  }
+  for (std::size_t s = 0; s + 1 < groups.start.size(); ++s) {
+    groups.start[s + 1] += groups.start[s];
+  }
+  groups.order.resize(uk.size());
+  std::vector<std::size_t> fill(groups.start.begin(), groups.start.end() - 1);
+  for (std::size_t t = 0; t < uk.size(); ++t) {
+    groups.order[fill[slot[t]]++] = static_cast<std::uint32_t>(t);
+  }
+  return groups;
 }
 
 namespace {
@@ -50,25 +76,6 @@ void run_scalar_adapter(TrialBlock& block, const Run& run) {
   }
 }
 
-/// Branchless lower_bound over a power-of-two +inf-padded copy of a
-/// sorted array: returns the count of entries < u, bit-identical to
-/// std::lower_bound on the unpadded array (ties included; the padding
-/// never compares true). The fixed trip count and conditional-move
-/// body make the per-trial slot search ~3x cheaper than the branchy
-/// binary search it replaces — it was the single largest term in the
-/// dist-path run_many profile.
-std::size_t lower_bound_padded(const double* padded, std::size_t padded_size,
-                               double u) {
-  const double* base = padded;
-  std::size_t len = padded_size;
-  while (len > 1) {
-    const std::size_t half = len / 2;
-    base += (base[half - 1] < u) ? half : 0;
-    len -= half;
-  }
-  return static_cast<std::size_t>(base - padded) + (base[0] < u);
-}
-
 }  // namespace
 
 void AdapterEngine::run_many(TrialBlock& block) const {
@@ -89,21 +96,12 @@ void BatchColumnarEngine::run_many(TrialBlock& block) const {
   // uniform_real_distribution loop, distribution construction and all
   // hoisted into the kernel (tests/kernel_test.cpp pins the sequence).
   std::vector<double> u(count);
-  std::vector<std::uint32_t> slot;  // support index per trial
+  SlotGroups groups;
   if (dist != nullptr) {
-    const auto cum = dist->support_cumulative();
     std::vector<double> uk(count);
     kops.pass1_uniform_pair(block.seed, block.first_trial, count, uk.data(),
                             u.data());
-    const std::size_t padded_size = std::bit_ceil(cum.size());
-    std::vector<double> cum_padded(padded_size,
-                                   std::numeric_limits<double>::infinity());
-    std::copy(cum.begin(), cum.end(), cum_padded.begin());
-    slot.resize(count);
-    for (std::size_t t = 0; t < count; ++t) {
-      slot[t] = static_cast<std::uint32_t>(
-          lower_bound_padded(cum_padded.data(), padded_size, uk[t]));
-    }
+    groups = group_by_slot(dist->support_cumulative(), uk);
   } else {
     kops.pass1_uniform(block.seed, block.first_trial, count, u.data());
   }
@@ -124,24 +122,13 @@ void BatchColumnarEngine::run_many(TrialBlock& block) const {
   // within max_rounds answers 0 either way.
   std::vector<std::uint64_t> rounds(count);
   if (dist != nullptr) {
-    // Group trials by support slot (counting sort) so each slot's
-    // targets probe as one contiguous lane-parallel run.
+    // Each slot's targets probe as one contiguous lane-parallel run.
     const auto sizes = dist->support_sizes();
-    const std::size_t nslots = sizes.size();
-    std::vector<std::size_t> start(nslots + 1, 0);
-    for (std::size_t t = 0; t < count; ++t) ++start[slot[t] + 1];
-    for (std::size_t s = 0; s < nslots; ++s) start[s + 1] += start[s];
-    std::vector<std::uint32_t> order(count);
-    {
-      std::vector<std::size_t> fill(start.begin(), start.end() - 1);
-      for (std::size_t t = 0; t < count; ++t) {
-        order[fill[slot[t]]++] = static_cast<std::uint32_t>(t);
-      }
-    }
+    const auto& [order, start] = groups;
     std::vector<double> grouped(count);
     for (std::size_t j = 0; j < count; ++j) grouped[j] = u[order[j]];
     std::vector<std::uint64_t> grouped_rounds(count);
-    for (std::size_t s = 0; s < nslots; ++s) {
+    for (std::size_t s = 0; s < sizes.size(); ++s) {
       const std::size_t begin = start[s], end = start[s + 1];
       if (begin == end) continue;
       const double min_target =

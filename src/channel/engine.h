@@ -41,6 +41,7 @@
 #include <functional>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "channel/batch.h"
 #include "channel/protocol.h"
@@ -87,6 +88,18 @@ class Engine {
 /// std::invalid_argument on inconsistency. Every run_many()
 /// implementation in the library calls this first.
 void validate_trial_block(const TrialBlock& block);
+
+/// A drawn-size block's trials grouped by support slot (counting
+/// sort): order[start[s] .. start[s + 1]) lists, ascending, the trials
+/// whose size draw uk[t] selected support slot s of `cumulative`
+/// (SizeDistribution::support_cumulative), so a columnar engine can
+/// answer each slot's trials as one contiguous run.
+struct SlotGroups {
+  std::vector<std::uint32_t> order;
+  std::vector<std::size_t> start;
+};
+SlotGroups group_by_slot(std::span<const double> cumulative,
+                         std::span<const double> uk);
 
 /// Adapter for any per-trial simulation: per trial, one derived Rng
 /// stream (derive_rng's stream, seeded by derive_rngs kSeedLanes trials

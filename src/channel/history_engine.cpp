@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <numeric>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -10,6 +11,7 @@
 #include "channel/kernels/kernels.h"
 #include "channel/rng.h"
 #include "harness/exact.h"
+#include "harness/history_tree.h"
 #include "info/distribution.h"
 
 namespace crp::channel {
@@ -36,6 +38,16 @@ std::size_t simulate_from(const CollisionPolicy& policy, std::size_t k,
 }
 
 }  // namespace
+
+HistoryTreeEngine::HistoryTreeEngine(const CollisionPolicy& policy,
+                                     Options options)
+    : policy_(policy), options_(options) {
+  if (options_.depth_cap > harness::kMaxPackedDepth) {
+    throw std::invalid_argument(
+        "HistoryTreeEngine: depth_cap exceeds harness::kMaxPackedDepth, the "
+        "deepest leaf history a packed word encodes");
+  }
+}
 
 std::pair<std::shared_ptr<const harness::HistoryTree>,
           HistoryTreeEngine::Mode>
@@ -65,191 +77,108 @@ HistoryTreeEngine::tree_for(std::size_t k, std::size_t max_rounds) const {
     if (slot == nullptr) slot = std::move(built);
     tree = slot;
   }
-
-  if (tree->truncated) return {tree, Mode::kSimulate};
-  // Frontier mass is exactly "unsolved at the budget" when the budget
-  // equals the expansion horizon; it only becomes unresolved when the
-  // execution would continue past the cap.
-  const double unresolved =
-      tree->pruned_mass + (max_rounds > horizon ? tree->frontier_mass : 0.0);
-  return {tree,
-          unresolved <= options_.resolve_epsilon ? Mode::kInverseCdf
-                                                 : Mode::kWalk};
+  return {tree, tree->truncated ? Mode::kSimulate : Mode::kInverseCdf};
 }
 
 void HistoryTreeEngine::run_many(TrialBlock& block) const {
   validate_trial_block(block);
   const std::size_t count = block.size();
+  if (count == 0) return;
   const info::SizeDistribution* dist = block.sizes.distribution;
   const kernels::Ops& kops = kernels::ops();
 
-  // One (tree, mode) fetch per distinct participant count per block —
-  // the same snapshot discipline as the no-CD batch engine.
-  using Entry = std::pair<std::shared_ptr<const harness::HistoryTree>, Mode>;
-  std::vector<Entry> slots;
+  // Pass 1: the lane kernel derives every trial's draws at once — the
+  // participant-count draw when sizes are drawn, then the solve draw
+  // u — bit for bit the unit(rng) values a scalar loop over
+  // derive_fast_rng would draw. Drawn-size trials are then grouped by
+  // support slot, so each (tree, mode) is fetched once per block.
+  std::vector<double> u(count);
+  SlotGroups groups;
   std::vector<std::size_t> slot_k;
   if (dist != nullptr) {
+    std::vector<double> uk(count);
+    kops.pass1_uniform_pair(block.seed, block.first_trial, count, uk.data(),
+                            u.data());
+    groups = group_by_slot(dist->support_cumulative(), uk);
     const auto sizes = dist->support_sizes();
-    slots.assign(sizes.size(), {nullptr, Mode::kSimulate});
     slot_k.assign(sizes.begin(), sizes.end());
   } else {
-    slots.assign(1, {nullptr, Mode::kSimulate});
-    slot_k.assign(1, block.sizes.fixed_k);
+    kops.pass1_uniform(block.seed, block.first_trial, count, u.data());
+    groups.order.resize(count);
+    std::iota(groups.order.begin(), groups.order.end(), 0u);
+    groups.start = {0, count};
+    slot_k = {block.sizes.fixed_k};
   }
+  const std::size_t pass1_draws = dist != nullptr ? 2 : 1;
 
-  std::span<const double> cum;
-  if (dist != nullptr) cum = dist->support_cumulative();
-
-  // Pass 1: the lane kernel derives every trial's first draw at once —
-  // the participant-count draw when sizes are drawn — and the slots it
-  // selects decide which (tree, mode) entries the block needs. The
-  // solve-draw column is only materialized when some slot actually
-  // answers by inverse CDF; walk/simulate trials have a variable draw
-  // count and re-derive their stream scalar below, so for them the
-  // columns would be pure overhead.
-  std::vector<std::uint32_t> slot_of;
-  std::vector<double> uk;
-  if (dist != nullptr) {
-    uk.resize(count);
-    kops.pass1_uniform(block.seed, block.first_trial, count, uk.data());
-    slot_of.resize(count);
-    for (std::size_t t = 0; t < count; ++t) {
-      slot_of[t] = static_cast<std::uint32_t>(
-          std::lower_bound(cum.begin(), cum.end(), uk[t]) - cum.begin());
-      Entry& entry = slots[slot_of[t]];
-      if (entry.first == nullptr) {
-        entry = tree_for(slot_k[slot_of[t]], block.max_rounds);
-      }
-    }
-  } else if (count > 0) {
-    slots[0] = tree_for(slot_k[0], block.max_rounds);
-  }
-  bool any_cdf = false;
-  for (const Entry& entry : slots) {
-    any_cdf |= entry.first != nullptr && entry.second == Mode::kInverseCdf;
-  }
-
-  // The solve-draw column (the second draw of each stream; the first
-  // for fixed-k blocks) — bit for bit the unit(rng) value the scalar
-  // loop would have drawn. uk is recomputed by the pair kernel, to the
-  // identical values.
-  std::vector<double> u;
-  if (any_cdf) {
-    u.resize(count);
-    if (dist != nullptr) {
-      kops.pass1_uniform_pair(block.seed, block.first_trial, count, uk.data(),
-                              u.data());
-    } else {
-      kops.pass1_uniform(block.seed, block.first_trial, count, u.data());
-    }
-  }
-
-  // Inverse-CDF trials, grouped per slot for the lane probe.
-  std::vector<std::vector<std::uint32_t>> cdf_groups(slots.size());
-
-  BitString path;  // scratch history for the walk / simulation modes
-  path.reserve(64);
-  for (std::size_t t = 0; t < count; ++t) {
-    const std::size_t slot = dist != nullptr ? slot_of[t] : 0;
-    const Entry& entry = slots[slot];
-    const harness::HistoryTree& tree = *entry.first;
-    const std::size_t k = slot_k[slot];
-
-    if (entry.second == Mode::kInverseCdf) {
-      cdf_groups[slot].push_back(static_cast<std::uint32_t>(t));
-      continue;
-    }
-
-    // Walk / simulate: variable draw count — re-derive the per-trial
-    // stream and discard the size draw the uk column already holds.
-    SplitMix64 rng = derive_fast_rng(block.seed, block.first_trial + t);
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
-    if (dist != nullptr) (void)unit(rng);
-
-    std::size_t round = 0;  // 1-based solve round; 0 = unsolved
-    switch (entry.second) {
-      case Mode::kInverseCdf:
-        break;  // handled above
-      case Mode::kWalk: {
-        path.clear();
-        std::int64_t node = tree.nodes.empty()
-                                ? harness::HistoryTreeNode::kNoChild
-                                : 0;
-        while (node != harness::HistoryTreeNode::kNoChild &&
-               path.size() < block.max_rounds) {
-          const auto& n = tree.nodes[static_cast<std::size_t>(node)];
-          // Not the solve-draw column `u` above: the walk re-derives
-          // its own per-trial stream draw by draw.
-          const double draw = unit(rng);
-          if (draw < n.cum_success) {
-            round = path.size() + 1;
-            break;
-          }
-          const bool collided = draw >= n.cum_no_collision;
-          path.push_back(collided);
-          node = collided ? n.collision : n.silence;
-        }
-        if (round == 0 && path.size() < block.max_rounds) {
-          // Left the expansion (pruned branch or depth cap): continue
-          // on the exact per-round simulation from the walked history.
-          round = simulate_from(policy_, k, path, block.max_rounds, rng,
-                                unit);
-        }
-        break;
-      }
-      case Mode::kSimulate: {
-        path.clear();
-        round = simulate_from(policy_, k, path, block.max_rounds, rng, unit);
-        break;
-      }
-    }
+  const auto finish = [&](std::size_t t, std::size_t round) {
     block.solved[t] = round != 0 ? 1 : 0;
     block.rounds[t] = round != 0 ? round : block.max_rounds;
-  }
+  };
+  // Simulates trial t onward from `path` on its own stream,
+  // re-derived and advanced past its first `skip` draws.
+  BitString path;
+  path.reserve(64);
+  const auto simulate_trial = [&](std::size_t t, std::size_t k,
+                                  std::size_t skip) {
+    SplitMix64 rng = derive_fast_rng(block.seed, block.first_trial + t);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (std::size_t d = 0; d < skip; ++d) (void)unit(rng);
+    finish(t, simulate_from(policy_, k, path, block.max_rounds, rng, unit));
+  };
 
-  // Pass 2: answer each slot's inverse-CDF trials with the lane
-  // upper-bound probe over the tree's padded CDF — bit-identical to
-  // the scalar std::upper_bound it replaces (ties included; pinned by
-  // tests/kernel_test.cpp). The solved-mass gate stays outside the
-  // kernel: u >= solved_mass means the budget ran out unsolved.
+  // Pass 2, per slot: the lane upper-bound probe answers every draw
+  // over the tree's padded solve CDF — bit-identical to the scalar
+  // std::upper_bound it replaces (ties included; pinned by
+  // tests/kernel_test.cpp). A draw at or past the solved mass lands
+  // on a leaf instead: u - solved_mass is searched in the leaf CDF, and
+  // the trial continues from that leaf's history.
   std::vector<double> group_u;
   std::vector<std::uint64_t> group_idx;
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    const auto& group = cdf_groups[s];
+  for (std::size_t s = 0; s < slot_k.size(); ++s) {
+    const std::span<const std::uint32_t> group(
+        groups.order.data() + groups.start[s],
+        groups.start[s + 1] - groups.start[s]);
     if (group.empty()) continue;
-    const harness::HistoryTree& tree = *slots[s].first;
-    const double solved_mass = tree.solved_mass();
-    if (tree.padded_solve_cdf.empty()) {
-      // Hand-assembled tree without the padded table: scalar fallback.
+    const std::size_t k = slot_k[s];
+    const auto [tree, mode] = tree_for(k, block.max_rounds);
+    if (mode == Mode::kSimulate) {
+      // Truncated expansion: simulate from the empty history, the
+      // solve draw u serving as the first round's draw.
       for (const std::uint32_t t : group) {
-        std::size_t round = 0;
-        if (u[t] < solved_mass) {
-          round = static_cast<std::size_t>(
-                      std::upper_bound(tree.solve_cdf.begin(),
-                                       tree.solve_cdf.end(), u[t]) -
-                      tree.solve_cdf.begin()) +
-                  1;
-        }
-        block.solved[t] = round != 0 ? 1 : 0;
-        block.rounds[t] = round != 0 ? round : block.max_rounds;
+        path.clear();
+        simulate_trial(t, k, pass1_draws - 1);
       }
       continue;
     }
-    const kernels::CdfTable table{tree.padded_solve_cdf.data(),
-                                  tree.padded_solve_cdf.size(),
-                                  tree.solve_cdf.size()};
+    const double solved_mass = tree->solved_mass();
+    const kernels::CdfTable table{tree->padded_solve_cdf.data(),
+                                  tree->padded_solve_cdf.size(),
+                                  tree->solve_cdf.size()};
     group_u.resize(group.size());
     group_idx.resize(group.size());
     for (std::size_t j = 0; j < group.size(); ++j) group_u[j] = u[group[j]];
     kops.probe_cdf(table, group_u.data(), group.size(), group_idx.data());
     for (std::size_t j = 0; j < group.size(); ++j) {
       const std::uint32_t t = group[j];
-      const std::size_t round =
-          group_u[j] < solved_mass
-              ? static_cast<std::size_t>(group_idx[j]) + 1
-              : 0;
-      block.solved[t] = round != 0 ? 1 : 0;
-      block.rounds[t] = round != 0 ? round : block.max_rounds;
+      if (group_u[j] < solved_mass) {
+        finish(t, static_cast<std::size_t>(group_idx[j]) + 1);
+        continue;
+      }
+      if (tree->leaves.empty()) {  // every branch solved, up to rounding
+        finish(t, 0);
+        continue;
+      }
+      // Solved plus leaf mass is 1 only up to rounding, so a draw past
+      // the last leaf's cumulative mass belongs to the last leaf.
+      const auto it = std::upper_bound(tree->leaf_cdf.begin(),
+                                       tree->leaf_cdf.end() - 1,
+                                       group_u[j] - solved_mass);
+      harness::unpack_history(
+          tree->leaves[static_cast<std::size_t>(it - tree->leaf_cdf.begin())]
+              .history,
+          path);
+      simulate_trial(t, k, pass1_draws);
     }
   }
 }

@@ -4,49 +4,53 @@
 // CD executions are history-dependent Markov chains, so — unlike the
 // no-CD batch engine — a single inverse-CDF over per-round success
 // probabilities does not exist in closed form. But the chain over
-// collision histories can be *expanded once* per (policy, k, budget)
+// collision histories can be *expanded once* per (policy, k, horizon)
 // (harness/history_tree.h, the same enumeration exact_profile_cd runs)
-// and trials then *sampled from the expansion* instead of simulated:
+// and trials then *sampled from the expansion* instead of simulated.
+// The expansion partitions all probability mass into per-round solve
+// mass and leaves (pruned branches and the frontier at the depth cap),
+// so every trial takes one path:
 //
-//  * when the expansion resolves essentially all probability mass
-//    within the depth cap, one uniform draw per trial inverse-CDF
-//    searches the solve-round CDF — O(log horizon) per trial, the same
-//    shape as the no-CD batch engine;
-//  * otherwise each trial walks the tree, spending one SplitMix64
-//    uniform per branch point against the per-node cumulative outcome
-//    tables (no virtual policy call, no binomial sampling, no Rng
-//    key expansion), and a trial that leaves the expansion — a
-//    pruned branch, or the depth cap — falls back to the exact
-//    per-round simulation the CollisionPolicyColumnarEngine adapter
-//    runs, continued from the walked history;
-//  * a policy whose tree exceeds the node cap before pruning can cut
-//    it (expansion truncated) is delegated entirely to the per-round
-//    simulation path, so the engine never costs more than a bounded
-//    expansion attempt over the adapter it replaces.
+//  * draw one uniform u. If u < solved mass, the dispatched probe_cdf
+//    kernel answers the solve round over the padded solve CDF —
+//    O(log horizon) per trial, the shape of the no-CD batch engine;
+//  * otherwise u - solved mass picks a leaf by a scalar upper_bound
+//    over the leaf CDF (mass order), and the trial rebuilds that
+//    leaf's history and *continues* it by the exact per-round
+//    simulation the CollisionPolicyColumnarEngine adapter runs, on the
+//    rest of its own stream. A frontier leaf under a budget equal to
+//    the horizon continues for zero rounds: unsolved at the budget.
 //
-// Both sampling modes produce the exact distribution of (solved,
-// rounds) — the walk applies the exact outcome trichotomy at every
-// step, the inverse-CDF mode up to the resolve_epsilon mass bound —
-// and tests/history_tree_engine_test.cpp cross-validates them against
-// the simulated path and pins the marginals to exact_profile_cd.
+// Conditioned on reaching a leaf, the continuation is the exact chain
+// from that history, so the sampled distribution of (solved, rounds)
+// is exact whatever prune_below and depth_cap are; they only move work
+// between the one-off expansion and per-trial continuation.
+// tests/distributional_gate_test.cpp holds every configuration to the
+// exact law, including a coarse prune where continuation carries real
+// mass. A policy whose tree exceeds the node cap (expansion truncated)
+// is delegated entirely to per-round simulation (Mode::kSimulate), so
+// the engine never costs more than a bounded expansion attempt over
+// the adapter it replaces.
 //
 // Ownership: the engine borrows the policy (it must outlive the
 // engine) and owns its tree cache.
 //
 // Thread-safety: run_many is safe to call concurrently on disjoint
-// blocks; the per-(k, budget) tree cache is guarded by a shared mutex.
-// Expansion runs outside the lock (so it never serializes cached reads
-// or other keys' builds); racing builders of one key produce identical
-// trees — the expansion is deterministic — and the first insert wins.
+// blocks; the per-(k, horizon) tree cache is guarded by a shared
+// mutex. Expansion runs outside the lock (so it never serializes
+// cached reads or other keys' builds); racing builders of one key
+// produce identical trees — the expansion is deterministic — and the
+// first insert wins.
 //
 // Determinism: trial t draws only from the SplitMix64 stream derived
-// from (block.seed, block.first_trial + t); the sampling mode is a
-// pure function of (policy, k, budget, options), never of scheduling.
-// Results are therefore independent of block partition and thread
-// count — but, like the no-CD batch engine, the engine consumes
-// randomness differently from the simulated path, so individual trials
-// at a fixed seed differ from CollisionPolicyColumnarEngine while the
-// distributions agree.
+// from (block.seed, block.first_trial + t): the size draw when sizes
+// are drawn, then u, then the continuation's draws. The sampling mode
+// is a pure function of (policy, k, budget, options), never of
+// scheduling, so results are independent of block partition and
+// thread count — but, like the no-CD batch engine, the engine
+// consumes randomness differently from the simulated path, so
+// individual trials at a fixed seed differ from
+// CollisionPolicyColumnarEngine while the distributions agree.
 #pragma once
 
 #include <cstddef>
@@ -69,22 +73,19 @@ class HistoryTreeEngine final : public Engine {
  public:
   struct Options {
     /// Expansion depth cap: trees are expanded to
-    /// min(depth_cap, block.max_rounds) rounds.
+    /// min(depth_cap, block.max_rounds) rounds; trials alive at the
+    /// cap continue by simulation. Leaf histories are packed into one
+    /// word, so at most harness::kMaxPackedDepth (63); the constructor
+    /// throws std::invalid_argument above that.
     std::size_t depth_cap = 48;
-    /// Reach-probability prune threshold for the expansion. A freely
-    /// branching tree stores on the order of (surviving mass) /
-    /// prune_below nodes, so this trades tree size (and expansion
-    /// time) against the fraction of trials that leave the expansion
-    /// through a pruned branch and pay for per-round simulation (the
-    /// default keeps that fraction around 10^-3 for the paper's CD
-    /// policies while the expansion stays ~10^4 nodes).
-    double prune_below = 1e-6;
-    /// The inverse-CDF mode is used when the mass the tree cannot
-    /// resolve exactly (pruned branches, plus the frontier when the
-    /// budget exceeds the cap) is at most this; the sampled
-    /// distribution then deviates from exact by at most this total
-    /// variation. Larger unresolved mass selects the exact walk mode.
-    double resolve_epsilon = 1e-6;
+    /// Reach-probability prune threshold for the expansion — a speed
+    /// setting only: the sampled distribution is exact for every
+    /// value. A freely branching tree expands on the order of
+    /// (surviving mass) / prune_below nodes, so a finer threshold
+    /// costs expansion time and memory, a coarser one sends more
+    /// trials through per-round continuation. The default was chosen
+    /// by measurement on the Table 1 and fanout grids (CHANGES.md).
+    double prune_below = 3e-5;
     /// Node cap per expansion; a truncated expansion delegates the
     /// (k, budget) key to per-round simulation.
     std::size_t max_nodes = 1 << 20;
@@ -96,8 +97,9 @@ class HistoryTreeEngine final : public Engine {
   /// The policy must outlive the engine. (Two overloads rather than a
   /// defaulted argument: a nested aggregate's member initializers are
   /// not usable as a default argument inside the enclosing class.)
-  HistoryTreeEngine(const CollisionPolicy& policy, Options options)
-      : policy_(policy), options_(options) {}
+  /// Throws std::invalid_argument when options.depth_cap exceeds
+  /// harness::kMaxPackedDepth.
+  HistoryTreeEngine(const CollisionPolicy& policy, Options options);
   explicit HistoryTreeEngine(const CollisionPolicy& policy)
       : HistoryTreeEngine(policy, Options()) {}
 
@@ -105,8 +107,8 @@ class HistoryTreeEngine final : public Engine {
 
   /// How a (k, budget) key is sampled (exposed for tests).
   enum class Mode {
-    kInverseCdf,  ///< one uniform, binary search over the solve CDF
-    kWalk,        ///< tree walk + per-round simulation past the tree
+    kInverseCdf,  ///< solve CDF, else leaf CDF + continuation
+    kWalk,        ///< retired (the per-trial tree walk); never returned
     kSimulate,    ///< expansion truncated: pure per-round simulation
   };
 

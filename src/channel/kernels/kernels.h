@@ -173,6 +173,25 @@ std::size_t search_one(const ProbeTable& table, double target);
 /// One upper-bound descent — the scalar reference for probe_cdf.
 std::size_t probe_cdf_one(const CdfTable& table, double u);
 
+/// Branchless lower_bound over a power-of-two +inf-padded copy of a
+/// sorted array: returns the count of entries < u, bit-identical to
+/// std::lower_bound on the unpadded array (ties included; the padding
+/// never compares true). Comparisons only, so it may be inline. The
+/// step is a multiply by the comparison, not a conditional: compilers
+/// turn `cond ? half : 0` back into a branch here, which mispredicts
+/// on about half the levels of every random search.
+inline std::size_t lower_bound_padded(const double* padded,
+                                      std::size_t padded_size, double u) {
+  const double* base = padded;
+  std::size_t len = padded_size;
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    base += half * static_cast<std::size_t>(base[half - 1] < u);
+    len -= half;
+  }
+  return static_cast<std::size_t>(base - padded) + (base[0] < u);
+}
+
 }  // namespace crp::channel::kernels
 
 namespace crp::channel {

@@ -78,12 +78,12 @@ ExactProfile exact_profile_cd(const channel::CollisionPolicy& policy,
                               double prune_below, std::size_t threads) {
   // The enumeration itself lives in harness/history_tree.h (shared
   // with the sampling engine); a profile only needs the per-round
-  // masses, so node storage is skipped and no node cap applies.
+  // masses, so leaf recording is skipped and no node cap applies.
   HistoryTreeOptions options;
   options.horizon = horizon;
   options.prune_below = prune_below;
   options.threads = threads;
-  options.store_nodes = false;
+  options.record_leaves = false;
   options.max_nodes = ~std::size_t{0};
   const HistoryTree tree = expand_history_tree(policy, k, options);
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "harness/exact.h"
@@ -11,36 +12,84 @@
 
 namespace crp::harness {
 
+PackedHistory pack_history(const channel::BitString& history) {
+  if (history.size() > kMaxPackedDepth) {
+    throw std::invalid_argument("history longer than kMaxPackedDepth rounds");
+  }
+  PackedHistory packed = PackedHistory{1} << history.size();
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    if (history[i]) packed |= PackedHistory{1} << i;
+  }
+  return packed;
+}
+
+void unpack_history(PackedHistory packed, channel::BitString& out) {
+  const std::size_t depth = std::bit_width(packed) - 1;
+  out.resize(depth);
+  for (std::size_t i = 0; i < depth; ++i) out[i] = (packed >> i) & 1;
+}
+
 namespace {
 
-/// A pending history to process: the node for it is created when the
-/// frame is popped (and survives the prune check), at which point the
-/// parent's child slot is linked.
+/// A pending history on the depth-first stack: its parent's history —
+/// always a prefix of the expansion's shared path, because a node's
+/// descendants only rewrite rounds at or past its own depth — plus the
+/// feedback of round depth - 1.
 struct Frame {
+  double reach = 0.0;
+  std::size_t depth = 0;
+  bool collided = false;
+};
+
+/// A subtree root captured at the split depth, with its full history.
+struct Root {
   channel::BitString history;
   double reach = 0.0;
-  std::int64_t parent = HistoryTreeNode::kNoChild;  ///< local node index
-  bool collision_child = false;
+};
+
+/// round_outcome_probabilities(k, p) memoized by p. Policies draw their
+/// probabilities from a handful of values (powers of two for the
+/// paper's), and a hit returns the very result the call would, so the
+/// expansion is unchanged bit for bit; past kCapacity distinct values
+/// it computes uncached.
+class OutcomeCache {
+ public:
+  explicit OutcomeCache(std::size_t k) : k_(k) {}
+
+  RoundOutcomeProbabilities operator()(double p) {
+    for (const auto& [key, outcome] : entries_) {
+      if (key == p) return outcome;
+    }
+    const auto outcome = round_outcome_probabilities(k_, p);
+    if (entries_.size() < kCapacity) entries_.emplace_back(p, outcome);
+    return outcome;
+  }
+
+ private:
+  static constexpr std::size_t kCapacity = 64;
+  std::size_t k_;
+  std::vector<std::pair<double, RoundOutcomeProbabilities>> entries_;
 };
 
 /// Accumulators of one expansion unit (the pre-split prefix or one
 /// subtree shard). solve_at is indexed by absolute round, so shards
 /// merge by plain element-wise addition.
 struct Shard {
-  std::vector<HistoryTreeNode> nodes;
+  std::vector<HistoryLeaf> leaves;
   std::vector<double> solve_at;
   double pruned = 0.0;
   double frontier = 0.0;
   bool truncated = false;
 };
 
-/// Depth-first expansion of every frame on `stack` down to `cap`
-/// rounds. Frames alive at `cap` are captured into `frontier_out`
-/// when provided (the pre-split phase) and otherwise accounted as
-/// frontier mass (cap == horizon). The prune check runs at pop time —
-/// exactly the order the historical exact_profile_cd enumeration used —
-/// so a frame at the cap counts as frontier even when its reach is
-/// below the prune threshold.
+/// Depth-first expansion of the subtree at `root` down to `cap`
+/// rounds, keeping one shared path instead of a history per frame.
+/// Frames alive at `cap` are captured into `roots_out` when provided
+/// (the pre-split phase) and otherwise become frontier leaves (cap ==
+/// horizon). The prune check runs at pop time — exactly the order the
+/// historical exact_profile_cd enumeration used — so a frame at the cap
+/// counts as frontier even when its reach is below the prune
+/// threshold.
 ///
 /// `budget` is the frame budget *shared by every shard of one
 /// expansion*: whether the whole expansion needs more than max_nodes
@@ -49,24 +98,47 @@ struct Shard {
 /// which shard trips the budget first is not — a truncated tree's
 /// partial contents are never consumed.
 void expand_frames(const channel::CollisionPolicy& policy, std::size_t k,
-                   std::vector<Frame>& stack, std::size_t cap,
+                   const Root& root, std::size_t cap,
                    const HistoryTreeOptions& options,
                    std::atomic<std::size_t>& budget, Shard& shard,
-                   std::vector<Frame>* frontier_out) {
+                   std::vector<Root>* roots_out) {
+  OutcomeCache outcomes(k);
+  channel::BitString path = root.history;
+  const std::size_t base = path.size();
+  // With leaves recorded, `bits` mirrors path's rounds as a word
+  // (horizon <= kMaxPackedDepth), so a leaf packs in O(1).
+  PackedHistory bits =
+      options.record_leaves ? pack_history(path) ^ (PackedHistory{1} << base)
+                            : 0;
+  const auto leaf = [&](double reach, double& mass) {
+    mass += reach;
+    if (options.record_leaves) {
+      shard.leaves.push_back({reach, bits | PackedHistory{1} << path.size()});
+    }
+  };
+  std::vector<Frame> stack{{root.reach, base, false}};
   while (!stack.empty()) {
-    Frame frame = std::move(stack.back());
+    const Frame frame = stack.back();
     stack.pop_back();
-    const std::size_t depth = frame.history.size();
+    const std::size_t depth = frame.depth;
+    path.resize(depth);
+    if (depth > base) {
+      path[depth - 1] = frame.collided;
+      if (options.record_leaves) {
+        const PackedHistory last = PackedHistory{1} << (depth - 1);
+        bits = (bits & (last - 1)) | (frame.collided ? last : 0);
+      }
+    }
     if (depth >= cap) {
-      if (frontier_out != nullptr) {
-        frontier_out->push_back(std::move(frame));
+      if (roots_out != nullptr) {
+        roots_out->push_back({path, frame.reach});
       } else {
-        shard.frontier += frame.reach;
+        leaf(frame.reach, shard.frontier);
       }
       continue;
     }
     if (frame.reach < options.prune_below) {
-      shard.pruned += frame.reach;
+      leaf(frame.reach, shard.pruned);
       continue;
     }
     if (budget.fetch_add(1, std::memory_order_relaxed) >=
@@ -75,40 +147,13 @@ void expand_frames(const channel::CollisionPolicy& policy, std::size_t k,
       return;
     }
 
-    std::int64_t node_index = HistoryTreeNode::kNoChild;
-    const double p = policy.probability(frame.history);
-    const auto outcome = round_outcome_probabilities(k, p);
-    if (options.store_nodes) {
-      node_index = static_cast<std::int64_t>(shard.nodes.size());
-      HistoryTreeNode node;
-      node.cum_success = outcome.success;
-      node.cum_no_collision = outcome.success + outcome.silence;
-      shard.nodes.push_back(node);
-      if (frame.parent != HistoryTreeNode::kNoChild) {
-        auto& parent = shard.nodes[static_cast<std::size_t>(frame.parent)];
-        (frame.collision_child ? parent.collision : parent.silence) =
-            node_index;
-      }
-    }
+    const auto outcome = outcomes(policy.probability(path));
     shard.solve_at[depth] += frame.reach * outcome.success;
-
     if (outcome.silence > 0.0) {
-      Frame child;
-      child.history = frame.history;
-      child.history.push_back(false);
-      child.reach = frame.reach * outcome.silence;
-      child.parent = node_index;
-      child.collision_child = false;
-      stack.push_back(std::move(child));
+      stack.push_back({frame.reach * outcome.silence, depth + 1, false});
     }
     if (outcome.collision > 0.0) {
-      Frame child;
-      child.history = std::move(frame.history);
-      child.history.push_back(true);
-      child.reach = frame.reach * outcome.collision;
-      child.parent = node_index;
-      child.collision_child = true;
-      stack.push_back(std::move(child));
+      stack.push_back({frame.reach * outcome.collision, depth + 1, true});
     }
   }
 }
@@ -118,6 +163,11 @@ void expand_frames(const channel::CollisionPolicy& policy, std::size_t k,
 HistoryTree expand_history_tree(const channel::CollisionPolicy& policy,
                                 std::size_t k,
                                 const HistoryTreeOptions& options) {
+  if (options.record_leaves && options.horizon > kMaxPackedDepth) {
+    throw std::invalid_argument(
+        "expand_history_tree: leaf histories deeper than kMaxPackedDepth "
+        "rounds cannot be recorded");
+  }
   HistoryTree tree;
   tree.k = k;
   tree.horizon = options.horizon;
@@ -131,14 +181,10 @@ HistoryTree expand_history_tree(const channel::CollisionPolicy& policy,
   std::atomic<std::size_t> budget{0};
   Shard prefix;
   prefix.solve_at.assign(options.horizon, 0.0);
-  std::vector<Frame> roots;
-  {
-    std::vector<Frame> stack;
-    stack.push_back(Frame{{}, 1.0, HistoryTreeNode::kNoChild, false});
-    expand_frames(policy, k, stack, cap, options, budget, prefix,
-                  split ? &roots : nullptr);
-  }
-  tree.nodes = std::move(prefix.nodes);
+  std::vector<Root> roots;
+  expand_frames(policy, k, Root{{}, 1.0}, cap, options, budget, prefix,
+                split ? &roots : nullptr);
+  tree.leaves = std::move(prefix.leaves);
   tree.solve_at = std::move(prefix.solve_at);
   tree.pruned_mass = prefix.pruned;
   tree.frontier_mass = prefix.frontier;
@@ -154,46 +200,19 @@ HistoryTree expand_history_tree(const channel::CollisionPolicy& policy,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           shards[i].solve_at.assign(options.horizon, 0.0);
-          std::vector<Frame> stack;
-          // The subtree root's parent lives in the prefix node array;
-          // relink at merge time instead of sharing it with the shard.
-          // roots[i] keeps its history (the merge only reads the
-          // parent/collision_child scalars, but moved-from state is
-          // not worth reasoning about).
-          Frame root;
-          root.history = roots[i].history;
-          root.reach = roots[i].reach;
-          stack.push_back(std::move(root));
-          expand_frames(policy, k, stack, options.horizon, options, budget,
+          expand_frames(policy, k, roots[i], options.horizon, options, budget,
                         shards[i], nullptr);
         }
       },
       /*block_size=*/1);
 
-  // Phase 3: merge in subtree order — index offsets for the node
-  // arrays, element-wise sums for the masses. The order is a function
-  // of the phase-1 capture order only, so the merged tree is identical
-  // at every thread count.
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    Shard& shard = shards[i];
-    const std::int64_t base = static_cast<std::int64_t>(tree.nodes.size());
-    if (options.store_nodes && !shard.nodes.empty()) {
-      for (auto& node : shard.nodes) {
-        if (node.silence != HistoryTreeNode::kNoChild) node.silence += base;
-        if (node.collision != HistoryTreeNode::kNoChild) {
-          node.collision += base;
-        }
-      }
-      // The shard root (local index 0) becomes the captured frame's
-      // parent's child; a pruned shard root leaves the slot kNoChild.
-      const Frame& root = roots[i];
-      if (root.parent != HistoryTreeNode::kNoChild) {
-        auto& parent = tree.nodes[static_cast<std::size_t>(root.parent)];
-        (root.collision_child ? parent.collision : parent.silence) = base;
-      }
-      tree.nodes.insert(tree.nodes.end(), shard.nodes.begin(),
-                        shard.nodes.end());
-    }
+  // Phase 3: merge in subtree order — appended leaves, element-wise
+  // sums for the masses. The order is a function of the phase-1
+  // capture order only, so the merged tree is identical at every
+  // thread count.
+  for (Shard& shard : shards) {
+    tree.leaves.insert(tree.leaves.end(), shard.leaves.begin(),
+                       shard.leaves.end());
     for (std::size_t r = 0; r < options.horizon; ++r) {
       tree.solve_at[r] += shard.solve_at[r];
     }
@@ -201,7 +220,6 @@ HistoryTree expand_history_tree(const channel::CollisionPolicy& policy,
     tree.frontier_mass += shard.frontier;
     tree.truncated = tree.truncated || shard.truncated;
   }
-  if (tree.nodes.size() > options.max_nodes) tree.truncated = true;
 
   tree.solve_cdf.resize(options.horizon);
   double cumulative = 0.0;
@@ -214,6 +232,13 @@ HistoryTree expand_history_tree(const channel::CollisionPolicy& policy,
   tree.padded_solve_cdf[0] = 0.0;  // sentinel <= every u in [0, 1)
   std::copy(tree.solve_cdf.begin(), tree.solve_cdf.end(),
             tree.padded_solve_cdf.begin() + 1);
+
+  tree.leaf_cdf.resize(tree.leaves.size());
+  cumulative = 0.0;
+  for (std::size_t i = 0; i < tree.leaves.size(); ++i) {
+    cumulative += tree.leaves[i].reach;
+    tree.leaf_cdf[i] = cumulative;
+  }
   return tree;
 }
 

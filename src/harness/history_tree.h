@@ -4,25 +4,32 @@
 // after history h the policy transmits with p = policy.probability(h),
 // and the round ends in success (terminating), silence (append 0), or
 // collision (append 1) with the exact trichotomy probabilities of
-// round_outcome_probabilities(k, p). Expanding that chain breadth- or
-// depth-first down to a horizon yields the exact distribution of the
-// solving round — the enumeration harness/exact.h's exact_profile_cd
-// has always performed, refactored here so exact profiling and the
+// round_outcome_probabilities(k, p). Expanding that chain depth-first
+// down to a horizon yields the exact distribution of the solving
+// round — the enumeration harness/exact.h's exact_profile_cd has
+// always performed, refactored here so exact profiling and the
 // sampling engine (channel/history_engine.h) share one expansion.
+//
+// The expansion partitions probability mass exactly: per-round solve
+// mass, plus the *leaves* — every branch dropped by prune_below and
+// every branch still alive at the horizon — each with its reach mass
+// and its packed history. A sampler answers solve mass by inverse CDF
+// and continues a leaf by exact per-round simulation from its history,
+// so the pruning threshold trades expansion size against continuation
+// work but never moves the sampled distribution.
 //
 // Ownership: expand_history_tree returns a self-contained value; the
 // policy is only dereferenced during the call and need not outlive the
 // returned tree.
 //
 // Thread-safety: expansion may fan out over subtrees rooted at a fixed
-// split depth (HistoryTreeOptions::threads), with per-shard solve/
-// pruned/frontier accumulators merged in deterministic shard order.
-// The returned HistoryTree is immutable and safe to share across
-// threads.
+// split depth (HistoryTreeOptions::threads), with per-shard solve
+// masses and leaves merged in deterministic shard order. The returned
+// HistoryTree is immutable and safe to share across threads.
 //
-// Determinism: the expansion (node layout, per-round solve masses, and
-// the pruned/frontier accounting) is a pure function of (policy, k,
-// options.horizon, options.prune_below, options.split_depth,
+// Determinism: the expansion (per-round solve masses, the leaf arrays
+// and the pruned/frontier accounting) is a pure function of (policy,
+// k, options.horizon, options.prune_below, options.split_depth,
 // options.max_nodes) — bit-identical at every thread count, because the
 // shard partition and the merge order never depend on scheduling
 // (tests/harness_exact_test.cpp pins serial == parallel).
@@ -35,6 +42,19 @@
 #include "channel/protocol.h"
 
 namespace crp::harness {
+
+/// A collision history packed into one word: bit i holds round i's
+/// feedback (1 = collision) and a sentinel 1 bit sits just above the
+/// last round, so the depth is bit_width(word) - 1. Histories of up to
+/// kMaxPackedDepth rounds fit.
+using PackedHistory = std::uint64_t;
+inline constexpr std::size_t kMaxPackedDepth = 63;
+
+/// Packs `history` (at most kMaxPackedDepth rounds; throws
+/// std::invalid_argument otherwise — a history is never truncated).
+PackedHistory pack_history(const channel::BitString& history);
+/// Replaces `out` with the history `packed` encodes.
+void unpack_history(PackedHistory packed, channel::BitString& out);
 
 /// Expansion knobs.
 struct HistoryTreeOptions {
@@ -61,24 +81,16 @@ struct HistoryTreeOptions {
   /// tree branches freely, which dwarfs any usable cache.
   std::size_t max_nodes = 1 << 21;
   /// When false, only the masses (solve_at, pruned, frontier) are
-  /// computed and `nodes` stays empty — what exact_profile_cd needs;
-  /// the sampling engine stores nodes to walk them.
-  bool store_nodes = true;
+  /// computed and the leaf arrays stay empty — what exact_profile_cd
+  /// needs. When true, horizon must be at most kMaxPackedDepth
+  /// (std::invalid_argument otherwise).
+  bool record_leaves = true;
 };
 
-/// One expanded history node. The cumulative outcome table lets a
-/// sampler resolve the round with a single uniform u in [0, 1):
-/// u < cum_success => success; u < cum_no_collision => silence child;
-/// otherwise collision child.
-struct HistoryTreeNode {
-  double cum_success = 0.0;        ///< Pr(success | node reached)
-  double cum_no_collision = 0.0;   ///< + Pr(silence | node reached)
-  /// Child node indices; kNoChild marks a branch that was pruned or
-  /// lies beyond the horizon (samplers continue by simulation there).
-  std::int64_t silence = -1;
-  std::int64_t collision = -1;
-
-  static constexpr std::int64_t kNoChild = -1;
+/// One unresolved branch: pruned, or alive at the horizon.
+struct HistoryLeaf {
+  double reach = 0.0;         ///< Pr(an execution follows this history)
+  PackedHistory history = 1;  ///< the branch's collision history
 };
 
 /// The cached expansion of one (policy, k) pair down to a horizon.
@@ -87,9 +99,10 @@ struct HistoryTree {
   std::size_t horizon = 0;
   double prune_below = 0.0;
 
-  /// Expanded nodes; nodes[0] is the root (empty history). Empty when
-  /// the expansion ran with store_nodes == false.
-  std::vector<HistoryTreeNode> nodes;
+  /// Retired: trees no longer store their expanded nodes (a per-trial
+  /// tree walk was the only reader). Always empty; kept so callers that
+  /// report nodes.size() still compile.
+  std::vector<std::uint8_t> nodes;
 
   /// solve_at[r] = Pr(execution succeeds in 1-based round r + 1),
   /// summed over every expanded branch; size horizon.
@@ -99,16 +112,21 @@ struct HistoryTree {
   std::vector<double> solve_cdf;
   /// solve_cdf prepared for the lane upper-bound probe
   /// (channel/kernels): a 0.0 sentinel at [0], solve_cdf at
-  /// [1..horizon], then +inf padding up to a power of two. Built by
-  /// expand_history_tree; empty on hand-assembled trees, in which case
-  /// samplers fall back to std::upper_bound over solve_cdf.
+  /// [1..horizon], then +inf padding up to a power of two.
   std::vector<double> padded_solve_cdf;
+
+  /// Every pruned and frontier branch, in the expansion's shard order
+  /// (empty when the expansion ran with record_leaves == false).
+  std::vector<HistoryLeaf> leaves;
+  /// Prefix sums of leaves[i].reach: the table a sampler searches with
+  /// u - solved_mass() to pick the leaf it continues from.
+  std::vector<double> leaf_cdf;
 
   /// Mass dropped by prune_below (fate unknown within the horizon).
   double pruned_mass = 0.0;
   /// Mass still alive at exactly `horizon` rounds (unsolved so far).
   double frontier_mass = 0.0;
-  /// True when max_nodes stopped the expansion; masses and nodes are
+  /// True when max_nodes stopped the expansion; masses and leaves are
   /// then incomplete and the tree must not be used.
   bool truncated = false;
 
@@ -116,8 +134,6 @@ struct HistoryTree {
   double solved_mass() const {
     return solve_cdf.empty() ? 0.0 : solve_cdf.back();
   }
-  /// Mass whose solve round the tree cannot answer exactly.
-  double unresolved_mass() const { return pruned_mass + frontier_mass; }
 };
 
 /// Expands the history tree of `policy` with k participants. See the

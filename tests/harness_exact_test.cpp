@@ -4,6 +4,7 @@
 #include "harness/exact.h"
 
 #include <cmath>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -164,8 +165,8 @@ TEST(ExactCd, ParallelSubtreeExpansionMatchesSerialBitForBit) {
     }
   }
 
-  // Same property one layer down, where the pruned/frontier masses are
-  // visible directly.
+  // Same property one layer down, where the pruned/frontier masses and
+  // the leaf arrays are visible directly.
   const HistoryTreeOptions base{.horizon = 20, .prune_below = 1e-10};
   HistoryTreeOptions pooled = base;
   pooled.threads = 4;
@@ -173,13 +174,71 @@ TEST(ExactCd, ParallelSubtreeExpansionMatchesSerialBitForBit) {
   const auto four = expand_history_tree(willard, 500, pooled);
   EXPECT_EQ(one.pruned_mass, four.pruned_mass);
   EXPECT_EQ(one.frontier_mass, four.frontier_mass);
-  ASSERT_EQ(one.nodes.size(), four.nodes.size());
   ASSERT_EQ(one.solve_at, four.solve_at);
-  for (std::size_t i = 0; i < one.nodes.size(); ++i) {
-    EXPECT_EQ(one.nodes[i].cum_success, four.nodes[i].cum_success);
-    EXPECT_EQ(one.nodes[i].silence, four.nodes[i].silence);
-    EXPECT_EQ(one.nodes[i].collision, four.nodes[i].collision);
+  ASSERT_FALSE(one.leaves.empty());
+  ASSERT_EQ(one.leaves.size(), four.leaves.size());
+  ASSERT_EQ(one.leaf_cdf, four.leaf_cdf);
+  for (std::size_t i = 0; i < one.leaves.size(); ++i) {
+    EXPECT_EQ(one.leaves[i].reach, four.leaves[i].reach) << "leaf " << i;
+    EXPECT_EQ(one.leaves[i].history, four.leaves[i].history) << "leaf " << i;
   }
+}
+
+TEST(ExactCd, LeavesPartitionTheUnsolvedMass) {
+  // Every leaf's reach is the product of the outcome probabilities
+  // along its rebuilt history — bit for bit, since the expansion
+  // multiplies in the same order — and solved mass plus leaf mass is
+  // the whole probability space.
+  const baselines::WillardPolicy willard(1 << 16);
+  for (const double prune : {1e-2, 1e-6}) {
+    const auto tree = expand_history_tree(
+        willard, 60, {.horizon = 16, .prune_below = prune, .threads = 4});
+    ASSERT_FALSE(tree.leaves.empty());
+    double pruned = 0.0;
+    double frontier = 0.0;
+    channel::BitString history;
+    for (const HistoryLeaf& leaf : tree.leaves) {
+      unpack_history(leaf.history, history);
+      ASSERT_LE(history.size(), tree.horizon);
+      EXPECT_EQ(pack_history(history), leaf.history);
+      double reach = 1.0;
+      channel::BitString prefix;
+      for (const bool collided : history) {
+        const auto outcome =
+            round_outcome_probabilities(60, willard.probability(prefix));
+        reach *= collided ? outcome.collision : outcome.silence;
+        prefix.push_back(collided);
+      }
+      EXPECT_EQ(reach, leaf.reach);
+      (history.size() == tree.horizon ? frontier : pruned) += leaf.reach;
+    }
+    EXPECT_NEAR(pruned, tree.pruned_mass, 1e-12);
+    EXPECT_NEAR(frontier, tree.frontier_mass, 1e-12);
+    EXPECT_NEAR(tree.solved_mass() + tree.leaf_cdf.back(), 1.0, 1e-12)
+        << "prune " << prune;
+  }
+}
+
+TEST(ExactCd, PackedHistoriesRoundTripAndRejectOverlongInput) {
+  channel::BitString history;
+  for (std::size_t depth : {0ul, 1ul, 17ul, kMaxPackedDepth}) {
+    channel::BitString original;
+    for (std::size_t i = 0; i < depth; ++i) original.push_back(i % 3 == 1);
+    unpack_history(pack_history(original), history);
+    EXPECT_EQ(history, original) << "depth " << depth;
+  }
+  EXPECT_THROW(pack_history(channel::BitString(kMaxPackedDepth + 1, true)),
+               std::invalid_argument);
+  // Recording leaves deeper than a packed word holds is refused, never
+  // truncated; a masses-only expansion has no such limit.
+  const baselines::WillardPolicy willard(1 << 16);
+  EXPECT_THROW(
+      expand_history_tree(willard, 60, {.horizon = kMaxPackedDepth + 1}),
+      std::invalid_argument);
+  EXPECT_NO_THROW(expand_history_tree(willard, 60,
+                                      {.horizon = kMaxPackedDepth + 1,
+                                       .prune_below = 1e-3,
+                                       .record_leaves = false}));
 }
 
 TEST(ExactCd, PruningKeepsMassAccounted) {

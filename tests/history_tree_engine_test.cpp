@@ -5,11 +5,13 @@
 //  * sampled measurements must be thread-count and block-partition
 //    invariant, and statistically indistinguishable from the simulated
 //    CD path (same distribution, different randomness consumption);
-//  * the depth-cap / pruned-branch fallback (hybrid walk) and the
-//    node-cap simulation fallback must stay deterministic;
+//  * leaf continuation (pruned branches and the depth-cap frontier)
+//    and the node-cap simulation fallback must stay deterministic;
 //  * golden fixed-seed statistics pin the engine's streams so draw-
 //    order changes are caught deliberately.
+#include <bit>
 #include <cmath>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -82,7 +84,7 @@ TEST(HistoryTreeEngine, MarginalsAgreeWithExactProfileExactly) {
       EXPECT_DOUBLE_EQ(profile.solve_by[r + 1], tree->solve_cdf[r])
           << "k=" << k << " r=" << r;
     }
-    EXPECT_EQ(mode, HistoryTreeEngine::Mode::kWalk);
+    EXPECT_EQ(mode, HistoryTreeEngine::Mode::kInverseCdf);
   }
 }
 
@@ -139,18 +141,25 @@ TEST(HistoryTreeEngine, ThreadCountAndBlockPartitionInvisible) {
 
 TEST(HistoryTreeEngine, InverseCdfModeForChainTrees) {
   // k = 1: collisions are impossible, so the history tree is a single
-  // silence chain — it fits any depth cap with negligible leftover
-  // mass and samples through the single inverse-CDF mode. The solve
-  // round is Geometric(p).
+  // silence chain. Its solve CDF is Geometric(p) down to the depth
+  // where the chain's reach falls below prune_below; that one pruned
+  // branch is the tree's only leaf, and trials landing on it continue
+  // by simulation — so the sampled solve round is exactly Geometric(p).
   const ConstantPolicy half(0.5);
   const HistoryTreeEngine engine(half);
   const auto [tree, mode] = engine.tree_for(1, 1 << 12);
   EXPECT_EQ(mode, HistoryTreeEngine::Mode::kInverseCdf);
-  ASSERT_GE(tree->horizon, 20u);
-  for (std::size_t r = 0; r < 20; ++r) {
+  ASSERT_EQ(tree->leaves.size(), 1u);
+  const std::size_t chain =
+      std::bit_width(tree->leaves[0].history) - 1;  // the leaf's depth
+  ASSERT_GT(chain, 10u);
+  ASSERT_LT(chain, tree->horizon);
+  EXPECT_LT(tree->leaves[0].reach, HistoryTreeEngine::Options().prune_below);
+  for (std::size_t r = 0; r < chain; ++r) {
     EXPECT_NEAR(tree->solve_cdf[r],
                 1.0 - std::exp2(-static_cast<double>(r + 1)), 1e-12);
   }
+  EXPECT_DOUBLE_EQ(tree->solved_mass() + tree->leaf_cdf.back(), 1.0);
   MeasureOptions options{.max_rounds = 1 << 12, .threads = 1};
   options.cd_engine = CdEngine::kHistoryTree;
   const auto m = measure_uniform_cd_fixed_k(half, 1, 40000, 13, options);
@@ -160,16 +169,16 @@ TEST(HistoryTreeEngine, InverseCdfModeForChainTrees) {
 
 TEST(HistoryTreeEngine, NeverSolvingPolicyReportsUnsolved) {
   // p = 1 with k >= 2 collides forever: the tree is a collision chain
-  // whose whole mass sits on the frontier. At a budget equal to the
-  // expansion horizon that frontier is exactly "unsolved", so the
-  // inverse-CDF mode applies and reports every trial unsolved at the
-  // budget — matching the simulated path.
+  // whose whole mass sits on one frontier leaf. At a budget equal to
+  // the expansion horizon that leaf continues for zero rounds, so every
+  // trial is unsolved at the budget — matching the simulated path.
   const ConstantPolicy always(1.0);
   const HistoryTreeEngine engine(always);
   const auto [tree, mode] = engine.tree_for(2, 48);
   EXPECT_EQ(mode, HistoryTreeEngine::Mode::kInverseCdf);
   EXPECT_DOUBLE_EQ(tree->solved_mass(), 0.0);
   EXPECT_DOUBLE_EQ(tree->frontier_mass, 1.0);
+  ASSERT_EQ(tree->leaves.size(), 1u);
   MeasureOptions options{.max_rounds = 48, .threads = 1};
   options.cd_engine = CdEngine::kHistoryTree;
   const auto m = measure_uniform_cd_fixed_k(always, 2, 500, 17, options);
@@ -177,17 +186,31 @@ TEST(HistoryTreeEngine, NeverSolvingPolicyReportsUnsolved) {
 }
 
 TEST(HistoryTreeEngine, DepthCapFallbackIsDeterministicAndCorrect) {
-  // A cap far below the budget forces nearly every trial through the
-  // hybrid path: walk the 4-round expansion, then continue on the
-  // per-round simulation. Results must stay thread-count invariant and
-  // keep the exact distribution.
+  // A cap far below the budget leaves real mass on the frontier: the
+  // 4-round expansion answers the early solves by inverse CDF, and
+  // every trial alive at the cap lands on a frontier leaf and continues
+  // from that leaf's history by per-round simulation. A coarse prune
+  // adds pruned leaves on top. Results must stay thread-count invariant
+  // and keep the exact distribution.
   const baselines::WillardPolicy willard(1 << 16);
   HistoryTreeEngine::Options capped;
   capped.depth_cap = 4;
+  capped.prune_below = 1e-2;
   const HistoryTreeEngine engine(willard, capped);
   const auto [tree, mode] = engine.tree_for(60, 1 << 12);
-  EXPECT_EQ(mode, HistoryTreeEngine::Mode::kWalk);
+  EXPECT_EQ(mode, HistoryTreeEngine::Mode::kInverseCdf);
   EXPECT_EQ(tree->horizon, 4u);
+  EXPECT_GT(tree->frontier_mass, 0.1);
+  EXPECT_GT(tree->pruned_mass, 0.0);
+  std::size_t frontier_leaves = 0;
+  for (const auto& leaf : tree->leaves) {
+    const std::size_t depth = std::bit_width(leaf.history) - 1;
+    EXPECT_LE(depth, tree->horizon);
+    frontier_leaves += depth == tree->horizon ? 1 : 0;
+  }
+  EXPECT_GT(frontier_leaves, 0u);
+  EXPECT_LT(frontier_leaves, tree->leaves.size());
+  EXPECT_NEAR(tree->solved_mass() + tree->leaf_cdf.back(), 1.0, 1e-12);
 
   const channel::SizeSource sizes{nullptr, 60};
   const MeasureOptions serial{.max_rounds = 1 << 12, .threads = 1};
@@ -202,6 +225,24 @@ TEST(HistoryTreeEngine, DepthCapFallbackIsDeterministicAndCorrect) {
       measure_uniform_cd_fixed_k(willard, 60, 20000, 23, serial);
   EXPECT_NEAR(reference.rounds.mean, simulated.rounds.mean,
               4.0 * simulated.rounds.ci95 + 0.01);
+  // Solve rounds past the cap can only come from continuation.
+  EXPECT_GT(reference.histogram.trials() -
+                reference.histogram.solved_by(static_cast<double>(
+                    tree->horizon)),
+            0u);
+}
+
+TEST(HistoryTreeEngine, RejectsADepthCapItCannotEncode) {
+  // Leaf histories are packed into one word; a deeper cap must be
+  // refused up front, never silently truncated.
+  const baselines::WillardPolicy willard(1 << 16);
+  HistoryTreeEngine::Options options;
+  options.depth_cap = kMaxPackedDepth;
+  EXPECT_NO_THROW(HistoryTreeEngine(willard, options));
+  options.depth_cap = kMaxPackedDepth + 1;
+  EXPECT_THROW(HistoryTreeEngine(willard, options), std::invalid_argument);
+  EXPECT_THROW(channel::HistoryTreeCache(options).engine_for(willard),
+               std::invalid_argument);
 }
 
 TEST(HistoryTreeEngine, NodeCapDelegatesToSimulation) {
@@ -300,9 +341,11 @@ TEST(HistoryTreeEngine, SharedTreeCacheMeasuresIdentically) {
 
 // ---- golden fixed-seed statistics --------------------------------
 //
-// Captured from this engine at introduction time. Any change to the
-// per-trial stream derivation, the draw order, or the expansion (prune
-// threshold, depth cap, mode selection) shows up here deliberately.
+// Captured from this engine when leaf continuation replaced the tree
+// walk (tests/distributional_gate_test.cpp vouches for the new
+// streams' distribution). Any change to the per-trial stream
+// derivation, the draw order, or the expansion (prune threshold, depth
+// cap, leaf order) shows up here deliberately.
 
 TEST(HistoryTreeEngine, GoldenFixedSeedStatistics) {
   const baselines::WillardPolicy willard(1 << 16);
@@ -311,15 +354,15 @@ TEST(HistoryTreeEngine, GoldenFixedSeedStatistics) {
   const auto fixed =
       measure_uniform_cd_fixed_k(willard, 60, 2000, 2025, options);
   EXPECT_DOUBLE_EQ(fixed.success_rate, 1.0);
-  EXPECT_DOUBLE_EQ(fixed.rounds.mean, 4.7539999999999996);
-  EXPECT_DOUBLE_EQ(sample_sum(fixed), 9508.0);
+  EXPECT_DOUBLE_EQ(fixed.rounds.mean, 4.7149999999999999);
+  EXPECT_DOUBLE_EQ(sample_sum(fixed), 9430.0);
 
   const auto actual = table1_sizes(1 << 12);
   const baselines::WillardPolicy small(1 << 12);
   const auto drawn = measure_uniform_cd(small, actual, 2000, 2026, options);
   EXPECT_DOUBLE_EQ(drawn.success_rate, 1.0);
-  EXPECT_DOUBLE_EQ(drawn.rounds.mean, 4.1965000000000003);
-  EXPECT_DOUBLE_EQ(sample_sum(drawn), 8393.0);
+  EXPECT_DOUBLE_EQ(drawn.rounds.mean, 4.2560000000000002);
+  EXPECT_DOUBLE_EQ(sample_sum(drawn), 8512.0);
 }
 
 }  // namespace
