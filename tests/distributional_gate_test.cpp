@@ -329,7 +329,7 @@ TEST(DistributionalGate, TreeCoarsePruneContinuesRealMass) {
   const HistoryTreeEngine engine(willard, coarse);
   const auto tree = engine.tree_for(60, kCdBudget).first;
   EXPECT_GT(tree->pruned_mass, 0.1);
-  const auto m = measure_tree(engine, {nullptr, 60}, 4000000, 1203);
+  const auto m = measure_tree(engine, {nullptr, 60}, 8000000, 1203);
   expect_matches(willard_law(willard, 60), m);
 }
 
