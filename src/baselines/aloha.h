@@ -5,7 +5,7 @@
 // algorithm (players act on private coins tied to identity-free slot
 // choices, not on a shared probability), so it exercises the simulator
 // beyond the paper's uniform class and anchors the baseline comparison
-// in bench_baselines.
+// in repro/baselines.cpp.
 //
 // With window W and k participants the per-window success probability
 // is maximized near W ~ k; like the fixed 1/k strategy it needs a good

@@ -30,7 +30,7 @@ class DecaySchedule final : public channel::ProbabilitySchedule {
 
 /// Ablation variant: sweeps probabilities from small to large
 /// (1/2^L, ..., 1/2, 1). Same asymptotics, different constants for
-/// skewed size distributions; used by bench_baselines.
+/// skewed size distributions; used by repro/baselines.cpp.
 class ReverseDecaySchedule final : public channel::ProbabilitySchedule {
  public:
   explicit ReverseDecaySchedule(std::size_t n);

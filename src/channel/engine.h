@@ -184,8 +184,8 @@ class PerPlayerColumnarEngine final : public Engine {
 /// per-trial run_uniform_cd loop. The memo is dropped with the block.
 /// The analytic counterpart is channel/history_engine.h's
 /// HistoryTreeEngine, which samples from a cached expansion of the
-/// same chain (and falls back to this adapter's per-round semantics
-/// wherever the expansion cannot answer exactly).
+/// same chain (and continues with this adapter's per-round semantics
+/// from every leaf the expansion leaves unresolved).
 class CollisionPolicyColumnarEngine final : public Engine {
  public:
   /// The policy must outlive the engine.

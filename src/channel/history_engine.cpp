@@ -23,13 +23,12 @@ namespace {
 /// sampled through the outcome trichotomy (a uniform CD policy only
 /// ever observes the feedback, so the trichotomy is the whole round).
 /// Returns the 1-based solve round, or 0 when the budget runs out.
-std::size_t simulate_from(const CollisionPolicy& policy, std::size_t k,
-                          BitString& history, std::size_t budget,
-                          SplitMix64& rng,
+std::size_t simulate_from(const CollisionPolicy& policy,
+                          harness::OutcomeCache& outcomes, BitString& history,
+                          std::size_t budget, SplitMix64& rng,
                           std::uniform_real_distribution<double>& unit) {
   for (std::size_t round = history.size(); round < budget; ++round) {
-    const auto outcome =
-        harness::round_outcome_probabilities(k, policy.probability(history));
+    const auto outcome = outcomes(policy.probability(history));
     const double u = unit(rng);
     if (u < outcome.success) return round + 1;
     history.push_back(u >= outcome.success + outcome.silence);
@@ -115,16 +114,18 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
     block.solved[t] = round != 0 ? 1 : 0;
     block.rounds[t] = round != 0 ? round : block.max_rounds;
   };
+  BitString path;  // the history a simulated trial continues from
+  path.reserve(64);
   // Simulates trial t onward from `path` on its own stream,
   // re-derived and advanced past its first `skip` draws.
-  BitString path;
-  path.reserve(64);
-  const auto simulate_trial = [&](std::size_t t, std::size_t k,
+  const auto simulate_trial = [&](std::size_t t,
+                                  harness::OutcomeCache& outcomes,
                                   std::size_t skip) {
     SplitMix64 rng = derive_fast_rng(block.seed, block.first_trial + t);
     std::uniform_real_distribution<double> unit(0.0, 1.0);
     for (std::size_t d = 0; d < skip; ++d) (void)unit(rng);
-    finish(t, simulate_from(policy_, k, path, block.max_rounds, rng, unit));
+    finish(t, simulate_from(policy_, outcomes, path, block.max_rounds, rng,
+                            unit));
   };
 
   // Pass 2, per slot: the lane upper-bound probe answers every draw
@@ -142,12 +143,13 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
     if (group.empty()) continue;
     const std::size_t k = slot_k[s];
     const auto [tree, mode] = tree_for(k, block.max_rounds);
+    harness::OutcomeCache outcomes(k);
     if (mode == Mode::kSimulate) {
       // Truncated expansion: simulate from the empty history, the
       // solve draw u serving as the first round's draw.
       for (const std::uint32_t t : group) {
         path.clear();
-        simulate_trial(t, k, pass1_draws - 1);
+        simulate_trial(t, outcomes, pass1_draws - 1);
       }
       continue;
     }
@@ -178,7 +180,7 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
           tree->leaves[static_cast<std::size_t>(it - tree->leaf_cdf.begin())]
               .history,
           path);
-      simulate_trial(t, k, pass1_draws);
+      simulate_trial(t, outcomes, pass1_draws);
     }
   }
 }

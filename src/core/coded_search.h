@@ -19,7 +19,7 @@
 namespace crp::core {
 
 /// Which optimal-code construction backs the class grouping; the
-/// Huffman/Shannon-Fano choice is an ablation knob (bench_coding).
+/// Huffman/Shannon-Fano choice is an ablation knob (repro/coding.cpp).
 enum class CodeBackend { kHuffman, kShannonFano };
 
 class CodedSearchPolicy final : public channel::CollisionPolicy {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "channel/protocol.h"
@@ -30,6 +31,31 @@ struct RoundOutcomeProbabilities {
 };
 RoundOutcomeProbabilities round_outcome_probabilities(std::size_t k,
                                                       double p);
+
+/// round_outcome_probabilities(k, p) for one k, memoized by p. Policies
+/// draw their probabilities from a handful of values (powers of two
+/// for the paper's), and a hit returns the very result the call would,
+/// so callers stay bit-identical; past kCapacity distinct values it
+/// computes uncached. Not thread-safe: one per expansion shard or
+/// engine block.
+class OutcomeCache {
+ public:
+  explicit OutcomeCache(std::size_t k) : k_(k) {}
+
+  RoundOutcomeProbabilities operator()(double p) {
+    for (const auto& [key, outcome] : entries_) {
+      if (key == p) return outcome;
+    }
+    const auto outcome = round_outcome_probabilities(k_, p);
+    if (entries_.size() < kCapacity) entries_.emplace_back(p, outcome);
+    return outcome;
+  }
+
+ private:
+  static constexpr std::size_t kCapacity = 64;
+  std::size_t k_;
+  std::vector<std::pair<double, RoundOutcomeProbabilities>> entries_;
+};
 
 /// Exact no-CD profile over the first `horizon` rounds.
 struct ExactProfile {

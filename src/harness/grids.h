@@ -1,7 +1,7 @@
 // Reference sweep grids of the paper's reproductions, shared by the
-// bench binaries (bench/bench_table1.cpp) and the crp_shard CLI
+// reproduction programs (repro/table1.cpp) and the crp_shard CLI
 // (tools/crp_shard.cpp) so both always execute the *same* cells — a
-// sharded run of "table1" reproduces exactly the grid the bench
+// sharded run of "table1" reproduces exactly the grid the reproduction
 // measures, and a change to the grid cannot silently diverge between
 // the two.
 //

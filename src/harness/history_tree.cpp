@@ -24,9 +24,14 @@ PackedHistory pack_history(const channel::BitString& history) {
 }
 
 void unpack_history(PackedHistory packed, channel::BitString& out) {
+  // Zero-fill, then set only the collision bits: element-wise
+  // vector<bool> stores cost several times more.
   const std::size_t depth = std::bit_width(packed) - 1;
-  out.resize(depth);
-  for (std::size_t i = 0; i < depth; ++i) out[i] = (packed >> i) & 1;
+  out.assign(depth, false);
+  for (PackedHistory bits = packed ^ (PackedHistory{1} << depth); bits != 0;
+       bits &= bits - 1) {
+    out[static_cast<std::size_t>(std::countr_zero(bits))] = true;
+  }
 }
 
 namespace {
@@ -45,30 +50,6 @@ struct Frame {
 struct Root {
   channel::BitString history;
   double reach = 0.0;
-};
-
-/// round_outcome_probabilities(k, p) memoized by p. Policies draw their
-/// probabilities from a handful of values (powers of two for the
-/// paper's), and a hit returns the very result the call would, so the
-/// expansion is unchanged bit for bit; past kCapacity distinct values
-/// it computes uncached.
-class OutcomeCache {
- public:
-  explicit OutcomeCache(std::size_t k) : k_(k) {}
-
-  RoundOutcomeProbabilities operator()(double p) {
-    for (const auto& [key, outcome] : entries_) {
-      if (key == p) return outcome;
-    }
-    const auto outcome = round_outcome_probabilities(k_, p);
-    if (entries_.size() < kCapacity) entries_.emplace_back(p, outcome);
-    return outcome;
-  }
-
- private:
-  static constexpr std::size_t kCapacity = 64;
-  std::size_t k_;
-  std::vector<std::pair<double, RoundOutcomeProbabilities>> entries_;
 };
 
 /// Accumulators of one expansion unit (the pre-split prefix or one
@@ -104,6 +85,7 @@ void expand_frames(const channel::CollisionPolicy& policy, std::size_t k,
                    std::vector<Root>* roots_out) {
   OutcomeCache outcomes(k);
   channel::BitString path = root.history;
+  path.reserve(cap);
   const std::size_t base = path.size();
   // With leaves recorded, `bits` mirrors path's rounds as a word
   // (horizon <= kMaxPackedDepth), so a leaf packs in O(1).
@@ -121,9 +103,9 @@ void expand_frames(const channel::CollisionPolicy& policy, std::size_t k,
     const Frame frame = stack.back();
     stack.pop_back();
     const std::size_t depth = frame.depth;
-    path.resize(depth);
     if (depth > base) {
-      path[depth - 1] = frame.collided;
+      path.resize(depth - 1);  // never grows: path holds the parent
+      path.push_back(frame.collided);
       if (options.record_leaves) {
         const PackedHistory last = PackedHistory{1} << (depth - 1);
         bits = (bits & (last - 1)) | (frame.collided ? last : 0);

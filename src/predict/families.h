@@ -25,7 +25,7 @@ info::SizeDistribution lift(const info::CondensedDistribution& condensed,
                             std::size_t n, RangePlacement placement);
 
 /// Uniform over the first m of the |L(n)| ranges: H(c) = log2 m, the
-/// straight-line entropy sweep used by bench_table1.
+/// straight-line entropy sweep used by repro/table1.cpp.
 info::CondensedDistribution uniform_over_ranges(std::size_t num_ranges,
                                                 std::size_t m);
 

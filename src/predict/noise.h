@@ -2,7 +2,7 @@
 // distribution Y from the true X with a controllable, measurable
 // KL divergence D_KL(c(X) || c(Y)). Theorems 2.12 and 2.16 charge the
 // algorithms 2 D_KL extra entropy / D_KL extra code length; the
-// bench_divergence sweep uses these models to trace that degradation,
+// repro/divergence.cpp sweep uses these models to trace that degradation,
 // including the paper's "bounded constant factor error => D_KL = O(1)"
 // robustness remark.
 #pragma once

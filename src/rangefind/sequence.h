@@ -3,7 +3,7 @@
 // no-collision-detection contention-resolution algorithm into a range
 // finding sequence. This is the machinery behind the Theorem 2.4 lower
 // bound; the library implements it so the bound's moving parts can be
-// validated empirically (tests) and measured (bench_coding).
+// validated empirically (tests) and measured (repro/coding.cpp).
 #pragma once
 
 #include <cstddef>

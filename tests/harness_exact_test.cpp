@@ -52,6 +52,23 @@ TEST(RoundOutcome, ProbabilitiesFormADistribution) {
   }
 }
 
+TEST(RoundOutcome, CacheReturnsTheDirectResultBitForBit) {
+  // Hits, misses, and the uncached path past the cache's capacity must
+  // all equal the direct call exactly, so the expansion and the
+  // engine's continuation stay bit-identical through the cache.
+  OutcomeCache cache(37);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i <= 100; ++i) {
+      const double p = i / 100.0;
+      const auto cached = cache(p);
+      const auto direct = round_outcome_probabilities(37, p);
+      EXPECT_EQ(cached.silence, direct.silence) << "p=" << p;
+      EXPECT_EQ(cached.success, direct.success) << "p=" << p;
+      EXPECT_EQ(cached.collision, direct.collision) << "p=" << p;
+    }
+  }
+}
+
 TEST(ExactNoCd, FixedProbabilityIsGeometric) {
   // With constant success probability s, Pr(solved by r) = 1-(1-s)^r
   // and E[T] = 1/s.
