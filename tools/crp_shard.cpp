@@ -457,7 +457,7 @@ Options parse_args(int argc, char** argv) {
 /// points of a built-in grid or the parsed spec of a --grid-spec one;
 /// keep alive until the sweep is done. The built-in cells come from
 /// the shared reference builder (harness/grids.h), so "table1" here is
-/// exactly the grid bench_table1 measures.
+/// exactly the grid repro/table1.cpp measures.
 struct OwnedGrid {
   std::string label;
   std::vector<crp::harness::Table1EntropyPoint> points;
