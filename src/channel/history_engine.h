@@ -108,7 +108,7 @@ class HistoryTreeEngine final : public Engine {
   /// How a (k, budget) key is sampled (exposed for tests).
   enum class Mode {
     kInverseCdf,  ///< solve CDF, else leaf CDF + continuation
-    kWalk,        ///< retired (the per-trial tree walk); never returned
+    kWalk,        ///< never returned; kept for callers that switch on it
     kSimulate,    ///< expansion truncated: pure per-round simulation
   };
 

@@ -99,9 +99,9 @@ struct HistoryTree {
   std::size_t horizon = 0;
   double prune_below = 0.0;
 
-  /// Retired: trees no longer store their expanded nodes (a per-trial
-  /// tree walk was the only reader). Always empty; kept so callers that
-  /// report nodes.size() still compile.
+  /// Always empty: an expansion stores no nodes, only masses and
+  /// leaves. Kept so callers that report nodes.size() (perfbench's
+  /// layer replay) still compile.
   std::vector<std::uint8_t> nodes;
 
   /// solve_at[r] = Pr(execution succeeds in 1-based round r + 1),
