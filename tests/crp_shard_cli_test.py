@@ -15,14 +15,15 @@ be byte-identical to the compiled-in table1 grid (monolithic and
 shard+merge), and spec validation/readability failures must exit 3/4
 with the offending field and file named.
 
-Three cases compare against checked-in files rather than the binary
+Four cases compare against checked-in files rather than the binary
 itself: table1 runs with the simulated and the history-tree CD engine
 must equal tests/goldens/table1_simulate_n1024_t500_s7.csv and
-tests/goldens/table1_tree_n1024_t500_s7.csv byte for byte, and a
-simulated run of the coded-search grid spec
-tests/goldens/coded_simulate_spec.json (lift, support and fixed_k
-sizes at budgets 1024 and 65536) must equal
-tests/goldens/coded_simulate_n4096_t2000_s7.csv.
+tests/goldens/table1_tree_n1024_t500_s7.csv byte for byte, and runs
+of the coded-search grid spec tests/goldens/coded_simulate_spec.json
+(lift, support and fixed_k sizes at budgets 1024 and 65536) with the
+same two engines must equal
+tests/goldens/coded_simulate_n4096_t2000_s7.csv and
+tests/goldens/coded_tree_n4096_t2000_s7.csv.
 
 Usage: crp_shard_cli_test.py /path/to/crp_shard [/path/to/source/tree]
 """
@@ -632,21 +633,27 @@ with tempfile.TemporaryDirectory() as tmp:
                 FAILURES.append(f"{label} table1 CSV differs from {golden_csv}")
             else:
                 print(f"ok   {label} table1 CSV matches the checked-in golden")
-    # The simulated CD engine over several policies, drawn and fixed
-    # sizes and both fanout budgets, each cell two blocks long.
+    # Both CD engines over several policies, drawn and fixed sizes and
+    # both fanout budgets, each cell two blocks long; the tree run also
+    # pins the leaf continuation and the split-depth subtree shards.
     goldens = os.path.join(SOURCE_DIR, "tests", "goldens")
-    pinned = os.path.join(tmp, "pinned-coded-simulate.csv")
-    check("coded-search spec run for the golden",
-          run("run", "--grid-spec",
-              os.path.join(goldens, "coded_simulate_spec.json"),
-              "--trials", "2000", "--seed", "7", "--cd-engine", "simulate",
-              "--out", pinned), 0)
-    golden_csv = os.path.join(goldens, "coded_simulate_n4096_t2000_s7.csv")
-    with open(pinned, "rb") as handle, open(golden_csv, "rb") as golden:
-        if handle.read() != golden.read():
-            FAILURES.append(f"coded-search spec CSV differs from {golden_csv}")
-        else:
-            print("ok   coded-search spec CSV matches the checked-in golden")
+    for label, cd_engine in (("simulated", "simulate"),
+                             ("history-tree", "tree")):
+        pinned = os.path.join(tmp, f"pinned-coded-{cd_engine}.csv")
+        check(f"{label} coded-search spec run for the golden",
+              run("run", "--grid-spec",
+                  os.path.join(goldens, "coded_simulate_spec.json"),
+                  "--trials", "2000", "--seed", "7", "--cd-engine",
+                  cd_engine, "--out", pinned), 0)
+        golden_csv = os.path.join(goldens,
+                                  f"coded_{cd_engine}_n4096_t2000_s7.csv")
+        with open(pinned, "rb") as handle, open(golden_csv, "rb") as golden:
+            if handle.read() != golden.read():
+                FAILURES.append(
+                    f"{label} coded-search spec CSV differs from {golden_csv}")
+            else:
+                print(f"ok   {label} coded-search spec CSV matches the "
+                      "checked-in golden")
 
     # --- SIGHUP mid-grid: same resumable contract as SIGINT/SIGTERM ---
     hup_dir = os.path.join(tmp, "sighup")

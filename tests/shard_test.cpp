@@ -18,6 +18,8 @@
 #include "baselines/decay.h"
 #include "baselines/willard.h"
 #include "harness/checkpoint.h"
+#include "harness/grids.h"
+#include "harness/gridspec.h"
 #include "harness/shard.h"
 #include "harness/supervisor.h"
 #include "harness/sweep.h"
@@ -152,6 +154,19 @@ TEST(ShardPlan, GridFingerprintSeesContentChanges) {
   ASSERT_EQ(reparameterized[0].algorithm.name, "decay");
   reparameterized[0].algorithm.schedule = &f.slow_decay;
   EXPECT_NE(grid_fingerprint(reparameterized), base);
+}
+
+// Journals and manifests record grid_fingerprint, so a fingerprint
+// that drifts between builds strands every journal an earlier build
+// left behind: resume would reject it as a different grid. These
+// literals were computed by an earlier build and must never move.
+TEST(ShardPlan, GridFingerprintIsStableAcrossBuilds) {
+  const auto points = table1_entropy_points(1024);
+  EXPECT_EQ(grid_fingerprint(table1_upper_bound_grid(points).cells()),
+            0xf414b599462396ceULL);
+  const GridSpec spec = read_grid_spec_file(
+      std::string(CRP_SOURCE_DIR) + "/tests/goldens/coded_simulate_spec.json");
+  EXPECT_EQ(grid_fingerprint(spec.cells), 0x2df3e1f6368868dULL);
 }
 
 /// A fresh per-test scratch directory under the gtest temp root,
