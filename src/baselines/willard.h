@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "channel/protocol.h"
 
@@ -19,7 +20,9 @@ class WillardPolicy final : public channel::CollisionPolicy {
   /// rounds for a lower per-step error probability as in [22].
   explicit WillardPolicy(std::size_t n, std::size_t repeats = 1);
 
-  double probability(const channel::BitString& history) const override;
+  State initial_state() const override;
+  State next_state(State state, bool collided) const override;
+  double probability_at(State state) const override;
   std::string name() const override { return "willard"; }
 
   std::size_t num_ranges() const { return num_ranges_; }
@@ -27,6 +30,9 @@ class WillardPolicy final : public channel::CollisionPolicy {
  private:
   std::size_t num_ranges_;
   std::size_t repeats_;
+  /// probabilities_[r] = 2^-r for the probed range index r in
+  /// [1, num_ranges_] (index 0 unused).
+  std::vector<double> probabilities_;
 };
 
 }  // namespace crp::baselines

@@ -176,12 +176,12 @@ class PerPlayerColumnarEngine final : public Engine {
 
 /// Adapter for uniform collision-detection policies: the exact
 /// per-round Markov simulation, driven through the block interface.
-/// Each run_many call runs its block's trials through one CdRunMemo
-/// (channel/simulator.h): the policy is asked once per distinct history
-/// the block reaches (up to CdRunMemo::kMaxHistoryNodes of them) and
-/// each Binomial's constants are built once per (k, p) (up to
-/// BinomialParamCache::kMaxEntries), with every draw the same as the
-/// per-trial run_uniform_cd loop. The memo is dropped with the block.
+/// Each trial steps the policy's state once per round, and each
+/// run_many call runs its block's trials through one CdRunMemo
+/// (channel/simulator.h), so each Binomial's constants are built once
+/// per (k, p) (up to BinomialParamCache::kMaxEntries), with every draw
+/// the same as the per-trial run_uniform_cd loop. The memo is dropped
+/// with the block.
 /// The analytic counterpart is channel/history_engine.h's
 /// HistoryTreeEngine, which samples from a cached expansion of the
 /// same chain (and continues with this adapter's per-round semantics

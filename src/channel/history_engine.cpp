@@ -18,20 +18,22 @@ namespace crp::channel {
 
 namespace {
 
-/// Continues one execution by exact per-round simulation from
-/// `history`: the same Markov chain the per-round CD simulator runs,
-/// sampled through the outcome trichotomy (a uniform CD policy only
-/// ever observes the feedback, so the trichotomy is the whole round).
-/// Returns the 1-based solve round, or 0 when the budget runs out.
+/// Continues one execution by exact per-round simulation from round
+/// `round`, whose start the policy reaches in `state`: the same Markov
+/// chain the per-round CD simulator runs, sampled through the outcome
+/// trichotomy (a uniform CD policy only ever observes the feedback, so
+/// the trichotomy is the whole round). Returns the 1-based solve
+/// round, or 0 when the budget runs out.
 std::size_t simulate_from(const CollisionPolicy& policy,
-                          harness::OutcomeCache& outcomes, BitString& history,
+                          harness::OutcomeCache& outcomes,
+                          CollisionPolicy::State state, std::size_t round,
                           std::size_t budget, SplitMix64& rng,
                           std::uniform_real_distribution<double>& unit) {
-  for (std::size_t round = history.size(); round < budget; ++round) {
-    const auto outcome = outcomes(policy.probability(history));
+  for (; round < budget; ++round) {
+    const auto outcome = outcomes(policy.probability_at(state));
     const double u = unit(rng);
     if (u < outcome.success) return round + 1;
-    history.push_back(u >= outcome.success + outcome.silence);
+    state = policy.next_state(state, u >= outcome.success + outcome.silence);
   }
   return 0;
 }
@@ -114,18 +116,18 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
     block.solved[t] = round != 0 ? 1 : 0;
     block.rounds[t] = round != 0 ? round : block.max_rounds;
   };
-  BitString path;  // the history a simulated trial continues from
-  path.reserve(64);
-  // Simulates trial t onward from `path` on its own stream,
-  // re-derived and advanced past its first `skip` draws.
+  // Simulates trial t onward from round `round`, started in `state`,
+  // on its own stream, re-derived and advanced past its first `skip`
+  // draws.
   const auto simulate_trial = [&](std::size_t t,
                                   harness::OutcomeCache& outcomes,
-                                  std::size_t skip) {
+                                  CollisionPolicy::State state,
+                                  std::size_t round, std::size_t skip) {
     SplitMix64 rng = derive_fast_rng(block.seed, block.first_trial + t);
     std::uniform_real_distribution<double> unit(0.0, 1.0);
     for (std::size_t d = 0; d < skip; ++d) (void)unit(rng);
-    finish(t, simulate_from(policy_, outcomes, path, block.max_rounds, rng,
-                            unit));
+    finish(t, simulate_from(policy_, outcomes, state, round, block.max_rounds,
+                            rng, unit));
   };
 
   // Pass 2, per slot: the lane upper-bound probe answers every draw
@@ -148,8 +150,8 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
       // Truncated expansion: simulate from the empty history, the
       // solve draw u serving as the first round's draw.
       for (const std::uint32_t t : group) {
-        path.clear();
-        simulate_trial(t, outcomes, pass1_draws - 1);
+        simulate_trial(t, outcomes, policy_.initial_state(), 0,
+                       pass1_draws - 1);
       }
       continue;
     }
@@ -176,11 +178,12 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
       const auto it = std::upper_bound(tree->leaf_cdf.begin(),
                                        tree->leaf_cdf.end() - 1,
                                        group_u[j] - solved_mass);
-      harness::unpack_history(
+      const harness::PackedHistory history =
           tree->leaves[static_cast<std::size_t>(it - tree->leaf_cdf.begin())]
-              .history,
-          path);
-      simulate_trial(t, outcomes, pass1_draws);
+              .history;
+      simulate_trial(t, outcomes,
+                     harness::fold_packed_history(policy_, history),
+                     harness::packed_depth(history), pass1_draws);
     }
   }
 }

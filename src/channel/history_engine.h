@@ -15,11 +15,14 @@
 //    kernel answers the solve round over the padded solve CDF —
 //    O(log horizon) per trial, the shape of the no-CD batch engine;
 //  * otherwise u - solved mass picks a leaf by a scalar upper_bound
-//    over the leaf CDF (mass order), and the trial rebuilds that
-//    leaf's history and *continues* it by the exact per-round
-//    simulation the CollisionPolicyColumnarEngine adapter runs, on the
-//    rest of its own stream. A frontier leaf under a budget equal to
-//    the horizon continues for zero rounds: unsolved at the budget.
+//    over the leaf CDF (mass order), and the trial folds that leaf's
+//    packed history into the policy state once (at most
+//    harness::kMaxPackedDepth next_state steps) and *continues* it by
+//    the exact per-round simulation the CollisionPolicyColumnarEngine
+//    adapter runs — one probability_at and one next_state per round —
+//    on the rest of its own stream. A frontier leaf under a budget
+//    equal to the horizon continues for zero rounds: unsolved at the
+//    budget.
 //
 // Conditioned on reaching a leaf, the continuation is the exact chain
 // from that history, so the sampled distribution of (solved, rounds)

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -57,12 +58,40 @@ class ProbabilitySchedule {
 /// probability every participant uses next round. This is exactly the
 /// binary-tree-of-probabilities view used by the Section 2.4 lower
 /// bound.
+///
+/// Every policy is a finite automaton over that history, and the
+/// automaton is the interface: initial_state() is the state before
+/// round 0, next_state(s, collided) the state after a round that
+/// started in s, and probability_at(s) the probability used in a round
+/// that starts in s. Each is O(1), so a consumer that follows one
+/// execution (the simulator, the history-tree expansion and its leaf
+/// continuation) steps its state once per round instead of handing the
+/// policy a growing history. probability(history) folds next_state
+/// over a whole history, for callers that only hold histories.
+///
+/// A State is an opaque word the policy packs its own fields into,
+/// kept below 2^63 so a wrapper can add states of its own by shifting
+/// the inner policy's (core/prelude.h adds one).
+///
+/// Thread-safety: the three primitives are const and keep no hidden
+/// state, so one policy serves any number of threads.
 class CollisionPolicy {
  public:
+  using State = std::uint64_t;
+
   virtual ~CollisionPolicy() = default;
 
-  /// Probability for the round following `history`; must be in [0, 1].
-  virtual double probability(const BitString& history) const = 0;
+  /// The state before round 0 (the empty history).
+  virtual State initial_state() const = 0;
+  /// The state after a round that started in `state` ended in silence
+  /// (collided == false) or a collision (collided == true).
+  virtual State next_state(State state, bool collided) const = 0;
+  /// Probability for a round that starts in `state`; must be in [0, 1].
+  virtual double probability_at(State state) const = 0;
+
+  /// Probability for the round following `history`:
+  /// probability_at of next_state folded over it from initial_state().
+  double probability(const BitString& history) const;
 
   virtual std::string name() const = 0;
 };

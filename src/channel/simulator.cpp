@@ -17,6 +17,12 @@ std::string to_string(Feedback feedback) {
   return "unknown";
 }
 
+double CollisionPolicy::probability(const BitString& history) const {
+  State state = initial_state();
+  for (const bool collided : history) state = next_state(state, collided);
+  return probability_at(state);
+}
+
 Feedback feedback_for(std::size_t transmitters) {
   if (transmitters == 0) return Feedback::kSilence;
   if (transmitters == 1) return Feedback::kSuccess;
@@ -98,36 +104,13 @@ RunResult run_uniform_no_cd(const ProbabilitySchedule& schedule,
   return RunResult{false, options.max_rounds, std::nullopt, energy};
 }
 
-std::uint32_t CdRunMemo::begin_trial(std::size_t k) {
-  history_.clear();
+void CdRunMemo::begin_trial(std::size_t k) {
   if (!warm_) {
     warm_ = true;
     sample_.reset(k, nullptr);
-    return kOffTrie;
+    return;
   }
-  if (nodes_.empty()) nodes_.emplace_back();
   sample_.reset(k, &params_);
-  return 0;
-}
-
-double CdRunMemo::probability(std::uint32_t& node, bool bit) {
-  if (node != kOffTrie) {
-    const std::uint32_t child = nodes_[node].child[bit ? 1 : 0];
-    if (child != 0) {
-      node = child;
-      return nodes_[child].probability;
-    }
-    if (nodes_.size() < kMaxHistoryNodes) {
-      const double p = policy_.probability(history_);
-      const auto created = static_cast<std::uint32_t>(nodes_.size());
-      nodes_.push_back(Node{.probability = p});
-      nodes_[node].child[bit ? 1 : 0] = created;
-      node = created;
-      return p;
-    }
-    node = kOffTrie;
-  }
-  return policy_.probability(history_);
 }
 
 RunResult run_uniform_cd(const CollisionPolicy& policy, std::size_t k,
@@ -139,20 +122,20 @@ RunResult run_uniform_cd(const CollisionPolicy& policy, std::size_t k,
 RunResult run_uniform_cd(CdRunMemo& memo, std::size_t k, Rng& rng,
                          const SimOptions& options) {
   if (k == 0) throw std::invalid_argument("need at least one participant");
-  std::uint32_t node = memo.begin_trial(k);
+  memo.begin_trial(k);
+  const CollisionPolicy& policy = memo.policy_;
   TransmitterSampler& sample = memo.sample_;
-  bool collided = false;
+  CollisionPolicy::State state = policy.initial_state();
   std::size_t energy = 0;
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
-    const double p = memo.probability(node, collided);
+    const double p = policy.probability_at(state);
     const std::size_t transmitters = sample(p, rng);
     energy += transmitters;
     record(options, p, transmitters);
     if (transmitters == 1) {
       return RunResult{true, round + 1, std::nullopt, energy};
     }
-    collided = transmitters >= 2;
-    memo.history_.push_back(collided);
+    state = policy.next_state(state, transmitters >= 2);
   }
   return RunResult{false, options.max_rounds, std::nullopt, energy};
 }

@@ -9,15 +9,13 @@
 //    required for the deterministic advice protocols of Section 3.
 // tests/channel_test.cc cross-validates the two engines statistically.
 //
-// The collision-detection loop (run_uniform_cd) takes a CdRunMemo: work
-// that a block of trials of one policy can share without moving a
-// single draw — the policy's probabilities on a trie of the histories
-// already visited, and the precomputed Binomial constants per (k, p).
-// A fresh memo per call is the plain per-round simulation.
+// The collision-detection loop (run_uniform_cd) steps the policy's
+// state once per round (channel/protocol.h) and takes a CdRunMemo:
+// work that a block of trials of one policy can share without moving a
+// single draw — the precomputed Binomial constants per (k, p). A fresh
+// memo per call is the plain per-round simulation.
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <optional>
 #include <random>
 #include <span>
@@ -68,9 +66,9 @@ RunResult run_uniform_no_cd(const ProbabilitySchedule& schedule,
                             std::size_t k, Rng& rng,
                             const SimOptions& options = {});
 
-/// Runs a uniform collision-detection algorithm with k participants.
-/// The policy sees the growing collision history (bit = collision?).
-/// Same as the CdRunMemo overload with a fresh memo.
+/// Runs a uniform collision-detection algorithm with k participants,
+/// stepping the policy's state with each round's collision bit. Same
+/// as the CdRunMemo overload with a fresh memo.
 RunResult run_uniform_cd(const CollisionPolicy& policy, std::size_t k,
                          Rng& rng,
                          const SimOptions& options = {});
@@ -182,34 +180,19 @@ class TransmitterSampler {
 /// the columnar engine, across one block (never across blocks, so no
 /// result depends on the block partition). Not thread-safe: one memo
 /// per block, on the block's worker.
-///  * A trie of the collision histories visited: node h holds
-///    policy.probability(h). A node is created when a trial first
-///    reaches h at the start of a round, so the policy is asked about
-///    exactly the histories the plain loop asks about, once each. At
-///    kMaxHistoryNodes the trie stops growing, and rounds past its
-///    edge ask the policy directly, as the plain loop does.
 ///  * A BinomialParamCache, bounded by its kMaxEntries.
-///  * Scratch (the history and the per-trial TransmitterSampler) whose
-///    storage trials reuse.
-/// Both caches pay off only across trials, so a memo's first trial
-/// runs without them: a fresh memo per call does the plain loop's work
-/// (one policy call per round, one Binomial built per distinct p).
+///  * The per-trial TransmitterSampler, whose storage trials reuse.
+/// The cache pays off only across trials, so a memo's first trial runs
+/// without it: a fresh memo per call does the plain loop's work (one
+/// Binomial built per distinct p).
 class CdRunMemo {
  public:
-  /// Trie nodes kept, a sentinel included (16 bytes each).
-  static constexpr std::size_t kMaxHistoryNodes = 1 << 14;
-
   /// The policy must outlive the memo.
   explicit CdRunMemo(const CollisionPolicy& policy)
       : policy_(policy), sample_(0) {}
 
   CdRunMemo(const CdRunMemo&) = delete;  // sample_ points into params_
   CdRunMemo& operator=(const CdRunMemo&) = delete;
-
-  /// Histories on the trie (fewer than kMaxHistoryNodes).
-  std::size_t history_nodes() const {
-    return nodes_.empty() ? 0 : nodes_.size() - 1;
-  }
 
   /// Cached Binomial parameter sets.
   std::size_t binomial_params() const { return params_.size(); }
@@ -218,34 +201,14 @@ class CdRunMemo {
   friend RunResult run_uniform_cd(CdRunMemo& memo, std::size_t k, Rng& rng,
                                   const SimOptions& options);
 
-  /// Off the trie: the memo's first trial, or a history past the node
-  /// bound.
-  static constexpr std::uint32_t kOffTrie = ~std::uint32_t{0};
-
-  struct Node {
-    double probability = 0.0;
-    /// Child per next history bit; 0 (the sentinel, never a child)
-    /// while absent.
-    std::array<std::uint32_t, 2> child{};
-  };
-
-  /// Starts a trial with k participants: clears the history, resets
-  /// the sampler, and returns the node probability() starts from — the
-  /// sentinel, or kOffTrie on the memo's first trial.
-  std::uint32_t begin_trial(std::size_t k);
-
-  /// The policy's probability for history_, whose trie node is the
-  /// `bit`-child of `node` (the sentinel's 0-child is the empty
-  /// history); moves `node` to history_'s node, creating it on first
-  /// visit, or to kOffTrie.
-  double probability(std::uint32_t& node, bool bit);
+  /// Starts a trial with k participants: resets the sampler, without
+  /// the parameter cache on the memo's first trial.
+  void begin_trial(std::size_t k);
 
   const CollisionPolicy& policy_;
-  bool warm_ = false;       // a trial has run
-  std::vector<Node> nodes_;  // nodes_[0] is the sentinel once warm_
+  bool warm_ = false;  // a trial has run
   BinomialParamCache params_;
   TransmitterSampler sample_;
-  BitString history_;
 };
 
 /// Maps a transmitter count to channel feedback.

@@ -55,12 +55,18 @@ class TruncatedWillardPolicy final : public channel::CollisionPolicy {
   explicit TruncatedWillardPolicy(std::vector<std::size_t> ranges,
                                   std::vector<std::size_t> fallback = {});
 
-  double probability(const channel::BitString& history) const override;
+  State initial_state() const override;
+  State next_state(State state, bool collided) const override;
+  double probability_at(State state) const override;
   std::string name() const override { return "truncated-willard"; }
 
  private:
   std::vector<std::size_t> ranges_;
   std::vector<std::size_t> fallback_;
+  /// 2^-r for every range r of ranges_ and of fallback_, index for
+  /// index.
+  std::vector<double> range_probabilities_;
+  std::vector<double> fallback_probabilities_;
 };
 
 }  // namespace crp::core

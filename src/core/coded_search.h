@@ -27,7 +27,9 @@ class CodedSearchPolicy final : public channel::CollisionPolicy {
   explicit CodedSearchPolicy(const info::CondensedDistribution& prediction,
                              CodeBackend backend = CodeBackend::kHuffman);
 
-  double probability(const channel::BitString& history) const override;
+  State initial_state() const override;
+  State next_state(State state, bool collided) const override;
+  double probability_at(State state) const override;
   std::string name() const override { return "coded-search"; }
 
   /// The code-length classes in visiting order: classes_[c] holds the
@@ -42,12 +44,16 @@ class CodedSearchPolicy final : public channel::CollisionPolicy {
   std::size_t pass_length() const;
 
  private:
-  /// (probability exponent) for the probe after `history`.
-  std::size_t current_range(const channel::BitString& history) const;
-
   std::vector<std::vector<std::size_t>> classes_;
   std::vector<std::size_t> lengths_;
   std::vector<bool> positive_mass_;  // class has predicted mass > 0
+  /// probabilities_[c][i] = 2^-classes_[c][i], the probe of window
+  /// midpoint i in class c.
+  std::vector<std::vector<double>> probabilities_;
+  /// advance_[4 c + pass] is the state that follows an exhausted search
+  /// of class c on a pass congruent to `pass` mod 4: the next class
+  /// visited, with its full window.
+  std::vector<State> advance_;
 };
 
 }  // namespace crp::core

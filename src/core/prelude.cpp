@@ -25,14 +25,17 @@ WithAllTransmitPreludeCd::WithAllTransmitPreludeCd(
   if (!inner_) throw std::invalid_argument("inner policy is null");
 }
 
-double WithAllTransmitPreludeCd::probability(
-    const channel::BitString& history) const {
-  if (history.empty()) return 1.0;
-  // Strip the probe's feedback bit; with k >= 2 it is always a
+WithAllTransmitPreludeCd::State WithAllTransmitPreludeCd::next_state(
+    State state, bool collided) const {
+  // The probe's feedback bit is dropped; with k >= 2 it is always a
   // collision, carrying no information the inner policy needs.
-  const channel::BitString inner_history(history.begin() + 1,
-                                         history.end());
-  return inner_->probability(inner_history);
+  if (state == 0) return inner_->initial_state() + 1;
+  return inner_->next_state(state - 1, collided) + 1;
+}
+
+double WithAllTransmitPreludeCd::probability_at(State state) const {
+  if (state == 0) return 1.0;
+  return inner_->probability_at(state - 1);
 }
 
 std::string WithAllTransmitPreludeCd::name() const {

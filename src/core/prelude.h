@@ -30,14 +30,18 @@ class WithAllTransmitPrelude final : public channel::ProbabilitySchedule {
 };
 
 /// CD version: the probe's feedback (success / collision) is consumed;
-/// the wrapped policy sees the history with the probe's collision bit
-/// stripped, so it behaves exactly as if it had started at round 1.
+/// the wrapped policy never sees the probe's collision bit, so it
+/// behaves exactly as if it had started at round 1. State 0 is the
+/// probe round; every later state is the inner policy's state plus one
+/// (the started flag).
 class WithAllTransmitPreludeCd final : public channel::CollisionPolicy {
  public:
   explicit WithAllTransmitPreludeCd(
       std::shared_ptr<const channel::CollisionPolicy> inner);
 
-  double probability(const channel::BitString& history) const override;
+  State initial_state() const override { return 0; }
+  State next_state(State state, bool collided) const override;
+  double probability_at(State state) const override;
   std::string name() const override;
 
  private:

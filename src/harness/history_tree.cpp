@@ -26,7 +26,7 @@ PackedHistory pack_history(const channel::BitString& history) {
 void unpack_history(PackedHistory packed, channel::BitString& out) {
   // Zero-fill, then set only the collision bits: element-wise
   // vector<bool> stores cost several times more.
-  const std::size_t depth = std::bit_width(packed) - 1;
+  const std::size_t depth = packed_depth(packed);
   out.assign(depth, false);
   for (PackedHistory bits = packed ^ (PackedHistory{1} << depth); bits != 0;
        bits &= bits - 1) {
@@ -34,22 +34,31 @@ void unpack_history(PackedHistory packed, channel::BitString& out) {
   }
 }
 
+std::size_t packed_depth(PackedHistory packed) {
+  return static_cast<std::size_t>(std::bit_width(packed)) - 1;
+}
+
+channel::CollisionPolicy::State fold_packed_history(
+    const channel::CollisionPolicy& policy, PackedHistory packed) {
+  channel::CollisionPolicy::State state = policy.initial_state();
+  const std::size_t depth = packed_depth(packed);
+  for (std::size_t r = 0; r < depth; ++r) {
+    state = policy.next_state(state, ((packed >> r) & 1) != 0);
+  }
+  return state;
+}
+
 namespace {
 
-/// A pending history on the depth-first stack: its parent's history —
-/// always a prefix of the expansion's shared path, because a node's
-/// descendants only rewrite rounds at or past its own depth — plus the
-/// feedback of round depth - 1.
+/// A pending history on the depth-first stack, or a subtree root
+/// captured at the split depth: its reach mass, the policy state its
+/// next round starts in, and — when leaves are recorded — its rounds
+/// packed into a word without the sentinel bit.
 struct Frame {
   double reach = 0.0;
+  channel::CollisionPolicy::State state = 0;
+  PackedHistory bits = 0;
   std::size_t depth = 0;
-  bool collided = false;
-};
-
-/// A subtree root captured at the split depth, with its full history.
-struct Root {
-  channel::BitString history;
-  double reach = 0.0;
 };
 
 /// Accumulators of one expansion unit (the pre-split prefix or one
@@ -64,13 +73,13 @@ struct Shard {
 };
 
 /// Depth-first expansion of the subtree at `root` down to `cap`
-/// rounds, keeping one shared path instead of a history per frame.
-/// Frames alive at `cap` are captured into `roots_out` when provided
-/// (the pre-split phase) and otherwise become frontier leaves (cap ==
-/// horizon). The prune check runs at pop time — exactly the order the
-/// historical exact_profile_cd enumeration used — so a frame at the cap
-/// counts as frontier even when its reach is below the prune
-/// threshold.
+/// rounds. A child's state is one next_state step from its parent's,
+/// so no history is ever replayed. Frames alive at `cap` are captured
+/// into `roots_out` when provided (the pre-split phase) and otherwise
+/// become frontier leaves (cap == horizon). The prune check runs at
+/// pop time — exactly the order the historical exact_profile_cd
+/// enumeration used — so a frame at the cap counts as frontier even
+/// when its reach is below the prune threshold.
 ///
 /// `budget` is the frame budget *shared by every shard of one
 /// expansion*: whether the whole expansion needs more than max_nodes
@@ -79,48 +88,33 @@ struct Shard {
 /// which shard trips the budget first is not — a truncated tree's
 /// partial contents are never consumed.
 void expand_frames(const channel::CollisionPolicy& policy, std::size_t k,
-                   const Root& root, std::size_t cap,
+                   const Frame& root, std::size_t cap,
                    const HistoryTreeOptions& options,
                    std::atomic<std::size_t>& budget, Shard& shard,
-                   std::vector<Root>* roots_out) {
+                   std::vector<Frame>* roots_out) {
   OutcomeCache outcomes(k);
-  channel::BitString path = root.history;
-  path.reserve(cap);
-  const std::size_t base = path.size();
-  // With leaves recorded, `bits` mirrors path's rounds as a word
-  // (horizon <= kMaxPackedDepth), so a leaf packs in O(1).
-  PackedHistory bits =
-      options.record_leaves ? pack_history(path) ^ (PackedHistory{1} << base)
-                            : 0;
-  const auto leaf = [&](double reach, double& mass) {
-    mass += reach;
+  const auto leaf = [&](const Frame& frame, double& mass) {
+    mass += frame.reach;
     if (options.record_leaves) {
-      shard.leaves.push_back({reach, bits | PackedHistory{1} << path.size()});
+      // horizon <= kMaxPackedDepth, so the sentinel fits.
+      shard.leaves.push_back(
+          {frame.reach, frame.bits | PackedHistory{1} << frame.depth});
     }
   };
-  std::vector<Frame> stack{{root.reach, base, false}};
+  std::vector<Frame> stack{root};
   while (!stack.empty()) {
     const Frame frame = stack.back();
     stack.pop_back();
-    const std::size_t depth = frame.depth;
-    if (depth > base) {
-      path.resize(depth - 1);  // never grows: path holds the parent
-      path.push_back(frame.collided);
-      if (options.record_leaves) {
-        const PackedHistory last = PackedHistory{1} << (depth - 1);
-        bits = (bits & (last - 1)) | (frame.collided ? last : 0);
-      }
-    }
-    if (depth >= cap) {
+    if (frame.depth >= cap) {
       if (roots_out != nullptr) {
-        roots_out->push_back({path, frame.reach});
+        roots_out->push_back(frame);
       } else {
-        leaf(frame.reach, shard.frontier);
+        leaf(frame, shard.frontier);
       }
       continue;
     }
     if (frame.reach < options.prune_below) {
-      leaf(frame.reach, shard.pruned);
+      leaf(frame, shard.pruned);
       continue;
     }
     if (budget.fetch_add(1, std::memory_order_relaxed) >=
@@ -129,13 +123,20 @@ void expand_frames(const channel::CollisionPolicy& policy, std::size_t k,
       return;
     }
 
-    const auto outcome = outcomes(policy.probability(path));
-    shard.solve_at[depth] += frame.reach * outcome.success;
+    const auto outcome = outcomes(policy.probability_at(frame.state));
+    shard.solve_at[frame.depth] += frame.reach * outcome.success;
+    const std::size_t depth = frame.depth + 1;
     if (outcome.silence > 0.0) {
-      stack.push_back({frame.reach * outcome.silence, depth + 1, false});
+      stack.push_back({frame.reach * outcome.silence,
+                       policy.next_state(frame.state, false), frame.bits,
+                       depth});
     }
     if (outcome.collision > 0.0) {
-      stack.push_back({frame.reach * outcome.collision, depth + 1, true});
+      const PackedHistory bit =
+          options.record_leaves ? PackedHistory{1} << frame.depth : 0;
+      stack.push_back({frame.reach * outcome.collision,
+                       policy.next_state(frame.state, true),
+                       frame.bits | bit, depth});
     }
   }
 }
@@ -163,9 +164,9 @@ HistoryTree expand_history_tree(const channel::CollisionPolicy& policy,
   std::atomic<std::size_t> budget{0};
   Shard prefix;
   prefix.solve_at.assign(options.horizon, 0.0);
-  std::vector<Root> roots;
-  expand_frames(policy, k, Root{{}, 1.0}, cap, options, budget, prefix,
-                split ? &roots : nullptr);
+  std::vector<Frame> roots;
+  expand_frames(policy, k, Frame{1.0, policy.initial_state(), 0, 0}, cap,
+                options, budget, prefix, split ? &roots : nullptr);
   tree.leaves = std::move(prefix.leaves);
   tree.solve_at = std::move(prefix.solve_at);
   tree.pruned_mass = prefix.pruned;
@@ -191,10 +192,16 @@ HistoryTree expand_history_tree(const channel::CollisionPolicy& policy,
   // Phase 3: merge in subtree order — appended leaves, element-wise
   // sums for the masses. The order is a function of the phase-1
   // capture order only, so the merged tree is identical at every
-  // thread count.
+  // thread count. The leaf array is sized once, and each shard's
+  // leaves are released as soon as they are copied, so the cached tree
+  // carries no spare capacity and the merge no second full copy.
+  std::size_t leaf_count = tree.leaves.size();
+  for (const Shard& shard : shards) leaf_count += shard.leaves.size();
+  tree.leaves.reserve(leaf_count);
   for (Shard& shard : shards) {
     tree.leaves.insert(tree.leaves.end(), shard.leaves.begin(),
                        shard.leaves.end());
+    std::vector<HistoryLeaf>().swap(shard.leaves);
     for (std::size_t r = 0; r < options.horizon; ++r) {
       tree.solve_at[r] += shard.solve_at[r];
     }

@@ -1,22 +1,27 @@
 // Shared history-tree expansion for collision-detection policies.
 //
 // A uniform CD execution is a Markov chain over collision histories:
-// after history h the policy transmits with p = policy.probability(h),
-// and the round ends in success (terminating), silence (append 0), or
-// collision (append 1) with the exact trichotomy probabilities of
+// a round that starts in policy state s transmits with
+// p = policy.probability_at(s), and ends in success (terminating),
+// silence (state next_state(s, false)), or collision (next_state(s,
+// true)) with the exact trichotomy probabilities of
 // round_outcome_probabilities(k, p). Expanding that chain depth-first
 // down to a horizon yields the exact distribution of the solving
 // round — the enumeration harness/exact.h's exact_profile_cd has
 // always performed, refactored here so exact profiling and the
 // sampling engine (channel/history_engine.h) share one expansion.
+// Every frame carries its policy state, so each expanded node costs
+// one probability_at and a next_state per child, never a replay of
+// its history.
 //
 // The expansion partitions probability mass exactly: per-round solve
 // mass, plus the *leaves* — every branch dropped by prune_below and
 // every branch still alive at the horizon — each with its reach mass
 // and its packed history. A sampler answers solve mass by inverse CDF
-// and continues a leaf by exact per-round simulation from its history,
-// so the pruning threshold trades expansion size against continuation
-// work but never moves the sampled distribution.
+// and continues a leaf by exact per-round simulation from the policy
+// state its history folds to, so the pruning threshold trades
+// expansion size against continuation work but never moves the
+// sampled distribution.
 //
 // Ownership: expand_history_tree returns a self-contained value; the
 // policy is only dereferenced during the call and need not outlive the
@@ -55,6 +60,12 @@ inline constexpr std::size_t kMaxPackedDepth = 63;
 PackedHistory pack_history(const channel::BitString& history);
 /// Replaces `out` with the history `packed` encodes.
 void unpack_history(PackedHistory packed, channel::BitString& out);
+/// Number of rounds `packed` encodes.
+std::size_t packed_depth(PackedHistory packed);
+/// The state `policy` reaches after the rounds `packed` encodes: one
+/// next_state step per round from initial_state().
+channel::CollisionPolicy::State fold_packed_history(
+    const channel::CollisionPolicy& policy, PackedHistory packed);
 
 /// Expansion knobs.
 struct HistoryTreeOptions {

@@ -21,14 +21,16 @@ class ConstantSchedule final : public ProbabilitySchedule {
   double p_;
 };
 
-/// Probes with probability 1 until the first collision, then 1/4.
+/// Probes with probability 1 until the first collision, then 1/4; the
+/// state is whether a collision has happened.
 class CollisionReactivePolicy final : public CollisionPolicy {
  public:
-  double probability(const BitString& history) const override {
-    for (bool collided : history) {
-      if (collided) return 0.25;
-    }
-    return 1.0;
+  State initial_state() const override { return 0; }
+  State next_state(State state, bool collided) const override {
+    return state | (collided ? 1 : 0);
+  }
+  double probability_at(State state) const override {
+    return state != 0 ? 0.25 : 1.0;
   }
   std::string name() const override { return "collision-reactive"; }
 };

@@ -14,6 +14,7 @@
 //  * regression: the measure_* helpers preserve the published
 //    fixed-seed statistics (golden values captured from the original
 //    scalar measurement stack).
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -153,23 +154,33 @@ TEST(ColumnarEngine, PerPlayerMatchesScalarTrialLoop) {
 /// round, so most trials at a 2048-round budget solve, late.
 /// With many drawn k it also fills the block's Binomial parameter
 /// table.
+/// The state is the history's length mod 80.
 class ManyProbabilities final : public channel::CollisionPolicy {
  public:
-  double probability(const channel::BitString& history) const override {
-    return 0.08 + 0.0001 * static_cast<double>(history.size() % 80);
+  State initial_state() const override { return 0; }
+  State next_state(State state, bool) const override {
+    return (state + 1) % 80;
+  }
+  double probability_at(State state) const override {
+    return 0.08 + 0.0001 * static_cast<double>(state);
   }
   std::string name() const override { return "many-probabilities"; }
 };
 
 /// Emits exactly 0 and 1 as well as 0.3: the sampler's special cases.
+/// The state is 2 * (history length mod 3) + (last round collided).
 class ZeroOneThird final : public channel::CollisionPolicy {
  public:
-  double probability(const channel::BitString& history) const override {
-    switch (history.size() % 3) {
+  State initial_state() const override { return 0; }
+  State next_state(State state, bool collided) const override {
+    return 2 * ((state / 2 + 1) % 3) + (collided ? 1 : 0);
+  }
+  double probability_at(State state) const override {
+    switch (state / 2) {
       case 0:
         return 0.0;
       case 1:
-        return history.back() ? 0.3 : 1.0;
+        return state % 2 != 0 ? 0.3 : 1.0;
       default:
         return 0.3;
     }
@@ -180,9 +191,9 @@ class ZeroOneThird final : public channel::CollisionPolicy {
 /// Never transmits: every trial runs to the budget, one history deep.
 class NeverTransmits final : public channel::CollisionPolicy {
  public:
-  double probability(const channel::BitString&) const override {
-    return 0.0;
-  }
+  State initial_state() const override { return 0; }
+  State next_state(State, bool) const override { return 0; }
+  double probability_at(State) const override { return 0.0; }
   std::string name() const override { return "never"; }
 };
 
@@ -277,13 +288,11 @@ TEST(ColumnarEngine, CdAdapterMatchesScalarTrialLoop) {
 }
 
 TEST(ColumnarEngine, CdMemoStaysWithinItsBounds) {
-  // Past the trie's node bound the loop asks the policy directly, in
-  // constant time per round: a never-solving policy at a 2^16 budget
-  // runs each trial to the budget, fills the trie once, and ends
-  // exactly as the plain loop does.
+  // The loop steps the policy's state in constant time per round: a
+  // never-solving policy at a 2^16 budget runs each trial to the
+  // budget and ends exactly as the plain loop does.
   constexpr std::size_t kBudget = 1 << 16;
   const NeverTransmits never;
-  static_assert(channel::CdRunMemo::kMaxHistoryNodes < kBudget);
   expect_cd_block_matches_loop(never, {nullptr, 4}, 5, 9, kBudget);
   channel::CdRunMemo memo(never);
   channel::Rng rng(1);
@@ -292,13 +301,7 @@ TEST(ColumnarEngine, CdMemoStaysWithinItsBounds) {
                                              {.max_rounds = kBudget});
     EXPECT_FALSE(run.solved);
     EXPECT_EQ(run.rounds, kBudget);
-    // The first trial runs without the caches: a fresh memo per call
-    // costs what the plain loop does.
-    if (trial == 0) {
-      EXPECT_EQ(memo.history_nodes(), 0u);
-    }
   }
-  EXPECT_EQ(memo.history_nodes(), channel::CdRunMemo::kMaxHistoryNodes - 1);
   EXPECT_EQ(memo.binomial_params(), 0u);  // p = 0 never builds one
 
   // More (k, p) pairs than the parameter table keeps: it stops at its
@@ -325,13 +328,12 @@ TEST(ColumnarEngine, CdMemoStaysWithinItsBounds) {
   }
   EXPECT_EQ(shared.binomial_params(),
             channel::BinomialParamCache::kMaxEntries);
-  EXPECT_LT(shared.history_nodes(), channel::CdRunMemo::kMaxHistoryNodes);
 }
 
 TEST(ColumnarEngine, CdMemoKeepsTraceAndInvalidProbabilities) {
   // A trace from a warm memo records the rounds a fresh one does, and
-  // an invalid probability on the trie throws on every trial that
-  // reaches it, as the plain loop's re-asked policy does.
+  // an invalid probability throws on every trial that reaches it, as
+  // it does in the plain loop.
   const core::CodedSearchPolicy policy(
       predict::uniform_over_ranges(info::num_ranges(1 << 10), 4));
   channel::CdRunMemo memo(policy);
@@ -352,11 +354,15 @@ TEST(ColumnarEngine, CdMemoKeepsTraceAndInvalidProbabilities) {
     }
   }
 
+  // The state is the history's length, capped at 3.
   class NanAtDepthTwo final : public channel::CollisionPolicy {
    public:
-    double probability(const channel::BitString& history) const override {
-      return history.size() == 2 ? std::numeric_limits<double>::quiet_NaN()
-                                 : 1.0;
+    State initial_state() const override { return 0; }
+    State next_state(State state, bool) const override {
+      return std::min<State>(state + 1, 3);
+    }
+    double probability_at(State state) const override {
+      return state == 2 ? std::numeric_limits<double>::quiet_NaN() : 1.0;
     }
     std::string name() const override { return "nan-at-2"; }
   };

@@ -238,11 +238,21 @@ TEST(ExactCd, LeavesPartitionTheUnsolvedMass) {
 
 TEST(ExactCd, PackedHistoriesRoundTripAndRejectOverlongInput) {
   channel::BitString history;
+  const baselines::WillardPolicy repeated(1 << 16, 3);
   for (std::size_t depth : {0ul, 1ul, 17ul, kMaxPackedDepth}) {
     channel::BitString original;
     for (std::size_t i = 0; i < depth; ++i) original.push_back(i % 3 == 1);
-    unpack_history(pack_history(original), history);
+    const PackedHistory packed = pack_history(original);
+    unpack_history(packed, history);
     EXPECT_EQ(history, original) << "depth " << depth;
+    EXPECT_EQ(packed_depth(packed), depth);
+    // Folding the packed word reaches the state stepping does.
+    channel::CollisionPolicy::State state = repeated.initial_state();
+    for (const bool collided : original) {
+      state = repeated.next_state(state, collided);
+    }
+    EXPECT_EQ(fold_packed_history(repeated, packed), state)
+        << "depth " << depth;
   }
   EXPECT_THROW(pack_history(channel::BitString(kMaxPackedDepth + 1, true)),
                std::invalid_argument);

@@ -58,11 +58,13 @@ info::SizeDistribution table1_sizes(std::size_t n) {
                        predict::RangePlacement::kHighEndpoint);
 }
 
-/// A constant-probability CD policy (ignores the history).
+/// A constant-probability CD policy: one state, whatever the history.
 class ConstantPolicy final : public channel::CollisionPolicy {
  public:
   explicit ConstantPolicy(double p) : p_(p) {}
-  double probability(const channel::BitString&) const override { return p_; }
+  State initial_state() const override { return 0; }
+  State next_state(State, bool) const override { return 0; }
+  double probability_at(State) const override { return p_; }
   std::string name() const override { return "constant"; }
 
  private:

@@ -305,11 +305,13 @@ INSTANTIATE_TEST_SUITE_P(AllTiers, KernelTierTest,
 
 // ---- engine-level equivalence under forced tiers ----
 
-/// A constant-probability CD policy (ignores the history).
+/// A constant-probability CD policy: one state, whatever the history.
 class ConstantPolicy final : public CollisionPolicy {
  public:
   explicit ConstantPolicy(double p) : p_(p) {}
-  double probability(const BitString&) const override { return p_; }
+  State initial_state() const override { return 0; }
+  State next_state(State, bool) const override { return 0; }
+  double probability_at(State) const override { return p_; }
   std::string name() const override { return "constant"; }
 
  private:

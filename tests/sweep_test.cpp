@@ -4,6 +4,7 @@
 // direct measure_* calls, also when one pool spreads a cell's blocks
 // over several workers; errors surface after the pool drains; and the
 // table/CSV renderers emit one row per cell.
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -103,11 +104,15 @@ TEST(Sweep, DeterministicAcrossThreadCounts) {
 
 /// A policy whose fourth and later rounds ask for a NaN probability:
 /// the exact CD simulator rejects it mid-block.
+/// The state is the history's length, capped at 3.
 class NanAfterThreeRounds final : public channel::CollisionPolicy {
  public:
-  double probability(const channel::BitString& history) const override {
-    return history.size() >= 3 ? std::numeric_limits<double>::quiet_NaN()
-                               : 0.5;
+  State initial_state() const override { return 0; }
+  State next_state(State state, bool) const override {
+    return std::min<State>(state + 1, 3);
+  }
+  double probability_at(State state) const override {
+    return state >= 3 ? std::numeric_limits<double>::quiet_NaN() : 0.5;
   }
   std::string name() const override { return "nan-after-3"; }
 };
