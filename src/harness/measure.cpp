@@ -58,15 +58,18 @@ std::shared_ptr<const channel::Engine> uniform_engine(
 std::vector<Measurement> measure_cells(
     std::span<const MeasureCell> cells, std::size_t threads,
     const std::function<void(std::size_t, const Measurement&)>& on_result) {
-  // A cell's state lives from open to close. Each block folds into the
-  // cell's round histogram, which is exact and order-free
-  // (harness/accumulate.h), so memory is O(workers * (block size + max
-  // observed round)) however many trials run: at most one cell per
-  // worker is open.
+  // A cell's state lives from open to close. Each block folds into its
+  // worker's round histogram for the cell, with no lock; close merges
+  // them. Histograms are exact and order-free (harness/accumulate.h),
+  // so the merge equals one sequential fold. Memory is O(workers *
+  // (block size + workers * max observed round)) however many trials
+  // run: at most one cell per worker is open.
+  struct alignas(64) WorkerFold {  // a cache line each: no false sharing
+    RoundHistogram histogram;
+  };
   struct CellState {
     std::shared_ptr<const channel::Engine> engine;
-    std::mutex fold;  ///< guards histogram
-    RoundHistogram histogram;
+    std::vector<WorkerFold> folds;  ///< indexed by pool worker
   };
   struct Scratch {
     std::vector<std::uint8_t> solved;
@@ -84,6 +87,7 @@ std::vector<Measurement> measure_cells(
 
   const auto open = [&](std::size_t c) {
     states[c].engine = cells[c].engine();
+    states[c].folds.resize(scratch.size());
   };
   const auto block = [&](std::size_t worker, std::size_t c, std::size_t begin,
                          std::size_t end) {
@@ -99,15 +103,17 @@ std::vector<Measurement> measure_cells(
                               .solved = columns.solved,
                               .rounds = columns.rounds};
     state.engine->run_many(block);
-    const std::lock_guard lock(state.fold);
-    state.histogram.add_columns(block.solved, block.rounds);
+    state.folds[worker].histogram.add_columns(block.solved, block.rounds);
   };
   const auto close = [&](std::size_t c) {
     CellState& state = states[c];
-    results[c] = measurement_from_histogram(std::move(state.histogram));
-    // Drop the engine (and the tables it built) as the cell closes, so
-    // only open cells hold one.
+    RoundHistogram histogram;
+    for (const WorkerFold& fold : state.folds) histogram.merge(fold.histogram);
+    results[c] = measurement_from_histogram(std::move(histogram));
+    // Drop the engine (and the tables it built) and the folds as the
+    // cell closes, so only open cells hold them.
     state.engine.reset();
+    state.folds = {};
     if (!on_result) return;
     const std::lock_guard lock(delivery);
     closed[c] = true;

@@ -21,12 +21,6 @@ std::size_t block_count(std::size_t total, std::size_t block_size) {
   return total / block_size + (total % block_size != 0 ? 1 : 0);
 }
 
-std::size_t resolve_threads(std::size_t threads) {
-  return threads != 0
-             ? threads
-             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
 std::size_t total_blocks(std::span<const std::size_t> totals,
                          std::size_t block_size) {
   std::size_t blocks = 0;
@@ -37,6 +31,12 @@ std::size_t total_blocks(std::span<const std::size_t> totals,
 }
 
 }  // namespace
+
+std::size_t resolve_threads(std::size_t threads) {
+  return threads != 0
+             ? threads
+             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
 
 std::size_t parallel_worker_count(std::span<const std::size_t> totals,
                                   std::size_t threads,

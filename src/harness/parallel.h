@@ -89,8 +89,12 @@ void parallel_cells(std::span<const std::size_t> totals, std::size_t threads,
                     const CellSteps& steps,
                     std::size_t block_size = kTrialBlockSize);
 
+/// A pool width as parallel_cells reads it: `threads`, or all hardware
+/// threads (at least 1) for 0.
+std::size_t resolve_threads(std::size_t threads);
+
 /// The number of workers parallel_cells spawns for (totals, threads,
-/// block_size): threads resolved (0 = all hardware threads), then
+/// block_size): resolve_threads(threads), then
 /// capped by the total block count, never below 1. Callers that give
 /// each worker private state (scratch columns) size their arrays with
 /// this.

@@ -187,15 +187,6 @@ std::vector<MissingCellRange> subtract_quarantined(
   return out;
 }
 
-std::size_t worker_threads(std::size_t requested,
-                           std::size_t hardware_threads, std::size_t workers) {
-  if (workers == 0) {
-    throw std::invalid_argument("worker_threads: need at least one worker");
-  }
-  if (requested != 0) return requested;
-  return std::max<std::size_t>(1, (hardware_threads + workers - 1) / workers);
-}
-
 // ---------------------------------------------------------------------------
 // Supervisor journal
 

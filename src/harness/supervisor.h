@@ -230,15 +230,6 @@ std::vector<MissingCellRange> subtract_quarantined(
     std::size_t cell_begin, std::size_t cell_end,
     std::span<const std::size_t> quarantined_sorted);
 
-/// The --threads each of `workers` workers runs with: `requested` when
-/// the caller set one (nonzero), else an even share of the machine,
-/// ceil(hardware_threads / workers), never below 1 — so a fleet runs
-/// about one thread per hardware thread instead of `workers` pools as
-/// wide as the machine. Results do not depend on it (determinism leg
-/// 1). `workers` must be >= 1.
-std::size_t worker_threads(std::size_t requested,
-                           std::size_t hardware_threads, std::size_t workers);
-
 // ---------------------------------------------------------------------------
 // Supervisor state journal (crp-supervisor-journal-v1)
 

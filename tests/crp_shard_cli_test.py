@@ -23,13 +23,15 @@ of the coded-search grid spec tests/goldens/coded_simulate_spec.json
 (lift, support and fixed_k sizes at budgets 1024 and 65536) with the
 same two engines must equal
 tests/goldens/coded_simulate_n4096_t2000_s7.csv and
-tests/goldens/coded_tree_n4096_t2000_s7.csv.
+tests/goldens/coded_tree_n4096_t2000_s7.csv, run whole and as a
+three-worker supervised fleet.
 
 Usage: crp_shard_cli_test.py /path/to/crp_shard [/path/to/source/tree]
 """
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -86,6 +88,25 @@ def wait_for(predicate, label, timeout=60):
         time.sleep(0.02)
     FAILURES.append(f"timed out waiting for {label}")
     return False
+
+
+def check_pool_widths(label, proc, width):
+    """Every worker launch of a supervise run printed "crp_shard: N
+    threads" with N == width. Workers print it in one write, but the
+    supervisor's own log lines may be split around it, so only the
+    line's end is anchored."""
+    launches = re.search(r"\((\d+) worker launches", proc.stderr)
+    widths = [int(w) for w in re.findall(r"crp_shard: (\d+) threads$",
+                                          proc.stderr, re.M)]
+    if (launches is None or not widths
+            or len(widths) != int(launches.group(1))
+            or any(w != width for w in widths)):
+        FAILURES.append(f"{label}: worker pool widths {widths}, expected "
+                        f"{width} from every launch\n"
+                        f"  stderr: {proc.stderr.strip()}")
+        print(f"FAIL {label}: pool widths {widths}")
+    else:
+        print(f"ok   {label}: {len(widths)} workers at {width} threads")
 
 
 def journal_has_cell(path):
@@ -439,14 +460,29 @@ with tempfile.TemporaryDirectory() as tmp:
           stderr_contains=["nothing to resume"])
 
     # Clean fleet: converges, byte-identical, empty quarantine report.
-    check("supervise clean fleet",
-          run("supervise", *BUILTIN_GRID, "--out", sup_out,
-              "--out-dir", sup_dir, "--workers", "3", *FAST), 0)
+    # Without --threads every worker runs a pool as wide as the machine.
+    clean = run("supervise", *BUILTIN_GRID, "--out", sup_out,
+                "--out-dir", sup_dir, "--workers", "3", *FAST)
+    check("supervise clean fleet", clean, 0)
+    check_pool_widths("supervise without --threads", clean, os.cpu_count())
     with open(sup_out, "rb") as handle:
         if handle.read() != builtin_bytes:
             FAILURES.append("supervised CSV differs from monolithic CSV")
         else:
             print("ok   supervised CSV is byte-identical to monolithic")
+    # An explicit --threads caps every worker's pool.
+    capped_out = os.path.join(tmp, "sup-capped.csv")
+    capped = run("supervise", *BUILTIN_GRID, "--out", capped_out,
+                 "--out-dir", os.path.join(tmp, "sup-capped-work"),
+                 "--workers", "2", "--threads", "1", *FAST)
+    check("supervise --threads 1", capped, 0)
+    check_pool_widths("supervise --threads 1", capped, 1)
+    with open(capped_out, "rb") as handle:
+        if handle.read() != builtin_bytes:
+            FAILURES.append("--threads 1 supervised CSV differs from "
+                            "monolithic CSV")
+        else:
+            print("ok   --threads 1 supervised CSV is byte-identical")
     with open(sup_out + ".quarantine.json") as handle:
         report = json.load(handle)
     if (report["format"] != "crp-quarantine-v1"
@@ -635,25 +671,37 @@ with tempfile.TemporaryDirectory() as tmp:
                 print(f"ok   {label} table1 CSV matches the checked-in golden")
     # Both CD engines over several policies, drawn and fixed sizes and
     # both fanout budgets, each cell two blocks long; the tree run also
-    # pins the leaf continuation and the split-depth subtree shards.
+    # pins the leaf continuation and the split-depth subtree shards. A
+    # three-worker fleet at full-width pools must merge to the same
+    # bytes.
     goldens = os.path.join(SOURCE_DIR, "tests", "goldens")
+    CODED_SPEC = ["--grid-spec",
+                  os.path.join(goldens, "coded_simulate_spec.json"),
+                  "--trials", "2000", "--seed", "7"]
     for label, cd_engine in (("simulated", "simulate"),
                              ("history-tree", "tree")):
         pinned = os.path.join(tmp, f"pinned-coded-{cd_engine}.csv")
+        fleet = os.path.join(tmp, f"fleet-coded-{cd_engine}.csv")
         check(f"{label} coded-search spec run for the golden",
-              run("run", "--grid-spec",
-                  os.path.join(goldens, "coded_simulate_spec.json"),
-                  "--trials", "2000", "--seed", "7", "--cd-engine",
-                  cd_engine, "--out", pinned), 0)
+              run("run", *CODED_SPEC, "--cd-engine", cd_engine,
+                  "--out", pinned), 0)
+        check(f"{label} coded-search spec fleet for the golden",
+              run("supervise", *CODED_SPEC, "--cd-engine", cd_engine,
+                  "--out", fleet, "--workers", "3", *FAST,
+                  "--out-dir", os.path.join(tmp, f"fleet-coded-{cd_engine}")),
+              0)
         golden_csv = os.path.join(goldens,
                                   f"coded_{cd_engine}_n4096_t2000_s7.csv")
-        with open(pinned, "rb") as handle, open(golden_csv, "rb") as golden:
-            if handle.read() != golden.read():
-                FAILURES.append(
-                    f"{label} coded-search spec CSV differs from {golden_csv}")
-            else:
-                print(f"ok   {label} coded-search spec CSV matches the "
-                      "checked-in golden")
+        with open(golden_csv, "rb") as golden:
+            golden_bytes = golden.read()
+        for kind, path in (("run", pinned), ("fleet", fleet)):
+            with open(path, "rb") as handle:
+                if handle.read() != golden_bytes:
+                    FAILURES.append(f"{label} coded-search spec {kind} CSV "
+                                    f"differs from {golden_csv}")
+                else:
+                    print(f"ok   {label} coded-search spec {kind} CSV "
+                          "matches the checked-in golden")
 
     # --- SIGHUP mid-grid: same resumable contract as SIGINT/SIGTERM ---
     hup_dir = os.path.join(tmp, "sighup")

@@ -3,9 +3,9 @@
 // FakeClock — backoff growth and clamping, jitter determinism from a
 // pinned seed, progress resetting the budget, budget exhaustion
 // escalating to bisection and then quarantine, the SIGTERM→SIGKILL
-// timeout ladder — plus bisect_midpoint, subtract_quarantined,
-// worker_threads, and the crp-supervisor-journal-v1 round trip with
-// torn-tail and corruption discipline. No test here sleeps or spawns a
+// timeout ladder — plus bisect_midpoint, subtract_quarantined, and
+// the crp-supervisor-journal-v1 round trip with torn-tail and
+// corruption discipline. No test here sleeps or spawns a
 // process; the live fleet loop is exercised end-to-end by
 // tests/crp_shard_cli_test.py and the CI chaos gate.
 #include <cstdint>
@@ -250,21 +250,6 @@ TEST(BisectTest, MidpointSplitsAndRejectsTooSmall) {
   EXPECT_EQ(bisect_midpoint(6, 8), 7);
   EXPECT_THROW(bisect_midpoint(3, 4), std::invalid_argument);
   EXPECT_THROW(bisect_midpoint(4, 4), std::invalid_argument);
-}
-
-TEST(WorkerThreadsTest, SplitsTheMachineUnlessThreadsAreGiven) {
-  // Default: ceil(hardware threads / workers), never below 1.
-  EXPECT_EQ(worker_threads(0, 4, 4), 1u);
-  EXPECT_EQ(worker_threads(0, 4, 3), 2u);
-  EXPECT_EQ(worker_threads(0, 8, 3), 3u);
-  EXPECT_EQ(worker_threads(0, 16, 1), 16u);
-  EXPECT_EQ(worker_threads(0, 2, 5), 1u);
-  // hardware_concurrency() may report 0 when it cannot tell.
-  EXPECT_EQ(worker_threads(0, 0, 4), 1u);
-  // An explicit --threads passes through unchanged, even oversubscribed.
-  EXPECT_EQ(worker_threads(1, 4, 4), 1u);
-  EXPECT_EQ(worker_threads(8, 4, 4), 8u);
-  EXPECT_THROW(worker_threads(0, 4, 0), std::invalid_argument);
 }
 
 TEST(SubtractQuarantinedTest, SplitsAroundQuarantinedCells) {

@@ -82,9 +82,10 @@
 // the merged CSV to --out plus a crp-quarantine-v1 report at
 // --out.quarantine.json, and journals its own bisection/quarantine
 // decisions in DIR/supervisor.journal so `supervise --resume`
-// restarts the fleet idempotently. Without --threads, each worker runs
-// ceil(hardware threads / --workers) threads; an explicit --threads
-// passes through to every worker unchanged.
+// restarts the fleet idempotently. Without --threads, every worker
+// runs a pool as wide as the machine, as `run` does, so a range that
+// finishes early leaves its cores to the ranges still running; an
+// explicit --threads passes through to every worker unchanged.
 //
 // Signals: on SIGINT/SIGTERM/SIGHUP a sharded run stops at the next
 // journaled cell, abandons the cells still open (resume re-executes
@@ -150,6 +151,7 @@
 #include "harness/csv.h"
 #include "harness/gridspec.h"
 #include "harness/grids.h"
+#include "harness/parallel.h"
 #include "harness/shard.h"
 #include "harness/supervisor.h"
 #include "harness/sweep.h"
@@ -734,11 +736,16 @@ int run_mode(const Options& options) {
   const auto sweep = sweep_options(options);
 
   // Provenance on stderr (stdout may carry CSV): which ISA tier the
-  // batch kernels dispatched to. Tiers are bit-identical, so shards
-  // from heterogeneous hosts still merge byte-for-byte — this line
-  // lets a fleet audit that claim per artifact.
-  std::cerr << "crp_shard: kernel tier " << crp::channel::kernel_tier_name()
-            << "\n";
+  // batch kernels dispatched to, and the pool width. Tiers are
+  // bit-identical, so shards from heterogeneous hosts still merge
+  // byte-for-byte — the tier line lets a fleet audit that claim per
+  // artifact. One write, so workers sharing a stderr pipe cannot
+  // interleave the lines.
+  std::ostringstream provenance;
+  provenance << "crp_shard: kernel tier " << crp::channel::kernel_tier_name()
+             << "\ncrp_shard: " << crp::harness::resolve_threads(sweep.threads)
+             << " threads\n";
+  std::cerr << provenance.str();
 
   if (!options.sharded) {
     // The monolithic reference: the whole grid in one process.
@@ -874,14 +881,13 @@ int supervise_mode(const Options& options) {
       supervise.worker_flags.end(),
       {"--trials", std::to_string(options.trials), "--seed",
        std::to_string(options.seed), "--cd-engine", options.cd_engine});
-  // Workers share the machine: without --threads each gets an even
-  // slice of the hardware threads, not a pool as wide as the machine.
-  supervise.worker_flags.insert(
-      supervise.worker_flags.end(),
-      {"--threads",
-       std::to_string(ch::worker_threads(
-           options.threads, std::thread::hardware_concurrency(),
-           options.workers))});
+  // Without --threads each worker resolves 0 to all hardware threads,
+  // so idle cores follow whichever ranges are still running.
+  if (options.threads != 0) {
+    supervise.worker_flags.insert(
+        supervise.worker_flags.end(),
+        {"--threads", std::to_string(options.threads)});
+  }
   supervise.out = options.out;
   supervise.out_dir = options.out_dir;
   supervise.workers = options.workers;
