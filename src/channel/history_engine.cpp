@@ -50,35 +50,65 @@ HistoryTreeEngine::HistoryTreeEngine(const CollisionPolicy& policy,
   }
 }
 
-std::pair<std::shared_ptr<const harness::HistoryTree>,
-          HistoryTreeEngine::Mode>
-HistoryTreeEngine::tree_for(std::size_t k, std::size_t max_rounds) const {
-  const std::size_t horizon = std::min(options_.depth_cap, max_rounds);
+std::size_t HistoryTreeEngine::horizon_for(std::size_t max_rounds) const {
+  return std::min(options_.depth_cap, max_rounds);
+}
+
+const harness::HistoryTree& HistoryTreeEngine::Entry::get() const {
+  if (error) std::rethrow_exception(error);
+  return *tree;
+}
+
+const HistoryTreeEngine::Entry* HistoryTreeEngine::lookup(
+    std::size_t k, std::size_t horizon, bool wait) const {
   const auto key = std::make_pair(k, horizon);
-  std::shared_ptr<const harness::HistoryTree> tree;
   {
     std::shared_lock lock(mutex_);
     const auto it = trees_.find(key);
-    if (it != trees_.end()) tree = it->second;
+    if (it != trees_.end() && it->second.ready) return &it->second;
   }
-  if (tree == nullptr) {
-    // Expand outside the lock so a large expansion never serializes
-    // cached reads or other keys' builds. Racing builders may expand
-    // the same key concurrently — the expansion is deterministic, so
-    // they produce identical trees and the first insert wins.
+  Entry* entry = nullptr;
+  {
+    std::unique_lock lock(mutex_);
+    const auto [it, claimed] = trees_.try_emplace(key);
+    entry = &it->second;
+    if (!claimed) {
+      if (!entry->ready && !wait) return nullptr;
+      expanded_.wait(lock, [entry] { return entry->ready; });
+      return entry;
+    }
+  }
+  // This call claimed the key: expand it outside the lock, then
+  // publish the tree, or the error, to every caller waiting for it.
+  Entry done;
+  done.ready = true;
+  try {
     harness::HistoryTreeOptions expand;
     expand.horizon = horizon;
     expand.prune_below = options_.prune_below;
     expand.threads = options_.expand_threads;
     expand.max_nodes = options_.max_nodes;
-    auto built = std::make_shared<const harness::HistoryTree>(
+    done.tree = std::make_shared<const harness::HistoryTree>(
         harness::expand_history_tree(policy_, k, expand));
-    std::unique_lock lock(mutex_);
-    auto& slot = trees_[key];
-    if (slot == nullptr) slot = std::move(built);
-    tree = slot;
+  } catch (...) {
+    done.error = std::current_exception();
   }
-  return {tree, tree->truncated ? Mode::kSimulate : Mode::kInverseCdf};
+  ++expansions_;
+  {
+    const std::unique_lock lock(mutex_);
+    *entry = std::move(done);
+  }
+  expanded_.notify_all();
+  return entry;
+}
+
+std::pair<std::shared_ptr<const harness::HistoryTree>,
+          HistoryTreeEngine::Mode>
+HistoryTreeEngine::tree_for(std::size_t k, std::size_t max_rounds) const {
+  const Entry& entry = *lookup(k, horizon_for(max_rounds), /*wait=*/true);
+  const Mode mode =
+      entry.get().truncated ? Mode::kSimulate : Mode::kInverseCdf;
+  return {entry.tree, mode};
 }
 
 void HistoryTreeEngine::run_many(TrialBlock& block) const {
@@ -138,27 +168,25 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
   // the trial continues from that leaf's history.
   std::vector<double> group_u;
   std::vector<std::uint64_t> group_idx;
-  for (std::size_t s = 0; s < slot_k.size(); ++s) {
+  const auto sample_slot = [&](std::size_t s,
+                               const harness::HistoryTree& tree) {
     const std::span<const std::uint32_t> group(
         groups.order.data() + groups.start[s],
         groups.start[s + 1] - groups.start[s]);
-    if (group.empty()) continue;
-    const std::size_t k = slot_k[s];
-    const auto [tree, mode] = tree_for(k, block.max_rounds);
-    harness::OutcomeCache outcomes(k);
-    if (mode == Mode::kSimulate) {
-      // Truncated expansion: simulate from the empty history, the
-      // solve draw u serving as the first round's draw.
+    harness::OutcomeCache outcomes(slot_k[s]);
+    if (tree.truncated) {
+      // Truncated expansion (Mode::kSimulate): simulate from the empty
+      // history, the solve draw u serving as the first round's draw.
       for (const std::uint32_t t : group) {
         simulate_trial(t, outcomes, policy_.initial_state(), 0,
                        pass1_draws - 1);
       }
-      continue;
+      return;
     }
-    const double solved_mass = tree->solved_mass();
-    const kernels::CdfTable table{tree->padded_solve_cdf.data(),
-                                  tree->padded_solve_cdf.size(),
-                                  tree->solve_cdf.size()};
+    const double solved_mass = tree.solved_mass();
+    const kernels::CdfTable table{tree.padded_solve_cdf.data(),
+                                  tree.padded_solve_cdf.size(),
+                                  tree.solve_cdf.size()};
     group_u.resize(group.size());
     group_idx.resize(group.size());
     for (std::size_t j = 0; j < group.size(); ++j) group_u[j] = u[group[j]];
@@ -169,22 +197,41 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
         finish(t, static_cast<std::size_t>(group_idx[j]) + 1);
         continue;
       }
-      if (tree->leaves.empty()) {  // every branch solved, up to rounding
+      if (tree.leaves.empty()) {  // every branch solved, up to rounding
         finish(t, 0);
         continue;
       }
       // Solved plus leaf mass is 1 only up to rounding, so a draw past
       // the last leaf's cumulative mass belongs to the last leaf.
-      const auto it = std::upper_bound(tree->leaf_cdf.begin(),
-                                       tree->leaf_cdf.end() - 1,
+      const auto it = std::upper_bound(tree.leaf_cdf.begin(),
+                                       tree.leaf_cdf.end() - 1,
                                        group_u[j] - solved_mass);
       const harness::PackedHistory history =
-          tree->leaves[static_cast<std::size_t>(it - tree->leaf_cdf.begin())]
+          tree.leaves[static_cast<std::size_t>(it - tree.leaf_cdf.begin())]
               .history;
       simulate_trial(t, outcomes,
                      harness::fold_packed_history(policy_, history),
                      harness::packed_depth(history), pass1_draws);
     }
+  };
+
+  // Slots are independent (each trial writes only its own columns from
+  // its own stream), so their order is free: sample every slot whose
+  // tree is ready or claimable now, and wait only at the end for the
+  // trees other workers are still expanding.
+  const std::size_t horizon = horizon_for(block.max_rounds);
+  std::vector<std::size_t> deferred;
+  for (std::size_t s = 0; s < slot_k.size(); ++s) {
+    if (groups.start[s] == groups.start[s + 1]) continue;
+    const Entry* entry = lookup(slot_k[s], horizon, /*wait=*/false);
+    if (entry == nullptr) {
+      deferred.push_back(s);
+    } else {
+      sample_slot(s, entry->get());
+    }
+  }
+  for (const std::size_t s : deferred) {
+    sample_slot(s, lookup(slot_k[s], horizon, /*wait=*/true)->get());
   }
 }
 

@@ -39,11 +39,15 @@
 // engine) and owns its tree cache.
 //
 // Thread-safety: run_many is safe to call concurrently on disjoint
-// blocks; the per-(k, horizon) tree cache is guarded by a shared
-// mutex. Expansion runs outside the lock (so it never serializes
-// cached reads or other keys' builds); racing builders of one key
-// produce identical trees — the expansion is deterministic — and the
-// first insert wins.
+// blocks. The per-(k, horizon) tree cache is single-flight: the first
+// caller to need a key claims it and expands it outside the lock (so
+// an expansion never serializes cached reads or other keys' builds),
+// and no other caller ever expands that key. Ready trees are read
+// under a shared lock. A block samples every slot whose tree is ready
+// or that it can claim, defers the slots whose trees another worker
+// is still expanding, and waits for those only at the end. An
+// expansion that throws is cached too: every later lookup of the key
+// rethrows it.
 //
 // Determinism: trial t draws only from the SplitMix64 stream derived
 // from (block.seed, block.first_trial + t): the size draw when sizes
@@ -56,8 +60,11 @@
 // CollisionPolicyColumnarEngine while the distributions agree.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -117,20 +124,46 @@ class HistoryTreeEngine final : public Engine {
 
   /// The cached expansion (building it if needed) and the sampling
   /// mode for `k` under `max_rounds` (exposed for tests; run_many uses
-  /// the same lookup).
+  /// the same lookup). Waits while another caller is expanding the
+  /// key, and rethrows the error of an expansion that threw.
   std::pair<std::shared_ptr<const harness::HistoryTree>, Mode> tree_for(
       std::size_t k, std::size_t max_rounds) const;
 
+  /// The number of expansions this engine has run: one per distinct
+  /// (k, horizon) it was asked for, whatever the thread count.
+  std::size_t expansions() const { return expansions_.load(); }
+
  private:
+  /// A cache entry: claimed (not ready) while its expansion runs, then
+  /// ready, and never changed again, with a tree or the expansion's
+  /// error.
+  struct Entry {
+    bool ready = false;
+    std::shared_ptr<const harness::HistoryTree> tree;
+    std::exception_ptr error;
+
+    /// The tree; rethrows the expansion's error instead.
+    const harness::HistoryTree& get() const;
+  };
+
+  /// The ready entry for (k, horizon), expanding the key first when
+  /// this call is the one to claim it. A key another caller is still
+  /// expanding is waited for when `wait` is set, and otherwise answered
+  /// with null. Entries are never erased, so the pointer stays valid
+  /// for the engine's lifetime and needs no lock to read.
+  const Entry* lookup(std::size_t k, std::size_t horizon, bool wait) const;
+  std::size_t horizon_for(std::size_t max_rounds) const;
+
   const CollisionPolicy& policy_;
   Options options_;
 
   mutable std::shared_mutex mutex_;
+  /// Notified each time a claimed entry is made ready (under mutex_).
+  mutable std::condition_variable_any expanded_;
   /// Keyed by (k, expansion horizon); trees for budgets above the
   /// depth cap share one expansion.
-  mutable std::map<std::pair<std::size_t, std::size_t>,
-                   std::shared_ptr<const harness::HistoryTree>>
-      trees_;
+  mutable std::map<std::pair<std::size_t, std::size_t>, Entry> trees_;
+  mutable std::atomic<std::size_t> expansions_{0};
 };
 
 /// Sweep-scoped engine cache: one shared HistoryTreeEngine per

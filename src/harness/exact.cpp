@@ -9,7 +9,7 @@
 namespace crp::harness {
 
 double success_probability(std::size_t k, double p) {
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {  // NaN fails both tests
     throw std::invalid_argument("probability outside [0, 1]");
   }
   if (k == 0 || p == 0.0) return 0.0;
@@ -22,7 +22,7 @@ double success_probability(std::size_t k, double p) {
 
 RoundOutcomeProbabilities round_outcome_probabilities(std::size_t k,
                                                       double p) {
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {  // NaN fails both tests
     throw std::invalid_argument("probability outside [0, 1]");
   }
   RoundOutcomeProbabilities out;

@@ -120,13 +120,15 @@ struct MeasureCell {
 /// hardware threads) that claim (cell, block) items
 /// (harness/parallel.h, parallel_cells). At most `threads` cells are
 /// open at once; a newly opened cell runs its first block alone, so
-/// the tables and trees its engine builds lazily are built once, and
-/// then any idle worker may claim its remaining blocks, lowest open
-/// cell first. Each block folds into its cell's round histogram, an
-/// exact integer merge, so every result is bit-identical to
-/// measure_blocks on that cell alone, at any thread count. Results are
-/// in cell order; the first exception any cell throws is rethrown after
-/// the pool drains. `on_result`, when set, gets each Measurement in
+/// the batch tables its engine builds lazily are built once (history
+/// trees are built once either way, their cache being single-flight;
+/// the rule stays for the tables, and because the fanout tree grid ran
+/// about a quarter slower without it), and then any idle worker may
+/// claim its remaining blocks, lowest open cell first. Each block
+/// folds into its cell's round histogram, an exact integer merge, so
+/// every result is bit-identical to measure_blocks on that cell alone,
+/// at any thread count. Results are in cell order; the first exception
+/// any cell throws is rethrown after the pool drains. `on_result`, when set, gets each Measurement in
 /// cell order, one call at a time under one mutex, on whichever worker
 /// closed the gap; a closed cell frees its engine at once and only its
 /// Measurement waits. After a throw nothing more is delivered, and the

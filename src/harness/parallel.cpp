@@ -107,8 +107,6 @@ void parallel_cells(std::span<const std::size_t> totals, std::size_t threads,
       if (opening) {
         cell = next_cell++;
         open_cells.push_back(cell);
-        state[cell].claimable = !steps.first_block_alone;
-        if (state[cell].claimable) changed.notify_all();
       } else if (cell == cells) {
         if (open_cells.empty() && next_cell == cells) return;
         changed.wait(lock);
@@ -119,7 +117,16 @@ void parallel_cells(std::span<const std::size_t> totals, std::size_t threads,
       const std::size_t b = has_block ? claim.claimed++ : 0;
       lock.unlock();
       try {
-        if (opening && steps.open) steps.open(cell);
+        if (opening) {
+          if (steps.open) steps.open(cell);
+          // The cell's other blocks become claimable once it is open:
+          // now, or after its first block when that one runs alone.
+          if (!steps.first_block_alone) {
+            const std::lock_guard guard(mutex);
+            claim.claimable = true;
+            changed.notify_all();
+          }
+        }
         if (has_block) run_block(id, cell, b);
       } catch (...) {
         fail();

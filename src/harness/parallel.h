@@ -60,7 +60,8 @@ inline constexpr std::size_t kTrialBlockSize = 1024;
 /// and `close` may be empty.
 struct CellSteps {
   /// Runs once per cell, on the worker that claims the cell's first
-  /// block, before that block.
+  /// block, before that block and before any other worker may claim a
+  /// block of the cell.
   std::function<void(std::size_t cell)> open;
   /// Runs block [begin, end) of `cell` on worker `worker`, in [0,
   /// parallel_worker_count(...)). A worker runs its blocks one at a
@@ -71,9 +72,11 @@ struct CellSteps {
   /// Runs once per cell, after its last block has returned.
   std::function<void(std::size_t cell)> close;
   /// When true, a cell's first block runs alone: no other worker
-  /// claims a block of that cell until it returns. Engines build their
-  /// tables and trees lazily on first use, so this keeps two workers
-  /// from building the same ones.
+  /// claims a block of that cell until it returns. The batch engine
+  /// builds its tables lazily on first use, so this keeps two workers
+  /// from building the same ones. (History trees do not need it: their
+  /// cache is single-flight.) Either way, no block of a cell is
+  /// claimed before its `open` step has returned.
   bool first_block_alone = false;
 };
 

@@ -7,10 +7,17 @@
 //    CD path (same distribution, different randomness consumption);
 //  * leaf continuation (pruned branches and the depth-cap frontier)
 //    and the node-cap simulation fallback must stay deterministic;
+//  * the tree cache is single-flight: one expansion per (k, horizon)
+//    at every thread count, and a throwing expansion is rethrown to
+//    every caller of its key;
 //  * golden fixed-seed statistics pin the engine's streams so draw-
 //    order changes are caught deliberately.
+#include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -339,6 +346,65 @@ TEST(HistoryTreeEngine, SharedTreeCacheMeasuresIdentically) {
       results[1].measurement,
       measure_uniform_cd_fixed_k(willard, 2500, 2000,
                                  channel::derive_stream_seed(43, 1), direct));
+}
+
+TEST(HistoryTreeEngine, ExpandsEachKeyOnceAtEveryThreadCount) {
+  // Many cells share one policy and one support table under two
+  // budgets above the depth cap, so every cell needs the same
+  // (k, horizon) keys and the first blocks of several open cells race
+  // for them. The single-flight cache expands each key exactly once,
+  // whatever the pool width, and the measurements do not move.
+  const baselines::WillardPolicy willard(1 << 12);
+  std::vector<std::pair<std::size_t, double>> support;
+  for (std::size_t k = 2; k <= 4096; k += 97) support.emplace_back(k, 1.0);
+  for (auto& entry : support) entry.second /= support.size();
+  const auto sizes = info::SizeDistribution::from_pairs(4096, support);
+  const std::size_t depth_cap = HistoryTreeEngine::Options().depth_cap;
+  const std::array<std::size_t, 2> budgets{4 * depth_cap, 1 << 12};
+
+  std::vector<Measurement> reference;
+  for (const std::size_t threads : {1ul, 4ul, 16ul}) {
+    const channel::HistoryTreeCache cache;
+    MeasureOptions options;
+    options.cd_engine = CdEngine::kHistoryTree;
+    options.tree_cache = &cache;
+    std::vector<MeasureCell> cells;
+    for (std::size_t c = 0; c < 32; ++c) {
+      cells.push_back(MeasureCell{
+          .engine = [&] { return uniform_engine(willard, options); },
+          .sizes = {&sizes, 0},
+          .trials = kTrialBlockSize + 100 * c,
+          .seed = channel::derive_stream_seed(47, c),
+          .max_rounds = budgets[c % 2]});
+    }
+    const auto results = measure_cells(cells, threads);
+    EXPECT_EQ(cache.engine_for(willard)->expansions(), support.size())
+        << "threads " << threads;
+    if (reference.empty()) reference = results;
+    ASSERT_EQ(results.size(), reference.size());
+    for (std::size_t c = 0; c < results.size(); ++c) {
+      expect_identical(reference[c], results[c]);
+    }
+  }
+}
+
+TEST(HistoryTreeEngine, AThrowingExpansionIsRethrownToEveryCaller) {
+  // The expansion meets the NaN and throws; the cache keeps the error,
+  // so the key is expanded once and every later lookup and every block
+  // that needs it rethrows the same error.
+  const ConstantPolicy nan_policy(std::numeric_limits<double>::quiet_NaN());
+  for (const std::size_t threads : {1ul, 4ul}) {
+    const HistoryTreeEngine engine(nan_policy);
+    const channel::SizeSource sizes{nullptr, 100};
+    const MeasureOptions options{.max_rounds = 1 << 12, .threads = threads};
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      EXPECT_THROW(engine.tree_for(100, 1 << 12), std::invalid_argument);
+      EXPECT_THROW(measure_blocks(engine, sizes, 8 * kTrialBlockSize, 5,
+                                  options),
+                   std::invalid_argument);
+    }
+    EXPECT_EQ(engine.expansions(), 1u) << "threads " << threads;
+  }
 }
 
 // ---- golden fixed-seed statistics --------------------------------

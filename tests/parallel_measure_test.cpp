@@ -5,11 +5,13 @@
 // across workers). AdapterEngine keeps the per-trial stream contract:
 // trial t runs on derive_rng(seed, t), drawing k first when sizes are
 // drawn. The (cell, block) scheduler under measure_cells keeps its
-// rules: a cell's first block runs alone, at most `threads` cells hold
+// rules: no block runs before its cell's open step has returned, a
+// cell's first block runs alone, at most `threads` cells hold
 // an engine, and an error in any block surfaces on the caller after
 // the pool drains; it hands every trial index of every cell to the
 // cell's engine exactly once, on the cell's seed and round budget.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -328,6 +330,42 @@ TEST(MeasureCells, FirstBlockAloneAndAtMostThreadsOpenCells) {
                                  cells[c].seed, options)
                       .histogram);
     }
+  }
+}
+
+TEST(ParallelCells, NoBlockRunsBeforeItsCellIsOpen) {
+  // A cell's open step builds what its blocks use (measure_cells'
+  // engine), so with either first_block_alone value no block of a cell
+  // may start before that cell's open has returned, and none may run
+  // after its close. A slow open gives the idle workers every chance.
+  constexpr std::size_t kCells = 3;
+  constexpr std::size_t kBlocks = 8;
+  for (const bool first_block_alone : {false, true}) {
+    std::array<std::atomic<int>, kCells> phase{};  // 0 new, 1 open, 2 closed
+    std::atomic<std::size_t> early{0};
+    std::atomic<std::size_t> late{0};
+    std::atomic<std::size_t> ran{0};
+    const CellSteps steps{
+        .open =
+            [&](std::size_t cell) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(20));
+              phase[cell].store(1);
+            },
+        .block =
+            [&](std::size_t, std::size_t cell, std::size_t, std::size_t) {
+              const int seen = phase[cell].load();
+              if (seen == 0) ++early;
+              if (seen == 2) ++late;
+              ++ran;
+            },
+        .close = [&](std::size_t cell) { phase[cell].store(2); },
+        .first_block_alone = first_block_alone};
+    const std::vector<std::size_t> totals(kCells, kBlocks * kTrialBlockSize);
+    parallel_cells(totals, 4, steps);
+    EXPECT_EQ(early.load(), 0u) << "first_block_alone " << first_block_alone;
+    EXPECT_EQ(late.load(), 0u) << "first_block_alone " << first_block_alone;
+    EXPECT_EQ(ran.load(), kCells * kBlocks);
+    for (const auto& cell : phase) EXPECT_EQ(cell.load(), 2);
   }
 }
 

@@ -213,8 +213,10 @@ TEST(Sweep, MultiBlockCellsAreIdenticalAtEveryPoolWidth) {
 
 TEST(Sweep, FailingCellRethrowsAfterThePoolDrains) {
   // One poisoned cell among healthy multi-block ones: the sweep throws
-  // the engine's own error on the caller, at every pool width, and
-  // returns (a hang would time the suite out).
+  // the engine's own error on the caller, at every pool width and
+  // under both CD engines, and returns (a hang would time the suite
+  // out). Under the history-tree engine the error comes from the
+  // cell's one expansion, which every block of the cell must rethrow.
   const Fixture f;
   const NanAfterThreeRounds nan_policy;
   auto cells = multi_block_cells(f);
@@ -223,14 +225,21 @@ TEST(Sweep, FailingCellRethrowsAfterThePoolDrains) {
                          .sizes = {.fixed_k = 100},
                          .max_rounds = 1 << 12,
                          .trials = 3 * 1024});
-  for (const std::size_t threads : {1ul, 4ul}) {
-    try {
-      run_sweep(cells, {.trials = 2000, .seed = 3, .threads = threads});
-      ADD_FAILURE() << "threads " << threads << ": no exception";
-    } catch (const std::invalid_argument& error) {
-      EXPECT_NE(std::string(error.what()).find("probability"),
-                std::string::npos)
-          << error.what();
+  for (const CdEngine cd_engine :
+       {CdEngine::kSimulate, CdEngine::kHistoryTree}) {
+    for (const std::size_t threads : {1ul, 4ul}) {
+      try {
+        run_sweep(cells, {.trials = 2000,
+                          .seed = 3,
+                          .threads = threads,
+                          .cd_engine = cd_engine});
+        ADD_FAILURE() << "threads " << threads << ", CD engine "
+                      << static_cast<int>(cd_engine) << ": no exception";
+      } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find("probability"),
+                  std::string::npos)
+            << error.what();
+      }
     }
   }
 }
