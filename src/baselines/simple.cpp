@@ -2,11 +2,13 @@
 
 #include <stdexcept>
 
+#include "channel/unit_interval.h"
+
 namespace crp::baselines {
 
 FixedProbabilitySchedule::FixedProbabilitySchedule(double probability)
     : p_(probability) {
-  if (p_ < 0.0 || p_ > 1.0) {
+  if (!channel::in_unit_interval(p_)) {
     throw std::invalid_argument("probability outside [0, 1]");
   }
 }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
-#include <limits>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -24,29 +22,68 @@ void validate_trial_block(const TrialBlock& block) {
   }
 }
 
-SlotGroups group_by_slot(std::span<const double> cumulative,
-                         std::span<const double> uk) {
-  const std::size_t padded_size = std::bit_ceil(cumulative.size());
-  std::vector<double> padded(padded_size,
-                             std::numeric_limits<double>::infinity());
-  std::copy(cumulative.begin(), cumulative.end(), padded.begin());
-  std::vector<std::uint32_t> slot(uk.size());
-  SlotGroups groups;
-  groups.start.assign(cumulative.size() + 1, 0);
-  for (std::size_t t = 0; t < uk.size(); ++t) {
-    slot[t] = static_cast<std::uint32_t>(
-        kernels::lower_bound_padded(padded.data(), padded_size, uk[t]));
-    ++groups.start[slot[t] + 1];
+void group_by_slot(std::span<const double> cumulative,
+                   std::span<const double> uk, std::span<const double> u,
+                   BlockScratch& scratch) {
+  const std::size_t count = uk.size();
+  const std::size_t slots = cumulative.size();
+  const auto slot = scratch_span(scratch.slot, count);
+  kernels::ops().slot_lookup(cumulative.data(), slots, uk.data(), count,
+                             slot.data());
+
+  // Count, then scatter, each slot's trials. On a short support
+  // consecutive trials often share a slot, and a single counter per
+  // slot would make each trial wait for the last one's store. So the
+  // block is cut into kWays contiguous runs of trials, each with its
+  // own counters, and the passes step through the runs in turn: run
+  // w's trials of a slot land after those of runs before w, which
+  // keeps every slot's trials in ascending order. Long supports repeat
+  // rarely and would pay kWays times the zeroing, so they take one.
+  constexpr std::size_t kWays = 4;
+  const std::size_t ways = slots <= kernels::kShortTable ? kWays : 1;
+  const std::size_t chunk = (count + ways - 1) / ways;
+  std::array<std::size_t, kWays + 1> bound{};
+  for (std::size_t w = 0; w <= ways; ++w) bound[w] = std::min(w * chunk, count);
+  // Runs shrink with w, so the last one is the shortest.
+  const std::size_t common = bound[ways] - bound[ways - 1];
+  const auto for_each_trial = [&](const auto& visit) {
+    for (std::size_t i = 0; i < common; ++i) {
+      for (std::size_t w = 0; w < ways; ++w) visit(w, bound[w] + i);
+    }
+    for (std::size_t w = 0; w + 1 < ways; ++w) {
+      for (std::size_t t = bound[w] + common; t < bound[w + 1]; ++t) {
+        visit(w, t);
+      }
+    }
+  };
+  const auto fill = scratch_span(scratch.fill, ways * slots);
+  std::fill(fill.begin(), fill.end(), 0u);
+  for_each_trial([&](std::size_t w, std::size_t t) {
+    ++fill[w * slots + slot[t]];
+  });
+
+  // Prefix sums: slot s's run starts at start[s], and each way's
+  // counter now points where its first trial of the slot goes.
+  const auto start = scratch_span(scratch.start, slots + 1);
+  std::uint32_t next = 0;
+  for (std::size_t s = 0; s < slots; ++s) {
+    start[s] = next;
+    for (std::size_t w = 0; w < ways; ++w) {
+      const std::uint32_t trials = fill[w * slots + s];
+      fill[w * slots + s] = next;
+      next += trials;
+    }
   }
-  for (std::size_t s = 0; s + 1 < groups.start.size(); ++s) {
-    groups.start[s + 1] += groups.start[s];
-  }
-  groups.order.resize(uk.size());
-  std::vector<std::size_t> fill(groups.start.begin(), groups.start.end() - 1);
-  for (std::size_t t = 0; t < uk.size(); ++t) {
-    groups.order[fill[slot[t]]++] = static_cast<std::uint32_t>(t);
-  }
-  return groups;
+  start[slots] = next;
+
+  // One stable scatter of the trial indices and their solve draws.
+  const auto order = scratch_span(scratch.order, count);
+  const auto grouped = scratch_span(scratch.grouped, count);
+  for_each_trial([&](std::size_t w, std::size_t t) {
+    const std::uint32_t at = fill[w * slots + slot[t]]++;
+    order[at] = static_cast<std::uint32_t>(t);
+    grouped[at] = u[t];
+  });
 }
 
 namespace {
@@ -88,6 +125,8 @@ void BatchColumnarEngine::run_many(TrialBlock& block) const {
   if (count == 0) return;
   const info::SizeDistribution* dist = block.sizes.distribution;
   const kernels::Ops& kops = kernels::ops();
+  BlockScratch own;
+  BlockScratch& scratch = block.scratch != nullptr ? *block.scratch : own;
 
   // Pass 1: the dispatched lane kernel burns through the per-trial
   // SplitMix64 streams — one draw for the participant count (drawn
@@ -95,20 +134,25 @@ void BatchColumnarEngine::run_many(TrialBlock& block) const {
   // sequence of the old per-trial derive_fast_rng +
   // uniform_real_distribution loop, distribution construction and all
   // hoisted into the kernel (tests/kernel_test.cpp pins the sequence).
-  std::vector<double> u(count);
-  SlotGroups groups;
+  // Drawn-size trials are grouped by support slot at once, their solve
+  // draws landing in slot order in scratch.grouped.
+  std::span<double> targets;
   if (dist != nullptr) {
-    std::vector<double> uk(count);
+    const auto uk = scratch_span(scratch.uk, count);
+    const auto u = scratch_span(scratch.u, count);
     kops.pass1_uniform_pair(block.seed, block.first_trial, count, uk.data(),
                             u.data());
-    groups = group_by_slot(dist->support_cumulative(), uk);
+    group_by_slot(dist->support_cumulative(), uk, u, scratch);
+    targets = std::span(scratch.grouped).first(count);
   } else {
-    kops.pass1_uniform(block.seed, block.first_trial, count, u.data());
+    targets = scratch_span(scratch.u, count);
+    kops.pass1_uniform(block.seed, block.first_trial, count, targets.data());
   }
 
   // Pass 2a: the whole uniform column becomes log-survival targets in
-  // one vectorized log1p map; u[t] holds the target from here on.
-  kops.map_targets(u.data(), count);
+  // one vectorized log1p map, in place (an element-wise map, so slot
+  // order does not matter).
+  kops.map_targets(targets.data(), count);
 
   // Pass 2b: answer every target with the lane inverse-CDF probe over
   // a snapshot's padded period table — 8 (AVX2) / 16 (AVX-512) masked-
@@ -120,40 +164,34 @@ void BatchColumnarEngine::run_many(TrialBlock& block) const {
   // index of a non-increasing prefix does not depend on how far past
   // the crossing the table extends, and a table that cannot cross
   // within max_rounds answers 0 either way.
-  std::vector<std::uint64_t> rounds(count);
-  if (dist != nullptr) {
-    // Each slot's targets probe as one contiguous lane-parallel run.
-    const auto sizes = dist->support_sizes();
-    const auto& [order, start] = groups;
-    std::vector<double> grouped(count);
-    for (std::size_t j = 0; j < count; ++j) grouped[j] = u[order[j]];
-    std::vector<std::uint64_t> grouped_rounds(count);
-    for (std::size_t s = 0; s < sizes.size(); ++s) {
-      const std::size_t begin = start[s], end = start[s + 1];
-      if (begin == end) continue;
-      const double min_target =
-          *std::min_element(grouped.begin() + begin, grouped.begin() + end);
-      const auto table =
-          sampler_.snapshot(sizes[s], min_target, block.max_rounds);
-      kops.probe_rounds(sampler_.probe_view(*table, block.max_rounds),
-                        grouped.data() + begin, end - begin,
-                        grouped_rounds.data() + begin);
-    }
-    for (std::size_t j = 0; j < count; ++j) {
-      rounds[order[j]] = grouped_rounds[j];
-    }
-  } else {
-    const double min_target = *std::min_element(u.begin(), u.end());
-    const auto table =
-        sampler_.snapshot(block.sizes.fixed_k, min_target, block.max_rounds);
-    kops.probe_rounds(sampler_.probe_view(*table, block.max_rounds), u.data(),
-                      count, rounds.data());
-  }
-
-  for (std::size_t t = 0; t < count; ++t) {
-    const std::uint64_t round = rounds[t];
+  const auto probe = [&](std::size_t k, std::span<const double> run,
+                         std::uint64_t* rounds) {
+    const double min_target = *std::min_element(run.begin(), run.end());
+    const auto table = sampler_.snapshot(k, min_target, block.max_rounds);
+    kops.probe_rounds(sampler_.probe_view(*table, block.max_rounds),
+                      run.data(), run.size(), rounds);
+  };
+  const auto finish = [&](std::size_t t, std::uint64_t round) {
     block.solved[t] = round != 0 ? 1 : 0;
     block.rounds[t] = round != 0 ? round : block.max_rounds;
+  };
+  if (dist != nullptr) {
+    // Each slot's targets probe as one contiguous lane-parallel run,
+    // and the rounds scatter from slot order straight into the block.
+    const auto sizes = dist->support_sizes();
+    const auto found = scratch_span(scratch.found, count);
+    for (std::size_t s = 0; s < sizes.size(); ++s) {
+      const std::size_t begin = scratch.start[s], end = scratch.start[s + 1];
+      if (begin == end) continue;
+      probe(sizes[s], targets.subspan(begin, end - begin),
+            found.data() + begin);
+    }
+    for (std::size_t j = 0; j < count; ++j) {
+      finish(scratch.order[j], found[j]);
+    }
+  } else {
+    probe(block.sizes.fixed_k, targets, block.rounds.data());
+    for (std::size_t t = 0; t < count; ++t) finish(t, block.rounds[t]);
   }
 }
 

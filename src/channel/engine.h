@@ -58,6 +58,31 @@ struct SizeSource {
   std::size_t fixed_k = 0;
 };
 
+/// An engine's working columns for one block, owned by the caller and
+/// reused block after block, so a worker's blocks allocate nothing once
+/// the vectors have grown to the block size. Engines size what they
+/// use and overwrite it; nothing in here carries from one block to the
+/// next, so results never depend on which blocks a scratch saw before.
+struct BlockScratch {
+  std::vector<double> u;              ///< pass-1 solve draws
+  std::vector<double> uk;             ///< pass-1 size draws
+  std::vector<std::uint32_t> slot;    ///< each trial's support slot
+  std::vector<std::uint32_t> fill;    ///< counting-sort counters
+  std::vector<std::uint32_t> order;   ///< trials in slot order
+  std::vector<std::size_t> start;     ///< each slot's first order index
+  std::vector<double> grouped;        ///< solve draws in slot order
+  std::vector<std::uint64_t> found;   ///< probe results in slot order
+  std::vector<std::size_t> deferred;  ///< slots waiting for a tree
+};
+
+/// The first `n` elements of a scratch vector, grown (never shrunk) to
+/// hold them; their values are whatever the vector held.
+template <typename T>
+std::span<T> scratch_span(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+  return std::span<T>(v.data(), n);
+}
+
 /// One block of trials: the inputs an engine needs plus the two result
 /// columns it fills — exactly what a round histogram folds. Columns are
 /// caller-owned views (the harness hands each worker reusable scratch
@@ -70,6 +95,9 @@ struct TrialBlock {
   SizeSource sizes;
   std::span<std::uint8_t> solved;   ///< 1 iff solved within budget
   std::span<std::uint64_t> rounds;  ///< solve round; budget if not
+  /// Working columns the engine may use (measure_cells passes one per
+  /// worker); null makes the engine allocate its own for the call.
+  BlockScratch* scratch = nullptr;
 
   std::size_t size() const { return solved.size(); }
 };
@@ -89,17 +117,17 @@ class Engine {
 /// implementation in the library calls this first.
 void validate_trial_block(const TrialBlock& block);
 
-/// A drawn-size block's trials grouped by support slot (counting
-/// sort): order[start[s] .. start[s + 1]) lists, ascending, the trials
-/// whose size draw uk[t] selected support slot s of `cumulative`
-/// (SizeDistribution::support_cumulative), so a columnar engine can
-/// answer each slot's trials as one contiguous run.
-struct SlotGroups {
-  std::vector<std::uint32_t> order;
-  std::vector<std::size_t> start;
-};
-SlotGroups group_by_slot(std::span<const double> cumulative,
-                         std::span<const double> uk);
+/// Groups a drawn-size block's trials by support slot in one counting
+/// sort: the slot_lookup kernel maps each size draw uk[t] to its slot
+/// of `cumulative` (SizeDistribution::support_cumulative), and then
+/// scratch.order[start[s] .. start[s + 1]) lists, ascending, the
+/// trials of slot s, and scratch.grouped[j] = u[order[j]] carries each
+/// trial's solve draw into slot order, so a columnar engine answers
+/// each slot's draws as one contiguous run. Fills scratch.slot, fill,
+/// order, start (cumulative.size() + 1 entries) and grouped.
+void group_by_slot(std::span<const double> cumulative,
+                   std::span<const double> uk, std::span<const double> u,
+                   BlockScratch& scratch);
 
 /// Adapter for any per-trial simulation: per trial, one derived Rng
 /// stream (derive_rng's stream, seeded by derive_rngs kSeedLanes trials

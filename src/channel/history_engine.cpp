@@ -118,28 +118,39 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
   const info::SizeDistribution* dist = block.sizes.distribution;
   const kernels::Ops& kops = kernels::ops();
 
+  BlockScratch own;
+  BlockScratch& scratch = block.scratch != nullptr ? *block.scratch : own;
+
   // Pass 1: the lane kernel derives every trial's draws at once — the
   // participant-count draw when sizes are drawn, then the solve draw
   // u — bit for bit the unit(rng) values a scalar loop over
-  // derive_fast_rng would draw. Drawn-size trials are then grouped by
-  // support slot, so each (tree, mode) is fetched once per block.
-  std::vector<double> u(count);
-  SlotGroups groups;
-  std::vector<std::size_t> slot_k;
+  // derive_fast_rng would draw. Drawn-size trials are grouped by
+  // support slot at once, their solve draws landing in slot order in
+  // scratch.grouped, so each (tree, mode) is fetched once per block
+  // and each slot's draws probe in place. A fixed k is one slot holding
+  // every trial in order.
   if (dist != nullptr) {
-    std::vector<double> uk(count);
+    const auto uk = scratch_span(scratch.uk, count);
+    const auto u = scratch_span(scratch.u, count);
     kops.pass1_uniform_pair(block.seed, block.first_trial, count, uk.data(),
                             u.data());
-    groups = group_by_slot(dist->support_cumulative(), uk);
-    const auto sizes = dist->support_sizes();
-    slot_k.assign(sizes.begin(), sizes.end());
+    group_by_slot(dist->support_cumulative(), uk, u, scratch);
   } else {
-    kops.pass1_uniform(block.seed, block.first_trial, count, u.data());
-    groups.order.resize(count);
-    std::iota(groups.order.begin(), groups.order.end(), 0u);
-    groups.start = {0, count};
-    slot_k = {block.sizes.fixed_k};
+    kops.pass1_uniform(block.seed, block.first_trial, count,
+                       scratch_span(scratch.grouped, count).data());
+    const auto order = scratch_span(scratch.order, count);
+    std::iota(order.begin(), order.end(), 0u);
+    const auto start = scratch_span(scratch.start, 2);
+    start[0] = 0;
+    start[1] = count;
   }
+  const std::span<const std::uint32_t> sizes =
+      dist != nullptr ? dist->support_sizes()
+                      : std::span<const std::uint32_t>();
+  const std::size_t slots = dist != nullptr ? sizes.size() : 1;
+  const auto k_of = [&](std::size_t s) -> std::size_t {
+    return dist != nullptr ? sizes[s] : block.sizes.fixed_k;
+  };
   const std::size_t pass1_draws = dist != nullptr ? 2 : 1;
 
   const auto finish = [&](std::size_t t, std::size_t round) {
@@ -166,19 +177,19 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
   // tests/kernel_test.cpp). A draw at or past the solved mass lands
   // on a leaf instead: u - solved_mass is searched in the leaf CDF, and
   // the trial continues from that leaf's history.
-  std::vector<double> group_u;
-  std::vector<std::uint64_t> group_idx;
+  const auto found = scratch_span(scratch.found, count);
   const auto sample_slot = [&](std::size_t s,
                                const harness::HistoryTree& tree) {
-    const std::span<const std::uint32_t> group(
-        groups.order.data() + groups.start[s],
-        groups.start[s + 1] - groups.start[s]);
-    harness::OutcomeCache outcomes(slot_k[s]);
+    const std::size_t begin = scratch.start[s];
+    const std::size_t size = scratch.start[s + 1] - begin;
+    const std::uint32_t* group = scratch.order.data() + begin;
+    const double* u = scratch.grouped.data() + begin;
+    harness::OutcomeCache outcomes(k_of(s));
     if (tree.truncated) {
       // Truncated expansion (Mode::kSimulate): simulate from the empty
       // history, the solve draw u serving as the first round's draw.
-      for (const std::uint32_t t : group) {
-        simulate_trial(t, outcomes, policy_.initial_state(), 0,
+      for (std::size_t j = 0; j < size; ++j) {
+        simulate_trial(group[j], outcomes, policy_.initial_state(), 0,
                        pass1_draws - 1);
       }
       return;
@@ -187,14 +198,12 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
     const kernels::CdfTable table{tree.padded_solve_cdf.data(),
                                   tree.padded_solve_cdf.size(),
                                   tree.solve_cdf.size()};
-    group_u.resize(group.size());
-    group_idx.resize(group.size());
-    for (std::size_t j = 0; j < group.size(); ++j) group_u[j] = u[group[j]];
-    kops.probe_cdf(table, group_u.data(), group.size(), group_idx.data());
-    for (std::size_t j = 0; j < group.size(); ++j) {
+    std::uint64_t* index = found.data() + begin;
+    kops.probe_cdf(table, u, size, index);
+    for (std::size_t j = 0; j < size; ++j) {
       const std::uint32_t t = group[j];
-      if (group_u[j] < solved_mass) {
-        finish(t, static_cast<std::size_t>(group_idx[j]) + 1);
+      if (u[j] < solved_mass) {
+        finish(t, static_cast<std::size_t>(index[j]) + 1);
         continue;
       }
       if (tree.leaves.empty()) {  // every branch solved, up to rounding
@@ -205,7 +214,7 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
       // the last leaf's cumulative mass belongs to the last leaf.
       const auto it = std::upper_bound(tree.leaf_cdf.begin(),
                                        tree.leaf_cdf.end() - 1,
-                                       group_u[j] - solved_mass);
+                                       u[j] - solved_mass);
       const harness::PackedHistory history =
           tree.leaves[static_cast<std::size_t>(it - tree.leaf_cdf.begin())]
               .history;
@@ -220,18 +229,18 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
   // tree is ready or claimable now, and wait only at the end for the
   // trees other workers are still expanding.
   const std::size_t horizon = horizon_for(block.max_rounds);
-  std::vector<std::size_t> deferred;
-  for (std::size_t s = 0; s < slot_k.size(); ++s) {
-    if (groups.start[s] == groups.start[s + 1]) continue;
-    const Entry* entry = lookup(slot_k[s], horizon, /*wait=*/false);
+  scratch.deferred.clear();
+  for (std::size_t s = 0; s < slots; ++s) {
+    if (scratch.start[s] == scratch.start[s + 1]) continue;
+    const Entry* entry = lookup(k_of(s), horizon, /*wait=*/false);
     if (entry == nullptr) {
-      deferred.push_back(s);
+      scratch.deferred.push_back(s);
     } else {
       sample_slot(s, entry->get());
     }
   }
-  for (const std::size_t s : deferred) {
-    sample_slot(s, lookup(slot_k[s], horizon, /*wait=*/true)->get());
+  for (const std::size_t s : scratch.deferred) {
+    sample_slot(s, lookup(k_of(s), horizon, /*wait=*/true)->get());
   }
 }
 

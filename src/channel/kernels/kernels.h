@@ -1,15 +1,15 @@
 // Lane-parallel batch kernels with runtime ISA dispatch.
 //
 // The columnar engines (channel/engine.cpp, channel/history_engine.cpp)
-// spend their time in three dense element-wise passes: deriving one
+// spend their time in dense element-wise passes: deriving one
 // SplitMix64 stream per trial and drawing its uniforms (pass 1),
-// mapping the uniform column to log-survival targets via log1p
-// (pass 2a), and descending the padded power-of-two probe tables once
-// per trial (pass 2b). This header is the seam between those engines
-// and the per-ISA implementations of the passes: a table of function
-// pointers (`Ops`) resolved once at startup from cpuid, with scalar,
-// AVX2 (4-wide ymm, 8 trials in flight), and AVX-512 (8-wide zmm, 16
-// trials in flight) backends.
+// looking up each drawn size's support slot, mapping the uniform
+// column to log-survival targets via log1p (pass 2a), and searching
+// the probe tables once per trial (pass 2b). This header is the seam
+// between those engines and the per-ISA implementations of the
+// passes: a table of function pointers (`Ops`) resolved once at
+// startup from cpuid, with scalar, AVX2 (4-wide ymm, 8 trials in
+// flight), and AVX-512 (8-wide zmm, 16 trials in flight) backends.
 //
 // Determinism contract: the scalar backend is the *reference*. Every
 // vector backend must produce bit-identical output on the same inputs
@@ -100,6 +100,15 @@ struct CdfTable {
   std::size_t entries;
 };
 
+/// Tables of at most this many entries are searched by broadcast
+/// compares: each entry in turn is compared with every lane's query,
+/// and a lane's answer counts the entries its query passed. The scan
+/// stops at the first entry no lane's query reaches, which is exact
+/// because the tables are non-decreasing. Longer tables are searched
+/// by a lane (gather) descent. The choice depends only on the table's
+/// size, and both give the same integers, so it never moves a result.
+inline constexpr std::size_t kShortTable = 64;
+
 /// One ISA tier's kernel table. All functions are pure and
 /// thread-safe; columns may be processed in independent chunks.
 struct Ops {
@@ -126,6 +135,15 @@ struct Ops {
   /// probe_cdf_one per element.
   void (*probe_cdf)(const CdfTable& table, const double* u,
                     std::size_t count, std::uint64_t* index);
+  /// slot[t] = count of the `entries` (>= 1) non-decreasing
+  /// `cumulative` values below uk[t] (== the index
+  /// std::lower_bound(cumulative, cumulative + entries, uk[t]) -
+  /// cumulative): the support slot of a size draw uk[t] in
+  /// SizeDistribution::support_cumulative — exactly lower_bound_count
+  /// per element.
+  void (*slot_lookup)(const double* cumulative, std::size_t entries,
+                      const double* uk, std::size_t count,
+                      std::uint32_t* slot);
 };
 
 /// The dispatched kernel table: resolved once from cpuid (and the
@@ -173,23 +191,24 @@ std::size_t search_one(const ProbeTable& table, double target);
 /// One upper-bound descent — the scalar reference for probe_cdf.
 std::size_t probe_cdf_one(const CdfTable& table, double u);
 
-/// Branchless lower_bound over a power-of-two +inf-padded copy of a
-/// sorted array: returns the count of entries < u, bit-identical to
-/// std::lower_bound on the unpadded array (ties included; the padding
-/// never compares true). Comparisons only, so it may be inline. The
-/// step is a multiply by the comparison, not a conditional: compilers
-/// turn `cond ? half : 0` back into a branch here, which mispredicts
-/// on about half the levels of every random search.
-inline std::size_t lower_bound_padded(const double* padded,
-                                      std::size_t padded_size, double u) {
-  const double* base = padded;
-  std::size_t len = padded_size;
+/// Branchless lower_bound: the count of the `entries` values of the
+/// non-decreasing array `sorted` that are < u, bit-identical to
+/// std::lower_bound's index (ties included). The halving works at any
+/// length, so no padding is needed. The scalar reference for
+/// slot_lookup. Comparisons only, so it may be inline.
+/// The step is a multiply by the comparison, not a conditional:
+/// compilers turn `cond ? half : 0` back into a branch here, which
+/// mispredicts on about half the levels of every random search.
+inline std::size_t lower_bound_count(const double* sorted,
+                                     std::size_t entries, double u) {
+  const double* base = sorted;
+  std::size_t len = entries;
   while (len > 1) {
     const std::size_t half = len / 2;
     base += half * static_cast<std::size_t>(base[half - 1] < u);
     len -= half;
   }
-  return static_cast<std::size_t>(base - padded) + (base[0] < u);
+  return static_cast<std::size_t>(base - sorted) + (base[0] < u);
 }
 
 }  // namespace crp::channel::kernels

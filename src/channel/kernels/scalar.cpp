@@ -67,6 +67,15 @@ void probe_cdf_scalar(const CdfTable& table, const double* u,
   }
 }
 
+void slot_lookup_scalar(const double* cumulative, std::size_t entries,
+                        const double* uk, std::size_t count,
+                        std::uint32_t* slot) {
+  for (std::size_t t = 0; t < count; ++t) {
+    slot[t] = static_cast<std::uint32_t>(
+        lower_bound_count(cumulative, entries, uk[t]));
+  }
+}
+
 std::uint32_t hi32(double x) {
   return static_cast<std::uint32_t>(std::bit_cast<std::uint64_t>(x) >> 32);
 }
@@ -209,7 +218,7 @@ namespace detail {
 const Ops& scalar_ops() {
   static const Ops ops = {
       &pass1_uniform_scalar, &pass1_uniform_pair_scalar, &map_targets_scalar,
-      &probe_rounds_scalar, &probe_cdf_scalar,
+      &probe_rounds_scalar, &probe_cdf_scalar, &slot_lookup_scalar,
   };
   return ops;
 }

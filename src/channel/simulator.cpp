@@ -3,6 +3,8 @@
 #include <bit>
 #include <stdexcept>
 
+#include "channel/unit_interval.h"
+
 namespace crp::channel {
 
 std::string to_string(Feedback feedback) {
@@ -30,7 +32,7 @@ Feedback feedback_for(std::size_t transmitters) {
 }
 
 void validate_probability(double p) {
-  if (!(p >= 0.0 && p <= 1.0)) {
+  if (!in_unit_interval(p)) {
     throw std::invalid_argument("transmission probability outside [0, 1]");
   }
 }

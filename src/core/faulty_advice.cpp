@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "channel/rng.h"
+#include "channel/unit_interval.h"
 
 namespace crp::core {
 
@@ -13,7 +14,7 @@ FaultyAdvice::FaultyAdvice(std::shared_ptr<const AdviceFunction> inner,
       flip_probability_(flip_probability),
       seed_(seed) {
   if (!inner_) throw std::invalid_argument("inner advice is null");
-  if (flip_probability_ < 0.0 || flip_probability_ > 1.0) {
+  if (!channel::in_unit_interval(flip_probability_)) {
     throw std::invalid_argument("flip probability outside [0, 1]");
   }
 }

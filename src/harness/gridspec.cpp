@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "channel/unit_interval.h"
 #include "core/coded_search.h"
 #include "core/likelihood_schedule.h"
 #include "harness/checkpoint.h"
@@ -91,7 +92,7 @@ info::CondensedDistribution parse_source(const Json& body,
                               "]");
     }
     const double eps = finite_field("eps");
-    if (eps < 0.0 || eps > 1.0) {
+    if (!channel::in_unit_interval(eps)) {
       kSpec.fail_at(kSpec.require(body, "eps", what),
                     "field \"eps\" of " + what + " must lie in [0, 1]");
     }

@@ -71,9 +71,13 @@ std::vector<Measurement> measure_cells(
     std::shared_ptr<const channel::Engine> engine;
     std::vector<WorkerFold> folds;  ///< indexed by pool worker
   };
-  struct Scratch {
+  // A worker's columns: its blocks' results and the engines' working
+  // columns, reused block after block. Engines write some of the
+  // vectors' own fields every block, hence a cache line of its own.
+  struct alignas(64) Scratch {
     std::vector<std::uint8_t> solved;
     std::vector<std::uint64_t> rounds;
+    channel::BlockScratch engine;
   };
   std::vector<std::size_t> totals(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) totals[c] = cells[c].trials;
@@ -101,7 +105,8 @@ std::vector<Measurement> measure_cells(
                               .max_rounds = cell.max_rounds,
                               .sizes = cell.sizes,
                               .solved = columns.solved,
-                              .rounds = columns.rounds};
+                              .rounds = columns.rounds,
+                              .scratch = &columns.engine};
     state.engine->run_many(block);
     state.folds[worker].histogram.add_columns(block.solved, block.rounds);
   };

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "channel/unit_interval.h"
+
 namespace crp::harness {
 
 namespace {
@@ -13,7 +15,7 @@ namespace {
 /// reads every quantile from the same copy.
 double percentile_sorted(std::span<const double> sorted, double q) {
   if (sorted.empty()) return 0.0;
-  if (q < 0.0 || q > 1.0) {
+  if (!channel::in_unit_interval(q)) {
     throw std::invalid_argument("percentile q must lie in [0, 1]");
   }
   const double position = q * static_cast<double>(sorted.size() - 1);
@@ -41,7 +43,7 @@ double value_at_rank(std::span<const std::uint64_t> counts,
 double percentile_counts_total(std::span<const std::uint64_t> counts,
                                std::uint64_t total, double q) {
   if (total == 0) return 0.0;
-  if (q < 0.0 || q > 1.0) {
+  if (!channel::in_unit_interval(q)) {
     throw std::invalid_argument("percentile q must lie in [0, 1]");
   }
   const double position = q * static_cast<double>(total - 1);

@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "channel/unit_interval.h"
+
 namespace crp::info {
 
 double shannon_entropy(std::span<const double> p) {
@@ -45,7 +47,7 @@ double cross_entropy(std::span<const double> p, std::span<const double> q) {
 }
 
 double binary_entropy(double x) {
-  if (x < 0.0 || x > 1.0) {
+  if (!channel::in_unit_interval(x)) {
     throw std::invalid_argument("binary entropy domain is [0, 1]");
   }
   double h = 0.0;

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "channel/unit_interval.h"
+
 namespace crp::predict {
 
 namespace {
@@ -92,7 +94,7 @@ info::CondensedDistribution bimodal_ranges(std::size_t num_ranges,
       range_b > num_ranges) {
     throw std::invalid_argument("ranges outside L(n)");
   }
-  if (eps < 0.0 || eps > 1.0) {
+  if (!channel::in_unit_interval(eps)) {
     throw std::invalid_argument("eps must lie in [0, 1]");
   }
   std::vector<double> weights(num_ranges, 0.0);
@@ -107,7 +109,7 @@ info::CondensedDistribution mix(const info::CondensedDistribution& a,
   if (a.size() != b.size()) {
     throw std::invalid_argument("mixture components must share an alphabet");
   }
-  if (lambda < 0.0 || lambda > 1.0) {
+  if (!channel::in_unit_interval(lambda)) {
     throw std::invalid_argument("lambda must lie in [0, 1]");
   }
   std::vector<double> weights(a.size());

@@ -6,6 +6,8 @@
 #include <random>
 #include <stdexcept>
 
+#include "channel/unit_interval.h"
+
 namespace crp::predict {
 
 namespace {
@@ -38,7 +40,7 @@ info::CondensedDistribution multiplicative_jitter(
 
 info::CondensedDistribution smooth_with_uniform(
     const info::CondensedDistribution& truth, double eps) {
-  if (eps < 0.0 || eps > 1.0) {
+  if (!channel::in_unit_interval(eps)) {
     throw std::invalid_argument("eps must lie in [0, 1]");
   }
   const double u = 1.0 / static_cast<double>(truth.size());

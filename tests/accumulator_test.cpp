@@ -5,7 +5,8 @@
 //    summarize() over the engine's own result columns bit for bit at
 //    fixed seeds (stddev/ci95 to floating-point rounding), across
 //    thread counts and block-size-straddling trial counts;
-//  * RoundHistogram merges must be exact and merge-order free;
+//  * RoundHistogram merges must be exact and merge-order free, and
+//    add_columns must equal the per-trial add_solved/add_unsolved fold;
 //  * BatchNoCdSampler::probe_first_below must equal
 //    std::partition_point on randomized snapshots, comparison for
 //    comparison, so every fixed-seed golden of the batch paths
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -107,6 +109,60 @@ TEST(RoundHistogram, MatchesSummarizeOnKnownValues) {
   for (const double budget : {0.0, 1.0, 7.5, 40.0, 1000.0}) {
     EXPECT_EQ(hist.solved_by(budget), at_most(budget)) << budget;
   }
+}
+
+TEST(RoundHistogram, AddColumnsMatchesThePerTrialFold) {
+  // The word-wise fold against add_solved/add_unsolved one trial at a
+  // time: random, all-solved, all-unsolved and holed blocks at ragged
+  // lengths, rounds growing the bins past 64 and to a very large
+  // round, truthy flags other than 1, and unsolved rounds that would
+  // be out of range as bins (they must never be read).
+  std::mt19937_64 rng(29);
+  for (const std::size_t count : {0ul, 1ul, 7ul, 8ul, 9ul, 63ul, 1031ul}) {
+    for (int pattern = 0; pattern < 4; ++pattern) {
+      std::vector<std::uint8_t> solved(count);
+      std::vector<std::uint64_t> rounds(count);
+      for (std::size_t t = 0; t < count; ++t) {
+        switch (pattern) {
+          case 0: solved[t] = rng() % 3 == 0 ? 0 : 1; break;
+          case 1: solved[t] = 1; break;
+          case 2: solved[t] = 0; break;
+          default: solved[t] = t % 8 == 5 ? 0 : (t % 5 == 0 ? 7 : 1); break;
+        }
+        rounds[t] = solved[t] != 0 ? 1 + rng() % 200 : ~0ULL;
+      }
+      if (count > 3 && solved[3] != 0) rounds[3] = std::uint64_t{1} << 20;
+      // Start both from the same non-empty state.
+      RoundHistogram columns, trials;
+      for (RoundHistogram* h : {&columns, &trials}) {
+        h->add_solved(2);
+        h->add_unsolved();
+      }
+      columns.add_columns(solved, rounds);
+      for (std::size_t t = 0; t < count; ++t) {
+        if (solved[t] != 0) {
+          trials.add_solved(rounds[t]);
+        } else {
+          trials.add_unsolved();
+        }
+      }
+      EXPECT_TRUE(columns == trials) << "count " << count << " pattern "
+                                     << pattern;
+      EXPECT_EQ(columns.trials(), trials.trials());
+      EXPECT_EQ(columns.solved(), trials.solved());
+      expect_stats_identical(columns.summary(), trials.summary());
+    }
+  }
+}
+
+TEST(RoundHistogram, AddColumnsRejectsMismatchedColumns) {
+  RoundHistogram hist;
+  hist.add_solved(4);
+  const std::vector<std::uint8_t> solved(3, 1);
+  const std::vector<std::uint64_t> rounds(2, 5);
+  EXPECT_THROW(hist.add_columns(solved, rounds), std::invalid_argument);
+  EXPECT_EQ(hist.trials(), 1u);  // nothing folded
+  EXPECT_EQ(hist.solved(), 1u);
 }
 
 TEST(RoundHistogram, MergeIsExactAndOrderFree) {

@@ -147,6 +147,7 @@ TEST(FixedProbability, DegradesWithBadEstimate) {
 TEST(FixedProbability, ValidatesInput) {
   EXPECT_THROW(FixedProbabilitySchedule(-0.5), std::invalid_argument);
   EXPECT_THROW(FixedProbabilitySchedule(1.5), std::invalid_argument);
+  EXPECT_THROW(FixedProbabilitySchedule(std::nan("")), std::invalid_argument);
   EXPECT_THROW(FixedProbabilitySchedule::for_size_estimate(0),
                std::invalid_argument);
 }

@@ -11,6 +11,9 @@
 //    histories past the trie's node bound) at ragged block lengths;
 //  * the block partition must be invisible: any thread count, and any
 //    trial count relative to the block size, gives identical results;
+//  * group_by_slot must equal a stable sort by support slot, and a
+//    worker's reused BlockScratch must leave every block's columns
+//    as a fresh scratch would;
 //  * regression: the measure_* helpers preserve the published
 //    fixed-seed statistics (golden values captured from the original
 //    scalar measurement stack).
@@ -18,7 +21,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +32,8 @@
 #include "baselines/willard.h"
 #include "channel/batch.h"
 #include "channel/engine.h"
+#include "channel/history_engine.h"
+#include "channel/kernels/kernels.h"
 #include "channel/rng.h"
 #include "channel/simulator.h"
 #include "core/advice_deterministic.h"
@@ -67,7 +74,8 @@ struct Columns {
 Columns run_one_block(const channel::Engine& engine,
                       channel::SizeSource sizes, std::size_t trials,
                       std::uint64_t seed, std::size_t max_rounds,
-                      std::size_t first_trial = 0) {
+                      std::size_t first_trial = 0,
+                      channel::BlockScratch* scratch = nullptr) {
   Columns columns{std::vector<std::uint8_t>(trials),
                   std::vector<std::uint64_t>(trials)};
   channel::TrialBlock block{.seed = seed,
@@ -75,7 +83,8 @@ Columns run_one_block(const channel::Engine& engine,
                             .max_rounds = max_rounds,
                             .sizes = sizes,
                             .solved = columns.solved,
-                            .rounds = columns.rounds};
+                            .rounds = columns.rounds,
+                            .scratch = scratch};
   engine.run_many(block);
   return columns;
 }
@@ -392,6 +401,96 @@ TEST(ColumnarEngine, BlockPartitionIsInvisible) {
       expect_identical(
           reference,
           measure_uniform_no_cd(decay, actual, trials, 99, pooled));
+    }
+  }
+}
+
+TEST(ColumnarEngine, GroupBySlotMatchesAStableSort) {
+  // Supports on both sides of the short-table bound (which also picks
+  // the split counting histogram), ties between draws and entries,
+  // and ragged counts, all through one reused scratch.
+  std::mt19937_64 rng(23);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  channel::BlockScratch scratch;
+  for (const std::size_t entries :
+       {1ul, 2ul, 5ul, 16ul, 22ul, channel::kernels::kShortTable,
+        channel::kernels::kShortTable + 1, 300ul}) {
+    std::vector<double> cumulative(entries);
+    for (auto& c : cumulative) c = unit(rng);
+    std::sort(cumulative.begin(), cumulative.end());
+    if (entries >= 3) cumulative[1] = cumulative[0];  // a tie
+    cumulative.back() = 1.0;
+    for (const std::size_t count : {0ul, 1ul, 17ul, 1024ul, 1031ul}) {
+      std::vector<double> uk(count), u(count);
+      for (std::size_t t = 0; t < count; ++t) {
+        uk[t] = t % 3 == 0 ? cumulative[rng() % entries] : unit(rng);
+        if (uk[t] >= 1.0) uk[t] = 0.0;
+        u[t] = unit(rng);
+      }
+      channel::group_by_slot(cumulative, uk, u, scratch);
+
+      std::vector<std::size_t> slot(count);
+      for (std::size_t t = 0; t < count; ++t) {
+        slot[t] = static_cast<std::size_t>(
+            std::lower_bound(cumulative.begin(), cumulative.end(), uk[t]) -
+            cumulative.begin());
+      }
+      std::vector<std::uint32_t> order(count);
+      std::iota(order.begin(), order.end(), 0u);
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return slot[a] < slot[b];
+                       });
+      const std::string where = "entries " + std::to_string(entries) +
+                                " count " + std::to_string(count);
+      ASSERT_EQ(std::vector<std::uint32_t>(scratch.order.begin(),
+                                           scratch.order.begin() + count),
+                order)
+          << where;
+      for (std::size_t s = 0; s <= entries; ++s) {
+        const auto before = static_cast<std::size_t>(
+            std::count_if(slot.begin(), slot.end(),
+                          [s](std::size_t v) { return v < s; }));
+        EXPECT_EQ(scratch.start[s], before) << where << " slot " << s;
+      }
+      for (std::size_t j = 0; j < count; ++j) {
+        EXPECT_EQ(scratch.grouped[j], u[order[j]]) << where;
+      }
+    }
+  }
+}
+
+TEST(ColumnarEngine, ReusedScratchMatchesFreshRuns) {
+  // One worker's scratch through a large drawn-size block, a small
+  // fixed-k block, a different (short) distribution and back: every
+  // block's columns must equal a run with scratch of its own.
+  constexpr std::size_t kBudget = 1 << 12;
+  const auto wide = info::SizeDistribution::uniform(200);  // 199 slots
+  const auto narrow = table1_sizes(1 << 10);
+  const baselines::DecaySchedule decay(1 << 10);
+  const baselines::WillardPolicy willard(1 << 10);
+  const channel::BatchColumnarEngine batch(decay);
+  const channel::HistoryTreeEngine tree(willard);
+  struct Step {
+    channel::SizeSource sizes;
+    std::size_t trials;
+  };
+  const Step steps[] = {{{&wide, 0}, 3000},   {{nullptr, 7}, 37},
+                        {{&narrow, 0}, 1024}, {{&wide, 0}, 5},
+                        {{nullptr, 300}, 40}, {{&narrow, 0}, 17}};
+  for (const channel::Engine* engine :
+       {static_cast<const channel::Engine*>(&batch),
+        static_cast<const channel::Engine*>(&tree)}) {
+    channel::BlockScratch scratch;
+    std::size_t first = 0;
+    for (const Step& step : steps) {
+      const auto reused = run_one_block(*engine, step.sizes, step.trials, 61,
+                                        kBudget, first, &scratch);
+      const auto fresh =
+          run_one_block(*engine, step.sizes, step.trials, 61, kBudget, first);
+      EXPECT_EQ(reused.solved, fresh.solved) << "first trial " << first;
+      EXPECT_EQ(reused.rounds, fresh.rounds) << "first trial " << first;
+      first += step.trials;
     }
   }
 }

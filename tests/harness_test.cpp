@@ -36,6 +36,16 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile(samples, 0.5), 5.0);
   EXPECT_DOUBLE_EQ(percentile(samples, 1.0), 10.0);
   EXPECT_THROW(percentile(samples, 1.5), std::invalid_argument);
+  // NaN fails every compare: it must be rejected, not cast to an index.
+  EXPECT_THROW(percentile(samples, std::nan("")), std::invalid_argument);
+}
+
+TEST(Stats, PercentileCountsRejectsNaN) {
+  const std::vector<std::uint64_t> counts{0, 2, 1};
+  EXPECT_DOUBLE_EQ(percentile_counts(counts, 1.0), 2.0);
+  EXPECT_THROW(percentile_counts(counts, 1.5), std::invalid_argument);
+  EXPECT_THROW(percentile_counts(counts, std::nan("")),
+               std::invalid_argument);
 }
 
 /// Trials alternate by global index: even trials solve in 3 rounds,

@@ -15,12 +15,15 @@
 //  * log1p_neg within 1 ulp of libm's log1p over (-1, 0];
 //  * the probe descents against std::upper_bound / the scalar
 //    search_one on tables with exact ties, single entries, all--inf
-//    padding, and lane counts that do not divide any vector width.
+//    padding, and lane counts that do not divide any vector width;
+//  * the slot kernel against the padded lower-bound descent and
+//    std::lower_bound, on both sides of the short-table bound.
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -276,23 +279,90 @@ TEST_P(KernelTierTest, ProbeRoundsBitwiseOnAdversarialTables) {
 }
 
 TEST_P(KernelTierTest, ProbeCdfBitwise) {
+  // Both sides of the short-table bound (padded sizes 2 .. 256), with
+  // duplicate entries, draws tying entries, all-leaf draws past every
+  // entry, and the adversarial 0, NaN and +inf.
   std::mt19937_64 rng(31);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
-  for (std::size_t entries = 1; entries <= 40; ++entries) {
+  ASSERT_LT(kShortTable, 130u);
+  for (std::size_t entries = 1; entries <= 130; ++entries) {
     std::vector<double> cdf(entries);
-    for (auto& c : cdf) c = unit(rng);
+    for (auto& c : cdf) c = 0.9 * unit(rng);  // mass below 0.9 solves
     std::sort(cdf.begin(), cdf.end());
     if (entries >= 2) cdf[entries - 1] = cdf[entries - 2];  // trailing tie
+    if (entries >= 4) cdf[1] = cdf[2];                      // inner tie
     const OwnedCdfTable table(cdf);
-    for (std::size_t count = 1; count <= 17; ++count) {
-      std::vector<double> u(count);
-      for (std::size_t t = 0; t < count; ++t) {
-        u[t] = t % 2 == 0 ? unit(rng) : cdf[rng() % entries];
+    for (const std::size_t count : {1ul, 2ul, 7ul, 8ul, 9ul, 15ul, 16ul,
+                                    17ul, 33ul, 100ul}) {
+      for (int mix = 0; mix < 3; ++mix) {
+        std::vector<double> u(count);
+        for (std::size_t t = 0; t < count; ++t) {
+          switch (mix == 0 ? t % 4 : mix) {
+            case 0: u[t] = unit(rng); break;
+            case 1: u[t] = cdf[rng() % entries]; break;          // a tie
+            case 2: u[t] = 0.9 + 0.1 * unit(rng); break;         // all leaf
+            default: u[t] = t % 3 == 0 ? 0.0 : unit(rng); break;
+          }
+        }
+        if (mix == 0 && count > 2) {
+          u[count - 1] = std::nan("");
+          u[count - 2] = kInf;
+        }
+        std::vector<std::uint64_t> got(count, ~0ULL), want(count, ~0ULL);
+        tier_ops().probe_cdf(table.view, u.data(), count, got.data());
+        scalar_ops().probe_cdf(table.view, u.data(), count, want.data());
+        EXPECT_EQ(got, want) << "entries " << entries << " count " << count
+                             << " mix " << mix;
       }
-      std::vector<std::uint64_t> got(count, ~0ULL), want(count, ~0ULL);
-      tier_ops().probe_cdf(table.view, u.data(), count, got.data());
-      scalar_ops().probe_cdf(table.view, u.data(), count, want.data());
-      EXPECT_EQ(got, want) << "entries " << entries << " count " << count;
+    }
+  }
+}
+
+TEST_P(KernelTierTest, SlotLookupBitwise) {
+  // Every tier's slot kernel against the padded lower-bound descent the
+  // engines once ran per trial, and std::lower_bound: support sizes
+  // 1-70 (both sides of the short-table bound) and one large support,
+  // draws tying entries, u = 0, u past the last entry, and counts
+  // that leave lane tails.
+  std::mt19937_64 rng(41);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<std::size_t> supports(70);
+  std::iota(supports.begin(), supports.end(), 1);
+  supports.push_back(4095);
+  for (const std::size_t entries : supports) {
+    std::vector<double> cumulative(entries);
+    for (auto& c : cumulative) c = unit(rng);
+    std::sort(cumulative.begin(), cumulative.end());
+    if (entries >= 3) cumulative[entries / 2] = cumulative[entries / 2 - 1];
+    // Half the tables end at 1.0 as support_cumulative does; the rest
+    // leave room for draws past the last entry.
+    if (entries % 2 == 0) cumulative.back() = 1.0;
+    std::vector<double> padded(std::bit_ceil(entries), kInf);
+    std::copy(cumulative.begin(), cumulative.end(), padded.begin());
+    for (const std::size_t count : {1ul, 3ul, 4ul, 7ul, 8ul, 9ul, 15ul,
+                                    16ul, 17ul, 31ul, 1031ul}) {
+      std::vector<double> uk(count);
+      for (std::size_t t = 0; t < count; ++t) {
+        switch (t % 5) {
+          case 0: uk[t] = cumulative[rng() % entries]; break;  // a tie
+          case 1: uk[t] = 0.0; break;
+          case 2: uk[t] = 0.999999 + 1e-6 * unit(rng); break;  // past
+          default: uk[t] = unit(rng); break;
+        }
+      }
+      std::vector<std::uint32_t> got(count, ~0u);
+      tier_ops().slot_lookup(cumulative.data(), entries, uk.data(), count,
+                             got.data());
+      for (std::size_t t = 0; t < count; ++t) {
+        const auto padded_descent =
+            lower_bound_count(padded.data(), padded.size(), uk[t]);
+        const auto want = static_cast<std::size_t>(
+            std::lower_bound(cumulative.begin(), cumulative.end(), uk[t]) -
+            cumulative.begin());
+        ASSERT_EQ(padded_descent, want);
+        ASSERT_EQ(got[t], want) << "entries " << entries << " count "
+                                << count << " t " << t << " uk " << uk[t];
+      }
     }
   }
 }

@@ -22,6 +22,8 @@ ID that docs/STATIC_ANALYSIS.md catalogues:
                             or a CheckpointSink, never bare ofstream/fopen
   dur-fsync-append          append-mode journal writers must fsync
   exit-taxonomy             no magic exit codes in crp_shard/supervisor
+  nan-range-check           no `x < 0 || x > 1` range checks, which NaN
+                            passes: use channel::in_unit_interval
 
 Suppression is explicit and audited: a finding is silenced only by
 
@@ -348,6 +350,31 @@ def check_exit_taxonomy(src: SourceFile):
                    "throw and let main map the error to an exit code")
 
 
+# One operand (an identifier, member chain or subscript) tested below 0
+# and above 1 in either order: `x < 0.0 || x > 1.0`. Both compares are
+# false for NaN, so NaN passes the check. A line scanner cannot see
+# types, so integer spellings of the same test are flagged as well.
+_OPERAND = r"(?<![\w.>])([A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*|\[[^\]]*\])*)"
+_ZERO = r"0(?:\.0*)?(?![\w.])"
+_ONE = r"1(?:\.0*)?(?![\w.])"
+NAN_RANGE_RE = re.compile(
+    _OPERAND + r"\s*<\s*" + _ZERO + r"\s*\|\|\s*\1\s*>\s*" + _ONE
+    + "|" + _OPERAND + r"\s*>\s*" + _ONE
+    + r"\s*\|\|\s*\2\s*<\s*" + _ZERO)
+
+
+def check_nan_range(src: SourceFile):
+    for lineno, line in enumerate(src.code_lines, 1):
+        match = NAN_RANGE_RE.search(line)
+        if match:
+            operand = match.group(1) or match.group(2)
+            yield (lineno,
+                   f"range check '{operand} < 0 || {operand} > 1' lets NaN "
+                   "through (both compares are false) — reject with "
+                   f"!channel::in_unit_interval({operand}) "
+                   "(channel/unit_interval.h)")
+
+
 class Rule:
     def __init__(self, rule_id, contract, description, in_scope, check):
         self.rule_id = rule_id
@@ -426,6 +453,15 @@ RULES = [
         or _in(rel, "src/harness/supervisor", "src/harness/checkpoint",
                "src/harness/shard"),
         check_exit_taxonomy,
+    ),
+    Rule(
+        "nan-range-check",
+        "correctness: NaN-safe range checks",
+        "No `x < 0 || x > 1` range checks — NaN passes them; reject "
+        "with !channel::in_unit_interval(x), which is false for NaN.",
+        lambda rel: _is_cxx(rel)
+        and _in(rel, "src/", "tools/", "bench/", "examples/", "repro/"),
+        check_nan_range,
     ),
 ]
 
