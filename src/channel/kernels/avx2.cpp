@@ -408,31 +408,14 @@ void probe_rounds_avx2(const ProbeTable& table, const double* targets,
   for (; t < count; ++t) rounds[t] = search_one(table, targets[t]);
 }
 
-/// Upper-bound descent over a padded CDF, 4 lanes per gather: pos
-/// advances where padded[pos+step] <= u, landing on the count of CDF
-/// entries <= u (the sentinel at [0] roots the walk, the +inf padding
-/// caps it at `entries`).
-inline __m256i cdf4(const CdfTable& table, __m256d u) {
-  __m256i pos = _mm256_setzero_si256();
-  for (std::size_t step = table.padded_size >> 1; step > 0; step >>= 1) {
-    const __m256i stepv = set1_u64(step);
-    const __m256i idx = _mm256_add_epi64(pos, stepv);
-    const __m256d v = _mm256_i64gather_pd(table.padded, idx, 8);
-    const __m256d le = _mm256_cmp_pd(v, u, _CMP_LE_OQ);
-    pos = _mm256_add_epi64(pos,
-                           _mm256_and_si256(_mm256_castpd_si256(le), stepv));
-  }
-  return pos;
-}
-
-/// The short-table probe_cdf (kernels.h, kShortTable): counts the
-/// padded[1 .. padded_size) entries <= u lane by lane, 8 lanes at a
-/// time, until an entry exceeds every lane's draw. The padded array
-/// (sentinel, CDF, +inf) is non-decreasing, so the count is the
-/// descent's landing index for every u, u = +inf included. A compare
-/// lane is all ones (-1), so subtracting it counts.
-void probe_cdf_short_avx2(const CdfTable& table, const double* u,
-                          std::size_t count, std::uint64_t* index) {
+/// probe_cdf by broadcast compares: counts the padded[1 .. padded_size)
+/// entries <= u lane by lane, 8 lanes at a time, until an entry exceeds
+/// every lane's draw. The padded array (sentinel, CDF, +inf) is
+/// non-decreasing, so the count is the descent's landing index for
+/// every u, u = +inf included. A compare lane is all ones (-1), so
+/// subtracting it counts.
+void probe_cdf_avx2(const CdfTable& table, const double* u, std::size_t count,
+                    std::uint64_t* index) {
   auto* out = reinterpret_cast<long long*>(index);
   std::size_t t = 0;
   for (; t + 8 <= count; t += 8) {
@@ -453,23 +436,6 @@ void probe_cdf_short_avx2(const CdfTable& table, const double* u,
   for (; t < count; ++t) index[t] = probe_cdf_one(table, u[t]);
 }
 
-void probe_cdf_avx2(const CdfTable& table, const double* u, std::size_t count,
-                    std::uint64_t* index) {
-  if (table.padded_size <= kShortTable) {
-    probe_cdf_short_avx2(table, u, count, index);
-    return;
-  }
-  auto* out = reinterpret_cast<long long*>(index);
-  std::size_t t = 0;
-  for (; t + 8 <= count; t += 8) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + t),
-                        cdf4(table, _mm256_loadu_pd(u + t)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + t + 4),
-                        cdf4(table, _mm256_loadu_pd(u + t + 4)));
-  }
-  for (; t < count; ++t) index[t] = probe_cdf_one(table, u[t]);
-}
-
 // ---- support slots ----
 
 /// The low 32 bits of each 64-bit lane, packed into 128 bits (every
@@ -479,34 +445,14 @@ inline __m128i low32(__m256i v) {
       v, _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6)));
 }
 
-/// lower_bound_count, 4 lanes per gather: every lane halves the same
-/// length, so the descent needs no padding, and every gather index
-/// stays below `entries`.
-inline __m128i lower_bound4(const double* cumulative, std::size_t entries,
-                            __m256d u) {
-  __m256i pos = _mm256_setzero_si256();
-  for (std::size_t len = entries; len > 1;) {
-    const std::size_t half = len / 2;
-    const __m256d v = _mm256_i64gather_pd(
-        cumulative, _mm256_add_epi64(pos, set1_u64(half - 1)), 8);
-    const __m256d below = _mm256_cmp_pd(v, u, _CMP_LT_OQ);
-    pos = _mm256_add_epi64(
-        pos, _mm256_and_si256(_mm256_castpd_si256(below), set1_u64(half)));
-    len -= half;
-  }
-  const __m256d v = _mm256_i64gather_pd(cumulative, pos, 8);
-  pos = _mm256_sub_epi64(pos,
-                         _mm256_castpd_si256(_mm256_cmp_pd(v, u, _CMP_LT_OQ)));
-  return low32(pos);
-}
-
 void slot_lookup_avx2(const double* cumulative, std::size_t entries,
                       const double* uk, std::size_t count,
                       std::uint32_t* slot) {
+  // Longer supports run the scalar descent (kShortTable).
   std::size_t t = 0;
   if (entries <= kShortTable) {
-    // Broadcast compares (kShortTable): 8 lanes count the entries
-    // below their draw until an entry reaches every lane's draw.
+    // Broadcast compares: 8 lanes count the entries below their draw
+    // until an entry reaches every lane's draw.
     for (; t + 8 <= count; t += 8) {
       const __m256d a = _mm256_loadu_pd(uk + t);
       const __m256d b = _mm256_loadu_pd(uk + t + 4);
@@ -521,15 +467,6 @@ void slot_lookup_avx2(const double* cumulative, std::size_t entries,
       }
       _mm_storeu_si128(reinterpret_cast<__m128i*>(slot + t), low32(ca));
       _mm_storeu_si128(reinterpret_cast<__m128i*>(slot + t + 4), low32(cb));
-    }
-  } else {
-    for (; t + 8 <= count; t += 8) {
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(slot + t),
-          lower_bound4(cumulative, entries, _mm256_loadu_pd(uk + t)));
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(slot + t + 4),
-          lower_bound4(cumulative, entries, _mm256_loadu_pd(uk + t + 4)));
     }
   }
   if (t < count) {

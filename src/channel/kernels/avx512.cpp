@@ -329,25 +329,13 @@ void probe_rounds_avx512(const ProbeTable& table, const double* targets,
   for (; t < count; ++t) rounds[t] = search_one(table, targets[t]);
 }
 
-inline __m512i cdf8(const CdfTable& table, __m512d u) {
-  __m512i pos = _mm512_setzero_si512();
-  for (std::size_t step = table.padded_size >> 1; step > 0; step >>= 1) {
-    const __m512i stepv = set1_u64(step);
-    const __m512i idx = _mm512_add_epi64(pos, stepv);
-    const __m512d v = _mm512_i64gather_pd(idx, table.padded, 8);
-    const __mmask8 le = _mm512_cmp_pd_mask(v, u, _CMP_LE_OQ);
-    pos = _mm512_mask_add_epi64(pos, le, pos, stepv);
-  }
-  return pos;
-}
-
-/// The short-table probe_cdf (kernels.h, kShortTable): counts the
-/// padded[1 .. padded_size) entries <= u lane by lane, 16 lanes at a
-/// time, until an entry exceeds every lane's draw. The padded array
-/// (sentinel, CDF, +inf) is non-decreasing, so the count is the
-/// descent's landing index for every u, u = +inf included.
-void probe_cdf_short_avx512(const CdfTable& table, const double* u,
-                            std::size_t count, std::uint64_t* index) {
+/// probe_cdf by broadcast compares: counts the padded[1 .. padded_size)
+/// entries <= u lane by lane, 16 lanes at a time, until an entry
+/// exceeds every lane's draw. The padded array (sentinel, CDF, +inf)
+/// is non-decreasing, so the count is the descent's landing index for
+/// every u, u = +inf included.
+void probe_cdf_avx512(const CdfTable& table, const double* u,
+                      std::size_t count, std::uint64_t* index) {
   void* out = static_cast<void*>(index);
   auto* out64 = static_cast<long long*>(out);
   const __m512i one = set1_u64(1);
@@ -370,52 +358,16 @@ void probe_cdf_short_avx512(const CdfTable& table, const double* u,
   for (; t < count; ++t) index[t] = probe_cdf_one(table, u[t]);
 }
 
-void probe_cdf_avx512(const CdfTable& table, const double* u,
-                      std::size_t count, std::uint64_t* index) {
-  if (table.padded_size <= kShortTable) {
-    probe_cdf_short_avx512(table, u, count, index);
-    return;
-  }
-  void* out = static_cast<void*>(index);
-  auto* out64 = static_cast<long long*>(out);
-  std::size_t t = 0;
-  for (; t + 16 <= count; t += 16) {
-    _mm512_storeu_si512(out64 + t, cdf8(table, _mm512_loadu_pd(u + t)));
-    _mm512_storeu_si512(out64 + t + 8,
-                        cdf8(table, _mm512_loadu_pd(u + t + 8)));
-  }
-  for (; t < count; ++t) index[t] = probe_cdf_one(table, u[t]);
-}
-
 // ---- support slots ----
-
-/// lower_bound_count, 8 lanes per gather: every lane halves the same
-/// length, so the descent needs no padding, and every gather index
-/// stays below `entries`.
-inline __m256i lower_bound8(const double* cumulative, std::size_t entries,
-                            __m512d u) {
-  __m512i pos = _mm512_setzero_si512();
-  for (std::size_t len = entries; len > 1;) {
-    const std::size_t half = len / 2;
-    const __m512d v = _mm512_i64gather_pd(
-        _mm512_add_epi64(pos, set1_u64(half - 1)), cumulative, 8);
-    pos = _mm512_mask_add_epi64(pos, _mm512_cmp_pd_mask(v, u, _CMP_LT_OQ),
-                                pos, set1_u64(half));
-    len -= half;
-  }
-  const __m512d v = _mm512_i64gather_pd(pos, cumulative, 8);
-  pos = _mm512_mask_add_epi64(pos, _mm512_cmp_pd_mask(v, u, _CMP_LT_OQ), pos,
-                              set1_u64(1));
-  return _mm512_cvtepi64_epi32(pos);
-}
 
 void slot_lookup_avx512(const double* cumulative, std::size_t entries,
                         const double* uk, std::size_t count,
                         std::uint32_t* slot) {
+  // Longer supports run the scalar descent (kShortTable).
   std::size_t t = 0;
   if (entries <= kShortTable) {
-    // Broadcast compares (kShortTable): 16 lanes count the entries
-    // below their draw until an entry reaches every lane's draw.
+    // Broadcast compares: 16 lanes count the entries below their draw
+    // until an entry reaches every lane's draw.
     const __m512i one = _mm512_set1_epi32(1);
     for (; t + 16 <= count; t += 16) {
       const __m512d a = _mm512_loadu_pd(uk + t);
@@ -430,15 +382,6 @@ void slot_lookup_avx512(const double* cumulative, std::size_t entries,
         below = _mm512_mask_add_epi32(below, lanes, below, one);
       }
       _mm512_storeu_si512(slot + t, below);
-    }
-  } else {
-    for (; t + 16 <= count; t += 16) {
-      const __m256i a =
-          lower_bound8(cumulative, entries, _mm512_loadu_pd(uk + t));
-      const __m256i b =
-          lower_bound8(cumulative, entries, _mm512_loadu_pd(uk + t + 8));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(slot + t), a);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(slot + t + 8), b);
     }
   }
   if (t < count) {

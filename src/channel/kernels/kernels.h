@@ -100,13 +100,17 @@ struct CdfTable {
   std::size_t entries;
 };
 
-/// Tables of at most this many entries are searched by broadcast
-/// compares: each entry in turn is compared with every lane's query,
-/// and a lane's answer counts the entries its query passed. The scan
-/// stops at the first entry no lane's query reaches, which is exact
-/// because the tables are non-decreasing. Longer tables are searched
-/// by a lane (gather) descent. The choice depends only on the table's
-/// size, and both give the same integers, so it never moves a result.
+/// The vector probe_cdf and slot_lookup search by broadcast compares:
+/// each entry in turn is compared with every lane's query, and a
+/// lane's answer counts the entries its query passed. The scan stops
+/// at the first entry no lane's query reaches, which is exact because
+/// the tables are non-decreasing. probe_cdf scans every table this way
+/// (a history tree's padded solve CDF has at most 64 entries);
+/// slot_lookup scans supports of at most kShortTable entries and hands
+/// longer ones to the scalar lower_bound_count. The choice depends
+/// only on the table's size, and both give the same integers, so it
+/// never moves a result. group_by_slot (channel/engine.cpp) uses the
+/// same bound to pick its split counting histogram.
 inline constexpr std::size_t kShortTable = 64;
 
 /// One ISA tier's kernel table. All functions are pure and

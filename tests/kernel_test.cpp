@@ -279,12 +279,12 @@ TEST_P(KernelTierTest, ProbeRoundsBitwiseOnAdversarialTables) {
 }
 
 TEST_P(KernelTierTest, ProbeCdfBitwise) {
-  // Both sides of the short-table bound (padded sizes 2 .. 256), with
-  // duplicate entries, draws tying entries, all-leaf draws past every
-  // entry, and the adversarial 0, NaN and +inf.
+  // Padded sizes 2 .. 256 (the broadcast scan runs at every length),
+  // with duplicate entries, draws tying entries, all-leaf draws past
+  // every entry, the adversarial 0, NaN and +inf, and every count from
+  // 1 to 17 plus two long ones, so every lane tail is hit.
   std::mt19937_64 rng(31);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
-  ASSERT_LT(kShortTable, 130u);
   for (std::size_t entries = 1; entries <= 130; ++entries) {
     std::vector<double> cdf(entries);
     for (auto& c : cdf) c = 0.9 * unit(rng);  // mass below 0.9 solves
@@ -292,8 +292,11 @@ TEST_P(KernelTierTest, ProbeCdfBitwise) {
     if (entries >= 2) cdf[entries - 1] = cdf[entries - 2];  // trailing tie
     if (entries >= 4) cdf[1] = cdf[2];                      // inner tie
     const OwnedCdfTable table(cdf);
-    for (const std::size_t count : {1ul, 2ul, 7ul, 8ul, 9ul, 15ul, 16ul,
-                                    17ul, 33ul, 100ul}) {
+    std::vector<std::size_t> counts(17);
+    std::iota(counts.begin(), counts.end(), 1);
+    counts.push_back(33);
+    counts.push_back(100);
+    for (const std::size_t count : counts) {
       for (int mix = 0; mix < 3; ++mix) {
         std::vector<double> u(count);
         for (std::size_t t = 0; t < count; ++t) {
