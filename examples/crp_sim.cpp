@@ -32,10 +32,12 @@
 // The comparison runs as one sweep-scheduler grid (harness/sweep.h)
 // with a pinned seed stream per algorithm, so at a fixed --seed the
 // "--algo X" row equals the X row of "--algo all" exactly.
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "baselines/decay.h"
@@ -71,6 +73,28 @@ struct Options {
   std::exit(2);
 }
 
+/// Strict non-negative integer, the reader crp_shard's flags use:
+/// std::stoull would read "10abc" as 10 and wrap "-1" to 2^64 - 1.
+std::uint64_t parse_count(const std::string& value, const std::string& what) {
+  const auto parsed = crp::harness::parse_csv_unsigned(value);
+  if (!parsed) {
+    usage_error("expected a non-negative integer for " + what + ", got \"" +
+                value + "\"");
+  }
+  return *parsed;
+}
+
+/// Strict finite real: the whole field must parse, and nan/inf are
+/// rejected.
+double parse_real(const std::string& value, const std::string& what) {
+  const auto parsed = crp::harness::parse_csv_finite(value);
+  if (!parsed) {
+    usage_error("expected a finite number for " + what + ", got \"" + value +
+                "\"");
+  }
+  return *parsed;
+}
+
 Options parse_args(int argc, char** argv) {
   Options options;
   for (int i = 1; i < argc; ++i) {
@@ -80,21 +104,21 @@ Options parse_args(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--n") {
-      options.n = std::stoull(next());
+      options.n = parse_count(next(), arg);
     } else if (arg == "--dist") {
       options.dist = next();
     } else if (arg == "--algo") {
       options.algo = next();
     } else if (arg == "--trials") {
-      options.trials = std::stoull(next());
+      options.trials = parse_count(next(), arg);
     } else if (arg == "--seed") {
-      options.seed = std::stoull(next());
+      options.seed = parse_count(next(), arg);
     } else if (arg == "--max-rounds") {
-      options.max_rounds = std::stoull(next());
+      options.max_rounds = parse_count(next(), arg);
     } else if (arg == "--csv") {
       options.csv = true;
     } else if (arg == "--threads") {
-      options.threads = std::stoull(next());
+      options.threads = parse_count(next(), arg);
     } else if (arg == "--engine") {
       options.engine = next();
     } else if (arg == "--help" || arg == "-h") {
@@ -117,27 +141,33 @@ std::pair<std::string, std::string> split_spec(const std::string& spec) {
 
 crp::info::SizeDistribution make_distribution(const Options& options) {
   const auto [name, args] = split_spec(options.dist);
-  if (name == "uniform") {
-    return crp::info::SizeDistribution::uniform(options.n);
-  }
-  if (name == "point") {
-    return crp::info::SizeDistribution::point_mass(options.n,
-                                                   std::stoull(args));
-  }
-  if (name == "zipf") {
-    return crp::predict::zipf_sizes(options.n, std::stod(args));
-  }
-  if (name == "lognormal") {
-    const auto comma = args.find(',');
-    if (comma == std::string::npos) {
-      usage_error("lognormal needs MU,SIGMA");
+  // The builders reject out-of-range parameters (a point outside
+  // [2, n], sigma <= 0, an unreadable file) with invalid_argument.
+  try {
+    if (name == "uniform") {
+      return crp::info::SizeDistribution::uniform(options.n);
     }
-    return crp::predict::log_normal_sizes(
-        options.n, std::stod(args.substr(0, comma)),
-        std::stod(args.substr(comma + 1)));
-  }
-  if (name == "file") {
-    return crp::harness::read_size_distribution_csv_file(args, options.n);
+    if (name == "point") {
+      return crp::info::SizeDistribution::point_mass(
+          options.n, parse_count(args, "point:K"));
+    }
+    if (name == "zipf") {
+      return crp::predict::zipf_sizes(options.n, parse_real(args, "zipf:S"));
+    }
+    if (name == "lognormal") {
+      const auto comma = args.find(',');
+      if (comma == std::string::npos) {
+        usage_error("lognormal needs MU,SIGMA");
+      }
+      return crp::predict::log_normal_sizes(
+          options.n, parse_real(args.substr(0, comma), "lognormal:MU"),
+          parse_real(args.substr(comma + 1), "lognormal:SIGMA"));
+    }
+    if (name == "file") {
+      return crp::harness::read_size_distribution_csv_file(args, options.n);
+    }
+  } catch (const std::invalid_argument& error) {
+    usage_error("--dist " + options.dist + ": " + error.what());
   }
   usage_error("unknown distribution " + name);
 }
@@ -176,7 +206,7 @@ std::vector<AlgoResult> run_algorithms(const Options& options,
   const auto [spec_name, spec_args] = split_spec(options.algo);
   const std::size_t k_hat =
       spec_name == "fixed" && !spec_args.empty()
-          ? std::stoull(spec_args)
+          ? parse_count(spec_args, "fixed:K")
           : static_cast<std::size_t>(actual.mean());
   const auto fixed =
       crp::baselines::FixedProbabilitySchedule::for_size_estimate(

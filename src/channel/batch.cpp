@@ -5,8 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
-#include <random>
-#include <stdexcept>
 
 namespace crp::channel {
 
@@ -50,17 +48,6 @@ BatchNoCdSampler::BatchNoCdSampler(const ProbabilitySchedule& schedule)
       probabilities_.push_back(p);
     }
   }
-}
-
-double BatchNoCdSampler::probability(std::size_t round) const {
-  if (period_ > 0) return probabilities_[round % period_];
-  {
-    std::shared_lock lock(mutex_);
-    if (round < probabilities_.size()) return probabilities_[round];
-  }
-  const double p = schedule_.probability(round);
-  validate_probability(p);
-  return p;
 }
 
 std::shared_ptr<const BatchNoCdSampler::SolveTable>
@@ -139,62 +126,9 @@ std::size_t BatchNoCdSampler::search(const SolveTable& table, double target,
                                      std::size_t max_rounds) const {
   // The full search (periodic skip + residual probe + budget clamp)
   // lives in the kernel layer as search_one — the scalar reference the
-  // lane kernels are pinned against — so the per-trial sample() paths
+  // lane kernels are pinned against — so the per-trial sample() path
   // and the columnar probe_rounds pass share one implementation.
   return kernels::search_one(probe_view(table, max_rounds), target);
-}
-
-RunResult BatchNoCdSampler::sample(std::size_t k, Rng& rng,
-                                   const BatchOptions& options) const {
-  if (k == 0) throw std::invalid_argument("need at least one participant");
-  if (options.trace != nullptr) {
-    // Traced runs need every round; use the exact per-round engine.
-    return run_uniform_no_cd(
-        schedule_, k, rng,
-        {.max_rounds = options.max_rounds, .trace = options.trace});
-  }
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  const std::size_t round = solve_round(k, unit(rng), options.max_rounds);
-
-  RunResult result;
-  result.solved = round != 0;
-  result.rounds = result.solved ? round : options.max_rounds;
-  if (options.sample_transmissions) {
-    // Conditional reconstruction of the energy proxy: every pre-success
-    // round saw Binomial(k, p_j) transmitters conditioned on the round
-    // not succeeding; the success round contributes exactly one.
-    TransmitterSampler sampler(k);
-    std::size_t energy = result.solved ? 1 : 0;
-    const std::size_t pre_rounds =
-        result.solved ? round - 1 : options.max_rounds;
-    for (std::size_t r = 0; r < pre_rounds; ++r) {
-      const double p = probability(r);
-      std::size_t transmitters;
-      do {
-        transmitters = sampler(p, rng);
-      } while (transmitters == 1);
-      energy += transmitters;
-    }
-    result.transmissions = energy;
-  }
-  return result;
-}
-
-RunResult BatchNoCdSampler::sample(std::size_t k, SplitMix64& rng,
-                                   std::size_t max_rounds) const {
-  if (k == 0) throw std::invalid_argument("need at least one participant");
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  const std::size_t round = solve_round(k, unit(rng), max_rounds);
-  RunResult result;
-  result.solved = round != 0;
-  result.rounds = result.solved ? round : max_rounds;
-  return result;
-}
-
-RunResult run_uniform_no_cd_batch(const ProbabilitySchedule& schedule,
-                                  std::size_t k, Rng& rng,
-                                  const BatchOptions& options) {
-  return BatchNoCdSampler(schedule).sample(k, rng, options);
 }
 
 }  // namespace crp::channel

@@ -35,18 +35,19 @@
 /// schedule/table caches grow under a shared mutex, snapshots are
 /// immutable, and search() is pure.
 ///
-/// Determinism: sample() consumes a fixed draw order (one uniform per
-/// outcome, optional conditional-binomial energy draws) from the
-/// caller's engine and derives nothing else, so results are a pure
-/// function of (schedule, k, rng state, options) — cache state and
-/// tabulation order never affect a result, only its cost.
+/// Determinism: sample() consumes one uniform draw per outcome from
+/// the caller's generator and derives nothing else, so results are a
+/// pure function of (schedule, k, generator state, max_rounds) — cache
+/// state and tabulation order never affect a result, only its cost.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <shared_mutex>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -56,22 +57,6 @@
 #include "channel/simulator.h"
 
 namespace crp::channel {
-
-/// Knobs for the analytic engine.
-struct BatchOptions {
-  /// Hard stop: executions longer than this are reported unsolved.
-  std::size_t max_rounds = 1 << 20;
-  /// When true, RunResult::transmissions is sampled exactly via
-  /// conditional binomial draws (Binomial(k, p_j) conditioned on not
-  /// being the single success) for every pre-success round — O(solve
-  /// round) per trial. When false (the default) transmissions is
-  /// reported as 0 and sampling stays O(log max_rounds).
-  bool sample_transmissions = false;
-  /// When non-null the engine falls back to the exact per-round
-  /// simulator so every round can be recorded; results are then
-  /// bit-identical to run_uniform_no_cd at the same rng state.
-  ExecutionTrace* trace = nullptr;
-};
 
 /// Samples uniform no-CD executions analytically. Bind one sampler per
 /// schedule and reuse it across trials (and threads): the schedule and
@@ -87,26 +72,28 @@ class BatchNoCdSampler {
   BatchNoCdSampler(const BatchNoCdSampler&) = delete;
   BatchNoCdSampler& operator=(const BatchNoCdSampler&) = delete;
 
-  /// Samples one execution outcome for k >= 1 participants. Thread-safe.
-  RunResult sample(std::size_t k, Rng& rng,
-                   const BatchOptions& options = {}) const;
+  /// Samples one execution outcome for k >= 1 participants: one
+  /// Uniform[0, 1) draw from `rng` (channel::Rng or SplitMix64), then
+  /// one inverse-CDF lookup. An execution that outlives `max_rounds`
+  /// is reported unsolved at the budget; transmissions stays 0 (the
+  /// analytic path never sees the pre-success rounds). Thread-safe.
+  template <class Generator>
+  RunResult sample(std::size_t k, Generator& rng,
+                   std::size_t max_rounds = 1 << 20) const {
+    if (k == 0) throw std::invalid_argument("need at least one participant");
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    const std::size_t round = solve_round(k, unit(rng), max_rounds);
+    RunResult result;
+    result.solved = round != 0;
+    result.rounds = result.solved ? round : max_rounds;
+    return result;
+  }
 
-  /// Analytic-only fast variant for the lightweight per-trial engine:
-  /// no trace, no energy reconstruction — one uniform draw, one
-  /// inverse-CDF lookup. The measurement helpers use this; it prices a
-  /// whole trial at nanoseconds, where a fresh Rng stream's first draw
-  /// alone costs about 0.4 µs (see SplitMix64). Thread-safe.
-  RunResult sample(std::size_t k, SplitMix64& rng,
-                   std::size_t max_rounds = 1 << 20) const;
-
-  /// Inverse-CDF core shared by both sample() overloads: the 1-based
-  /// solve round for the uniform draw u in [0, 1), or 0 when the
-  /// execution outlives `max_rounds`. Exposed for tests.
+  /// Inverse-CDF core of sample(): the 1-based solve round for the
+  /// uniform draw u in [0, 1), or 0 when the execution outlives
+  /// `max_rounds`. Exposed for tests.
   std::size_t solve_round(std::size_t k, double u,
                           std::size_t max_rounds) const;
-
-  /// The tabulated per-round probability (exposed for tests).
-  double probability(std::size_t round) const;
 
   // ---- columnar interface (channel/engine.h) ----
   //
@@ -155,7 +142,7 @@ class BatchNoCdSampler {
   /// The log-survival target log(1 - u) a uniform draw has to reach.
   /// Evaluated by the kernel layer's own log1p (kernels::log1p_neg) —
   /// within 1 ulp of libm but vectorizable and bit-stable across libc
-  /// versions — so the scalar sample() paths and the lane kernels
+  /// versions — so the scalar sample() path and the lane kernels
   /// provably agree draw for draw.
   static double target_for(double u);
 
@@ -204,11 +191,5 @@ class BatchNoCdSampler {
   mutable std::unordered_map<std::size_t, std::shared_ptr<const SolveTable>>
       tables_;  // keyed by participant count k
 };
-
-/// One-shot convenience wrapper; prefer holding a BatchNoCdSampler when
-/// running many trials so the tables amortize.
-RunResult run_uniform_no_cd_batch(const ProbabilitySchedule& schedule,
-                                  std::size_t k, Rng& rng,
-                                  const BatchOptions& options = {});
 
 }  // namespace crp::channel

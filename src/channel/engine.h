@@ -135,8 +135,7 @@ void group_by_slot(std::span<const double> cumulative,
 /// `run(k, rng, options)`, with options.max_rounds = block.max_rounds.
 /// This is the block form of a per-trial callback — protocols the
 /// library has no dedicated engine for (the advice protocols, ALOHA,
-/// estimate-then-transmit pipelines) run through measure_blocks with
-/// it. The std::function indirection is per trial, which the exact
+/// binary exponential backoff) run through measure_blocks with it. The std::function indirection is per trial, which the exact
 /// simulators dwarf. `run` must be safe to call concurrently.
 class AdapterEngine final : public Engine {
  public:

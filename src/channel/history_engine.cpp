@@ -86,7 +86,6 @@ const HistoryTreeEngine::Entry* HistoryTreeEngine::lookup(
     harness::HistoryTreeOptions expand;
     expand.horizon = horizon;
     expand.prune_below = options_.prune_below;
-    expand.threads = options_.expand_threads;
     expand.max_nodes = options_.max_nodes;
     done.tree = std::make_shared<const harness::HistoryTree>(
         harness::expand_history_tree(policy_, k, expand));

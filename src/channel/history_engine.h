@@ -99,9 +99,6 @@ class HistoryTreeEngine final : public Engine {
     /// Node cap per expansion; a truncated expansion delegates the
     /// (k, budget) key to per-round simulation.
     std::size_t max_nodes = 1 << 20;
-    /// Worker threads for the subtree expansion fan-out (1 = inline;
-    /// the tree is identical either way).
-    std::size_t expand_threads = 1;
   };
 
   /// The policy must outlive the engine. (Two overloads rather than a

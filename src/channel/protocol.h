@@ -71,7 +71,7 @@ class ProbabilitySchedule {
 ///
 /// A State is an opaque word the policy packs its own fields into,
 /// kept below 2^63 so a wrapper can add states of its own by shifting
-/// the inner policy's (core/prelude.h adds one).
+/// the inner policy's.
 ///
 /// Thread-safety: the three primitives are const and keep no hidden
 /// state, so one policy serves any number of threads.

@@ -125,23 +125,4 @@ ExactWorstCase exact_worst_case(const channel::DeterministicProtocol& protocol,
   return worst;
 }
 
-ExactWorstCase exact_worst_case_all_sizes(
-    const channel::DeterministicProtocol& protocol,
-    const core::AdviceFunction& advice, std::size_t n, std::size_t max_k,
-    bool collision_detection, std::size_t max_rounds, std::size_t threads) {
-  ExactWorstCase worst;
-  for (std::size_t k = 1; k <= max_k && k <= n; ++k) {
-    const auto at_k = exact_worst_case(protocol, advice, n, k,
-                                       collision_detection, max_rounds,
-                                       threads);
-    worst.sets_checked += at_k.sets_checked;
-    worst.all_solved = worst.all_solved && at_k.all_solved;
-    if (at_k.rounds > worst.rounds) {
-      worst.rounds = at_k.rounds;
-      worst.witness = at_k.witness;
-    }
-  }
-  return worst;
-}
-
 }  // namespace crp::harness

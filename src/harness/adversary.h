@@ -43,11 +43,4 @@ ExactWorstCase exact_worst_case(const channel::DeterministicProtocol& protocol,
                                 std::size_t max_rounds = 1 << 16,
                                 std::size_t threads = 0);
 
-/// Same maximum taken over ALL set sizes 1..max_k.
-ExactWorstCase exact_worst_case_all_sizes(
-    const channel::DeterministicProtocol& protocol,
-    const core::AdviceFunction& advice, std::size_t n, std::size_t max_k,
-    bool collision_detection, std::size_t max_rounds = 1 << 16,
-    std::size_t threads = 0);
-
 }  // namespace crp::harness

@@ -172,16 +172,6 @@ info::SizeDistribution read_size_distribution_csv_file(
   return read_size_distribution_csv(in, n);
 }
 
-void write_size_distribution_csv(std::ostream& out,
-                                 const info::SizeDistribution& dist) {
-  out << "size,probability\n";
-  for (std::size_t k = 2; k <= dist.n(); ++k) {
-    if (dist.prob(k) > 0.0) {
-      out << k << ',' << dist.prob(k) << '\n';
-    }
-  }
-}
-
 std::string csv_quote(const std::string& field) {
   if (field.find_first_of(",\"\r\n") == std::string::npos) return field;
   std::string quoted;

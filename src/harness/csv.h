@@ -30,10 +30,6 @@ info::SizeDistribution read_size_distribution_csv(std::istream& in,
 info::SizeDistribution read_size_distribution_csv_file(
     const std::string& path, std::size_t n);
 
-/// Writes "size,probability" rows (only positive-probability sizes).
-void write_size_distribution_csv(std::ostream& out,
-                                 const info::SizeDistribution& dist);
-
 /// The one support-table validator behind every entry point that
 /// builds a SizeDistribution from explicit (size, probability) rows —
 /// read_size_distribution_csv and the grid-spec inline support tables

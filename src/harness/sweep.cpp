@@ -131,22 +131,6 @@ std::vector<SweepResult> run_sweep(const SweepGrid& grid,
   return run_sweep(std::span<const SweepCell>(cells), options);
 }
 
-Table sweep_table(std::span<const SweepResult> results) {
-  Table table({"algorithm", "sizes", "budget", "trials", "mean", "ci95",
-               "p50", "p90", "p99", "solved"});
-  for (const auto& result : results) {
-    const auto& m = result.measurement;
-    table.add_row({result.cell.algorithm.name,
-                   size_source_label(result.cell.sizes),
-                   fmt(result.cell.max_rounds), fmt(m.trials),
-                   fmt(m.rounds.mean, 2), fmt(m.rounds.ci95, 2),
-                   fmt(m.rounds.p50, 1), fmt(m.rounds.p90, 1),
-                   fmt(m.rounds.p99, 1),
-                   fmt(100.0 * m.success_rate, 1) + "%"});
-  }
-  return table;
-}
-
 std::string sweep_csv_header() {
   auto header = CsvWriter::measurement_header();
   header.insert(header.begin(), {"algorithm", "sizes", "budget", "trials",

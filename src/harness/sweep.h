@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "harness/measure.h"
-#include "harness/table.h"
 #include "info/distribution.h"
 
 namespace crp::harness {
@@ -154,10 +153,6 @@ std::vector<SweepResult> run_sweep(
     const std::function<void(const SweepResult&)>& on_result = {});
 std::vector<SweepResult> run_sweep(const SweepGrid& grid,
                                    const SweepOptions& options = {});
-
-/// Renders one row per cell: algorithm, sizes, budget, trials, then
-/// the measurement summary columns.
-Table sweep_table(std::span<const SweepResult> results);
 
 /// CSV export: algorithm, sizes, budget, trials, cell_seed, then the
 /// measurement summary columns (harness/csv.h). cell_seed is the

@@ -1,7 +1,6 @@
 #include "predict/noise.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <random>
 #include <stdexcept>
@@ -51,30 +50,10 @@ info::CondensedDistribution smooth_with_uniform(
   return info::CondensedDistribution(std::move(weights));
 }
 
-info::CondensedDistribution temperature_scale(
-    const info::CondensedDistribution& truth, double gamma) {
-  if (gamma <= 0.0) throw std::invalid_argument("gamma must be > 0");
-  std::vector<double> weights(truth.size());
-  for (std::size_t j = 0; j < truth.size(); ++j) {
-    const double q = truth.probabilities()[j];
-    weights[j] = q > 0.0 ? std::pow(q, gamma) : 0.0;
-  }
-  return normalized(std::move(weights));
-}
-
 info::CondensedDistribution reverse_ranges(
     const info::CondensedDistribution& truth) {
   std::vector<double> weights(truth.probabilities());
   std::reverse(weights.begin(), weights.end());
-  return info::CondensedDistribution(std::move(weights));
-}
-
-info::CondensedDistribution shift_ranges(
-    const info::CondensedDistribution& truth, std::size_t offset) {
-  std::vector<double> weights(truth.size());
-  for (std::size_t j = 0; j < truth.size(); ++j) {
-    weights[(j + offset) % truth.size()] = truth.probabilities()[j];
-  }
   return info::CondensedDistribution(std::move(weights));
 }
 

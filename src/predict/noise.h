@@ -28,24 +28,12 @@ info::CondensedDistribution multiplicative_jitter(
 info::CondensedDistribution smooth_with_uniform(
     const info::CondensedDistribution& truth, double eps);
 
-/// Temperature scaling: q'_i proportional to q_i^gamma. gamma < 1
-/// flattens (under-confident predictor), gamma > 1 sharpens
-/// (over-confident predictor).
-info::CondensedDistribution temperature_scale(
-    const info::CondensedDistribution& truth, double gamma);
-
 /// Adversarial reversal: the prediction ranks ranges in exactly the
 /// opposite likelihood order (probability vector reversed across the
 /// alphabet). Maximally misleads order-based algorithms while keeping
 /// the same entropy.
 info::CondensedDistribution reverse_ranges(
     const info::CondensedDistribution& truth);
-
-/// Cyclic shift of the probability vector by `offset` ranges: a
-/// systematically biased predictor ("expects crowds 2^offset times
-/// larger than reality").
-info::CondensedDistribution shift_ranges(
-    const info::CondensedDistribution& truth, std::size_t offset);
 
 /// A simulated learned predictor: draws `samples` sizes from `truth`,
 /// builds the Laplace-smoothed empirical histogram over ranges. As

@@ -1,8 +1,7 @@
-// Tests for the extension features: the footnote-4 all-transmit
-// prelude, faulty advice (Section 1.3's robustness theme), fallback
-// sweeps in the truncated protocols, energy accounting, and the
-// Pliam-style guesswork construction backing the Section 2.5
-// conjecture.
+// Tests for the extension features: faulty advice (Section 1.3's
+// robustness theme), fallback sweeps in the truncated protocols,
+// energy accounting, and the Pliam-style guesswork construction
+// backing the Section 2.5 conjecture.
 #include <cmath>
 #include <memory>
 
@@ -10,7 +9,6 @@
 
 #include "baselines/decay.h"
 #include "baselines/simple.h"
-#include "baselines/willard.h"
 #include "channel/rng.h"
 #include "channel/simulator.h"
 #include "core/advice.h"
@@ -18,63 +16,12 @@
 #include "core/advice_randomized.h"
 #include "core/faulty_advice.h"
 #include "core/likelihood_schedule.h"
-#include "core/prelude.h"
 #include "harness/measure.h"
 #include "info/distribution.h"
 #include "predict/families.h"
 
 namespace crp::core {
 namespace {
-
-// ---- prelude (footnote 4) ----
-
-TEST(Prelude, SolvesSingletonNetworkInOneRound) {
-  const auto inner =
-      std::make_shared<baselines::DecaySchedule>(std::size_t{1} << 10);
-  const WithAllTransmitPrelude schedule(inner);
-  auto rng = channel::make_rng(1);
-  const auto result = channel::run_uniform_no_cd(schedule, 1, rng);
-  ASSERT_TRUE(result.solved);
-  EXPECT_EQ(result.rounds, 1u);
-}
-
-TEST(Prelude, ShiftsInnerScheduleByOneRound) {
-  const auto inner =
-      std::make_shared<baselines::DecaySchedule>(std::size_t{1} << 10);
-  const WithAllTransmitPrelude schedule(inner);
-  EXPECT_DOUBLE_EQ(schedule.probability(0), 1.0);
-  for (std::size_t r = 1; r < 30; ++r) {
-    EXPECT_DOUBLE_EQ(schedule.probability(r), inner->probability(r - 1));
-  }
-  EXPECT_EQ(schedule.name(), "decay+prelude");
-}
-
-TEST(Prelude, CdVersionStripsProbeFeedback) {
-  const auto inner =
-      std::make_shared<baselines::WillardPolicy>(std::size_t{1} << 16);
-  const WithAllTransmitPreludeCd policy(inner);
-  EXPECT_DOUBLE_EQ(policy.probability({}), 1.0);
-  // After the probe's collision, the inner policy starts fresh.
-  EXPECT_DOUBLE_EQ(policy.probability({true}), inner->probability({}));
-  EXPECT_DOUBLE_EQ(policy.probability({true, false}),
-                   inner->probability({false}));
-}
-
-TEST(Prelude, CdVersionStillSolvesNormalNetworks) {
-  const auto inner =
-      std::make_shared<baselines::WillardPolicy>(std::size_t{1} << 12);
-  const WithAllTransmitPreludeCd policy(inner);
-  for (std::size_t k : {1ul, 2ul, 100ul, 4000ul}) {
-    const auto m = harness::measure_uniform_cd_fixed_k(
-        policy, k, 1000, /*seed=*/3, {.max_rounds = 1 << 12});
-    EXPECT_DOUBLE_EQ(m.success_rate, 1.0) << "k=" << k;
-  }
-}
-
-TEST(Prelude, RejectsNullInner) {
-  EXPECT_THROW(WithAllTransmitPrelude(nullptr), std::invalid_argument);
-  EXPECT_THROW(WithAllTransmitPreludeCd(nullptr), std::invalid_argument);
-}
 
 // ---- faulty advice ----
 

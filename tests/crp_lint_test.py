@@ -111,6 +111,17 @@ def main():
     check(sum(rule == "det-one-rng" for (_, _, rule) in expected) >= 9,
           "det-one-rng fires on every banned engine name in the fixtures")
 
+    # test-only-module reads includers from the whole root, so linting
+    # one header alone still sees who includes it.
+    alone = run_lint(repo, "--root", str(fixture_root), "src/core/orphan.h")
+    check(parse_findings(alone.stdout)
+          == {("src/core/orphan.h", 4, "test-only-module")},
+          "test-only-module fires on the orphan header linted alone")
+    reached = run_lint(repo, "--root", str(fixture_root), "src/core/shipped.h")
+    check(reached.returncode == 0,
+          "test-only-module accepts a header only examples/ includes, "
+          "linted alone")
+
     # Every shipped rule must have fixture coverage, so a rule cannot
     # rot into never-firing without this test noticing.
     listed = run_lint(repo, "--list-rules")

@@ -83,17 +83,6 @@ TEST(ExactWorstCaseTest, WitnessReproducesTheMaximum) {
   EXPECT_EQ(rerun.rounds, worst.rounds);
 }
 
-TEST(ExactWorstCaseTest, AllSizesTakesTheMaximum) {
-  constexpr std::size_t n = 16;
-  const baselines::RoundRobinProtocol protocol(n);
-  const core::MinIdPrefixAdvice advice(n, 0);
-  const auto worst =
-      exact_worst_case_all_sizes(protocol, advice, n, 3, false);
-  // Round-robin's worst single participant is id 15 -> 16 rounds.
-  EXPECT_EQ(worst.rounds, n);
-  EXPECT_TRUE(worst.all_solved);
-}
-
 TEST(ExactWorstCaseTest, ParallelEnumerationMatchesSerial) {
   // The block-parallel enumeration (rank unranking + lexicographic
   // advance) must reproduce the serial scan exactly — maximum, witness

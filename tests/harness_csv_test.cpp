@@ -96,18 +96,6 @@ TEST(CsvRead, MissingFileThrows) {
       std::invalid_argument);
 }
 
-TEST(CsvRoundTrip, WriteThenReadRecoversDistribution) {
-  const auto original = info::SizeDistribution::from_pairs(
-      64, std::vector<std::pair<std::size_t, double>>{
-              {4, 0.25}, {17, 0.5}, {63, 0.25}});
-  std::stringstream buffer;
-  write_size_distribution_csv(buffer, original);
-  const auto recovered = read_size_distribution_csv(buffer, 64);
-  for (std::size_t k = 2; k <= 64; ++k) {
-    EXPECT_NEAR(recovered.prob(k), original.prob(k), 1e-12) << "k=" << k;
-  }
-}
-
 TEST(CsvFieldParsers, StrictUnsignedAndFiniteParsing) {
   EXPECT_EQ(parse_csv_unsigned("0"), 0u);
   EXPECT_EQ(parse_csv_unsigned("18446744073709551615"),

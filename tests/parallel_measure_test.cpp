@@ -128,7 +128,7 @@ TEST(AdapterEngine, BatchSamplerTrialsAreThreadCountInvariant) {
   const channel::AdapterEngine engine(
       [&](std::size_t k, channel::Rng& rng,
           const channel::SimOptions& options) {
-        return sampler.sample(k, rng, {.max_rounds = options.max_rounds});
+        return sampler.sample(k, rng, options.max_rounds);
       });
   const MeasureOptions serial{.max_rounds = 1 << 14, .threads = 1};
   const auto reference = measure_blocks(engine, {&sizes, 0}, 4000, 7, serial);

@@ -1,12 +1,12 @@
 // The CD policies are state machines (channel/protocol.h): one O(1)
 // next_state step per round. This suite holds each production policy's
 // automaton to the history replay it replaced. The oracles below are
-// the replay bodies of CodedSearchPolicy, WillardPolicy,
-// TruncatedWillardPolicy and WithAllTransmitPreludeCd as they stood
-// before the policies became state machines, kept verbatim as free
-// functions over the same parameters. Every comparison is bit for bit:
-// the probabilities feed the Binomial draws and the history-tree
-// masses, so a last-ulp difference would move every CSV.
+// the replay bodies of CodedSearchPolicy, WillardPolicy and
+// TruncatedWillardPolicy as they stood before the policies became
+// state machines, kept verbatim as free functions over the same
+// parameters. Every comparison is bit for bit: the probabilities feed
+// the Binomial draws and the history-tree masses, so a last-ulp
+// difference would move every CSV.
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -24,7 +24,6 @@
 #include "channel/protocol.h"
 #include "core/advice_randomized.h"
 #include "core/coded_search.h"
-#include "core/prelude.h"
 #include "harness/grids.h"
 #include "info/distribution.h"
 #include "predict/families.h"
@@ -160,18 +159,6 @@ double truncated_willard_probability(const std::vector<std::size_t>& ranges_,
   return std::exp2(-static_cast<double>((*active)[mid]));
 }
 
-/// WithAllTransmitPreludeCd::probability around the inner policy's
-/// oracle.
-double prelude_probability(const Oracle& inner_,
-                           const channel::BitString& history) {
-  if (history.empty()) return 1.0;
-  // Strip the probe's feedback bit; with k >= 2 it is always a
-  // collision, carrying no information the inner policy needs.
-  const channel::BitString inner_history(history.begin() + 1,
-                                         history.end());
-  return inner_(inner_history);
-}
-
 // ---- configurations ----
 
 struct Case {
@@ -218,14 +205,6 @@ Case truncated_case(const std::string& label,
           }};
 }
 
-Case prelude_case(const Case& inner) {
-  return {inner.label + " +prelude",
-          std::make_shared<const core::WithAllTransmitPreludeCd>(inner.policy),
-          [oracle = inner.oracle](const BitString& history) {
-            return prelude_probability(oracle, history);
-          }};
-}
-
 std::vector<Case> all_cases() {
   std::vector<Case> cases;
   // Coded search at every Table 1 point (n = 2^16: m = 1, 2, ..., 16 of
@@ -263,10 +242,6 @@ std::vector<Case> all_cases() {
   for (std::size_t r = 1; r <= 16; ++r) all_ranges.push_back(r);
   cases.push_back(
       truncated_case("truncated-willard+fallback", {5, 6, 7}, all_ranges));
-
-  cases.push_back(prelude_case(cases.front()));  // coded, H = 0
-  cases.push_back(prelude_case(cases[points.size()]));  // coded, mid-table
-  cases.push_back(prelude_case(willard_case(1024, 1)));
   return cases;
 }
 

@@ -105,29 +105,11 @@ TEST(Noise, SmoothingDivergenceShrinksWithEps) {
   EXPECT_NEAR(d_zero, 0.0, 1e-12);
 }
 
-TEST(Noise, TemperatureOneIsIdentity) {
-  const auto truth = zipf_ranges(8, 1.3);
-  const auto same = temperature_scale(truth, 1.0);
-  EXPECT_NEAR(truth.kl_divergence(same), 0.0, 1e-12);
-}
-
-TEST(Noise, TemperatureFlattensOrSharpens) {
-  const auto truth = geometric_ranges(8, 0.5);
-  EXPECT_GT(temperature_scale(truth, 0.3).entropy(), truth.entropy());
-  EXPECT_LT(temperature_scale(truth, 3.0).entropy(), truth.entropy());
-}
-
 TEST(Noise, ReverseKeepsEntropySwapsOrder) {
   const auto truth = geometric_ranges(8, 0.5);
   const auto reversed = reverse_ranges(truth);
   EXPECT_NEAR(truth.entropy(), reversed.entropy(), 1e-12);
   EXPECT_GT(truth.kl_divergence(reversed), 0.5);
-}
-
-TEST(Noise, ShiftMovesMass) {
-  const auto truth = info::CondensedDistribution::point_mass(8, 2);
-  const auto shifted = shift_ranges(truth, 3);
-  EXPECT_NEAR(shifted.prob(5), 1.0, 1e-12);
 }
 
 TEST(Noise, EmpiricalPredictorConvergesWithSamples) {
@@ -149,7 +131,6 @@ TEST(Noise, ParameterValidation) {
   EXPECT_THROW(multiplicative_jitter(truth, 0.5, rng),
                std::invalid_argument);
   EXPECT_THROW(smooth_with_uniform(truth, -0.1), std::invalid_argument);
-  EXPECT_THROW(temperature_scale(truth, 0.0), std::invalid_argument);
   const auto sizes = info::SizeDistribution::uniform(64);
   EXPECT_THROW(empirical_predictor(sizes, 10, 0.0, rng),
                std::invalid_argument);

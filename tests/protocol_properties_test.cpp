@@ -17,7 +17,6 @@
 #include "core/advice_randomized.h"
 #include "core/coded_search.h"
 #include "core/likelihood_schedule.h"
-#include "core/prelude.h"
 #include "harness/measure.h"
 #include "info/distribution.h"
 #include "predict/families.h"
@@ -69,11 +68,6 @@ std::vector<ScheduleCase> schedule_zoo() {
          return std::make_shared<core::TruncatedDecaySchedule>(
              std::vector<std::size_t>{3, 4, 5}, all);
        }},
-      {"decay+prelude",
-       [] {
-         return std::make_shared<core::WithAllTransmitPrelude>(
-             std::make_shared<baselines::DecaySchedule>(kNetwork));
-       }},
   };
 }
 
@@ -114,11 +108,6 @@ std::vector<PolicyCase> policy_zoo() {
          return std::make_shared<core::TruncatedWillardPolicy>(
              std::vector<std::size_t>{5, 6}, all);
        }},
-      {"willard+prelude",
-       [] {
-         return std::make_shared<core::WithAllTransmitPreludeCd>(
-             std::make_shared<baselines::WillardPolicy>(kNetwork));
-       }},
   };
 }
 
@@ -158,7 +147,7 @@ TEST_P(ScheduleProperties, EventuallySolvesAFeasibleSize) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, ScheduleProperties,
-                         ::testing::Range<std::size_t>(0, 8));
+                         ::testing::Range<std::size_t>(0, 7));
 
 class PolicyProperties : public ::testing::TestWithParam<std::size_t> {};
 
@@ -203,7 +192,7 @@ TEST_P(PolicyProperties, SolvesAFeasibleSizeUnderSimulation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, PolicyProperties,
-                         ::testing::Range<std::size_t>(0, 7));
+                         ::testing::Range<std::size_t>(0, 6));
 
 }  // namespace
 }  // namespace crp

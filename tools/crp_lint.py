@@ -24,6 +24,8 @@ ID that docs/STATIC_ANALYSIS.md catalogues:
   exit-taxonomy             no magic exit codes in crp_shard/supervisor
   nan-range-check           no `x < 0 || x > 1` range checks, which NaN
                             passes: use channel::in_unit_interval
+  test-only-module          no src/ header that only its own .cpp and
+                            tests include
 
 Suppression is explicit and audited: a finding is silenced only by
 
@@ -126,8 +128,10 @@ class SourceFile:
     """One scanned file: raw lines for pragma handling, blanked lines
     for rule matching, and the repo-relative posix path for scoping."""
 
-    def __init__(self, rel: str, text: str):
+    def __init__(self, rel: str, text: str, includers=frozenset()):
         self.rel = rel
+        # The shipped files that #include this one (include_index).
+        self.includers = includers
         self.raw_lines = text.splitlines()
         self.code_lines = blank_code(text).splitlines()
         # Pad so raw/code always line up even on trailing-newline quirks.
@@ -375,6 +379,47 @@ def check_nan_range(src: SourceFile):
                    "(channel/unit_interval.h)")
 
 
+# Trees whose includes make a src/ header part of the program. tests/
+# is not among them: a header only tests reach is library surface that
+# nothing built from the repo runs.
+SHIPPED_TREES = ["src", "repro", "tools", "examples", "bench", "perfbench"]
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
+
+
+def include_index(root: Path) -> dict:
+    """Maps each file under root to the set of shipped files that
+    #include it.  Built over the whole root, so linting one path still
+    sees every includer.  Quoted includes resolve against src/ (the
+    library's include root), then the includer's own directory."""
+    index = {}
+    for tree in SHIPPED_TREES:
+        if not (root / tree).is_dir():
+            continue
+        for rel in iter_files(root, [tree]):
+            text = (root / rel).read_text(encoding="utf-8", errors="replace")
+            here = PurePosixPath(rel).parent
+            for name in INCLUDE_RE.findall(text):
+                for candidate in (PurePosixPath("src") / name, here / name):
+                    if (root / candidate).is_file():
+                        index.setdefault(str(candidate), set()).add(rel)
+                        break
+    return index
+
+
+def check_test_only_module(src: SourceFile):
+    own_source = str(PurePosixPath(src.rel).with_suffix(".cpp"))
+    if src.includers - {own_source}:
+        return
+    # Report on the `#pragma once` line, where an allow pragma can sit.
+    lineno = next((i for i, line in enumerate(src.code_lines, 1)
+                   if re.match(r"\s*#\s*pragma\s+once\b", line)), 1)
+    yield (lineno,
+           "header reached only from tests and its own .cpp — nothing "
+           f"in {', '.join(t + '/' for t in SHIPPED_TREES)} includes it; "
+           "give it a caller that ships or delete the module with its "
+           "tests")
+
+
 class Rule:
     def __init__(self, rule_id, contract, description, in_scope, check):
         self.rule_id = rule_id
@@ -463,6 +508,15 @@ RULES = [
         and _in(rel, "src/", "tools/", "bench/", "examples/", "repro/"),
         check_nan_range,
     ),
+    Rule(
+        "test-only-module",
+        "design: every module earns its place",
+        "No src/ header that nothing includes except its own .cpp and "
+        "tests/ — a module only tests reach backs no program, table or "
+        "tool.",
+        lambda rel: _in(rel, "src/") and PurePosixPath(rel).suffix == ".h",
+        check_test_only_module,
+    ),
 ]
 
 RULE_IDS = {rule.rule_id for rule in RULES}
@@ -522,12 +576,12 @@ def collect_pragmas(src: SourceFile):
 # Driver
 
 
-def lint_file(root: Path, rel: str) -> list:
+def lint_file(root: Path, rel: str, index: dict) -> list:
     try:
         text = (root / rel).read_text(encoding="utf-8", errors="replace")
     except OSError as error:
         return [Finding(rel, 0, "lint-io", f"cannot read file: {error}")]
-    src = SourceFile(rel, text)
+    src = SourceFile(rel, text, index.get(rel, frozenset()))
     allows, findings = collect_pragmas(src)
     for rule in RULES:
         if not rule.in_scope(rel):
@@ -589,8 +643,9 @@ def main(argv=None) -> int:
                                if (root / p).exists()]
     findings = []
     try:
+        index = include_index(root)
         for rel in iter_files(root, rel_paths):
-            findings.extend(lint_file(root, rel))
+            findings.extend(lint_file(root, rel, index))
     except FileNotFoundError as error:
         print(f"crp_lint: {error}", file=sys.stderr)
         return 2
