@@ -51,7 +51,8 @@ void print_upper_bounds() {
   std::cout << "== Table 1 upper bounds (Y = X, n = " << kNetwork
             << ", trials = " << kTrials << ") ==\n";
   const auto results = crp::harness::run_sweep(
-      table1_upper_bound_grid(points), {.trials = kTrials, .seed = kSeed});
+      table1_upper_bound_grid(points).cells(),
+      {.trials = kTrials, .seed = kSeed});
   crp::harness::Table table(
       {"H(c(X))", "2^2H bound", "noCD r@1/16", "noCD p90", "noCD mean",
        "H^2 bound", "CD r@const", "CD p90", "CD mean"});

@@ -75,8 +75,7 @@ class BatchNoCdSampler {
   /// Samples one execution outcome for k >= 1 participants: one
   /// Uniform[0, 1) draw from `rng` (channel::Rng or SplitMix64), then
   /// one inverse-CDF lookup. An execution that outlives `max_rounds`
-  /// is reported unsolved at the budget; transmissions stays 0 (the
-  /// analytic path never sees the pre-success rounds). Thread-safe.
+  /// is reported unsolved at the budget. Thread-safe.
   template <class Generator>
   RunResult sample(std::size_t k, Generator& rng,
                    std::size_t max_rounds = 1 << 20) const {

@@ -12,8 +12,9 @@
 // so every trial takes one path:
 //
 //  * draw one uniform u. If u < solved mass, the dispatched probe_cdf
-//    kernel answers the solve round over the padded solve CDF —
-//    O(log horizon) per trial, the shape of the no-CD batch engine;
+//    kernel answers the solve round over the padded solve CDF — a
+//    broadcast scan of at most 64 entries on the vector tiers, an
+//    upper-bound descent on the scalar one;
 //  * otherwise u - solved mass picks a leaf by a scalar upper_bound
 //    over the leaf CDF (mass order), and the trial folds that leaf's
 //    packed history into the policy state once (at most

@@ -93,17 +93,15 @@ RunResult run_uniform_no_cd(const ProbabilitySchedule& schedule,
                             const SimOptions& options) {
   if (k == 0) throw std::invalid_argument("need at least one participant");
   TransmitterSampler sample(k);
-  std::size_t energy = 0;
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
     const double p = schedule.probability(round);
     const std::size_t transmitters = sample(p, rng);
-    energy += transmitters;
     record(options, p, transmitters);
     if (transmitters == 1) {
-      return RunResult{true, round + 1, std::nullopt, energy};
+      return RunResult{true, round + 1, std::nullopt};
     }
   }
-  return RunResult{false, options.max_rounds, std::nullopt, energy};
+  return RunResult{false, options.max_rounds, std::nullopt};
 }
 
 void CdRunMemo::begin_trial(std::size_t k) {
@@ -128,18 +126,16 @@ RunResult run_uniform_cd(CdRunMemo& memo, std::size_t k, Rng& rng,
   const CollisionPolicy& policy = memo.policy_;
   TransmitterSampler& sample = memo.sample_;
   CollisionPolicy::State state = policy.initial_state();
-  std::size_t energy = 0;
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
     const double p = policy.probability_at(state);
     const std::size_t transmitters = sample(p, rng);
-    energy += transmitters;
     record(options, p, transmitters);
     if (transmitters == 1) {
-      return RunResult{true, round + 1, std::nullopt, energy};
+      return RunResult{true, round + 1, std::nullopt};
     }
     state = policy.next_state(state, transmitters >= 2);
   }
-  return RunResult{false, options.max_rounds, std::nullopt, energy};
+  return RunResult{false, options.max_rounds, std::nullopt};
 }
 
 RunResult run_deterministic(const DeterministicProtocol& protocol,
@@ -152,7 +148,6 @@ RunResult run_deterministic(const DeterministicProtocol& protocol,
   }
   std::vector<Feedback> history;
   history.reserve(64);
-  std::size_t energy = 0;
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
     std::size_t transmitters = 0;
     std::optional<std::size_t> sole;
@@ -162,17 +157,16 @@ RunResult run_deterministic(const DeterministicProtocol& protocol,
         sole = id;
       }
     }
-    energy += transmitters;
     record(options, 0.0, transmitters);
     if (transmitters == 1) {
-      return RunResult{true, round + 1, sole, energy};
+      return RunResult{true, round + 1, sole};
     }
     // Without collision detection the players observe nothing that
     // distinguishes rounds, which we model as unconditional silence.
     history.push_back(collision_detection ? feedback_for(transmitters)
                                           : Feedback::kSilence);
   }
-  return RunResult{false, options.max_rounds, std::nullopt, energy};
+  return RunResult{false, options.max_rounds, std::nullopt};
 }
 
 RunResult run_uniform_no_cd_per_player(const ProbabilitySchedule& schedule,
@@ -180,7 +174,6 @@ RunResult run_uniform_no_cd_per_player(const ProbabilitySchedule& schedule,
                                        const SimOptions& options) {
   if (k == 0) throw std::invalid_argument("need at least one participant");
   std::uniform_real_distribution<double> unit(0.0, 1.0);
-  std::size_t energy = 0;
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
     const double p = schedule.probability(round);
     validate_probability(p);
@@ -192,13 +185,12 @@ RunResult run_uniform_no_cd_per_player(const ProbabilitySchedule& schedule,
         sole = id;
       }
     }
-    energy += transmitters;
     record(options, p, transmitters);
     if (transmitters == 1) {
-      return RunResult{true, round + 1, sole, energy};
+      return RunResult{true, round + 1, sole};
     }
   }
-  return RunResult{false, options.max_rounds, std::nullopt, energy};
+  return RunResult{false, options.max_rounds, std::nullopt};
 }
 
 }  // namespace crp::channel

@@ -7,7 +7,7 @@
 //    the whole round in O(1);
 //  * the *per-player* engine, which tracks individual identities and is
 //    required for the deterministic advice protocols of Section 3.
-// tests/channel_test.cc cross-validates the two engines statistically.
+// tests/channel_test.cpp cross-validates the two engines statistically.
 //
 // The collision-detection loop (run_uniform_cd) steps the policy's
 // state once per round (channel/protocol.h) and takes a CdRunMemo:
@@ -36,9 +36,6 @@ struct RunResult {
   std::size_t rounds = 0;
   /// Winning player's id (per-player engine only; nullopt otherwise).
   std::optional<std::size_t> winner;
-  /// Total transmissions across all rounds — the energy proxy used by
-  /// the duty-cycled examples (each transmission costs one radio-on).
-  std::size_t transmissions = 0;
 };
 
 /// Per-round record for diagnostics and the example programs.

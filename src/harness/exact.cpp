@@ -75,14 +75,13 @@ double exact_expected_rounds_no_cd(
 
 ExactProfile exact_profile_cd(const channel::CollisionPolicy& policy,
                               std::size_t k, std::size_t horizon,
-                              double prune_below, std::size_t threads) {
+                              double prune_below) {
   // The enumeration itself lives in harness/history_tree.h (shared
   // with the sampling engine); a profile only needs the per-round
   // masses, so leaf recording is skipped and no node cap applies.
   HistoryTreeOptions options;
   options.horizon = horizon;
   options.prune_below = prune_below;
-  options.threads = threads;
   options.record_leaves = false;
   options.max_nodes = ~std::size_t{0};
   const HistoryTree tree = expand_history_tree(policy, k, options);

@@ -85,13 +85,10 @@ double exact_expected_rounds_no_cd(
 /// pruning branches whose reach probability drops below `prune_below`
 /// (their mass is accounted in tail_mass, so solve_by stays a valid
 /// lower bound and solve_by + tail an upper bound). The enumeration
-/// runs on the shared expansion of harness/history_tree.h, fanned out
-/// over subtrees across `threads` workers (0 = all hardware threads);
-/// the profile — including the pruned-mass accounting — is
-/// bit-identical at every thread count.
+/// is the shared expansion of harness/history_tree.h, run on the
+/// calling thread.
 ExactProfile exact_profile_cd(const channel::CollisionPolicy& policy,
                               std::size_t k, std::size_t horizon,
-                              double prune_below = 1e-12,
-                              std::size_t threads = 0);
+                              double prune_below = 1e-12);
 
 }  // namespace crp::harness

@@ -436,8 +436,8 @@ GridSpec parse_grid_spec(std::string_view text,
     const Json& algorithms = ref_list("algorithms");
     const Json& sizes = ref_list("sizes");
     const Json& budgets = ref_list("budgets");
-    // The same cross order SweepGrid::cells() appends: algorithm-major,
-    // then sizes, then budget.
+    // The documented cross order: algorithm-major, then sizes, then
+    // budget. Cell indices pick the seeds, so it never changes.
     for (const Json& a : algorithms.items) {
       const SweepAlgorithm& algorithm = resolve(
           ctx.algorithms, a, "field \"algorithms\" of " + what, "algorithm");

@@ -95,7 +95,7 @@ struct GridSpec {
   std::size_t n = 0;
   /// The grid, in declaration order: explicit "cells" first, then the
   /// "product" cross product (algorithm-major, then sizes, then
-  /// budget) — the same order SweepGrid::cells() uses.
+  /// budget).
   std::vector<SweepCell> cells;
 
   /// Owned storage the cells borrow; unique_ptr keeps addresses

@@ -1,14 +1,12 @@
 #include "harness/history_tree.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "harness/exact.h"
-#include "harness/parallel.h"
 
 namespace crp::harness {
 
@@ -62,8 +60,8 @@ struct Frame {
 };
 
 /// Accumulators of one expansion unit (the pre-split prefix or one
-/// subtree shard). solve_at is indexed by absolute round, so shards
-/// merge by plain element-wise addition.
+/// subtree). solve_at is indexed by absolute round, so subtrees merge
+/// by plain element-wise addition.
 struct Shard {
   std::vector<HistoryLeaf> leaves;
   std::vector<double> solve_at;
@@ -81,17 +79,12 @@ struct Shard {
 /// enumeration used — so a frame at the cap counts as frontier even
 /// when its reach is below the prune threshold.
 ///
-/// `budget` is the frame budget *shared by every shard of one
-/// expansion*: whether the whole expansion needs more than max_nodes
-/// frames is a deterministic property of (policy, k, options), so the
-/// resulting `truncated` flag is scheduling-independent even though
-/// which shard trips the budget first is not — a truncated tree's
-/// partial contents are never consumed.
+/// `expanded` counts the frames of the whole expansion, prefix and
+/// subtrees together, against options.max_nodes.
 void expand_frames(const channel::CollisionPolicy& policy, std::size_t k,
                    const Frame& root, std::size_t cap,
-                   const HistoryTreeOptions& options,
-                   std::atomic<std::size_t>& budget, Shard& shard,
-                   std::vector<Frame>* roots_out) {
+                   const HistoryTreeOptions& options, std::size_t& expanded,
+                   Shard& shard, std::vector<Frame>* roots_out) {
   OutcomeCache outcomes(k);
   const auto leaf = [&](const Frame& frame, double& mass) {
     mass += frame.reach;
@@ -117,8 +110,7 @@ void expand_frames(const channel::CollisionPolicy& policy, std::size_t k,
       leaf(frame, shard.pruned);
       continue;
     }
-    if (budget.fetch_add(1, std::memory_order_relaxed) >=
-        options.max_nodes) {
+    if (expanded++ >= options.max_nodes) {
       shard.truncated = true;
       return;
     }
@@ -159,42 +151,34 @@ HistoryTree expand_history_tree(const channel::CollisionPolicy& policy,
   // Phase 1: expand the prefix down to the split depth (or the whole
   // horizon when it is at most the split depth), capturing the frames
   // alive at the split as subtree roots.
-  const bool split = options.split_depth < options.horizon;
-  const std::size_t cap = split ? options.split_depth : options.horizon;
-  std::atomic<std::size_t> budget{0};
+  const bool split = kHistorySplitDepth < options.horizon;
+  const std::size_t cap = split ? kHistorySplitDepth : options.horizon;
+  std::size_t expanded = 0;
   Shard prefix;
   prefix.solve_at.assign(options.horizon, 0.0);
   std::vector<Frame> roots;
   expand_frames(policy, k, Frame{1.0, policy.initial_state(), 0, 0}, cap,
-                options, budget, prefix, split ? &roots : nullptr);
+                options, expanded, prefix, split ? &roots : nullptr);
   tree.leaves = std::move(prefix.leaves);
   tree.solve_at = std::move(prefix.solve_at);
   tree.pruned_mass = prefix.pruned;
   tree.frontier_mass = prefix.frontier;
   tree.truncated = prefix.truncated;
 
-  // Phase 2: expand every captured subtree independently. Each shard
-  // owns its accumulators, so workers never share mutable state; the
-  // shard partition (one subtree per block) is fixed, making the fan-
-  // out invisible to the result.
+  // Phase 2: expand every captured subtree, in capture order, into its
+  // own accumulators.
   std::vector<Shard> shards(roots.size());
-  parallel_blocks(
-      roots.size(), options.threads,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          shards[i].solve_at.assign(options.horizon, 0.0);
-          expand_frames(policy, k, roots[i], options.horizon, options, budget,
-                        shards[i], nullptr);
-        }
-      },
-      /*block_size=*/1);
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    shards[i].solve_at.assign(options.horizon, 0.0);
+    expand_frames(policy, k, roots[i], options.horizon, options, expanded,
+                  shards[i], nullptr);
+  }
 
-  // Phase 3: merge in subtree order — appended leaves, element-wise
-  // sums for the masses. The order is a function of the phase-1
-  // capture order only, so the merged tree is identical at every
-  // thread count. The leaf array is sized once, and each shard's
-  // leaves are released as soon as they are copied, so the cached tree
-  // carries no spare capacity and the merge no second full copy.
+  // Phase 3: merge in capture order — appended leaves, element-wise
+  // sums for the masses (the summation order kHistorySplitDepth pins).
+  // The leaf array is sized once, and each subtree's leaves are
+  // released as soon as they are copied, so the cached tree carries no
+  // spare capacity and the merge no second full copy.
   std::size_t leaf_count = tree.leaves.size();
   for (const Shard& shard : shards) leaf_count += shard.leaves.size();
   tree.leaves.reserve(leaf_count);

@@ -27,17 +27,16 @@
 // policy is only dereferenced during the call and need not outlive the
 // returned tree.
 //
-// Thread-safety: expansion may fan out over subtrees rooted at a fixed
-// split depth (HistoryTreeOptions::threads), with per-shard solve
-// masses and leaves merged in deterministic shard order. The returned
-// HistoryTree is immutable and safe to share across threads.
+// Thread-safety: expansion runs on the calling thread; concurrent
+// calls share nothing. The returned HistoryTree is immutable and safe
+// to share across threads.
 //
 // Determinism: the expansion (per-round solve masses, the leaf arrays
 // and the pruned/frontier accounting) is a pure function of (policy,
-// k, options.horizon, options.prune_below, options.split_depth,
-// options.max_nodes) — bit-identical at every thread count, because the
-// shard partition and the merge order never depend on scheduling
-// (tests/harness_exact_test.cpp pins serial == parallel).
+// k, options.horizon, options.prune_below, options.max_nodes). It
+// runs in two phases split at kHistorySplitDepth, and that split fixes
+// the leaf order and the order in which per-round masses are summed,
+// so it is part of the output format (see kHistorySplitDepth).
 #pragma once
 
 #include <cstddef>
@@ -67,6 +66,15 @@ std::size_t packed_depth(PackedHistory packed);
 channel::CollisionPolicy::State fold_packed_history(
     const channel::CollisionPolicy& policy, PackedHistory packed);
 
+/// Depth at which an expansion splits into subtrees: the prefix down
+/// to this depth is expanded first, then each subtree alive there in
+/// capture order, and the per-round masses are summed prefix first,
+/// then subtree by subtree. The split therefore fixes the leaf order
+/// and the floating-point summation order of solve_at. It is a format
+/// decision, not a speed setting: the tree CSV goldens and the
+/// resumable-journal pins depend on it, so it never changes.
+inline constexpr std::size_t kHistorySplitDepth = 8;
+
 /// Expansion knobs.
 struct HistoryTreeOptions {
   /// Expansion depth: rounds [0, horizon) are enumerated; branches
@@ -76,20 +84,14 @@ struct HistoryTreeOptions {
   /// their mass accounted in pruned_mass (solve_at stays a valid lower
   /// bound, solve + pruned + frontier an exact partition of 1).
   double prune_below = 1e-12;
-  /// Worker threads for the subtree fan-out (0 = all hardware threads,
-  /// <= 1 = inline). The result is identical for every value.
-  std::size_t threads = 1;
-  /// Depth at which the expansion splits into independent subtree
-  /// shards. Purely a parallelism granule: the output is the same for
-  /// every value (the serial path runs the identical shard structure).
-  std::size_t split_depth = 8;
-  /// Hard cap on expanded frames across the whole expansion (all
-  /// shards share one budget). When hit, the tree is returned with
-  /// `truncated == true` and must not be sampled from; callers fall
-  /// back to per-round simulation. Guards policies whose trees grow as
-  /// 2^horizon faster than pruning can cut them — the expanded node
-  /// count is on the order of (surviving mass) / prune_below when the
-  /// tree branches freely, which dwarfs any usable cache.
+  /// Hard cap on expanded frames across the whole expansion (the
+  /// prefix and every subtree share one budget). When hit, the tree is
+  /// returned with `truncated == true` and must not be sampled from;
+  /// callers fall back to per-round simulation. Guards policies whose
+  /// trees grow as 2^horizon faster than pruning can cut them — the
+  /// expanded node count is on the order of (surviving mass) /
+  /// prune_below when the tree branches freely, which dwarfs any
+  /// usable cache.
   std::size_t max_nodes = 1 << 21;
   /// When false, only the masses (solve_at, pruned, frontier) are
   /// computed and the leaf arrays stay empty — what exact_profile_cd
@@ -126,8 +128,8 @@ struct HistoryTree {
   /// [1..horizon], then +inf padding up to a power of two.
   std::vector<double> padded_solve_cdf;
 
-  /// Every pruned and frontier branch, in the expansion's shard order
-  /// (empty when the expansion ran with record_leaves == false).
+  /// Every pruned and frontier branch, in the expansion's order:
+  /// the prefix's, then each subtree's in capture order (empty when the expansion ran with record_leaves == false).
   std::vector<HistoryLeaf> leaves;
   /// Prefix sums of leaves[i].reach: the table a sampler searches with
   /// u - solved_mass() to pick the leaf it continues from.

@@ -128,11 +128,11 @@ struct MeasureCell {
 /// folds into its cell's round histogram, an exact integer merge, so
 /// every result is bit-identical to measure_blocks on that cell alone,
 /// at any thread count. Results are in cell order; the first exception
-/// any cell throws is rethrown after the pool drains. `on_result`, when set, gets each Measurement in
-/// cell order, one call at a time under one mutex, on whichever worker
-/// closed the gap; a closed cell frees its engine at once and only its
-/// Measurement waits. After a throw nothing more is delivered, and the
-/// exception is rethrown.
+/// any cell throws is rethrown after the pool drains. `on_result`,
+/// when set, gets each Measurement in cell order, one call at a time
+/// under one mutex, on whichever worker closed the gap; a closed cell
+/// frees its engine at once and only its Measurement waits. After a
+/// throw nothing more is delivered, and the exception is rethrown.
 std::vector<Measurement> measure_cells(
     std::span<const MeasureCell> cells, std::size_t threads,
     const std::function<void(std::size_t, const Measurement&)>& on_result = {});

@@ -171,9 +171,13 @@ ShardPlan plan_shards(std::span<const SweepCell> cells,
   return plan;
 }
 
-ShardPlan plan_shards(const SweepGrid& grid, const ShardOptions& options) {
-  const auto cells = grid.cells();
-  return plan_shards(std::span<const SweepCell>(cells), options);
+std::string shard_artifact_stem(const ShardOptions& options) {
+  if (options.cell_begin != ShardOptions::kAutoRange) {
+    return "shard-cells-" + std::to_string(options.cell_begin) + "-" +
+           std::to_string(options.cell_end);
+  }
+  return "shard-" + std::to_string(options.shard_index) + "-of-" +
+         std::to_string(options.shard_count);
 }
 
 std::string engine_name(NoCdEngine engine) {

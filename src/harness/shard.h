@@ -101,7 +101,15 @@ std::uint64_t grid_fingerprint(std::span<const SweepCell> cells);
 /// the reserved kSeedStreamFromIndex sentinel.
 ShardPlan plan_shards(std::span<const SweepCell> cells,
                       const ShardOptions& options);
-ShardPlan plan_shards(const SweepGrid& grid, const ShardOptions& options);
+
+/// The file stem of a sharded run's artifacts (journal, CSV, manifest)
+/// in its artifact directory: "shard-cells-B-E" for an explicit
+/// [cell_begin, cell_end) range, else "shard-I-of-N". Explicit ranges
+/// all share shard 0 of 1, so naming them by range keeps successive
+/// hand-balanced slices in one directory from overwriting each other.
+/// crp_shard names its artifacts with it and the supervisor predicts
+/// each worker's paths with it.
+std::string shard_artifact_stem(const ShardOptions& options);
 
 /// Which run an artifact belongs to. Every artifact of a sharded run —
 /// shard manifests, worker journals, the supervisor journal — records

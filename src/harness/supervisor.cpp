@@ -32,6 +32,11 @@ constexpr const char* kSupervisorMagic = "crp-supervisor-journal-v1";
 constexpr const char* kQuarantineTag = "quarantine";
 constexpr const char* kBisectTag = "bisect";
 
+/// Growth factor of the nominal backoff per failed attempt.
+constexpr double kBackoffMultiplier = 2.0;
+/// Fleet poll cadence while workers run.
+constexpr std::int64_t kPollIntervalMs = 25;
+
 class SteadyClock final : public Clock {
  public:
   SteadyClock() : start_(std::chrono::steady_clock::now()) {}
@@ -62,9 +67,6 @@ RetryPolicy::RetryPolicy(const RetryPolicyConfig& config) : config_(config) {
     throw std::invalid_argument("RetryPolicy: " + message);
   };
   if (config_.base_backoff_ms < 0) fail("base_backoff_ms must be >= 0");
-  if (!(config_.backoff_multiplier >= 1.0)) {
-    fail("backoff_multiplier must be >= 1");
-  }
   if (config_.max_backoff_ms < config_.base_backoff_ms) {
     fail("max_backoff_ms must be >= base_backoff_ms");
   }
@@ -85,7 +87,7 @@ std::int64_t RetryPolicy::backoff_ms(std::size_t attempt,
   double nominal = static_cast<double>(config_.base_backoff_ms);
   const double cap = static_cast<double>(config_.max_backoff_ms);
   for (std::size_t k = 1; k < attempt && nominal < cap; ++k) {
-    nominal *= config_.backoff_multiplier;
+    nominal *= kBackoffMultiplier;
   }
   nominal = std::min(nominal, cap);
   if (config_.jitter_fraction > 0.0) {
@@ -396,13 +398,6 @@ std::string range_text(const JobState& state) {
   return text;
 }
 
-/// Artifact stem for a --cells worker, matching crp_shard's explicit
-/// range naming — the supervisor predicts every worker artifact path.
-std::string job_stem(const JobState& state) {
-  return "shard-cells-" + std::to_string(state.cell_begin) + "-" +
-         std::to_string(state.cell_end);
-}
-
 std::string outcome_text(WorkerOutcome outcome, int wait_status) {
   switch (outcome) {
     case WorkerOutcome::kSuccess:
@@ -474,7 +469,7 @@ struct Fleet {
     }
     if (end - begin == 1 && is_quarantined(begin)) return;
     const std::string stem =
-        job_stem(JobState{.cell_begin = begin, .cell_end = end});
+        shard_artifact_stem({.cell_begin = begin, .cell_end = end});
     if (fs::exists(dir / (stem + ".manifest.json")) &&
         fs::exists(dir / (stem + ".csv"))) {
       narrate("cells [" + std::to_string(begin) + ", " + std::to_string(end) +
@@ -515,7 +510,8 @@ struct Fleet {
   }
 
   void spawn(FleetJob job, std::int64_t now) {
-    const std::string stem = job_stem(job.state);
+    const std::string stem = shard_artifact_stem(
+        {.cell_begin = job.state.cell_begin, .cell_end = job.state.cell_end});
     const std::string journal_path = (dir / (stem + ".journal")).string();
     std::error_code ec;
     const bool has_journal = fs::exists(journal_path, ec);
@@ -569,13 +565,13 @@ struct Fleet {
     if (worker.timed_out) return WorkerOutcome::kTimeout;
     if (WIFSIGNALED(status)) return WorkerOutcome::kCrash;
     switch (WEXITSTATUS(status)) {
-      case 0:
+      case kExitOk:
         return WorkerOutcome::kSuccess;
-      case 75:
+      case kExitResumable:
         return WorkerOutcome::kResumable;
-      case 4:
+      case kExitIo:
         return WorkerOutcome::kIoError;
-      case 3:
+      case kExitValidation:
         return WorkerOutcome::kValidation;
       default:
         throw std::runtime_error(
@@ -782,7 +778,7 @@ SuperviseResult run_supervisor(std::span<const SweepCell> cells,
             "with `crp_shard supervise --resume` and the same flags");
         return result;
       }
-      clock->sleep_ms(options.poll_interval_ms);
+      clock->sleep_ms(kPollIntervalMs);
       continue;
     }
 
@@ -892,7 +888,7 @@ SuperviseResult run_supervisor(std::span<const SweepCell> cells,
       continue;
     }
 
-    clock->sleep_ms(options.poll_interval_ms);
+    clock->sleep_ms(kPollIntervalMs);
   }
 }
 

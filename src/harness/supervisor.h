@@ -75,6 +75,19 @@
 namespace crp::harness {
 
 // ---------------------------------------------------------------------------
+// Exit-code taxonomy
+
+/// crp_shard's exit codes (the table above, plus 1 internal and 2
+/// usage). Workers exit with them and the fleet classifies workers by
+/// them, so both sides name these constants.
+inline constexpr int kExitOk = 0;
+inline constexpr int kExitInternal = 1;
+inline constexpr int kExitUsage = 2;
+inline constexpr int kExitValidation = 3;
+inline constexpr int kExitIo = 4;
+inline constexpr int kExitResumable = 75;  // EX_TEMPFAIL: retryable by design
+
+// ---------------------------------------------------------------------------
 // Clock seam
 
 /// Monotonic time source the fleet loop runs against. Injected so the
@@ -109,9 +122,8 @@ class FakeClock final : public Clock {
 
 struct RetryPolicyConfig {
   /// Nominal backoff before the first delayed retry; attempt k waits
-  /// base * multiplier^(k-1), clamped to max_backoff_ms, then jittered.
+  /// base * 2^(k-1), clamped to max_backoff_ms, then jittered.
   std::int64_t base_backoff_ms = 500;
-  double backoff_multiplier = 2.0;
   std::int64_t max_backoff_ms = 60'000;
   /// Jitter spreads retries to ±this fraction of the nominal backoff
   /// (0 disables). Deterministic: drawn by hashing (jitter_seed, cell
@@ -310,8 +322,6 @@ struct SuperviseOptions {
   /// policy layer instead, and the CLI tests drive this loop with
   /// real subprocesses.
   Clock* clock = nullptr;
-  /// Fleet poll cadence while workers run.
-  std::int64_t poll_interval_ms = 25;
   /// Polled between fleet events; return true to stop: running
   /// workers get SIGTERM (exit 75, journals flushed), the supervisor
   /// journal stays valid, and run_supervisor returns kInterrupted.

@@ -30,39 +30,9 @@ std::uint64_t pinned_seed_stream(std::uint64_t stream) {
   return stream;
 }
 
-SweepGrid& SweepGrid::add_algorithm(SweepAlgorithm algorithm) {
-  algorithms_.push_back(std::move(algorithm));
-  return *this;
-}
-
-SweepGrid& SweepGrid::add_sizes(SweepSizes sizes) {
-  sizes_.push_back(std::move(sizes));
-  return *this;
-}
-
-SweepGrid& SweepGrid::add_budget(std::size_t max_rounds) {
-  budgets_.push_back(max_rounds);
-  return *this;
-}
-
 SweepGrid& SweepGrid::add_cell(SweepCell cell) {
   cells_.push_back(std::move(cell));
   return *this;
-}
-
-std::vector<SweepCell> SweepGrid::cells() const {
-  std::vector<SweepCell> cells = cells_;
-  const std::vector<std::size_t> budgets =
-      budgets_.empty() ? std::vector<std::size_t>{1 << 20} : budgets_;
-  for (const auto& algorithm : algorithms_) {
-    for (const auto& sizes : sizes_) {
-      for (const std::size_t budget : budgets) {
-        cells.push_back(SweepCell{
-            .algorithm = algorithm, .sizes = sizes, .max_rounds = budget});
-      }
-    }
-  }
-  return cells;
 }
 
 std::vector<SweepResult> run_sweep(
@@ -123,12 +93,6 @@ std::vector<SweepResult> run_sweep(
     results[i].measurement = std::move(measurements[i]);
   }
   return results;
-}
-
-std::vector<SweepResult> run_sweep(const SweepGrid& grid,
-                                   const SweepOptions& options) {
-  const auto cells = grid.cells();
-  return run_sweep(std::span<const SweepCell>(cells), options);
 }
 
 std::string sweep_csv_header() {

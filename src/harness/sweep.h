@@ -98,24 +98,17 @@ struct SweepCell {
   std::uint64_t seed_stream = kSeedStreamFromIndex;
 };
 
-/// Declarative grid builder: axes cross-multiply, explicit cells (for
-/// paired sweeps such as Table 1's per-entropy-point schedule ×
-/// matching lifted distribution) append as declared.
+/// Grid builder: cells (for paired sweeps such as Table 1's
+/// per-entropy-point schedule × matching lifted distribution) append
+/// as declared.
 class SweepGrid {
  public:
-  SweepGrid& add_algorithm(SweepAlgorithm algorithm);
-  SweepGrid& add_sizes(SweepSizes sizes);
-  SweepGrid& add_budget(std::size_t max_rounds);
   SweepGrid& add_cell(SweepCell cell);
 
-  /// The explicit cells, followed by the cross product algorithm ×
-  /// sizes × budget (budgets default to {1 << 20} when none declared).
-  std::vector<SweepCell> cells() const;
+  /// The cells, in declaration order.
+  std::vector<SweepCell> cells() const { return cells_; }
 
  private:
-  std::vector<SweepAlgorithm> algorithms_;
-  std::vector<SweepSizes> sizes_;
-  std::vector<std::size_t> budgets_;
   std::vector<SweepCell> cells_;
 };
 
@@ -151,8 +144,6 @@ struct SweepResult {
 std::vector<SweepResult> run_sweep(
     std::span<const SweepCell> cells, const SweepOptions& options = {},
     const std::function<void(const SweepResult&)>& on_result = {});
-std::vector<SweepResult> run_sweep(const SweepGrid& grid,
-                                   const SweepOptions& options = {});
 
 /// CSV export: algorithm, sizes, budget, trials, cell_seed, then the
 /// measurement summary columns (harness/csv.h). cell_seed is the

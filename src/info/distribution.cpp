@@ -105,18 +105,6 @@ SizeDistribution::SizeDistribution(std::vector<double> probs)
   support_cum_.back() = 1.0;
 }
 
-SizeDistribution SizeDistribution::from_pairs(
-    std::size_t n, std::span<const std::pair<std::size_t, double>> pairs) {
-  std::vector<double> probs(n + 1, 0.0);
-  for (const auto& [size, p] : pairs) {
-    if (size < 2 || size > n) {
-      throw std::invalid_argument("size out of range [2, n]");
-    }
-    probs[size] += p;
-  }
-  return SizeDistribution(std::move(probs));
-}
-
 SizeDistribution SizeDistribution::point_mass(std::size_t n, std::size_t k) {
   if (k < 2 || k > n) throw std::invalid_argument("k must lie in [2, n]");
   std::vector<double> probs(n + 1, 0.0);

@@ -47,11 +47,6 @@ class SizeDistribution {
   /// Throws std::invalid_argument on malformed input.
   explicit SizeDistribution(std::vector<double> probs);
 
-  /// Convenience: builds from (size, probability) pairs over a network
-  /// of `n` possible participants; unspecified sizes get probability 0.
-  static SizeDistribution from_pairs(
-      std::size_t n, std::span<const std::pair<std::size_t, double>> pairs);
-
   /// All probability mass on a single size k ("perfect prediction").
   static SizeDistribution point_mass(std::size_t n, std::size_t k);
 

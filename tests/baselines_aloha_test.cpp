@@ -21,13 +21,23 @@ harness::Measurement measure_fixed_k(const channel::AdapterEngine::Run& run,
                                  trials, seed, {.max_rounds = max_rounds});
 }
 
+/// Transmissions across every traced slot.
+std::size_t transmissions(const channel::ExecutionTrace& trace) {
+  std::size_t total = 0;
+  for (const auto& record : trace) total += record.transmitters;
+  return total;
+}
+
 TEST(SlottedAloha, SinglePlayerAlwaysWinsItsSlot) {
   auto rng = channel::make_rng(1);
+  channel::ExecutionTrace trace;
   for (int t = 0; t < 100; ++t) {
-    const auto result = run_slotted_aloha(1, 8, rng, {.max_rounds = 64});
+    trace.clear();
+    const auto result =
+        run_slotted_aloha(1, 8, rng, {.max_rounds = 64, .trace = &trace});
     ASSERT_TRUE(result.solved);
     EXPECT_LE(result.rounds, 8u);
-    EXPECT_EQ(result.transmissions, 1u);
+    EXPECT_EQ(transmissions(trace), 1u);
   }
 }
 
@@ -43,10 +53,12 @@ TEST(SlottedAloha, ValidatesArguments) {
 TEST(SlottedAloha, RespectsRoundBudget) {
   auto rng = channel::make_rng(3);
   // Window 1 with 2 players collides every slot: never solves.
-  const auto result = run_slotted_aloha(2, 1, rng, {.max_rounds = 25});
+  channel::ExecutionTrace trace;
+  const auto result =
+      run_slotted_aloha(2, 1, rng, {.max_rounds = 25, .trace = &trace});
   EXPECT_FALSE(result.solved);
   EXPECT_EQ(result.rounds, 25u);
-  EXPECT_EQ(result.transmissions, 50u);
+  EXPECT_EQ(transmissions(trace), 50u);
 }
 
 TEST(SlottedAloha, TunedWindowSolvesInConstantRounds) {

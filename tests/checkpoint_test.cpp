@@ -57,15 +57,18 @@ struct Fixture {
         willard(1 << 10),
         uniform(info::SizeDistribution::uniform(1 << 10)) {}
 
-  SweepGrid grid() const {
-    SweepGrid grid;
-    grid.add_algorithm({.name = "decay", .schedule = &decay})
-        .add_algorithm({.name = "slow-decay", .schedule = &slow_decay})
-        .add_algorithm({.name = "willard", .policy = &willard})
-        .add_sizes({.name = "uniform", .distribution = &uniform})
-        .add_sizes({.name = "k=100", .fixed_k = 100})
-        .add_budget(1 << 12);
-    return grid;
+  /// Each algorithm against each workload at one budget,
+  /// algorithm-major.
+  std::vector<SweepCell> cells() const {
+    const SweepAlgorithm fast{.name = "decay", .schedule = &decay};
+    const SweepAlgorithm slow{.name = "slow-decay", .schedule = &slow_decay};
+    const SweepAlgorithm cd{.name = "willard", .policy = &willard};
+    const SweepSizes drawn{.name = "uniform", .distribution = &uniform};
+    const SweepSizes fixed{.name = "k=100", .fixed_k = 100};
+    constexpr std::size_t kBudget = 1 << 12;
+    return {{fast, drawn, kBudget}, {fast, fixed, kBudget},
+            {slow, drawn, kBudget}, {slow, fixed, kBudget},
+            {cd, drawn, kBudget},   {cd, fixed, kBudget}};
   }
 
   baselines::DecaySchedule decay;
@@ -161,7 +164,7 @@ TEST(JournalFormat, RoundTripsHeaderAndRecords) {
 
 TEST(CheckpointedRun, FreshRunMatchesMonolithicShardCsv) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
 
   const ShardPlan plan =
@@ -194,7 +197,7 @@ TEST(CheckpointedRun, FreshRunMatchesMonolithicShardCsv) {
 
 TEST(CheckpointedRun, InterruptAtEveryCellThenResumeIsByteIdentical) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const ShardOptions shard{.shard_count = 1, .shard_index = 0};
 
   CheckpointRunOptions reference_options;
@@ -232,7 +235,7 @@ TEST(CheckpointedRun, InterruptAtEveryCellThenResumeIsByteIdentical) {
 
 TEST(CheckpointedRun, ResumeOfCompletedJournalIsIdempotent) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   CheckpointRunOptions checkpoint;
   checkpoint.journal_path = (dir / "shard.journal").string();
@@ -251,7 +254,7 @@ TEST(CheckpointedRun, ResumeOfCompletedJournalIsIdempotent) {
 
 TEST(CheckpointedRun, InterruptedHookStopsBetweenCells) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   CheckpointRunOptions checkpoint;
   checkpoint.journal_path = (dir / "shard.journal").string();
@@ -274,7 +277,7 @@ TEST(CheckpointedRun, FreshJournalBytesAreThreadCountInvariant) {
   // The cells run on one pool, but records land in cell order, so the
   // journal is the same file at every thread count.
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   std::string reference;
   for (const std::size_t threads : {1ul, 2ul, 8ul}) {
@@ -294,7 +297,7 @@ TEST(CheckpointedRun, FreshJournalBytesAreThreadCountInvariant) {
 
 TEST(CheckpointedRun, InterruptAfterKAppendsOnThePoolKeepsThePrefix) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const ShardOptions shard{.shard_count = 1, .shard_index = 0};
   const auto dir = test_dir();
   SweepOptions options = kOptions;
@@ -337,7 +340,7 @@ TEST(CheckpointedRun, InterruptAfterKAppendsOnThePoolKeepsThePrefix) {
 
 TEST(CheckpointedRun, HooksNeverOverlapOnThePool) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   SweepOptions options = kOptions;
   options.threads = 8;
@@ -375,7 +378,7 @@ TEST(CheckpointedRun, HooksNeverOverlapOnThePool) {
 
 TEST(CheckpointedRun, RejectsFreshOverExistingAndResumeWithoutJournal) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   CheckpointRunOptions checkpoint;
   checkpoint.journal_path = (dir / "shard.journal").string();
@@ -403,7 +406,7 @@ TEST(CheckpointedRun, RejectsFreshOverExistingAndResumeWithoutJournal) {
 
 TEST(CheckpointedRun, ResumeValidationRejectsMismatchedIdentity) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   const ShardOptions shard{.shard_count = 2, .shard_index = 0};
   CheckpointRunOptions checkpoint;
@@ -438,12 +441,15 @@ TEST(CheckpointedRun, ResumeValidationRejectsMismatchedIdentity) {
       resume_with({.shard_count = 3, .shard_index = 0}, kOptions),
       "cell range");
 
-  // A different grid (an extra budget column changes every cell) must
+  // A different grid (a second budget after each cell's first) must
   // be caught by the fingerprint before anything is replayed.
   Fixture g;
-  auto other_grid = g.grid();
-  other_grid.add_budget(1 << 13);
-  const auto other_cells = other_grid.cells();
+  std::vector<SweepCell> other_cells;
+  for (const SweepCell& cell : g.cells()) {
+    other_cells.push_back(cell);
+    other_cells.push_back(cell);
+    other_cells.back().max_rounds = 1 << 13;
+  }
   expect_throws_with(
       [&] {
         (void)run_sweep_shard_checkpointed(other_cells, shard, kOptions,
@@ -454,7 +460,7 @@ TEST(CheckpointedRun, ResumeValidationRejectsMismatchedIdentity) {
 
 TEST(CheckpointedRun, ResumeRejectsRecordsFromForeignPartition) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   const ShardOptions shard{.shard_count = 1, .shard_index = 0};
   CheckpointRunOptions checkpoint;
@@ -506,7 +512,7 @@ TEST(CheckpointedRun, HistoryTreeEngineMatchesMonolithic) {
   // The shared tree cache must be an amortization, never a behavior
   // change: a checkpointed history-tree run equals the monolithic CSV.
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   SweepOptions options = kOptions;
   options.cd_engine = CdEngine::kHistoryTree;

@@ -332,7 +332,6 @@ TEST(ColumnarEngine, CdMemoStaysWithinItsBounds) {
         channel::run_uniform_cd(many, k, plain_rng, {.max_rounds = 256});
     ASSERT_EQ(memoized.solved, plain.solved) << "trial " << t;
     ASSERT_EQ(memoized.rounds, plain.rounds) << "trial " << t;
-    ASSERT_EQ(memoized.transmissions, plain.transmissions) << "trial " << t;
     ASSERT_TRUE(memo_rng == plain_rng) << "trial " << t;
   }
   EXPECT_EQ(shared.binomial_params(),

@@ -192,6 +192,14 @@ TEST(TruncatedFallback, CorrectAdviceCostsOnlyConstantFactor) {
 
 // ---- energy accounting ----
 
+/// Transmissions across every traced round: the energy an execution
+/// spends, one radio-on per transmission.
+std::size_t transmissions(const channel::ExecutionTrace& trace) {
+  std::size_t total = 0;
+  for (const auto& record : trace) total += record.transmitters;
+  return total;
+}
+
 TEST(Energy, CountsTransmissionsAcrossRounds) {
   // k = 2 with p = 1 collides forever: after R rounds, 2R transmissions.
   class AllTransmit final : public channel::ProbabilitySchedule {
@@ -201,29 +209,33 @@ TEST(Energy, CountsTransmissionsAcrossRounds) {
   };
   const AllTransmit schedule;
   auto rng = channel::make_rng(43);
-  const auto result =
-      channel::run_uniform_no_cd(schedule, 2, rng, {.max_rounds = 10});
+  channel::ExecutionTrace trace;
+  const auto result = channel::run_uniform_no_cd(
+      schedule, 2, rng, {.max_rounds = 10, .trace = &trace});
   EXPECT_FALSE(result.solved);
-  EXPECT_EQ(result.transmissions, 20u);
+  EXPECT_EQ(transmissions(trace), 20u);
 }
 
 TEST(Energy, SuccessfulRunsIncludeTheWinningTransmission) {
   const auto schedule =
       baselines::FixedProbabilitySchedule::for_size_estimate(1);
   auto rng = channel::make_rng(47);
-  const auto result = channel::run_uniform_no_cd(schedule, 1, rng);
+  channel::ExecutionTrace trace;
+  const auto result =
+      channel::run_uniform_no_cd(schedule, 1, rng, {.trace = &trace});
   ASSERT_TRUE(result.solved);
-  EXPECT_EQ(result.transmissions, 1u);
+  EXPECT_EQ(transmissions(trace), 1u);
 }
 
 TEST(Energy, DeterministicEngineCountsToo) {
   const baselines::RoundRobinProtocol protocol(16);
   const std::vector<std::size_t> participants{3};
-  const auto result =
-      channel::run_deterministic(protocol, {}, participants, false);
+  channel::ExecutionTrace trace;
+  const auto result = channel::run_deterministic(
+      protocol, {}, participants, false, {.trace = &trace});
   ASSERT_TRUE(result.solved);
   EXPECT_EQ(result.rounds, 4u);
-  EXPECT_EQ(result.transmissions, 1u);  // silent until its slot
+  EXPECT_EQ(transmissions(trace), 1u);  // silent until its slot
 }
 
 TEST(Energy, GoodPredictionsSaveEnergyNotJustTime) {
@@ -234,15 +246,18 @@ TEST(Energy, GoodPredictionsSaveEnergyNotJustTime) {
   double predicted_energy = 0.0;
   double decay_energy = 0.0;
   constexpr std::size_t kTrials = 1500;
+  channel::ExecutionTrace trace;
   for (std::size_t t = 0; t < kTrials; ++t) {
     auto rng_a = channel::derive_rng(51, t);
     auto rng_b = channel::derive_rng(53, t);
-    predicted_energy += static_cast<double>(
-        channel::run_uniform_no_cd(predicted, 1000, rng_a, {1 << 14})
-            .transmissions);
-    decay_energy += static_cast<double>(
-        channel::run_uniform_no_cd(decay, 1000, rng_b, {1 << 14})
-            .transmissions);
+    trace.clear();
+    channel::run_uniform_no_cd(predicted, 1000, rng_a,
+                               {.max_rounds = 1 << 14, .trace = &trace});
+    predicted_energy += static_cast<double>(transmissions(trace));
+    trace.clear();
+    channel::run_uniform_no_cd(decay, 1000, rng_b,
+                               {.max_rounds = 1 << 14, .trace = &trace});
+    decay_energy += static_cast<double>(transmissions(trace));
   }
   EXPECT_LT(predicted_energy, decay_energy);
 }

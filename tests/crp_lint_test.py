@@ -122,6 +122,20 @@ def main():
           "test-only-module accepts a header only examples/ includes, "
           "linted alone")
 
+    # exit-taxonomy reads switches too: the exit fixture's numeric case
+    # label fires, and the named-constant label beside it does not.
+    exit_rel = "tools/crp_shard_bad_exit.cpp"
+    exit_lines = (fixture_root / exit_rel).read_text(
+        encoding="utf-8").splitlines()
+    case_labels = sorted(
+        exit_lines[line - 1].strip().split(":")[0]
+        for (path, line, rule) in found
+        if path == exit_rel and rule == "exit-taxonomy"
+        and exit_lines[line - 1].lstrip().startswith("case "))
+    check(case_labels == ["case 3"],
+          f"exit-taxonomy fires on the numeric case label alone "
+          f"(got {case_labels})")
+
     # Every shipped rule must have fixture coverage, so a rule cannot
     # rot into never-firing without this test noticing.
     listed = run_lint(repo, "--list-rules")

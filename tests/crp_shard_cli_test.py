@@ -447,6 +447,21 @@ with tempfile.TemporaryDirectory() as tmp:
     check("supervise with zero workers",
           run("supervise", *BUILTIN_GRID, "--out", sup_out,
               "--out-dir", sup_dir, "--workers", "0"), 2)
+    # Millisecond flags above the documented ceiling are usage errors
+    # that name the flag, before any worker starts. An older parser
+    # wrapped them negative and reported a validation error (exit 3).
+    for flag, value in (("--backoff-ms", "9223372036854775808"),
+                        ("--backoff-max-ms", "18446744073709551615"),
+                        ("--worker-timeout-ms", "9223372036854775808"),
+                        ("--kill-grace-ms", "18446744073709551615")):
+        ms_dir = os.path.join(tmp, "sup-ms" + flag)
+        check(f"supervise {flag} above the ceiling",
+              run("supervise", *BUILTIN_GRID, "--out", sup_out,
+                  "--out-dir", ms_dir, "--workers", "1", flag, value), 2,
+              stderr_contains=[flag + " must be at most 1000000000000 ms"])
+        if os.path.exists(ms_dir):
+            FAILURES.append(f"supervise {flag} above the ceiling: "
+                            "created the artifact directory")
     check("--workers outside supervise",
           run("run", *BUILTIN_GRID, "--workers", "3"), 2)
     check("--resume outside supervise",

@@ -55,15 +55,18 @@ struct Fixture {
         willard(1 << 10),
         uniform(info::SizeDistribution::uniform(1 << 10)) {}
 
-  SweepGrid grid() const {
-    SweepGrid grid;
-    grid.add_algorithm({.name = "decay", .schedule = &decay})
-        .add_algorithm({.name = "slow-decay", .schedule = &slow_decay})
-        .add_algorithm({.name = "willard", .policy = &willard})
-        .add_sizes({.name = "uniform", .distribution = &uniform})
-        .add_sizes({.name = "k=100", .fixed_k = 100})
-        .add_budget(1 << 12);
-    return grid;
+  /// Each algorithm against each workload at one budget,
+  /// algorithm-major.
+  std::vector<SweepCell> cells() const {
+    const SweepAlgorithm fast{.name = "decay", .schedule = &decay};
+    const SweepAlgorithm slow{.name = "slow-decay", .schedule = &slow_decay};
+    const SweepAlgorithm cd{.name = "willard", .policy = &willard};
+    const SweepSizes drawn{.name = "uniform", .distribution = &uniform};
+    const SweepSizes fixed{.name = "k=100", .fixed_k = 100};
+    constexpr std::size_t kBudget = 1 << 12;
+    return {{fast, drawn, kBudget}, {fast, fixed, kBudget},
+            {slow, drawn, kBudget}, {slow, fixed, kBudget},
+            {cd, drawn, kBudget},   {cd, fixed, kBudget}};
   }
 
   baselines::DecaySchedule decay;
@@ -156,7 +159,7 @@ Reference build_reference(const std::filesystem::path& dir,
 
 TEST(FaultInjection, KillAtEveryCellInEveryModeResumesByteIdentical) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const ShardOptions shard{.shard_count = 1, .shard_index = 0};
   const auto dir = test_dir();
   const Reference reference = build_reference(dir, cells, shard);
@@ -214,7 +217,7 @@ TEST(FaultInjection, KillAtEveryCellInEveryModeResumesByteIdentical) {
 
 TEST(FaultInjection, TruncationAtEveryByteIsTornOrHeaderDamage) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   const Reference reference =
       build_reference(dir, cells, {.shard_count = 1, .shard_index = 0});
@@ -267,7 +270,7 @@ TEST(FaultInjection, TruncationAtEveryByteIsTornOrHeaderDamage) {
 
 TEST(FaultInjection, BitFlipIsNeverSilentlyReplayed) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   const Reference reference =
       build_reference(dir, cells, {.shard_count = 1, .shard_index = 0});
@@ -305,7 +308,7 @@ TEST(FaultInjection, BitFlipIsNeverSilentlyReplayed) {
 
 TEST(FaultInjection, CorruptedChecksumNamesFileAndExactOffset) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   const Reference reference =
       build_reference(dir, cells, {.shard_count = 1, .shard_index = 0});
@@ -342,7 +345,7 @@ TEST(FaultInjection, CorruptedChecksumNamesFileAndExactOffset) {
 
 TEST(FaultInjection, DuplicateRecordRejectedAtItsOffset) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   const Reference reference =
       build_reference(dir, cells, {.shard_count = 1, .shard_index = 0});
@@ -376,7 +379,7 @@ TEST(FaultInjection, ResumeThenMergeByteIdenticalToMonolithic) {
   // mid-grid by a different fault mode, each resumed, the artifacts
   // merged — the result must equal the monolithic CSV byte for byte.
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   std::ostringstream monolithic;
   write_sweep_csv(monolithic, run_sweep(cells, kOptions));

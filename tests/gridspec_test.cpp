@@ -244,20 +244,19 @@ TEST(GridSpecParser, ParseIsDeterministic) {
             grid_fingerprint(cells_of(second.cells)));
 }
 
-TEST(GridSpecParser, ProductBlockMatchesSweepGridCrossOrder) {
-  // The spec's product block must append cells in exactly the order
-  // SweepGrid::cells() crosses its axes, or a spec "equivalent" to a
-  // compiled grid would shuffle cell indices (and with them seeds).
+TEST(GridSpecParser, ProductBlockIsAlgorithmMajorThenSizesThenBudget) {
+  // The spec's product block must append cells algorithm-major, then
+  // sizes, then budget (docs/GRIDSPEC.md): cell indices pick the seeds,
+  // so any other order would reseed every product cell.
   const GridSpec spec = parse_grid_spec(kCanonicalSpec);
-  crp::harness::SweepGrid grid;
-  for (std::size_t i = 0; i < 2; ++i) grid.add_cell(spec.cells[i]);
-  grid.add_algorithm(spec.cells[0].algorithm);  // lik
-  grid.add_algorithm(spec.cells[1].algorithm);  // cod
-  grid.add_sizes(spec.cells[2].sizes);          // k16
-  grid.add_budget(256);
-  grid.add_budget(1024);
+  const crp::harness::SweepAlgorithm& lik = spec.cells[0].algorithm;
+  const crp::harness::SweepAlgorithm& cod = spec.cells[1].algorithm;
+  const crp::harness::SweepSizes& k16 = spec.cells[2].sizes;
+  const std::vector<SweepCell> expected{
+      spec.cells[0],    spec.cells[1],    {lik, k16, 256},
+      {lik, k16, 1024}, {cod, k16, 256},  {cod, k16, 1024}};
   EXPECT_EQ(grid_fingerprint(cells_of(spec.cells)),
-            grid_fingerprint(cells_of(grid.cells())));
+            grid_fingerprint(cells_of(expected)));
 }
 
 // ---- shared support-table validator (csv.h) ----

@@ -160,47 +160,6 @@ TEST(ExactCd, CodedSearchExpectationMatchesMonteCarlo) {
               4.0 * mc.rounds.ci95 + 49.0 * profile.tail_mass + 0.3);
 }
 
-TEST(ExactCd, ParallelSubtreeExpansionMatchesSerialBitForBit) {
-  // The profile enumeration fans out over subtrees at a fixed split
-  // depth; the shard partition and merge order are scheduling-free, so
-  // every thread count must reproduce the serial run exactly —
-  // including the pruned-mass accounting.
-  const baselines::WillardPolicy willard(1 << 16);
-  for (std::size_t k : {2ul, 1000ul}) {
-    const auto serial = exact_profile_cd(willard, k, 24, 1e-12,
-                                         /*threads=*/1);
-    for (std::size_t threads : {2ul, 4ul, 8ul}) {
-      const auto parallel = exact_profile_cd(willard, k, 24, 1e-12, threads);
-      ASSERT_EQ(serial.solve_by.size(), parallel.solve_by.size());
-      for (std::size_t r = 0; r < serial.solve_by.size(); ++r) {
-        EXPECT_EQ(serial.solve_by[r], parallel.solve_by[r])
-            << "k=" << k << " threads=" << threads << " r=" << r;
-      }
-      EXPECT_EQ(serial.tail_mass, parallel.tail_mass);
-      EXPECT_EQ(serial.truncated_expectation,
-                parallel.truncated_expectation);
-    }
-  }
-
-  // Same property one layer down, where the pruned/frontier masses and
-  // the leaf arrays are visible directly.
-  const HistoryTreeOptions base{.horizon = 20, .prune_below = 1e-10};
-  HistoryTreeOptions pooled = base;
-  pooled.threads = 4;
-  const auto one = expand_history_tree(willard, 500, base);
-  const auto four = expand_history_tree(willard, 500, pooled);
-  EXPECT_EQ(one.pruned_mass, four.pruned_mass);
-  EXPECT_EQ(one.frontier_mass, four.frontier_mass);
-  ASSERT_EQ(one.solve_at, four.solve_at);
-  ASSERT_FALSE(one.leaves.empty());
-  ASSERT_EQ(one.leaves.size(), four.leaves.size());
-  ASSERT_EQ(one.leaf_cdf, four.leaf_cdf);
-  for (std::size_t i = 0; i < one.leaves.size(); ++i) {
-    EXPECT_EQ(one.leaves[i].reach, four.leaves[i].reach) << "leaf " << i;
-    EXPECT_EQ(one.leaves[i].history, four.leaves[i].history) << "leaf " << i;
-  }
-}
-
 TEST(ExactCd, LeavesPartitionTheUnsolvedMass) {
   // Every leaf's reach is the product of the outcome probabilities
   // along its rebuilt history — bit for bit, since the expansion
@@ -209,7 +168,7 @@ TEST(ExactCd, LeavesPartitionTheUnsolvedMass) {
   const baselines::WillardPolicy willard(1 << 16);
   for (const double prune : {1e-2, 1e-6}) {
     const auto tree = expand_history_tree(
-        willard, 60, {.horizon = 16, .prune_below = prune, .threads = 4});
+        willard, 60, {.horizon = 16, .prune_below = prune});
     ASSERT_FALSE(tree.leaves.empty());
     double pruned = 0.0;
     double frontier = 0.0;

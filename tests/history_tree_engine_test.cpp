@@ -291,7 +291,7 @@ TEST(HistoryTreeEngine, SweepSchedulerUsesTheCdEngine) {
   options.seed = 31;
   options.threads = 1;
   options.cd_engine = CdEngine::kHistoryTree;
-  const auto results = run_sweep(grid, options);
+  const auto results = run_sweep(grid.cells(), options);
   ASSERT_EQ(results.size(), 1u);
 
   MeasureOptions direct{.max_rounds = 1 << 12, .threads = 1};
@@ -336,7 +336,7 @@ TEST(HistoryTreeEngine, SharedTreeCacheMeasuresIdentically) {
   sweep.seed = 43;
   sweep.threads = 1;
   sweep.cd_engine = CdEngine::kHistoryTree;
-  const auto results = run_sweep(grid, sweep);
+  const auto results = run_sweep(grid.cells(), sweep);
   ASSERT_EQ(results.size(), 2u);
   expect_identical(
       results[0].measurement,
@@ -355,10 +355,11 @@ TEST(HistoryTreeEngine, ExpandsEachKeyOnceAtEveryThreadCount) {
   // for them. The single-flight cache expands each key exactly once,
   // whatever the pool width, and the measurements do not move.
   const baselines::WillardPolicy willard(1 << 12);
-  std::vector<std::pair<std::size_t, double>> support;
-  for (std::size_t k = 2; k <= 4096; k += 97) support.emplace_back(k, 1.0);
-  for (auto& entry : support) entry.second /= support.size();
-  const auto sizes = info::SizeDistribution::from_pairs(4096, support);
+  std::vector<double> probs(4097, 0.0);
+  std::size_t support = 0;
+  for (std::size_t k = 2; k <= 4096; k += 97, ++support) probs[k] = 1.0;
+  for (double& p : probs) p /= static_cast<double>(support);
+  const info::SizeDistribution sizes(std::move(probs));
   const std::size_t depth_cap = HistoryTreeEngine::Options().depth_cap;
   const std::array<std::size_t, 2> budgets{4 * depth_cap, 1 << 12};
 
@@ -378,7 +379,7 @@ TEST(HistoryTreeEngine, ExpandsEachKeyOnceAtEveryThreadCount) {
           .max_rounds = budgets[c % 2]});
     }
     const auto results = measure_cells(cells, threads);
-    EXPECT_EQ(cache.engine_for(willard)->expansions(), support.size())
+    EXPECT_EQ(cache.engine_for(willard)->expansions(), support)
         << "threads " << threads;
     if (reference.empty()) reference = results;
     ASSERT_EQ(results.size(), reference.size());

@@ -1,6 +1,9 @@
 #include "info/distribution.h"
 
 #include <cmath>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "channel/rng.h"
@@ -100,9 +103,11 @@ TEST(SizeDistribution, CondensedEntropyNeverExceedsRawEntropy) {
 }
 
 TEST(SizeDistribution, SamplingMatchesProbabilities) {
-  const auto dist = SizeDistribution::from_pairs(
-      64, std::vector<std::pair<std::size_t, double>>{
-              {4, 0.5}, {17, 0.3}, {63, 0.2}});
+  std::vector<double> probs(65, 0.0);
+  probs[4] = 0.5;
+  probs[17] = 0.3;
+  probs[63] = 0.2;
+  const SizeDistribution dist(std::move(probs));
   auto rng = channel::make_rng(7);
   constexpr std::size_t kTrials = 200000;
   std::size_t count4 = 0;
@@ -122,8 +127,10 @@ TEST(SizeDistribution, SamplingMatchesProbabilities) {
 }
 
 TEST(SizeDistribution, MeanMatchesHandComputation) {
-  const auto dist = SizeDistribution::from_pairs(
-      16, std::vector<std::pair<std::size_t, double>>{{2, 0.5}, {10, 0.5}});
+  std::vector<double> probs(17, 0.0);
+  probs[2] = 0.5;
+  probs[10] = 0.5;
+  const SizeDistribution dist(std::move(probs));
   EXPECT_NEAR(dist.mean(), 6.0, 1e-12);
 }
 

@@ -1,9 +1,10 @@
-// Fixture: exit-taxonomy — magic exit codes and taxonomy bypasses in
-// the scheduler-facing driver paths, plus the sanctioned named-constant
-// form as a negative control.
+// Fixture: exit-taxonomy — magic exit codes, taxonomy bypasses and
+// numeric case labels in the scheduler-facing driver paths, plus the
+// sanctioned named-constant forms as negative controls.
 #include <cstdlib>
 
 namespace {
+constexpr int kExitOk = 0;
 constexpr int kExitValidation = 3;
 }
 
@@ -24,5 +25,16 @@ void bad_abort() {
 void fine_named_exit(bool corrupt) {
   if (corrupt) {
     std::exit(kExitValidation);
+  }
+}
+
+bool bad_numeric_case(int status) {
+  switch (status) {
+    case 3:  // expect-lint: exit-taxonomy
+      return false;
+    case kExitOk:
+      return true;
+    default:
+      return false;
   }
 }

@@ -83,7 +83,7 @@ TEST(AdapterEngine, DrawsKThenRunsOnOneStreamPerTrial) {
         const std::size_t r = k + extra(rng);
         const bool solved = r < options.max_rounds;
         return channel::RunResult{solved, solved ? r : options.max_rounds,
-                                  std::nullopt, k};
+                                  std::nullopt};
       });
   constexpr std::size_t kTrials = 2500;
   constexpr std::uint64_t kSeed = 77;

@@ -45,15 +45,18 @@ struct Fixture {
         willard(1 << 10),
         uniform(info::SizeDistribution::uniform(1 << 10)) {}
 
-  SweepGrid grid() const {
-    SweepGrid grid;
-    grid.add_algorithm({.name = "decay", .schedule = &decay})
-        .add_algorithm({.name = "slow-decay", .schedule = &slow_decay})
-        .add_algorithm({.name = "willard", .policy = &willard})
-        .add_sizes({.name = "uniform", .distribution = &uniform})
-        .add_sizes({.name = "k=100", .fixed_k = 100})
-        .add_budget(1 << 12);
-    return grid;
+  /// Each algorithm against each workload at one budget,
+  /// algorithm-major.
+  std::vector<SweepCell> cells() const {
+    const SweepAlgorithm fast{.name = "decay", .schedule = &decay};
+    const SweepAlgorithm slow{.name = "slow-decay", .schedule = &slow_decay};
+    const SweepAlgorithm cd{.name = "willard", .policy = &willard};
+    const SweepSizes drawn{.name = "uniform", .distribution = &uniform};
+    const SweepSizes fixed{.name = "k=100", .fixed_k = 100};
+    constexpr std::size_t kBudget = 1 << 12;
+    return {{fast, drawn, kBudget}, {fast, fixed, kBudget},
+            {slow, drawn, kBudget}, {slow, fixed, kBudget},
+            {cd, drawn, kBudget},   {cd, fixed, kBudget}};
   }
 
   baselines::DecaySchedule decay;
@@ -64,7 +67,7 @@ struct Fixture {
 
 TEST(ShardPlan, PartitionIsDisjointCoveringAndStable) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   for (const std::size_t count : {1ul, 2ul, 3ul, 4ul, 6ul, 9ul}) {
     std::size_t expected_begin = 0;
     for (std::size_t index = 0; index < count; ++index) {
@@ -90,7 +93,7 @@ TEST(ShardPlan, PartitionIsDisjointCoveringAndStable) {
 
 TEST(ShardPlan, PinsSeedStreamsToGlobalGridIndex) {
   const Fixture f;
-  auto cells = f.grid().cells();
+  auto cells = f.cells();
   cells[4].seed_stream = 1234;  // an explicit pin must survive
   const auto plan = plan_shards(cells, {.shard_count = 3, .shard_index = 2});
   ASSERT_EQ(plan.cell_begin, 4u);
@@ -101,7 +104,7 @@ TEST(ShardPlan, PinsSeedStreamsToGlobalGridIndex) {
 
 TEST(ShardPlan, ExplicitCellRanges) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto plan =
       plan_shards(cells, {.cell_begin = 2, .cell_end = 5});
   EXPECT_EQ(plan.cell_begin, 2u);
@@ -110,9 +113,21 @@ TEST(ShardPlan, ExplicitCellRanges) {
   EXPECT_EQ(plan.cells[0].seed_stream, 2u);
 }
 
+TEST(ShardPlan, ArtifactStemNamesTheSliceOrTheExplicitRange) {
+  // crp_shard names a worker's artifacts with this stem and the
+  // supervisor predicts them with it, so both forms are pinned.
+  EXPECT_EQ(shard_artifact_stem({}), "shard-0-of-1");
+  EXPECT_EQ(shard_artifact_stem({.shard_count = 4, .shard_index = 3}),
+            "shard-3-of-4");
+  EXPECT_EQ(shard_artifact_stem({.cell_begin = 2, .cell_end = 5}),
+            "shard-cells-2-5");
+  EXPECT_EQ(shard_artifact_stem({.cell_begin = 0, .cell_end = 0}),
+            "shard-cells-0-0");
+}
+
 TEST(ShardPlan, RejectsInvalidOptions) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const std::vector<SweepCell> empty;
   EXPECT_THROW(plan_shards(empty, {.shard_count = 1, .shard_index = 0}),
                std::invalid_argument);
@@ -130,7 +145,7 @@ TEST(ShardPlan, RejectsInvalidOptions) {
 
 TEST(ShardPlan, GridFingerprintSeesContentChanges) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const std::uint64_t base = grid_fingerprint(cells);
   EXPECT_EQ(grid_fingerprint(cells), base);  // deterministic
 
@@ -144,7 +159,7 @@ TEST(ShardPlan, GridFingerprintSeesContentChanges) {
 
   // Distribution *contents* matter, not the pointer identity.
   const Fixture g;
-  EXPECT_EQ(grid_fingerprint(g.grid().cells()), base);
+  EXPECT_EQ(grid_fingerprint(g.cells()), base);
 
   // Algorithm *parameters* matter too: the same name over a
   // differently-parameterized schedule must change the fingerprint
@@ -266,7 +281,7 @@ void expect_shards_match_monolithic(const std::vector<SweepCell>& cells,
 TEST(ShardMerge, BitIdenticalToMonolithicNoCdAndSimulatedCd) {
   const Fixture f;
   expect_shards_match_monolithic(
-      f.grid().cells(), {.trials = 300, .seed = 17, .threads = 1});
+      f.cells(), {.trials = 300, .seed = 17, .threads = 1});
 }
 
 TEST(ShardMerge, BitIdenticalToMonolithicHistoryTreeCd) {
@@ -274,7 +289,7 @@ TEST(ShardMerge, BitIdenticalToMonolithicHistoryTreeCd) {
   // builds its own expansion cache, which must not change results.
   const Fixture f;
   expect_shards_match_monolithic(
-      f.grid().cells(), {.trials = 300,
+      f.cells(), {.trials = 300,
                          .seed = 17,
                          .threads = 1,
                          .cd_engine = CdEngine::kHistoryTree});
@@ -286,7 +301,7 @@ TEST(ShardMerge, AcceptsEmptyShardsInAnyArgumentOrder) {
   // empty [x, x) shard listed after the non-empty [x, y) one as an
   // overlap.
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   const SweepOptions options{.trials = 100, .seed = 8, .threads = 1};
   std::vector<ShardArtifact> artifacts;
@@ -299,7 +314,7 @@ TEST(ShardMerge, AcceptsEmptyShardsInAnyArgumentOrder) {
 
 TEST(ShardMerge, MergeOrderIsCellOrderNotArgumentOrder) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   const SweepOptions options{.trials = 200, .seed = 3, .threads = 1};
   std::vector<ShardArtifact> artifacts;
@@ -449,7 +464,7 @@ TEST(ShardManifest, ParserRejectsMalformedInput) {
 
 TEST(ShardMerge, RejectsMismatchedShardSets) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   const SweepOptions options{.trials = 150, .seed = 11, .threads = 1};
   std::vector<ShardArtifact> shards;
@@ -503,7 +518,7 @@ TEST(ShardMerge, RejectsMismatchedShardSets) {
 
 TEST(ShardMerge, CsvMergeRejectsTamperedArtifacts) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   const SweepOptions options{.trials = 150, .seed = 23, .threads = 1};
   std::vector<ShardArtifact> artifacts;
@@ -538,7 +553,7 @@ TEST(ShardMerge, CsvMergeRejectsTamperedArtifacts) {
 
 TEST(ShardMerge, PartialMergeReportsMissingRangesAndKeepsPresentRows) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   const SweepOptions options{.trials = 150, .seed = 31, .threads = 1};
   std::vector<ShardArtifact> artifacts;  // 3 shards of 2 cells each
@@ -708,7 +723,7 @@ TEST(RunIdentity, ConstructorRecordsTheSweepOptions) {
 
 TEST(RunIdentity, EveryFieldIsCheckedByTheMerge) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   const SweepOptions options{.trials = 60, .seed = 5, .threads = 1};
   std::vector<ShardArtifact> shards;
@@ -731,7 +746,7 @@ TEST(RunIdentity, EveryFieldIsCheckedByTheMerge) {
 
 TEST(RunIdentity, EveryFieldIsCheckedByWorkerResume) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   const SweepOptions options{.trials = 60, .seed = 5, .threads = 1};
   const ShardOptions shard{.shard_count = 2, .shard_index = 1};
@@ -768,7 +783,7 @@ TEST(RunIdentity, EveryFieldIsCheckedByWorkerResume) {
 
 TEST(RunIdentity, EveryFieldIsCheckedBySupervisorResume) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto dir = test_dir();
   const SweepOptions options{.trials = 60, .seed = 5, .threads = 1};
   SupervisorJournal expected;

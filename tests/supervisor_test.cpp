@@ -37,7 +37,6 @@ std::filesystem::path test_dir() {
 RetryPolicyConfig no_jitter_config() {
   RetryPolicyConfig config;
   config.base_backoff_ms = 100;
-  config.backoff_multiplier = 2.0;
   config.max_backoff_ms = 1'000;
   config.jitter_fraction = 0.0;
   config.retry_budget = 2;
@@ -54,7 +53,6 @@ TEST(RetryPolicyConfigTest, RejectsNonsense) {
     EXPECT_THROW(RetryPolicy{config}, std::invalid_argument);
   };
   bad([](RetryPolicyConfig& c) { c.base_backoff_ms = -1; });
-  bad([](RetryPolicyConfig& c) { c.backoff_multiplier = 0.5; });
   bad([](RetryPolicyConfig& c) { c.max_backoff_ms = c.base_backoff_ms - 1; });
   bad([](RetryPolicyConfig& c) { c.jitter_fraction = -0.1; });
   bad([](RetryPolicyConfig& c) { c.jitter_fraction = 1.0; });

@@ -40,15 +40,18 @@ struct Fixture {
         uniform(info::SizeDistribution::uniform(1 << 10)),
         small(info::SizeDistribution::uniform(48)) {}
 
-  SweepGrid grid() const {
-    SweepGrid grid;
-    grid.add_algorithm({.name = "decay", .schedule = &decay})
-        .add_algorithm({.name = "slow-decay", .schedule = &slow_decay})
-        .add_algorithm({.name = "willard", .policy = &willard})
-        .add_sizes({.name = "uniform", .distribution = &uniform})
-        .add_sizes({.name = "k=100", .fixed_k = 100})
-        .add_budget(1 << 12);
-    return grid;
+  /// Each algorithm against each workload at one budget,
+  /// algorithm-major.
+  std::vector<SweepCell> cells() const {
+    const SweepAlgorithm fast{.name = "decay", .schedule = &decay};
+    const SweepAlgorithm slow{.name = "slow-decay", .schedule = &slow_decay};
+    const SweepAlgorithm cd{.name = "willard", .policy = &willard};
+    const SweepSizes drawn{.name = "uniform", .distribution = &uniform};
+    const SweepSizes fixed{.name = "k=100", .fixed_k = 100};
+    constexpr std::size_t kBudget = 1 << 12;
+    return {{fast, drawn, kBudget}, {fast, fixed, kBudget},
+            {slow, drawn, kBudget}, {slow, fixed, kBudget},
+            {cd, drawn, kBudget},   {cd, fixed, kBudget}};
   }
 
   baselines::DecaySchedule decay;
@@ -59,35 +62,11 @@ struct Fixture {
   info::SizeDistribution small;
 };
 
-TEST(Sweep, GridCrossProductShape) {
-  const Fixture f;
-  const auto cells = f.grid().cells();
-  ASSERT_EQ(cells.size(), 6u);  // 3 algorithms x 2 workloads x 1 budget
-  EXPECT_EQ(cells[0].algorithm.name, "decay");
-  EXPECT_EQ(cells[0].sizes.name, "uniform");
-  EXPECT_EQ(cells[0].max_rounds, std::size_t{1} << 12);
-  EXPECT_EQ(cells.back().algorithm.name, "willard");
-  EXPECT_EQ(cells.back().sizes.fixed_k, 100u);
-}
-
-TEST(Sweep, ExplicitCellsPrecedeCrossProduct) {
-  const Fixture f;
-  SweepGrid grid;
-  grid.add_cell({.algorithm = {.name = "paired", .schedule = &f.decay},
-                 .sizes = {.name = "k=7", .fixed_k = 7}});
-  grid.add_algorithm({.name = "decay", .schedule = &f.decay})
-      .add_sizes({.name = "uniform", .distribution = &f.uniform});
-  const auto cells = grid.cells();
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(cells[0].algorithm.name, "paired");
-  EXPECT_EQ(cells[1].algorithm.name, "decay");
-}
-
 TEST(Sweep, DeterministicAcrossThreadCounts) {
   // Same grid, same master seed, pools narrower and wider than the
   // grid — must produce identical measurements.
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const auto reference =
       run_sweep(cells, {.trials = 600, .seed = 31, .threads = 1});
   ASSERT_EQ(reference.size(), cells.size());
@@ -246,7 +225,7 @@ TEST(Sweep, FailingCellRethrowsAfterThePoolDrains) {
 
 TEST(Sweep, ZeroTrialsAndEmptyGrids) {
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   for (const std::size_t threads : {1ul, 4ul}) {
     const auto results =
         run_sweep(cells, {.trials = 0, .seed = 8, .threads = threads});
@@ -266,7 +245,7 @@ TEST(Sweep, CellsMatchDirectMeasurement) {
   // A sweep is exactly the corresponding measure_* calls at the
   // derived per-cell seeds.
   const Fixture f;
-  const auto cells = f.grid().cells();
+  const auto cells = f.cells();
   const SweepOptions options{.trials = 500, .seed = 77, .threads = 1};
   const auto results = run_sweep(cells, options);
   const MeasureOptions direct{.max_rounds = 1 << 12, .threads = 1};
@@ -332,7 +311,7 @@ TEST(Sweep, RejectsAlgorithmlessCells) {
 TEST(Sweep, CsvEmitsOneRowPerCell) {
   const Fixture f;
   const auto results =
-      run_sweep(f.grid().cells(), {.trials = 200, .seed = 9, .threads = 1});
+      run_sweep(f.cells(), {.trials = 200, .seed = 9, .threads = 1});
   std::ostringstream csv;
   write_sweep_csv(csv, results);
   std::size_t lines = 0;
@@ -350,7 +329,7 @@ TEST(Sweep, CsvCellSeedRoundTrips) {
   // the row — the contract a multi-process shard driver relies on.
   const Fixture f;
   const SweepOptions options{.trials = 300, .seed = 123, .threads = 1};
-  const auto results = run_sweep(f.grid().cells(), options);
+  const auto results = run_sweep(f.cells(), options);
   std::ostringstream csv;
   write_sweep_csv(csv, results);
 

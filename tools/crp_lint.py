@@ -21,7 +21,8 @@ ID that docs/STATIC_ANALYSIS.md catalogues:
   dur-atomic-artifacts      final artifacts go through atomic_write_file
                             or a CheckpointSink, never bare ofstream/fopen
   dur-fsync-append          append-mode journal writers must fsync
-  exit-taxonomy             no magic exit codes in crp_shard/supervisor
+  exit-taxonomy             no magic exit codes or numeric case labels in
+                            crp_shard/supervisor
   nan-range-check           no `x < 0 || x > 1` range checks, which NaN
                             passes: use channel::in_unit_interval
   test-only-module          no src/ header that only its own .cpp and
@@ -336,6 +337,9 @@ EXIT_LITERAL_RE = re.compile(
     r"(?<![\w.])_?(?:std\s*::\s*)?_?exit\s*\(\s*(\d+)\s*\)"
 )
 QUICK_EXIT_RE = re.compile(r"\bquick_exit\s*\(|\babort\s*\(\s*\)")
+# A numeric case label: in these files a switch over an exit status
+# reads the taxonomy, so it names the constants too.
+CASE_LITERAL_RE = re.compile(r"\bcase\s+(-?\d+)\s*:")
 
 
 def check_exit_taxonomy(src: SourceFile):
@@ -352,6 +356,14 @@ def check_exit_taxonomy(src: SourceFile):
             yield (lineno,
                    "abort()/quick_exit() bypasses the exit taxonomy — "
                    "throw and let main map the error to an exit code")
+            continue
+        match = CASE_LITERAL_RE.search(line)
+        if match:
+            yield (lineno,
+                   f"numeric case label {match.group(1)} — a switch over "
+                   "exit statuses must name the kExit* taxonomy "
+                   "constants (harness/supervisor.h), or the reader and "
+                   "the writer of the code can drift apart")
 
 
 # One operand (an identifier, member chain or subscript) tested below 0
@@ -492,8 +504,9 @@ RULES = [
     Rule(
         "exit-taxonomy",
         "operability: stable exit codes",
-        "No raw exit(<literal>) or abort() in the crp_shard/supervisor "
-        "paths — exits go through the documented taxonomy constants.",
+        "No raw exit(<literal>), abort() or numeric case label in the "
+        "crp_shard/supervisor paths — exits and the switches that read "
+        "them go through the documented taxonomy constants.",
         lambda rel: rel.startswith("tools/crp_shard")
         or _in(rel, "src/harness/supervisor", "src/harness/checkpoint",
                "src/harness/shard"),

@@ -159,12 +159,17 @@
 namespace {
 
 // The documented exit-code taxonomy (see the header comment).
-constexpr int kExitOk = 0;
-constexpr int kExitInternal = 1;
-constexpr int kExitUsage = 2;
-constexpr int kExitValidation = 3;
-constexpr int kExitIo = 4;
-constexpr int kExitResumable = 75;  // EX_TEMPFAIL: retryable by design
+using crp::harness::kExitInternal;
+using crp::harness::kExitIo;
+using crp::harness::kExitOk;
+using crp::harness::kExitResumable;
+using crp::harness::kExitUsage;
+using crp::harness::kExitValidation;
+
+// Ceiling of every millisecond flag, about 31.7 years: far enough below
+// int64's range that the jittered backoff (under twice
+// --backoff-max-ms) and the fleet's now + delay cannot overflow.
+constexpr std::size_t kMaxMillis = 1'000'000'000'000;
 
 // Set by the signal handler and polled on pool workers (the journaled
 // runner checks it after each cell it journals), so it must be a
@@ -314,14 +319,21 @@ Options parse_args(int argc, char** argv) {
         options.workers = value;
       } else if (arg == "--retry-budget") {
         options.retry.retry_budget = value;
-      } else if (arg == "--backoff-ms") {
-        options.retry.base_backoff_ms = static_cast<std::int64_t>(value);
-      } else if (arg == "--backoff-max-ms") {
-        options.retry.max_backoff_ms = static_cast<std::int64_t>(value);
-      } else if (arg == "--worker-timeout-ms") {
-        options.retry.worker_timeout_ms = static_cast<std::int64_t>(value);
       } else {
-        options.retry.kill_grace_ms = static_cast<std::int64_t>(value);
+        if (value > kMaxMillis) {
+          usage_error(arg + " must be at most " + std::to_string(kMaxMillis) +
+                      " ms, got " + std::to_string(value));
+        }
+        const auto ms = static_cast<std::int64_t>(value);
+        if (arg == "--backoff-ms") {
+          options.retry.base_backoff_ms = ms;
+        } else if (arg == "--backoff-max-ms") {
+          options.retry.max_backoff_ms = ms;
+        } else if (arg == "--worker-timeout-ms") {
+          options.retry.worker_timeout_ms = ms;
+        } else {
+          options.retry.kill_grace_ms = ms;
+        }
       }
     } else if (arg == "--resume") {
       if (options.mode != "supervise") {
@@ -766,18 +778,7 @@ int run_mode(const Options& options) {
   if (options.out_dir.empty()) {
     usage_error("sharded runs need --out-dir DIR for the artifact set");
   }
-  // Explicit --cells runs all share shard_index 0 of 1, so their
-  // artifacts are named by the cell range instead — successive
-  // hand-balanced slices into one directory must not overwrite each
-  // other.
-  const bool explicit_range =
-      options.shard.cell_begin != crp::harness::ShardOptions::kAutoRange;
-  const std::string stem =
-      explicit_range
-          ? "shard-cells-" + std::to_string(options.shard.cell_begin) + "-" +
-                std::to_string(options.shard.cell_end)
-          : "shard-" + std::to_string(options.shard.shard_index) + "-of-" +
-                std::to_string(options.shard.shard_count);
+  const std::string stem = crp::harness::shard_artifact_stem(options.shard);
   const std::filesystem::path dir(options.out_dir);
 
   crp::harness::CheckpointRunOptions checkpoint;
