@@ -27,11 +27,15 @@
 //    the libm function) rather than libm's, because libm's is neither
 //    vectorizable nor stable across libc versions.
 //
-// Each backend lives in its own translation unit compiled for its
-// target ISA via function-target pragmas (kernels/avx2.cpp,
-// kernels/avx512.cpp), so the portable binary carries all tiers and
-// picks at runtime — CRP_ENABLE_NATIVE_ARCH remains an opt-in ceiling
-// for the surrounding scalar code, not a requirement for SIMD speed.
+// The vector kernels are written once, in kernels/lanes.h, over a
+// per-ISA lane adapter (a struct of static functions over that ISA's
+// registers). Each adapter lives in its own translation unit compiled
+// for its target ISA via function-target pragmas (kernels/avx2.cpp,
+// kernels/avx512.cpp) and instantiates the shared body there, so the
+// portable binary carries all tiers and picks at runtime, and a new
+// tier is one more adapter — CRP_ENABLE_NATIVE_ARCH remains an opt-in
+// ceiling for the surrounding scalar code, not a requirement for SIMD
+// speed.
 // The environment variable CRP_KERNEL_TIER=scalar|avx2|avx512 caps or
 // confirms the dispatched tier (requests above the host's capability
 // fall back to the widest available); kernel_tier() reports the

@@ -66,15 +66,25 @@ RetryPolicy::RetryPolicy(const RetryPolicyConfig& config) : config_(config) {
   const auto fail = [](const std::string& message) {
     throw std::invalid_argument("RetryPolicy: " + message);
   };
+  const auto at_most_max_millis = [&](std::int64_t value, const char* name) {
+    if (value > kMaxMillis) {
+      fail(std::string(name) + " must be at most " +
+           std::to_string(kMaxMillis) + " ms");
+    }
+  };
   if (config_.base_backoff_ms < 0) fail("base_backoff_ms must be >= 0");
+  at_most_max_millis(config_.base_backoff_ms, "base_backoff_ms");
   if (config_.max_backoff_ms < config_.base_backoff_ms) {
     fail("max_backoff_ms must be >= base_backoff_ms");
   }
+  at_most_max_millis(config_.max_backoff_ms, "max_backoff_ms");
   if (!(config_.jitter_fraction >= 0.0) || config_.jitter_fraction >= 1.0) {
     fail("jitter_fraction must be in [0, 1)");
   }
   if (config_.worker_timeout_ms < 0) fail("worker_timeout_ms must be >= 0");
+  at_most_max_millis(config_.worker_timeout_ms, "worker_timeout_ms");
   if (config_.kill_grace_ms < 0) fail("kill_grace_ms must be >= 0");
+  at_most_max_millis(config_.kill_grace_ms, "kill_grace_ms");
 }
 
 std::int64_t RetryPolicy::backoff_ms(std::size_t attempt,

@@ -87,6 +87,12 @@ inline constexpr int kExitValidation = 3;
 inline constexpr int kExitIo = 4;
 inline constexpr int kExitResumable = 75;  // EX_TEMPFAIL: retryable by design
 
+/// Ceiling of every millisecond setting (RetryPolicyConfig's backoffs
+/// and timeouts, crp_shard's flags for them), about 31.7 years: far
+/// enough below int64's range that the jittered backoff (under twice
+/// max_backoff_ms) and the fleet's now + delay cannot overflow.
+inline constexpr std::int64_t kMaxMillis = 1'000'000'000'000;
+
 // ---------------------------------------------------------------------------
 // Clock seam
 

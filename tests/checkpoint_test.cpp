@@ -26,56 +26,13 @@
 #include "harness/sweep.h"
 #include "info/distribution.h"
 
+#include "test_support.h"
+
 namespace crp::harness {
 namespace {
 
-/// A fresh per-test scratch directory under the gtest temp root,
-/// removed up front so reruns never see stale journals.
-std::filesystem::path test_dir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   (std::string("crp_checkpoint_") + info->test_suite_name() +
-                    "_" + info->name());
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
-std::string read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-/// The shard_test fixture: two schedules and a CD policy crossed with
-/// two workloads — 6 cells, enough for uneven partitions.
-struct Fixture {
-  Fixture()
-      : decay(1 << 10),
-        slow_decay(1 << 6),
-        willard(1 << 10),
-        uniform(info::SizeDistribution::uniform(1 << 10)) {}
-
-  /// Each algorithm against each workload at one budget,
-  /// algorithm-major.
-  std::vector<SweepCell> cells() const {
-    const SweepAlgorithm fast{.name = "decay", .schedule = &decay};
-    const SweepAlgorithm slow{.name = "slow-decay", .schedule = &slow_decay};
-    const SweepAlgorithm cd{.name = "willard", .policy = &willard};
-    const SweepSizes drawn{.name = "uniform", .distribution = &uniform};
-    const SweepSizes fixed{.name = "k=100", .fixed_k = 100};
-    constexpr std::size_t kBudget = 1 << 12;
-    return {{fast, drawn, kBudget}, {fast, fixed, kBudget},
-            {slow, drawn, kBudget}, {slow, fixed, kBudget},
-            {cd, drawn, kBudget},   {cd, fixed, kBudget}};
-  }
-
-  baselines::DecaySchedule decay;
-  baselines::DecaySchedule slow_decay;
-  baselines::WillardPolicy willard;
-  info::SizeDistribution uniform;
-};
+/// Names this file's per-test scratch directories (test_dir).
+constexpr char kDirPrefix[] = "crp_checkpoint_";
 
 const SweepOptions kOptions{.trials = 120, .seed = 77, .threads = 1};
 
@@ -94,7 +51,7 @@ void expect_throws_with(const Action& action, const std::string& needle) {
 }
 
 TEST(AtomicWriteFile, WritesCreatesParentsAndOverwrites) {
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const auto path = dir / "nested" / "deeper" / "artifact.csv";
   atomic_write_file(path.string(), "first contents\n");
   EXPECT_EQ(read_file(path), "first contents\n");
@@ -106,7 +63,7 @@ TEST(AtomicWriteFile, WritesCreatesParentsAndOverwrites) {
 }
 
 TEST(AtomicWriteFile, FailureLeavesExistingFileIntact) {
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const auto path = dir / "artifact.csv";
   atomic_write_file(path.string(), "precious\n");
   // Writing *under a path whose parent is a file* must fail with
@@ -118,7 +75,7 @@ TEST(AtomicWriteFile, FailureLeavesExistingFileIntact) {
 }
 
 TEST(JournalFormat, RoundTripsHeaderAndRecords) {
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const auto path = (dir / "shard.journal").string();
   ShardManifest identity;
   identity.engine = "batch";
@@ -163,9 +120,9 @@ TEST(JournalFormat, RoundTripsHeaderAndRecords) {
 }
 
 TEST(CheckpointedRun, FreshRunMatchesMonolithicShardCsv) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
 
   const ShardPlan plan =
       plan_shards(cells, {.shard_count = 2, .shard_index = 0});
@@ -196,12 +153,12 @@ TEST(CheckpointedRun, FreshRunMatchesMonolithicShardCsv) {
 }
 
 TEST(CheckpointedRun, InterruptAtEveryCellThenResumeIsByteIdentical) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
   const ShardOptions shard{.shard_count = 1, .shard_index = 0};
 
   CheckpointRunOptions reference_options;
-  const auto reference_dir = test_dir();
+  const auto reference_dir = test_dir(kDirPrefix);
   reference_options.journal_path =
       (reference_dir / "reference.journal").string();
   const auto reference =
@@ -234,9 +191,9 @@ TEST(CheckpointedRun, InterruptAtEveryCellThenResumeIsByteIdentical) {
 }
 
 TEST(CheckpointedRun, ResumeOfCompletedJournalIsIdempotent) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   CheckpointRunOptions checkpoint;
   checkpoint.journal_path = (dir / "shard.journal").string();
   const auto first = run_sweep_shard_checkpointed(
@@ -253,9 +210,9 @@ TEST(CheckpointedRun, ResumeOfCompletedJournalIsIdempotent) {
 }
 
 TEST(CheckpointedRun, InterruptedHookStopsBetweenCells) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   CheckpointRunOptions checkpoint;
   checkpoint.journal_path = (dir / "shard.journal").string();
   // The hook is polled *before* each cell; returning true from the
@@ -276,9 +233,9 @@ TEST(CheckpointedRun, InterruptedHookStopsBetweenCells) {
 TEST(CheckpointedRun, FreshJournalBytesAreThreadCountInvariant) {
   // The cells run on one pool, but records land in cell order, so the
   // journal is the same file at every thread count.
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   std::string reference;
   for (const std::size_t threads : {1ul, 2ul, 8ul}) {
     SweepOptions options = kOptions;
@@ -296,10 +253,10 @@ TEST(CheckpointedRun, FreshJournalBytesAreThreadCountInvariant) {
 }
 
 TEST(CheckpointedRun, InterruptAfterKAppendsOnThePoolKeepsThePrefix) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
   const ShardOptions shard{.shard_count = 1, .shard_index = 0};
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   SweepOptions options = kOptions;
   options.threads = 4;
   CheckpointRunOptions reference_options;
@@ -339,9 +296,9 @@ TEST(CheckpointedRun, InterruptAfterKAppendsOnThePoolKeepsThePrefix) {
 }
 
 TEST(CheckpointedRun, HooksNeverOverlapOnThePool) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   SweepOptions options = kOptions;
   options.threads = 8;
   // Every hook bumps `inside` for its duration; a second hook running
@@ -377,9 +334,9 @@ TEST(CheckpointedRun, HooksNeverOverlapOnThePool) {
 }
 
 TEST(CheckpointedRun, RejectsFreshOverExistingAndResumeWithoutJournal) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   CheckpointRunOptions checkpoint;
   checkpoint.journal_path = (dir / "shard.journal").string();
   checkpoint.max_cells = 1;
@@ -405,9 +362,9 @@ TEST(CheckpointedRun, RejectsFreshOverExistingAndResumeWithoutJournal) {
 }
 
 TEST(CheckpointedRun, ResumeValidationRejectsMismatchedIdentity) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const ShardOptions shard{.shard_count = 2, .shard_index = 0};
   CheckpointRunOptions checkpoint;
   checkpoint.journal_path = (dir / "shard.journal").string();
@@ -443,7 +400,7 @@ TEST(CheckpointedRun, ResumeValidationRejectsMismatchedIdentity) {
 
   // A different grid (a second budget after each cell's first) must
   // be caught by the fingerprint before anything is replayed.
-  Fixture g;
+  SixCellFixture g;
   std::vector<SweepCell> other_cells;
   for (const SweepCell& cell : g.cells()) {
     other_cells.push_back(cell);
@@ -459,9 +416,9 @@ TEST(CheckpointedRun, ResumeValidationRejectsMismatchedIdentity) {
 }
 
 TEST(CheckpointedRun, ResumeRejectsRecordsFromForeignPartition) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const ShardOptions shard{.shard_count = 1, .shard_index = 0};
   CheckpointRunOptions checkpoint;
   checkpoint.journal_path = (dir / "shard.journal").string();
@@ -511,9 +468,9 @@ TEST(CheckpointedRun, ResumeRejectsRecordsFromForeignPartition) {
 TEST(CheckpointedRun, HistoryTreeEngineMatchesMonolithic) {
   // The shared tree cache must be an amortization, never a behavior
   // change: a checkpointed history-tree run equals the monolithic CSV.
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   SweepOptions options = kOptions;
   options.cd_engine = CdEngine::kHistoryTree;
 

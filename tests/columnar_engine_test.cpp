@@ -44,19 +44,10 @@
 #include "info/distribution.h"
 #include "predict/families.h"
 
+#include "test_support.h"
+
 namespace crp::harness {
 namespace {
-
-void expect_identical(const Measurement& a, const Measurement& b) {
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_TRUE(a.histogram == b.histogram);
-  EXPECT_EQ(a.success_rate, b.success_rate);
-  EXPECT_EQ(a.rounds.mean, b.rounds.mean);
-  EXPECT_EQ(a.rounds.p50, b.rounds.p50);
-  EXPECT_EQ(a.rounds.p90, b.rounds.p90);
-  EXPECT_EQ(a.rounds.p99, b.rounds.p99);
-  EXPECT_EQ(a.rounds.max, b.rounds.max);
-}
 
 info::SizeDistribution table1_sizes(std::size_t n) {
   const auto condensed =

@@ -26,54 +26,13 @@
 #include "harness/sweep.h"
 #include "info/distribution.h"
 
+#include "test_support.h"
+
 namespace crp::harness {
 namespace {
 
-std::filesystem::path test_dir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   (std::string("crp_fault_") + info->test_suite_name() + "_" +
-                    info->name());
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
-std::string read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-/// The shard_test fixture: 6 cells across two schedules, a CD policy,
-/// and two workloads.
-struct Fixture {
-  Fixture()
-      : decay(1 << 10),
-        slow_decay(1 << 6),
-        willard(1 << 10),
-        uniform(info::SizeDistribution::uniform(1 << 10)) {}
-
-  /// Each algorithm against each workload at one budget,
-  /// algorithm-major.
-  std::vector<SweepCell> cells() const {
-    const SweepAlgorithm fast{.name = "decay", .schedule = &decay};
-    const SweepAlgorithm slow{.name = "slow-decay", .schedule = &slow_decay};
-    const SweepAlgorithm cd{.name = "willard", .policy = &willard};
-    const SweepSizes drawn{.name = "uniform", .distribution = &uniform};
-    const SweepSizes fixed{.name = "k=100", .fixed_k = 100};
-    constexpr std::size_t kBudget = 1 << 12;
-    return {{fast, drawn, kBudget}, {fast, fixed, kBudget},
-            {slow, drawn, kBudget}, {slow, fixed, kBudget},
-            {cd, drawn, kBudget},   {cd, fixed, kBudget}};
-  }
-
-  baselines::DecaySchedule decay;
-  baselines::DecaySchedule slow_decay;
-  baselines::WillardPolicy willard;
-  info::SizeDistribution uniform;
-};
+/// Names this file's per-test scratch directories (test_dir).
+constexpr char kDirPrefix[] = "crp_fault_";
 
 const SweepOptions kOptions{.trials = 120, .seed = 77, .threads = 1};
 
@@ -158,10 +117,10 @@ Reference build_reference(const std::filesystem::path& dir,
 }
 
 TEST(FaultInjection, KillAtEveryCellInEveryModeResumesByteIdentical) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
   const ShardOptions shard{.shard_count = 1, .shard_index = 0};
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const Reference reference = build_reference(dir, cells, shard);
 
   // At 4 threads later cells finish while a lower one still runs; the
@@ -216,9 +175,9 @@ TEST(FaultInjection, KillAtEveryCellInEveryModeResumesByteIdentical) {
 }
 
 TEST(FaultInjection, TruncationAtEveryByteIsTornOrHeaderDamage) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const Reference reference =
       build_reference(dir, cells, {.shard_count = 1, .shard_index = 0});
   const auto path = (dir / "truncated.journal").string();
@@ -269,9 +228,9 @@ TEST(FaultInjection, TruncationAtEveryByteIsTornOrHeaderDamage) {
 }
 
 TEST(FaultInjection, BitFlipIsNeverSilentlyReplayed) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const Reference reference =
       build_reference(dir, cells, {.shard_count = 1, .shard_index = 0});
   const auto path = (dir / "flipped.journal").string();
@@ -307,9 +266,9 @@ TEST(FaultInjection, BitFlipIsNeverSilentlyReplayed) {
 }
 
 TEST(FaultInjection, CorruptedChecksumNamesFileAndExactOffset) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const Reference reference =
       build_reference(dir, cells, {.shard_count = 1, .shard_index = 0});
   const auto path = (dir / "corrupt.journal").string();
@@ -344,9 +303,9 @@ TEST(FaultInjection, CorruptedChecksumNamesFileAndExactOffset) {
 }
 
 TEST(FaultInjection, DuplicateRecordRejectedAtItsOffset) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const Reference reference =
       build_reference(dir, cells, {.shard_count = 1, .shard_index = 0});
   const auto path = (dir / "duplicate.journal").string();
@@ -378,9 +337,9 @@ TEST(FaultInjection, ResumeThenMergeByteIdenticalToMonolithic) {
   // The acceptance scenario end to end: three shards, each killed
   // mid-grid by a different fault mode, each resumed, the artifacts
   // merged — the result must equal the monolithic CSV byte for byte.
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   std::ostringstream monolithic;
   write_sweep_csv(monolithic, run_sweep(cells, kOptions));
 

@@ -33,19 +33,12 @@
 #include "info/distribution.h"
 #include "predict/families.h"
 
+#include "test_support.h"
+
 namespace crp::harness {
 namespace {
 
 using channel::HistoryTreeEngine;
-
-void expect_identical(const Measurement& a, const Measurement& b) {
-  EXPECT_EQ(a.trials, b.trials);
-  // Full per-round distribution equality.
-  EXPECT_TRUE(a.histogram == b.histogram);
-  EXPECT_EQ(a.success_rate, b.success_rate);
-  EXPECT_EQ(a.rounds.mean, b.rounds.mean);
-  EXPECT_EQ(a.rounds.max, b.rounds.max);
-}
 
 /// The sum of the solved trials' rounds, read exactly off the
 /// histogram.

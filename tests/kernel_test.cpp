@@ -237,6 +237,10 @@ TEST_P(KernelTierTest, ProbeRoundsBitwiseOnAdversarialTables) {
   // padding, nothing to descend), a sure-success round (-inf inside
   // the entries), certain periodic tables, a tiny period that forces
   // deep analytic skips and period-edge retries, and a budget clamp.
+  // Then budgets past 2^30, where the AVX2 entry hands the block to the
+  // scalar tier while AVX-512 keeps its lanes, and per-period masses so
+  // small that the skip count of a target above -1.1 passes 2^32: only
+  // a 64-bit skip conversion and multiply reproduce those rounds.
   const std::vector<OwnedProbeTable> tables = [] {
     std::vector<OwnedProbeTable> v;
     v.emplace_back(std::vector<double>{0.0}, false, 100);       // single entry
@@ -247,6 +251,15 @@ TEST_P(KernelTierTest, ProbeRoundsBitwiseOnAdversarialTables) {
     v.emplace_back(std::vector<double>{0.0, -0.5, -1.0, -1.5}, false, 100);
     v.emplace_back(std::vector<double>{0.0, -0.5, -1.0, -1.5}, true, 6);
     v.emplace_back(std::vector<double>{0.0, -0.0, -0.0, -1.0}, false, 100);
+    for (const std::size_t budget :
+         {(std::size_t{1} << 30) + 1, std::size_t{1} << 40}) {
+      v.emplace_back(std::vector<double>{0.0, -0.5, -1.0, -1.5}, false,
+                     budget);
+      v.emplace_back(std::vector<double>{0.0, -0.5, -1.0, -1.5}, true,
+                     budget);
+      v.emplace_back(std::vector<double>{0.0, -1e-12}, true, budget);
+      v.emplace_back(std::vector<double>{0.0, -1e-12, -2e-12}, true, budget);
+    }
     return v;
   }();
   std::mt19937_64 rng(23);
@@ -270,7 +283,8 @@ TEST_P(KernelTierTest, ProbeRoundsBitwiseOnAdversarialTables) {
       scalar_ops().probe_rounds(table.view, targets.data(), count,
                                 want.data());
       EXPECT_EQ(got, want) << "rounds " << table.view.rounds << " periodic "
-                           << table.view.periodic << " count " << count;
+                           << table.view.periodic << " budget "
+                           << table.view.max_rounds << " count " << count;
       for (std::size_t t = 0; t < count; ++t) {
         EXPECT_EQ(want[t], search_one(table.view, targets[t]));
       }

@@ -31,22 +31,10 @@
 #include "harness/parallel.h"
 #include "info/distribution.h"
 
+#include "test_support.h"
+
 namespace crp::harness {
 namespace {
-
-void expect_identical(const Measurement& a, const Measurement& b) {
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_TRUE(a.histogram == b.histogram);
-  EXPECT_EQ(a.success_rate, b.success_rate);
-  EXPECT_EQ(a.rounds.count, b.rounds.count);
-  EXPECT_EQ(a.rounds.mean, b.rounds.mean);
-  EXPECT_EQ(a.rounds.stddev, b.rounds.stddev);
-  EXPECT_EQ(a.rounds.p50, b.rounds.p50);
-  EXPECT_EQ(a.rounds.p90, b.rounds.p90);
-  EXPECT_EQ(a.rounds.p99, b.rounds.p99);
-  EXPECT_EQ(a.rounds.min, b.rounds.min);
-  EXPECT_EQ(a.rounds.max, b.rounds.max);
-}
 
 /// A synthetic per-trial function: a uniform round in [1, 500] drawn
 /// from the trial's stream, unsolved when divisible by 7.

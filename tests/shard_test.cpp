@@ -25,48 +25,16 @@
 #include "harness/sweep.h"
 #include "info/distribution.h"
 
+#include "test_support.h"
+
 namespace crp::harness {
 namespace {
 
-void expect_identical(const Measurement& a, const Measurement& b) {
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_TRUE(a.histogram == b.histogram);
-  EXPECT_EQ(a.success_rate, b.success_rate);
-  EXPECT_EQ(a.rounds.mean, b.rounds.mean);
-  EXPECT_EQ(a.rounds.p90, b.rounds.p90);
-}
-
-/// The sweep_test fixture: two schedules and a CD policy crossed with
-/// two workloads — 6 cells, enough for uneven partitions.
-struct Fixture {
-  Fixture()
-      : decay(1 << 10),
-        slow_decay(1 << 6),
-        willard(1 << 10),
-        uniform(info::SizeDistribution::uniform(1 << 10)) {}
-
-  /// Each algorithm against each workload at one budget,
-  /// algorithm-major.
-  std::vector<SweepCell> cells() const {
-    const SweepAlgorithm fast{.name = "decay", .schedule = &decay};
-    const SweepAlgorithm slow{.name = "slow-decay", .schedule = &slow_decay};
-    const SweepAlgorithm cd{.name = "willard", .policy = &willard};
-    const SweepSizes drawn{.name = "uniform", .distribution = &uniform};
-    const SweepSizes fixed{.name = "k=100", .fixed_k = 100};
-    constexpr std::size_t kBudget = 1 << 12;
-    return {{fast, drawn, kBudget}, {fast, fixed, kBudget},
-            {slow, drawn, kBudget}, {slow, fixed, kBudget},
-            {cd, drawn, kBudget},   {cd, fixed, kBudget}};
-  }
-
-  baselines::DecaySchedule decay;
-  baselines::DecaySchedule slow_decay;
-  baselines::WillardPolicy willard;
-  info::SizeDistribution uniform;
-};
+/// Names this file's per-test scratch directories (test_dir).
+constexpr char kDirPrefix[] = "crp_shard_";
 
 TEST(ShardPlan, PartitionIsDisjointCoveringAndStable) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
   for (const std::size_t count : {1ul, 2ul, 3ul, 4ul, 6ul, 9ul}) {
     std::size_t expected_begin = 0;
@@ -92,7 +60,7 @@ TEST(ShardPlan, PartitionIsDisjointCoveringAndStable) {
 }
 
 TEST(ShardPlan, PinsSeedStreamsToGlobalGridIndex) {
-  const Fixture f;
+  const SixCellFixture f;
   auto cells = f.cells();
   cells[4].seed_stream = 1234;  // an explicit pin must survive
   const auto plan = plan_shards(cells, {.shard_count = 3, .shard_index = 2});
@@ -103,7 +71,7 @@ TEST(ShardPlan, PinsSeedStreamsToGlobalGridIndex) {
 }
 
 TEST(ShardPlan, ExplicitCellRanges) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
   const auto plan =
       plan_shards(cells, {.cell_begin = 2, .cell_end = 5});
@@ -126,7 +94,7 @@ TEST(ShardPlan, ArtifactStemNamesTheSliceOrTheExplicitRange) {
 }
 
 TEST(ShardPlan, RejectsInvalidOptions) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
   const std::vector<SweepCell> empty;
   EXPECT_THROW(plan_shards(empty, {.shard_count = 1, .shard_index = 0}),
@@ -144,7 +112,7 @@ TEST(ShardPlan, RejectsInvalidOptions) {
 }
 
 TEST(ShardPlan, GridFingerprintSeesContentChanges) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
   const std::uint64_t base = grid_fingerprint(cells);
   EXPECT_EQ(grid_fingerprint(cells), base);  // deterministic
@@ -158,7 +126,7 @@ TEST(ShardPlan, GridFingerprintSeesContentChanges) {
   EXPECT_NE(grid_fingerprint(rebudgeted), base);
 
   // Distribution *contents* matter, not the pointer identity.
-  const Fixture g;
+  const SixCellFixture g;
   EXPECT_EQ(grid_fingerprint(g.cells()), base);
 
   // Algorithm *parameters* matter too: the same name over a
@@ -182,18 +150,6 @@ TEST(ShardPlan, GridFingerprintIsStableAcrossBuilds) {
   const GridSpec spec = read_grid_spec_file(
       std::string(CRP_SOURCE_DIR) + "/tests/goldens/coded_simulate_spec.json");
   EXPECT_EQ(grid_fingerprint(spec.cells), 0x2df3e1f6368868dULL);
-}
-
-/// A fresh per-test scratch directory under the gtest temp root,
-/// removed up front so reruns never see stale journals.
-std::filesystem::path test_dir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   (std::string("crp_shard_") + info->test_suite_name() +
-                    "_" + info->name());
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 /// Runs one shard the way `crp_shard run --shard` does — journaled in
@@ -279,7 +235,7 @@ void expect_shards_match_monolithic(const std::vector<SweepCell>& cells,
 }
 
 TEST(ShardMerge, BitIdenticalToMonolithicNoCdAndSimulatedCd) {
-  const Fixture f;
+  const SixCellFixture f;
   expect_shards_match_monolithic(
       f.cells(), {.trials = 300, .seed = 17, .threads = 1});
 }
@@ -287,7 +243,7 @@ TEST(ShardMerge, BitIdenticalToMonolithicNoCdAndSimulatedCd) {
 TEST(ShardMerge, BitIdenticalToMonolithicHistoryTreeCd) {
   // The CD cells route through the history-tree engine; each shard
   // builds its own expansion cache, which must not change results.
-  const Fixture f;
+  const SixCellFixture f;
   expect_shards_match_monolithic(
       f.cells(), {.trials = 300,
                          .seed = 17,
@@ -300,9 +256,9 @@ TEST(ShardMerge, AcceptsEmptyShardsInAnyArgumentOrder) {
   // merge handed the shards in reverse order must not misread an
   // empty [x, x) shard listed after the non-empty [x, y) one as an
   // overlap.
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const SweepOptions options{.trials = 100, .seed = 8, .threads = 1};
   std::vector<ShardArtifact> artifacts;
   for (std::size_t index = 9; index-- > 0;) {  // reversed, 3 empty shards
@@ -313,9 +269,9 @@ TEST(ShardMerge, AcceptsEmptyShardsInAnyArgumentOrder) {
 }
 
 TEST(ShardMerge, MergeOrderIsCellOrderNotArgumentOrder) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const SweepOptions options{.trials = 200, .seed = 3, .threads = 1};
   std::vector<ShardArtifact> artifacts;
   for (const std::size_t index : {2ul, 0ul, 1ul}) {  // shuffled
@@ -329,7 +285,7 @@ TEST(ShardMerge, CsvMergeSurvivesNewlineBearingNames) {
   // csv_quote legally emits raw newlines inside quoted fields; the
   // shard CSV re-reader must reassemble such multi-line records and
   // the merge must still be byte-identical to the monolithic write.
-  const Fixture f;
+  const SixCellFixture f;
   SweepGrid grid;
   grid.add_cell({.algorithm = {.name = "decay\nnightly", .schedule = &f.decay},
                  .sizes = {.name = "uniform", .distribution = &f.uniform},
@@ -338,7 +294,7 @@ TEST(ShardMerge, CsvMergeSurvivesNewlineBearingNames) {
                  .sizes = {.name = "k=100", .fixed_k = 100},
                  .max_rounds = 1 << 12});
   const auto cells = grid.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const SweepOptions options{.trials = 100, .seed = 6, .threads = 1};
   std::vector<ShardArtifact> artifacts;
   for (std::size_t index = 0; index < 2; ++index) {
@@ -463,9 +419,9 @@ TEST(ShardManifest, ParserRejectsMalformedInput) {
 }
 
 TEST(ShardMerge, RejectsMismatchedShardSets) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const SweepOptions options{.trials = 150, .seed = 11, .threads = 1};
   std::vector<ShardArtifact> shards;
   for (std::size_t index = 0; index < 3; ++index) {
@@ -517,9 +473,9 @@ TEST(ShardMerge, RejectsMismatchedShardSets) {
 }
 
 TEST(ShardMerge, CsvMergeRejectsTamperedArtifacts) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const SweepOptions options{.trials = 150, .seed = 23, .threads = 1};
   std::vector<ShardArtifact> artifacts;
   for (std::size_t index = 0; index < 2; ++index) {
@@ -552,9 +508,9 @@ TEST(ShardMerge, CsvMergeRejectsTamperedArtifacts) {
 }
 
 TEST(ShardMerge, PartialMergeReportsMissingRangesAndKeepsPresentRows) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const SweepOptions options{.trials = 150, .seed = 31, .threads = 1};
   std::vector<ShardArtifact> artifacts;  // 3 shards of 2 cells each
   for (std::size_t index = 0; index < 3; ++index) {
@@ -722,9 +678,9 @@ TEST(RunIdentity, ConstructorRecordsTheSweepOptions) {
 }
 
 TEST(RunIdentity, EveryFieldIsCheckedByTheMerge) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const SweepOptions options{.trials = 60, .seed = 5, .threads = 1};
   std::vector<ShardArtifact> shards;
   for (std::size_t index = 0; index < 3; ++index) {
@@ -745,9 +701,9 @@ TEST(RunIdentity, EveryFieldIsCheckedByTheMerge) {
 }
 
 TEST(RunIdentity, EveryFieldIsCheckedByWorkerResume) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const SweepOptions options{.trials = 60, .seed = 5, .threads = 1};
   const ShardOptions shard{.shard_count = 2, .shard_index = 1};
   CheckpointRunOptions checkpoint;
@@ -782,9 +738,9 @@ TEST(RunIdentity, EveryFieldIsCheckedByWorkerResume) {
 }
 
 TEST(RunIdentity, EveryFieldIsCheckedBySupervisorResume) {
-  const Fixture f;
+  const SixCellFixture f;
   const auto cells = f.cells();
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const SweepOptions options{.trials = 60, .seed = 5, .threads = 1};
   SupervisorJournal expected;
   static_cast<RunIdentity&>(expected) =

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,18 +22,13 @@
 #include "harness/checkpoint.h"
 #include "harness/supervisor.h"
 
+#include "test_support.h"
+
 namespace crp::harness {
 namespace {
 
-std::filesystem::path test_dir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   (std::string("crp_supervisor_") + info->test_suite_name() +
-                    "_" + info->name());
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+/// Names this file's per-test scratch directories (test_dir).
+constexpr char kDirPrefix[] = "crp_supervisor_";
 
 RetryPolicyConfig no_jitter_config() {
   RetryPolicyConfig config;
@@ -58,7 +54,23 @@ TEST(RetryPolicyConfigTest, RejectsNonsense) {
   bad([](RetryPolicyConfig& c) { c.jitter_fraction = 1.0; });
   bad([](RetryPolicyConfig& c) { c.worker_timeout_ms = -5; });
   bad([](RetryPolicyConfig& c) { c.kill_grace_ms = -5; });
+  // Past the millisecond ceiling the jittered backoff and the fleet's
+  // now + delay would overflow int64. The base goes in with an equal
+  // max, so only the ceiling can reject it.
+  for (const std::int64_t ms :
+       {kMaxMillis + 1, std::numeric_limits<std::int64_t>::max()}) {
+    bad([ms](RetryPolicyConfig& c) {
+      c.base_backoff_ms = c.max_backoff_ms = ms;
+    });
+    bad([ms](RetryPolicyConfig& c) { c.max_backoff_ms = ms; });
+    bad([ms](RetryPolicyConfig& c) { c.worker_timeout_ms = ms; });
+    bad([ms](RetryPolicyConfig& c) { c.kill_grace_ms = ms; });
+  }
   EXPECT_NO_THROW(RetryPolicy{RetryPolicyConfig{}});
+  RetryPolicyConfig ceiling;
+  ceiling.base_backoff_ms = ceiling.max_backoff_ms = kMaxMillis;
+  ceiling.worker_timeout_ms = ceiling.kill_grace_ms = kMaxMillis;
+  EXPECT_NO_THROW(RetryPolicy{ceiling});
 }
 
 // ---------------------------------------------------------------------------
@@ -300,7 +312,7 @@ std::string write_journal(const std::filesystem::path& path,
 }
 
 TEST(SupervisorJournalTest, RoundTripsHeaderAndRecords) {
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const QuarantinedCell cell{.cell_index = 3,
                              .attempts = 2,
                              .reason = "validation error (exit 3)"};
@@ -331,7 +343,7 @@ TEST(SupervisorJournalTest, RoundTripsHeaderAndRecords) {
 }
 
 TEST(SupervisorJournalTest, TornTailIsReportedNotFatal) {
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const std::string record = format_supervisor_quarantine(
       {.cell_index = 1, .attempts = 3, .reason = "timed out"});
   const std::string whole = format_supervisor_header(identity()) + record;
@@ -349,7 +361,7 @@ TEST(SupervisorJournalTest, TornTailIsReportedNotFatal) {
 }
 
 TEST(SupervisorJournalTest, CorruptionThrows) {
-  const auto dir = test_dir();
+  const auto dir = test_dir(kDirPrefix);
   const std::string header = format_supervisor_header(identity());
   const std::string quarantine = format_supervisor_quarantine(
       {.cell_index = 1, .attempts = 3, .reason = "timed out"});

@@ -18,48 +18,15 @@
 #include "harness/sweep.h"
 #include "info/distribution.h"
 
+#include "test_support.h"
+
 namespace crp::harness {
 namespace {
 
-void expect_identical(const Measurement& a, const Measurement& b) {
-  EXPECT_EQ(a.trials, b.trials);
-  // Full per-round distribution, not just the derived summary.
-  EXPECT_TRUE(a.histogram == b.histogram);
-  EXPECT_EQ(a.success_rate, b.success_rate);
-  EXPECT_EQ(a.rounds.mean, b.rounds.mean);
-  EXPECT_EQ(a.rounds.p90, b.rounds.p90);
-}
-
-/// A small mixed grid: two schedules and one policy crossed with two
-/// workloads.
-struct Fixture {
-  Fixture()
-      : decay(1 << 10),
-        slow_decay(1 << 6),
-        willard(1 << 10),
-        uniform(info::SizeDistribution::uniform(1 << 10)),
-        small(info::SizeDistribution::uniform(48)) {}
-
-  /// Each algorithm against each workload at one budget,
-  /// algorithm-major.
-  std::vector<SweepCell> cells() const {
-    const SweepAlgorithm fast{.name = "decay", .schedule = &decay};
-    const SweepAlgorithm slow{.name = "slow-decay", .schedule = &slow_decay};
-    const SweepAlgorithm cd{.name = "willard", .policy = &willard};
-    const SweepSizes drawn{.name = "uniform", .distribution = &uniform};
-    const SweepSizes fixed{.name = "k=100", .fixed_k = 100};
-    constexpr std::size_t kBudget = 1 << 12;
-    return {{fast, drawn, kBudget}, {fast, fixed, kBudget},
-            {slow, drawn, kBudget}, {slow, fixed, kBudget},
-            {cd, drawn, kBudget},   {cd, fixed, kBudget}};
-  }
-
-  baselines::DecaySchedule decay;
-  baselines::DecaySchedule slow_decay;
-  baselines::WillardPolicy willard;
-  info::SizeDistribution uniform;
-  /// Few distinct sizes, so history-tree cells expand few trees.
-  info::SizeDistribution small;
+/// The six-cell grid plus a support with few distinct sizes, so
+/// history-tree cells expand few trees.
+struct Fixture : SixCellFixture {
+  info::SizeDistribution small = info::SizeDistribution::uniform(48);
 };
 
 TEST(Sweep, DeterministicAcrossThreadCounts) {

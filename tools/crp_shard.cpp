@@ -165,11 +165,7 @@ using crp::harness::kExitOk;
 using crp::harness::kExitResumable;
 using crp::harness::kExitUsage;
 using crp::harness::kExitValidation;
-
-// Ceiling of every millisecond flag, about 31.7 years: far enough below
-// int64's range that the jittered backoff (under twice
-// --backoff-max-ms) and the fleet's now + delay cannot overflow.
-constexpr std::size_t kMaxMillis = 1'000'000'000'000;
+using crp::harness::kMaxMillis;
 
 // Set by the signal handler and polled on pool workers (the journaled
 // runner checks it after each cell it journals), so it must be a
@@ -320,7 +316,7 @@ Options parse_args(int argc, char** argv) {
       } else if (arg == "--retry-budget") {
         options.retry.retry_budget = value;
       } else {
-        if (value > kMaxMillis) {
+        if (value > static_cast<std::size_t>(kMaxMillis)) {
           usage_error(arg + " must be at most " + std::to_string(kMaxMillis) +
                       " ms, got " + std::to_string(value));
         }
