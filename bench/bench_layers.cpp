@@ -1,16 +1,21 @@
 // Micro-benches for the layers crp_shard runs: the batch no-CD engine
 // on the thread pool, the streaming histogram fold, the (cell, block)
-// sweep scheduler, the simulated CD round loop, the simulated and
-// history-tree CD engines under run_sweep, and the Huffman build every
-// CodedSearchPolicy makes. They are evidence for a layer; the headline
-// numbers are perfbench/'s end-to-end runs, and the paper's tables are
-// the repro/ programs (tier-1 goldens under ctest).
+// sweep scheduler, the simulated CD round loop, the per-trial streams
+// under it, the simulated and history-tree CD engines under run_sweep,
+// the probe kernels of every available tier, and the Huffman build
+// every CodedSearchPolicy makes. They are evidence for a layer; the
+// headline numbers are perfbench/'s end-to-end runs, and the paper's
+// tables are the repro/ programs (tier-1 goldens under ctest).
 //
 // bench/run_benches.sh records this binary's JSON as
 // bench/results/BENCH_layers.json; bench/compare_benches.py diffs it
 // and applies the peak-RSS gate to BM_Table1NoCdSweepStreaming.
+#include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -45,6 +50,16 @@ constexpr std::uint64_t kTable2Seed = 314159;
 
 using crp::harness::fmt;
 using crp::harness::table1_entropy_points;
+
+/// The sub-microsecond single-thread benches swing up to ~1.6x between
+/// runs of one binary on a shared VM. They run kRepetitions times and
+/// report only the aggregates (mean, median, stddev, cv);
+/// compare_benches.py compares their median.
+constexpr int kRepetitions = 5;
+
+void repeated(benchmark::internal::Benchmark* bench) {
+  bench->Repetitions(kRepetitions)->ReportAggregatesOnly(true);
+}
 
 /// Process-wide peak resident set size in MB (0 where unsupported).
 /// A monotone high-water mark: report it as a benchmark counter (the
@@ -163,7 +178,38 @@ void BM_CdRound(benchmark::State& state) {
     benchmark::DoNotOptimize(solved);
   }
 }
-BENCHMARK(BM_CdRound)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_CdRound)->Arg(1)->Arg(4)->Arg(16)->Apply(repeated);
+
+// ---- per-trial streams: what every simulated trial pays for its Rng ----
+//
+// derive_rngs seeds kSeedLanes streams, then each gives N draws: 1 and
+// 16 stay in the first 16-word twist chunk, 40 takes two lazy
+// extensions, and 400 finishes the first twist and runs one full
+// 312-word twist. Time per iteration / kSeedLanes is the per-stream
+// cost.
+
+void BM_DerivedStreamDraws(benchmark::State& state) {
+  const auto draws = static_cast<std::size_t>(state.range(0));
+  std::array<crp::channel::Rng, crp::channel::kSeedLanes> streams;
+  std::uint64_t first = 0;
+  std::uint64_t checksum = 0;
+  for (auto _ : state) {
+    crp::channel::derive_rngs(kSeed, first, streams);
+    first += streams.size();
+    for (auto& rng : streams) {
+      for (std::size_t d = 0; d < draws; ++d) checksum ^= rng();
+    }
+    benchmark::DoNotOptimize(checksum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(streams.size()));
+}
+BENCHMARK(BM_DerivedStreamDraws)
+    ->Arg(1)
+    ->Arg(16)
+    ->Arg(40)
+    ->Arg(400)
+    ->Apply(repeated);
 
 // ---- CD engines: the Table 2 randomized-CD sweep once per engine ----
 //
@@ -228,11 +274,104 @@ void BM_HuffmanConstruction(benchmark::State& state) {
     benchmark::DoNotOptimize(crp::info::huffman_code(probs));
   }
 }
-BENCHMARK(BM_HuffmanConstruction)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_HuffmanConstruction)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Apply(repeated);
+
+// ---- probe kernels, one bench per available tier ----
+//
+// The kernels are bit-identical across tiers, so an end-to-end run
+// shows a tier's speed only diluted; these time one tier's kernel
+// alone. probe_rounds searches a 300-round log-survival table
+// (aperiodic, and periodic with the analytic whole-period skip) for
+// kProbeTargets mapped targets; probe_cdf answers kProbeTargets
+// uniforms over a 48-round padded solve CDF, a history tree's shape.
+// A tier the host or build lacks is not registered (see main).
+
+constexpr std::size_t kProbeTargets = 4096;
+
+/// kProbeTargets canonical uniforms from per-trial streams of kSeed.
+std::vector<double> probe_uniforms() {
+  std::vector<double> u(kProbeTargets);
+  for (std::size_t t = 0; t < u.size(); ++t) {
+    auto rng = crp::channel::derive_fast_rng(kSeed, t);
+    u[t] = crp::channel::canonical_unit(rng());
+  }
+  return u;
+}
+
+void BM_ProbeRounds(benchmark::State& state,
+                    const crp::channel::kernels::Ops* ops) {
+  constexpr std::size_t kRounds = 300;
+  // Log-survival prefix of a slowly succeeding schedule, padded with
+  // -inf to a power of two as BatchNoCdSampler pads its tables.
+  std::vector<double> padded(512, -std::numeric_limits<double>::infinity());
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    padded[r] = -0.01 * static_cast<double>(r);
+  }
+  const crp::channel::kernels::ProbeTable table{
+      padded.data(),          padded.size(),   kRounds,
+      state.range(0) != 0,    padded[kRounds - 1], 1 << 18};
+  std::vector<double> targets = probe_uniforms();
+  ops->map_targets(targets.data(), targets.size());
+  std::vector<std::uint64_t> rounds(targets.size());
+  for (auto _ : state) {
+    ops->probe_rounds(table, targets.data(), targets.size(), rounds.data());
+    benchmark::DoNotOptimize(rounds.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(targets.size()));
+}
+
+void BM_ProbeCdf(benchmark::State& state,
+                 const crp::channel::kernels::Ops* ops) {
+  constexpr std::size_t kEntries = 48;
+  // A solve CDF rising geometrically toward 0.95, with the sentinel at
+  // [0] and +inf padding up to a power of two.
+  std::vector<double> padded(64, std::numeric_limits<double>::infinity());
+  padded[0] = 0.0;
+  for (std::size_t r = 1; r <= kEntries; ++r) {
+    padded[r] = 0.95 * (1.0 - std::pow(0.9, static_cast<double>(r)));
+  }
+  const crp::channel::kernels::CdfTable table{padded.data(), padded.size(),
+                                              kEntries};
+  const std::vector<double> u = probe_uniforms();
+  std::vector<std::uint64_t> index(u.size());
+  for (auto _ : state) {
+    ops->probe_cdf(table, u.data(), u.size(), index.data());
+    benchmark::DoNotOptimize(index.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(u.size()));
+}
+
+void register_kernel_benches() {
+  using crp::channel::kernels::Tier;
+  for (const Tier tier : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
+    const crp::channel::kernels::Ops* ops =
+        crp::channel::kernels::ops_for(tier);
+    if (ops == nullptr) continue;
+    const std::string name = crp::channel::kernels::tier_name(tier);
+    benchmark::RegisterBenchmark(("BM_ProbeRounds/" + name).c_str(),
+                                 BM_ProbeRounds, ops)
+        ->ArgName("periodic")
+        ->Arg(0)
+        ->Arg(1)
+        ->Apply(repeated);
+    benchmark::RegisterBenchmark(("BM_ProbeCdf/" + name).c_str(),
+                                 BM_ProbeCdf, ops)
+        ->Apply(repeated);
+  }
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  register_kernel_benches();
   benchmark::Initialize(&argc, argv);
   // Which (bit-compatible) kernel tier produced the timings: JSON
   // `context.crp_kernel_tier` and the console header.

@@ -7,9 +7,12 @@ Usage:
                              [--rss-gate MB]
 
 Compares every baseline BENCH_*.json with its counterpart in NEW_DIR
-benchmark by benchmark (matched on the google-benchmark name) and
+benchmark by benchmark (matched on the google-benchmark run name) and
 fails — exit code 1 — when any benchmark's real_time regressed by more
-than PCT percent (default 25).
+than PCT percent (default 25). A bench run with repetitions (the noisy
+sub-microsecond ones in bench_layers) is compared by its median
+aggregate, so one outlying repetition cannot flag it; any other bench
+by its single run.
 
 --rss-gate MB additionally scans the NEW results for benchmarks that
 report a `peak_rss_mb` counter (the streaming memory benches) and
@@ -41,19 +44,23 @@ from statistics import median
 
 
 def load_benchmarks(path: Path) -> dict[str, float]:
-    """name -> real_time (ns), aggregate entries skipped."""
+    """run name -> real_time (ns): the median aggregate of a repeated
+    bench, the single run of any other."""
     with path.open() as f:
         data = json.load(f)
-    out = {}
+    runs, medians = {}, {}
     for bench in data.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
+        aggregate = bench.get("run_type") == "aggregate"
+        if aggregate and bench.get("aggregate_name") != "median":
             continue
         # Normalize to nanoseconds so mixed time_units compare.
         unit = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[
             bench.get("time_unit", "ns")
         ]
-        out[bench["name"]] = float(bench["real_time"]) * unit
-    return out
+        name = bench.get("run_name", bench["name"])
+        (medians if aggregate else runs)[name] = \
+            float(bench["real_time"]) * unit
+    return {**runs, **medians}
 
 
 def load_rss_counters(path: Path) -> dict[str, float]:

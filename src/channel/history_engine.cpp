@@ -23,14 +23,15 @@ namespace {
 /// chain the per-round CD simulator runs, sampled through the outcome
 /// trichotomy (a uniform CD policy only ever observes the feedback, so
 /// the trichotomy is the whole round). Returns the 1-based solve
-/// round, or 0 when the budget runs out.
+/// round, or 0 when the budget runs out. `outcomes` is the tree's
+/// immutable outcome table.
 std::size_t simulate_from(const CollisionPolicy& policy,
-                          harness::OutcomeCache& outcomes,
+                          const harness::OutcomeCache& outcomes,
                           CollisionPolicy::State state, std::size_t round,
                           std::size_t budget, SplitMix64& rng,
                           std::uniform_real_distribution<double>& unit) {
   for (; round < budget; ++round) {
-    const auto outcome = outcomes(policy.probability_at(state));
+    const auto outcome = outcomes.lookup(policy.probability_at(state));
     const double u = unit(rng);
     if (u < outcome.success) return round + 1;
     state = policy.next_state(state, u >= outcome.success + outcome.silence);
@@ -160,7 +161,7 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
   // on its own stream, re-derived and advanced past its first `skip`
   // draws.
   const auto simulate_trial = [&](std::size_t t,
-                                  harness::OutcomeCache& outcomes,
+                                  const harness::OutcomeCache& outcomes,
                                   CollisionPolicy::State state,
                                   std::size_t round, std::size_t skip) {
     SplitMix64 rng = derive_fast_rng(block.seed, block.first_trial + t);
@@ -183,7 +184,7 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
     const std::size_t size = scratch.start[s + 1] - begin;
     const std::uint32_t* group = scratch.order.data() + begin;
     const double* u = scratch.grouped.data() + begin;
-    harness::OutcomeCache outcomes(k_of(s));
+    const harness::OutcomeCache& outcomes = tree.outcomes;
     if (tree.truncated) {
       // Truncated expansion (Mode::kSimulate): simulate from the empty
       // history, the solve draw u serving as the first round's draw.
@@ -196,7 +197,7 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
     const double solved_mass = tree.solved_mass();
     const kernels::CdfTable table{tree.padded_solve_cdf.data(),
                                   tree.padded_solve_cdf.size(),
-                                  tree.solve_cdf.size()};
+                                  tree.horizon};
     std::uint64_t* index = found.data() + begin;
     kops.probe_cdf(table, u, size, index);
     for (std::size_t j = 0; j < size; ++j) {

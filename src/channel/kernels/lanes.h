@@ -232,8 +232,10 @@ struct VectorKernels {
   /// back < target, else 0) or, with kCertain, the certain-periodic one
   /// (per-period mass -inf: every draw solves within the first period,
   /// no skip arithmetic — 0 * -inf would be NaN); then the budget clamp.
-  /// No retry lanes: the certain probe cannot hit the table edge (the
-  /// -inf entry fails the >= compare).
+  /// No retry lanes: a certain probe hits the table edge only for a
+  /// -inf target (the -inf entry fails the >= compare of every other
+  /// target), and the reference's retries for it skip whole periods
+  /// until the budget runs out, so those lanes report 0.
   template <bool kCertain>
   static void direct(const ProbeTable& table, const double* targets,
                      std::uint64_t* rounds) {
@@ -241,8 +243,14 @@ struct VectorKernels {
     I round[2];
     probe(table, target, round);
     for (int v = 0; v < 2; ++v) {
-      const M serve = L::lt(L::set1_pd(table.back), target[v]);
-      if (!kCertain) round[v] = L::select(serve, round[v], L::set1(0));
+      if (kCertain) {
+        const D minus_inf =
+            L::set1_pd(-std::numeric_limits<double>::infinity());
+        round[v] = L::drop(L::eq(target[v], minus_inf), round[v]);
+      } else {
+        const M serve = L::lt(L::set1_pd(table.back), target[v]);
+        round[v] = L::select(serve, round[v], L::set1(0));
+      }
       L::store(rounds + v * W, clamp_budget(table, round[v]));
     }
   }

@@ -91,7 +91,7 @@ ExactProfile exact_profile_cd(const channel::CollisionPolicy& policy,
   double expectation = 0.0;
   for (std::size_t r = 0; r < horizon; ++r) {
     expectation += tree.solve_at[r] * static_cast<double>(r + 1);
-    profile.solve_by[r + 1] = tree.solve_cdf[r];
+    profile.solve_by[r + 1] = tree.solve_cdf()[r];
   }
   // Pruned and frontier mass both land in the tail by construction.
   profile.tail_mass = std::max(0.0, 1.0 - tree.solved_mass());

@@ -36,22 +36,35 @@ RoundOutcomeProbabilities round_outcome_probabilities(std::size_t k,
 /// draw their probabilities from a handful of values (powers of two
 /// for the paper's), and a hit returns the very result the call would,
 /// so callers stay bit-identical; past kCapacity distinct values it
-/// computes uncached. Not thread-safe: one per expansion shard or
-/// engine block.
+/// computes uncached. operator() memoizes and is not thread-safe (one
+/// per expansion); lookup() only reads, so a filled cache (a
+/// HistoryTree's) can be shared by any number of threads.
 class OutcomeCache {
  public:
   explicit OutcomeCache(std::size_t k) : k_(k) {}
 
   RoundOutcomeProbabilities operator()(double p) {
-    for (const auto& [key, outcome] : entries_) {
-      if (key == p) return outcome;
-    }
+    if (const auto* hit = find(p)) return *hit;
     const auto outcome = round_outcome_probabilities(k_, p);
     if (entries_.size() < kCapacity) entries_.emplace_back(p, outcome);
     return outcome;
   }
 
+  /// The cached result for p, or the direct call's when p was never
+  /// cached; memoizes nothing.
+  RoundOutcomeProbabilities lookup(double p) const {
+    if (const auto* hit = find(p)) return *hit;
+    return round_outcome_probabilities(k_, p);
+  }
+
  private:
+  const RoundOutcomeProbabilities* find(double p) const {
+    for (const auto& [key, outcome] : entries_) {
+      if (key == p) return &outcome;
+    }
+    return nullptr;
+  }
+
   static constexpr std::size_t kCapacity = 64;
   std::size_t k_;
   std::vector<std::pair<double, RoundOutcomeProbabilities>> entries_;

@@ -1,6 +1,5 @@
 #include "harness/history_tree.h"
 
-#include <algorithm>
 #include <bit>
 #include <limits>
 #include <stdexcept>
@@ -59,11 +58,10 @@ struct Frame {
   std::size_t depth = 0;
 };
 
-/// Accumulators of one expansion unit (the pre-split prefix or one
-/// subtree). solve_at is indexed by absolute round, so subtrees merge
-/// by plain element-wise addition.
+/// Mass accumulators of one expansion unit (the pre-split prefix or
+/// one subtree). solve_at is indexed by absolute round, so subtrees
+/// merge by plain element-wise addition.
 struct Shard {
-  std::vector<HistoryLeaf> leaves;
   std::vector<double> solve_at;
   double pruned = 0.0;
   double frontier = 0.0;
@@ -79,18 +77,21 @@ struct Shard {
 /// enumeration used — so a frame at the cap counts as frontier even
 /// when its reach is below the prune threshold.
 ///
-/// `expanded` counts the frames of the whole expansion, prefix and
-/// subtrees together, against options.max_nodes.
-void expand_frames(const channel::CollisionPolicy& policy, std::size_t k,
-                   const Frame& root, std::size_t cap,
-                   const HistoryTreeOptions& options, std::size_t& expanded,
-                   Shard& shard, std::vector<Frame>* roots_out) {
-  OutcomeCache outcomes(k);
+/// Every unit of one expansion shares `tree`: its outcome cache serves
+/// every expanded round, so each distinct probability's trichotomy is
+/// computed once per tree, and each unit appends its leaves to
+/// tree.leaves, so they land in expansion order. `expanded` counts the
+/// frames of the prefix and all subtrees together against
+/// options.max_nodes.
+void expand_frames(const channel::CollisionPolicy& policy, const Frame& root,
+                   std::size_t cap, const HistoryTreeOptions& options,
+                   std::size_t& expanded, HistoryTree& tree, Shard& shard,
+                   std::vector<Frame>* roots_out) {
   const auto leaf = [&](const Frame& frame, double& mass) {
     mass += frame.reach;
     if (options.record_leaves) {
       // horizon <= kMaxPackedDepth, so the sentinel fits.
-      shard.leaves.push_back(
+      tree.leaves.push_back(
           {frame.reach, frame.bits | PackedHistory{1} << frame.depth});
     }
   };
@@ -115,7 +116,7 @@ void expand_frames(const channel::CollisionPolicy& policy, std::size_t k,
       return;
     }
 
-    const auto outcome = outcomes(policy.probability_at(frame.state));
+    const auto outcome = tree.outcomes(policy.probability_at(frame.state));
     shard.solve_at[frame.depth] += frame.reach * outcome.success;
     const std::size_t depth = frame.depth + 1;
     if (outcome.silence > 0.0) {
@@ -147,6 +148,7 @@ HistoryTree expand_history_tree(const channel::CollisionPolicy& policy,
   tree.k = k;
   tree.horizon = options.horizon;
   tree.prune_below = options.prune_below;
+  tree.outcomes = OutcomeCache(k);
 
   // Phase 1: expand the prefix down to the split depth (or the whole
   // horizon when it is at most the split depth), capturing the frames
@@ -154,57 +156,42 @@ HistoryTree expand_history_tree(const channel::CollisionPolicy& policy,
   const bool split = kHistorySplitDepth < options.horizon;
   const std::size_t cap = split ? kHistorySplitDepth : options.horizon;
   std::size_t expanded = 0;
-  Shard prefix;
-  prefix.solve_at.assign(options.horizon, 0.0);
+  Shard prefix{std::vector<double>(options.horizon, 0.0)};
   std::vector<Frame> roots;
-  expand_frames(policy, k, Frame{1.0, policy.initial_state(), 0, 0}, cap,
-                options, expanded, prefix, split ? &roots : nullptr);
-  tree.leaves = std::move(prefix.leaves);
+  expand_frames(policy, Frame{1.0, policy.initial_state(), 0, 0}, cap,
+                options, expanded, tree, prefix, split ? &roots : nullptr);
   tree.solve_at = std::move(prefix.solve_at);
   tree.pruned_mass = prefix.pruned;
   tree.frontier_mass = prefix.frontier;
   tree.truncated = prefix.truncated;
 
   // Phase 2: expand every captured subtree, in capture order, into its
-  // own accumulators.
-  std::vector<Shard> shards(roots.size());
-  for (std::size_t i = 0; i < roots.size(); ++i) {
-    shards[i].solve_at.assign(options.horizon, 0.0);
-    expand_frames(policy, k, roots[i], options.horizon, options, expanded,
-                  shards[i], nullptr);
-  }
-
-  // Phase 3: merge in capture order — appended leaves, element-wise
-  // sums for the masses (the summation order kHistorySplitDepth pins).
-  // The leaf array is sized once, and each subtree's leaves are
-  // released as soon as they are copied, so the cached tree carries no
-  // spare capacity and the merge no second full copy.
-  std::size_t leaf_count = tree.leaves.size();
-  for (const Shard& shard : shards) leaf_count += shard.leaves.size();
-  tree.leaves.reserve(leaf_count);
-  for (Shard& shard : shards) {
-    tree.leaves.insert(tree.leaves.end(), shard.leaves.begin(),
-                       shard.leaves.end());
-    std::vector<HistoryLeaf>().swap(shard.leaves);
+  // own mass accumulators, and add them to the tree's as soon as it is
+  // done — the summation order kHistorySplitDepth pins. Its leaves
+  // went straight into tree.leaves, after the prefix's and the earlier
+  // subtrees'.
+  for (const Frame& root : roots) {
+    Shard subtree{std::vector<double>(options.horizon, 0.0)};
+    expand_frames(policy, root, options.horizon, options, expanded, tree,
+                  subtree, nullptr);
     for (std::size_t r = 0; r < options.horizon; ++r) {
-      tree.solve_at[r] += shard.solve_at[r];
+      tree.solve_at[r] += subtree.solve_at[r];
     }
-    tree.pruned_mass += shard.pruned;
-    tree.frontier_mass += shard.frontier;
-    tree.truncated = tree.truncated || shard.truncated;
+    tree.pruned_mass += subtree.pruned;
+    tree.frontier_mass += subtree.frontier;
+    tree.truncated = tree.truncated || subtree.truncated;
   }
+  // The cached tree carries no spare capacity.
+  tree.leaves.shrink_to_fit();
 
-  tree.solve_cdf.resize(options.horizon);
-  double cumulative = 0.0;
-  for (std::size_t r = 0; r < options.horizon; ++r) {
-    cumulative += tree.solve_at[r];
-    tree.solve_cdf[r] = cumulative;
-  }
   tree.padded_solve_cdf.assign(std::bit_ceil(options.horizon + 1),
                                std::numeric_limits<double>::infinity());
   tree.padded_solve_cdf[0] = 0.0;  // sentinel <= every u in [0, 1)
-  std::copy(tree.solve_cdf.begin(), tree.solve_cdf.end(),
-            tree.padded_solve_cdf.begin() + 1);
+  double cumulative = 0.0;
+  for (std::size_t r = 0; r < options.horizon; ++r) {
+    cumulative += tree.solve_at[r];
+    tree.padded_solve_cdf[r + 1] = cumulative;
+  }
 
   tree.leaf_cdf.resize(tree.leaves.size());
   cumulative = 0.0;

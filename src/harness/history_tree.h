@@ -41,9 +41,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "channel/protocol.h"
+#include "harness/exact.h"
 
 namespace crp::harness {
 
@@ -120,20 +122,25 @@ struct HistoryTree {
   /// solve_at[r] = Pr(execution succeeds in 1-based round r + 1),
   /// summed over every expanded branch; size horizon.
   std::vector<double> solve_at;
-  /// Prefix sums of solve_at: solve_cdf[r] = Pr(solved within r + 1
-  /// rounds); size horizon. The inverse-CDF sampling table.
-  std::vector<double> solve_cdf;
-  /// solve_cdf prepared for the lane upper-bound probe
-  /// (channel/kernels): a 0.0 sentinel at [0], solve_cdf at
-  /// [1..horizon], then +inf padding up to a power of two.
+  /// The inverse-CDF sampling table, prepared for the lane upper-bound
+  /// probe (channel/kernels): a 0.0 sentinel at [0], the prefix sums
+  /// of solve_at at [1..horizon] (see solve_cdf()), then +inf padding
+  /// up to a power of two.
   std::vector<double> padded_solve_cdf;
 
-  /// Every pruned and frontier branch, in the expansion's order:
-  /// the prefix's, then each subtree's in capture order (empty when the expansion ran with record_leaves == false).
+  /// Every pruned and frontier branch, in the expansion's order: the
+  /// prefix's, then each subtree's in capture order (empty when the
+  /// expansion ran with record_leaves == false).
   std::vector<HistoryLeaf> leaves;
   /// Prefix sums of leaves[i].reach: the table a sampler searches with
   /// u - solved_mass() to pick the leaf it continues from.
   std::vector<double> leaf_cdf;
+
+  /// The outcome trichotomy of every distinct transmit probability the
+  /// expansion met (up to the cache's capacity), each computed once per
+  /// tree. Immutable once returned: a sampler continuing a leaf reads
+  /// it with lookup(), which computes a probability it lacks directly.
+  OutcomeCache outcomes{0};
 
   /// Mass dropped by prune_below (fate unknown within the horizon).
   double pruned_mass = 0.0;
@@ -143,9 +150,15 @@ struct HistoryTree {
   /// then incomplete and the tree must not be used.
   bool truncated = false;
 
+  /// Prefix sums of solve_at: solve_cdf()[r] = Pr(solved within r + 1
+  /// rounds); size horizon. A view into padded_solve_cdf.
+  std::span<const double> solve_cdf() const {
+    return {padded_solve_cdf.data() + 1, horizon};
+  }
+
   /// Total mass resolved as solved within the horizon.
   double solved_mass() const {
-    return solve_cdf.empty() ? 0.0 : solve_cdf.back();
+    return horizon == 0 ? 0.0 : padded_solve_cdf[horizon];
   }
 };
 

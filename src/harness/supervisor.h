@@ -323,10 +323,11 @@ struct SuperviseOptions {
   /// must, and the run resumes idempotently from it.
   bool resume = false;
   RetryPolicyConfig retry;
-  /// Injected clock (null = steady_clock_source()). Note the fleet
-  /// loop does real process management; unit tests exercise the pure
-  /// policy layer instead, and the CLI tests drive this loop with
-  /// real subprocesses.
+  /// Injected clock (null = steady_clock_source()). It paces only the
+  /// fleet loop's polls, backoffs and timeouts; the loop still does
+  /// real process management. tests/shard_test.cpp runs a fleet of
+  /// real workers under a FakeClock, and the CLI tests drive the loop
+  /// through crp_shard.
   Clock* clock = nullptr;
   /// Polled between fleet events; return true to stop: running
   /// workers get SIGTERM (exit 75, journals flushed), the supervisor

@@ -83,7 +83,7 @@ TEST(HistoryTreeEngine, MarginalsAgreeWithExactProfileExactly) {
         exact_profile_cd(willard, k, tree->horizon, tree->prune_below);
     ASSERT_EQ(profile.solve_by.size(), tree->horizon + 1);
     for (std::size_t r = 0; r < tree->horizon; ++r) {
-      EXPECT_DOUBLE_EQ(profile.solve_by[r + 1], tree->solve_cdf[r])
+      EXPECT_DOUBLE_EQ(profile.solve_by[r + 1], tree->solve_cdf()[r])
           << "k=" << k << " r=" << r;
     }
     EXPECT_EQ(mode, HistoryTreeEngine::Mode::kInverseCdf);
@@ -158,7 +158,7 @@ TEST(HistoryTreeEngine, InverseCdfModeForChainTrees) {
   ASSERT_LT(chain, tree->horizon);
   EXPECT_LT(tree->leaves[0].reach, HistoryTreeEngine::Options().prune_below);
   for (std::size_t r = 0; r < chain; ++r) {
-    EXPECT_NEAR(tree->solve_cdf[r],
+    EXPECT_NEAR(tree->solve_cdf()[r],
                 1.0 - std::exp2(-static_cast<double>(r + 1)), 1e-12);
   }
   EXPECT_DOUBLE_EQ(tree->solved_mass() + tree->leaf_cdf.back(), 1.0);

@@ -241,6 +241,9 @@ TEST_P(KernelTierTest, ProbeRoundsBitwiseOnAdversarialTables) {
   // scalar tier while AVX-512 keeps its lanes, and per-period masses so
   // small that the skip count of a target above -1.1 passes 2^32: only
   // a 64-bit skip conversion and multiply reproduce those rounds.
+  // Targets include -inf (drawn, and as a table's -inf entry), which
+  // passes the >= compare against a -inf entry too: on a certain table
+  // it reaches the table edge, where the reference reports 0.
   const std::vector<OwnedProbeTable> tables = [] {
     std::vector<OwnedProbeTable> v;
     v.emplace_back(std::vector<double>{0.0}, false, 100);       // single entry
@@ -268,15 +271,15 @@ TEST_P(KernelTierTest, ProbeRoundsBitwiseOnAdversarialTables) {
     for (std::size_t count = 1; count <= 33; ++count) {
       std::vector<double> targets(count);
       for (std::size_t t = 0; t < count; ++t) {
-        switch (t % 4) {
+        switch (t % 5) {
           case 0: targets[t] = log1p_neg(-unit(rng)); break;
           case 1:  // exactly a table value: the strict `<` tie case
             targets[t] = table.padded[rng() % table.view.rounds];
             break;
           case 2: targets[t] = -0.0; break;
+          case 3: targets[t] = -kInf; break;
           default: targets[t] = -0.25 * static_cast<double>(rng() % 64);
         }
-        if (std::isinf(targets[t])) targets[t] = -1.0;  // finite draws only
       }
       std::vector<std::uint64_t> got(count, ~0ULL), want(count, ~0ULL);
       tier_ops().probe_rounds(table.view, targets.data(), count, got.data());

@@ -5,12 +5,15 @@
 // CSV-level merge, the manifest JSON round trip, the merge validation
 // that rejects mismatched, overlapping, or gappy shard sets with
 // actionable errors, and the one run-identity check shared by the
-// merge, worker resume, and supervisor resume.
+// merge, worker resume, and supervisor resume; and a supervised fleet
+// of real crp_shard workers under an injected FakeClock.
+#include <cstdint>
 #include <filesystem>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -774,6 +777,44 @@ TEST(RunIdentity, EveryFieldIsCheckedBySupervisorResume) {
   other_workers.workers = 3;
   expect_throws_with(resume_over(other_workers),
                      "supervise resume " + journal_path + ": worker count 3");
+}
+
+TEST(SupervisorClock, FakeClockFleetMatchesTheSteadyClockFleet) {
+  // The same supervised fleet (real crp_shard workers over the
+  // checked-in table1 spec) under an injected FakeClock and under the
+  // default steady_clock_source(): the clock only paces the fleet
+  // loop, so the merged CSV and the supervisor journal are the same
+  // bytes, and the fake time advanced, so the loop's waits went
+  // through the injected clock.
+  const std::string spec_path = CRP_SOURCE_DIR "/examples/grids/table1.json";
+  const GridSpec spec = read_grid_spec_file(spec_path);
+  const SweepOptions options{.trials = 200, .seed = 11};
+  const auto dir = test_dir(kDirPrefix);
+  const auto supervise = [&](const std::string& name, Clock* clock) {
+    SuperviseOptions fleet;
+    fleet.exe = CRP_SHARD_EXE;
+    fleet.worker_flags = {"--grid-spec", spec_path, "--trials", "200",
+                          "--seed",      "11",      "--threads", "1"};
+    fleet.out_dir = (dir / name).string();
+    fleet.out = (dir / (name + ".csv")).string();
+    fleet.workers = 2;
+    fleet.clock = clock;
+    const SuperviseResult result = run_supervisor(spec.cells, options, fleet);
+    EXPECT_EQ(result.status, SuperviseStatus::kCompleted) << name;
+    EXPECT_TRUE(result.quarantined.empty()) << name;
+    EXPECT_EQ(result.workers_spawned, 2u) << name;
+    return std::make_pair(read_file(fleet.out),
+                          read_file(dir / name / "supervisor.journal"));
+  };
+
+  constexpr std::int64_t kStartMs = 1'000;
+  FakeClock fake(kStartMs);
+  const auto [fake_csv, fake_journal] = supervise("fake", &fake);
+  const auto [steady_csv, steady_journal] = supervise("steady", nullptr);
+  EXPECT_FALSE(fake_csv.empty());
+  EXPECT_EQ(fake_csv, steady_csv);
+  EXPECT_EQ(fake_journal, steady_journal);
+  EXPECT_GT(fake.now_ms(), kStartMs);
 }
 
 }  // namespace
