@@ -244,24 +244,31 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
   }
 }
 
+void HistoryTreeCache::declare_use(const CollisionPolicy& policy) {
+  ++slots_[&policy].uses_left;
+}
+
 std::shared_ptr<const HistoryTreeEngine> HistoryTreeCache::engine_for(
     const CollisionPolicy& policy) const {
-  {
-    std::shared_lock lock(mutex_);
-    const auto it = engines_.find(&policy);
-    if (it != engines_.end()) return it->second;
+  const std::lock_guard lock(mutex_);
+  const auto it = slots_.try_emplace(&policy).first;
+  Slot& slot = it->second;
+  if (slot.engine == nullptr) {
+    slot.engine = std::make_shared<const HistoryTreeEngine>(policy, options_);
   }
-  std::unique_lock lock(mutex_);
-  auto& slot = engines_[&policy];
-  if (slot == nullptr) {
-    slot = std::make_shared<const HistoryTreeEngine>(policy, options_);
-  }
-  return slot;
+  if (slot.uses_left == 0 || --slot.uses_left > 0) return slot.engine;
+  // The last declared use: the caller's reference is the cache's.
+  auto engine = std::move(slot.engine);
+  slots_.erase(it);
+  return engine;
 }
 
 std::size_t HistoryTreeCache::size() const {
-  std::shared_lock lock(mutex_);
-  return engines_.size();
+  const std::lock_guard lock(mutex_);
+  return static_cast<std::size_t>(
+      std::count_if(slots_.begin(), slots_.end(), [](const auto& entry) {
+        return entry.second.engine != nullptr;
+      }));
 }
 
 }  // namespace crp::channel

@@ -68,6 +68,7 @@
 #include <exception>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <utility>
 
@@ -173,38 +174,61 @@ class HistoryTreeEngine final : public Engine {
 /// and threads it to the CD helpers via MeasureOptions::tree_cache;
 /// per-call construction stays the non-sweep default (null tree_cache).
 ///
+/// Lifetime: a caller that knows how many times each policy will be
+/// asked for declares every use up front (declare_use, once per
+/// future engine_for call). At a policy's last declared engine_for the
+/// cache hands the caller its own reference and forgets the policy, so
+/// the engine and every tree it expanded die with the last holder —
+/// for run_sweep, when the policy's last open cell closes
+/// (measure_cells drops each cell's engine at close). Every declared
+/// caller has its engine by then, so no key is expanded twice. A
+/// policy nobody declared is kept for the cache's lifetime.
+///
 /// Ownership: the cache borrows its policies (a keyed policy must
 /// outlive the cache, which sweep cells guarantee — SweepAlgorithm
-/// already borrows) and owns its engines; engine_for hands out
+/// already borrows) and shares its engines; engine_for hands out
 /// shared_ptrs that outlive the cache.
 ///
 /// Thread-safety: engine_for is safe from any number of concurrent
-/// sweep cells (shared mutex; double-checked insert), and the engines
-/// it returns are themselves concurrency-safe per their contract.
+/// sweep cells (one mutex; an engine's construction expands nothing),
+/// and the engines it returns are themselves concurrency-safe per
+/// their contract. declare_use must not race any other call.
 ///
 /// Determinism: an engine's measurements are a pure function of
-/// (policy, options, seeds) — never of cache hits — so cached and
-/// per-call engines produce bit-identical results
-/// (tests/history_tree_engine_test.cpp pins this).
+/// (policy, options, seeds) — never of cache hits or of when an
+/// engine was freed — so cached and per-call engines produce
+/// bit-identical results (tests/history_tree_engine_test.cpp pins
+/// this).
 class HistoryTreeCache {
  public:
   explicit HistoryTreeCache(HistoryTreeEngine::Options options)
       : options_(options) {}
   HistoryTreeCache() : HistoryTreeCache(HistoryTreeEngine::Options()) {}
 
-  /// The shared engine for `policy`, constructing it on first use.
+  /// Declares one more engine_for call for `policy`; call before the
+  /// first engine_for.
+  void declare_use(const CollisionPolicy& policy);
+
+  /// The shared engine for `policy`, constructing it on first use; on
+  /// the policy's last declared use, the cache forgets it.
   std::shared_ptr<const HistoryTreeEngine> engine_for(
       const CollisionPolicy& policy) const;
 
-  /// Number of distinct policies cached so far.
+  /// Number of engines the cache holds now: one per undeclared policy
+  /// asked for so far and per declared policy between its first and
+  /// its last declared use.
   std::size_t size() const;
 
  private:
+  struct Slot {
+    std::shared_ptr<const HistoryTreeEngine> engine;
+    /// Declared engine_for calls still to come; 0 = undeclared, kept.
+    std::size_t uses_left = 0;
+  };
+
   HistoryTreeEngine::Options options_;
-  mutable std::shared_mutex mutex_;
-  mutable std::map<const CollisionPolicy*,
-                   std::shared_ptr<const HistoryTreeEngine>>
-      engines_;
+  mutable std::mutex mutex_;
+  mutable std::map<const CollisionPolicy*, Slot> slots_;
 };
 
 }  // namespace crp::channel

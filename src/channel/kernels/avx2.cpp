@@ -131,14 +131,18 @@ struct Avx2 {
 
 void probe_rounds_avx2(const ProbeTable& table, const double* targets,
                        std::size_t count, std::uint64_t* rounds) {
+  // Aperiodic tables run the scalar tier: four-wide gathers descend the
+  // table no faster than the scalar branchy descent (bench_layers'
+  // BM_ProbeRounds/avx2/periodic:0 against .../scalar/periodic:0).
   // Past the emulations' 2^30 bound (see the header) the scalar tier
-  // runs: with the default budget 2^20, a safety valve, not a hot path.
-  if (table.max_rounds > (std::size_t{1} << 30) ||
+  // runs too: with the default budget 2^20, a safety valve, not a hot
+  // path.
+  if (!table.periodic || table.max_rounds > (std::size_t{1} << 30) ||
       table.rounds > (std::size_t{1} << 30)) {
     ops_for(Tier::kScalar)->probe_rounds(table, targets, count, rounds);
     return;
   }
-  VectorKernels<Avx2>::probe_rounds(table, targets, count, rounds);
+  VectorKernels<Avx2>::periodic_rounds(table, targets, count, rounds);
 }
 
 }  // namespace

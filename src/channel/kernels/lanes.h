@@ -293,17 +293,30 @@ struct VectorKernels {
 
   static void probe_rounds(const ProbeTable& table, const double* targets,
                            std::size_t count, std::uint64_t* rounds) {
+    if (table.periodic) {
+      periodic_rounds(table, targets, count, rounds);
+      return;
+    }
     std::size_t t = 0;
-    if (!table.periodic) {
-      for (; t + 2 * W <= count; t += 2 * W) {
-        direct<false>(table, targets + t, rounds + t);
-      }
-    } else if (!(table.back < 0.0)) {
+    for (; t + 2 * W <= count; t += 2 * W) {
+      direct<false>(table, targets + t, rounds + t);
+    }
+    for (; t < count; ++t) rounds[t] = search_one(table, targets[t]);
+  }
+
+  /// probe_rounds on a periodic table. A tier whose aperiodic search
+  /// does not beat the scalar reference calls this alone from its own
+  /// probe_rounds entry, so its direct<false> is never instantiated.
+  static void periodic_rounds(const ProbeTable& table, const double* targets,
+                              std::size_t count, std::uint64_t* rounds) {
+    if (!(table.back < 0.0)) {
       // A non-negative per-period mass means no round in the period can
       // succeed: every lane reports 0, like the reference.
-      for (; t < count; ++t) rounds[t] = 0;
+      for (std::size_t t = 0; t < count; ++t) rounds[t] = 0;
       return;
-    } else if (table.back == -std::numeric_limits<double>::infinity()) {
+    }
+    std::size_t t = 0;
+    if (table.back == -std::numeric_limits<double>::infinity()) {
       for (; t + 2 * W <= count; t += 2 * W) {
         direct<true>(table, targets + t, rounds + t);
       }

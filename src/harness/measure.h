@@ -88,7 +88,8 @@ struct MeasureOptions {
   /// when cd_engine is kHistoryTree). Null = construct a private
   /// engine per call, the non-sweep default; run_sweep passes one
   /// cache for the whole grid so cells sharing a policy expand each
-  /// tree once. Results are identical either way.
+  /// tree once, and declares each cell's use so a policy's trees are
+  /// freed with its last cell. Results are identical either way.
   const channel::HistoryTreeCache* tree_cache = nullptr;
 };
 

@@ -40,10 +40,12 @@ std::vector<SweepResult> run_sweep(
     const std::function<void(const SweepResult&)>& on_result) {
   // One history-tree engine cache for the whole sweep: cells sharing a
   // CD policy expand each (policy, k, horizon) tree once instead of
-  // once per cell. Results are identical to per-cell engines (the
-  // expansion is deterministic), so the cache is purely an
-  // amortization.
-  const channel::HistoryTreeCache tree_cache;
+  // once per cell. Each CD cell declares its one engine_for call, so a
+  // policy's engine and trees live from its first cell's open to its
+  // last cell's close, not to the end of the sweep. Results are
+  // identical to per-cell engines (the expansion is deterministic), so
+  // the cache is purely an amortization.
+  channel::HistoryTreeCache tree_cache;
   const channel::HistoryTreeCache* shared_trees =
       options.cd_engine == CdEngine::kHistoryTree ? &tree_cache : nullptr;
   std::vector<SweepResult> results(cells.size());
@@ -54,6 +56,9 @@ std::vector<SweepResult> run_sweep(
         cell.algorithm.policy == nullptr) {
       throw std::invalid_argument("sweep cell '" + cell.algorithm.name +
                                   "' names neither a schedule nor a policy");
+    }
+    if (shared_trees != nullptr && cell.algorithm.schedule == nullptr) {
+      tree_cache.declare_use(*cell.algorithm.policy);
     }
     const std::uint64_t stream =
         cell.seed_stream == kSeedStreamFromIndex ? i : cell.seed_stream;

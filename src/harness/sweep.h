@@ -9,7 +9,8 @@
 // harness/csv.h exports directly. Cells fold through the streaming
 // accumulator layer (harness/accumulate.h): per-cell memory is flat
 // in the trial count, and CD cells running the history-tree engine
-// share one expansion cache across the whole sweep.
+// share one expansion cache across the whole sweep, which frees each
+// policy's trees when its last cell closes.
 //
 /// Ownership: SweepAlgorithm/SweepSizes borrow their schedules,
 /// policies, and distributions — the referenced objects must outlive

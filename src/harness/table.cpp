@@ -1,10 +1,14 @@
 #include "harness/table.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <iomanip>
+#include <limits>
 #include <ostream>
-#include <sstream>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 namespace crp::harness {
 
@@ -47,9 +51,26 @@ void Table::print(std::ostream& out) const {
 }
 
 std::string fmt(double value, int precision) {
-  std::ostringstream out;
-  out << std::fixed << std::setprecision(precision) << value;
-  return out.str();
+  // printf's "%.*f" in the C locale, the text an ostringstream with
+  // std::fixed writes, without building a stream per call. The longest
+  // text is a sign, DBL_MAX's integer digits, the point and the
+  // fraction (a negative precision means 6, as in printf).
+  constexpr std::size_t kIntegerDigits =
+      std::numeric_limits<double>::max_exponent10 + 1;
+  std::array<char, kIntegerDigits + 64> stack;
+  std::vector<char> heap;
+  std::span<char> buffer = stack;
+  const std::size_t longest =
+      kIntegerDigits + 2 + static_cast<std::size_t>(std::max(precision, 6));
+  if (longest > buffer.size()) {
+    heap.resize(longest);
+    buffer = heap;
+  }
+  char* const end = std::to_chars(buffer.data(),
+                                  buffer.data() + buffer.size(), value,
+                                  std::chars_format::fixed, precision)
+                        .ptr;
+  return std::string(buffer.data(), end);
 }
 
 std::string fmt(std::size_t value) { return std::to_string(value); }

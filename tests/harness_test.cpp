@@ -1,5 +1,10 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -128,6 +133,62 @@ TEST(Table, RendersAlignedColumns) {
 TEST(Fmt, FormatsNumbers) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(std::size_t{42}), "42");
+}
+
+TEST(Fmt, MatchesTheStreamText) {
+  // fmt must write exactly what `out << std::fixed << setprecision(p)`
+  // wrote before it: every CSV and repro golden is made of this text.
+  const auto stream_text = [](double value, int precision) {
+    std::ostringstream out;
+    out << std::fixed << std::setprecision(precision) << value;
+    return out.str();
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values{0.0,
+                             -0.0,
+                             kInf,
+                             -kInf,
+                             kNan,
+                             -kNan,
+                             5e-324,
+                             -5e-324,
+                             std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::max(),
+                             0.5,
+                             2.5,
+                             0.125,
+                             1.00005,
+                             0.12345,
+                             2.71825,
+                             -3.14155,
+                             99999.99995};
+  // Values a hair either side of a 4-decimal tie.
+  for (int i = 0; i < 200; ++i) {
+    const double tie = (2 * i + 1) * 0.00005 + i;
+    values.push_back(std::nextafter(tie, 0.0));
+    values.push_back(tie);
+    values.push_back(std::nextafter(tie, kInf));
+  }
+  // Random bit patterns: every exponent, NaN payloads and subnormals.
+  channel::Rng rng(0x5eed);
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(std::bit_cast<double>(rng()));
+  }
+  for (const double value : values) {
+    for (int precision = -1; precision <= 6; ++precision) {
+      ASSERT_EQ(fmt(value, precision), stream_text(value, precision))
+          << "bits " << std::bit_cast<std::uint64_t>(value) << " precision "
+          << precision;
+    }
+  }
+  EXPECT_EQ(fmt(-0.0, 2), "-0.00");
+  EXPECT_EQ(fmt(-kInf, 2), "-inf");
+  EXPECT_EQ(fmt(0.125, 2), "0.12");
+  // A precision past the stack buffer takes the heap one.
+  EXPECT_EQ(fmt(1.0, 200), stream_text(1.0, 200));
+  EXPECT_EQ(fmt(-std::numeric_limits<double>::max(), 400),
+            stream_text(-std::numeric_limits<double>::max(), 400));
 }
 
 TEST(Fit, RecoversExactLinearRelation) {

@@ -10,12 +10,18 @@
 //  * the tree cache is single-flight: one expansion per (k, horizon)
 //    at every thread count, and a throwing expansion is rethrown to
 //    every caller of its key;
+//  * a cache told each cell's use frees a policy's engine with the
+//    policy's last open cell, and measures as a keep-forever one;
 //  * golden fixed-seed statistics pin the engine's streams so draw-
 //    order changes are caught deliberately.
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 #include <stdexcept>
@@ -379,6 +385,117 @@ TEST(HistoryTreeEngine, ExpandsEachKeyOnceAtEveryThreadCount) {
     for (std::size_t c = 0; c < results.size(); ++c) {
       expect_identical(reference[c], results[c]);
     }
+  }
+}
+
+/// A cell's engine that forwards to a shared history-tree engine and,
+/// as the cell drops it, records how many keys that engine has
+/// expanded: the last record of a policy reads an engine that the
+/// cell's close may free.
+class ExpansionRecorder final : public channel::Engine {
+ public:
+  ExpansionRecorder(std::shared_ptr<const HistoryTreeEngine> engine,
+                    std::mutex& mutex, std::size_t& expansions)
+      : engine_(std::move(engine)), mutex_(mutex), expansions_(expansions) {}
+  ~ExpansionRecorder() override {
+    const std::lock_guard lock(mutex_);
+    expansions_ = std::max(expansions_, engine_->expansions());
+  }
+  void run_many(channel::TrialBlock& block) const override {
+    engine_->run_many(block);
+  }
+
+ private:
+  std::shared_ptr<const HistoryTreeEngine> engine_;
+  std::mutex& mutex_;
+  std::size_t& expansions_;
+};
+
+TEST(HistoryTreeEngine, APolicysEngineDiesWithItsLastCell) {
+  // The cells of policy A, then those of policy B, through a cache
+  // that knows each cell's use: A's engine, with its trees, dies with
+  // A's last open cell, not with the cache. Keys are still expanded
+  // once each, and the measurements equal a keep-forever cache's.
+  const baselines::WillardPolicy policy_a(1 << 12);
+  const baselines::WillardPolicy policy_b(1 << 10);
+  const std::array<const channel::CollisionPolicy*, 2> policies{&policy_a,
+                                                                &policy_b};
+  const std::array<std::vector<std::size_t>, 2> sizes{
+      std::vector<std::size_t>{60, 300, 2500, 60, 300, 2500},
+      std::vector<std::size_t>{40, 900, 40, 900}};
+  const std::size_t first_b = sizes[0].size();
+  const auto cells_through = [&](const auto& engine_of) {
+    std::vector<MeasureCell> cells;
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      for (const std::size_t k : sizes[p]) {
+        cells.push_back(MeasureCell{
+            .engine = [&engine_of, policy = policies[p]] {
+              return engine_of(*policy);
+            },
+            .sizes = {nullptr, k},
+            .trials = 2 * kTrialBlockSize + 100 * cells.size(),
+            .seed = channel::derive_stream_seed(53, cells.size()),
+            .max_rounds = 1 << 12});
+      }
+    }
+    return cells;
+  };
+
+  const channel::HistoryTreeCache forever;
+  const auto forever_engine = [&](const channel::CollisionPolicy& policy) {
+    return std::static_pointer_cast<const channel::Engine>(
+        forever.engine_for(policy));
+  };
+  const auto reference = measure_cells(cells_through(forever_engine), 1);
+  // Every cell's budget shares the depth-cap horizon: one key per k.
+  ASSERT_EQ(forever.engine_for(policy_a)->expansions(), 3u);
+  ASSERT_EQ(forever.engine_for(policy_b)->expansions(), 2u);
+
+  for (const std::size_t threads : {1ul, 4ul, 16ul}) {
+    channel::HistoryTreeCache cache;
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      for (std::size_t c = 0; c < sizes[p].size(); ++c) {
+        cache.declare_use(*policies[p]);
+      }
+    }
+    std::mutex mutex;
+    std::map<const channel::CollisionPolicy*,
+             std::weak_ptr<const HistoryTreeEngine>>
+        engines;
+    std::map<const channel::CollisionPolicy*, std::size_t> expansions;
+    const auto declared_engine = [&](const channel::CollisionPolicy& policy) {
+      auto engine = cache.engine_for(policy);
+      const std::lock_guard lock(mutex);
+      const auto [it, first] = engines.try_emplace(&policy, engine);
+      // Every cell of a policy gets the one engine: none is rebuilt.
+      if (!first) {
+        EXPECT_EQ(it->second.lock(), engine);
+      }
+      return std::static_pointer_cast<const channel::Engine>(
+          std::make_shared<const ExpansionRecorder>(std::move(engine), mutex,
+                                                    expansions[&policy]));
+    };
+    std::vector<Measurement> delivered(reference.size());
+    const auto results = measure_cells(
+        cells_through(declared_engine), threads,
+        [&](std::size_t c, const Measurement& measurement) {
+          delivered[c] = measurement;
+          if (threads != 1 || c != first_b) return;
+          const std::lock_guard lock(mutex);
+          EXPECT_TRUE(engines.at(&policy_a).expired());
+          // B's other cells are still to open: the cache holds B.
+          EXPECT_FALSE(engines.at(&policy_b).expired());
+        });
+    ASSERT_EQ(results.size(), reference.size());
+    for (std::size_t c = 0; c < results.size(); ++c) {
+      expect_identical(reference[c], results[c]);
+      expect_identical(reference[c], delivered[c]);
+    }
+    EXPECT_EQ(expansions.at(&policy_a), 3u) << "threads " << threads;
+    EXPECT_EQ(expansions.at(&policy_b), 2u) << "threads " << threads;
+    EXPECT_EQ(cache.size(), 0u) << "threads " << threads;
+    EXPECT_TRUE(engines.at(&policy_a).expired()) << "threads " << threads;
+    EXPECT_TRUE(engines.at(&policy_b).expired()) << "threads " << threads;
   }
 }
 
