@@ -210,6 +210,15 @@ BENCHMARK(BM_DerivedStreamDraws)
     ->Arg(40)
     ->Arg(400)
     ->Apply(repeated);
+// The host's own thread tax: the same lock-free, allocation-free loop
+// on 1 thread and on 4 at once, each thread on its own streams, timed
+// in CPU time. Per stream, its cpu_time at threads:4 over threads:1 is
+// the floor a pool's per-trial CPU growth is measured against.
+BENCHMARK(BM_DerivedStreamDraws)
+    ->Arg(400)
+    ->Threads(1)
+    ->Threads(4)
+    ->Apply(repeated);
 
 // ---- CD engines: the Table 2 randomized-CD sweep once per engine ----
 //

@@ -176,7 +176,7 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
   // std::upper_bound it replaces (ties included; pinned by
   // tests/kernel_test.cpp). A draw at or past the solved mass lands
   // on a leaf instead: u - solved_mass is searched in the leaf CDF, and
-  // the trial continues from that leaf's history.
+  // the trial continues from that leaf's state at its history's depth.
   const auto found = scratch_span(scratch.found, count);
   const auto sample_slot = [&](std::size_t s,
                                const harness::HistoryTree& tree) {
@@ -210,17 +210,9 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
         finish(t, 0);
         continue;
       }
-      // Solved plus leaf mass is 1 only up to rounding, so a draw past
-      // the last leaf's cumulative mass belongs to the last leaf.
-      const auto it = std::upper_bound(tree.leaf_cdf.begin(),
-                                       tree.leaf_cdf.end() - 1,
-                                       u[j] - solved_mass);
-      const harness::PackedHistory history =
-          tree.leaves[static_cast<std::size_t>(it - tree.leaf_cdf.begin())]
-              .history;
-      simulate_trial(t, outcomes,
-                     harness::fold_packed_history(policy_, history),
-                     harness::packed_depth(history), pass1_draws);
+      const harness::HistoryLeaf& leaf = tree.leaf_for(u[j] - solved_mass);
+      simulate_trial(t, outcomes, leaf.state,
+                     harness::packed_depth(leaf.history), pass1_draws);
     }
   };
 

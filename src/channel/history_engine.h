@@ -15,15 +15,15 @@
 //    kernel answers the solve round over the padded solve CDF — a
 //    broadcast scan of at most 64 entries on the vector tiers, an
 //    upper-bound descent on the scalar one;
-//  * otherwise u - solved mass picks a leaf by a scalar upper_bound
-//    over the leaf CDF (mass order), and the trial folds that leaf's
-//    packed history into the policy state once (at most
-//    harness::kMaxPackedDepth next_state steps) and *continues* it by
-//    the exact per-round simulation the CollisionPolicyColumnarEngine
-//    adapter runs — one probability_at and one next_state per round —
-//    on the rest of its own stream. A frontier leaf under a budget
-//    equal to the horizon continues for zero rounds: unsolved at the
-//    budget.
+//  * otherwise u - solved mass picks a leaf by a branch-free upper
+//    bound over the leaf CDF (mass order; HistoryTree::leaf_for), and
+//    the trial *continues* from the policy state the leaf carries — the
+//    state its history folds to, kept by the expansion — at the round
+//    after its history, by the exact per-round simulation the
+//    CollisionPolicyColumnarEngine adapter runs (one probability_at
+//    and one next_state per round) on the rest of its own stream. A
+//    frontier leaf under a budget equal to the horizon continues for
+//    zero rounds: unsolved at the budget.
 //
 // Conditioned on reaching a leaf, the continuation is the exact chain
 // from that history, so the sampled distribution of (solved, rounds)

@@ -11,8 +11,10 @@
 // sampling noise.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "channel/protocol.h"
@@ -36,38 +38,73 @@ RoundOutcomeProbabilities round_outcome_probabilities(std::size_t k,
 /// draw their probabilities from a handful of values (powers of two
 /// for the paper's), and a hit returns the very result the call would,
 /// so callers stay bit-identical; past kCapacity distinct values it
-/// computes uncached. operator() memoizes and is not thread-safe (one
-/// per expansion); lookup() only reads, so a filled cache (a
-/// HistoryTree's) can be shared by any number of threads.
+/// computes uncached. A p is found through a small open-addressed index
+/// keyed by its bit pattern (so +0.0 and -0.0 are two keys with equal
+/// results): the first probe almost always decides, where a scan of
+/// the entries exits at an unpredictable position. operator()
+/// memoizes and is not thread-safe (one per expansion); lookup() only
+/// reads, so a filled cache (a HistoryTree's) can be shared by any
+/// number of threads.
 class OutcomeCache {
  public:
+  /// Distinct probabilities cached; later ones are computed uncached.
+  static constexpr std::size_t kCapacity = 64;
+  /// Index slots: twice the capacity, so probe runs stay short.
+  static constexpr std::size_t kSlots = 2 * kCapacity;
+
   explicit OutcomeCache(std::size_t k) : k_(k) {}
 
   RoundOutcomeProbabilities operator()(double p) {
-    if (const auto* hit = find(p)) return *hit;
+    std::size_t slot = 0;
+    if (const auto* hit = find(p, slot)) return *hit;
     const auto outcome = round_outcome_probabilities(k_, p);
-    if (entries_.size() < kCapacity) entries_.emplace_back(p, outcome);
+    if (entries_.size() < kCapacity) {
+      entries_.push_back({std::bit_cast<std::uint64_t>(p), outcome});
+      index_[slot] = static_cast<std::uint8_t>(entries_.size());
+    }
     return outcome;
   }
 
   /// The cached result for p, or the direct call's when p was never
   /// cached; memoizes nothing.
   RoundOutcomeProbabilities lookup(double p) const {
-    if (const auto* hit = find(p)) return *hit;
+    std::size_t slot = 0;
+    if (const auto* hit = find(p, slot)) return *hit;
     return round_outcome_probabilities(k_, p);
   }
 
+  /// The index slot p's probe starts at (exposed for tests): a
+  /// Fibonacci hash of its bits folded in half, so keys that differ
+  /// only in the exponent (powers of two) spread.
+  static std::size_t home_slot(double p) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(p);
+    return static_cast<std::size_t>(
+        ((bits ^ (bits >> 32)) * 0x9E3779B97F4A7C15ULL) >>
+        (64 - std::bit_width(kSlots - 1)));
+  }
+
  private:
-  const RoundOutcomeProbabilities* find(double p) const {
-    for (const auto& [key, outcome] : entries_) {
-      if (key == p) return &outcome;
+  struct Entry {
+    std::uint64_t bits = 0;
+    RoundOutcomeProbabilities outcome;
+  };
+
+  /// The entry keyed by p's bits, probing linearly from its home
+  /// slot; on a miss, null with `slot` at the empty slot that ends the
+  /// run.
+  const RoundOutcomeProbabilities* find(double p, std::size_t& slot) const {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(p);
+    for (slot = home_slot(p); index_[slot] != 0; slot = (slot + 1) % kSlots) {
+      const Entry& entry = entries_[index_[slot] - 1];
+      if (entry.bits == bits) return &entry.outcome;
     }
     return nullptr;
   }
 
-  static constexpr std::size_t kCapacity = 64;
   std::size_t k_;
-  std::vector<std::pair<double, RoundOutcomeProbabilities>> entries_;
+  /// 1 + the entry index of each occupied slot; 0 marks an empty one.
+  std::array<std::uint8_t, kSlots> index_{};
+  std::vector<Entry> entries_;
 };
 
 /// Exact no-CD profile over the first `horizon` rounds.

@@ -16,12 +16,12 @@
 //
 // The expansion partitions probability mass exactly: per-round solve
 // mass, plus the *leaves* — every branch dropped by prune_below and
-// every branch still alive at the horizon — each with its reach mass
-// and its packed history. A sampler answers solve mass by inverse CDF
-// and continues a leaf by exact per-round simulation from the policy
-// state its history folds to, so the pruning threshold trades
-// expansion size against continuation work but never moves the
-// sampled distribution.
+// every branch still alive at the horizon — each with its packed
+// history and the policy state that history folds to, its reach mass
+// summed into a leaf CDF. A sampler answers solve mass by inverse CDF
+// and continues a leaf by exact per-round simulation from the leaf's
+// state, so the pruning threshold trades expansion size against
+// continuation work but never moves the sampled distribution.
 //
 // Ownership: expand_history_tree returns a self-contained value; the
 // policy is only dereferenced during the call and need not outlive the
@@ -63,10 +63,6 @@ PackedHistory pack_history(const channel::BitString& history);
 void unpack_history(PackedHistory packed, channel::BitString& out);
 /// Number of rounds `packed` encodes.
 std::size_t packed_depth(PackedHistory packed);
-/// The state `policy` reaches after the rounds `packed` encodes: one
-/// next_state step per round from initial_state().
-channel::CollisionPolicy::State fold_packed_history(
-    const channel::CollisionPolicy& policy, PackedHistory packed);
 
 /// Depth at which an expansion splits into subtrees: the prefix down
 /// to this depth is expanded first, then each subtree alive there in
@@ -102,11 +98,16 @@ struct HistoryTreeOptions {
   bool record_leaves = true;
 };
 
-/// One unresolved branch: pruned, or alive at the horizon.
+/// One unresolved branch: pruned, or alive at the horizon. Its reach
+/// mass lives only in HistoryTree::leaf_cdf, so a leaf stays 16 bytes.
 struct HistoryLeaf {
-  double reach = 0.0;         ///< Pr(an execution follows this history)
+  /// The policy state the branch's next round starts in: the state
+  /// `history` folds to from initial_state(), one next_state step per
+  /// round, as the expansion held it when it recorded the leaf.
+  channel::CollisionPolicy::State state = 0;
   PackedHistory history = 1;  ///< the branch's collision history
 };
+static_assert(sizeof(HistoryLeaf) == 16);
 
 /// The cached expansion of one (policy, k) pair down to a horizon.
 struct HistoryTree {
@@ -132,8 +133,9 @@ struct HistoryTree {
   /// prefix's, then each subtree's in capture order (empty when the
   /// expansion ran with record_leaves == false).
   std::vector<HistoryLeaf> leaves;
-  /// Prefix sums of leaves[i].reach: the table a sampler searches with
-  /// u - solved_mass() to pick the leaf it continues from.
+  /// leaf_cdf[i] = the reach masses (Pr(an execution follows the
+  /// leaf's history)) of leaves[0..i], summed in leaf order as the
+  /// expansion records them: the table leaf_for() searches.
   std::vector<double> leaf_cdf;
 
   /// The outcome trichotomy of every distinct transmit probability the
@@ -159,6 +161,32 @@ struct HistoryTree {
   /// Total mass resolved as solved within the horizon.
   double solved_mass() const {
     return horizon == 0 ? 0.0 : padded_solve_cdf[horizon];
+  }
+
+  /// The leaf a sampler continues from when its draw lies `mass` past
+  /// solved_mass(): the first leaf whose cumulative mass exceeds
+  /// `mass`, exactly what std::upper_bound over leaf_cdf returns. Solved
+  /// plus leaf mass is 1 only up to rounding, so a draw past the last
+  /// leaf's cumulative mass lands on the last leaf. Requires a leaf.
+  const HistoryLeaf& leaf_for(double mass) const {
+    // Branch-free upper bound over leaf_cdf[0, size - 1): each step
+    // halves the range with a conditional move, so the loop runs a
+    // size-determined count of steps whatever `mass` is. Both entries
+    // the next step may read are prefetched, since a cold table is
+    // what a leaf search mostly meets.
+    const double* base = leaf_cdf.data();
+    std::size_t n = leaf_cdf.size() - 1;
+    if (n == 0) return leaves[0];
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      __builtin_prefetch(base + half / 2);
+      __builtin_prefetch(base + half + half / 2);
+      base = mass < base[half] ? base : base + half;
+      n -= half;
+    }
+    const auto index = static_cast<std::size_t>(base - leaf_cdf.data()) +
+                       (mass < *base ? 0 : 1);
+    return leaves[index];
   }
 };
 

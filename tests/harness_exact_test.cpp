@@ -3,8 +3,12 @@
 // independent implementations of the channel semantics must agree.
 #include "harness/exact.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +22,8 @@
 #include "harness/measure.h"
 #include "info/distribution.h"
 #include "predict/families.h"
+
+#include "test_support.h"
 
 namespace crp::harness {
 namespace {
@@ -52,20 +58,70 @@ TEST(RoundOutcome, ProbabilitiesFormADistribution) {
   }
 }
 
+/// Bitwise equality of two outcome triples.
+void expect_same_outcome(const RoundOutcomeProbabilities& got,
+                         const RoundOutcomeProbabilities& want, double p) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.silence),
+            std::bit_cast<std::uint64_t>(want.silence))
+      << "p=" << p;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.success),
+            std::bit_cast<std::uint64_t>(want.success))
+      << "p=" << p;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.collision),
+            std::bit_cast<std::uint64_t>(want.collision))
+      << "p=" << p;
+}
+
 TEST(RoundOutcome, CacheReturnsTheDirectResultBitForBit) {
   // Hits, misses, and the uncached path past the cache's capacity must
   // all equal the direct call exactly, so the expansion and the
-  // engine's continuation stay bit-identical through the cache.
-  OutcomeCache cache(37);
+  // engine's continuation stay bit-identical through the cache. That
+  // holds for both zeros (two bit patterns, one result) and for keys
+  // that share a home slot in the cache's open-addressed index,
+  // whichever of them was cached first, through the memoizing call and
+  // the read-only lookup alike.
+  constexpr std::size_t k = 37;
+  // Keys whose probe runs start at one slot: the first home slot three
+  // dyadic-or-decimal probabilities share.
+  std::map<std::size_t, std::vector<double>> by_slot;
+  std::vector<double> colliding;
+  for (int i = 1; colliding.empty() && i < 4000; ++i) {
+    const double p = i / 4000.0;
+    auto& group = by_slot[OutcomeCache::home_slot(p)];
+    group.push_back(p);
+    if (group.size() == 3) colliding = group;
+  }
+  ASSERT_EQ(colliding.size(), 3u);
+  std::vector<double> keys = {0.0, -0.0};
+  keys.insert(keys.end(), colliding.begin(), colliding.end());
+  for (int e = 1; e <= 60; ++e) keys.push_back(std::ldexp(1.0, -e));
+  for (int i = 0; i <= 100; ++i) keys.push_back(i / 100.0);
+  ASSERT_GT(keys.size(), OutcomeCache::kCapacity);
+
+  OutcomeCache cache(k);
   for (int pass = 0; pass < 2; ++pass) {
-    for (int i = 0; i <= 100; ++i) {
-      const double p = i / 100.0;
-      const auto cached = cache(p);
-      const auto direct = round_outcome_probabilities(37, p);
-      EXPECT_EQ(cached.silence, direct.silence) << "p=" << p;
-      EXPECT_EQ(cached.success, direct.success) << "p=" << p;
-      EXPECT_EQ(cached.collision, direct.collision) << "p=" << p;
+    for (const double p : keys) {
+      const auto direct = round_outcome_probabilities(k, p);
+      expect_same_outcome(cache(p), direct, p);
+      expect_same_outcome(cache.lookup(p), direct, p);
     }
+  }
+  // A read-only cache answers keys it never met, colliding ones too.
+  const OutcomeCache empty(k);
+  for (const double p : colliding) {
+    expect_same_outcome(empty.lookup(p), round_outcome_probabilities(k, p),
+                        p);
+  }
+  // The colliding keys cached in the other order: each probe run now
+  // passes the others in reverse.
+  OutcomeCache reversed(k);
+  for (auto it = colliding.rbegin(); it != colliding.rend(); ++it) {
+    expect_same_outcome(reversed(*it), round_outcome_probabilities(k, *it),
+                        *it);
+  }
+  for (const double p : keys) {
+    expect_same_outcome(reversed.lookup(p), round_outcome_probabilities(k, p),
+                        p);
   }
 }
 
@@ -163,17 +219,22 @@ TEST(ExactCd, CodedSearchExpectationMatchesMonteCarlo) {
 TEST(ExactCd, LeavesPartitionTheUnsolvedMass) {
   // Every leaf's reach is the product of the outcome probabilities
   // along its rebuilt history — bit for bit, since the expansion
-  // multiplies in the same order — and solved mass plus leaf mass is
-  // the whole probability space.
+  // multiplies in the same order — so the leaf CDF is the running sum
+  // of those products, bit for bit too. Every leaf carries the state
+  // its history folds to, and solved mass plus leaf mass is the whole
+  // probability space.
   const baselines::WillardPolicy willard(1 << 16);
   for (const double prune : {1e-2, 1e-6}) {
     const auto tree = expand_history_tree(
         willard, 60, {.horizon = 16, .prune_below = prune});
     ASSERT_FALSE(tree.leaves.empty());
+    ASSERT_EQ(tree.leaf_cdf.size(), tree.leaves.size());
     double pruned = 0.0;
     double frontier = 0.0;
+    double cumulative = 0.0;
     channel::BitString history;
-    for (const HistoryLeaf& leaf : tree.leaves) {
+    for (std::size_t i = 0; i < tree.leaves.size(); ++i) {
+      const HistoryLeaf& leaf = tree.leaves[i];
       unpack_history(leaf.history, history);
       ASSERT_LE(history.size(), tree.horizon);
       EXPECT_EQ(pack_history(history), leaf.history);
@@ -185,8 +246,11 @@ TEST(ExactCd, LeavesPartitionTheUnsolvedMass) {
         reach *= collided ? outcome.collision : outcome.silence;
         prefix.push_back(collided);
       }
-      EXPECT_EQ(reach, leaf.reach);
-      (history.size() == tree.horizon ? frontier : pruned) += leaf.reach;
+      cumulative += reach;
+      EXPECT_EQ(cumulative, tree.leaf_cdf[i]) << "leaf " << i;
+      EXPECT_EQ(leaf.state, fold_packed_history(willard, leaf.history))
+          << "leaf " << i;
+      (history.size() == tree.horizon ? frontier : pruned) += reach;
     }
     EXPECT_NEAR(pruned, tree.pruned_mass, 1e-12);
     EXPECT_NEAR(frontier, tree.frontier_mass, 1e-12);

@@ -18,10 +18,14 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <random>
+#include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 #include <stdexcept>
@@ -31,6 +35,7 @@
 #include "baselines/willard.h"
 #include "channel/history_engine.h"
 #include "channel/rng.h"
+#include "core/coded_search.h"
 #include "harness/exact.h"
 #include "harness/history_tree.h"
 #include "harness/measure.h"
@@ -93,6 +98,7 @@ TEST(HistoryTreeEngine, MarginalsAgreeWithExactProfileExactly) {
           << "k=" << k << " r=" << r;
     }
     EXPECT_EQ(mode, HistoryTreeEngine::Mode::kInverseCdf);
+    expect_leaf_invariants(willard, *tree);
   }
 }
 
@@ -162,7 +168,9 @@ TEST(HistoryTreeEngine, InverseCdfModeForChainTrees) {
       std::bit_width(tree->leaves[0].history) - 1;  // the leaf's depth
   ASSERT_GT(chain, 10u);
   ASSERT_LT(chain, tree->horizon);
-  EXPECT_LT(tree->leaves[0].reach, HistoryTreeEngine::Options().prune_below);
+  // One leaf: its cumulative mass is its reach.
+  EXPECT_LT(tree->leaf_cdf[0], HistoryTreeEngine::Options().prune_below);
+  expect_leaf_invariants(half, *tree);
   for (std::size_t r = 0; r < chain; ++r) {
     EXPECT_NEAR(tree->solve_cdf()[r],
                 1.0 - std::exp2(-static_cast<double>(r + 1)), 1e-12);
@@ -187,6 +195,7 @@ TEST(HistoryTreeEngine, NeverSolvingPolicyReportsUnsolved) {
   EXPECT_DOUBLE_EQ(tree->solved_mass(), 0.0);
   EXPECT_DOUBLE_EQ(tree->frontier_mass, 1.0);
   ASSERT_EQ(tree->leaves.size(), 1u);
+  expect_leaf_invariants(always, *tree);
   MeasureOptions options{.max_rounds = 48, .threads = 1};
   options.cd_engine = CdEngine::kHistoryTree;
   const auto m = measure_uniform_cd_fixed_k(always, 2, 500, 17, options);
@@ -219,6 +228,7 @@ TEST(HistoryTreeEngine, DepthCapFallbackIsDeterministicAndCorrect) {
   EXPECT_GT(frontier_leaves, 0u);
   EXPECT_LT(frontier_leaves, tree->leaves.size());
   EXPECT_NEAR(tree->solved_mass() + tree->leaf_cdf.back(), 1.0, 1e-12);
+  expect_leaf_invariants(willard, *tree);
 
   const channel::SizeSource sizes{nullptr, 60};
   const MeasureOptions serial{.max_rounds = 1 << 12, .threads = 1};
@@ -238,6 +248,160 @@ TEST(HistoryTreeEngine, DepthCapFallbackIsDeterministicAndCorrect) {
                 reference.histogram.solved_by(static_cast<double>(
                     tree->horizon)),
             0u);
+}
+
+TEST(HistoryTreeEngine, LeafSearchIsUpperBound) {
+  // leaf_for's branch-free descent must pick exactly the leaf
+  // std::upper_bound over leaf_cdf[0, size - 1) picks: at every
+  // cumulative mass and its neighbours (ties), below the first, past
+  // the last, on NaN, and for trees of one and two leaves.
+  const baselines::WillardPolicy willard(1 << 16);
+  const auto reference = [](const HistoryTree& tree, double mass) {
+    return static_cast<std::size_t>(
+        std::upper_bound(tree.leaf_cdf.begin(), tree.leaf_cdf.end() - 1,
+                         mass) -
+        tree.leaf_cdf.begin());
+  };
+  const auto check = [&](const HistoryTree& tree) {
+    ASSERT_FALSE(tree.leaves.empty());
+    std::vector<double> masses = {
+        -1.0, -0.0, 0.0, 1.0, 2.0, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    for (const double c : tree.leaf_cdf) {
+      masses.insert(masses.end(), {c, std::nextafter(c, 0.0),
+                                   std::nextafter(c, 2.0)});
+    }
+    channel::SplitMix64 rng(5);
+    std::uniform_real_distribution<double> unit(0.0, tree.leaf_cdf.back());
+    for (int i = 0; i < 2000; ++i) masses.push_back(unit(rng));
+    for (const double mass : masses) {
+      EXPECT_EQ(&tree.leaf_for(mass), &tree.leaves[reference(tree, mass)])
+          << "mass " << mass << " leaves " << tree.leaves.size();
+    }
+  };
+  std::size_t one = 0;
+  std::size_t two = 0;
+  for (const std::size_t horizon : {1ul, 2ul, 3ul, 16ul}) {
+    for (const double prune : {1e-1, 1e-2, 1e-6}) {
+      const auto tree = expand_history_tree(
+          willard, 60, {.horizon = horizon, .prune_below = prune});
+      one += tree.leaves.size() == 1 ? 1 : 0;
+      two += tree.leaves.size() == 2 ? 1 : 0;
+      check(tree);
+    }
+  }
+  // One leaf: the silence chain of k = 1, pruned once.
+  const ConstantPolicy half(0.5);
+  const auto chain = expand_history_tree(half, 1, {.horizon = 48,
+                                                   .prune_below = 1e-5});
+  one += chain.leaves.size() == 1 ? 1 : 0;
+  check(chain);
+  EXPECT_GT(one, 0u);
+  EXPECT_GT(two, 0u);
+  // A tree with many leaves of equal cumulative mass: ties everywhere.
+  const ConstantPolicy always(1.0);
+  check(expand_history_tree(always, 2, {.horizon = 8}));
+}
+
+/// The tree engine's (solved, round) for fixed-k trial `trial` of
+/// `seed`, recomputed the way the engine did before leaves carried
+/// their state: std::upper_bound picks the leaf, and the policy state
+/// is rebuilt by folding the leaf's history from initial_state(). The
+/// trial's stream gives the solve draw, then one draw per continued
+/// round.
+std::pair<std::uint8_t, std::uint64_t> folding_reference(
+    const channel::CollisionPolicy& policy, const HistoryTree& tree,
+    std::uint64_t seed, std::size_t trial, std::size_t max_rounds,
+    std::size_t& leaf_hits) {
+  channel::SplitMix64 rng = channel::derive_fast_rng(seed, trial);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const double u = unit(rng);
+  const double solved_mass = tree.solved_mass();
+  std::size_t round = 0;
+  if (u < solved_mass) {
+    const auto cdf = tree.solve_cdf();
+    round = static_cast<std::size_t>(
+                std::upper_bound(cdf.begin(), cdf.end(), u) - cdf.begin()) +
+            1;
+  } else if (!tree.leaves.empty()) {
+    ++leaf_hits;
+    const auto it = std::upper_bound(tree.leaf_cdf.begin(),
+                                     tree.leaf_cdf.end() - 1, u - solved_mass);
+    const PackedHistory history =
+        tree.leaves[static_cast<std::size_t>(it - tree.leaf_cdf.begin())]
+            .history;
+    channel::CollisionPolicy::State state =
+        fold_packed_history(policy, history);
+    for (std::size_t r = packed_depth(history); r < max_rounds; ++r) {
+      const auto outcome =
+          round_outcome_probabilities(tree.k, policy.probability_at(state));
+      const double v = unit(rng);
+      if (v < outcome.success) {
+        round = r + 1;
+        break;
+      }
+      state = policy.next_state(state, v >= outcome.success + outcome.silence);
+    }
+  }
+  return {round != 0 ? 1 : 0, round != 0 ? round : max_rounds};
+}
+
+TEST(HistoryTreeEngine, LeafContinuationMatchesAFoldingReference) {
+  // A coarse prune under a shallow cap sends most trials through leaf
+  // continuation (coded search tuned for small sizes barely solves
+  // k = 60 or 2500 in 4 rounds). Every trial's (solved, rounds) must
+  // equal the folding reference's at 1, 4 and 16 threads: continuing
+  // from leaf.state moves no trial.
+  const baselines::WillardPolicy willard(1 << 16);
+  const core::CodedSearchPolicy coded(
+      predict::geometric_ranges(info::num_ranges(1 << 16), 0.5));
+  HistoryTreeEngine::Options coarse;
+  coarse.depth_cap = 4;
+  coarse.prune_below = 1e-2;
+  const HistoryTreeEngine willard_engine(willard, coarse);
+  const HistoryTreeEngine coded_engine(coded, coarse);
+  struct Case {
+    const channel::CollisionPolicy& policy;
+    const HistoryTreeEngine& engine;
+    std::size_t k;
+  };
+  const std::array<Case, 4> cases{{{willard, willard_engine, 2},
+                                   {willard, willard_engine, 60},
+                                   {coded, coded_engine, 60},
+                                   {coded, coded_engine, 2500}}};
+  constexpr std::size_t kMaxRounds = 1 << 10;
+  constexpr std::size_t kTrials = 3 * kTrialBlockSize + 101;
+  constexpr std::uint64_t kSeed = 61;
+  std::size_t leaf_hits = 0;
+  for (const Case& c : cases) {
+    const auto [tree, mode] = c.engine.tree_for(c.k, kMaxRounds);
+    ASSERT_EQ(mode, HistoryTreeEngine::Mode::kInverseCdf);
+    expect_leaf_invariants(c.policy, *tree);
+    std::vector<std::uint8_t> solved(kTrials);
+    std::vector<std::uint64_t> rounds(kTrials);
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      std::tie(solved[t], rounds[t]) = folding_reference(
+          c.policy, *tree, kSeed, t, kMaxRounds, leaf_hits);
+    }
+    for (const std::size_t threads : {1ul, 4ul, 16ul}) {
+      std::vector<std::uint8_t> got_solved(kTrials);
+      std::vector<std::uint64_t> got_rounds(kTrials);
+      parallel_blocks(kTrials, threads, [&](std::size_t begin,
+                                            std::size_t end) {
+        channel::TrialBlock block{
+            .seed = kSeed,
+            .first_trial = begin,
+            .max_rounds = kMaxRounds,
+            .sizes = {nullptr, c.k},
+            .solved = std::span(got_solved).subspan(begin, end - begin),
+            .rounds = std::span(got_rounds).subspan(begin, end - begin)};
+        c.engine.run_many(block);
+      });
+      EXPECT_EQ(got_solved, solved) << "k=" << c.k << " threads " << threads;
+      EXPECT_EQ(got_rounds, rounds) << "k=" << c.k << " threads " << threads;
+    }
+  }
+  EXPECT_GT(2 * leaf_hits, cases.size() * kTrials);
 }
 
 TEST(HistoryTreeEngine, RejectsADepthCapItCannotEncode) {
@@ -261,6 +425,9 @@ TEST(HistoryTreeEngine, NodeCapDelegatesToSimulation) {
   const auto [tree, mode] = engine.tree_for(2500, 1 << 12);
   EXPECT_TRUE(tree->truncated);
   EXPECT_EQ(mode, HistoryTreeEngine::Mode::kSimulate);
+  // The leaves recorded before the cap stopped the expansion still
+  // hold their invariants.
+  expect_leaf_invariants(willard, *tree);
 
   const channel::SizeSource sizes{nullptr, 2500};
   const MeasureOptions serial{.max_rounds = 1 << 12, .threads = 1};

@@ -1,7 +1,7 @@
 // Helpers shared by the harness tests: a fresh scratch directory per
-// test, whole-file reads, whole-Measurement equality, and the six-cell
-// sweep fixture that the sweep, shard, checkpoint and fault-injection
-// tests run.
+// test, whole-file reads, whole-Measurement equality, the history-tree
+// leaf oracle, and the six-cell sweep fixture that the sweep, shard,
+// checkpoint and fault-injection tests run.
 #pragma once
 
 #include <cstddef>
@@ -9,12 +9,16 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/decay.h"
 #include "baselines/willard.h"
+#include "channel/protocol.h"
+#include "harness/exact.h"
+#include "harness/history_tree.h"
 #include "harness/measure.h"
 #include "harness/sweep.h"
 #include "info/distribution.h"
@@ -54,6 +58,53 @@ inline void expect_identical(const Measurement& a, const Measurement& b) {
   EXPECT_EQ(a.rounds.p99, b.rounds.p99);
   EXPECT_EQ(a.rounds.min, b.rounds.min);
   EXPECT_EQ(a.rounds.max, b.rounds.max);
+}
+
+/// The state `policy` reaches after the rounds `packed` encodes: one
+/// next_state step per round from initial_state(). The oracle for the
+/// state an expansion stores in each HistoryLeaf.
+inline channel::CollisionPolicy::State fold_packed_history(
+    const channel::CollisionPolicy& policy, PackedHistory packed) {
+  channel::CollisionPolicy::State state = policy.initial_state();
+  const std::size_t depth = packed_depth(packed);
+  for (std::size_t r = 0; r < depth; ++r) {
+    state = policy.next_state(state, ((packed >> r) & 1) != 0);
+  }
+  return state;
+}
+
+/// Checks every leaf of `tree` (expanded from `policy`) against a
+/// replay of its history from initial_state(): the leaf's state is the
+/// state the history folds to, and leaf_cdf is the running sum of the
+/// replayed reach masses, bit for bit — the expansion multiplies and
+/// sums in the same order. Returns the replayed (pruned, frontier)
+/// masses.
+inline std::pair<double, double> expect_leaf_invariants(
+    const channel::CollisionPolicy& policy, const HistoryTree& tree) {
+  EXPECT_EQ(tree.leaf_cdf.size(), tree.leaves.size());
+  double cumulative = 0.0;
+  double pruned = 0.0;
+  double frontier = 0.0;
+  for (std::size_t i = 0; i < tree.leaves.size(); ++i) {
+    const HistoryLeaf& leaf = tree.leaves[i];
+    const std::size_t depth = packed_depth(leaf.history);
+    EXPECT_LE(depth, tree.horizon);
+    EXPECT_EQ(leaf.state, fold_packed_history(policy, leaf.history))
+        << "leaf " << i;
+    channel::CollisionPolicy::State state = policy.initial_state();
+    double reach = 1.0;
+    for (std::size_t r = 0; r < depth; ++r) {
+      const bool collided = ((leaf.history >> r) & 1) != 0;
+      const auto outcome =
+          round_outcome_probabilities(tree.k, policy.probability_at(state));
+      reach *= collided ? outcome.collision : outcome.silence;
+      state = policy.next_state(state, collided);
+    }
+    cumulative += reach;
+    EXPECT_EQ(cumulative, tree.leaf_cdf[i]) << "leaf " << i;
+    (depth == tree.horizon ? frontier : pruned) += reach;
+  }
+  return {pruned, frontier};
 }
 
 /// Two schedules and a CD policy crossed with two workloads: 6 cells,
